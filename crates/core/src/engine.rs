@@ -32,9 +32,6 @@
 //! assert_eq!(report.outcomes.len(), 2);
 //! ```
 //!
-//! The pre-consolidation method matrix (`run`/`try_run` ×
-//! `prepared` × `warm`) survives as thin deprecated wrappers.
-//!
 //! # Concurrency structure
 //!
 //! The paper's premise is that variant-level parallelism keeps `T` threads
@@ -712,8 +709,7 @@ struct ShardPlan {
 
 /// One engine run, described declaratively: the database, the variant
 /// set, and the run's options — warm reuse sources, [`TraceLevel`], and
-/// an optional progress channel. The builder replaces the former
-/// `run`/`try_run` × `prepared` × `warm` method matrix:
+/// an optional progress channel:
 ///
 /// ```no_run
 /// # use variantdbscan::{Engine, RunRequest, TraceLevel, VariantSet};
@@ -897,42 +893,6 @@ impl Engine {
         Ok(report)
     }
 
-    /// Clusters every variant of `variants` over `points`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EngineError`], including contained job panics —
-    /// the legacy contract. Use [`Engine::execute`] for typed errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::new(points, variants))`"
-    )]
-    pub fn run(&self, points: &[Point2], variants: &VariantSet) -> RunReport {
-        match self.execute(&RunRequest::new(points, variants)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run`, but returns invalid input as an
-    /// [`EngineError`] instead of panicking. A contained job panic still
-    /// propagates as a panic (the legacy contract).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::new(points, variants))`"
-    )]
-    pub fn try_run(
-        &self,
-        points: &[Point2],
-        variants: &VariantSet,
-    ) -> Result<RunReport, EngineError> {
-        match self.execute(&RunRequest::new(points, variants)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => panic!("{p}"),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Builds the two shared R-trees (and runs the [`RChoice::Auto`]
     /// sweep, when configured) over `points` without clustering anything,
     /// returning a handle that any number of [`RunRequest::prepared`]
@@ -1114,83 +1074,6 @@ impl Engine {
         };
         next.build_time += start.elapsed();
         next
-    }
-
-    /// Clusters `variants` over a prebuilt index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EngineError`] — the legacy contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants))`"
-    )]
-    pub fn run_prepared(&self, index: &PreparedIndex, variants: &VariantSet) -> RunReport {
-        match self.execute(&RunRequest::prepared(index, variants)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run_prepared`, but a panicking clustering job is
-    /// contained inside its worker and surfaced as a typed [`JobPanic`]
-    /// instead of unwinding through the caller.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants))`"
-    )]
-    pub fn try_run_prepared(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-    ) -> Result<RunReport, JobPanic> {
-        match self.execute(&RunRequest::prepared(index, variants)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => Err(p),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Clusters `variants` over a prebuilt index with warm reuse sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a warm result covers a different database size than the
-    /// index, and on contained job panics — the legacy contract.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants).warm(sources))`"
-    )]
-    pub fn run_prepared_warm(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-        warm: &[WarmSource],
-    ) -> RunReport {
-        match self.execute(&RunRequest::prepared(index, variants).warm(warm)) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like the legacy `run_prepared_warm`, but with contained panics
-    /// surfaced as a typed [`JobPanic`]. A mismatched warm source still
-    /// panics (the legacy contract; [`Engine::execute`] types it).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Engine::execute(&RunRequest::prepared(index, variants).warm(sources))`"
-    )]
-    pub fn try_run_prepared_warm(
-        &self,
-        index: &PreparedIndex,
-        variants: &VariantSet,
-        warm: &[WarmSource],
-    ) -> Result<RunReport, JobPanic> {
-        match self.execute(&RunRequest::prepared(index, variants).warm(warm)) {
-            Ok(report) => Ok(report),
-            Err(EngineError::JobPanic(p)) => Err(p),
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The engine core: clusters `variants` over a prepared index with
@@ -2426,55 +2309,6 @@ mod tests {
         }
     }
 
-    /// The deprecated method matrix must keep its exact legacy contracts
-    /// (panic text included) while forwarding to [`Engine::execute`].
-    #[test]
-    #[allow(deprecated, clippy::disallowed_methods)]
-    fn legacy_wrappers_preserve_contracts() {
-        let points = blobs(300, 3, 105);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-
-        // run / try_run match execute over raw points.
-        let legacy = engine.run(&points, &variants);
-        let new = run(&engine, &points, &variants);
-        assert_eq!(legacy.outcomes.len(), new.outcomes.len());
-        for i in 0..variants.len() {
-            assert_eq!(
-                legacy.results[i].num_clusters(),
-                new.results[i].num_clusters()
-            );
-        }
-        let bad = vec![Point2::new(0.0, 0.0), Point2::new(f64::NAN, 1.0)];
-        match engine.try_run(&bad, &variants).unwrap_err() {
-            EngineError::NonFinitePoint { index, .. } => assert_eq!(index, 1),
-            other => panic!("wrong error: {other:?}"),
-        }
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&bad, &variants)));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("non-finite"), "{msg}");
-
-        // run_prepared / run_prepared_warm forward too; a mismatched warm
-        // source keeps the legacy panic text.
-        let prepared = engine.prepare(&points, None).unwrap();
-        let via_wrapper = engine.run_prepared(&prepared, &variants);
-        assert_eq!(via_wrapper.outcomes.len(), variants.len());
-        assert!(engine.try_run_prepared(&prepared, &variants).is_ok());
-        let small = engine.prepare(&points[..50], None).unwrap();
-        let donor_variants = VariantSet::replicated(Variant::new(1.0, 4), 1);
-        let donor = engine.run_prepared(&small, &donor_variants);
-        let warm = vec![WarmSource {
-            variant: Variant::new(1.0, 4),
-            result: Arc::clone(&donor.results[0]),
-        }];
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_prepared_warm(&prepared, &variants, &warm)
-        }));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("different database"), "{msg}");
-    }
-
     // The fault seam is a process-global atomic shared by every test in
     // this binary, so all containment scenarios run inside one #[test]
     // (parallel harness ordering must not matter). The poisoned ε values
@@ -2527,15 +2361,5 @@ mod tests {
         // complete — the failed run leaked nothing that poisons later runs.
         let report = run_prepared(&engine, &index, &mixed);
         assert_all_complete_once(&report, 4);
-
-        // The panicking wrappers preserve the legacy contract.
-        let _armed = crate::fault::ArmedFault::new(11.5);
-        let poison_set = VariantSet::new(vec![Variant::new(11.5, 4)]);
-        #[allow(deprecated, clippy::disallowed_methods)]
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_prepared(&index, &poison_set)
-        }));
-        let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains(crate::fault::INJECTED_PANIC_PREFIX), "{msg}");
     }
 }

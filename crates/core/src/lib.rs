@@ -47,6 +47,7 @@ pub mod deptree;
 pub mod engine;
 pub mod expand;
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod progress;
 pub mod scheduler;
@@ -61,9 +62,9 @@ pub use engine::{
     RunSource, Sharding, WarmSource, APPEND_RESORT_FRACTION,
 };
 pub use expand::{cluster_with_reuse, ReuseStats};
+pub use json::{parse_json, JsonArray, JsonObject, JsonValue};
 pub use metrics::{
-    tune_report_to_json, ExecutionPath, JsonArray, JsonObject, RunReport, ShardTotals,
-    VariantOutcome, WorkerStats,
+    tune_report_to_json, ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats,
 };
 pub use progress::ProgressEvent;
 pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, ScheduleState, Scheduler};

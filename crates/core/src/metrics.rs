@@ -3,7 +3,6 @@
 //! relative speedups (Figures 4, 7a, 8), average reuse (Figure 7b), and
 //! per-thread makespans against the no-idle lower bound (Figure 9).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,6 +11,7 @@ use vbp_geom::PointId;
 use vbp_rtree::TuneReport;
 
 use crate::expand::ReuseStats;
+use crate::json::{JsonArray, JsonObject};
 use crate::trace::{PhaseHistograms, TraceSnapshot};
 use crate::variant::Variant;
 
@@ -46,7 +46,7 @@ pub struct VariantOutcome {
     pub path: ExecutionPath,
     /// `true` when the reuse source was a *warm* one — a cached
     /// clustering completed by an earlier run over the same prepared
-    /// index (see [`Engine::run_prepared_warm`](crate::Engine)) rather
+    /// index (see [`RunRequest::warm`](crate::RunRequest::warm)) rather
     /// than a variant of this run. Always `false` for from-scratch
     /// executions.
     pub warm: bool,
@@ -195,8 +195,8 @@ pub struct RunReport {
     /// Per-worker contention/utilization accounting, one entry per
     /// thread (unordered; see [`WorkerStats::thread`]).
     pub worker_stats: Vec<WorkerStats>,
-    /// Warm reuse sources the run was seeded with (0 outside
-    /// [`Engine::run_prepared_warm`](crate::Engine)).
+    /// Warm reuse sources the run was seeded with (0 unless the
+    /// request set [`RunRequest::warm`](crate::RunRequest::warm)).
     pub warm_seeds: usize,
     /// Per-phase latency histograms (scratch/reuse busy time, lock wait,
     /// schedule decisions, shard local/merge), merged across workers.
@@ -385,190 +385,8 @@ impl RunReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Machine-readable output — a hand-rolled JSON writer. The build
-// environment is offline (no serde), and both `vbp sweep --json` and the
-// service's `STATS` command need structured reports, so a minimal
-// RFC 8259 emitter lives here next to the types it serializes.
-
-/// Appends `s` to `out` as a double-quoted JSON string, escaping quotes,
-/// backslashes, and control characters — including DEL (`\u{7f}`), which
-/// RFC 8259 permits raw but terminals and log scrapers do not. Non-ASCII
-/// text (dataset names arrive from untrusted clients) passes through as
-/// raw UTF-8, which JSON allows.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c as u32 == 0x7f => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends `v` to `out` as a JSON number. NaN and ±∞ have no JSON
-/// representation and become `null`.
-pub fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's f64 Display prints plain decimal notation that
-        // round-trips — valid JSON as-is.
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Incremental JSON object builder (chainable, consuming).
-///
-/// ```
-/// use variantdbscan::metrics::JsonObject;
-/// let s = JsonObject::new().str("name", "SW4").uint("points", 4).finish();
-/// assert_eq!(s, r#"{"name":"SW4","points":4}"#);
-/// ```
-#[derive(Clone, Debug)]
-pub struct JsonObject {
-    buf: String,
-}
-
-impl Default for JsonObject {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl JsonObject {
-    /// Starts an empty object.
-    pub fn new() -> Self {
-        Self {
-            buf: String::from("{"),
-        }
-    }
-
-    fn key(&mut self, key: &str) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-        push_json_str(&mut self.buf, key);
-        self.buf.push(':');
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        push_json_str(&mut self.buf, value);
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn uint(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Adds a number field (`null` for non-finite values).
-    pub fn float(mut self, key: &str, value: f64) -> Self {
-        self.key(key);
-        push_json_f64(&mut self.buf, value);
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn boolean(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a `null` field.
-    pub fn null(mut self, key: &str) -> Self {
-        self.key(key);
-        self.buf.push_str("null");
-        self
-    }
-
-    /// Adds a field whose value is pre-rendered JSON (a nested object or
-    /// array built with this module's writers).
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.buf.push_str(value);
-        self
-    }
-
-    /// Closes the object and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Incremental JSON array builder.
-#[derive(Clone, Debug)]
-pub struct JsonArray {
-    buf: String,
-}
-
-impl Default for JsonArray {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl JsonArray {
-    /// Starts an empty array.
-    pub fn new() -> Self {
-        Self {
-            buf: String::from("["),
-        }
-    }
-
-    fn sep(&mut self) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-    }
-
-    /// Appends a pre-rendered JSON element.
-    pub fn push_raw(&mut self, element: &str) {
-        self.sep();
-        self.buf.push_str(element);
-    }
-
-    /// Appends a string element.
-    pub fn push_str(&mut self, element: &str) {
-        self.sep();
-        push_json_str(&mut self.buf, element);
-    }
-
-    /// Appends an unsigned integer element.
-    pub fn push_uint(&mut self, element: u64) {
-        self.sep();
-        let _ = write!(self.buf, "{element}");
-    }
-
-    /// Appends a number element (`null` for non-finite values).
-    pub fn push_float(&mut self, element: f64) {
-        self.sep();
-        push_json_f64(&mut self.buf, element);
-    }
-
-    /// Closes the array and returns the JSON text.
-    pub fn finish(mut self) -> String {
-        self.buf.push(']');
-        self.buf
-    }
-}
-
-/// JSON for a [`TuneReport`] (rendered here because the writer lives
-/// here; `vbp-rtree` stays serialization-free).
+/// JSON for a [`TuneReport`] (rendered here, next to the run report
+/// that embeds it; `vbp-rtree` stays serialization-free).
 pub fn tune_report_to_json(tune: &TuneReport) -> String {
     let mut timings = JsonArray::new();
     for (r, t) in &tune.timings {
@@ -755,117 +573,6 @@ mod tests {
         assert_eq!(r.slowdown_vs_lower_bound(), 0.0);
     }
 
-    // ----- the hand-rolled JSON writer
-
-    /// Minimal JSON well-formedness scanner: strings (with escapes),
-    /// balanced {}/[], and at least one top-level value. Not a full
-    /// parser — enough to catch unbalanced or unescaped output.
-    fn assert_well_formed_json(s: &str) {
-        let mut depth = 0i64;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    depth -= 1;
-                    assert!(depth >= 0, "unbalanced close in {s}");
-                }
-                c => assert!(
-                    !c.is_control(),
-                    "unescaped control character {:?} in {s}",
-                    c
-                ),
-            }
-        }
-        assert!(!in_str, "unterminated string in {s}");
-        assert_eq!(depth, 0, "unbalanced brackets in {s}");
-    }
-
-    #[test]
-    fn json_string_escaping() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, r#""a\"b\\c\nd\te\u0001""#);
-        assert_well_formed_json(&out);
-    }
-
-    #[test]
-    fn json_escapes_del_and_every_c0_control() {
-        // DEL is a control character too: terminals and log scrapers choke
-        // on it even though RFC 8259 technically permits it raw.
-        let mut out = String::new();
-        push_json_str(&mut out, "x\u{7f}y");
-        assert_eq!(out, "\"x\\u007fy\"");
-        assert_well_formed_json(&out);
-
-        for code in 0u32..0x20 {
-            let c = char::from_u32(code).unwrap();
-            let mut out = String::new();
-            push_json_str(&mut out, &c.to_string());
-            assert!(
-                out.chars().all(|c| !c.is_control()),
-                "U+{code:04X} leaked raw: {out:?}"
-            );
-            assert_well_formed_json(&out);
-        }
-    }
-
-    #[test]
-    fn json_passes_non_ascii_through_raw() {
-        // Dataset names can legitimately be non-ASCII; JSON allows raw
-        // UTF-8 inside strings, so no escaping (and no mangling).
-        let mut out = String::new();
-        push_json_str(&mut out, "µ-blobs·日本語 ✓");
-        assert_eq!(out, "\"µ-blobs·日本語 ✓\"");
-        assert_well_formed_json(&out);
-        // U+009F (a C1 control) is not in the C0 range and not DEL: JSON
-        // permits it raw and we keep it byte-faithful — only C0 + DEL are
-        // escaped, pinned here so the policy is explicit.
-        let mut out = String::new();
-        push_json_str(&mut out, "\u{9f}");
-        assert_eq!(out, "\"\u{9f}\"");
-    }
-
-    #[test]
-    fn json_non_finite_floats_become_null() {
-        let s = JsonObject::new()
-            .float("nan", f64::NAN)
-            .float("inf", f64::INFINITY)
-            .float("x", 1.5)
-            .finish();
-        assert_eq!(s, r#"{"nan":null,"inf":null,"x":1.5}"#);
-    }
-
-    #[test]
-    fn json_object_and_array_shapes() {
-        let mut a = JsonArray::new();
-        a.push_uint(1);
-        a.push_float(0.5);
-        a.push_str("x");
-        let s = JsonObject::new()
-            .str("k", "v")
-            .boolean("b", true)
-            .null("n")
-            .raw("a", &a.finish())
-            .finish();
-        assert_eq!(s, r#"{"k":"v","b":true,"n":null,"a":[1,0.5,"x"]}"#);
-        assert_well_formed_json(&s);
-        assert_eq!(JsonObject::new().finish(), "{}");
-        assert_eq!(JsonArray::new().finish(), "[]");
-    }
-
     #[test]
     fn run_report_json_carries_outcomes_and_counters() {
         let mut o2 = outcome(1, 0, 100, 150);
@@ -882,7 +589,7 @@ mod tests {
         r.warm_seeds = 3;
         r.worker_stats = vec![WorkerStats::new(0)];
         let json = r.to_json();
-        assert_well_formed_json(&json);
+        crate::json::parse_json(json.as_bytes()).expect("well-formed JSON");
         assert!(json.contains(r#""warm_seeds":3"#), "{json}");
         assert!(json.contains(r#""warm_hits":1"#), "{json}");
         assert!(json.contains(r#""from_scratch":1"#), "{json}");
@@ -906,7 +613,7 @@ mod tests {
             sample_size: 512,
         };
         let json = tune_report_to_json(&t);
-        assert_well_formed_json(&json);
+        crate::json::parse_json(json.as_bytes()).expect("well-formed JSON");
         assert!(json.contains(r#""best_r":30"#), "{json}");
         assert!(json.contains(r#""timings":[{"r":1,"ms":2}"#), "{json}");
     }

@@ -33,7 +33,8 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{JsonArray, JsonObject, RunReport};
+use crate::json::{JsonArray, JsonObject};
+use crate::metrics::RunReport;
 use crate::variant::VariantSet;
 
 /// How much a run records into its trace rings.

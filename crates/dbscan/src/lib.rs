@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod approx;
 pub mod external;
 pub mod gridbscan;
 pub mod incremental;
@@ -34,7 +33,6 @@ pub mod stdbscan;
 pub mod unionfind;
 
 pub use algorithm::{dbscan, dbscan_with_scratch, DbscanParams, DbscanScratch, DbscanStats};
-pub use approx::approx_dbscan;
 pub use external::{adjusted_rand_index, normalized_mutual_information};
 pub use gridbscan::grid_dbscan;
 pub use incremental::{IncrementalDbscan, InsertOutcome};

@@ -1,13 +1,13 @@
-//! Space-filling curves: Morton (Z-order) and Hilbert.
+//! The Hilbert space-filling curve.
 //!
 //! The paper's packed R-tree fills leaves from a unit-width bin sort
-//! (§IV-A). Space-filling curves are the classic alternative orderings
+//! (§IV-A). A space-filling curve is the classic alternative ordering
 //! for packed trees ("packed Hilbert R-tree", Kamel & Faloutsos 1993):
-//! they map 2-D positions to a 1-D key whose consecutive values are
+//! it maps 2-D positions to a 1-D key whose consecutive values are
 //! spatially adjacent, which tightens leaf MBBs. The index ablation bench
-//! compares all three orderings.
+//! compares it against the bin sort and STR.
 //!
-//! Both curves operate on a `2^ORDER × 2^ORDER` integer lattice; the
+//! The curve operates on a `2^ORDER × 2^ORDER` integer lattice; the
 //! helpers here quantize `f64` coordinates into it.
 
 use crate::extent::Extent;
@@ -17,45 +17,6 @@ use crate::point::Point2;
 /// million points over any realistic extent rarely share a cell.
 pub const CURVE_ORDER: u32 = 16;
 const SIDE: u32 = 1 << CURVE_ORDER;
-
-/// Interleaves the lower 16 bits of `x` with zeros (the classic
-/// "Part1By1" bit trick).
-#[inline]
-fn part1by1(x: u32) -> u32 {
-    let mut x = x & 0x0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555;
-    x
-}
-
-/// Inverse of [`part1by1`].
-#[inline]
-fn compact1by1(x: u32) -> u32 {
-    let mut x = x & 0x5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF;
-    x
-}
-
-/// Morton (Z-order) key of a lattice cell.
-#[inline]
-pub fn morton_key(x: u32, y: u32) -> u64 {
-    debug_assert!(x < SIDE && y < SIDE);
-    (u64::from(part1by1(y)) << 1) | u64::from(part1by1(x))
-}
-
-/// Inverse of [`morton_key`].
-#[inline]
-pub fn morton_decode(key: u64) -> (u32, u32) {
-    (
-        compact1by1((key & 0x5555_5555) as u32),
-        compact1by1(((key >> 1) & 0x5555_5555) as u32),
-    )
-}
 
 /// Hilbert curve key of a lattice cell (iterative rotation algorithm).
 pub fn hilbert_key(x: u32, y: u32) -> u64 {
@@ -122,15 +83,6 @@ pub fn quantize(p: &Point2, extent: &Extent) -> (u32, u32) {
 /// Sorting permutation of `points` by Hilbert key (ties by original
 /// index, so the order is stable and deterministic).
 pub fn hilbert_sort(points: &[Point2]) -> Vec<crate::PointId> {
-    curve_sort(points, hilbert_key)
-}
-
-/// Sorting permutation of `points` by Morton key.
-pub fn morton_sort(points: &[Point2]) -> Vec<crate::PointId> {
-    curve_sort(points, morton_key)
-}
-
-fn curve_sort(points: &[Point2], key: impl Fn(u32, u32) -> u64) -> Vec<crate::PointId> {
     assert!(points.len() <= crate::PointId::MAX as usize);
     let Some(extent) = Extent::of_points(points) else {
         return Vec::new();
@@ -140,7 +92,7 @@ fn curve_sort(points: &[Point2], key: impl Fn(u32, u32) -> u64) -> Vec<crate::Po
         .enumerate()
         .map(|(i, p)| {
             let (x, y) = quantize(p, &extent);
-            (key(x, y), i as crate::PointId)
+            (hilbert_key(x, y), i as crate::PointId)
         })
         .collect();
     keyed.sort_unstable();
@@ -150,13 +102,6 @@ fn curve_sort(points: &[Point2], key: impl Fn(u32, u32) -> u64) -> Vec<crate::Po
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn morton_roundtrips() {
-        for &(x, y) in &[(0u32, 0u32), (1, 0), (0, 1), (12345, 54321), (65535, 65535)] {
-            assert_eq!(morton_decode(morton_key(x, y)), (x, y));
-        }
-    }
 
     #[test]
     fn hilbert_roundtrips() {
@@ -189,32 +134,16 @@ mod tests {
     }
 
     #[test]
-    fn morton_locality_is_block_structured() {
-        // Morton is not neighbor-contiguous, but within one 2×2 block the
-        // 4 consecutive keys stay inside the block.
-        for base in (0..4096u64).step_by(4) {
-            let cells: Vec<(u32, u32)> = (0..4).map(|i| morton_decode(base + i)).collect();
-            let minx = cells.iter().map(|c| c.0).min().unwrap();
-            let maxx = cells.iter().map(|c| c.0).max().unwrap();
-            let miny = cells.iter().map(|c| c.1).min().unwrap();
-            let maxy = cells.iter().map(|c| c.1).max().unwrap();
-            assert!(maxx - minx <= 1 && maxy - miny <= 1, "block at {base}");
-        }
-    }
-
-    #[test]
-    fn sorts_are_permutations() {
+    fn sort_is_a_permutation() {
         let points: Vec<Point2> = (0..200)
             .map(|i| {
                 let f = i as f64;
                 Point2::new((f * 7.3) % 19.0, (f * 3.1) % 13.0)
             })
             .collect();
-        for perm in [hilbert_sort(&points), morton_sort(&points)] {
-            let mut sorted = perm.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..200).collect::<Vec<_>>());
-        }
+        let mut sorted = hilbert_sort(&points);
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..200).collect::<Vec<_>>());
     }
 
     #[test]

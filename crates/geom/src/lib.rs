@@ -25,7 +25,7 @@ pub mod mbb;
 pub mod point;
 
 pub use binning::{bin_sort, bin_sort_with_width, BinOrder};
-pub use curves::{hilbert_key, hilbert_sort, morton_key, morton_sort};
+pub use curves::{hilbert_key, hilbert_sort};
 pub use distance::{dist, dist_sq, haversine_km, DistanceMetric, EARTH_RADIUS_KM};
 pub use extent::Extent;
 pub use mbb::Mbb;

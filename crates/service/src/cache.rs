@@ -77,20 +77,34 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// The point-in-time fields, by name (`vbp_cache_<name>` gauges).
+    pub fn gauges(&self) -> [(&'static str, u64); 3] {
+        [
+            ("entries", self.entries as u64),
+            ("bytes", self.bytes as u64),
+            ("budget_bytes", self.budget_bytes as u64),
+        ]
+    }
+
+    /// The monotonic fields, by name (`vbp_cache_<name>_total` series).
+    pub fn totals(&self) -> [(&'static str, u64); 8] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("insertions", self.insertions),
+            ("evictions", self.evictions),
+            ("evicted_bytes", self.evicted_bytes),
+            ("rejected_oversize", self.rejected_oversize),
+            ("repaired", self.repaired),
+            ("repair_dropped", self.repair_dropped),
+        ]
+    }
+
     /// Machine-readable form for the `STATS` line protocol command.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .uint("entries", self.entries as u64)
-            .uint("bytes", self.bytes as u64)
-            .uint("budget_bytes", self.budget_bytes as u64)
-            .uint("hits", self.hits)
-            .uint("misses", self.misses)
-            .uint("insertions", self.insertions)
-            .uint("evictions", self.evictions)
-            .uint("evicted_bytes", self.evicted_bytes)
-            .uint("rejected_oversize", self.rejected_oversize)
-            .uint("repaired", self.repaired)
-            .uint("repair_dropped", self.repair_dropped)
+        let fields = self.gauges().into_iter().chain(self.totals());
+        fields
+            .fold(JsonObject::new(), |doc, (key, value)| doc.uint(key, value))
             .finish()
     }
 }

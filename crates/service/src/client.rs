@@ -7,8 +7,9 @@ use std::time::Duration;
 
 use vbp_geom::Point2;
 
-use crate::api::{DatasetService, Health};
-use crate::protocol::{ErrorCode, Request};
+pub use crate::api::{AppendReply, Delta, SubmitReply, WatchReply};
+use crate::api::{DatasetService, ErrorCode, Health};
+use crate::protocol::{self, Request};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -91,104 +92,6 @@ impl ClientError {
             ClientError::Overloaded { retry_after, .. } => *retry_after,
             _ => None,
         }
-    }
-}
-
-/// The answer to a successful `SUBMIT`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SubmitReply {
-    /// Clusters found.
-    pub clusters: usize,
-    /// Noise points.
-    pub noise: usize,
-    /// `true` when the variant reused a *cached* (cross-run) result.
-    pub warm: bool,
-    /// `true` when it reused any completed result (cached or in-batch).
-    pub reused: bool,
-    /// Server-side engine time for the batch this request rode in.
-    pub ms: f64,
-    /// Labels in submission point order, when requested.
-    pub labels: Option<Vec<u32>>,
-}
-
-/// The answer to a successful `APPEND`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AppendReply {
-    /// Points inserted by this batch.
-    pub appended: usize,
-    /// Dataset size after the batch.
-    pub total: usize,
-    /// Cache entries incrementally repaired (extended in place).
-    pub repaired: usize,
-    /// Cache entries dropped because the batch touched their ε-region.
-    pub dropped: usize,
-    /// Server-side append time.
-    pub ms: f64,
-}
-
-/// The answer to a successful `WATCH`: the census at subscription time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WatchReply {
-    /// Clusters at subscription time.
-    pub clusters: usize,
-    /// Noise points at subscription time.
-    pub noise: usize,
-}
-
-/// One `DELTA` push line, parsed.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Delta {
-    /// Dataset the delta describes.
-    pub dataset: String,
-    /// ε of the watched variant.
-    pub eps: f64,
-    /// minpts of the watched variant.
-    pub minpts: usize,
-    /// Points the triggering append inserted.
-    pub appended: usize,
-    /// Clusters born in this batch (no pre-batch core among members).
-    pub new: usize,
-    /// Previously-distinct clusters merged away by this batch.
-    pub absorbed: usize,
-    /// Points promoted to core by this batch.
-    pub promoted: usize,
-    /// Census after the batch.
-    pub clusters: usize,
-    /// Noise count after the batch.
-    pub noise: usize,
-}
-
-impl Delta {
-    /// Parses a `DELTA <ds> <eps> <minpts> k=v…` line; `None` when the
-    /// line is not a well-formed delta push.
-    pub fn parse(line: &str) -> Option<Delta> {
-        let rest = line.strip_prefix("DELTA ")?;
-        let mut tokens = rest.split_ascii_whitespace();
-        let mut delta = Delta {
-            dataset: tokens.next()?.to_string(),
-            eps: tokens.next()?.parse().ok()?,
-            minpts: tokens.next()?.parse().ok()?,
-            appended: 0,
-            new: 0,
-            absorbed: 0,
-            promoted: 0,
-            clusters: 0,
-            noise: 0,
-        };
-        for tok in tokens {
-            let (key, value) = tok.split_once('=')?;
-            let value: usize = value.parse().ok()?;
-            match key {
-                "appended" => delta.appended = value,
-                "new" => delta.new = value,
-                "absorbed" => delta.absorbed = value,
-                "promoted" => delta.promoted = value,
-                "clusters" => delta.clusters = value,
-                "noise" => delta.noise = value,
-                _ => {} // forward compatibility
-            }
-        }
-        Some(delta)
     }
 }
 
@@ -309,18 +212,7 @@ impl Client {
     /// Lists datasets as `(name, points)` pairs.
     pub fn datasets(&mut self) -> Result<Vec<(String, usize)>, ClientError> {
         let payload = self.round_trip(&Request::Datasets)?;
-        payload
-            .split_ascii_whitespace()
-            .map(|tok| {
-                let (name, size) = tok
-                    .split_once('=')
-                    .ok_or_else(|| ClientError::Protocol(format!("bad dataset token '{tok}'")))?;
-                let size = size
-                    .parse()
-                    .map_err(|_| ClientError::Protocol(format!("bad dataset size '{tok}'")))?;
-                Ok((name.to_string(), size))
-            })
-            .collect()
+        protocol::parse_datasets_reply(&payload).map_err(ClientError::Protocol)
     }
 
     /// Clusters one variant on a named dataset.
@@ -337,52 +229,10 @@ impl Client {
             minpts,
             labels: want_labels,
         })?;
-        let mut reply = SubmitReply {
-            clusters: 0,
-            noise: 0,
-            warm: false,
-            reused: false,
-            ms: 0.0,
-            labels: None,
-        };
-        for tok in payload.split_ascii_whitespace() {
-            let Some((key, value)) = tok.split_once('=') else {
-                return Err(ClientError::Protocol(format!("bad reply token '{tok}'")));
-            };
-            match key {
-                "clusters" => reply.clusters = parse_num(tok, value)?,
-                "noise" => reply.noise = parse_num(tok, value)?,
-                "warm" => reply.warm = value == "1",
-                "reused" => reply.reused = value == "1",
-                "ms" => {
-                    reply.ms = value
-                        .parse()
-                        .map_err(|_| ClientError::Protocol(format!("bad ms '{tok}'")))?
-                }
-                _ => {} // forward compatibility: ignore unknown keys
-            }
-        }
+        let mut reply = protocol::parse_submit_reply(&payload).map_err(ClientError::Protocol)?;
         if want_labels {
             let line = self.read_line()?;
-            let mut tokens = line.split_ascii_whitespace();
-            if tokens.next() != Some("LABELS") {
-                return Err(ClientError::Protocol(format!(
-                    "expected LABELS line, got '{line}'"
-                )));
-            }
-            let n: usize = tokens
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| ClientError::Protocol("bad LABELS count".into()))?;
-            let labels: Result<Vec<u32>, _> = tokens.map(str::parse).collect();
-            let labels = labels.map_err(|_| ClientError::Protocol("non-numeric label".into()))?;
-            if labels.len() != n {
-                return Err(ClientError::Protocol(format!(
-                    "LABELS promised {n} labels, carried {}",
-                    labels.len()
-                )));
-            }
-            reply.labels = Some(labels);
+            reply.labels = Some(protocol::parse_labels_line(&line).map_err(ClientError::Protocol)?);
         }
         Ok(reply)
     }
@@ -400,31 +250,7 @@ impl Client {
             dataset: dataset.to_string(),
             points: points.to_vec(),
         })?;
-        let mut reply = AppendReply {
-            appended: 0,
-            total: 0,
-            repaired: 0,
-            dropped: 0,
-            ms: 0.0,
-        };
-        for tok in payload.split_ascii_whitespace() {
-            let Some((key, value)) = tok.split_once('=') else {
-                return Err(ClientError::Protocol(format!("bad reply token '{tok}'")));
-            };
-            match key {
-                "appended" => reply.appended = parse_num(tok, value)?,
-                "total" => reply.total = parse_num(tok, value)?,
-                "repaired" => reply.repaired = parse_num(tok, value)?,
-                "dropped" => reply.dropped = parse_num(tok, value)?,
-                "ms" => {
-                    reply.ms = value
-                        .parse()
-                        .map_err(|_| ClientError::Protocol(format!("bad ms '{tok}'")))?
-                }
-                _ => {} // forward compatibility
-            }
-        }
-        Ok(reply)
+        protocol::parse_append_reply(&payload).map_err(ClientError::Protocol)
     }
 
     /// Subscribes this connection to cluster deltas for `(dataset, eps,
@@ -447,20 +273,7 @@ impl Client {
             eps,
             minpts,
         })?;
-        let mut reply = WatchReply {
-            clusters: 0,
-            noise: 0,
-        };
-        for tok in payload.split_ascii_whitespace() {
-            if let Some((key, value)) = tok.split_once('=') {
-                match key {
-                    "clusters" => reply.clusters = parse_num(tok, value)?,
-                    "noise" => reply.noise = parse_num(tok, value)?,
-                    _ => {}
-                }
-            }
-        }
-        Ok(reply)
+        protocol::parse_watch_reply(&payload).map_err(ClientError::Protocol)
     }
 
     /// Waits up to `timeout` for the next `DELTA` push on this
@@ -537,11 +350,11 @@ impl Client {
     /// and carries the `draining` flag in its JSON document.
     pub fn healthz(&mut self) -> Result<Health, ClientError> {
         let stats = self.stats_json()?;
-        let doc = crate::http::parse_json(stats.as_bytes())
+        let doc = variantdbscan::parse_json(stats.as_bytes())
             .map_err(|e| ClientError::Protocol(format!("unparseable STATS document: {e}")))?;
         let draining = doc
             .get("draining")
-            .and_then(crate::http::JsonValue::as_bool)
+            .and_then(variantdbscan::JsonValue::as_bool)
             .ok_or_else(|| ClientError::Protocol("STATS lacks the 'draining' flag".into()))?;
         Ok(Health {
             accepting: !draining,
@@ -580,12 +393,6 @@ impl DatasetService for Client {
     fn healthz(&mut self) -> Result<Health, ClientError> {
         Client::healthz(self)
     }
-}
-
-fn parse_num(tok: &str, value: &str) -> Result<usize, ClientError> {
-    value
-        .parse()
-        .map_err(|_| ClientError::Protocol(format!("bad number '{tok}'")))
 }
 
 #[cfg(test)]

@@ -1,39 +1,41 @@
-//! The HTTP/1.1 gateway: a second front door to the same daemon.
+//! The HTTP/1.1 front end — one framing layer, one route table, one
+//! keep-alive connection loop, shared by the daemon's gateway and the
+//! router — plus the daemon's own door behind it and a blocking client
+//! in front of it.
 //!
-//! ROADMAP item 1 asks for an HTTP surface so ordinary tooling (curl,
-//! load balancers, Prometheus scrapers) can reach the variant engine
-//! without speaking the line protocol. The build environment is
-//! offline, so this is a hand-rolled `std`-only implementation layered
-//! on the same [`Transport`] seam the line protocol uses — which means
-//! the whole fault battery (scripted byte schedules, torn writes,
-//! mid-stream cuts) drives this handler too.
+//! [`serve_http`] frames requests off a [`Transport`], resolves each
+//! through [`Route::parse`] (which owns the `404`/`405 + Allow`
+//! answers), hands valid routes to a `FnMut(Route, &[u8]) -> Response`
+//! handler, and writes the [`Response`]. The daemon's handler is
+//! [`daemon_route`] — *parse → call the core → render*; the router's
+//! lives in [`crate::router`]. Bodies, replies and errors are spelled by
+//! [`crate::wire`] on both sides of the socket. Hand-rolled and
+//! `std`-only (the build environment is offline), on the same
+//! [`Transport`] seam as the line protocol, so the whole fault battery
+//! (scripted byte schedules, torn writes, mid-stream cuts) drives it too.
 //!
 //! # Framing posture
 //!
-//! Request framing is bounded everywhere, mirroring [`LineIo`]'s
-//! posture (`LineIo` itself is line-oriented and cannot frame a binary
-//! body, so the gateway reads the [`Transport`] directly with the same
-//! chunked-read/timeout-as-event discipline):
+//! Request framing is bounded everywhere, with
+//! [`LineIo`](crate::transport::LineIo)'s chunked-read /
+//! timeout-as-event discipline:
 //!
 //! - request line over [`MAX_REQUEST_LINE_BYTES`] ⇒ `400` and close;
 //! - header block over [`MAX_HEADER_BYTES`] or more than
 //!   [`MAX_HEADERS`] headers ⇒ `431` and close;
 //! - declared body over [`MAX_BODY_BYTES`] ⇒ `413` and close;
-//! - anything unframeable (no CRLF discipline required — bare `LF`
-//!   line endings are tolerated) ⇒ a typed status and close, never
-//!   unbounded buffering and never a hung handler.
+//! - anything unframeable (bare `LF` line endings are tolerated) ⇒ a
+//!   typed status and close, never unbounded buffering and never a hung
+//!   handler.
 //!
-//! Every framing violation counts one `protocol_errors` tick and a
-//! `ProtocolError` trace event — the same accounting a garbage line
-//! costs the line protocol.
+//! Every framing violation counts one `protocol_errors` tick — the same
+//! accounting a garbage line costs the line protocol.
 //!
-//! # Admission mapping
+//! # Status mapping
 //!
-//! `POST /v1/submit` builds the *same* [`Job`](crate::server) the line
-//! protocol's `SUBMIT` builds and funnels it through the same bounded
-//! queue and batching dispatcher, so an HTTP submission's labels are
-//! identical to the line protocol's for the same `(dataset, ε,
-//! minpts)`. The status-code contract:
+//! Both doors make the same [`Shared`] calls, so an HTTP submission's
+//! labels are the line protocol's for the same `(dataset, ε, minpts)`,
+//! and a refusal travels under the status of its [`ErrorCode`]:
 //!
 //! | condition                  | line protocol      | HTTP              |
 //! |----------------------------|--------------------|-------------------|
@@ -42,39 +44,27 @@
 //! | unknown dataset            | `ERR unknown-dataset` | `404`          |
 //! | queue full                 | `ERR overloaded`   | `503` + `Retry-After: 1` |
 //! | draining                   | `ERR draining`     | `503`             |
+//! | backend unreachable (router only) | —           | `503` + `Retry-After` |
 //! | engine failure / timeout   | `ERR internal`     | `500`             |
 //!
-//! Error bodies are JSON `{"error": <wire token>, "message": …}` using
-//! the exact [`ErrorCode`] tokens of the line protocol.
-//!
-//! `GET /metrics` renders the Prometheus exposition from one
-//! [`ServiceStats`](crate::server) copy under the stats lock — the
-//! admission invariant (`submitted == completed + failed + in_flight`)
-//! holds inside any single scrape, exactly as it does for the line
-//! protocol's `METRICS` verb.
-//!
-//! # JSON
-//!
-//! Responses are built with the engine's hand-rolled writer
-//! ([`JsonObject`]/[`JsonArray`]); requests are parsed with
-//! [`parse_json`], a total recursive-descent parser (depth-capped,
-//! surrogate-aware, trailing-garbage rejecting) written here because no
-//! serialization crate exists in the build environment.
+//! Error bodies are JSON `{"error": <wire token>, "message": …}` with
+//! the line protocol's exact [`ErrorCode`] tokens. `GET /metrics` renders
+//! from one stats copy under the stats lock, so the admission invariant
+//! holds inside any single scrape, as it does for `METRICS`.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
 
-use variantdbscan::{JsonArray, JsonObject, Variant};
+use variantdbscan::{parse_json, JsonObject, JsonValue};
 use vbp_geom::Point2;
 
-use crate::api::{DatasetService, Health};
-use crate::client::{AppendReply, ClientError, SubmitReply};
-use crate::protocol::ErrorCode;
-use crate::server::{apply_append, Job, Shared};
+use crate::api::{AppendReply, DatasetService, ErrorCode, Health, Rejection, SubmitReply};
+use crate::client::ClientError;
+use crate::daemon::Shared;
 use crate::transport::Transport;
+use crate::wire;
 
 /// Hard cap on the request line (method + target + version), bytes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 4096;
@@ -91,357 +81,20 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 pub const MAX_CLIENT_RESPONSE_BYTES: usize = 64 << 20;
 
 // ---------------------------------------------------------------------------
-// JSON parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (always finite — the grammar cannot spell NaN).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order (duplicate keys are kept; lookups
-    /// answer the first).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup (first match), `None` for non-objects.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, `None` for non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number payload, `None` for non-numbers.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, `None` for non-booleans.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, `None` for non-arrays.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The fields in source order, `None` for non-objects.
-    pub fn entries(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-/// Maximum nesting depth [`parse_json`] accepts; deeper documents are
-/// rejected instead of recursing toward a stack overflow.
-const MAX_JSON_DEPTH: usize = 64;
-
-/// Parses one complete JSON document. Total: every input answers
-/// `Ok` or a descriptive `Err` — no panic, no unbounded recursion
-/// (depth-capped at [`MAX_JSON_DEPTH`]), trailing non-whitespace
-/// rejected.
-pub fn parse_json(bytes: &[u8]) -> Result<JsonValue, String> {
-    let s = std::str::from_utf8(bytes).map_err(|_| "body is not valid UTF-8".to_string())?;
-    let mut p = JsonParser { s, i: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    s: &'a str,
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn bytes(&self) -> &[u8] {
-        self.s.as_bytes()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes().get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.i))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.s[self.i..].starts_with(word) {
-            self.i += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
-        if depth > MAX_JSON_DEPTH {
-            return Err(format!("nesting deeper than {MAX_JSON_DEPTH}"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(format!("unexpected byte at {}", self.i)),
-            None => Err("unexpected end of document".into()),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.i;
-            // Copy the longest run free of escapes, terminators, and
-            // control bytes in one slice (multi-byte UTF-8 included —
-            // the input is a validated &str and the scan only stops at
-            // ASCII bytes, so the slice boundary is a char boundary).
-            while let Some(b) = self.peek() {
-                match b {
-                    b'"' | b'\\' => break,
-                    0x00..=0x1f => return Err(format!("control byte in string at {}", self.i)),
-                    _ => self.i += 1,
-                }
-            }
-            out.push_str(&self.s[start..self.i]);
-            match self.peek() {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    self.escape(&mut out)?;
-                }
-                _ => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn escape(&mut self, out: &mut String) -> Result<(), String> {
-        let Some(b) = self.peek() else {
-            return Err("unterminated escape".into());
-        };
-        self.i += 1;
-        match b {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hi = self.hex4()?;
-                let c = if (0xD800..=0xDBFF).contains(&hi) {
-                    // High surrogate: a \uDC00-\uDFFF low half must
-                    // follow to form one scalar value.
-                    if self.peek() != Some(b'\\') {
-                        return Err("lone high surrogate".into());
-                    }
-                    self.i += 1;
-                    if self.peek() != Some(b'u') {
-                        return Err("lone high surrogate".into());
-                    }
-                    self.i += 1;
-                    let lo = self.hex4()?;
-                    if !(0xDC00..=0xDFFF).contains(&lo) {
-                        return Err("invalid low surrogate".into());
-                    }
-                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                    char::from_u32(cp).ok_or("invalid surrogate pair")?
-                } else if (0xDC00..=0xDFFF).contains(&hi) {
-                    return Err("lone low surrogate".into());
-                } else {
-                    char::from_u32(hi).ok_or("invalid \\u escape")?
-                };
-                out.push(c);
-            }
-            _ => return Err(format!("bad escape '\\{}'", char::from(b))),
-        }
-        Ok(())
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        // Slice the byte view, not the &str: `i + 4` may land inside a
-        // multi-byte character and str indexing would panic there.
-        let end = self.i.checked_add(4).filter(|&e| e <= self.s.len());
-        let hex: [u8; 4] = match end.and_then(|e| self.bytes().get(self.i..e)) {
-            Some(h) => h.try_into().expect("4-byte slice"),
-            None => return Err("truncated \\u escape".into()),
-        };
-        if !hex.iter().all(|b| b.is_ascii_hexdigit()) {
-            return Err("non-hex \\u escape".into());
-        }
-        self.i += 4;
-        let hex = std::str::from_utf8(&hex).expect("validated ASCII hex");
-        Ok(u32::from_str_radix(hex, 16).expect("validated hex"))
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let int_start = self.i;
-        let int_digits = self.digits();
-        if int_digits == 0 {
-            return Err(format!("bad number at byte {start}"));
-        }
-        if int_digits > 1 && self.bytes()[int_start] == b'0' {
-            // JSON forbids leading zeros: "01" is two tokens, not one.
-            return Err(format!("bad number at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if self.digits() == 0 {
-                return Err(format!("bad number at byte {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if self.digits() == 0 {
-                return Err(format!("bad number at byte {start}"));
-            }
-        }
-        let n: f64 = self.s[start..self.i]
-            .parse()
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        if !n.is_finite() {
-            return Err(format!("number overflows f64 at byte {start}"));
-        }
-        Ok(JsonValue::Num(n))
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.i;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.i += 1;
-        }
-        self.i - start
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Request framing
 // ---------------------------------------------------------------------------
 
 /// One framed request head.
-pub(crate) struct HttpRequest {
-    pub(crate) method: String,
-    pub(crate) target: String,
-    pub(crate) keep_alive: bool,
-    pub(crate) expect_continue: bool,
-    pub(crate) content_length: usize,
+struct HttpRequest {
+    method: String,
+    target: String,
+    keep_alive: bool,
+    expect_continue: bool,
+    content_length: usize,
 }
 
 /// What reading one request produced.
-pub(crate) enum ReadOutcome {
+enum ReadOutcome {
     /// A well-framed head; the body (if any) is read separately.
     Request(HttpRequest),
     /// A framing violation: answer `status` once, then close.
@@ -454,14 +107,14 @@ pub(crate) enum ReadOutcome {
 }
 
 /// Bounded HTTP framing over any [`Transport`], plus response writes.
-pub(crate) struct HttpIo<T> {
+struct HttpIo<T> {
     transport: T,
     /// Received but unconsumed bytes (keep-alive pipelining leftover).
     buf: Vec<u8>,
 }
 
 impl<T: Transport> HttpIo<T> {
-    pub(crate) fn new(transport: T) -> HttpIo<T> {
+    fn new(transport: T) -> HttpIo<T> {
         HttpIo {
             transport,
             buf: Vec::new(),
@@ -503,7 +156,7 @@ impl<T: Transport> HttpIo<T> {
 
     /// Frames one request head. Leading blank lines (a tolerated client
     /// sloppiness after a previous body) are skipped.
-    pub(crate) fn read_request(&mut self, stop: &AtomicBool) -> ReadOutcome {
+    fn read_request(&mut self, stop: &AtomicBool) -> ReadOutcome {
         // Drop blank lines before the request line so `curl`-style
         // keep-alive reuse with stray CRLFs still frames.
         loop {
@@ -552,20 +205,16 @@ impl<T: Transport> HttpIo<T> {
     }
 
     /// Reads exactly `len` body bytes (the head's `Content-Length`).
-    pub(crate) fn read_body(
-        &mut self,
-        len: usize,
-        stop: &AtomicBool,
-    ) -> Result<Vec<u8>, ReadOutcome> {
+    fn read_body(&mut self, len: usize, stop: &AtomicBool) -> Result<Vec<u8>, ReadOutcome> {
         let got = self.fill_until(stop, |buf| (buf.len() >= len).then_some(len), |_| None)?;
         Ok(self.buf.drain(..got).collect())
     }
 
-    pub(crate) fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.transport.write_all(bytes)
     }
 
-    pub(crate) fn close(&mut self) {
+    fn close(&mut self) {
         self.transport.close();
     }
 }
@@ -721,14 +370,73 @@ fn parse_head(head: &[u8]) -> ReadOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Response writing
+// Routes and responses
 // ---------------------------------------------------------------------------
 
-/// The status code a typed [`ErrorCode`] travels under, the inverse of
-/// the admission-mapping table in the module docs. The router reuses
-/// this when relaying a backend's typed rejection to its own caller,
-/// so a rejection crosses the proxy hop without losing its status.
-pub(crate) fn status_for(code: ErrorCode) -> u16 {
+/// A request the HTTP surface answers — the daemon's and the router's
+/// alike.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route<'a> {
+    /// `GET /healthz`
+    Healthz,
+    /// `GET /v1/datasets`
+    Datasets,
+    /// `GET /v1/datasets/<name>` — so a router (or curl) can ask one
+    /// daemon whether it owns a dataset without listing everything.
+    Dataset(&'a str),
+    /// `GET /v1/stats`
+    Stats,
+    /// `GET /metrics`
+    Metrics,
+    /// `POST /v1/submit`
+    Submit,
+    /// `POST /v1/append`
+    Append,
+}
+
+impl<'a> Route<'a> {
+    /// The route table. A known path under the wrong method answers
+    /// `405` with an `Allow` header; anything else `404`.
+    pub(crate) fn parse(method: &str, target: &'a str) -> Result<Route<'a>, Response> {
+        let only = |allowed: &'static str| {
+            let message = format!("{target} only supports {allowed}");
+            let mut response = Response::error(405, ErrorCode::BadRequest, &message);
+            response.header = Some(("Allow", allowed.into()));
+            Err(response)
+        };
+        if let Some(name) = target
+            .strip_prefix("/v1/datasets/")
+            .filter(|name| !name.is_empty())
+        {
+            return if method == "GET" {
+                Ok(Route::Dataset(name))
+            } else {
+                only("GET")
+            };
+        }
+        match (method, target) {
+            ("GET", "/healthz") => Ok(Route::Healthz),
+            ("GET", "/v1/datasets") => Ok(Route::Datasets),
+            ("GET", "/v1/stats") => Ok(Route::Stats),
+            ("GET", "/metrics") => Ok(Route::Metrics),
+            ("POST", "/v1/submit") => Ok(Route::Submit),
+            ("POST", "/v1/append") => Ok(Route::Append),
+            (_, "/healthz" | "/v1/datasets" | "/v1/stats" | "/metrics") => only("GET"),
+            (_, "/v1/submit" | "/v1/append") => only("POST"),
+            _ => Err(Response::error(
+                404,
+                ErrorCode::BadRequest,
+                &format!("no route for {target}"),
+            )),
+        }
+    }
+}
+
+/// The status code a typed [`ErrorCode`] travels under — the table in
+/// the module docs, used by the daemon's door and by the router when it
+/// relays a backend's refusal, so a refusal crosses the proxy hop
+/// without losing its status.
+fn status_for(code: ErrorCode) -> u16 {
     match code {
         ErrorCode::BadRequest | ErrorCode::Protocol => 400,
         ErrorCode::UnknownDataset => 404,
@@ -751,21 +459,82 @@ fn reason_for(status: u16) -> &'static str {
     }
 }
 
+/// One answer, ready to write.
+#[derive(Debug)]
+pub(crate) struct Response {
+    pub(crate) status: u16,
+    content_type: &'static str,
+    body: String,
+    /// The one extra header an answer may carry: `Allow` on a `405`,
+    /// `Retry-After` on a retryable `503`.
+    header: Option<(&'static str, String)>,
+}
+
+impl Response {
+    /// `200` with a JSON body.
+    pub(crate) fn json(body: String) -> Response {
+        Response::json_with(200, body)
+    }
+
+    /// A JSON body under an explicit status (the router's quorum
+    /// `/healthz` answers `503` with an ordinary document).
+    pub(crate) fn json_with(status: u16, body: String) -> Response {
+        Response {
+            status,
+            content_type: "application/json",
+            body,
+            header: None,
+        }
+    }
+
+    /// `200` with a Prometheus text exposition.
+    pub(crate) fn metrics(body: String) -> Response {
+        Response {
+            content_type: "text/plain; version=0.0.4",
+            ..Response::json(body)
+        }
+    }
+
+    /// A typed JSON error body under `status`.
+    pub(crate) fn error(status: u16, code: ErrorCode, message: &str) -> Response {
+        Response::json_with(status, wire::error_body(code, message))
+    }
+
+    /// A [`Rejection`] under its code's status, with its backoff hint as
+    /// a `Retry-After` header (the message carries the same hint as the
+    /// `retry-after=N` token the line protocol uses).
+    pub(crate) fn rejection(rejection: &Rejection) -> Response {
+        Response {
+            header: rejection
+                .retry_after
+                .map(|secs| ("Retry-After", secs.to_string())),
+            ..Response::error(
+                status_for(rejection.code),
+                rejection.code,
+                &rejection.message,
+            )
+        }
+    }
+}
+
 /// Writes one complete response (status line, headers, body) in a
 /// single `write_all`. Every response carries an exact
 /// `Content-Length` and an explicit `Connection` header, so clients
 /// (and the fuzz validator) can frame it without sniffing.
-pub(crate) fn write_response<T: Transport>(
+fn write_response<T: Transport>(
     io: &mut HttpIo<T>,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
+    response: &Response,
     keep_alive: bool,
-    extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
     use std::fmt::Write as _;
+    let Response {
+        status,
+        content_type,
+        body,
+        header,
+    } = response;
     let mut head = String::with_capacity(128);
-    let _ = write!(head, "HTTP/1.1 {status} {}\r\n", reason_for(status));
+    let _ = write!(head, "HTTP/1.1 {status} {}\r\n", reason_for(*status));
     let _ = write!(head, "Content-Type: {content_type}\r\n");
     let _ = write!(head, "Content-Length: {}\r\n", body.len());
     let _ = write!(
@@ -773,56 +542,46 @@ pub(crate) fn write_response<T: Transport>(
         "Connection: {}\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     );
-    for (name, value) in extra_headers {
+    if let Some((name, value)) = header {
         let _ = write!(head, "{name}: {value}\r\n");
     }
     head.push_str("\r\n");
     let mut out = head.into_bytes();
-    out.extend_from_slice(body);
+    out.extend_from_slice(body.as_bytes());
     io.write_all(&out)
 }
 
-/// `{"error": <wire token>, "message": …}` with the line protocol's
-/// exact [`ErrorCode`] tokens.
-pub(crate) fn error_json(code: ErrorCode, message: &str) -> String {
-    JsonObject::new()
-        .str("error", code.as_str())
-        .str("message", message)
-        .finish()
-}
-
-pub(crate) fn write_error<T: Transport>(
-    io: &mut HttpIo<T>,
-    status: u16,
-    code: ErrorCode,
-    message: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    write_response(
-        io,
-        status,
-        "application/json",
-        error_json(code, message).as_bytes(),
-        keep_alive,
-        extra_headers,
-    )
-}
-
 // ---------------------------------------------------------------------------
-// Connection handler
+// Connection loop
 // ---------------------------------------------------------------------------
 
-/// Per-connection request loop of the HTTP gateway, over any
-/// [`Transport`]. Keep-alive: well-formed exchanges loop; a framing
-/// violation answers one typed status and closes; EOF, a fatal I/O
-/// error, or the stop flag end the loop.
-pub(crate) fn handle_http_connection<T: Transport>(
+/// What [`serve_http`] tells its owner's ledger about a connection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Exchange {
+    /// A framing violation was answered with its typed status.
+    Malformed,
+    /// A well-framed request is about to be routed and answered.
+    Begin,
+    /// That request was answered; `ok` means a status below 400 reached
+    /// the wire.
+    End {
+        /// Whether a success status was written.
+        ok: bool,
+    },
+}
+
+/// Per-connection request loop of an HTTP door, over any [`Transport`].
+/// Keep-alive: well-formed exchanges loop; a framing violation answers
+/// one typed status and closes; EOF, a fatal I/O error, or the stop flag
+/// (noticed at the next `poll_interval` read timeout) end the loop.
+pub(crate) fn serve_http<T: Transport>(
     mut transport: T,
-    shared: &Shared,
+    poll_interval: Duration,
     stop: &AtomicBool,
+    mut handler: impl FnMut(Route<'_>, &[u8]) -> Response,
+    mut observe: impl FnMut(Exchange),
 ) {
-    let _ = transport.set_read_timeout(Some(shared.poll_interval()));
+    let _ = transport.set_read_timeout(Some(poll_interval));
     let mut io = HttpIo::new(transport);
     loop {
         match io.read_request(stop) {
@@ -833,23 +592,30 @@ pub(crate) fn handle_http_connection<T: Transport>(
                 {
                     break;
                 }
-                let body = match io.read_body(req.content_length, stop) {
-                    Ok(body) => body,
-                    Err(_) => break, // torn mid-body: nothing was admitted
+                // Torn mid-body: nothing was admitted.
+                let Ok(body) = io.read_body(req.content_length, stop) else {
+                    break;
                 };
                 // A drain observed now makes this exchange the last on
                 // the connection, like the line handler's stop poll.
                 let keep_alive = req.keep_alive && !stop.load(Ordering::Acquire);
-                if respond_http(&mut io, shared, &req, &body, keep_alive).is_err() {
-                    break;
-                }
-                if !keep_alive {
+                observe(Exchange::Begin);
+                let response = match Route::parse(&req.method, &req.target) {
+                    Ok(route) => handler(route, &body),
+                    Err(refusal) => refusal,
+                };
+                let written = write_response(&mut io, &response, keep_alive).is_ok();
+                observe(Exchange::End {
+                    ok: written && response.status < 400,
+                });
+                if !written || !keep_alive {
                     break;
                 }
             }
             ReadOutcome::Malformed { status, message } => {
-                shared.note_protocol_error();
-                let _ = write_error(&mut io, status, ErrorCode::Protocol, &message, false, &[]);
+                observe(Exchange::Malformed);
+                let refusal = Response::error(status, ErrorCode::Protocol, &message);
+                let _ = write_response(&mut io, &refusal, false);
                 break;
             }
             ReadOutcome::Closed | ReadOutcome::Stopped => break,
@@ -858,363 +624,62 @@ pub(crate) fn handle_http_connection<T: Transport>(
     io.close();
 }
 
-/// Routes one well-framed request; `Err(())` means the write failed and
-/// the connection is over.
-fn respond_http<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &Shared,
-    req: &HttpRequest,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<(), ()> {
-    let written = match (req.method.as_str(), req.target.as_str()) {
-        ("GET", "/healthz") => {
+// ---------------------------------------------------------------------------
+// The daemon's door
+// ---------------------------------------------------------------------------
+
+/// Answers one routed request against the daemon core: parse the body,
+/// call [`Shared`], render the reply.
+pub(crate) fn daemon_route(shared: &Shared, route: Route<'_>, body: &[u8]) -> Response {
+    let bad_request = |message: String| {
+        shared.note_bad_request();
+        Response::error(400, ErrorCode::BadRequest, &message)
+    };
+    match route {
+        Route::Healthz => {
             let draining = shared.is_draining();
-            let body = JsonObject::new()
-                .str("status", if draining { "draining" } else { "ok" })
-                .boolean("draining", draining)
-                .finish();
-            write_response(
-                io,
-                200,
-                "application/json",
-                body.as_bytes(),
-                keep_alive,
-                &[],
+            Response::json(
+                JsonObject::new()
+                    .str("status", if draining { "draining" } else { "ok" })
+                    .boolean("draining", draining)
+                    .finish(),
             )
         }
-        ("GET", "/v1/datasets") => {
-            let mut datasets = JsonArray::new();
-            for (name, size) in shared.registry().list() {
-                datasets.push_raw(
-                    &JsonObject::new()
-                        .str("name", &name)
-                        .uint("points", size as u64)
-                        .finish(),
-                );
-            }
-            let body = JsonObject::new()
-                .raw("datasets", &datasets.finish())
-                .finish();
-            write_response(
-                io,
-                200,
-                "application/json",
-                body.as_bytes(),
-                keep_alive,
-                &[],
+        Route::Datasets => {
+            let datasets = shared.registry().list();
+            let entries = datasets
+                .iter()
+                .map(|(name, size)| (name.as_str(), *size, None));
+            Response::json(
+                JsonObject::new()
+                    .raw("datasets", &wire::datasets_array(entries))
+                    .finish(),
             )
         }
-        ("GET", "/v1/stats") => write_response(
-            io,
-            200,
-            "application/json",
-            shared.stats_json().as_bytes(),
-            keep_alive,
-            &[],
-        ),
-        ("GET", "/metrics") => write_response(
-            io,
-            200,
-            "text/plain; version=0.0.4",
-            shared.metrics_text().as_bytes(),
-            keep_alive,
-            &[],
-        ),
-        ("POST", "/v1/submit") => respond_submit(io, shared, body, keep_alive),
-        ("POST", "/v1/append") => respond_append(io, shared, body, keep_alive),
-        // Dataset-scoped read, so a router (or curl) can ask one daemon
-        // whether it owns a dataset without listing everything.
-        ("GET", target)
-            if target
-                .strip_prefix("/v1/datasets/")
-                .is_some_and(|n| !n.is_empty()) =>
-        {
-            let name = &target["/v1/datasets/".len()..];
-            match shared.registry().get(name) {
-                Some(entry) => {
-                    let body = JsonObject::new()
-                        .str("name", name)
-                        .uint("points", entry.points.len() as u64)
-                        .finish();
-                    write_response(
-                        io,
-                        200,
-                        "application/json",
-                        body.as_bytes(),
-                        keep_alive,
-                        &[],
-                    )
-                }
-                None => {
-                    shared.note_unknown_dataset();
-                    write_error(
-                        io,
-                        404,
-                        ErrorCode::UnknownDataset,
-                        &format!("dataset '{name}' is not registered"),
-                        keep_alive,
-                        &[],
-                    )
+        Route::Dataset(name) => match shared.dataset(name) {
+            Ok(entry) => Response::json(wire::dataset_entry(name, entry.points.len(), None)),
+            Err(rejection) => Response::rejection(&rejection),
+        },
+        Route::Stats => Response::json(shared.stats_json()),
+        Route::Metrics => Response::metrics(shared.metrics_text()),
+        Route::Submit => match wire::parse_submit_body(body) {
+            Ok((dataset, variant, labels)) => {
+                match shared.submit_wait(dataset, variant, labels, true) {
+                    Ok(done) => {
+                        Response::json(wire::submit_reply(&done.reply, done.report_json.as_deref()))
+                    }
+                    Err(rejection) => Response::rejection(&rejection),
                 }
             }
-        }
-        (_, target)
-            if target
-                .strip_prefix("/v1/datasets/")
-                .is_some_and(|n| !n.is_empty()) =>
-        {
-            write_error(
-                io,
-                405,
-                ErrorCode::BadRequest,
-                &format!("{} only supports GET", req.target),
-                keep_alive,
-                &[("Allow", "GET")],
-            )
-        }
-        (_, "/healthz" | "/v1/datasets" | "/v1/stats" | "/metrics") => write_error(
-            io,
-            405,
-            ErrorCode::BadRequest,
-            &format!("{} only supports GET", req.target),
-            keep_alive,
-            &[("Allow", "GET")],
-        ),
-        (_, "/v1/submit" | "/v1/append") => write_error(
-            io,
-            405,
-            ErrorCode::BadRequest,
-            &format!("{} only supports POST", req.target),
-            keep_alive,
-            &[("Allow", "POST")],
-        ),
-        _ => write_error(
-            io,
-            404,
-            ErrorCode::BadRequest,
-            &format!("no route for {}", req.target),
-            keep_alive,
-            &[],
-        ),
-    };
-    written.map_err(|_| ())
-}
-
-/// Field-by-field validation of a submit body, mirroring the line
-/// protocol's `SUBMIT` parser (including its strictness: unknown
-/// fields are rejected the way trailing tokens are).
-pub(crate) fn parse_submit_body(body: &[u8]) -> Result<(String, f64, usize, bool), String> {
-    let json = parse_json(body)?;
-    let fields = json.entries().ok_or("body must be a JSON object")?;
-    for (key, _) in fields {
-        if !matches!(key.as_str(), "dataset" | "eps" | "minpts" | "labels") {
-            return Err(format!("unknown field '{key}'"));
-        }
-    }
-    let dataset = json
-        .get("dataset")
-        .and_then(JsonValue::as_str)
-        .ok_or("'dataset' must be a string")?
-        .to_string();
-    let eps = json
-        .get("eps")
-        .and_then(JsonValue::as_f64)
-        .ok_or("'eps' must be a number")?;
-    if !eps.is_finite() || eps <= 0.0 {
-        return Err("'eps' must be finite and positive".into());
-    }
-    let minpts_raw = json
-        .get("minpts")
-        .and_then(JsonValue::as_f64)
-        .ok_or("'minpts' must be a number")?;
-    if minpts_raw.fract() != 0.0 || minpts_raw < 1.0 || minpts_raw > u32::MAX as f64 {
-        return Err("'minpts' must be an integer of at least 1".into());
-    }
-    let labels = match json.get("labels") {
-        None => false,
-        Some(v) => v.as_bool().ok_or("'labels' must be a boolean")?,
-    };
-    Ok((dataset, eps, minpts_raw as usize, labels))
-}
-
-fn respond_submit<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &Shared,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let (dataset, eps, minpts, labels) = match parse_submit_body(body) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            shared.note_bad_request();
-            return write_error(io, 400, ErrorCode::BadRequest, &msg, keep_alive, &[]);
-        }
-    };
-    if shared.registry().get(&dataset).is_none() {
-        shared.note_unknown_dataset();
-        return write_error(
-            io,
-            404,
-            ErrorCode::UnknownDataset,
-            &format!("dataset '{dataset}' is not registered"),
-            keep_alive,
-            &[],
-        );
-    }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        dataset,
-        variant: Variant::new(eps, minpts),
-        want_labels: labels,
-        want_report: true,
-        reply: tx,
-    };
-    if let Err(e) = shared.submit(job) {
-        let (msg, extra): (&str, &[(&str, &str)]) = match e {
-            crate::server::SubmitError::Overloaded => {
-                // Hint in the header (authoritative) and as the same
-                // `retry-after=N` message token the line protocol uses.
-                ("retry-after=1 queue full", &[("Retry-After", "1")])
-            }
-            crate::server::SubmitError::Draining => ("server is shutting down", &[]),
-        };
-        return write_error(io, 503, e.code(), msg, keep_alive, extra);
-    }
-    match rx.recv_timeout(shared.job_timeout()) {
-        Ok(Ok(done)) => {
-            let mut obj = JsonObject::new()
-                .uint("clusters", done.clusters as u64)
-                .uint("noise", done.noise as u64)
-                .boolean("warm", done.warm)
-                .boolean("reused", done.reused)
-                .float("ms", done.ms);
-            if let Some(labels) = done.labels {
-                let mut arr = JsonArray::new();
-                for l in labels {
-                    arr.push_uint(l as u64);
-                }
-                obj = obj.raw("labels", &arr.finish());
-            }
-            if let Some(report) = done.report_json {
-                obj = obj.raw("report", &report);
-            }
-            write_response(
-                io,
-                200,
-                "application/json",
-                obj.finish().as_bytes(),
-                keep_alive,
-                &[],
-            )
-        }
-        Ok(Err(msg)) => write_error(io, 500, ErrorCode::Internal, &msg, keep_alive, &[]),
-        Err(mpsc::RecvTimeoutError::Timeout) => write_error(
-            io,
-            500,
-            ErrorCode::Internal,
-            "job timed out in the engine",
-            keep_alive,
-            &[],
-        ),
-        Err(mpsc::RecvTimeoutError::Disconnected) => write_error(
-            io,
-            503,
-            ErrorCode::Draining,
-            "request dropped during shutdown",
-            keep_alive,
-            &[],
-        ),
-    }
-}
-
-/// Validates an append body, mirroring the line protocol's `APPEND`
-/// parser: a non-empty batch of finite `[x, y]` pairs.
-pub(crate) fn parse_append_body(body: &[u8]) -> Result<(String, Vec<Point2>), String> {
-    let json = parse_json(body)?;
-    let fields = json.entries().ok_or("body must be a JSON object")?;
-    for (key, _) in fields {
-        if !matches!(key.as_str(), "dataset" | "points") {
-            return Err(format!("unknown field '{key}'"));
-        }
-    }
-    let dataset = json
-        .get("dataset")
-        .and_then(JsonValue::as_str)
-        .ok_or("'dataset' must be a string")?
-        .to_string();
-    let items = json
-        .get("points")
-        .and_then(JsonValue::as_array)
-        .ok_or("'points' must be an array")?;
-    if items.is_empty() {
-        return Err("'points' must not be empty".into());
-    }
-    let mut points = Vec::with_capacity(items.len());
-    for item in items {
-        let pair = item.as_array().ok_or("each point must be [x, y]")?;
-        if pair.len() != 2 {
-            return Err("each point must be [x, y]".into());
-        }
-        let x = pair[0].as_f64().ok_or("coordinates must be numbers")?;
-        let y = pair[1].as_f64().ok_or("coordinates must be numbers")?;
-        points.push(Point2::new(x, y));
-    }
-    Ok((dataset, points))
-}
-
-fn respond_append<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &Shared,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let (dataset, points) = match parse_append_body(body) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            shared.note_bad_request();
-            return write_error(io, 400, ErrorCode::BadRequest, &msg, keep_alive, &[]);
-        }
-    };
-    if shared.is_draining() {
-        shared.note_append_rejected(None);
-        return write_error(
-            io,
-            503,
-            ErrorCode::Draining,
-            "server is shutting down",
-            keep_alive,
-            &[],
-        );
-    }
-    match apply_append(shared, &dataset, &points) {
-        Ok(outcome) => {
-            shared.note_append_applied(&outcome);
-            let body = JsonObject::new()
-                .uint("appended", outcome.appended as u64)
-                .uint("total", outcome.total as u64)
-                .uint("repaired", outcome.repaired as u64)
-                .uint("dropped", outcome.dropped as u64)
-                .float("ms", outcome.ms)
-                .finish();
-            write_response(
-                io,
-                200,
-                "application/json",
-                body.as_bytes(),
-                keep_alive,
-                &[],
-            )
-        }
-        Err((code, msg)) => {
-            shared.note_append_rejected(Some(code));
-            let status = if code == ErrorCode::UnknownDataset {
-                404
-            } else {
-                400
-            };
-            write_error(io, status, code, &msg, keep_alive, &[])
-        }
+            Err(message) => bad_request(message),
+        },
+        Route::Append => match wire::parse_append_body(body) {
+            Ok((dataset, points)) => match shared.append(&dataset, &points) {
+                Ok(reply) => Response::json(wire::append_reply(&reply)),
+                Err(rejection) => Response::rejection(&rejection),
+            },
+            Err(message) => bad_request(message),
+        },
     }
 }
 
@@ -1399,18 +864,6 @@ fn proto_err(msg: impl Into<String>) -> ClientError {
     ClientError::Protocol(msg.into())
 }
 
-fn req_f64(json: &JsonValue, key: &str) -> Result<f64, ClientError> {
-    json.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| proto_err(format!("response is missing numeric '{key}'")))
-}
-
-fn req_bool(json: &JsonValue, key: &str) -> Result<bool, ClientError> {
-    json.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| proto_err(format!("response is missing boolean '{key}'")))
-}
-
 /// Maps a non-200 gateway answer onto the shared [`ClientError`]
 /// taxonomy: the JSON error body carries the line protocol's exact
 /// [`ErrorCode`] token, and an `overloaded` rejection's `Retry-After`
@@ -1418,23 +871,11 @@ fn req_bool(json: &JsonValue, key: &str) -> Result<bool, ClientError> {
 /// fallback) becomes the typed backoff hint — the same shape the line
 /// client produces, so backoff logic is transport-blind.
 fn typed_error(resp: &HttpResponse) -> ClientError {
-    let json = match resp.json() {
-        Ok(json) => json,
-        Err(_) => {
-            return proto_err(format!("HTTP {} with a non-JSON error body", resp.status));
-        }
+    let Ok(json) = resp.json() else {
+        return proto_err(format!("HTTP {} with a non-JSON error body", resp.status));
     };
-    let code = json
-        .get("error")
-        .and_then(JsonValue::as_str)
-        .and_then(ErrorCode::from_str_token);
-    let message = json
-        .get("message")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .to_string();
-    match code {
-        Some(ErrorCode::Overloaded) => ClientError::Overloaded {
+    match wire::parse_error_body(&json) {
+        Some((ErrorCode::Overloaded, message)) => ClientError::Overloaded {
             retry_after: resp
                 .header("retry-after")
                 .and_then(|v| v.trim().parse::<u64>().ok())
@@ -1442,24 +883,45 @@ fn typed_error(resp: &HttpResponse) -> ClientError {
                 .or_else(|| crate::api::parse_retry_after(&message)),
             message,
         },
-        Some(code) => ClientError::Rejected { code, message },
+        Some((code, message)) => ClientError::Rejected { code, message },
         None => proto_err(format!("HTTP {} with an untyped error body", resp.status)),
     }
 }
 
-fn expect_json(resp: HttpResponse) -> Result<JsonValue, ClientError> {
-    if resp.status != 200 {
-        return Err(typed_error(&resp));
+impl HttpClient {
+    /// One exchange's `200` body; anything else is the typed error its
+    /// body spells.
+    fn ok_body(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<Vec<u8>, ClientError> {
+        let resp = self.request(method, path, body).map_err(ClientError::Io)?;
+        if resp.status != 200 {
+            return Err(typed_error(&resp));
+        }
+        Ok(resp.body)
     }
-    resp.json()
-        .map_err(|e| proto_err(format!("unparseable 200 body: {e}")))
-}
 
-fn expect_text(resp: HttpResponse) -> Result<String, ClientError> {
-    if resp.status != 200 {
-        return Err(typed_error(&resp));
+    /// [`Self::ok_body`] as text.
+    fn text(&mut self, path: &str) -> Result<String, ClientError> {
+        String::from_utf8(self.ok_body("GET", path, None)?)
+            .map_err(|_| proto_err("200 body is not UTF-8"))
     }
-    String::from_utf8(resp.body).map_err(|_| proto_err("200 body is not UTF-8"))
+
+    /// [`Self::ok_body`], parsed as JSON and then by `parse`.
+    fn typed<R>(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        parse: impl FnOnce(&JsonValue) -> Result<R, String>,
+    ) -> Result<R, ClientError> {
+        let json = parse_json(&self.ok_body(method, path, body)?)
+            .map_err(|e| proto_err(format!("unparseable 200 body: {e}")))?;
+        parse(&json).map_err(proto_err)
+    }
 }
 
 impl DatasetService for HttpClient {
@@ -1470,100 +932,37 @@ impl DatasetService for HttpClient {
         minpts: usize,
         want_labels: bool,
     ) -> Result<SubmitReply, ClientError> {
-        let mut body = JsonObject::new()
-            .str("dataset", dataset)
-            .float("eps", eps)
-            .uint("minpts", minpts as u64);
-        if want_labels {
-            body = body.boolean("labels", true);
-        }
-        let resp = self
-            .post("/v1/submit", &body.finish())
-            .map_err(ClientError::Io)?;
-        let json = expect_json(resp)?;
-        let labels = match json.get("labels") {
-            None => None,
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| proto_err("'labels' is not an array"))?;
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let n = item
-                        .as_f64()
-                        .ok_or_else(|| proto_err("label is not a number"))?;
-                    out.push(n as u32);
-                }
-                Some(out)
-            }
-        };
-        Ok(SubmitReply {
-            clusters: req_f64(&json, "clusters")? as usize,
-            noise: req_f64(&json, "noise")? as usize,
-            warm: req_bool(&json, "warm")?,
-            reused: req_bool(&json, "reused")?,
-            ms: req_f64(&json, "ms")?,
-            labels,
-        })
+        let body = wire::submit_body(dataset, eps, minpts, want_labels);
+        self.typed("POST", "/v1/submit", Some(&body), wire::parse_submit_reply)
     }
 
     fn append(&mut self, dataset: &str, points: &[Point2]) -> Result<AppendReply, ClientError> {
-        let mut arr = JsonArray::new();
-        for p in points {
-            let mut pair = JsonArray::new();
-            pair.push_float(p.x);
-            pair.push_float(p.y);
-            arr.push_raw(&pair.finish());
-        }
-        let body = JsonObject::new()
-            .str("dataset", dataset)
-            .raw("points", &arr.finish())
-            .finish();
-        let resp = self.post("/v1/append", &body).map_err(ClientError::Io)?;
-        let json = expect_json(resp)?;
-        Ok(AppendReply {
-            appended: req_f64(&json, "appended")? as usize,
-            total: req_f64(&json, "total")? as usize,
-            repaired: req_f64(&json, "repaired")? as usize,
-            dropped: req_f64(&json, "dropped")? as usize,
-            ms: req_f64(&json, "ms")?,
-        })
+        let body = wire::append_body(dataset, points);
+        self.typed("POST", "/v1/append", Some(&body), wire::parse_append_reply)
     }
 
     fn datasets(&mut self) -> Result<Vec<(String, usize)>, ClientError> {
-        let resp = self.get("/v1/datasets").map_err(ClientError::Io)?;
-        let json = expect_json(resp)?;
-        let items = json
-            .get("datasets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| proto_err("'datasets' is not an array"))?;
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            let name = item
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| proto_err("dataset entry is missing 'name'"))?;
-            let points = req_f64(item, "points")? as usize;
-            out.push((name.to_string(), points));
-        }
-        Ok(out)
+        self.typed("GET", "/v1/datasets", None, wire::parse_datasets)
     }
 
     fn stats_json(&mut self) -> Result<String, ClientError> {
-        expect_text(self.get("/v1/stats").map_err(ClientError::Io)?)
+        self.text("/v1/stats")
     }
 
     fn metrics(&mut self) -> Result<String, ClientError> {
-        expect_text(self.get("/metrics").map_err(ClientError::Io)?)
+        self.text("/metrics")
     }
 
     fn healthz(&mut self) -> Result<Health, ClientError> {
-        let resp = self.get("/healthz").map_err(ClientError::Io)?;
-        let json = expect_json(resp)?;
-        let draining = req_bool(&json, "draining")?;
-        Ok(Health {
-            accepting: !draining,
-            draining,
+        self.typed("GET", "/healthz", None, |json| {
+            let draining = json
+                .get("draining")
+                .and_then(JsonValue::as_bool)
+                .ok_or("response is missing boolean 'draining'")?;
+            Ok(Health {
+                accepting: !draining,
+                draining,
+            })
         })
     }
 }
@@ -1578,7 +977,7 @@ mod tests {
         let resp = HttpResponse {
             status: 503,
             headers: vec![("retry-after".into(), "7".into())],
-            body: error_json(ErrorCode::Overloaded, "queue full").into_bytes(),
+            body: wire::error_body(ErrorCode::Overloaded, "queue full").into_bytes(),
         };
         match typed_error(&resp) {
             ClientError::Overloaded {
@@ -1594,7 +993,7 @@ mod tests {
         let resp = HttpResponse {
             status: 503,
             headers: vec![],
-            body: error_json(ErrorCode::Overloaded, "retry-after=2 queue full").into_bytes(),
+            body: wire::error_body(ErrorCode::Overloaded, "retry-after=2 queue full").into_bytes(),
         };
         assert_eq!(
             typed_error(&resp).retry_after(),
@@ -1604,7 +1003,7 @@ mod tests {
         let resp = HttpResponse {
             status: 503,
             headers: vec![("retry-after".into(), "7".into())],
-            body: error_json(ErrorCode::Draining, "server is shutting down").into_bytes(),
+            body: wire::error_body(ErrorCode::Draining, "server is shutting down").into_bytes(),
         };
         match typed_error(&resp) {
             ClientError::Rejected { code, .. } => assert_eq!(code, ErrorCode::Draining),
@@ -1628,67 +1027,39 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_round_trips_scalars_and_containers() {
-        assert_eq!(parse_json(b"null").unwrap(), JsonValue::Null);
-        assert_eq!(parse_json(b"true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse_json(b"-1.5e2").unwrap(), JsonValue::Num(-150.0));
+    fn route_table_answers_200_404_and_405_with_allow() {
+        assert_eq!(Route::parse("GET", "/healthz").unwrap(), Route::Healthz);
         assert_eq!(
-            parse_json(br#""a\nb\u0041\ud83d\ude00""#).unwrap(),
-            JsonValue::Str("a\nbA\u{1F600}".into())
+            Route::parse("GET", "/v1/datasets").unwrap(),
+            Route::Datasets
         );
-        let doc = parse_json(br#"{"a": [1, 2], "b": {"c": "d"}}"#).unwrap();
         assert_eq!(
-            doc.get("a").unwrap().as_array().unwrap(),
-            &[JsonValue::Num(1.0), JsonValue::Num(2.0)]
+            Route::parse("GET", "/v1/datasets/SW1@5").unwrap(),
+            Route::Dataset("SW1@5")
         );
-        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_str(), Some("d"));
-    }
-
-    #[test]
-    fn json_parser_rejects_malformed_documents() {
-        for bad in [
-            &b""[..],
-            b"nul",
-            b"[1,]",
-            b"{\"a\":}",
-            b"{\"a\" 1}",
-            b"\"unterminated",
-            b"\"\\u12\"",
-            b"\"\\ud800\"",
-            b"\"\\udc00\"",
-            // `\u` + 1 hex digit + a multi-byte char: hex4 must not slice
-            // the &str at a non-char boundary (regression: panicked).
-            "\"\\u0\u{10348}\"".as_bytes(),
-            "\"\\u\u{e9}99\"".as_bytes(),
-            "\"\\ud800\\u\u{10348}1\"".as_bytes(),
-            b"01",
-            b"1.",
-            b".5",
-            b"+1",
-            b"1e",
-            b"--1",
-            b"1e999",
-            b"{} trailing",
-            b"\xff\xfe",
-            b"\"ctrl\x01char\"",
+        assert_eq!(Route::parse("GET", "/v1/stats").unwrap(), Route::Stats);
+        assert_eq!(Route::parse("GET", "/metrics").unwrap(), Route::Metrics);
+        assert_eq!(Route::parse("POST", "/v1/submit").unwrap(), Route::Submit);
+        assert_eq!(Route::parse("POST", "/v1/append").unwrap(), Route::Append);
+        for (method, target, status, allow) in [
+            ("POST", "/healthz", 405, Some("GET")),
+            ("DELETE", "/v1/datasets", 405, Some("GET")),
+            ("PUT", "/v1/datasets/d", 405, Some("GET")),
+            ("POST", "/metrics", 405, Some("GET")),
+            ("GET", "/v1/submit", 405, Some("POST")),
+            ("GET", "/v1/append", 405, Some("POST")),
+            ("GET", "/v1/datasets/", 404, None),
+            ("GET", "/", 404, None),
+            ("POST", "/v1/nope", 404, None),
         ] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-        // Depth cap: 100 nested arrays reject, shallow ones parse.
-        let deep: Vec<u8> = b"["
-            .repeat(100)
-            .into_iter()
-            .chain(b"]".repeat(100))
-            .collect();
-        assert!(parse_json(&deep).is_err());
-        let shallow: Vec<u8> = b"[".repeat(10).into_iter().chain(b"]".repeat(10)).collect();
-        assert!(parse_json(&shallow).is_ok());
-    }
-
-    #[test]
-    fn json_number_grammar_cannot_spell_non_finite() {
-        for bad in [&b"NaN"[..], b"Infinity", b"-Infinity", b"inf", b"nan"] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+            let refusal = Route::parse(method, target).unwrap_err();
+            assert_eq!(refusal.status, status, "{method} {target}");
+            assert_eq!(
+                refusal.header.as_ref().map(|(n, v)| (*n, v.as_str())),
+                allow.map(|a| ("Allow", a)),
+                "{method} {target}"
+            );
+            assert!(refusal.body.contains("\"error\":\"bad-request\""));
         }
     }
 
@@ -1770,47 +1141,6 @@ mod tests {
                 }
                 _ => panic!("accepted {:?}", String::from_utf8_lossy(&head)),
             }
-        }
-    }
-
-    #[test]
-    fn submit_body_parser_mirrors_line_protocol_strictness() {
-        let ok = parse_submit_body(br#"{"dataset":"d","eps":1.5,"minpts":4}"#).unwrap();
-        assert_eq!(ok, ("d".into(), 1.5, 4, false));
-        let with_labels =
-            parse_submit_body(br#"{"dataset":"d","eps":0.5,"minpts":1,"labels":true}"#).unwrap();
-        assert!(with_labels.3);
-        for bad in [
-            &br#"{"eps":1.0,"minpts":4}"#[..],
-            br#"{"dataset":"d","minpts":4}"#,
-            br#"{"dataset":"d","eps":0,"minpts":4}"#,
-            br#"{"dataset":"d","eps":-1,"minpts":4}"#,
-            br#"{"dataset":"d","eps":1.0,"minpts":0}"#,
-            br#"{"dataset":"d","eps":1.0,"minpts":2.5}"#,
-            br#"{"dataset":"d","eps":1.0,"minpts":4,"extra":1}"#,
-            br#"{"dataset":"d","eps":1.0,"minpts":4,"labels":"yes"}"#,
-            br#"[1,2,3]"#,
-            br#"not json"#,
-        ] {
-            assert!(parse_submit_body(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn append_body_parser_requires_finite_pairs() {
-        let (dataset, points) =
-            parse_append_body(br#"{"dataset":"d","points":[[1.0,2.0],[3,4]]}"#).unwrap();
-        assert_eq!(dataset, "d");
-        assert_eq!(points, vec![Point2::new(1.0, 2.0), Point2::new(3.0, 4.0)]);
-        for bad in [
-            &br#"{"dataset":"d","points":[]}"#[..],
-            br#"{"dataset":"d","points":[[1.0]]}"#,
-            br#"{"dataset":"d","points":[[1.0,2.0,3.0]]}"#,
-            br#"{"dataset":"d","points":[["a","b"]]}"#,
-            br#"{"dataset":"d"}"#,
-            br#"{"points":[[1,2]]}"#,
-        ] {
-            assert!(parse_append_body(bad).is_err(), "accepted {bad:?}");
         }
     }
 }

@@ -90,6 +90,22 @@ pub struct BackendCounters {
     pub dropped: u64,
 }
 
+impl BackendCounters {
+    /// The counters by name — the router's `/v1/stats` keys, and its
+    /// `vbp_backend_<name>_total` series.
+    pub fn rows(&self) -> [(&'static str, u64); 7] {
+        [
+            ("connects", self.connects),
+            ("connect_failures", self.connect_failures),
+            ("checkouts", self.checkouts),
+            ("busy_timeouts", self.busy_timeouts),
+            ("breaker_trips", self.breaker_trips),
+            ("breaker_fast_fails", self.breaker_fast_fails),
+            ("dropped_conns", self.dropped),
+        ]
+    }
+}
+
 struct PoolInner {
     idle: Vec<PooledService>,
     /// Connections currently existing or being created (idle + lent +
@@ -294,7 +310,7 @@ impl BackendPool {
 mod tests {
     use super::*;
     use crate::api::Health;
-    use crate::client::{AppendReply, SubmitReply};
+    use crate::api::{AppendReply, SubmitReply};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use vbp_geom::Point2;
@@ -317,7 +333,7 @@ mod tests {
                 return Err(ClientError::Io(std::io::Error::other("cut")));
             }
             Err(ClientError::rejected(
-                crate::protocol::ErrorCode::Overloaded,
+                crate::api::ErrorCode::Overloaded,
                 "retry-after=1 queue full".into(),
             ))
         }

@@ -55,74 +55,18 @@
 //! in-flight requests complete, new `SUBMIT`s/`APPEND`s get `ERR
 //! draining`.
 
-use std::fmt;
-
 use vbp_geom::Point2;
+
+pub use crate::api::ErrorCode;
+use crate::api::{
+    check_batch, check_variant, AppendReply, BadArg, Delta, Rejection, SubmitReply, WatchReply,
+};
 
 /// The protocol version `HELLO` advertises. History: 1 = the original
 /// verb set; 2 = added `METRICS`; 3 = added `APPEND`/`WATCH` streaming
 /// mutation. Clients gate version-dependent calls on the number they saw
 /// at connect time.
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// Typed rejection codes carried in `ERR` responses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The request line did not parse.
-    BadRequest,
-    /// `SUBMIT` named a dataset the registry does not hold.
-    UnknownDataset,
-    /// Admission control: the bounded queue is full.
-    Overloaded,
-    /// The server is shutting down and no longer admits work.
-    Draining,
-    /// The request failed inside the engine (should not happen).
-    Internal,
-    /// The byte stream itself broke framing rules (oversized line,
-    /// invalid UTF-8) — the offending line was discarded and the
-    /// connection resynchronized at the next newline.
-    Protocol,
-    /// A proxy (the router) could not reach the backend that owns the
-    /// named dataset. Never emitted by a daemon itself; carried in the
-    /// router's `503 + Retry-After` answers so callers can tell "the
-    /// owner is down" apart from "the owner is overloaded".
-    Unavailable,
-}
-
-impl ErrorCode {
-    /// Wire token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::UnknownDataset => "unknown-dataset",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::Draining => "draining",
-            ErrorCode::Internal => "internal",
-            ErrorCode::Protocol => "protocol",
-            ErrorCode::Unavailable => "unavailable",
-        }
-    }
-
-    /// Parses a wire token.
-    pub fn from_str_token(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad-request" => ErrorCode::BadRequest,
-            "unknown-dataset" => ErrorCode::UnknownDataset,
-            "overloaded" => ErrorCode::Overloaded,
-            "draining" => ErrorCode::Draining,
-            "internal" => ErrorCode::Internal,
-            "protocol" => ErrorCode::Protocol,
-            "unavailable" => ErrorCode::Unavailable,
-            _ => return None,
-        })
-    }
-}
-
-impl fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -211,6 +155,36 @@ impl Request {
     }
 }
 
+/// Parses `<dataset> <eps> <minpts>` — the shared argument shape of
+/// `SUBMIT` and `WATCH` — judging the pair by [`check_variant`].
+fn variant_args<'a>(
+    verb: &str,
+    tokens: &mut impl Iterator<Item = &'a str>,
+) -> Result<(String, f64, usize), String> {
+    let mut next = |what: &str| tokens.next().ok_or(format!("{verb}: missing {what}"));
+    let dataset = next("dataset")?.to_string();
+    let eps: f64 = next("eps")?
+        .parse()
+        .map_err(|_| format!("{verb}: eps is not a number"))?;
+    let minpts: u64 = next("minpts")?
+        .parse()
+        .map_err(|_| format!("{verb}: minpts is not an integer"))?;
+    let variant = check_variant(eps, minpts as f64).map_err(|bad| bad_arg(verb, bad))?;
+    Ok((dataset, variant.eps, variant.minpts))
+}
+
+/// The line protocol's wording of a broken argument rule.
+fn bad_arg(verb: &str, bad: BadArg) -> String {
+    let rule = match bad {
+        BadArg::Eps => "eps must be finite and positive",
+        BadArg::Minpts => "minpts must be at least 1",
+        BadArg::MinptsTooLarge => "minpts must be at most 4294967295",
+        BadArg::EmptyBatch => "missing points",
+        BadArg::NonFinite => "coordinates must be finite",
+    };
+    format!("{verb}: {rule}")
+}
+
 /// Parses one request line (without its newline).
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut tokens = line.split_ascii_whitespace();
@@ -223,23 +197,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "SHUTDOWN" => Request::Shutdown,
         "QUIT" => Request::Quit,
         "SUBMIT" => {
-            let dataset = tokens.next().ok_or("SUBMIT: missing dataset")?.to_string();
-            let eps: f64 = tokens
-                .next()
-                .ok_or("SUBMIT: missing eps")?
-                .parse()
-                .map_err(|_| "SUBMIT: eps is not a number")?;
-            if !eps.is_finite() || eps <= 0.0 {
-                return Err("SUBMIT: eps must be finite and positive".into());
-            }
-            let minpts: usize = tokens
-                .next()
-                .ok_or("SUBMIT: missing minpts")?
-                .parse()
-                .map_err(|_| "SUBMIT: minpts is not an integer")?;
-            if minpts == 0 {
-                return Err("SUBMIT: minpts must be at least 1".into());
-            }
+            let (dataset, eps, minpts) = variant_args(verb, &mut tokens)?;
             let labels = match tokens.next() {
                 None => false,
                 Some("LABELS") => true,
@@ -254,46 +212,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "APPEND" => {
             let dataset = tokens.next().ok_or("APPEND: missing dataset")?.to_string();
-            let mut coords = Vec::new();
-            for t in tokens.by_ref() {
-                let c: f64 = t
-                    .parse()
-                    .map_err(|_| format!("APPEND: '{t}' is not a number"))?;
-                if !c.is_finite() {
-                    return Err("APPEND: coordinates must be finite".into());
-                }
-                coords.push(c);
-            }
-            if coords.is_empty() {
-                return Err("APPEND: missing points".into());
-            }
+            let coords = tokens
+                .by_ref()
+                .map(|t| {
+                    t.parse::<f64>()
+                        .map_err(|_| format!("APPEND: '{t}' is not a number"))
+                })
+                .collect::<Result<Vec<f64>, String>>()?;
             if coords.len() % 2 != 0 {
                 return Err("APPEND: odd coordinate count (need x y pairs)".into());
             }
-            let points = coords
+            let points: Vec<Point2> = coords
                 .chunks_exact(2)
                 .map(|c| Point2::new(c[0], c[1]))
                 .collect();
+            check_batch(&points).map_err(|bad| bad_arg(verb, bad))?;
             Request::Append { dataset, points }
         }
         "WATCH" => {
-            let dataset = tokens.next().ok_or("WATCH: missing dataset")?.to_string();
-            let eps: f64 = tokens
-                .next()
-                .ok_or("WATCH: missing eps")?
-                .parse()
-                .map_err(|_| "WATCH: eps is not a number")?;
-            if !eps.is_finite() || eps <= 0.0 {
-                return Err("WATCH: eps must be finite and positive".into());
-            }
-            let minpts: usize = tokens
-                .next()
-                .ok_or("WATCH: missing minpts")?
-                .parse()
-                .map_err(|_| "WATCH: minpts is not an integer")?;
-            if minpts == 0 {
-                return Err("WATCH: minpts must be at least 1".into());
-            }
+            let (dataset, eps, minpts) = variant_args(verb, &mut tokens)?;
             Request::Watch {
                 dataset,
                 eps,
@@ -316,6 +253,228 @@ pub fn err_line(code: ErrorCode, message: &str) -> String {
         .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
         .collect();
     format!("ERR {code} {clean}")
+}
+
+/// Renders a typed refusal as its `ERR` line.
+pub(crate) fn rejection_line(rejection: &Rejection) -> String {
+    err_line(rejection.code, &rejection.message)
+}
+
+/// Splits an `OK` payload into its `key=value` tokens.
+fn reply_fields(payload: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    payload.split_ascii_whitespace().map(|tok| {
+        tok.split_once('=')
+            .ok_or_else(|| format!("bad reply token '{tok}'"))
+    })
+}
+
+fn reply_num<N: std::str::FromStr>(key: &str, value: &str) -> Result<N, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad number '{key}={value}'"))
+}
+
+/// Renders the `DATASETS` answer: `OK <name>=<points> …`.
+pub(crate) fn datasets_line(datasets: &[(String, usize)]) -> String {
+    let mut out = String::from("OK");
+    for (name, size) in datasets {
+        out.push_str(&format!(" {name}={size}"));
+    }
+    out
+}
+
+/// Parses a [`datasets_line`] payload.
+pub(crate) fn parse_datasets_reply(payload: &str) -> Result<Vec<(String, usize)>, String> {
+    reply_fields(payload)
+        .map(|field| {
+            let (name, size) = field?;
+            Ok((name.to_string(), reply_num(name, size)?))
+        })
+        .collect()
+}
+
+/// Renders a `SUBMIT` answer's head line; the labels, when present,
+/// travel on a [`labels_line`] continuation.
+pub(crate) fn submit_reply_line(reply: &SubmitReply) -> String {
+    format!(
+        "OK clusters={} noise={} warm={} reused={} ms={:.3}",
+        reply.clusters,
+        reply.noise,
+        u8::from(reply.warm),
+        u8::from(reply.reused),
+        reply.ms
+    )
+}
+
+/// Parses a [`submit_reply_line`] payload (the text after `OK`). Unknown
+/// keys are ignored for forward compatibility.
+pub(crate) fn parse_submit_reply(payload: &str) -> Result<SubmitReply, String> {
+    let mut reply = SubmitReply {
+        clusters: 0,
+        noise: 0,
+        warm: false,
+        reused: false,
+        ms: 0.0,
+        labels: None,
+    };
+    for field in reply_fields(payload) {
+        let (key, value) = field?;
+        match key {
+            "clusters" => reply.clusters = reply_num(key, value)?,
+            "noise" => reply.noise = reply_num(key, value)?,
+            "warm" => reply.warm = value == "1",
+            "reused" => reply.reused = value == "1",
+            "ms" => reply.ms = reply_num(key, value)?,
+            _ => {}
+        }
+    }
+    Ok(reply)
+}
+
+/// Renders the `LABELS <n> <l_0> … <l_{n-1}>` continuation line.
+pub(crate) fn labels_line(labels: &[u32]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(labels.len() * 7 + 16);
+    let _ = write!(out, "LABELS {}", labels.len());
+    for l in labels {
+        let _ = write!(out, " {l}");
+    }
+    out
+}
+
+/// Parses a [`labels_line`].
+pub(crate) fn parse_labels_line(line: &str) -> Result<Vec<u32>, String> {
+    let mut tokens = line.split_ascii_whitespace();
+    if tokens.next() != Some("LABELS") {
+        return Err(format!("expected LABELS line, got '{line}'"));
+    }
+    let n: usize = tokens
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or("bad LABELS count")?;
+    let labels = tokens
+        .map(str::parse)
+        .collect::<Result<Vec<u32>, _>>()
+        .map_err(|_| "non-numeric label")?;
+    if labels.len() != n {
+        return Err(format!(
+            "LABELS promised {n} labels, carried {}",
+            labels.len()
+        ));
+    }
+    Ok(labels)
+}
+
+/// Renders an `APPEND` answer.
+pub(crate) fn append_reply_line(reply: &AppendReply) -> String {
+    format!(
+        "OK appended={} total={} repaired={} dropped={} ms={:.3}",
+        reply.appended, reply.total, reply.repaired, reply.dropped, reply.ms
+    )
+}
+
+/// Parses an [`append_reply_line`] payload.
+pub(crate) fn parse_append_reply(payload: &str) -> Result<AppendReply, String> {
+    let mut reply = AppendReply {
+        appended: 0,
+        total: 0,
+        repaired: 0,
+        dropped: 0,
+        ms: 0.0,
+    };
+    for field in reply_fields(payload) {
+        let (key, value) = field?;
+        match key {
+            "appended" => reply.appended = reply_num(key, value)?,
+            "total" => reply.total = reply_num(key, value)?,
+            "repaired" => reply.repaired = reply_num(key, value)?,
+            "dropped" => reply.dropped = reply_num(key, value)?,
+            "ms" => reply.ms = reply_num(key, value)?,
+            _ => {}
+        }
+    }
+    Ok(reply)
+}
+
+/// Renders a `WATCH` answer: the echoed request and the census at
+/// subscription time.
+pub(crate) fn watch_reply_line(
+    dataset: &str,
+    eps: f64,
+    minpts: usize,
+    reply: &WatchReply,
+) -> String {
+    format!(
+        "OK watching {dataset} {eps} {minpts} clusters={} noise={}",
+        reply.clusters, reply.noise
+    )
+}
+
+/// Parses a [`watch_reply_line`] payload's census.
+pub(crate) fn parse_watch_reply(payload: &str) -> Result<WatchReply, String> {
+    let mut reply = WatchReply {
+        clusters: 0,
+        noise: 0,
+    };
+    // The census follows bare words (`watching`, the echoed request).
+    for (key, value) in reply_fields(payload).flatten() {
+        match key {
+            "clusters" => reply.clusters = reply_num(key, value)?,
+            "noise" => reply.noise = reply_num(key, value)?,
+            _ => {}
+        }
+    }
+    Ok(reply)
+}
+
+impl Delta {
+    /// Parses a `DELTA <ds> <eps> <minpts> k=v…` line; `None` when the
+    /// line is not a well-formed delta push.
+    pub fn parse(line: &str) -> Option<Delta> {
+        let rest = line.strip_prefix("DELTA ")?;
+        let mut tokens = rest.split_ascii_whitespace();
+        let mut delta = Delta {
+            dataset: tokens.next()?.to_string(),
+            eps: tokens.next()?.parse().ok()?,
+            minpts: tokens.next()?.parse().ok()?,
+            appended: 0,
+            new: 0,
+            absorbed: 0,
+            promoted: 0,
+            clusters: 0,
+            noise: 0,
+        };
+        for tok in tokens {
+            let (key, value) = tok.split_once('=')?;
+            let value: usize = value.parse().ok()?;
+            match key {
+                "appended" => delta.appended = value,
+                "new" => delta.new = value,
+                "absorbed" => delta.absorbed = value,
+                "promoted" => delta.promoted = value,
+                "clusters" => delta.clusters = value,
+                "noise" => delta.noise = value,
+                _ => {} // forward compatibility
+            }
+        }
+        Some(delta)
+    }
+
+    /// Renders the push as its wire line (no trailing newline).
+    pub fn encode(&self) -> String {
+        format!(
+            "DELTA {} {} {} appended={} new={} absorbed={} promoted={} clusters={} noise={}",
+            self.dataset,
+            self.eps,
+            self.minpts,
+            self.appended,
+            self.new,
+            self.absorbed,
+            self.promoted,
+            self.clusters,
+            self.noise
+        )
+    }
 }
 
 #[cfg(test)]
@@ -390,6 +549,7 @@ mod tests {
             "WATCH d 0 4",
             "WATCH d nan 4",
             "WATCH d 1.0 0",
+            "WATCH d 1.0 4294967296",
             "WATCH d 1.0 x",
             "WATCH d 1.0 4 EXTRA",
         ] {
@@ -418,6 +578,7 @@ mod tests {
             "SUBMIT d -1 4",
             "SUBMIT d inf 4",
             "SUBMIT d 1.0 0",
+            "SUBMIT d 1.0 4294967296",
             "SUBMIT d 1.0 4 EXTRA",
             "SUBMIT d 1.0 4 LABELS extra",
             "HELLO there",

@@ -5,8 +5,9 @@
 //! registered dataset keeps its points plus a [`PreparedIndex`] (the
 //! `T_low`/`T_high` pair of the paper's §IV-A) alive for the process
 //! lifetime. Requests then run through
-//! [`Engine::run_prepared_warm`](variantdbscan::Engine) against the
-//! stored handle.
+//! [`Engine::execute`](variantdbscan::Engine::execute) with a
+//! [`RunRequest::prepared`](variantdbscan::RunRequest::prepared) over
+//! the stored handle.
 //!
 //! Datasets are addressed by their Table I catalog names
 //! ([`DatasetSpec::by_name`]), including `@size` scaling —

@@ -22,10 +22,12 @@
 //! | `GET /metrics`              | fan out, sum series + `vbp_backend_*`   |
 //! | `GET /healthz`              | probe all, answer by quorum             |
 //!
-//! Bodies are parsed *at the router* with the gateway's own parsers, so
-//! a malformed submit costs a local `400` and never touches a backend.
-//! Proxied replies are re-rendered from the typed
-//! [`DatasetService`](crate::api::DatasetService) reply; the one field
+//! The router is a second handler behind the gateway's own front end
+//! ([`serve_http`], [`Route`]) and speaks the gateway's own JSON
+//! ([`crate::wire`]): bodies are parsed *at the router*, so a malformed
+//! submit costs a local `400` and never touches a backend, and proxied
+//! replies are re-rendered from the typed
+//! [`DatasetService`](crate::api::DatasetService) reply. The one field
 //! that does not survive the hop is the submit `report` embed (the
 //! trait reply does not carry it — scrape a backend directly when you
 //! want its RunReport).
@@ -48,31 +50,31 @@
 //! same shape the daemon pins in its test suite:
 //! `received == answered_ok + answered_err + in_flight`, with framing
 //! violations counted separately as `protocol_errors`. Summed backend
-//! counters stay internally consistent too: each backend snapshot
-//! satisfies the admission invariant on its own, so any sum of
-//! snapshots does as well — which is why the merged `/v1/stats`
-//! document passes the exact invariant check the per-daemon stats do.
+//! counters — merged row by row over the daemon's own counter table
+//! ([`crate::daemon::counters`]) — stay internally consistent too: each
+//! backend snapshot satisfies the admission invariant on its own, so
+//! any sum of snapshots does as well — which is why the merged
+//! `/v1/stats` document passes the exact invariant check the per-daemon
+//! stats do.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use variantdbscan::{JsonArray, JsonObject};
+use variantdbscan::{parse_json, JsonArray, JsonObject, JsonValue};
 
-use crate::api::{DatasetService, Health};
+use crate::api::{DatasetService, ErrorCode, Health, Rejection};
 use crate::client::ClientError;
-use crate::http::{
-    parse_append_body, parse_json, parse_submit_body, status_for, write_error, write_response,
-    HttpClient, HttpIo, JsonValue, ReadOutcome,
-};
+use crate::daemon::{Merge, JOB_COUNTERS, STREAM_COUNTERS};
+use crate::http::{serve_http, Exchange, HttpClient, Response, Route};
 use crate::pool::{BackendPool, PoolError, PooledService};
-use crate::protocol::ErrorCode;
 use crate::ring::HashRing;
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::{join_handlers, spawn_accept_loop, Handlers, Transport};
+use crate::wire;
 
 /// Router configuration; build one with
 /// [`RouterConfig::builder`](crate::config::RouterConfigBuilder).
@@ -139,7 +141,34 @@ struct RouterStats {
     fanouts: u64,
 }
 
-pub(crate) struct RouterShared {
+impl RouterStats {
+    /// The ledger as `(stats key, Prometheus series, value)` rows.
+    fn rows(&self) -> [(&'static str, &'static str, u64); 7] {
+        [
+            ("received", "vbp_router_received_total", self.received),
+            (
+                "answered_ok",
+                "vbp_router_answered_ok_total",
+                self.answered_ok,
+            ),
+            (
+                "answered_err",
+                "vbp_router_answered_err_total",
+                self.answered_err,
+            ),
+            ("in_flight", "vbp_router_in_flight", self.in_flight),
+            (
+                "protocol_errors",
+                "vbp_router_protocol_errors_total",
+                self.protocol_errors,
+            ),
+            ("proxied", "vbp_router_proxied_total", self.proxied),
+            ("fanouts", "vbp_router_fanouts_total", self.fanouts),
+        ]
+    }
+}
+
+struct RouterShared {
     ring: HashRing,
     /// One pool per backend, parallel to `ring.backends()`.
     pools: Vec<BackendPool>,
@@ -182,18 +211,22 @@ impl RouterShared {
         }
     }
 
+    fn stats(&self) -> MutexGuard<'_, RouterStats> {
+        self.stats.lock().expect("router stats lock poisoned")
+    }
+
     fn owner_pool(&self, dataset: &str) -> &BackendPool {
         &self.pools[self.ring.owner_index(dataset)]
     }
 
     fn begin_request(&self) {
-        let mut s = self.stats.lock().expect("router stats lock poisoned");
+        let mut s = self.stats();
         s.received += 1;
         s.in_flight += 1;
     }
 
     fn end_request(&self, ok: bool) {
-        let mut s = self.stats.lock().expect("router stats lock poisoned");
+        let mut s = self.stats();
         s.in_flight -= 1;
         if ok {
             s.answered_ok += 1;
@@ -203,55 +236,38 @@ impl RouterShared {
     }
 
     fn note_protocol_error(&self) {
-        self.stats
-            .lock()
-            .expect("router stats lock poisoned")
-            .protocol_errors += 1;
+        self.stats().protocol_errors += 1;
     }
 
     fn note_proxied(&self) {
-        self.stats
-            .lock()
-            .expect("router stats lock poisoned")
-            .proxied += 1;
+        self.stats().proxied += 1;
     }
 
     fn note_fanout(&self) {
-        self.stats
-            .lock()
-            .expect("router stats lock poisoned")
-            .fanouts += 1;
+        self.stats().fanouts += 1;
     }
 
     /// The `"router"` object embedded in `/v1/stats`: the admission
     /// ledger plus per-backend pool counters.
     fn router_json(&self) -> String {
-        let s = *self.stats.lock().expect("router stats lock poisoned");
+        let s = *self.stats();
         let mut backends = JsonArray::new();
         for pool in &self.pools {
-            let c = pool.counters();
+            let head = JsonObject::new()
+                .str("backend", pool.addr())
+                .boolean("breaker_open", pool.breaker_open());
+            let rows = pool.counters().rows().into_iter();
             backends.push_raw(
-                &JsonObject::new()
-                    .str("backend", pool.addr())
-                    .boolean("breaker_open", pool.breaker_open())
-                    .uint("connects", c.connects)
-                    .uint("connect_failures", c.connect_failures)
-                    .uint("checkouts", c.checkouts)
-                    .uint("busy_timeouts", c.busy_timeouts)
-                    .uint("breaker_trips", c.breaker_trips)
-                    .uint("breaker_fast_fails", c.breaker_fast_fails)
-                    .uint("dropped_conns", c.dropped)
+                &rows
+                    .fold(head, |doc, (key, value)| doc.uint(key, value))
                     .finish(),
             );
         }
-        JsonObject::new()
-            .uint("received", s.received)
-            .uint("answered_ok", s.answered_ok)
-            .uint("answered_err", s.answered_err)
-            .uint("in_flight", s.in_flight)
-            .uint("protocol_errors", s.protocol_errors)
-            .uint("proxied", s.proxied)
-            .uint("fanouts", s.fanouts)
+        let ledger = s.rows().into_iter();
+        ledger
+            .fold(JsonObject::new(), |doc, (key, _, value)| {
+                doc.uint(key, value)
+            })
             .raw("pools", &backends.finish())
             .finish()
     }
@@ -342,34 +358,6 @@ fn merge_metric_texts<'a>(texts: impl Iterator<Item = &'a str>) -> Vec<(String, 
         .collect()
 }
 
-/// The daemon stats counters the router sums across backends, in the
-/// daemon's own field order. `max_batch` takes the max instead — a
-/// fleet's widest batch, not a meaningless sum of widths.
-const SUMMED_STATS_FIELDS: &[&str] = &[
-    "submitted",
-    "completed",
-    "failed",
-    "in_flight",
-    "rejected_overloaded",
-    "rejected_draining",
-    "unknown_dataset",
-    "bad_request",
-    "protocol_errors",
-    "batches",
-    "max_batch",
-    "reuse_hits",
-    "in_run_reused",
-    "from_scratch",
-    "appends",
-    "appends_applied",
-    "appends_rejected",
-    "append_points",
-    "watches",
-    "watch_deltas",
-    "store_restored",
-    "store_restore_failed",
-];
-
 /// The quorum rule `/healthz` answers by: all up is `ok`, a strict
 /// majority is `degraded` (still `200` — the fleet is serving), and
 /// anything below quorum is `unavailable` with `503`.
@@ -385,326 +373,117 @@ fn quorum_status(up: usize, total: usize) -> (&'static str, u16) {
 }
 
 // ---------------------------------------------------------------------------
-// Connection handling
+// Request handling
 // ---------------------------------------------------------------------------
 
-/// Per-connection request loop of the router, over any [`Transport`] —
-/// the same framing discipline as the gateway's handler, including the
-/// typed `400`/`431`/`413` answers and the keep-alive rules.
-pub(crate) fn handle_router_connection<T: Transport>(
-    mut transport: T,
-    shared: &RouterShared,
-    stop: &AtomicBool,
-) {
-    let _ = transport.set_read_timeout(Some(shared.poll_interval));
-    let mut io = HttpIo::new(transport);
-    loop {
-        match io.read_request(stop) {
-            ReadOutcome::Request(req) => {
-                if req.expect_continue
-                    && req.content_length > 0
-                    && io.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").is_err()
-                {
-                    break;
-                }
-                let body = match io.read_body(req.content_length, stop) {
-                    Ok(body) => body,
-                    Err(_) => break,
-                };
-                let keep_alive = req.keep_alive && !stop.load(Ordering::Acquire);
-                shared.begin_request();
-                let answered = respond_router(
-                    &mut io,
-                    shared,
-                    req.method.as_str(),
-                    req.target.as_str(),
-                    &body,
-                    keep_alive,
-                );
-                match answered {
-                    Ok(status) => shared.end_request(status < 400),
-                    Err(_) => {
-                        // The write failed — the answer never reached
-                        // the client, but the request was handled.
-                        shared.end_request(false);
-                        break;
-                    }
-                }
-                if !keep_alive {
-                    break;
-                }
-            }
-            ReadOutcome::Malformed { status, message } => {
-                shared.note_protocol_error();
-                let _ = write_error(&mut io, status, ErrorCode::Protocol, &message, false, &[]);
-                break;
-            }
-            ReadOutcome::Closed | ReadOutcome::Stopped => break,
-        }
-    }
-    io.close();
+/// Runs the router's door over one connection: the shared HTTP front
+/// end, this router's handler, and its admission ledger.
+fn serve_router<T: Transport>(transport: T, shared: &RouterShared, stop: &AtomicBool) {
+    serve_http(
+        transport,
+        shared.poll_interval,
+        stop,
+        |route, body| route_request(shared, route, body),
+        |exchange| match exchange {
+            Exchange::Malformed => shared.note_protocol_error(),
+            Exchange::Begin => shared.begin_request(),
+            // A failed write never reached the client, but the request
+            // was handled: it lands on the error side of the ledger.
+            Exchange::End { ok } => shared.end_request(ok),
+        },
+    );
 }
 
-/// Routes one request; `Ok(status)` is what was answered, `Err(())`
-/// means the response write failed.
-fn respond_router<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    method: &str,
-    target: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<u16, ()> {
-    match (method, target) {
-        ("GET", "/healthz") => respond_healthz(io, shared, keep_alive),
-        ("GET", "/v1/datasets") => respond_datasets(io, shared, keep_alive),
-        ("GET", "/v1/stats") => {
-            let body = router_stats_json(shared);
-            write_status(io, 200, "application/json", body.as_bytes(), keep_alive)
-        }
-        ("GET", "/metrics") => {
-            let body = router_metrics_text(shared);
-            write_status(
-                io,
-                200,
-                "text/plain; version=0.0.4",
-                body.as_bytes(),
-                keep_alive,
-            )
-        }
-        ("POST", "/v1/submit") => respond_proxy_submit(io, shared, body, keep_alive),
-        ("POST", "/v1/append") => respond_proxy_append(io, shared, body, keep_alive),
-        ("GET", _)
-            if target
-                .strip_prefix("/v1/datasets/")
-                .is_some_and(|n| !n.is_empty()) =>
-        {
-            respond_dataset_scoped(io, shared, &target["/v1/datasets/".len()..], keep_alive)
-        }
-        (_, "/healthz" | "/v1/datasets" | "/v1/stats" | "/metrics") => write_typed(
-            io,
-            405,
-            ErrorCode::BadRequest,
-            &format!("{target} only supports GET"),
-            keep_alive,
-            &[("Allow", "GET")],
-        ),
-        (_, "/v1/submit" | "/v1/append") => write_typed(
-            io,
-            405,
-            ErrorCode::BadRequest,
-            &format!("{target} only supports POST"),
-            keep_alive,
-            &[("Allow", "POST")],
-        ),
-        (_, _)
-            if target
-                .strip_prefix("/v1/datasets/")
-                .is_some_and(|n| !n.is_empty()) =>
-        {
-            write_typed(
-                io,
-                405,
-                ErrorCode::BadRequest,
-                &format!("{target} only supports GET"),
-                keep_alive,
-                &[("Allow", "GET")],
-            )
-        }
-        _ => write_typed(
-            io,
-            404,
-            ErrorCode::BadRequest,
-            &format!("no route for {target}"),
-            keep_alive,
-            &[],
-        ),
-    }
-}
-
-fn write_status<T: Transport>(
-    io: &mut HttpIo<T>,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<u16, ()> {
-    write_response(io, status, content_type, body, keep_alive, &[])
-        .map(|()| status)
-        .map_err(|_| ())
-}
-
-fn write_typed<T: Transport>(
-    io: &mut HttpIo<T>,
-    status: u16,
-    code: ErrorCode,
-    message: &str,
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> Result<u16, ()> {
-    write_error(io, status, code, message, keep_alive, extra)
-        .map(|()| status)
-        .map_err(|_| ())
-}
-
-/// Maps a failed proxied exchange onto the wire: every shape lands on
-/// a typed JSON error with the right status, and everything
-/// retryable-later carries a `Retry-After`.
-fn write_pool_error<T: Transport>(
-    io: &mut HttpIo<T>,
-    e: PoolError,
-    keep_alive: bool,
-) -> Result<u16, ()> {
+/// Maps a failed proxied exchange onto a typed refusal: every shape
+/// lands on a code with the right status, and everything retryable-later
+/// carries a `Retry-After`.
+fn pool_rejection(e: PoolError) -> Rejection {
     match e {
-        PoolError::Busy => write_typed(
-            io,
-            503,
-            ErrorCode::Overloaded,
-            "retry-after=1 router connection pool busy",
-            keep_alive,
-            &[("Retry-After", "1")],
-        ),
-        PoolError::Unavailable { message } => write_typed(
-            io,
-            503,
-            ErrorCode::Unavailable,
-            &format!("retry-after=1 {message}"),
-            keep_alive,
-            &[("Retry-After", "1")],
-        ),
+        PoolError::Busy => {
+            Rejection::retry_in(ErrorCode::Overloaded, 1, "router connection pool busy")
+        }
+        PoolError::Unavailable { message } => {
+            Rejection::retry_in(ErrorCode::Unavailable, 1, &message)
+        }
         PoolError::Service(ClientError::Overloaded {
             retry_after,
             message,
-        }) => {
-            let secs = retry_after.map(|d| d.as_secs().max(1)).unwrap_or(1);
-            let header = secs.to_string();
-            write_typed(
-                io,
-                503,
-                ErrorCode::Overloaded,
-                &message,
-                keep_alive,
-                &[("Retry-After", header.as_str())],
-            )
-        }
+        }) => Rejection {
+            code: ErrorCode::Overloaded,
+            message,
+            retry_after: Some(retry_after.map_or(1, |d| d.as_secs().max(1))),
+        },
         PoolError::Service(ClientError::Rejected { code, message }) => {
-            write_typed(io, status_for(code), code, &message, keep_alive, &[])
+            Rejection::new(code, message)
         }
         // with_conn never surfaces Io/Protocol as Service, but the
         // types allow it; treat it as the backend having died.
-        PoolError::Service(e) => write_typed(
-            io,
-            503,
-            ErrorCode::Unavailable,
-            &format!("retry-after=1 backend failed: {e}"),
-            keep_alive,
-            &[("Retry-After", "1")],
+        PoolError::Service(e) => {
+            Rejection::retry_in(ErrorCode::Unavailable, 1, &format!("backend failed: {e}"))
+        }
+    }
+}
+
+/// Proxies one dataset-scoped call to the dataset's owner and renders
+/// the typed reply (or the typed refusal).
+fn proxy<R>(
+    shared: &RouterShared,
+    dataset: &str,
+    call: impl FnOnce(&mut dyn DatasetService) -> Result<R, ClientError>,
+    render: impl FnOnce(R, &BackendPool) -> Response,
+) -> Response {
+    shared.note_proxied();
+    let pool = shared.owner_pool(dataset);
+    match pool.with_conn(call) {
+        Ok(reply) => render(reply, pool),
+        Err(e) => Response::rejection(&pool_rejection(e)),
+    }
+}
+
+/// Answers one routed request.
+fn route_request(shared: &RouterShared, route: Route<'_>, body: &[u8]) -> Response {
+    let bad_request = |message: String| Response::error(400, ErrorCode::BadRequest, &message);
+    match route {
+        Route::Healthz => respond_healthz(shared),
+        Route::Datasets => respond_datasets(shared),
+        Route::Stats => Response::json(router_stats_json(shared)),
+        Route::Metrics => Response::metrics(router_metrics_text(shared)),
+        Route::Submit => match wire::parse_submit_body(body) {
+            Ok((dataset, variant, labels)) => proxy(
+                shared,
+                &dataset,
+                |svc| svc.submit(&dataset, variant.eps, variant.minpts, labels),
+                |reply, _| Response::json(wire::submit_reply(&reply, None)),
+            ),
+            Err(message) => bad_request(message),
+        },
+        Route::Append => match wire::parse_append_body(body) {
+            Ok((dataset, points)) => proxy(
+                shared,
+                &dataset,
+                |svc| svc.append(&dataset, &points),
+                |reply, _| Response::json(wire::append_reply(&reply)),
+            ),
+            Err(message) => bad_request(message),
+        },
+        Route::Dataset(name) => proxy(
+            shared,
+            name,
+            |svc| svc.datasets(),
+            |list, pool| match list.iter().find(|(n, _)| n == name) {
+                Some((_, points)) => {
+                    Response::json(wire::dataset_entry(name, *points, Some(pool.addr())))
+                }
+                None => Response::rejection(&Rejection::new(
+                    ErrorCode::UnknownDataset,
+                    format!("dataset '{name}' is not registered on its shard"),
+                )),
+            },
         ),
     }
 }
 
-fn respond_proxy_submit<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<u16, ()> {
-    let (dataset, eps, minpts, labels) = match parse_submit_body(body) {
-        Ok(parsed) => parsed,
-        Err(msg) => return write_typed(io, 400, ErrorCode::BadRequest, &msg, keep_alive, &[]),
-    };
-    shared.note_proxied();
-    let pool = shared.owner_pool(&dataset);
-    match pool.with_conn(|svc| svc.submit(&dataset, eps, minpts, labels)) {
-        Ok(reply) => {
-            let mut obj = JsonObject::new()
-                .uint("clusters", reply.clusters as u64)
-                .uint("noise", reply.noise as u64)
-                .boolean("warm", reply.warm)
-                .boolean("reused", reply.reused)
-                .float("ms", reply.ms);
-            if let Some(labels) = reply.labels {
-                let mut arr = JsonArray::new();
-                for l in labels {
-                    arr.push_uint(l as u64);
-                }
-                obj = obj.raw("labels", &arr.finish());
-            }
-            write_status(
-                io,
-                200,
-                "application/json",
-                obj.finish().as_bytes(),
-                keep_alive,
-            )
-        }
-        Err(e) => write_pool_error(io, e, keep_alive),
-    }
-}
-
-fn respond_proxy_append<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<u16, ()> {
-    let (dataset, points) = match parse_append_body(body) {
-        Ok(parsed) => parsed,
-        Err(msg) => return write_typed(io, 400, ErrorCode::BadRequest, &msg, keep_alive, &[]),
-    };
-    shared.note_proxied();
-    let pool = shared.owner_pool(&dataset);
-    match pool.with_conn(|svc| svc.append(&dataset, &points)) {
-        Ok(reply) => {
-            let body = JsonObject::new()
-                .uint("appended", reply.appended as u64)
-                .uint("total", reply.total as u64)
-                .uint("repaired", reply.repaired as u64)
-                .uint("dropped", reply.dropped as u64)
-                .float("ms", reply.ms)
-                .finish();
-            write_status(io, 200, "application/json", body.as_bytes(), keep_alive)
-        }
-        Err(e) => write_pool_error(io, e, keep_alive),
-    }
-}
-
-fn respond_dataset_scoped<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    name: &str,
-    keep_alive: bool,
-) -> Result<u16, ()> {
-    shared.note_proxied();
-    let pool = shared.owner_pool(name);
-    match pool.with_conn(|svc| svc.datasets()) {
-        Ok(list) => match list.iter().find(|(n, _)| n == name) {
-            Some((_, points)) => {
-                let body = JsonObject::new()
-                    .str("name", name)
-                    .uint("points", *points as u64)
-                    .str("backend", pool.addr())
-                    .finish();
-                write_status(io, 200, "application/json", body.as_bytes(), keep_alive)
-            }
-            None => write_typed(
-                io,
-                404,
-                ErrorCode::UnknownDataset,
-                &format!("dataset '{name}' is not registered on its shard"),
-                keep_alive,
-                &[],
-            ),
-        },
-        Err(e) => write_pool_error(io, e, keep_alive),
-    }
-}
-
-fn respond_healthz<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    keep_alive: bool,
-) -> Result<u16, ()> {
+fn respond_healthz(shared: &RouterShared) -> Response {
     let probes = shared.fan_out(|svc| svc.healthz());
     let up = probes.iter().filter(|(_, h)| h.is_some()).count();
     let (status_word, status) = quorum_status(up, probes.len());
@@ -728,14 +507,10 @@ fn respond_healthz<T: Transport>(
         .uint("backends_total", probes.len() as u64)
         .raw("backends", &backends.finish())
         .finish();
-    write_status(io, status, "application/json", body.as_bytes(), keep_alive)
+    Response::json_with(status, body)
 }
 
-fn respond_datasets<T: Transport>(
-    io: &mut HttpIo<T>,
-    shared: &RouterShared,
-    keep_alive: bool,
-) -> Result<u16, ()> {
+fn respond_datasets(shared: &RouterShared) -> Response {
     let listings = shared.fan_out(|svc| svc.datasets());
     // Dedupe by name. Backends may all register the same catalog (the
     // superset deployment the tests use); the entry that wins is the
@@ -755,64 +530,61 @@ fn respond_datasets<T: Transport>(
             }
         }
     }
-    let mut arr = JsonArray::new();
-    for (name, points) in &merged {
-        arr.push_raw(
-            &JsonObject::new()
-                .str("name", name)
-                .uint("points", *points as u64)
-                .str("backend", shared.ring.owner(name))
-                .finish(),
-        );
-    }
-    let body = JsonObject::new().raw("datasets", &arr.finish()).finish();
-    write_status(io, 200, "application/json", body.as_bytes(), keep_alive)
+    let entries = merged
+        .iter()
+        .map(|(name, points)| (name.as_str(), *points, Some(shared.ring.owner(name))));
+    Response::json(
+        JsonObject::new()
+            .raw("datasets", &wire::datasets_array(entries))
+            .finish(),
+    )
 }
 
-/// The merged `/v1/stats` document: summed daemon counters (the sum of
-/// internally-consistent snapshots is itself consistent), per-backend
-/// raw embeds, and the router's own ledger.
+/// The merged `/v1/stats` document: the daemon's counter table merged
+/// row by row (the sum of internally-consistent snapshots is itself
+/// consistent), per-backend raw embeds, and the router's own ledger.
 fn router_stats_json(shared: &RouterShared) -> String {
     let replies = shared.fan_out(|svc| svc.stats_json());
-    let mut sums: HashMap<&str, u64> = HashMap::new();
-    let mut engine_busy_ms = 0.0f64;
+    let mut docs: Vec<JsonValue> = Vec::new();
     let mut backends = JsonArray::new();
     for (addr, raw) in &replies {
         let parsed = raw.as_deref().and_then(|r| parse_json(r.as_bytes()).ok());
-        let up = parsed.is_some();
-        let mut entry = JsonObject::new().str("backend", addr).boolean("up", up);
-        if let Some(doc) = parsed {
-            for &field in SUMMED_STATS_FIELDS {
-                let v = doc.get(field).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-                let slot = sums.entry(field).or_insert(0);
-                if field == "max_batch" {
-                    *slot = (*slot).max(v);
-                } else {
-                    *slot += v;
-                }
-            }
-            engine_busy_ms += doc
-                .get("engine_busy_ms")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0);
-            if let Some(raw) = raw {
-                entry = entry.raw("stats", raw);
-            }
+        let mut entry = JsonObject::new()
+            .str("backend", addr)
+            .boolean("up", parsed.is_some());
+        if let (Some(doc), Some(raw)) = (parsed, raw) {
+            entry = entry.raw("stats", raw);
+            docs.push(doc);
         }
         backends.push_raw(&entry.finish());
     }
+    let field = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_f64);
     let mut obj = JsonObject::new()
         .uint("uptime_ms", shared.started.elapsed().as_millis() as u64)
         .boolean("draining", shared.draining.load(Ordering::Acquire));
-    for &field in SUMMED_STATS_FIELDS {
-        obj = obj.uint(field, sums.get(field).copied().unwrap_or(0));
-        if field == "from_scratch" {
-            // Keep the daemon's field order: engine_busy_ms follows
-            // the engine counters.
-            obj = obj.float("engine_busy_ms", engine_busy_ms);
+    // The daemon's own order: job counters, engine-busy time, streaming
+    // counters.
+    let merged = |mut obj: JsonObject, rows: &[crate::daemon::Counter]| {
+        for c in rows {
+            let values = docs.iter().map(|d| field(d, c.key).unwrap_or(0.0) as u64);
+            obj = obj.uint(
+                c.key,
+                match c.merge {
+                    Merge::Sum => values.sum(),
+                    Merge::Max => values.max().unwrap_or(0),
+                },
+            );
         }
-    }
-    obj.raw("router", &shared.router_json())
+        obj
+    };
+    obj = merged(obj, JOB_COUNTERS);
+    let engine_busy_ms: f64 = docs
+        .iter()
+        .map(|d| field(d, "engine_busy_ms").unwrap_or(0.0))
+        .sum();
+    obj = obj.float("engine_busy_ms", engine_busy_ms);
+    merged(obj, STREAM_COUNTERS)
+        .raw("router", &shared.router_json())
         .raw("backends", &backends.finish())
         .finish()
 }
@@ -835,66 +607,28 @@ fn router_metrics_text(shared: &RouterShared) -> String {
             }
         }
     }
-    let s = *shared.stats.lock().expect("router stats lock poisoned");
-    let _ = writeln!(out, "vbp_router_received_total {}", s.received);
-    let _ = writeln!(out, "vbp_router_answered_ok_total {}", s.answered_ok);
-    let _ = writeln!(out, "vbp_router_answered_err_total {}", s.answered_err);
-    let _ = writeln!(out, "vbp_router_in_flight {}", s.in_flight);
-    let _ = writeln!(
-        out,
-        "vbp_router_protocol_errors_total {}",
-        s.protocol_errors
-    );
-    let _ = writeln!(out, "vbp_router_proxied_total {}", s.proxied);
-    let _ = writeln!(out, "vbp_router_fanouts_total {}", s.fanouts);
+    let s = *shared.stats();
+    for (_, series, value) in s.rows() {
+        let _ = writeln!(out, "{series} {value}");
+    }
     let _ = writeln!(
         out,
         "vbp_router_uptime_seconds {:.3}",
         shared.started.elapsed().as_secs_f64()
     );
     for pool in &shared.pools {
-        let c = pool.counters();
         let addr = pool.addr();
         let _ = writeln!(
             out,
             "vbp_backend_up{{backend=\"{addr}\"}} {}",
             if pool.breaker_open() { 0 } else { 1 }
         );
-        let _ = writeln!(
-            out,
-            "vbp_backend_connects_total{{backend=\"{addr}\"}} {}",
-            c.connects
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_connect_failures_total{{backend=\"{addr}\"}} {}",
-            c.connect_failures
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_checkouts_total{{backend=\"{addr}\"}} {}",
-            c.checkouts
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_busy_timeouts_total{{backend=\"{addr}\"}} {}",
-            c.busy_timeouts
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_breaker_trips_total{{backend=\"{addr}\"}} {}",
-            c.breaker_trips
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_breaker_fast_fails_total{{backend=\"{addr}\"}} {}",
-            c.breaker_fast_fails
-        );
-        let _ = writeln!(
-            out,
-            "vbp_backend_dropped_conns_total{{backend=\"{addr}\"}} {}",
-            c.dropped
-        );
+        for (name, value) in pool.counters().rows() {
+            let _ = writeln!(
+                out,
+                "vbp_backend_{name}_total{{backend=\"{addr}\"}} {value}"
+            );
+        }
     }
     out
 }
@@ -912,7 +646,7 @@ pub struct RouterHandle {
     shared: Arc<RouterShared>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handlers: Handlers,
 }
 
 impl Router {
@@ -922,46 +656,18 @@ impl Router {
         let http_addr = listener.local_addr()?;
         let shared = Arc::new(RouterShared::new(&config));
         let stop = Arc::new(AtomicBool::new(false));
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let write_timeout = config.write_timeout;
+        let handlers = Handlers::default();
         let accept = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let handlers = Arc::clone(&handlers);
-            std::thread::Builder::new()
-                .name("vbp-route-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_write_timeout(Some(write_timeout));
-                        let shared = Arc::clone(&shared);
-                        let stop = Arc::clone(&stop);
-                        let handle = std::thread::Builder::new()
-                            .name("vbp-route-conn".into())
-                            .spawn(move || {
-                                handle_router_connection(TcpTransport::new(stream), &shared, &stop);
-                            });
-                        let mut hs = handlers.lock().unwrap();
-                        // Reap finished handlers, like the daemon's
-                        // accept loop, so the registry tracks live
-                        // connections only.
-                        let mut i = 0;
-                        while i < hs.len() {
-                            if hs[i].is_finished() {
-                                let _ = hs.swap_remove(i).join();
-                            } else {
-                                i += 1;
-                            }
-                        }
-                        if let Ok(handle) = handle {
-                            hs.push(handle);
-                        }
-                    }
-                })?
+            let conn_stop = Arc::clone(&stop);
+            spawn_accept_loop(
+                listener,
+                "vbp-route",
+                config.write_timeout,
+                Arc::clone(&stop),
+                Arc::clone(&handlers),
+                move |transport| serve_router(transport, &shared, &conn_stop),
+            )?
         };
         Ok(RouterHandle {
             http_addr,
@@ -1004,7 +710,7 @@ impl RouterHandle {
         let stop = Arc::clone(&self.stop);
         std::thread::Builder::new()
             .name("vbp-route-conn-test".into())
-            .spawn(move || handle_router_connection(transport, &shared, &stop))
+            .spawn(move || serve_router(transport, &shared, &stop))
             .expect("spawn router transport handler")
     }
 
@@ -1024,10 +730,7 @@ impl RouterHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handlers: Vec<_> = self.handlers.lock().unwrap().drain(..).collect();
-        for h in handlers {
-            let _ = h.join();
-        }
+        join_handlers(&self.handlers);
     }
 
     /// [`Self::begin_shutdown`] + [`Self::wait`].

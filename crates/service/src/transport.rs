@@ -1,5 +1,6 @@
-//! Connection I/O behind a seam: the [`Transport`] trait and the line
-//! framing the daemon speaks over it.
+//! Connection I/O behind a seam: the [`Transport`] trait, the line
+//! framing the daemon speaks over it, and the one accept loop every
+//! listener (line door, HTTP door, router) runs.
 //!
 //! Production connections are [`TcpTransport`] (a thin `TcpStream`
 //! wrapper); tests substitute the scripted and fault-injecting
@@ -15,7 +16,10 @@
 //! poll its stop flag.
 
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Byte-stream I/O for one connection, as the connection handler sees
@@ -64,6 +68,70 @@ impl Transport for TcpTransport {
 
     fn close(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// The live connection threads of one process, shared by every accept
+/// loop feeding it; whoever shuts the process down drains and joins it.
+pub(crate) type Handlers = Arc<Mutex<Vec<JoinHandle<()>>>>;
+
+/// Spawns `<name>-accept`: every accepted socket gets `TCP_NODELAY`, the
+/// write timeout (so a client that stops draining its receive buffer
+/// cannot wedge a handler mid-reply forever), and its own `<name>-conn`
+/// thread running `serve`. The loop exits at the first accept after
+/// `stop` is set — shutdown wakes it with a throwaway connection.
+pub(crate) fn spawn_accept_loop(
+    listener: TcpListener,
+    name: &str,
+    write_timeout: Duration,
+    stop: Arc<AtomicBool>,
+    handlers: Handlers,
+    serve: impl Fn(TcpTransport) + Send + Sync + 'static,
+) -> io::Result<JoinHandle<()>> {
+    let conn_name = format!("{name}-conn");
+    let serve = Arc::new(serve);
+    std::thread::Builder::new()
+        .name(format!("{name}-accept"))
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_write_timeout(Some(write_timeout));
+                let serve = Arc::clone(&serve);
+                let handle = std::thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || serve(TcpTransport::new(stream)));
+                let mut hs = handlers.lock().expect("handler registry poisoned");
+                // Reap finished handlers so the registry stays
+                // proportional to *live* connections instead of growing
+                // for the process's lifetime.
+                let mut i = 0;
+                while i < hs.len() {
+                    if hs[i].is_finished() {
+                        let _ = hs.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                if let Ok(h) = handle {
+                    hs.push(h);
+                }
+            }
+        })
+}
+
+/// Joins every connection thread still registered.
+pub(crate) fn join_handlers(handlers: &Handlers) {
+    let drained: Vec<_> = handlers
+        .lock()
+        .expect("handler registry poisoned")
+        .drain(..)
+        .collect();
+    for h in drained {
+        let _ = h.join();
     }
 }
 

@@ -124,6 +124,37 @@ proptest! {
         prop_assert_eq!(parse_request(&req.encode()), Ok(req));
     }
 
+    /// The minpts ceiling is the HTTP door's: `u32::MAX` is the largest
+    /// value either door accepts, on `SUBMIT` and `WATCH` alike, and one
+    /// past it (or anything up to `u64::MAX` and beyond) is a reasoned
+    /// rejection, never a parsed request.
+    #[test]
+    fn minpts_above_u32_max_never_parses(
+        name_idx in collection::vec(any::<u8>(), 1..12),
+        eps in 1e-6f64..1e6,
+        excess in any::<u64>(),
+        watch in any::<bool>(),
+    ) {
+        let ds = dataset_name(&name_idx);
+        let verb = if watch { "WATCH" } else { "SUBMIT" };
+        let edge = u64::from(u32::MAX);
+        let at_edge = parse_request(&format!("{verb} {ds} {eps} {edge}"));
+        let minpts = match at_edge {
+            Ok(Request::Submit { minpts, .. }) | Ok(Request::Watch { minpts, .. }) => minpts,
+            other => return Err(TestCaseError::fail(format!("edge rejected: {other:?}"))),
+        };
+        prop_assert_eq!(minpts as u64, edge);
+        for too_big in [edge + 1, (edge + 1).saturating_add(excess), u64::MAX] {
+            let line = format!("{verb} {ds} {eps} {too_big}");
+            match parse_request(&line) {
+                Ok(req) => prop_assert!(false, "{:?} parsed: {:?}", line, req),
+                Err(reason) => prop_assert!(reason.contains("minpts"), "{}", reason),
+            }
+        }
+        let beyond_u64 = format!("{verb} {ds} {eps} 18446744073709551616");
+        prop_assert!(parse_request(&beyond_u64).is_err());
+    }
+
     /// Non-finite coordinates never parse into an APPEND (or WATCH ε) —
     /// they die at the tokenizer with a reasoned rejection, so no
     /// NaN/∞ ever reaches the spatial index.

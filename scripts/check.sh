@@ -1,70 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification gate: format, lints, build, tests.
-#
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --fast       # skip the release build (debug tests only)
-#   CHECK_FULL=1 scripts/check.sh # + release conformance stage, 4x budget
-#
-# This is the bar every change must clear before merging. Tier-1 is the
-# build + test pair; fmt and clippy (warnings denied) keep the tree clean.
-# A loopback service smoke stage drives the vbp-service daemon over real
-# TCP (two datasets, twenty variants, cold and warm rounds, plus a
-# dual-protocol pass proving HTTP and line submissions label-isomorphic
-# on one daemon) after the
-# workspace test pass, and a chaos stage replays 24 seeded fault
-# schedules (torn writes, garbage/oversized lines, mid-request
-# disconnects, injected engine panics) against live daemons, asserting
-# consistent counters, label-isomorphic replies, and bounded drains
-# after every schedule — plus 8 streaming schedules mixing APPEND/WATCH
-# into the fault soup under an exact append ledger, and 8 HTTP schedules
-# interleaving hostile HTTP traffic (garbage heads, oversized request
-# lines, truncations, torn writes, malformed appends) with healthy
-# submissions on both doors at once. A streaming-
-# equivalence stage replays seeded APPEND/SUBMIT/WATCH interleavings and
-# pins every post-append result to a from-scratch batch run. An HTTP
-# property stage fuzzes the gateway's framing (byte soup, truncations,
-# keep-alive reuse, cap violations) against a strict response-stream
-# oracle. Every service stage is wrapped in a hard wall
-# clock so a wedged daemon fails the gate instead of hanging it. A
-# shard metamorphic stage pins shard-merged DBSCAN labels to the
-# single-shard output across shard x thread grids under its own hard
-# timeout. A
-# trace-overhead stage (skipped under --fast) replays the
-# engine_contention workload with tracing off/spans/full interleaved and
-# fails if the disabled-mode A/A delta exceeds max(1%, measured noise).
-# A store property stage replays the on-disk reader totality suite (byte
-# soup, truncations, single-bit flips against the two-layer CRCs), and a
-# store-restore gate (skipped under --fast) fails unless a warm restore
-# of a 100k-point snapshot is at least 10x faster than a cold prepare.
-# An http_load gate (skipped under --fast) holds 1000 concurrent
-# keep-alive HTTP clients against an in-process daemon and fails on any
-# admission-invariant violation, writing jobs/sec and trace-histogram
-# p99 to results/http_load.txt.
-# A router equivalence stage proves the consistent-hash router preserves
-# the single-daemon HTTP surface: routed submissions land on the ring
-# owner with label-isomorphic replies, fanned-out /v1/stats and /metrics
-# equal the per-backend sums at rest, and /healthz degrades by quorum as
-# backends die. A router chaos stage replays 8 seeded schedules that
-# kill one of two backends mid-stream (overlapped in-flight requests,
-# garbage heads, torn writes) and asserts the survivor's shard serves
-# with zero failures while the dead shard answers typed 503 unavailable
-# with Retry-After, the router's request ledger stays balanced, and
-# merged stats stay consistent. A router_load gate (skipped under
-# --fast) measures the same engine-bound workload against a direct
-# daemon, router+1, and router+2 deployments, enforces the kill-phase
-# semantics and a zero-violation admission invariant, and requires 2
-# backends >= 1.6x direct throughput wherever more than one CPU exists
-# (on one CPU the scale gate is waived and recorded; see EXPERIMENTS.md);
-# the table lands in results/router_load.txt.
-# CHECK_FULL=1 additionally re-runs the differential suites (cross-backend
-# ε-neighborhood conformance, metamorphic reuse equivalence) in release
-# mode with a 4x-larger case budget and widens the chaos sweep to 96
-# seeded schedules (24 streaming, 24 HTTP) plus the enlarged
-# streaming-equivalence
-# sweep (VBP_STREAM_FULL=1) and a widened router chaos sweep (24 seeded
-# backend-kill schedules, VBP_CHAOS_FULL=1); the default run already
-# executes the fast budgets
-# via the workspace test pass, so tier-1 runtime is unchanged.
+#   scripts/check.sh --fast       # skip the release build and the load/overhead gates
+#   CHECK_FULL=1 scripts/check.sh # + release conformance stages and the extended chaos sweeps
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,6 +68,10 @@ if [[ $fast -eq 0 ]]; then
   timeout 600 cargo run --release -q -p vbp-bench --bin router_load -- \
     results/router_load.txt
 fi
+
+echo "==> benchmark package (its unit tests, then every workload at a tenth of the window)"
+timeout 900 cargo test -q --manifest-path benchmark/Cargo.toml
+timeout 600 benchmark/run.sh --quick
 
 if [[ "${CHECK_FULL:-0}" != "0" ]]; then
   echo "==> conformance (release, VBP_CONFORMANCE_FULL=1)"
