@@ -15,8 +15,10 @@
 //! hardware), plus `--trials <k>` (default 3, the paper's trial count).
 //!
 //! Criterion microbenchmarks live in `benches/`: index/query performance,
-//! DBSCAN throughput, engine throughput, and three ablation studies
-//! (index structure, reuse scheme × noise, scheduler × thread count).
+//! DBSCAN throughput, three ablation studies (index structure, reuse
+//! scheme × noise, scheduler × thread count) and the related-work
+//! comparison. Timing of the engine under contention, the service, the
+//! store, the tracer and the sharded kernel is `benchmark/`, not here.
 
 pub mod harness;
 pub mod scenarios;

@@ -1229,7 +1229,7 @@ mod tests {
     #[test]
     fn bench_service_reports_warm_speedup_and_writes_out() {
         let dir = std::env::temp_dir();
-        let path = dir.join("vbp_cli_service_throughput.txt");
+        let path = dir.join("vbp_cli_bench_service.txt");
         let path_str = path.to_str().unwrap();
         let out = bench_service(&parse(&[
             "bench-service",

@@ -10,12 +10,11 @@
 //! untouched (the cost on the hot path is one relaxed atomic load per
 //! assignment).
 //!
-//! The seam exists for tests and soak tooling — nothing in the engine or
-//! the service arms it on its own. Bit-exact comparison keeps concurrent
-//! test binaries honest: armed values are chosen outside any real
-//! workload's parameter grid, so an armed seam cannot accidentally fire
-//! for unrelated traffic, and [`disarm`] (or the RAII [`ArmedFault`])
-//! restores the default.
+//! The seam exists for tests — nothing in the engine or the service arms
+//! it on its own. Bit-exact comparison keeps concurrent test binaries
+//! honest: armed values are chosen outside any real workload's parameter
+//! grid, so an armed seam cannot accidentally fire for unrelated traffic,
+//! and [`disarm`] (or the RAII [`ArmedFault`]) restores the default.
 //!
 //! The containment contract under test lives in
 //! [`Engine::execute`](crate::Engine::execute):

@@ -93,10 +93,10 @@ impl VariantOutcome {
 ///
 /// Sampled by each worker thread around its two schedule-mutex critical
 /// sections (pull and complete) and its clustering work; everything that
-/// is neither is attributed to `idle`. These are the observability hooks
-/// behind the `engine_contention` bench: with the monolithic
+/// is neither is attributed to `idle`. With the monolithic
 /// `Mutex<Shared>` split into a small scheduler mutex plus lock-free
-/// result slots, the lock-wait share should stay small even at high `T`.
+/// result slots, the lock-wait share should stay small even at high `T`
+/// (the benchmark's `core.lock_wait_share`, `core.sched_s`, `core.idle_s`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Worker thread id (0-based).
@@ -318,8 +318,8 @@ impl RunReport {
     }
 
     /// Fraction of total accounted worker time spent blocked on the
-    /// schedule mutex — the headline contention number of the
-    /// `engine_contention` bench. 0.0 when no stats were recorded.
+    /// schedule mutex (the benchmark's `core.lock_wait_share`). 0.0 when
+    /// no stats were recorded.
     pub fn lock_wait_share(&self) -> f64 {
         let accounted: Duration = self.worker_stats.iter().map(WorkerStats::total).sum();
         let accounted = accounted.as_secs_f64();

@@ -13,8 +13,7 @@
 //!   With [`TraceLevel::Off`] (the default) every record call is a single
 //!   inlined enum compare followed by an early return, and no ring is ever
 //!   allocated, so the disabled-mode cost is a branch per event site (the
-//!   `trace_overhead` bench pins this under 1% of the `engine_contention`
-//!   workload).
+//!   benchmark reports the enabled-mode cost as `trace.overhead_share`).
 //! - **Log-bucketed latency histograms** ([`Histogram`]): power-of-two
 //!   nanosecond buckets, mergeable (merge is associative and commutative,
 //!   pinned by tests), recorded per worker and folded into the

@@ -39,9 +39,9 @@ pub use incremental::{IncrementalDbscan, InsertOutcome};
 pub use kdist::{kdist_plot, suggest_eps, KneePoint};
 pub use labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE, UNCLASSIFIED};
 pub use optics::{Optics, OpticsParams, ReachabilityPoint};
-pub use parallel::{check_point_id_capacity, parallel_dbscan, CapacityError, MAX_POINTS};
+pub use parallel::parallel_dbscan;
 pub use quality::{quality_score, QualityReport};
 pub use result::ClusterResult;
-pub use sharded::{sharded_dbscan, ShardStats};
+pub use sharded::{check_point_id_capacity, sharded_dbscan, CapacityError, ShardStats, MAX_POINTS};
 pub use stdbscan::{st_dbscan, StDbscanParams, StIndex, StPoint};
 pub use unionfind::{ConcurrentDisjointSets, DisjointSets};

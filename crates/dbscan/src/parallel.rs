@@ -8,19 +8,10 @@
 //! scales, but it cannot share any work between variants, so on a variant
 //! sweep the reuse-based engine wins (see `benches/related_work.rs`).
 //!
-//! Algorithm (all phases data-parallel over point ranges):
-//!
-//! 1. **Core pass** — each thread computes `|N_ε(p)|` for its points and
-//!    flags cores.
-//! 2. **Union pass** — for each core `p`, union `p` with every core
-//!    `q ∈ N_ε(p)` in a lock-free disjoint-set structure; for each
-//!    non-core `q ∈ N_ε(p)`, lodge a border claim `q → p` (atomic min on
-//!    the claiming core id, making the claim deterministic regardless of
-//!    thread interleaving).
-//! 3. **Label pass** — core components become clusters (numbered by
-//!    first appearance in point order, so labels are deterministic);
-//!    claimed non-cores become border members of their claimant's
-//!    cluster; everything else is noise.
+//! The algorithm — a core pass, a union pass over a lock-free disjoint-set
+//! structure with atomic-min border claims, and a label pass — is the
+//! kernel in [`crate::sharded`]; this entry point runs it at one spatial
+//! shard per thread.
 //!
 //! The result is DBSCAN-equivalent: identical core components and noise
 //! set; border points deterministically assigned to the *lowest-id*
@@ -28,178 +19,37 @@
 //! reaches them first, which the paper's quality metric treats as
 //! equivalent).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-use vbp_geom::PointId;
 use vbp_rtree::SpatialIndex;
 
 use crate::algorithm::DbscanParams;
-use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE};
 use crate::result::ClusterResult;
-use crate::unionfind::ConcurrentDisjointSets;
+use crate::sharded::sharded_dbscan;
 
-/// Sentinel for "no border claim yet".
-const UNCLAIMED: u32 = u32::MAX;
-
-/// Maximum dataset size the claim/point-id machinery supports.
-///
-/// Point ids and border claims are `u32`, and `u32::MAX` is reserved as
-/// the [`UNCLAIMED`] sentinel — a dataset of `u32::MAX` points would give
-/// its last point an id that aliases the sentinel (and the sequential
-/// label machinery additionally reserves `u32::MAX - 1` for
-/// "unclassified"). Both `parallel_dbscan` and the sharded path refuse
-/// larger inputs; see [`check_point_id_capacity`].
-pub const MAX_POINTS: usize = (u32::MAX - 1) as usize;
-
-/// Verifies `n` points fit the `u32` point-id space without aliasing the
-/// claim sentinel. Returns the offending size on failure so callers can
-/// surface a typed error.
-pub fn check_point_id_capacity(n: usize) -> Result<(), CapacityError> {
-    if n > MAX_POINTS {
-        Err(CapacityError { points: n })
-    } else {
-        Ok(())
-    }
-}
-
-/// A dataset too large for the `u32` point-id/claim machinery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CapacityError {
-    /// The rejected dataset size.
-    pub points: usize,
-}
-
-impl std::fmt::Display for CapacityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dataset of {} points exceeds the {} supported by u32 point ids \
-             (u32::MAX is the unclaimed-border sentinel)",
-            self.points, MAX_POINTS
-        )
-    }
-}
-
-impl std::error::Error for CapacityError {}
-
-/// Runs disjoint-set parallel DBSCAN with `threads` worker threads.
+/// Runs disjoint-set parallel DBSCAN with `threads` worker threads: the
+/// [`sharded_dbscan`] kernel at one spatial shard per thread.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, or if the dataset exceeds [`MAX_POINTS`]
-/// (point ids must stay below the `u32::MAX` claim sentinel; the sharded
-/// path returns the same bound as a typed [`CapacityError`] instead).
-#[allow(clippy::needless_range_loop)] // core/claim/points are parallel arrays indexed together
+/// Panics if `threads == 0`, or if the dataset exceeds
+/// [`MAX_POINTS`](crate::MAX_POINTS) (point ids must stay below the
+/// `u32::MAX` claim sentinel; [`sharded_dbscan`] returns the same bound as
+/// a typed [`CapacityError`](crate::CapacityError) instead).
 pub fn parallel_dbscan<I: SpatialIndex + ?Sized>(
     index: &I,
     params: DbscanParams,
     threads: usize,
 ) -> ClusterResult {
-    assert!(threads >= 1, "need at least one thread");
-    let n = index.len();
-    if let Err(e) = check_point_id_capacity(n) {
-        panic!("parallel_dbscan: {e}");
+    match sharded_dbscan(index, params, threads, threads) {
+        Ok((result, _)) => result,
+        Err(e) => panic!("parallel_dbscan: {e}"),
     }
-    if n == 0 {
-        return ClusterResult::empty();
-    }
-
-    let core: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let sets = ConcurrentDisjointSets::new(n);
-    let claim: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCLAIMED)).collect();
-
-    // Phase 1: core flags.
-    run_chunks(n, threads, |start, end| {
-        let mut neighbors: Vec<PointId> = Vec::new();
-        for p in start..end {
-            neighbors.clear();
-            index.epsilon_neighbors(index.points()[p], params.eps, &mut neighbors);
-            if neighbors.len() >= params.minpts {
-                core[p].store(true, Ordering::Release);
-            }
-        }
-    });
-
-    // Phase 2: unions and border claims.
-    run_chunks(n, threads, |start, end| {
-        let mut neighbors: Vec<PointId> = Vec::new();
-        for p in start..end {
-            if !core[p].load(Ordering::Acquire) {
-                continue;
-            }
-            neighbors.clear();
-            index.epsilon_neighbors(index.points()[p], params.eps, &mut neighbors);
-            for &q in &neighbors {
-                let q = q as usize;
-                if q == p {
-                    continue;
-                }
-                if core[q].load(Ordering::Acquire) {
-                    // Union only in one direction to halve the CAS traffic.
-                    if q > p {
-                        sets.union(p as u32, q as u32);
-                    }
-                } else {
-                    // Deterministic border claim: smallest core id wins.
-                    claim[q].fetch_min(p as u32, Ordering::AcqRel);
-                }
-            }
-        }
-    });
-
-    // Phase 3: labels (sequential; O(n) with tiny constants).
-    let mut labels = Labels::unclassified(n);
-    let mut root_to_cluster: Vec<u32> = vec![NOISE; n];
-    let mut next: ClusterId = 0;
-    for p in 0..n {
-        if core[p].load(Ordering::Acquire) {
-            let root = sets.find(p as u32) as usize;
-            if root_to_cluster[root] == NOISE {
-                assert!(next <= MAX_CLUSTER_ID, "cluster id space exhausted");
-                root_to_cluster[root] = next;
-                next += 1;
-            }
-            labels.assign(p as PointId, root_to_cluster[root]);
-        }
-    }
-    for p in 0..n {
-        if core[p].load(Ordering::Acquire) {
-            continue;
-        }
-        let claimant = claim[p].load(Ordering::Acquire);
-        if claimant == UNCLAIMED {
-            labels.mark_noise(p as PointId);
-        } else {
-            let root = sets.find(claimant) as usize;
-            labels.assign(p as PointId, root_to_cluster[root]);
-        }
-    }
-
-    ClusterResult::from_labels(labels)
-}
-
-/// Splits `0..n` into `threads` contiguous chunks and runs `work` on each
-/// from its own scoped thread.
-fn run_chunks(n: usize, threads: usize, work: impl Fn(usize, usize) + Sync) {
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            let work = &work;
-            s.spawn(move || work(start, end));
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::dbscan;
-    use vbp_geom::Point2;
+    use vbp_geom::{Point2, PointId};
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::{BruteForce, PackedRTree};
 
@@ -321,23 +171,5 @@ mod tests {
     fn zero_threads_rejected() {
         let idx = BruteForce::new(shared_points([]));
         parallel_dbscan(&idx, DbscanParams::new(1.0, 3), 0);
-    }
-
-    #[test]
-    fn point_id_capacity_bound_is_pinned() {
-        // The bound itself: ids must stay strictly below the u32::MAX
-        // claim sentinel, so u32::MAX - 1 points (ids 0..=u32::MAX - 2)
-        // is the largest legal dataset. (Allocating 4 G points to hit the
-        // panic for real is not practical; the check function carries the
-        // contract and `parallel_dbscan` routes through it.)
-        assert_eq!(MAX_POINTS, u32::MAX as usize - 1);
-        assert_eq!(check_point_id_capacity(0), Ok(()));
-        assert_eq!(check_point_id_capacity(MAX_POINTS), Ok(()));
-        let err = check_point_id_capacity(MAX_POINTS + 1).unwrap_err();
-        assert_eq!(err.points, u32::MAX as usize);
-        let msg = err.to_string();
-        assert!(msg.contains("u32"), "{msg}");
-        assert!(msg.contains("sentinel"), "{msg}");
-        assert!(check_point_id_capacity(usize::MAX).is_err());
     }
 }

@@ -6,8 +6,9 @@
 //! use more than one core. This module supplies the missing axis — the
 //! grid-partitioned shard recipe of Wang/Gu/Shun ("Theoretically-Efficient
 //! and Practical Parallel DBSCAN") layered over the Patwary et al. SC'12
-//! disjoint-set kernel that [`parallel_dbscan`](crate::parallel_dbscan)
-//! already implements:
+//! disjoint-set kernel. This is the crate's one disjoint-set kernel:
+//! [`parallel_dbscan`](crate::parallel_dbscan) is this function at one
+//! shard per thread.
 //!
 //! 1. **Partition** — points are bucketed into the ε-width grid cells of
 //!    `geom::binning` (cell key `(⌊y/ε⌋, ⌊x/ε⌋)`), and the cells are
@@ -16,24 +17,23 @@
 //!    most the 3×3 cell block around it, so only points in cells on a
 //!    stripe boundary — the ε-halo — can have neighbors in another shard.
 //! 2. **Local clustering** — each shard task flags its cores and applies
-//!    every *intra-shard* core-core union plus every border claim
-//!    (`claim[q].fetch_min(p)`, lowest-core-id wins) exactly as the
-//!    unsharded kernel does. Edges whose endpoints straddle shards are
-//!    set aside instead of unioned.
+//!    every *intra-shard* core-core union plus every border claim (an
+//!    atomic `fetch_min` on `claim[q]`, lowest-core-id wins). Edges
+//!    whose endpoints straddle shards are set aside instead of unioned.
 //! 3. **Merge** — the deferred cross-shard edges are applied to the same
 //!    [`ConcurrentDisjointSets`], stitching halo-straddling clusters
 //!    together.
-//! 4. **Label** — the sequential pass of the unsharded kernel, numbering
-//!    clusters by first appearance in point order.
+//! 4. **Label** — a sequential pass numbers clusters by first appearance
+//!    in point order; claimed non-cores join their claimant's cluster and
+//!    everything else is noise.
 //!
 //! Every phase is order-independent: core flags depend only on geometry,
 //! the union structure's final partition is interleaving-independent, and
 //! border claims resolve by atomic minimum. The output is therefore
-//! **bit-identical to [`parallel_dbscan`](crate::parallel_dbscan)** for
-//! every shard count and thread count — pinned by this module's tests and
-//! the `sharded_metamorphic` suite — and label-isomorphic to sequential
-//! DBSCAN (border points go to their lowest-id adjacent core rather than
-//! the first cluster to reach them).
+//! **bit-identical across every shard count and thread count** — pinned
+//! by this module's tests and the `sharded_metamorphic` suite — and
+//! label-isomorphic to sequential DBSCAN (border points go to their
+//! lowest-id adjacent core rather than the first cluster to reach them).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -45,12 +45,52 @@ use vbp_rtree::SpatialIndex;
 
 use crate::algorithm::{DbscanParams, DbscanStats};
 use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE};
-use crate::parallel::{check_point_id_capacity, CapacityError};
 use crate::result::ClusterResult;
 use crate::unionfind::ConcurrentDisjointSets;
 
-/// Sentinel for "no border claim yet" (mirrors the unsharded kernel).
+/// Sentinel for "no border claim yet".
 const UNCLAIMED: u32 = u32::MAX;
+
+/// Maximum dataset size the claim/point-id machinery supports.
+///
+/// Point ids and border claims are `u32`, and `u32::MAX` is reserved as
+/// the [`UNCLAIMED`] sentinel — a dataset of `u32::MAX` points would give
+/// its last point an id that aliases the sentinel (and the sequential
+/// label machinery additionally reserves `u32::MAX - 1` for
+/// "unclassified"). [`sharded_dbscan`] refuses larger inputs; see
+/// [`check_point_id_capacity`].
+pub const MAX_POINTS: usize = (u32::MAX - 1) as usize;
+
+/// Verifies `n` points fit the `u32` point-id space without aliasing the
+/// claim sentinel. Returns the offending size on failure so callers can
+/// surface a typed error.
+pub fn check_point_id_capacity(n: usize) -> Result<(), CapacityError> {
+    if n > MAX_POINTS {
+        Err(CapacityError { points: n })
+    } else {
+        Ok(())
+    }
+}
+
+/// A dataset too large for the `u32` point-id/claim machinery.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CapacityError {
+    /// The rejected dataset size.
+    pub points: usize,
+}
+
+impl std::fmt::Display for CapacityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "dataset of {} points exceeds the {} supported by u32 point ids \
+             (u32::MAX is the unclaimed-border sentinel)",
+            self.points, MAX_POINTS
+        )
+    }
+}
+
+impl std::error::Error for CapacityError {}
 
 /// Instrumentation from one sharded execution, consumed by the engine's
 /// shard-phase histograms and `METRICS` counters.
@@ -80,12 +120,10 @@ pub struct ShardStats {
 /// Runs sharded DBSCAN: `shards` spatial shards clustered by a pool of
 /// `threads` workers, then merged.
 ///
-/// Returns the clustering (bit-identical to
-/// [`parallel_dbscan`](crate::parallel_dbscan) at any shard/thread
-/// count) plus per-phase instrumentation. Datasets larger than
-/// [`MAX_POINTS`](crate::MAX_POINTS) are rejected with a typed
-/// [`CapacityError`] — point ids must stay below the `u32::MAX` claim
-/// sentinel.
+/// Returns the clustering (bit-identical at any shard/thread count)
+/// plus per-phase instrumentation. Datasets larger than [`MAX_POINTS`]
+/// are rejected with a typed [`CapacityError`] — point ids must stay
+/// below the `u32::MAX` claim sentinel.
 ///
 /// # Panics
 ///
@@ -198,9 +236,9 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
     }
     let merge_ns = elapsed_ns(t0);
 
-    // Label pass — identical to the unsharded kernel: clusters numbered
-    // by first appearance in point order, claimed non-cores join their
-    // claimant's cluster, unclaimed non-cores are noise.
+    // Label pass: clusters numbered by first appearance in point order,
+    // claimed non-cores join their claimant's cluster, unclaimed
+    // non-cores are noise.
     let mut labels = Labels::unclassified(n);
     let mut root_to_cluster: Vec<u32> = vec![NOISE; n];
     let mut next: ClusterId = 0;
@@ -439,5 +477,23 @@ mod tests {
     fn zero_shards_rejected() {
         let idx = BruteForce::new(shared_points([]));
         let _ = sharded_dbscan(&idx, DbscanParams::new(1.0, 3), 0, 1);
+    }
+
+    #[test]
+    fn point_id_capacity_bound_is_pinned() {
+        // The bound itself: ids must stay strictly below the u32::MAX
+        // claim sentinel, so u32::MAX - 1 points (ids 0..=u32::MAX - 2)
+        // is the largest legal dataset. (Allocating 4 G points to hit the
+        // panic for real is not practical; the check function carries the
+        // contract and `sharded_dbscan` routes through it.)
+        assert_eq!(MAX_POINTS, u32::MAX as usize - 1);
+        assert_eq!(check_point_id_capacity(0), Ok(()));
+        assert_eq!(check_point_id_capacity(MAX_POINTS), Ok(()));
+        let err = check_point_id_capacity(MAX_POINTS + 1).unwrap_err();
+        assert_eq!(err.points, u32::MAX as usize);
+        let msg = err.to_string();
+        assert!(msg.contains("u32"), "{msg}");
+        assert!(msg.contains("sentinel"), "{msg}");
+        assert!(check_point_id_capacity(usize::MAX).is_err());
     }
 }

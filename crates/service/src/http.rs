@@ -688,7 +688,7 @@ pub(crate) fn daemon_route(shared: &Shared, route: Route<'_>, body: &[u8]) -> Re
 // ---------------------------------------------------------------------------
 
 /// A minimal blocking keep-alive HTTP/1.1 client for the gateway, used
-/// by the test suites and the `http_load` bench. One client owns one
+/// by the test suites and the benchmark. One client owns one
 /// connection; requests on it are sequential.
 pub struct HttpClient {
     stream: TcpStream,

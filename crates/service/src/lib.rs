@@ -51,8 +51,8 @@
 //!   anything;
 //! - [`config`] — validated builders for [`ServiceConfig`] and
 //!   [`RouterConfig`] with typed [`ConfigError`]s;
-//! - [`workload`] — the cold-vs-warm throughput probe used by
-//!   `vbp bench-service` and the `service_throughput` bench.
+//! - [`workload`] — the cold-vs-warm throughput probe behind
+//!   `vbp bench-service`.
 //!
 //! Everything is plain `std` — the build environment is offline, so no
 //! async runtime, serialization crate, or protocol framework is used.

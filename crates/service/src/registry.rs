@@ -106,9 +106,7 @@ impl Registry {
             .cloned()
     }
 
-    /// The registered entries in name order — the soak bench uses this
-    /// to spread load across every dataset without re-resolving names
-    /// per request.
+    /// The registered entries in name order.
     pub fn entries(&self) -> Vec<Arc<DatasetEntry>> {
         self.datasets
             .read()

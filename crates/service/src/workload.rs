@@ -1,10 +1,9 @@
 //! Cold-vs-warm throughput measurement against a live daemon.
 //!
-//! Shared by `vbp bench-service` and the `service_throughput` bench
-//! binary so both report the same quantities: submit the same variant
-//! workload twice over one connection, once against an empty cache
-//! (cold) and once against the cache the first round populated (warm),
-//! and compare variants/second.
+//! Behind `vbp bench-service`: submit the same variant workload twice
+//! over one connection, once against an empty cache (cold) and once
+//! against the cache the first round populated (warm), and compare
+//! variants/second.
 //!
 //! The probe is written against the transport-agnostic
 //! [`DatasetService`] trait, so the same measurement runs over the

@@ -15,17 +15,25 @@
 //! 4. submit/append JSON bodies round-trip identically through the
 //!    hand-rolled writer and the gateway's parser;
 //! 5. mixed valid/garbage keep-alive traffic leaves the daemon's
-//!    admission counters consistent.
+//!    admission counters consistent;
+//! 6. 256 simultaneously open keep-alive connections against a queue a
+//!    quarter that size are each answered `200` or a typed `503` +
+//!    `Retry-After`, with the counters consistent throughout.
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use common::{assert_stats_consistent, Watchdog};
 use proptest::prelude::*;
 use proptest::{collection, proptest};
 use variantdbscan::{Engine, JsonArray, JsonObject};
-use vbp_service::{parse_json, JsonValue, MemTransport, Registry, Server, ServerHandle, Step};
+use vbp_service::{
+    parse_json, HttpClient, JsonValue, MemTransport, Registry, Server, ServerHandle, ServiceConfig,
+    Step,
+};
 
 /// Charset for generated dataset tokens (JSON- and protocol-legal).
 const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_@.-";
@@ -519,5 +527,99 @@ fn adversarial_corpus_answers_typed_responses() {
     assert_eq!(common::field_u64(&stats, "bad_request"), 3);
     assert_eq!(common::field_u64(&stats, "protocol_errors"), 2);
     let mut handle = handle;
+    handle.shutdown();
+}
+
+/// The thread-per-connection door under many sockets at once: every
+/// connection is open before the first request, the queue holds a
+/// quarter of them, and a `/v1/stats` poller runs alongside. Counts
+/// only — no timing.
+#[test]
+fn many_keep_alive_connections_get_200_or_typed_503() {
+    const CLIENTS: usize = 256;
+    const OKS_PER_CLIENT: usize = 3;
+    const DATASET: &str = "cF_10k_5N@2000";
+    let _wd = Watchdog::arm("http-many-connections", Duration::from_secs(120));
+    let mut handle = common::start_server(
+        &[DATASET],
+        2,
+        ServiceConfig {
+            queue_cap: CLIENTS / 4,
+            http_addr: Some("127.0.0.1:0".into()),
+            ..ServiceConfig::default()
+        },
+    );
+    let addr = handle.http_addr().expect("http gateway bound");
+    let connect = || {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+        client
+    };
+    let body = format!(r#"{{"dataset":"{DATASET}","eps":0.5,"minpts":4}}"#);
+    let warm = connect().post("/v1/submit", &body).unwrap();
+    assert_eq!(warm.status, 200, "warm-up answered {}", warm.body_str());
+
+    let all_connected = Barrier::new(CLIENTS);
+    let done = AtomicBool::new(false);
+    let shed: usize = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut poller = connect();
+            while !done.load(Ordering::Acquire) {
+                let stats = poller.get("/v1/stats").unwrap();
+                assert_eq!(stats.status, 200, "{}", stats.body_str());
+                assert_stats_consistent(stats.body_str(), "many connections, mid-run");
+            }
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|id| {
+                let (all_connected, body) = (&all_connected, &body);
+                s.spawn(move || {
+                    let mut client = connect();
+                    all_connected.wait();
+                    let (mut oks, mut shed) = (0, 0);
+                    while oks < OKS_PER_CLIENT {
+                        let resp = client.post("/v1/submit", body).unwrap();
+                        match resp.status {
+                            200 => oks += 1,
+                            503 => {
+                                assert!(
+                                    resp.header("retry-after").is_some(),
+                                    "client {id}: 503 without Retry-After"
+                                );
+                                let doc = resp.json().unwrap();
+                                assert_eq!(
+                                    doc.get("error").and_then(JsonValue::as_str),
+                                    Some("overloaded"),
+                                    "client {id}: {}",
+                                    resp.body_str()
+                                );
+                                shed += 1;
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
+                            other => panic!("client {id}: status {other}: {}", resp.body_str()),
+                        }
+                    }
+                    shed
+                })
+            })
+            .collect();
+        let joined: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+        done.store(true, Ordering::Release);
+        joined.into_iter().map(|shed| shed.unwrap()).sum()
+    });
+
+    let stats = handle.stats_json();
+    assert_stats_consistent(&stats, "many connections, final");
+    assert_eq!(
+        common::field_u64(&stats, "completed"),
+        (1 + CLIENTS * OKS_PER_CLIENT) as u64,
+        "{stats}"
+    );
+    assert_eq!(common::field_u64(&stats, "failed"), 0, "{stats}");
+    assert_eq!(
+        common::field_u64(&stats, "rejected_overloaded"),
+        shed as u64,
+        "{stats}"
+    );
     handle.shutdown();
 }
