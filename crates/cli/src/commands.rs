@@ -407,9 +407,9 @@ pub fn tune(args: &Args) -> Result<String, String> {
 const DEFAULT_ADDR: &str = "127.0.0.1:7711";
 
 /// Parses the `--datasets a,b,c` list.
-fn dataset_list(args: &Args, default: &str) -> Vec<String> {
+fn dataset_list(args: &Args) -> Vec<String> {
     args.get("datasets")
-        .unwrap_or(default)
+        .unwrap_or("")
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -429,21 +429,6 @@ fn build_registry(engine: &Engine, names: &[String]) -> Result<vbp_service::Regi
     Ok(registry)
 }
 
-/// The service tunables shared by `serve` and `bench-service`: every
-/// flag maps 1:1 onto a [`vbp_service::ServiceConfigBuilder`] setter,
-/// and validation happens in one place (`build()`), with the typed
-/// [`vbp_service::ConfigError`] rendered as the CLI error.
-fn service_builder(args: &Args, addr: String) -> Result<vbp_service::ServiceConfigBuilder, String> {
-    Ok(vbp_service::ServiceConfig::builder()
-        .addr(addr)
-        .queue_cap(args.num("queue-cap", 256usize)?)
-        .cache_bytes(args.num("cache-mb", 64usize)? << 20)
-        .batch_window(std::time::Duration::from_millis(
-            args.num("batch-ms", 2u64)?,
-        ))
-        .shards(args.num("shards", 0usize)?))
-}
-
 /// `vbp serve --datasets NAME[@N],… [--addr HOST:PORT] [--http PORT]
 /// [--store DIR]` — run the daemon until a client sends `SHUTDOWN`.
 /// With `--http`, an HTTP/1.1 gateway listens alongside the line
@@ -455,7 +440,7 @@ fn service_builder(args: &Args, addr: String) -> Result<vbp_service::ServiceConf
 pub fn serve(args: &Args) -> Result<String, String> {
     let config = engine_config(args)?;
     let engine = Engine::new(config);
-    let names = dataset_list(args, "");
+    let names = dataset_list(args);
     if names.is_empty() {
         return Err("--datasets: at least one dataset is required".into());
     }
@@ -480,11 +465,17 @@ pub fn serve(args: &Args) -> Result<String, String> {
             format!("127.0.0.1:{spec}")
         }
     });
-    let service = service_builder(args, args.get("addr").unwrap_or(DEFAULT_ADDR).to_string())?
-        .store_dir(store_dir)
-        .http_addr(http_addr)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let service = vbp_service::ServiceConfig {
+        addr: args.get("addr").unwrap_or(DEFAULT_ADDR).to_string(),
+        queue_cap: args.num("queue-cap", 256usize)?,
+        cache_bytes: args.num("cache-mb", 64usize)? << 20,
+        batch_window: std::time::Duration::from_millis(args.num("batch-ms", 2u64)?),
+        shards: args.num("shards", 0usize)?,
+        store_dir,
+        http_addr,
+        ..vbp_service::ServiceConfig::default()
+    };
+    service.validate().map_err(|e| e.to_string())?;
     let restored = boot.restored;
     let mut handle = vbp_service::Server::start_with_store(engine, registry, service, boot)
         .map_err(|e| e.to_string())?;
@@ -531,13 +522,14 @@ pub fn route(args: &Args) -> Result<String, String> {
         Some(spec) => format!("127.0.0.1:{spec}"),
         None => "127.0.0.1:0".to_string(),
     };
-    let config = vbp_service::RouterConfig::builder()
-        .http_addr(http_addr)
-        .backends(backends)
-        .virtual_nodes(args.num("vnodes", 64usize)?)
-        .pool_per_backend(args.num("pool", 8usize)?)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let config = vbp_service::RouterConfig {
+        http_addr,
+        backends,
+        virtual_nodes: args.num("vnodes", 64usize)?,
+        pool_per_backend: args.num("pool", 8usize)?,
+        ..vbp_service::RouterConfig::default()
+    };
+    config.validate().map_err(|e| e.to_string())?;
     let backend_count = config.backends.len();
     let mut handle = vbp_service::Router::start(config).map_err(|e| e.to_string())?;
     // Announce readiness immediately — scripts parse this line for the
@@ -777,77 +769,6 @@ pub fn watch(args: &Args) -> Result<String, String> {
     Ok(format!("{seen} deltas observed\n"))
 }
 
-/// `vbp bench-service [--datasets …]` — in-process cold-vs-warm
-/// throughput probe: start a daemon, submit a grid of variants per
-/// dataset twice over TCP, and compare variants/second.
-pub fn bench_service(args: &Args) -> Result<String, String> {
-    let config = engine_config(args)?;
-    let engine = Engine::new(config);
-    let names = dataset_list(args, "cF_10k_5N@2000,SW1@2000");
-    let registry = build_registry(&engine, &names)?;
-
-    // Ten variants per dataset around its k-dist knee, mirroring the
-    // loopback smoke workload.
-    let mut requests = Vec::new();
-    for name in &names {
-        let base = registry
-            .get(name)
-            .and_then(|e| e.suggested_eps)
-            .unwrap_or(1.0);
-        for scale in [0.8, 1.0, 1.2, 1.5, 2.0] {
-            for minpts in [4usize, 8] {
-                requests.push((name.clone(), base * scale, minpts));
-            }
-        }
-    }
-
-    let service = service_builder(args, "127.0.0.1:0".to_string())?
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut handle =
-        vbp_service::Server::start(engine, registry, service).map_err(|e| e.to_string())?;
-    let mut probe = vbp_service::Client::connect(handle.local_addr()).map_err(|e| e.to_string())?;
-    let report = vbp_service::run_cold_warm_on(&mut probe, &requests).map_err(|e| e.to_string())?;
-    probe.quit();
-    handle.shutdown();
-
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "service cold-vs-warm throughput ({} requests/round over {} datasets, T = {}):",
-        report.requests,
-        names.len(),
-        config.threads
-    );
-    let _ = writeln!(
-        s,
-        "{:<6} {:>12} {:>16} {:>11}",
-        "round", "seconds", "variants/sec", "cache hits"
-    );
-    let _ = writeln!(
-        s,
-        "{:<6} {:>12.4} {:>16.1} {:>11}",
-        "cold",
-        report.cold_secs,
-        report.cold_vps(),
-        0
-    );
-    let _ = writeln!(
-        s,
-        "{:<6} {:>12.4} {:>16.1} {:>11}",
-        "warm",
-        report.warm_secs,
-        report.warm_vps(),
-        report.warm_hits
-    );
-    let _ = writeln!(s, "warm speedup over cold: {:.2}×", report.speedup());
-    let _ = writeln!(s, "final STATS: {}", report.stats_json);
-    if let Some(out) = args.get("out") {
-        std::fs::write(out, &s).map_err(|e| format!("{out}: {e}"))?;
-    }
-    Ok(s)
-}
-
 /// Parses `--shards N` into the optional intra-variant sharding policy:
 /// absent, `0`, and `1` all mean "variant-parallel only" (the default
 /// placement); `N > 1` opts the run in with the default width gate.
@@ -964,8 +885,6 @@ commands:
            [--addr HOST:PORT]                 N = 0 follows until drain)
   metrics  [--addr HOST:PORT]                 fetch a daemon's Prometheus-style
                                               text exposition (METRICS verb)
-  bench-service [--datasets …] [--out F]      in-process cold-vs-warm cache
-           [--threads T] [--cache-mb MB]      throughput probe over loopback TCP
   store inspect FILE                          dump a .vbpstore warm-state file
   store verify DIR                            validate every store file in DIR
 "
@@ -1224,29 +1143,6 @@ mod tests {
         assert!(line.contains("\"variants\":2"), "{out}");
         assert!(line.contains("\"outcomes\":["), "{out}");
         assert!(line.contains("\"worker_stats\":["), "{out}");
-    }
-
-    #[test]
-    fn bench_service_reports_warm_speedup_and_writes_out() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("vbp_cli_bench_service.txt");
-        let path_str = path.to_str().unwrap();
-        let out = bench_service(&parse(&[
-            "bench-service",
-            "--datasets",
-            "cF_10k_5N@500",
-            "--threads",
-            "2",
-            "--out",
-            path_str,
-        ]))
-        .unwrap();
-        assert!(out.contains("cold"), "{out}");
-        assert!(out.contains("warm speedup over cold"), "{out}");
-        assert!(out.contains("\"reuse_hits\":"), "{out}");
-        let written = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(written, out);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

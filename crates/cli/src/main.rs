@@ -73,7 +73,6 @@ fn main() {
         "append" => commands::append(&args),
         "watch" => commands::watch(&args),
         "metrics" => commands::metrics_cmd(&args),
-        "bench-service" => commands::bench_service(&args),
         other => Err(format!(
             "unknown command '{other}'\n\n{}",
             commands::usage()

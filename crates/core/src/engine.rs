@@ -6,8 +6,9 @@
 //!
 //! 1. bin-sorts the database and builds the two shared R-trees
 //!    (`T_low` with the tuned `r`, `T_high` with `r = 1`);
-//! 2. spawns `T` workers that repeatedly pull an [`Assignment`] from the
-//!    shared [`ScheduleState`] — either "cluster variant `v` from scratch"
+//! 2. spawns `T` workers that repeatedly pull an
+//!    [`Assignment`](crate::scheduler::Assignment) from the shared
+//!    [`ScheduleState`] — either "cluster variant `v` from scratch"
 //!    or "cluster `v` reusing completed variant `u`";
 //! 3. records a [`VariantOutcome`] per variant (timings, reuse fraction,
 //!    search counters) and returns everything as a [`RunReport`].
@@ -16,8 +17,7 @@
 //!
 //! Every run goes through [`Engine::execute`] with a [`RunRequest`]
 //! describing the database (raw points or a [`PreparedIndex`]), the
-//! variant set, optional warm reuse sources, the [`TraceLevel`], and an
-//! optional progress channel:
+//! variant set, optional warm reuse sources, and the [`TraceLevel`]:
 //!
 //! ```
 //! use variantdbscan::{Engine, EngineConfig, RunRequest, VariantSet};
@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 use vbp_dbscan::{dbscan_with_scratch, sharded_dbscan, ClusterResult, DbscanScratch};
 use vbp_geom::{BinOrder, Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{tune_r_sampled, DynamicRTree, PackedRTree, SpatialIndex, TuneReport};
+use vbp_rtree::{tune_r_sampled, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
 use crate::expand::cluster_with_reuse_traced;
@@ -307,23 +307,44 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `index_build_time == 0` — the build cost lives in
 /// [`PreparedIndex::build_time`], amortized across every run that shares
 /// the handle.
+///
+/// A handle is the whole of one dataset generation: the tree pair holds
+/// the points in tree order (one shared array), the permutation maps
+/// them back, and [`PreparedIndex::caller_points`] derives caller order
+/// for the few readers that want it.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
     t_low: PackedRTree,
     t_high: PackedRTree,
     permutation: Vec<PointId>,
-    chosen_r: usize,
     tune: Option<TuneReport>,
     build_time: Duration,
-    /// Caller-order insertion-capable mirror, materialized on the first
-    /// [`Engine::append_to_prepared`] and maintained incrementally after.
-    dynamic: Option<DynamicRTree>,
     /// Points appended (at the tree tail, outside bin order) since the
     /// last full bin sort — the maintain-vs-resort policy input.
     appended_since_sort: usize,
 }
 
 impl PreparedIndex {
+    /// Assembles a handle around `t_low`, deriving `T_high` from it —
+    /// the pair always shares one point order (and one SoA mirror).
+    fn around(
+        t_low: PackedRTree,
+        permutation: Vec<PointId>,
+        tune: Option<TuneReport>,
+        build_time: Duration,
+        appended_since_sort: usize,
+    ) -> Self {
+        let t_high = high_tree_for(&t_low);
+        Self {
+            t_low,
+            t_high,
+            permutation,
+            tune,
+            build_time,
+            appended_since_sort,
+        }
+    }
+
     /// Number of indexed points.
     #[inline]
     pub fn len(&self) -> usize {
@@ -357,7 +378,7 @@ impl PreparedIndex {
     /// The `r` the index was actually built with.
     #[inline]
     pub fn chosen_r(&self) -> usize {
-        self.chosen_r
+        self.t_low.points_per_leaf()
     }
 
     /// The auto-tuning sweep record, when [`RChoice::Auto`] ran.
@@ -369,15 +390,6 @@ impl PreparedIndex {
     /// plus any streaming maintenance applied since.
     pub fn build_time(&self) -> Duration {
         self.build_time
-    }
-
-    /// The caller-order [`DynamicRTree`] mirror, present once the handle
-    /// has been through at least one [`Engine::append_to_prepared`].
-    /// Point ids in this tree ARE caller ids, so `id < old_len` tells an
-    /// original point from an appended one — the affected-ε-region test
-    /// the service's cache repair runs.
-    pub fn dynamic(&self) -> Option<&DynamicRTree> {
-        self.dynamic.as_ref()
     }
 
     /// Points appended at the tree tail since the last full bin sort.
@@ -404,12 +416,9 @@ impl PreparedIndex {
     /// sort and the auto-tune sweep entirely and re-derives both packed
     /// trees from the stored order in O(n).
     ///
-    /// The caller-order [`DynamicRTree`] mirror is *not* serialized —
-    /// a restored handle has [`PreparedIndex::dynamic`] `== None` and
-    /// the first append rematerializes it, exactly like a freshly
-    /// prepared handle. Callers that want a clean generation on disk
-    /// should flush a dirty tail through [`Engine::resort_prepared`]
-    /// first; snapshotting a dirty handle is still correct (the counter
+    /// Callers that want a clean generation on disk should flush a
+    /// dirty tail through [`Engine::resort_prepared`] first;
+    /// snapshotting a dirty handle is still correct (the counter
     /// round-trips), it just persists tail-degraded query locality.
     pub fn snapshot<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         w.write_all(&self.snapshot_bytes())
@@ -426,7 +435,7 @@ impl PreparedIndex {
         IndexSnapshot {
             points: self.t_low.shared_points(),
             permutation: self.permutation.clone(),
-            chosen_r: self.chosen_r,
+            chosen_r: self.chosen_r(),
             fanout: self.t_low.fanout(),
             tune: self.tune.clone(),
             build_time_ns: self.build_time.as_nanos().min(u128::from(u64::MAX)) as u64,
@@ -558,10 +567,8 @@ impl PreparedIndex {
             t_low,
             t_high,
             permutation,
-            chosen_r,
             tune,
             build_time: Duration::from_nanos(build_time_ns),
-            dynamic: None,
             appended_since_sort: appended_since_sort as usize,
         }
     }
@@ -708,8 +715,7 @@ struct ShardPlan {
 }
 
 /// One engine run, described declaratively: the database, the variant
-/// set, and the run's options — warm reuse sources, [`TraceLevel`], and
-/// an optional progress channel:
+/// set, and the run's options — warm reuse sources and [`TraceLevel`]:
 ///
 /// ```no_run
 /// # use variantdbscan::{Engine, RunRequest, TraceLevel, VariantSet};
@@ -725,7 +731,6 @@ pub struct RunRequest<'a> {
     variants: &'a VariantSet,
     warm: &'a [WarmSource],
     trace: TraceLevel,
-    progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
     sharding: Option<Sharding>,
 }
 
@@ -747,7 +752,6 @@ impl<'a> RunRequest<'a> {
             variants,
             warm: &[],
             trace: TraceLevel::Off,
-            progress: None,
             sharding: None,
         }
     }
@@ -767,13 +771,6 @@ impl<'a> RunRequest<'a> {
     /// snapshot.
     pub fn trace(mut self, level: TraceLevel) -> RunRequest<'a> {
         self.trace = level;
-        self
-    }
-
-    /// Streams [`ProgressEvent`](crate::progress::ProgressEvent)s into
-    /// `tx` while the run executes.
-    pub fn progress(mut self, tx: mpsc::Sender<crate::progress::ProgressEvent>) -> RunRequest<'a> {
-        self.progress = Some(tx);
         self
     }
 
@@ -861,11 +858,6 @@ impl Engine {
                     });
                 }
                 prepared_local = self.prepare_unchecked(points, representative_eps(variants));
-                if let Some(tx) = &request.progress {
-                    let _ = tx.send(crate::progress::ProgressEvent::IndexBuilt {
-                        seconds: prepared_local.build_time.as_secs_f64(),
-                    });
-                }
                 (&prepared_local, prepared_local.build_time)
             }
             RunSource::Prepared(index) => (index, Duration::ZERO),
@@ -885,7 +877,6 @@ impl Engine {
             index,
             variants,
             request.warm,
-            request.progress.clone(),
             request.trace,
             request.sharding,
         )?;
@@ -938,17 +929,10 @@ impl Engine {
         };
         let (t_low, permutation) =
             PackedRTree::build_with_order(points, chosen_r, self.config.bin_order);
-        let t_high = high_tree_for(&t_low);
-        PreparedIndex {
-            t_low,
-            t_high,
-            permutation,
-            chosen_r,
-            tune,
-            build_time: build_start.elapsed(),
-            dynamic: None,
-            appended_since_sort: 0,
-        }
+        let mut index = PreparedIndex::around(t_low, permutation, tune, Duration::ZERO, 0);
+        // Read the clock last: deriving `T_high` is part of the build.
+        index.build_time = build_start.elapsed();
+        index
     }
 
     /// Applies one streaming APPEND batch to a prepared handle, returning
@@ -964,10 +948,6 @@ impl Engine {
     /// [`APPEND_RESORT_FRACTION`] of the dataset, the handle is re-sorted
     /// from scratch (same `chosen_r`; the tail fraction resets to zero)
     /// so query locality cannot degrade without bound.
-    ///
-    /// Either way the caller-order [`DynamicRTree`] mirror is maintained
-    /// incrementally (materialized from the accumulated points on the
-    /// first append).
     pub fn append_to_prepared(
         &self,
         index: &PreparedIndex,
@@ -983,54 +963,26 @@ impl Engine {
         let old_n = index.len();
         let total = old_n + new_points.len();
 
-        let mut dynamic = match &index.dynamic {
-            Some(tree) => tree.clone(),
-            None => DynamicRTree::from_points(&index.caller_points()),
-        };
-        for &p in new_points {
-            dynamic.insert(p);
-        }
-
         let unsorted_tail = index.appended_since_sort + new_points.len();
         let resorted = unsorted_tail as f64 > total as f64 * APPEND_RESORT_FRACTION;
         let mut next = if resorted {
-            // Full re-sort: bin-sort the accumulated caller-order points
-            // with the already-chosen r (no re-tune).
-            let (t_low, permutation) = PackedRTree::build_with_order(
-                dynamic.points(),
-                index.chosen_r,
-                self.config.bin_order,
-            );
-            let t_high = high_tree_for(&t_low);
-            PreparedIndex {
-                t_low,
-                t_high,
-                permutation,
-                chosen_r: index.chosen_r,
-                tune: index.tune.clone(),
-                build_time: index.build_time,
-                dynamic: Some(dynamic),
-                appended_since_sort: 0,
-            }
+            let mut caller = index.caller_points();
+            caller.extend_from_slice(new_points);
+            self.bin_sorted(index, &caller)
         } else {
             // Maintain: new tree order = old tree order ++ new points.
             let mut tree_points: Vec<Point2> = index.t_low.shared_points().to_vec();
             tree_points.extend_from_slice(new_points);
-            let shared = shared_points(tree_points);
-            let t_low = PackedRTree::from_sorted(shared, index.chosen_r);
-            let t_high = high_tree_for(&t_low);
+            let t_low = PackedRTree::from_sorted(shared_points(tree_points), index.chosen_r());
             let mut permutation = index.permutation.clone();
             permutation.extend((old_n..total).map(|i| i as PointId));
-            PreparedIndex {
+            PreparedIndex::around(
                 t_low,
-                t_high,
                 permutation,
-                chosen_r: index.chosen_r,
-                tune: index.tune.clone(),
-                build_time: index.build_time,
-                dynamic: Some(dynamic),
-                appended_since_sort: unsorted_tail,
-            }
+                index.tune.clone(),
+                index.build_time,
+                unsorted_tail,
+            )
         };
         let time = start.elapsed();
         next.build_time += time;
@@ -1058,22 +1010,20 @@ impl Engine {
             return index.clone();
         }
         let start = Instant::now();
-        let caller = index.caller_points();
-        let (t_low, permutation) =
-            PackedRTree::build_with_order(&caller, index.chosen_r, self.config.bin_order);
-        let t_high = high_tree_for(&t_low);
-        let mut next = PreparedIndex {
-            t_low,
-            t_high,
-            permutation,
-            chosen_r: index.chosen_r,
-            tune: index.tune.clone(),
-            build_time: index.build_time,
-            dynamic: index.dynamic.clone(),
-            appended_since_sort: 0,
-        };
+        let mut next = self.bin_sorted(index, &index.caller_points());
         next.build_time += start.elapsed();
         next
+    }
+
+    /// The full re-sort behind [`Engine::append_to_prepared`] and
+    /// [`Engine::resort_prepared`]: bin-sorts `caller` — `index`'s
+    /// accumulated database in caller order, plus any batch being
+    /// appended — with the already-chosen `r` (no re-tune) and rebuilds
+    /// both packed trees. The tail counter resets to zero.
+    fn bin_sorted(&self, index: &PreparedIndex, caller: &[Point2]) -> PreparedIndex {
+        let (t_low, permutation) =
+            PackedRTree::build_with_order(caller, index.chosen_r(), self.config.bin_order);
+        PreparedIndex::around(t_low, permutation, index.tune.clone(), index.build_time, 0)
     }
 
     /// The engine core: clusters `variants` over a prepared index with
@@ -1085,11 +1035,9 @@ impl Engine {
         index: &PreparedIndex,
         variants: &VariantSet,
         warm: &[WarmSource],
-        progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
         trace: TraceLevel,
         sharding: Option<Sharding>,
     ) -> Result<RunReport, JobPanic> {
-        use crate::progress::ProgressEvent;
         let n_var = variants.len();
 
         // Two-level placement: a wide sharded run trades outer
@@ -1137,7 +1085,6 @@ impl Engine {
                     let schedule = &schedule;
                     let results = &results[..];
                     let panic_slot = &panic_slot;
-                    let progress = progress.clone();
                     let outcome_tx = outcome_tx.clone();
                     scope.spawn(move || {
                         worker_loop(
@@ -1152,7 +1099,6 @@ impl Engine {
                             panic_slot,
                             outcome_tx,
                             t0,
-                            progress,
                             trace,
                             shard_plan,
                         )
@@ -1187,9 +1133,6 @@ impl Engine {
         let trace_snapshot = trace
             .enabled()
             .then(|| TraceSnapshot::from_workers(tracers));
-        if let Some(tx) = &progress {
-            let _ = tx.send(ProgressEvent::Finished { variants: n_var });
-        }
 
         // All worker-held senders are gone; drop ours and drain.
         drop(outcome_tx);
@@ -1213,7 +1156,7 @@ impl Engine {
             total_time,
             index_build_time: Duration::ZERO,
             threads: self.config.threads,
-            chosen_r: index.chosen_r,
+            chosen_r: index.chosen_r(),
             tune: index.tune.clone(),
             results,
             permutation: index.permutation.clone(),
@@ -1269,7 +1212,6 @@ fn worker_loop(
     panic_slot: &OnceLock<JobPanic>,
     outcome_tx: mpsc::Sender<VariantOutcome>,
     t0: Instant,
-    progress: Option<mpsc::Sender<crate::progress::ProgressEvent>>,
     trace: TraceLevel,
     shard_plan: Option<ShardPlan>,
 ) -> WorkerOutput {
@@ -1472,9 +1414,6 @@ fn worker_loop(
             stats.sched_time += sched;
             phases.sched.record(sched);
         }
-        if let Some(tx) = &progress {
-            let _ = tx.send(crate::progress::ProgressEvent::VariantDone(outcome.clone()));
-        }
         let _ = outcome_tx.send(outcome);
     }
     // Whatever wall time wasn't clustering, waiting for the lock, or
@@ -1592,7 +1531,6 @@ mod tests {
         let variants = small_grid();
         let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
         let mut index = engine.prepare(&all[..400], Some(1.2)).expect("finite");
-        assert!(index.dynamic().is_none());
 
         // First batch (100 on 400: tail 20% — maintain), second batch
         // (+100: tail 200/600 = 33% — resort).
@@ -1608,9 +1546,6 @@ mod tests {
 
             assert_eq!(index.len(), end);
             assert_eq!(index.caller_points(), all[..end].to_vec());
-            let dynamic = index.dynamic().expect("mirror materialized");
-            assert_eq!(dynamic.len(), end);
-            assert_eq!(dynamic.points(), &all[..end]);
 
             let streamed = run_prepared(&engine, &index, &variants);
             let fresh = run(&engine, &all[..end], &variants);

@@ -49,7 +49,6 @@ pub mod expand;
 pub mod fault;
 pub mod json;
 pub mod metrics;
-pub mod progress;
 pub mod scheduler;
 pub mod seeds;
 pub mod sim;
@@ -66,7 +65,6 @@ pub use json::{parse_json, JsonArray, JsonObject, JsonValue};
 pub use metrics::{
     tune_report_to_json, ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats,
 };
-pub use progress::ProgressEvent;
 pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, ScheduleState, Scheduler};
 pub use seeds::{seed_list, ReuseScheme};
 pub use sim::{simulate, simulate_with, SimCostModel, SimOutcome, SimReport};

@@ -16,9 +16,8 @@
 //! - [`DatasetService`]: the six verbs every daemon door answers, with
 //!   the same typed replies and the same [`ClientError`] taxonomy on
 //!   both transports. `Client` implements it over the line protocol,
-//!   `HttpClient` over HTTP/1.1; the workload probe
-//!   ([`crate::workload`]), the benches, and the router's backend pool
-//!   ([`crate::pool`]) are written against the trait.
+//!   `HttpClient` over HTTP/1.1; the router's backend pool
+//!   ([`crate::pool`]) is written against the trait.
 //!
 //! Admission backpressure surfaces as [`ClientError::Overloaded`] with
 //! the server's parsed `Retry-After` hint on both transports (the HTTP

@@ -1,20 +1,15 @@
-//! Validated configuration builders with typed errors.
+//! Configuration validation with typed errors.
 //!
-//! [`ServiceConfig`] grew a field per PR (ten by now) and was always
-//! built with struct-literal update syntax — nothing checked that
-//! `queue_cap: 0` or a zero poll interval did not wedge the daemon
-//! until runtime. The builders here are the one place those invariants
-//! live: every `vbp serve` flag maps 1:1 onto a setter, `build()`
-//! answers a typed [`ConfigError`] instead of a late panic, and the
-//! router's [`RouterConfig`](crate::router::RouterConfig) reuses the
-//! same error taxonomy so the CLI renders both identically.
-//!
-//! The raw structs stay public and `Default`-constructible — tests and
-//! embedders that want a literal keep it — but the CLI goes through the
-//! builders exclusively.
+//! [`ServiceConfig`] and [`RouterConfig`] are plain public structs,
+//! built with struct-literal update syntax over `Default` — which checks
+//! nothing: `queue_cap: 0` or a zero poll interval would wedge the
+//! daemon at runtime. [`ServiceConfig::validate`] and
+//! [`RouterConfig::validate`] are the one place those invariants live;
+//! both answer a typed [`ConfigError`] instead of a late panic, from one
+//! error taxonomy, so `vbp serve` and `vbp route` (which build a literal
+//! from their flags and call `validate()`) render both identically.
 
 use std::fmt;
-use std::time::Duration;
 
 use crate::router::RouterConfig;
 use crate::server::ServiceConfig;
@@ -99,117 +94,34 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl ServiceConfig {
-    /// Starts a validated builder seeded with the defaults.
-    pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder {
-            config: ServiceConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ServiceConfig`]; `vbp serve` flags map 1:1 onto these
-/// setters and [`ServiceConfigBuilder::build`] validates the result.
-#[derive(Clone, Debug)]
-pub struct ServiceConfigBuilder {
-    config: ServiceConfig,
-}
-
-impl ServiceConfigBuilder {
-    /// Bind address for the line protocol (`--addr`).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.addr = addr.into();
-        self
-    }
-
-    /// Optional second bind address for the HTTP gateway (`--http`).
-    pub fn http_addr(mut self, addr: Option<String>) -> Self {
-        self.config.http_addr = addr;
-        self
-    }
-
-    /// Admission queue capacity (`--queue`).
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.config.queue_cap = cap;
-        self
-    }
-
-    /// Reuse cache budget in bytes, 0 disables (`--cache-mb`).
-    pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.config.cache_bytes = bytes;
-        self
-    }
-
-    /// Dispatcher batching linger (`--batch-ms`).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.config.batch_window = window;
-        self
-    }
-
-    /// Handler read-timeout / drain-notice bound (`--poll-ms`).
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.config.poll_interval = interval;
-        self
-    }
-
-    /// Request-line byte cap (`--max-line`).
-    pub fn max_line_bytes(mut self, bytes: usize) -> Self {
-        self.config.max_line_bytes = bytes;
-        self
-    }
-
-    /// Engine-reply wait bound (`--job-timeout-s`).
-    pub fn job_timeout(mut self, timeout: Duration) -> Self {
-        self.config.job_timeout = timeout;
-        self
-    }
-
-    /// Socket write timeout (`--write-timeout-s`).
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.config.write_timeout = timeout;
-        self
-    }
-
-    /// Intra-variant shard count, 0/1 keeps variant-parallel
-    /// (`--shards`).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Warm-state store directory (`--store`).
-    pub fn store_dir(mut self, dir: Option<std::path::PathBuf>) -> Self {
-        self.config.store_dir = dir;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    pub fn build(self) -> Result<ServiceConfig, ConfigError> {
-        let c = self.config;
-        if c.addr.is_empty() {
+    /// Checks every invariant the daemon relies on; the first violation
+    /// comes back naming its field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.addr.is_empty() {
             return Err(ConfigError::EmptyAddr { field: "addr" });
         }
-        if let Some(http) = &c.http_addr {
+        if let Some(http) = &self.http_addr {
             if http.is_empty() {
                 return Err(ConfigError::EmptyAddr { field: "http_addr" });
             }
             // Identical concrete addresses collide; two `:0` binds get
             // distinct ephemeral ports and are fine.
-            if *http == c.addr && !c.addr.ends_with(":0") {
-                return Err(ConfigError::SameBind(c.addr));
+            if *http == self.addr && !self.addr.ends_with(":0") {
+                return Err(ConfigError::SameBind(self.addr.clone()));
             }
         }
-        if c.queue_cap == 0 {
+        if self.queue_cap == 0 {
             return Err(ConfigError::ZeroQueueCap);
         }
-        if c.max_line_bytes < MIN_LINE_BYTES {
+        if self.max_line_bytes < MIN_LINE_BYTES {
             return Err(ConfigError::LineCapTooSmall {
-                got: c.max_line_bytes,
+                got: self.max_line_bytes,
             });
         }
         for (field, d) in [
-            ("poll_interval", c.poll_interval),
-            ("job_timeout", c.job_timeout),
-            ("write_timeout", c.write_timeout),
+            ("poll_interval", self.poll_interval),
+            ("job_timeout", self.job_timeout),
+            ("write_timeout", self.write_timeout),
         ] {
             if d.is_zero() {
                 return Err(ConfigError::ZeroDuration { field });
@@ -217,249 +129,162 @@ impl ServiceConfigBuilder {
         }
         // batch_window MAY be zero (no linger), but not longer than the
         // job timeout.
-        if c.batch_window > c.job_timeout {
+        if self.batch_window > self.job_timeout {
             return Err(ConfigError::BatchWindowExceedsJobTimeout);
         }
-        Ok(c)
+        Ok(())
     }
 }
 
 impl RouterConfig {
-    /// Starts a validated builder seeded with the defaults.
-    pub fn builder() -> RouterConfigBuilder {
-        RouterConfigBuilder {
-            config: RouterConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`RouterConfig`]; `vbp route` flags map 1:1 onto these
-/// setters. Shares [`ConfigError`] with the daemon builder.
-#[derive(Clone, Debug)]
-pub struct RouterConfigBuilder {
-    config: RouterConfig,
-}
-
-impl RouterConfigBuilder {
-    /// Bind address for the router's HTTP door (`--http`).
-    pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.http_addr = addr.into();
-        self
-    }
-
-    /// Backend daemon HTTP addresses (`--backends host:port,...`).
-    pub fn backends(mut self, backends: Vec<String>) -> Self {
-        self.config.backends = backends;
-        self
-    }
-
-    /// Virtual nodes per backend on the hash ring (`--vnodes`).
-    pub fn virtual_nodes(mut self, vnodes: usize) -> Self {
-        self.config.virtual_nodes = vnodes;
-        self
-    }
-
-    /// Connection-pool cap per backend (`--pool`).
-    pub fn pool_per_backend(mut self, cap: usize) -> Self {
-        self.config.pool_per_backend = cap;
-        self
-    }
-
-    /// Router handler read-timeout / drain-notice bound.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.config.poll_interval = interval;
-        self
-    }
-
-    /// Socket write timeout toward router clients.
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.config.write_timeout = timeout;
-        self
-    }
-
-    /// How long one proxied exchange may wait for its backend.
-    pub fn backend_timeout(mut self, timeout: Duration) -> Self {
-        self.config.backend_timeout = timeout;
-        self
-    }
-
-    /// How long a handler waits for a pooled connection before
-    /// answering `overloaded`.
-    pub fn checkout_timeout(mut self, timeout: Duration) -> Self {
-        self.config.checkout_timeout = timeout;
-        self
-    }
-
-    /// Consecutive connect failures before the breaker opens.
-    pub fn breaker_threshold(mut self, threshold: u32) -> Self {
-        self.config.breaker_threshold = threshold;
-        self
-    }
-
-    /// How long an open breaker fast-fails before probing again.
-    pub fn breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.config.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    pub fn build(self) -> Result<RouterConfig, ConfigError> {
-        let c = self.config;
-        if c.http_addr.is_empty() {
+    /// Checks every invariant the router relies on; shares
+    /// [`ConfigError`] with [`ServiceConfig::validate`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.http_addr.is_empty() {
             return Err(ConfigError::EmptyAddr { field: "http_addr" });
         }
-        if c.backends.is_empty() {
+        if self.backends.is_empty() {
             return Err(ConfigError::NoBackends);
         }
-        for (i, backend) in c.backends.iter().enumerate() {
+        for (i, backend) in self.backends.iter().enumerate() {
             if backend.is_empty() {
                 return Err(ConfigError::EmptyAddr { field: "backends" });
             }
-            if c.backends[..i].contains(backend) {
+            if self.backends[..i].contains(backend) {
                 return Err(ConfigError::DuplicateBackend(backend.clone()));
             }
         }
-        if c.virtual_nodes == 0 {
+        if self.virtual_nodes == 0 {
             return Err(ConfigError::ZeroVirtualNodes);
         }
-        if c.pool_per_backend == 0 {
+        if self.pool_per_backend == 0 {
             return Err(ConfigError::ZeroPoolCap);
         }
-        if c.breaker_threshold == 0 {
+        if self.breaker_threshold == 0 {
             return Err(ConfigError::ZeroBreakerThreshold);
         }
         for (field, d) in [
-            ("poll_interval", c.poll_interval),
-            ("write_timeout", c.write_timeout),
-            ("backend_timeout", c.backend_timeout),
-            ("checkout_timeout", c.checkout_timeout),
-            ("breaker_cooldown", c.breaker_cooldown),
+            ("poll_interval", self.poll_interval),
+            ("write_timeout", self.write_timeout),
+            ("backend_timeout", self.backend_timeout),
+            ("checkout_timeout", self.checkout_timeout),
+            ("breaker_cooldown", self.breaker_cooldown),
         ] {
             if d.is_zero() {
                 return Err(ConfigError::ZeroDuration { field });
             }
         }
-        Ok(c)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn service_builder_defaults_validate_and_flags_map() {
-        let c = ServiceConfig::builder().build().unwrap();
-        assert_eq!(c.addr, ServiceConfig::default().addr);
-
-        let c = ServiceConfig::builder()
-            .addr("127.0.0.1:7070")
-            .http_addr(Some("127.0.0.1:7071".into()))
-            .queue_cap(8)
-            .cache_bytes(1 << 20)
-            .batch_window(Duration::from_millis(1))
-            .shards(4)
-            .build()
-            .unwrap();
-        assert_eq!(c.queue_cap, 8);
-        assert_eq!(c.shards, 4);
-        assert_eq!(c.http_addr.as_deref(), Some("127.0.0.1:7071"));
+    fn service_defaults_validate() {
+        assert_eq!(ServiceConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    fn service_builder_rejects_each_invalid_field_with_a_typed_error() {
+    fn service_validate_rejects_each_invalid_field_with_a_typed_error() {
+        let base = ServiceConfig::default;
+        let rejected = |c: ServiceConfig| c.validate().unwrap_err();
         assert_eq!(
-            ServiceConfig::builder().addr("").build().unwrap_err(),
+            rejected(ServiceConfig {
+                addr: String::new(),
+                ..base()
+            }),
             ConfigError::EmptyAddr { field: "addr" }
         );
         assert_eq!(
-            ServiceConfig::builder().queue_cap(0).build().unwrap_err(),
+            rejected(ServiceConfig {
+                queue_cap: 0,
+                ..base()
+            }),
             ConfigError::ZeroQueueCap
         );
         assert_eq!(
-            ServiceConfig::builder()
-                .max_line_bytes(8)
-                .build()
-                .unwrap_err(),
+            rejected(ServiceConfig {
+                max_line_bytes: 8,
+                ..base()
+            }),
             ConfigError::LineCapTooSmall { got: 8 }
         );
         assert_eq!(
-            ServiceConfig::builder()
-                .poll_interval(Duration::ZERO)
-                .build()
-                .unwrap_err(),
+            rejected(ServiceConfig {
+                poll_interval: Duration::ZERO,
+                ..base()
+            }),
             ConfigError::ZeroDuration {
                 field: "poll_interval"
             }
         );
         assert_eq!(
-            ServiceConfig::builder()
-                .job_timeout(Duration::from_millis(1))
-                .batch_window(Duration::from_secs(2))
-                .build()
-                .unwrap_err(),
+            rejected(ServiceConfig {
+                job_timeout: Duration::from_millis(1),
+                batch_window: Duration::from_secs(2),
+                ..base()
+            }),
             ConfigError::BatchWindowExceedsJobTimeout
         );
         assert_eq!(
-            ServiceConfig::builder()
-                .addr("127.0.0.1:7070")
-                .http_addr(Some("127.0.0.1:7070".into()))
-                .build()
-                .unwrap_err(),
+            rejected(ServiceConfig {
+                addr: "127.0.0.1:7070".into(),
+                http_addr: Some("127.0.0.1:7070".into()),
+                ..base()
+            }),
             ConfigError::SameBind("127.0.0.1:7070".into())
         );
         // Two ephemeral binds never collide.
-        assert!(ServiceConfig::builder()
-            .addr("127.0.0.1:0")
-            .http_addr(Some("127.0.0.1:0".into()))
-            .build()
-            .is_ok());
+        let ephemeral = ServiceConfig {
+            addr: "127.0.0.1:0".into(),
+            http_addr: Some("127.0.0.1:0".into()),
+            ..base()
+        };
+        assert_eq!(ephemeral.validate(), Ok(()));
     }
 
     #[test]
-    fn router_builder_validates_backends_and_knobs() {
+    fn router_validate_checks_backends_and_knobs() {
+        let over = |backends: &[&str]| RouterConfig {
+            backends: backends.iter().map(|b| b.to_string()).collect(),
+            ..RouterConfig::default()
+        };
+        assert_eq!(over(&[]).validate(), Err(ConfigError::NoBackends));
         assert_eq!(
-            RouterConfig::builder().build().unwrap_err(),
-            ConfigError::NoBackends
+            over(&["a:1", "b:2", "a:1"]).validate(),
+            Err(ConfigError::DuplicateBackend("a:1".into()))
         );
+        let rejected = |c: RouterConfig| c.validate().unwrap_err();
         assert_eq!(
-            RouterConfig::builder()
-                .backends(vec!["a:1".into(), "b:2".into(), "a:1".into()])
-                .build()
-                .unwrap_err(),
-            ConfigError::DuplicateBackend("a:1".into())
-        );
-        assert_eq!(
-            RouterConfig::builder()
-                .backends(vec!["a:1".into()])
-                .virtual_nodes(0)
-                .build()
-                .unwrap_err(),
+            rejected(RouterConfig {
+                virtual_nodes: 0,
+                ..over(&["a:1"])
+            }),
             ConfigError::ZeroVirtualNodes
         );
         assert_eq!(
-            RouterConfig::builder()
-                .backends(vec!["a:1".into()])
-                .pool_per_backend(0)
-                .build()
-                .unwrap_err(),
+            rejected(RouterConfig {
+                pool_per_backend: 0,
+                ..over(&["a:1"])
+            }),
             ConfigError::ZeroPoolCap
         );
         assert_eq!(
-            RouterConfig::builder()
-                .backends(vec!["a:1".into()])
-                .breaker_threshold(0)
-                .build()
-                .unwrap_err(),
+            rejected(RouterConfig {
+                breaker_threshold: 0,
+                ..over(&["a:1"])
+            }),
             ConfigError::ZeroBreakerThreshold
         );
-        let c = RouterConfig::builder()
-            .backends(vec!["a:1".into(), "b:2".into()])
-            .virtual_nodes(16)
-            .pool_per_backend(2)
-            .build()
-            .unwrap();
-        assert_eq!(c.backends.len(), 2);
-        assert_eq!(c.virtual_nodes, 16);
+        let tuned = RouterConfig {
+            virtual_nodes: 16,
+            pool_per_backend: 2,
+            ..over(&["a:1", "b:2"])
+        };
+        assert_eq!(tuned.validate(), Ok(()));
     }
 }

@@ -526,11 +526,8 @@ impl Shared {
         // batch that tries to insert an old-generation result after this
         // point sees a length mismatch (checked under the cache lock) and
         // skips; anything inserted before is swept by the repair below.
-        let mut all_points = old_entry.points.clone();
-        all_points.extend_from_slice(points);
         let entry = Arc::new(DatasetEntry {
             name: old_entry.name.clone(),
-            points: all_points,
             index,
             suggested_eps: old_entry.suggested_eps,
         });
@@ -588,7 +585,7 @@ impl Shared {
             None => {
                 let mut inc =
                     IncrementalDbscan::new(DbscanParams::new(variant.eps, variant.minpts));
-                for &p in &entry.points {
+                for p in entry.index.caller_points() {
                     inc.insert(p);
                 }
                 let snapshot = inc.snapshot();
@@ -799,7 +796,6 @@ impl Shared {
             });
             self.registry.swap(Arc::new(DatasetEntry {
                 name: entry.name.clone(),
-                points: entry.points.clone(),
                 index: clean,
                 suggested_eps: entry.suggested_eps,
             }));
@@ -1051,13 +1047,10 @@ fn repair_cache(
     if !shared.cache_enabled {
         return RepairStats::default();
     }
-    let old_n = old_entry.points.len();
-    // The successor index's dynamic mirror answers ε-queries in caller
-    // id space, so "pre-append point" is simply `id < old_n`.
-    let dynamic = entry
-        .index
-        .dynamic()
-        .expect("append_to_prepared always materializes the dynamic mirror");
+    let old_n = old_entry.index.len();
+    // The previous generation's `T_low` holds exactly the pre-append
+    // points, so "touched" is a non-empty ε-query against it.
+    let old_tree = old_entry.index.t_low();
     let mut neighbors: Vec<vbp_geom::PointId> = Vec::new();
     let mut cache = shared.cache();
     cache.maintain_after_append(&entry.name, |variant, result| {
@@ -1068,8 +1061,8 @@ fn repair_cache(
         }
         for &p in appended {
             neighbors.clear();
-            dynamic.epsilon_neighbors(p, variant.eps, &mut neighbors);
-            if neighbors.iter().any(|&q| (q as usize) < old_n) {
+            old_tree.epsilon_neighbors(p, variant.eps, &mut neighbors);
+            if !neighbors.is_empty() {
                 return None; // ε-region touched: old labels may shift
             }
         }
@@ -1357,6 +1350,97 @@ mod tests {
             assert!(line.starts_with("vbp_"), "bad metric line {line:?}");
             assert_eq!(line.split(' ').count(), 2, "bad metric line {line:?}");
         }
+    }
+
+    /// An `n × n` clump at `(x, y)` with 0.25 spacing: one cluster at
+    /// the test variant `(0.5, 3)`.
+    fn clump(x: f64, y: f64, n: usize) -> Vec<Point2> {
+        (0..n * n)
+            .map(|i| Point2::new(x + (i % n) as f64 * 0.25, y + (i / n) as f64 * 0.25))
+            .collect()
+    }
+
+    /// The repair decision at its boundary, on the generation `shared`
+    /// currently holds for `"d"`: `anchor` is an already-appended point
+    /// with nothing else within 2 of it, `clusters` the dataset's
+    /// cluster count at the test variant. All coordinates are dyadic so
+    /// "exactly ε" is exact in `f64`.
+    fn check_repair_boundary(shared: &Shared, anchor: Point2, clusters: u32) {
+        let v = Variant::new(0.5, 3);
+        let old = shared.registry.get("d").unwrap();
+        let n = old.index.len();
+        let set = VariantSet::new(vec![v]);
+        let report = shared
+            .engine
+            .execute(&RunRequest::prepared(&old.index, &set))
+            .unwrap();
+        let current = Arc::clone(&report.results[0]);
+        assert_eq!(current.num_clusters() as u32, clusters);
+        let stale = ClusterResult::from_labels(Labels::from_raw(vec![NOISE_RAW; n - 1]));
+        shared.cache().insert("d", v, Arc::clone(&current));
+        shared
+            .cache()
+            .insert("d", Variant::new(0.25, 3), Arc::new(stale));
+
+        // Nearest old point at ε·(1 + 1e-9): the current-generation
+        // entry is repaired — old labels kept, the batch (one cluster of
+        // its own) spliced on at the next free cluster id — and the
+        // older-generation entry is dropped although nothing touched it.
+        let x = anchor.x + 0.5 * (1.0 + 1e-9);
+        let batch = [
+            Point2::new(x, anchor.y),
+            Point2::new(x + 0.125, anchor.y),
+            Point2::new(x + 0.25, anchor.y),
+        ];
+        let reply = shared.append("d", &batch).unwrap();
+        assert_eq!((reply.repaired, reply.dropped), (1, 1));
+        let entries = shared.cache().snapshot_entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].1, v);
+        let mut expected = old.index.labels_in_caller_order(&current);
+        expected.extend([clusters; 3]);
+        let next = shared.registry.get("d").unwrap();
+        assert_eq!(next.index.labels_in_caller_order(&entries[0].2), expected);
+
+        // Nearest old point at exactly ε (the anchor, and only it): the
+        // predicate is closed, so the entry is dropped.
+        let reply = shared
+            .append("d", &[Point2::new(anchor.x - 0.5, anchor.y)])
+            .unwrap();
+        assert_eq!((reply.repaired, reply.dropped), (0, 1));
+        assert!(shared.cache().snapshot_entries().is_empty());
+    }
+
+    #[test]
+    fn repair_decision_is_closed_at_eps_and_does_not_over_drop() {
+        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(8));
+        let config = ServiceConfig {
+            cache_bytes: 1 << 20,
+            ..ServiceConfig::default()
+        };
+        let mut base = clump(0.0, 0.0, 8);
+        base.extend(clump(20.0, 20.0, 8));
+        let tail = |s: &Shared| s.registry.get("d").unwrap().index.appended_since_sort();
+
+        // A maintained generation: the anchor sits in the old tree's
+        // unsorted tail.
+        let registry = Registry::new();
+        registry.register(&engine, "d", &base).unwrap();
+        let shared = Shared::new(engine.clone(), registry, &config, StoreBoot::default());
+        let anchor = Point2::new(50.0, 50.0);
+        shared.append("d", &[anchor]).unwrap();
+        assert_eq!(tail(&shared), 1);
+        check_repair_boundary(&shared, anchor, 2);
+
+        // A generation that went through a re-sort (a third clump, a
+        // third of the dataset) and then one more append.
+        let registry = Registry::new();
+        registry.register(&engine, "d", &base).unwrap();
+        let shared = Shared::new(engine, registry, &config, StoreBoot::default());
+        shared.append("d", &clump(30.0, 30.0, 8)).unwrap();
+        assert_eq!(tail(&shared), 0, "the third clump forces a re-sort");
+        shared.append("d", &[anchor]).unwrap();
+        check_repair_boundary(&shared, anchor, 3);
     }
 
     #[test]

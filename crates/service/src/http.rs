@@ -657,7 +657,7 @@ pub(crate) fn daemon_route(shared: &Shared, route: Route<'_>, body: &[u8]) -> Re
             )
         }
         Route::Dataset(name) => match shared.dataset(name) {
-            Ok(entry) => Response::json(wire::dataset_entry(name, entry.points.len(), None)),
+            Ok(entry) => Response::json(wire::dataset_entry(name, entry.index.len(), None)),
             Err(rejection) => Response::rejection(&rejection),
         },
         Route::Stats => Response::json(shared.stats_json()),

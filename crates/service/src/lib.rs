@@ -27,7 +27,7 @@
 //!   single engine runs seeded from the cache, streaming `APPEND`/`WATCH`,
 //!   and the one counter table ([`counters`]) behind `STATS`, `METRICS`
 //!   and the router's merged stats;
-//! - [`protocol`] + [`line`] / [`client`] — the line codec (requests,
+//! - [`protocol`] + [`mod@line`] / [`client`] — the line codec (requests,
 //!   replies, pushes ⇄ text), the server-side door, the blocking client;
 //! - [`wire`] + [`http`] — the JSON codec (bodies, replies, errors ⇄
 //!   JSON), the HTTP/1.1 front end (bounded framing with typed
@@ -49,10 +49,8 @@
 //!   of every prepared index and the surviving cache entries, written
 //!   on graceful drain and restored on boot without rebuilding
 //!   anything;
-//! - [`config`] — validated builders for [`ServiceConfig`] and
-//!   [`RouterConfig`] with typed [`ConfigError`]s;
-//! - [`workload`] — the cold-vs-warm throughput probe behind
-//!   `vbp bench-service`.
+//! - [`config`] — `validate()` for [`ServiceConfig`] and
+//!   [`RouterConfig`] with typed [`ConfigError`]s.
 //!
 //! Everything is plain `std` — the build environment is offline, so no
 //! async runtime, serialization crate, or protocol framework is used.
@@ -76,7 +74,6 @@ pub mod server;
 pub mod store;
 pub mod transport;
 pub mod wire;
-pub mod workload;
 
 pub use api::{
     parse_retry_after, AppendReply, DatasetService, Delta, ErrorCode, Health, SubmitReply,
@@ -84,7 +81,7 @@ pub use api::{
 };
 pub use cache::{result_bytes, CacheHit, CacheStats, DominanceCache, RepairStats};
 pub use client::{Client, ClientError};
-pub use config::{ConfigError, RouterConfigBuilder, ServiceConfigBuilder};
+pub use config::ConfigError;
 pub use daemon::{counters, Counter, Merge};
 pub use fault::{FaultPlan, FaultTransport, MemTransport, Step};
 pub use http::{HttpClient, HttpResponse};
@@ -100,4 +97,3 @@ pub use store::{
 };
 pub use transport::{LineEvent, LineIo, TcpTransport, Transport};
 pub use variantdbscan::json::{parse_json, JsonValue};
-pub use workload::{run_cold_warm_on, ColdWarmReport};

@@ -2,9 +2,9 @@
 //!
 //! The daemon's whole reason to stay resident is that index construction
 //! and `r` tuning are paid once per dataset, not once per request: each
-//! registered dataset keeps its points plus a [`PreparedIndex`] (the
-//! `T_low`/`T_high` pair of the paper's §IV-A) alive for the process
-//! lifetime. Requests then run through
+//! registered dataset keeps one [`PreparedIndex`] (the bin-sorted points
+//! under the `T_low`/`T_high` pair of the paper's §IV-A) alive for the
+//! process lifetime. Requests then run through
 //! [`Engine::execute`](variantdbscan::Engine::execute) with a
 //! [`RunRequest::prepared`](variantdbscan::RunRequest::prepared) over
 //! the stored handle.
@@ -31,9 +31,8 @@ const SUGGEST_MINPTS: usize = 4;
 pub struct DatasetEntry {
     /// Registry key (the catalog name it was loaded under).
     pub name: String,
-    /// The points, in caller order.
-    pub points: Vec<Point2>,
-    /// Prebuilt `T_low`/`T_high`, shared by every request.
+    /// The points under prebuilt `T_low`/`T_high`, shared by every
+    /// request; [`PreparedIndex::caller_points`] derives caller order.
     pub index: PreparedIndex,
     /// k-dist-estimated representative ε (fed to the auto-tuner and
     /// reported by `DATASETS`).
@@ -65,22 +64,20 @@ impl Registry {
     pub fn load(&self, engine: &Engine, name: &str) -> Result<(), String> {
         let spec = DatasetSpec::by_name(name)
             .ok_or_else(|| format!("unknown dataset '{name}' (try `vbp datasets`)"))?;
-        let points = spec.generate();
-        self.register(engine, name, points)
+        self.register(engine, name, &spec.generate())
     }
 
     /// Registers an arbitrary point set under `name`, prebuilding its
     /// indexes. A representative ε is estimated from the k-dist plot so
     /// [`RChoice::Auto`](variantdbscan::RChoice) tunes against realistic
     /// query radii even before the first request arrives.
-    pub fn register(&self, engine: &Engine, name: &str, points: Vec<Point2>) -> Result<(), String> {
-        let suggested_eps = representative_eps(&points);
+    pub fn register(&self, engine: &Engine, name: &str, points: &[Point2]) -> Result<(), String> {
+        let suggested_eps = representative_eps(points);
         let index = engine
-            .prepare(&points, suggested_eps)
+            .prepare(points, suggested_eps)
             .map_err(|e| format!("dataset '{name}': {e}"))?;
         self.swap(Arc::new(DatasetEntry {
             name: name.to_string(),
-            points,
             index,
             suggested_eps,
         }));
@@ -122,7 +119,7 @@ impl Registry {
             .read()
             .expect("registry lock poisoned")
             .iter()
-            .map(|(k, v)| (k.clone(), v.points.len()))
+            .map(|(k, v)| (k.clone(), v.index.len()))
             .collect()
     }
 
@@ -160,7 +157,6 @@ mod tests {
         let reg = Registry::new();
         reg.load(&engine, "cF_10k_5N@500").unwrap();
         let entry = reg.get("cF_10k_5N@500").unwrap();
-        assert_eq!(entry.points.len(), 500);
         assert_eq!(entry.index.len(), 500);
         assert!(entry.suggested_eps.is_some());
         assert_eq!(reg.list(), vec![("cF_10k_5N@500".to_string(), 500)]);
@@ -173,27 +169,22 @@ mod tests {
         reg.register(
             &engine,
             "s",
-            vec![Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)],
+            &[Point2::new(0.0, 0.0), Point2::new(1.0, 1.0)],
         )
         .unwrap();
         let before = reg.get("s").unwrap();
-        let mut points = before.points.clone();
-        points.push(Point2::new(2.0, 2.0));
         let (index, _) = engine
-            .append_to_prepared(&before.index, &points[2..])
+            .append_to_prepared(&before.index, &[Point2::new(2.0, 2.0)])
             .unwrap();
         reg.swap(Arc::new(DatasetEntry {
             name: "s".into(),
-            points,
             index,
             suggested_eps: before.suggested_eps,
         }));
         // The old snapshot is untouched — in-flight batches holding it
-        // keep clustering against a consistent (points, index) pair.
-        assert_eq!(before.points.len(), 2);
+        // keep clustering against the generation they resolved.
         assert_eq!(before.index.len(), 2);
         let after = reg.get("s").unwrap();
-        assert_eq!(after.points.len(), 3);
         assert_eq!(after.index.len(), 3);
         assert_eq!(reg.list(), vec![("s".to_string(), 3)]);
     }

@@ -83,9 +83,9 @@ pub struct HashRing {
 impl HashRing {
     /// Builds the ring: `virtual_nodes` points per backend, placed at
     /// `fnv1a64("{addr}#{replica}")`. Callers guarantee a non-empty,
-    /// duplicate-free backend list and `virtual_nodes >= 1` (the
-    /// [`RouterConfigBuilder`](crate::config::RouterConfigBuilder)
-    /// enforces both).
+    /// duplicate-free backend list and `virtual_nodes >= 1`
+    /// ([`RouterConfig::validate`](crate::router::RouterConfig::validate)
+    /// checks both).
     pub fn new(backends: &[String], virtual_nodes: usize) -> HashRing {
         assert!(!backends.is_empty(), "ring needs at least one backend");
         assert!(virtual_nodes >= 1, "ring needs at least one vnode");

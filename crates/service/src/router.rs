@@ -76,8 +76,7 @@ use crate::ring::HashRing;
 use crate::transport::{join_handlers, spawn_accept_loop, Handlers, Transport};
 use crate::wire;
 
-/// Router configuration; build one with
-/// [`RouterConfig::builder`](crate::config::RouterConfigBuilder).
+/// Router configuration; check one with [`RouterConfig::validate`].
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address of the router's HTTP door; port 0 for ephemeral.

@@ -342,7 +342,7 @@ impl ServerHandle {
     /// copy-on-write snapshot), or `None` when unknown.
     pub fn dataset_points(&self, name: &str) -> Option<Vec<Point2>> {
         let entry = self.doors.shared.registry().get(name)?;
-        Some(entry.points.clone())
+        Some(entry.index.caller_points())
     }
 }
 

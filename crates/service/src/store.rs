@@ -99,7 +99,6 @@ pub fn restore_dataset(path: &Path) -> Result<RestoredDataset, StoreError> {
         .map_err(|e| StoreError::Io(e.to_string()))?;
     let snapshot = DatasetSnapshot::decode(&bytes)?;
     let index = PreparedIndex::from_snapshot(snapshot.index)?;
-    let points = index.caller_points();
     let mut cache = Vec::with_capacity(snapshot.cache.len());
     for rec in &snapshot.cache {
         if rec.labels.len() != index.len() {
@@ -122,7 +121,6 @@ pub fn restore_dataset(path: &Path) -> Result<RestoredDataset, StoreError> {
     Ok(RestoredDataset {
         entry: DatasetEntry {
             name: snapshot.meta.name,
-            points,
             index,
             suggested_eps: snapshot.meta.suggested_eps,
         },

@@ -205,14 +205,13 @@ fn run_router_schedule(seed: u64) {
         .iter()
         .map(|b| b.http_addr().unwrap().to_string())
         .collect();
-    let mut router = Router::start(
-        RouterConfig::builder()
-            .backends(addrs.clone())
-            .breaker_cooldown(Duration::from_millis(200))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
+    let config = RouterConfig {
+        backends: addrs.clone(),
+        breaker_cooldown: Duration::from_millis(200),
+        ..RouterConfig::default()
+    };
+    config.validate().unwrap();
+    let mut router = Router::start(config).unwrap();
     let mut http = HttpClient::connect(router.http_addr()).unwrap();
     http.set_timeout(Some(Duration::from_secs(60))).unwrap();
 

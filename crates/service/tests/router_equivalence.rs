@@ -59,10 +59,11 @@ fn router_over(backends: &[&ServerHandle]) -> RouterHandle {
         .iter()
         .map(|b| b.http_addr().expect("backend http door").to_string())
         .collect();
-    let config = RouterConfig::builder()
-        .backends(addrs)
-        .build()
-        .expect("valid router config");
+    let config = RouterConfig {
+        backends: addrs,
+        ..RouterConfig::default()
+    };
+    config.validate().expect("valid router config");
     Router::start(config).expect("router binds")
 }
 

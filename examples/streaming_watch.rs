@@ -40,7 +40,7 @@ fn main() {
     let engine = Engine::new(EngineConfig::default().with_threads(4));
     let registry = Registry::new();
     registry
-        .register(&engine, DATASET, stream[..warmup].to_vec())
+        .register(&engine, DATASET, &stream[..warmup])
         .expect("register initial map");
     let mut handle = Server::start(
         engine,

@@ -60,7 +60,7 @@ fn main() {
     let engine = Engine::new(EngineConfig::default().with_threads(4));
     let registry = Registry::new();
     registry
-        .register(&engine, DATASET, by_minute[0].clone())
+        .register(&engine, DATASET, &by_minute[0])
         .expect("register first minute");
     let mut handle = Server::start(
         engine,

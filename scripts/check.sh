@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --fast       # skip the release build and the benchmark stage
+#   scripts/check.sh --fast       # skip the release build, the rustdoc stage and the benchmark stage
 #   CHECK_FULL=1 scripts/check.sh # + release conformance stages and the extended chaos sweeps
 
 set -euo pipefail
@@ -24,6 +24,9 @@ echo "==> cargo test --workspace -q"
 timeout 1800 cargo test --workspace -q
 
 if [[ $fast -eq 0 ]]; then
+  echo "==> cargo doc (broken intra-doc links are errors)"
+  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
   echo "==> benchmark package (its unit tests, then every workload at a tenth of the window)"
   timeout 900 cargo test -q --manifest-path benchmark/Cargo.toml
   timeout 600 benchmark/run.sh --quick

@@ -47,7 +47,7 @@ impl Fleet {
         let points = DatasetSpec::by_name(SOURCE).unwrap().generate();
         let registry = Registry::new();
         for name in COPIES {
-            registry.register(&engine, name, points.clone()).unwrap();
+            registry.register(&engine, name, &points).unwrap();
         }
         let daemon = Server::start(
             engine,
@@ -58,13 +58,12 @@ impl Fleet {
             },
         )
         .unwrap();
-        let router = Router::start(
-            RouterConfig::builder()
-                .backends(vec![daemon.http_addr().unwrap().to_string()])
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let routing = RouterConfig {
+            backends: vec![daemon.http_addr().unwrap().to_string()],
+            ..RouterConfig::default()
+        };
+        routing.validate().unwrap();
+        let router = Router::start(routing).unwrap();
         Fleet {
             daemon,
             router,
