@@ -14,11 +14,9 @@
 //! 10 000) and `--full` (paper-scale datasets — hours on laptop-class
 //! hardware), plus `--trials <k>` (default 3, the paper's trial count).
 //!
-//! Criterion microbenchmarks live in `benches/`: index/query performance,
-//! DBSCAN throughput, three ablation studies (index structure, reuse
-//! scheme × noise, scheduler × thread count) and the related-work
-//! comparison. Timing of the engine under contention, the service, the
-//! store, the tracer and the sharded kernel is `benchmark/`, not here.
+//! Timing of anything else — the ε-kernel, one-variant DBSCAN, the engine
+//! under contention, the service, the store, the tracer and the sharded
+//! kernel — is `benchmark/`, not here.
 
 pub mod harness;
 pub mod scenarios;

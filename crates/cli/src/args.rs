@@ -82,14 +82,66 @@ impl Args {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Comma-separated `f64` list flag.
-    pub fn f64_list(&self, name: &str) -> Result<Vec<f64>, String> {
-        parse_list(self.require(name)?, name)
+    // The numeric flags below reach library constructors that assert their
+    // preconditions (`DbscanParams::new`, `Variant::new`,
+    // `PackedRTree::build`, `kdist_plot`, `tune_r`, `simulate_with`); a
+    // value from the command line is checked here, once, so that it is an
+    // `error:` line and exit 1 rather than a panic.
+
+    /// Required `--eps E`: finite and ≥ 0.
+    pub fn eps(&self) -> Result<f64, String> {
+        let eps = self
+            .require("eps")?
+            .parse()
+            .map_err(|_| "--eps: not a number".to_string())?;
+        check_eps(eps)
     }
 
-    /// Comma-separated `usize` list flag.
-    pub fn usize_list(&self, name: &str) -> Result<Vec<usize>, String> {
-        parse_list(self.require(name)?, name)
+    /// Required `--eps E1,E2,…`: every ε finite and ≥ 0.
+    pub fn eps_list(&self) -> Result<Vec<f64>, String> {
+        parse_list(self.require("eps")?, "eps")?
+            .into_iter()
+            .map(check_eps)
+            .collect()
+    }
+
+    /// `--minpts M` (default 4): ≥ 1.
+    pub fn minpts(&self) -> Result<usize, String> {
+        at_least_one("minpts", self.num("minpts", 4)?)
+    }
+
+    /// Required `--minpts M1,M2,…`: every minpts ≥ 1.
+    pub fn minpts_list(&self) -> Result<Vec<usize>, String> {
+        parse_list(self.require("minpts")?, "minpts")?
+            .into_iter()
+            .map(|m| at_least_one("minpts", m))
+            .collect()
+    }
+
+    /// `--r R` (default 80, the middle of the paper's good range): ≥ 1.
+    pub fn r(&self) -> Result<usize, String> {
+        at_least_one("r", self.num("r", 80)?)
+    }
+
+    /// `--threads T`: ≥ 1.
+    pub fn threads(&self, default: usize) -> Result<usize, String> {
+        at_least_one("threads", self.num("threads", default)?)
+    }
+}
+
+fn check_eps(eps: f64) -> Result<f64, String> {
+    if eps.is_finite() && eps >= 0.0 {
+        Ok(eps)
+    } else {
+        Err("--eps: must be finite and ≥ 0".into())
+    }
+}
+
+fn at_least_one(name: &str, value: usize) -> Result<usize, String> {
+    if value >= 1 {
+        Ok(value)
+    } else {
+        Err(format!("--{name}: must be ≥ 1"))
     }
 }
 
@@ -123,8 +175,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.command, "sweep");
-        assert_eq!(a.f64_list("eps").unwrap(), vec![0.2, 0.4]);
-        assert_eq!(a.usize_list("minpts").unwrap(), vec![4]);
+        assert_eq!(a.eps_list().unwrap(), vec![0.2, 0.4]);
+        assert_eq!(a.minpts_list().unwrap(), vec![4]);
         assert!(a.has("full"));
         assert!(!a.has("out"));
     }
@@ -165,8 +217,8 @@ mod tests {
     #[test]
     fn list_parsing_edge_cases() {
         let a = Args::parse(&raw(&["x", "--eps", " 0.1 , 0.2 "]), &SPEC).unwrap();
-        assert_eq!(a.f64_list("eps").unwrap(), vec![0.1, 0.2]);
+        assert_eq!(a.eps_list().unwrap(), vec![0.1, 0.2]);
         let bad = Args::parse(&raw(&["x", "--eps", "0.1,,0.2"]), &SPEC).unwrap();
-        assert!(bad.f64_list("eps").is_err());
+        assert!(bad.eps_list().is_err());
     }
 }

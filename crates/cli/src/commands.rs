@@ -81,7 +81,7 @@ pub fn info(args: &Args) -> Result<String, String> {
         );
     }
     if !points.is_empty() {
-        let minpts = args.num("minpts", 4usize)?;
+        let minpts = args.minpts()?;
         let (tree, _) = PackedRTree::build(&points, 80);
         let stride = (points.len() / 2_000).max(1);
         if let Some(eps) = suggest_eps(&tree, minpts, stride) {
@@ -98,12 +98,9 @@ pub fn info(args: &Args) -> Result<String, String> {
 /// `vbp cluster --eps E --minpts M` — one DBSCAN run.
 pub fn cluster(args: &Args) -> Result<String, String> {
     let (name, points) = load_points(args)?;
-    let eps: f64 = args
-        .require("eps")?
-        .parse()
-        .map_err(|_| "--eps: not a number".to_string())?;
-    let minpts = args.num("minpts", 4usize)?;
-    let r = args.num("r", 80usize)?;
+    let eps = args.eps()?;
+    let minpts = args.minpts()?;
+    let r = args.r()?;
     let (tree, perm) = PackedRTree::build(&points, r);
     let t0 = std::time::Instant::now();
     let result = dbscan(&tree, DbscanParams::new(eps, minpts));
@@ -144,8 +141,8 @@ pub fn cluster(args: &Args) -> Result<String, String> {
 /// `vbp sweep --eps E1,E2 --minpts M1,M2 …` — a VariantDBSCAN run.
 pub fn sweep(args: &Args) -> Result<String, String> {
     let (name, points) = load_points(args)?;
-    let eps = args.f64_list("eps")?;
-    let minpts = args.usize_list("minpts")?;
+    let eps = args.eps_list()?;
+    let minpts = args.minpts_list()?;
     let variants = VariantSet::cartesian(&eps, &minpts);
     let config = engine_config(args)?;
     let engine = Engine::new(config);
@@ -227,8 +224,8 @@ pub fn sweep(args: &Args) -> Result<String, String> {
 /// embedded) as one JSON line.
 pub fn trace(args: &Args) -> Result<String, String> {
     let (name, points) = load_points(args)?;
-    let eps = args.f64_list("eps")?;
-    let minpts = args.usize_list("minpts")?;
+    let eps = args.eps_list()?;
+    let minpts = args.minpts_list()?;
     let variants = VariantSet::cartesian(&eps, &minpts);
     let config = engine_config(args)?;
     let engine = Engine::new(config);
@@ -290,9 +287,9 @@ pub fn metrics_cmd(args: &Args) -> Result<String, String> {
 /// `vbp simulate --eps … --minpts … --threads T` — analytic scheduling
 /// study (no clustering).
 pub fn simulate_cmd(args: &Args) -> Result<String, String> {
-    let eps = args.f64_list("eps")?;
-    let minpts = args.usize_list("minpts")?;
-    let threads = args.num("threads", 16usize)?;
+    let eps = args.eps_list()?;
+    let minpts = args.minpts_list()?;
+    let threads = args.threads(16)?;
     let variants = VariantSet::cartesian(&eps, &minpts);
     let model = SimCostModel::default();
 
@@ -327,7 +324,7 @@ pub fn suggest(args: &Args) -> Result<String, String> {
     if points.is_empty() {
         return Err("dataset is empty".into());
     }
-    let minpts = args.num("minpts", 4usize)?;
+    let minpts = args.minpts()?;
     let (tree, _) = PackedRTree::build(&points, 80);
     let stride = (points.len() / 2_000).max(1);
     let eps = suggest_eps(&tree, minpts, stride)
@@ -369,10 +366,7 @@ pub fn suggest(args: &Args) -> Result<String, String> {
 /// `vbp tune --eps E` — empirical `r` sweep (§V-C's procedure).
 pub fn tune(args: &Args) -> Result<String, String> {
     let (name, points) = load_points(args)?;
-    let eps: f64 = args
-        .require("eps")?
-        .parse()
-        .map_err(|_| "--eps: not a number".to_string())?;
+    let eps = args.eps()?;
     let report = vbp_rtree::tune_r_default(&points, eps);
     let mut s = String::new();
     let _ = writeln!(s, "{name}: ε-query timings by r (ε = {eps}):");
@@ -654,11 +648,8 @@ fn store_verify(dir: &std::path::Path) -> Result<String, String> {
 /// [--labels]` — send one variant request to a running daemon.
 pub fn submit(args: &Args) -> Result<String, String> {
     let dataset = args.require("dataset")?;
-    let eps: f64 = args
-        .require("eps")?
-        .parse()
-        .map_err(|_| "--eps: not a number".to_string())?;
-    let minpts = args.num("minpts", 4usize)?;
+    let eps = args.eps()?;
+    let minpts = args.minpts()?;
     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
     let mut client = vbp_service::Client::connect(addr).map_err(|e| e.to_string())?;
     let reply = client
@@ -728,11 +719,8 @@ pub fn append(args: &Args) -> Result<String, String> {
 /// per append batch; exits after N deltas (0 = until the daemon drains).
 pub fn watch(args: &Args) -> Result<String, String> {
     let dataset = args.require("dataset")?;
-    let eps: f64 = args
-        .require("eps")?
-        .parse()
-        .map_err(|_| "--eps: not a number".to_string())?;
-    let minpts = args.num("minpts", 4usize)?;
+    let eps = args.eps()?;
+    let minpts = args.minpts()?;
     let count = args.num("count", 0usize)?;
     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
     let mut client = vbp_service::Client::connect(addr).map_err(|e| e.to_string())?;
@@ -796,13 +784,12 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
         }
     };
     let config = EngineConfig::default()
-        .with_threads(args.num("threads", 4usize)?.max(1))
+        .with_threads(args.threads(4)?)
         .with_scheduler(scheduler)
         .with_reuse(reuse);
     let config = match args.get("r") {
         Some("auto") => config.with_auto_r(),
-        Some(_) => config.with_r(args.num("r", 80usize)?.max(1)),
-        None => config.with_r(80),
+        _ => config.with_r(args.r()?),
     };
     Ok(config)
 }

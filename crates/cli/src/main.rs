@@ -40,7 +40,7 @@ const SPEC: Spec = Spec {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() || raw[0] == "help" || raw[0] == "--help" || raw[0] == "-h" {
+    if raw.is_empty() || raw[0] == "help" || raw.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", commands::usage());
         return;
     }

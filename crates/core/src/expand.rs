@@ -30,8 +30,8 @@ use crate::trace::{TraceEvent, WorkerTracer};
 use crate::variant::Variant;
 
 /// Instrumentation of one reuse run — the quantities Figures 5–7 of the
-/// paper plot (fraction of points reused) plus search counters that the
-/// ablation benches use to explain *why* reuse wins.
+/// paper plot (fraction of points reused) plus search counters that
+/// explain *why* reuse wins.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReuseStats {
     /// Points copied wholesale from reused clusters.

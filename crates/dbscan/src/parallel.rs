@@ -6,7 +6,8 @@
 //! one clustering. Implementing it makes the comparison the paper argues
 //! from concrete: for a single variant the disjoint-set algorithm
 //! scales, but it cannot share any work between variants, so on a variant
-//! sweep the reuse-based engine wins (see `benches/related_work.rs`).
+//! sweep the reuse-based engine wins (`benchmark/` times both: one variant
+//! as `scratch_cf`'s `dbscan.parallel_s`, the sweep as `sweep_sw`).
 //!
 //! The algorithm — a core pass, a union pass over a lock-free disjoint-set
 //! structure with atomic-min border claims, and a label pass — is the

@@ -174,22 +174,6 @@ proptest! {
     }
 
     #[test]
-    fn external_indices_agree_with_quality_on_identity(
-        points in arb_cloud(),
-        eps in 0.05f64..2.0,
-        minpts in 1usize..6,
-    ) {
-        // Identical clusterings: all three metrics pin to 1.
-        let idx = BruteForce::new(shared_points(points.clone()));
-        let a = dbscan(&idx, DbscanParams::new(eps, minpts));
-        prop_assert_eq!(quality_score(&a, &a.clone()).mean_score, 1.0);
-        prop_assert!((vbp_dbscan::adjusted_rand_index(&a, &a.clone()) - 1.0).abs() < 1e-12);
-        prop_assert!(
-            (vbp_dbscan::normalized_mutual_information(&a, &a.clone()) - 1.0).abs() < 1e-9
-        );
-    }
-
-    #[test]
     fn monotonicity_more_eps_less_noise(
         points in arb_cloud(),
         eps in 0.05f64..1.5,

@@ -1,10 +1,8 @@
-//! Distance metrics.
+//! Euclidean distance.
 //!
 //! DBSCAN's definition (§II-B of the paper) allows an arbitrary distance
-//! function `dist(p, q)`; the evaluation uses Euclidean distance. The
-//! enum here lets the clustering substrate be exercised with other metrics
-//! (Manhattan, Chebyshev) while the R-tree's rectangle-based pruning stays
-//! conservative for all of them.
+//! function `dist(p, q)`; the evaluation, and every index and kernel in
+//! this workspace, uses Euclidean distance.
 
 use crate::point::Point2;
 
@@ -21,84 +19,6 @@ pub fn dist(a: &Point2, b: &Point2) -> f64 {
     a.dist(b)
 }
 
-/// Mean Earth radius in kilometers (IUGG), for [`haversine_km`].
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
-
-/// Great-circle distance in kilometers between two `(longitude, latitude)`
-/// points in degrees.
-///
-/// The paper clusters TEC maps in raw degree coordinates (planar
-/// Euclidean on lon/lat), which distorts east–west distances away from
-/// the equator. This helper supports the physically-correct alternative
-/// for consumers who want kilometers; note that the rectangle-based
-/// indexes remain valid for it only within windows where the metric is
-/// monotone in coordinate differences (true for the continental windows
-/// the TEC maps use).
-pub fn haversine_km(a: &Point2, b: &Point2) -> f64 {
-    let (lon1, lat1) = (a.x.to_radians(), a.y.to_radians());
-    let (lon2, lat2) = (b.x.to_radians(), b.y.to_radians());
-    let dlat = lat2 - lat1;
-    let dlon = lon2 - lon1;
-    let h = (dlat * 0.5).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon * 0.5).sin().powi(2);
-    2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
-}
-
-/// A pluggable distance metric.
-///
-/// `within(a, b, eps)` must be equivalent to `distance(a, b) <= eps` but is
-/// allowed to avoid the `sqrt` (the Euclidean implementation compares
-/// squared values).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DistanceMetric {
-    /// Straight-line distance; the paper's choice.
-    #[default]
-    Euclidean,
-    /// L1 distance `|dx| + |dy|`.
-    Manhattan,
-    /// L∞ distance `max(|dx|, |dy|)`. With this metric an ε-neighborhood
-    /// is exactly the query MBB, so the filter step never rejects.
-    Chebyshev,
-    /// Great-circle distance in kilometers over `(longitude, latitude)`
-    /// degree coordinates — see [`haversine_km`].
-    HaversineKm,
-}
-
-impl DistanceMetric {
-    /// Distance between `a` and `b` under this metric.
-    #[inline]
-    pub fn distance(&self, a: &Point2, b: &Point2) -> f64 {
-        match self {
-            DistanceMetric::Euclidean => a.dist(b),
-            DistanceMetric::Manhattan => (a.x - b.x).abs() + (a.y - b.y).abs(),
-            DistanceMetric::Chebyshev => (a.x - b.x).abs().max((a.y - b.y).abs()),
-            DistanceMetric::HaversineKm => haversine_km(a, b),
-        }
-    }
-
-    /// Inclusive ε test, `distance(a, b) ≤ eps`, without a `sqrt` where
-    /// possible.
-    #[inline(always)]
-    pub fn within(&self, a: &Point2, b: &Point2, eps: f64) -> bool {
-        match self {
-            DistanceMetric::Euclidean => a.dist_sq(b) <= eps * eps,
-            _ => self.distance(a, b) <= eps,
-        }
-    }
-
-    /// Returns `true` if every point within `eps` of `p` under this metric
-    /// is contained in the MBB `around_point(p, eps)` built in the *same
-    /// units as the coordinates*. True for the planar metrics (the L2 and
-    /// L1 balls are subsets of the L∞ ball) and relied upon by the
-    /// R-tree filter-and-refine query. False for [`Self::HaversineKm`],
-    /// whose ε is in kilometers: callers must first convert the radius to
-    /// a conservative degree window (÷ ~111 km per degree of latitude,
-    /// wider for longitude away from the equator).
-    #[inline]
-    pub const fn mbb_is_conservative(&self) -> bool {
-        !matches!(self, DistanceMetric::HaversineKm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,78 +28,7 @@ mod tests {
 
     #[test]
     fn euclidean_matches_point_methods() {
-        assert_eq!(DistanceMetric::Euclidean.distance(&A, &B), 5.0);
         assert_eq!(dist(&A, &B), 5.0);
         assert_eq!(dist_sq(&A, &B), 25.0);
-    }
-
-    #[test]
-    fn manhattan() {
-        assert_eq!(DistanceMetric::Manhattan.distance(&A, &B), 7.0);
-        assert!(DistanceMetric::Manhattan.within(&A, &B, 7.0));
-        assert!(!DistanceMetric::Manhattan.within(&A, &B, 6.99));
-    }
-
-    #[test]
-    fn chebyshev() {
-        assert_eq!(DistanceMetric::Chebyshev.distance(&A, &B), 4.0);
-        assert!(DistanceMetric::Chebyshev.within(&A, &B, 4.0));
-        assert!(!DistanceMetric::Chebyshev.within(&A, &B, 3.5));
-    }
-
-    #[test]
-    fn within_is_inclusive_for_all_metrics() {
-        for m in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-            DistanceMetric::HaversineKm,
-        ] {
-            let d = m.distance(&A, &B);
-            assert!(m.within(&A, &B, d), "{m:?} must include the boundary");
-        }
-    }
-
-    #[test]
-    fn haversine_known_values() {
-        // One degree of longitude along the equator ≈ 111.19 km.
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(1.0, 0.0);
-        let d = haversine_km(&a, &b);
-        assert!((d - 111.19).abs() < 0.1, "equator degree: {d}");
-        // The same longitude step at 60°N is half as long.
-        let c = Point2::new(0.0, 60.0);
-        let e = Point2::new(1.0, 60.0);
-        let d60 = haversine_km(&c, &e);
-        assert!((d60 - 55.6).abs() < 0.3, "60°N degree: {d60}");
-        // Symmetry and identity.
-        assert_eq!(haversine_km(&a, &b), haversine_km(&b, &a));
-        assert_eq!(haversine_km(&a, &a), 0.0);
-        // Antipodal points: half the Earth's circumference.
-        let north = Point2::new(0.0, 90.0);
-        let south = Point2::new(0.0, -90.0);
-        let half = std::f64::consts::PI * EARTH_RADIUS_KM;
-        assert!((haversine_km(&north, &south) - half).abs() < 1.0);
-    }
-
-    #[test]
-    fn haversine_mbb_is_not_degree_conservative() {
-        assert!(!DistanceMetric::HaversineKm.mbb_is_conservative());
-        assert!(DistanceMetric::Euclidean.mbb_is_conservative());
-    }
-
-    #[test]
-    fn metric_ordering_l2_between_linf_and_l1() {
-        // For any pair: Chebyshev ≤ Euclidean ≤ Manhattan.
-        let pairs = [
-            (Point2::new(0.0, 0.0), Point2::new(1.0, 2.0)),
-            (Point2::new(-3.0, 5.0), Point2::new(2.0, 2.0)),
-        ];
-        for (a, b) in pairs {
-            let linf = DistanceMetric::Chebyshev.distance(&a, &b);
-            let l2 = DistanceMetric::Euclidean.distance(&a, &b);
-            let l1 = DistanceMetric::Manhattan.distance(&a, &b);
-            assert!(linf <= l2 && l2 <= l1);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometric primitives.
 
 use proptest::prelude::*;
-use vbp_geom::{bin_sort, BinOrder, DistanceMetric, Mbb, Point2};
+use vbp_geom::{bin_sort, BinOrder, Mbb, Point2};
 
 fn arb_point() -> impl Strategy<Value = Point2> {
     (-1000.0f64..1000.0, -1000.0f64..1000.0).prop_map(|(x, y)| Point2::new(x, y))
@@ -21,30 +21,6 @@ proptest! {
     fn triangle_inequality(a in arb_point(), b in arb_point(), c in arb_point()) {
         // Allow for floating-point slop proportional to the magnitudes.
         prop_assert!(a.dist(&c) <= a.dist(&b) + b.dist(&c) + 1e-9);
-    }
-
-    #[test]
-    fn metrics_are_nonnegative_and_identical_points_are_zero(
-        a in arb_point(),
-        b in arb_point(),
-    ) {
-        for m in [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev] {
-            prop_assert!(m.distance(&a, &b) >= 0.0);
-            prop_assert_eq!(m.distance(&a, &a), 0.0);
-        }
-    }
-
-    #[test]
-    fn within_agrees_with_distance(a in arb_point(), b in arb_point(), eps in 0.0f64..2000.0) {
-        for m in [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev] {
-            let d = m.distance(&a, &b);
-            // Exactly-at-boundary cases can flip either way under fp
-            // rounding between d ≤ eps and the sqrt-free form; skip the
-            // knife's edge.
-            if (d - eps).abs() > 1e-9 {
-                prop_assert_eq!(m.within(&a, &b, eps), d <= eps);
-            }
-        }
     }
 
     #[test]

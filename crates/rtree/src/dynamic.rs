@@ -3,9 +3,8 @@
 //! The paper cites Guttman's R-tree as the index DBSCAN historically
 //! assumed; VariantDBSCAN replaces it with the static packed tree because
 //! the point database never changes during a run. This implementation
-//! exists (a) as the dynamically-updatable option for streaming scenarios,
-//! and (b) as the third contender in the index ablation bench, quantifying
-//! how much the bulk-loaded trees gain from their tighter leaves.
+//! exists as the dynamically-updatable option for streaming scenarios: it
+//! is the index under `vbp_dbscan`'s `IncrementalDbscan`.
 //!
 //! Nodes live in an arena (`Vec<Node>`); children are arena ids, which
 //! keeps the structure `Send + Sync` without `unsafe` or `Rc`.

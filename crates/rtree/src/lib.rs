@@ -16,38 +16,30 @@
 //!   internal levels are packed bottom-up. Used as both `T_low`
 //!   (`r = r_tuned`, drives Algorithm 2's `NeighborSearch`) and `T_high`
 //!   (`r = 1`, drives cluster-MBB candidate harvesting in Algorithm 3).
-//! - [`StrRTree`] — a Sort-Tile-Recursive bulk-loaded alternative, used in
-//!   the index ablation benches.
 //! - [`DynamicRTree`] — a classic Guttman insertion R-tree with quadratic
-//!   split, the structure the original DBSCAN paper assumed.
-//! - [`GridIndex`] — a uniform-grid baseline.
-//! - [`BruteForce`] — the no-index reference used by tests and by the
-//!   paper-style reference implementation.
+//!   split, the structure the original DBSCAN paper assumed; it is the
+//!   index under `vbp_dbscan`'s `IncrementalDbscan`.
+//! - [`BruteForce`] — the no-index reference the test suites hold the
+//!   trees to.
 //!
-//! All of them implement [`SpatialIndex`], the query interface DBSCAN and
-//! VariantDBSCAN are generic over.
+//! All three implement [`SpatialIndex`], the query interface DBSCAN and
+//! VariantDBSCAN are generic over. On the packed tree there are also
+//! [`knn`] (k-nearest-neighbor search, behind the k-distance ε heuristic)
+//! and [`tuner`] (the empirical `r` sweep the engine's auto-`r` runs).
 
 #![warn(missing_docs)]
 
 pub mod brute;
 pub mod dynamic;
-pub mod grid;
-pub mod hilbert;
 pub mod knn;
 pub mod packed;
 pub mod stats;
-pub mod str_bulk;
-pub mod ti;
 pub mod traits;
 pub mod tuner;
 
 pub use brute::BruteForce;
 pub use dynamic::DynamicRTree;
-pub use grid::GridIndex;
-pub use hilbert::HilbertRTree;
 pub use packed::PackedRTree;
 pub use stats::TreeStats;
-pub use str_bulk::StrRTree;
-pub use ti::TiIndex;
 pub use traits::{shared_points, SharedPoints, SpatialIndex};
 pub use tuner::{tune_r, tune_r_default, tune_r_sampled, TuneReport, DEFAULT_R_CANDIDATES};

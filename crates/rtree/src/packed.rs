@@ -48,8 +48,8 @@ pub struct PackedRTree {
 
 impl PackedRTree {
     /// Builds a tree over `points`, which the caller guarantees are already
-    /// in packing order (e.g. the output of [`vbp_geom::bin_sort`], or an
-    /// STR tiling). Leaf `j` takes points `[j·r, (j+1)·r)`.
+    /// in packing order (e.g. the output of [`vbp_geom::bin_sort`]). Leaf
+    /// `j` takes points `[j·r, (j+1)·r)`.
     ///
     /// # Panics
     ///
@@ -275,7 +275,7 @@ impl PackedRTree {
     ///
     /// Semantically identical to [`SpatialIndex::epsilon_neighbors`] (the
     /// conformance suite pins this); kept as the naive baseline the SoA
-    /// kernel is differentially checked — and benchmarked — against.
+    /// kernel is differentially checked against.
     pub fn epsilon_neighbors_naive(&self, center: Point2, eps: f64, out: &mut Vec<PointId>) {
         let start = out.len();
         let query = Mbb::around_point(center, eps);
@@ -292,7 +292,7 @@ impl PackedRTree {
         out.truncate(write);
     }
 
-    /// Structural statistics, for the index ablation benches and for
+    /// Structural statistics (`vbp info` prints them), for
     /// sanity-checking `r` sweeps.
     pub fn stats(&self) -> TreeStats {
         let leaf_mbbs = self.levels.first().map(Vec::as_slice).unwrap_or(&[]);

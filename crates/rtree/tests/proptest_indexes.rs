@@ -2,17 +2,15 @@
 //!
 //! This is the load-bearing correctness argument for the whole repository:
 //! DBSCAN and VariantDBSCAN are only as correct as their ε-neighborhood
-//! oracle, so each index (packed tree across many `r`, STR, dynamic, grid)
-//! is checked against a linear scan on random point clouds, random query
+//! oracle, so each index (packed tree across many `r`, dynamic) is
+//! checked against a linear scan on random point clouds, random query
 //! centers, and random radii — including duplicate points and degenerate
 //! (collinear) clouds.
 
 use proptest::prelude::*;
 use vbp_geom::{Mbb, Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{
-    BruteForce, DynamicRTree, GridIndex, HilbertRTree, PackedRTree, SpatialIndex, StrRTree, TiIndex,
-};
+use vbp_rtree::{BruteForce, DynamicRTree, PackedRTree, SpatialIndex};
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
     proptest::collection::vec(
@@ -76,23 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn str_tree_equals_brute_force(
-        points in arb_points(300),
-        r in 1usize..64,
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-    ) {
-        let (tree, _) = StrRTree::build(&points, r);
-        let mut out = Vec::new();
-        tree.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&tree, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
-    }
-
-    #[test]
     fn dynamic_tree_equals_brute_force(
         points in arb_points(200),
         cx in -60.0f64..60.0,
@@ -104,23 +85,6 @@ proptest! {
         tree.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
         prop_assert_eq!(
             coord_multiset(&tree, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
-    }
-
-    #[test]
-    fn grid_equals_brute_force(
-        points in arb_points(200),
-        cell in 0.1f64..20.0,
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-    ) {
-        let grid = GridIndex::build(shared_points(points.clone()), cell);
-        let mut out = Vec::new();
-        grid.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&grid, &out),
             brute_epsilon(&points, Point2::new(cx, cy), eps)
         );
     }
@@ -151,41 +115,6 @@ proptest! {
         out.clear();
         dynamic.range_query(&q, &mut out);
         prop_assert_eq!(coord_multiset(&dynamic, &out), expect);
-    }
-
-    #[test]
-    fn hilbert_tree_equals_brute_force(
-        points in arb_points(300),
-        r in 1usize..64,
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-    ) {
-        let (tree, _) = HilbertRTree::build(&points, r);
-        let mut out = Vec::new();
-        tree.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&tree, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
-    }
-
-    #[test]
-    fn ti_index_equals_brute_force(
-        points in arb_points(300),
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-        rx in -100.0f64..100.0,
-        ry in -100.0f64..100.0,
-    ) {
-        let (index, _) = TiIndex::build_with_reference(&points, Point2::new(rx, ry));
-        let mut out = Vec::new();
-        index.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&index, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! The actual implementations live in:
 //!
 //! - [`vbp_geom`] — points, minimum bounding boxes, distances, binning.
-//! - [`vbp_rtree`] — the packed / STR / dynamic R-tree indexes and the
-//!   ε-neighborhood search of Algorithm 2.
-//! - [`vbp_dbscan`] — DBSCAN (Algorithm 1), the brute-force reference
-//!   index, the DBDC quality metric, OPTICS, and the k-distance heuristic.
+//! - [`vbp_rtree`] — the packed and dynamic R-tree indexes, the
+//!   brute-force reference index, and the ε-neighborhood search of
+//!   Algorithm 2.
+//! - [`vbp_dbscan`] — DBSCAN (Algorithm 1), its sharded disjoint-set
+//!   kernel and grid-based reference, incremental DBSCAN, the DBDC quality
+//!   metric, and the k-distance heuristic.
 //! - [`variantdbscan`] — the paper's primary contribution: variant sets,
 //!   reuse (Algorithms 3–4), cluster seed selection, scheduling, and the
 //!   multithreaded execution engine.

@@ -160,37 +160,3 @@ fn caller_order_results_are_consistent() {
         }
     }
 }
-
-/// OPTICS (the related-work baseline) agrees with the engine for ε-only
-/// variant families — and is inherently unable to cover minpts families,
-/// which is the gap VariantDBSCAN fills (§III).
-#[test]
-fn optics_covers_eps_families_only() {
-    use vbp::vbp_dbscan::{Optics, OpticsParams};
-    let points = SyntheticSpec::new(SyntheticClass::CF, 3_000, 0.1, 77).generate();
-    let (tree, _) = PackedRTree::build(&points, 70);
-
-    let minpts = 4;
-    let eps_family = [0.3, 0.45, 0.6];
-    let optics = Optics::run(&tree, OpticsParams::new(0.6, minpts));
-
-    let variants = VariantSet::cartesian(&eps_family, &[minpts]);
-    let report = Engine::new(
-        EngineConfig::default()
-            .with_threads(1)
-            .with_r(70)
-            .with_reuse(ReuseScheme::ClusDensity),
-    )
-    .execute(&RunRequest::new(&points, &variants))
-    .unwrap();
-
-    for (i, v) in variants.iter().enumerate() {
-        let from_optics = optics.extract_dbscan(v.eps);
-        let q = quality_score(&from_optics, &report.results[i]);
-        assert!(
-            q.mean_score > 0.98,
-            "variant {v}: OPTICS vs engine quality {}",
-            q.mean_score
-        );
-    }
-}

@@ -2,10 +2,7 @@
 //! through the umbrella crate exactly as a downstream user would.
 
 use vbp::vbp_data::{SpaceWeatherSpec, SyntheticClass, SyntheticSpec};
-use vbp::vbp_dbscan::{
-    adjusted_rand_index, dbscan, grid_dbscan, normalized_mutual_information, parallel_dbscan,
-    DbscanParams, IncrementalDbscan,
-};
+use vbp::vbp_dbscan::{dbscan, grid_dbscan, parallel_dbscan, DbscanParams, IncrementalDbscan};
 use vbp::vbp_geom::Point2;
 use vbp::vbp_rtree::{traits::shared_points, BruteForce, PackedRTree};
 
@@ -48,25 +45,6 @@ fn four_dbscan_implementations_agree() {
     }
 }
 
-/// External indices rank a slightly-perturbed clustering above a heavily
-/// different one, consistently with the paper's DBDC metric.
-#[test]
-fn external_indices_rank_partitions_sensibly() {
-    let points = dataset(1_500);
-    let idx = BruteForce::new(shared_points(points));
-    let base = dbscan(&idx, DbscanParams::new(0.6, 4));
-    let near = dbscan(&idx, DbscanParams::new(0.65, 4)); // small ε nudge
-    let far = dbscan(&idx, DbscanParams::new(2.5, 4)); // big ε change
-
-    let ari_near = adjusted_rand_index(&base, &near);
-    let ari_far = adjusted_rand_index(&base, &far);
-    assert!(ari_near > ari_far, "ARI: near {ari_near} vs far {ari_far}");
-
-    let nmi_near = normalized_mutual_information(&base, &near);
-    let nmi_far = normalized_mutual_information(&base, &far);
-    assert!(nmi_near > nmi_far, "NMI: near {nmi_near} vs far {nmi_far}");
-}
-
 /// Incremental DBSCAN over a simulated TEC stream stays consistent with
 /// batch re-clustering at every checkpoint.
 #[test]
@@ -86,32 +64,6 @@ fn incremental_tracks_batch_on_tec_stream() {
             assert_eq!(snap, batch, "checkpoint at {}", i + 1);
         }
     }
-}
-
-/// Spatiotemporal clustering separates temporally disjoint events that
-/// flat 2-D clustering merges — on simulated TEC data with synthetic
-/// timestamps.
-#[test]
-fn st_dbscan_separates_what_flat_dbscan_merges() {
-    use vbp::vbp_dbscan::{st_dbscan, StDbscanParams, StIndex, StPoint};
-    // The same spatial points observed in two passes an hour apart.
-    let base = SpaceWeatherSpec::scaled(1, 600).generate();
-    let mut samples = Vec::new();
-    for (i, p) in base.iter().enumerate() {
-        samples.push(StPoint::new(p.x, p.y, (i % 10) as f64)); // pass 1
-        samples.push(StPoint::new(p.x, p.y, 3_600.0 + (i % 10) as f64)); // pass 2
-    }
-    let index = StIndex::build(&samples);
-    let narrow = st_dbscan(&index, StDbscanParams::new(2.0, 60.0, 4));
-    let wide = st_dbscan(&index, StDbscanParams::new(2.0, 1e9, 4));
-    // With the temporal radius active, clusters split across the passes,
-    // so there are more of them (and never fewer).
-    assert!(
-        narrow.num_clusters() > wide.num_clusters(),
-        "narrow {} vs wide {}",
-        narrow.num_clusters(),
-        wide.num_clusters()
-    );
 }
 
 /// The umbrella prelude exposes the advertised one-stop API.
