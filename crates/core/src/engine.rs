@@ -45,8 +45,9 @@
 //!   so reuse sources are **read lock-free**: publication happens *before*
 //!   the completion is announced under the schedule mutex, which is the
 //!   happens-before edge that makes the unsynchronized read safe;
-//! - per-variant outcomes stream over an **mpsc channel** instead of a
-//!   shared `Mutex<Vec<_>>`, so bookkeeping never contends with pulls.
+//! - per-variant outcomes collect in a **worker-private `Vec`** that
+//!   rides home in the worker's join value instead of a shared
+//!   `Mutex<Vec<_>>`, so bookkeeping never contends with pulls.
 //!
 //! Each worker additionally samples its own lock-wait, schedule-decision,
 //! busy, and idle time into [`WorkerStats`] and the per-phase latency
@@ -60,12 +61,11 @@
 //! every speedup comparison runs identical code paths except for the three
 //! optimizations being measured.
 
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vbp_dbscan::{dbscan_with_scratch, sharded_dbscan, ClusterResult, DbscanScratch};
-use vbp_geom::{BinOrder, Point2, PointId};
+use vbp_geom::{Point2, PointId};
 use vbp_rtree::traits::shared_points;
 use vbp_rtree::{tune_r_sampled, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
@@ -125,8 +125,6 @@ pub struct EngineConfig {
     /// Points per leaf MBB of `T_low` (the paper's `r`; 70–110 works well,
     /// see Figure 4), or [`RChoice::Auto`] to tune it at index-build time.
     pub r: RChoice,
-    /// Traversal order of the pre-index bin sort.
-    pub bin_order: BinOrder,
     /// Thread scheduling heuristic.
     pub scheduler: Scheduler,
     /// Cluster reuse prioritization (or [`ReuseScheme::Disabled`]).
@@ -141,7 +139,6 @@ impl Default for EngineConfig {
         Self {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             r: RChoice::Fixed(80),
-            bin_order: BinOrder::Serpentine,
             scheduler: Scheduler::SchedGreedy,
             reuse: ReuseScheme::ClusDensity,
             keep_results: true,
@@ -156,7 +153,6 @@ impl EngineConfig {
         Self {
             threads: 1,
             r: RChoice::Fixed(1),
-            bin_order: BinOrder::Serpentine,
             scheduler: Scheduler::SchedGreedy,
             reuse: ReuseScheme::Disabled,
             keep_results: true,
@@ -774,21 +770,6 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// The request's database source.
-    pub fn source(&self) -> &RunSource<'a> {
-        &self.source
-    }
-
-    /// The request's variant set.
-    pub fn variants(&self) -> &'a VariantSet {
-        self.variants
-    }
-
-    /// The request's warm reuse sources.
-    pub fn warm_sources(&self) -> &'a [WarmSource] {
-        self.warm
-    }
-
     /// Opts the run into intra-variant sharding (default off): wide
     /// variants execute as shard teams under the given [`Sharding`]
     /// policy, narrow ones pack variant-parallel as before. Labels are
@@ -796,16 +777,6 @@ impl<'a> RunRequest<'a> {
     pub fn sharding(mut self, policy: Sharding) -> RunRequest<'a> {
         self.sharding = Some(policy);
         self
-    }
-
-    /// The request's trace level.
-    pub fn trace_level(&self) -> TraceLevel {
-        self.trace
-    }
-
-    /// The request's sharding policy, if opted in.
-    pub fn sharding_policy(&self) -> Option<Sharding> {
-        self.sharding
     }
 }
 
@@ -927,8 +898,7 @@ impl Engine {
                 None => (AUTO_TUNE_FALLBACK_R, None),
             },
         };
-        let (t_low, permutation) =
-            PackedRTree::build_with_order(points, chosen_r, self.config.bin_order);
+        let (t_low, permutation) = PackedRTree::build(points, chosen_r);
         let mut index = PreparedIndex::around(t_low, permutation, tune, Duration::ZERO, 0);
         // Read the clock last: deriving `T_high` is part of the build.
         index.build_time = build_start.elapsed();
@@ -1021,8 +991,7 @@ impl Engine {
     /// appended — with the already-chosen `r` (no re-tune) and rebuilds
     /// both packed trees. The tail counter resets to zero.
     fn bin_sorted(&self, index: &PreparedIndex, caller: &[Point2]) -> PreparedIndex {
-        let (t_low, permutation) =
-            PackedRTree::build_with_order(caller, index.chosen_r(), self.config.bin_order);
+        let (t_low, permutation) = PackedRTree::build(caller, index.chosen_r());
         PreparedIndex::around(t_low, permutation, index.tune.clone(), index.build_time, 0)
     }
 
@@ -1057,8 +1026,8 @@ impl Engine {
         };
 
         // The three-way shared state split (see module docs): a small
-        // mutex for the schedule, lock-free once-cells for results, and a
-        // channel for outcome bookkeeping. Warm sources occupy the result
+        // mutex for the schedule, lock-free once-cells for results, and
+        // worker-private outcome bookkeeping. Warm sources occupy the result
         // slots past `n_var`, pre-filled before any worker starts, so the
         // lock-free read path is identical for both source kinds.
         let warm_variants: Vec<Variant> = warm.iter().map(|w| w.variant).collect();
@@ -1075,7 +1044,6 @@ impl Engine {
                 .set(Arc::clone(&w.result))
                 .expect("fresh slot");
         }
-        let (outcome_tx, outcome_rx) = mpsc::channel::<VariantOutcome>();
         let panic_slot: OnceLock<JobPanic> = OnceLock::new();
 
         let t0 = Instant::now();
@@ -1085,7 +1053,6 @@ impl Engine {
                     let schedule = &schedule;
                     let results = &results[..];
                     let panic_slot = &panic_slot;
-                    let outcome_tx = outcome_tx.clone();
                     scope.spawn(move || {
                         worker_loop(
                             thread_id,
@@ -1097,7 +1064,6 @@ impl Engine {
                             schedule,
                             results,
                             panic_slot,
-                            outcome_tx,
                             t0,
                             trace,
                             shard_plan,
@@ -1118,7 +1084,9 @@ impl Engine {
         let mut phases = PhaseHistograms::new();
         let mut tracers = Vec::with_capacity(outputs.len());
         let mut shard_totals = ShardTotals::default();
+        let mut outcomes: Vec<VariantOutcome> = Vec::with_capacity(n_var);
         for out in outputs {
+            outcomes.extend(out.outcomes);
             phases.merge(&out.phases);
             shard_totals.merge(&out.sharding);
             worker_stats.push(out.stats);
@@ -1134,9 +1102,6 @@ impl Engine {
             .enabled()
             .then(|| TraceSnapshot::from_workers(tracers));
 
-        // All worker-held senders are gone; drop ours and drain.
-        drop(outcome_tx);
-        let mut outcomes: Vec<VariantOutcome> = outcome_rx.try_iter().collect();
         outcomes.sort_by_key(|o| o.index);
         let results = if self.config.keep_results {
             results
@@ -1181,10 +1146,11 @@ fn representative_eps(variants: &VariantSet) -> Option<f64> {
     Some(eps[eps.len() / 2])
 }
 
-/// Everything one worker hands back when its loop drains: contention
-/// accounting, its trace ring, and its share of the per-phase latency
-/// histograms.
+/// Everything one worker hands back when its loop drains: the outcomes
+/// of the variants it clustered, contention accounting, its trace ring,
+/// and its share of the per-phase latency histograms.
 struct WorkerOutput {
+    outcomes: Vec<VariantOutcome>,
     stats: WorkerStats,
     tracer: WorkerTracer,
     phases: PhaseHistograms,
@@ -1192,8 +1158,8 @@ struct WorkerOutput {
 }
 
 /// One worker: pull → cluster → publish, until the schedule drains.
-/// Returns its contention/idle accounting, trace ring, and phase
-/// histograms.
+/// Returns its outcomes, contention/idle accounting, trace ring, and
+/// phase histograms.
 ///
 /// Each assignment's clustering work runs under `catch_unwind`: on a
 /// panic the worker records the first [`JobPanic`] in `panic_slot`,
@@ -1210,12 +1176,12 @@ fn worker_loop(
     schedule: &Mutex<ScheduleState>,
     results: &[OnceLock<Arc<ClusterResult>>],
     panic_slot: &OnceLock<JobPanic>,
-    outcome_tx: mpsc::Sender<VariantOutcome>,
     t0: Instant,
     trace: TraceLevel,
     shard_plan: Option<ShardPlan>,
 ) -> WorkerOutput {
     let mut scratch = DbscanScratch::new();
+    let mut outcomes = Vec::new();
     let mut stats = WorkerStats::new(thread_id);
     let mut phases = PhaseHistograms::new();
     let mut shard_totals = ShardTotals::default();
@@ -1414,15 +1380,16 @@ fn worker_loop(
             stats.sched_time += sched;
             phases.sched.record(sched);
         }
-        let _ = outcome_tx.send(outcome);
+        outcomes.push(outcome);
     }
     // Whatever wall time wasn't clustering, waiting for the lock, or
     // deciding the schedule was spent idle (thread startup/teardown and
-    // channel sends included — both negligible and honest to count here).
+    // outcome pushes included — both negligible and honest to count here).
     stats.idle = worker_start
         .elapsed()
         .saturating_sub(stats.busy + stats.lock_wait + stats.sched_time);
     WorkerOutput {
+        outcomes,
         stats,
         tracer,
         phases,

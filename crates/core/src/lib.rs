@@ -69,7 +69,7 @@ pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, Schedule
 pub use seeds::{seed_list, ReuseScheme};
 pub use sim::{simulate, simulate_with, SimCostModel, SimOutcome, SimReport};
 pub use trace::{
-    Histogram, Metrics, MetricsSnapshot, PhaseHistograms, TraceEvent, TraceLevel, TraceRecord,
-    TraceSnapshot, TraceSource, WorkerTracer,
+    Histogram, PhaseHistograms, TraceEvent, TraceLevel, TraceRecord, TraceSnapshot, TraceSource,
+    WorkerTracer,
 };
 pub use variant::{Variant, VariantSet};

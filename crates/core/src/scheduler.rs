@@ -238,16 +238,6 @@ impl ScheduleState {
         self.pending.len()
     }
 
-    /// Variants completed so far.
-    pub fn completed_count(&self) -> usize {
-        self.completed
-    }
-
-    /// Entries currently in the SchedMinpts scratch-first queue.
-    pub fn priority_len(&self) -> usize {
-        self.priority.len()
-    }
-
     fn take_pending(&mut self, v: usize) {
         let was_pending = self.pending.remove(&v);
         debug_assert!(was_pending, "assigned variant must be pending");
@@ -260,11 +250,6 @@ impl ScheduleState {
     /// whole, and handing out more work would only delay that verdict.
     pub fn abort(&mut self) {
         self.aborted = true;
-    }
-
-    /// Returns `true` once [`ScheduleState::abort`] has been called.
-    pub fn is_aborted(&self) -> bool {
-        self.aborted
     }
 
     fn pull_impl(&mut self) -> Option<Assignment> {
@@ -571,7 +556,7 @@ mod tests {
         // even when completed variants are already available as sources.
         let set = figure3_set(); // 3 distinct ε ⇒ priority length 3
         let mut state = ScheduleState::new(set, Scheduler::SchedMinpts, true);
-        assert_eq!(state.priority_len(), 3);
+        assert_eq!(state.priority.len(), 3);
         for pull in 0..3 {
             let a = state.next_assignment().unwrap();
             assert_eq!(
@@ -582,7 +567,7 @@ mod tests {
             // remaining priority entries must still run from scratch.
             state.complete(a.variant);
         }
-        assert_eq!(state.priority_len(), 0);
+        assert_eq!(state.priority.len(), 0);
         // Queue drained: the very next pull reuses.
         let next = state.next_assignment().unwrap();
         assert!(next.reuse_from.is_some());
@@ -785,7 +770,7 @@ mod tests {
         let mut state = ScheduleState::new(set, Scheduler::SchedGreedy, true);
         let a = state.next_assignment().unwrap();
         state.abort();
-        assert!(state.is_aborted());
+        assert!(state.aborted);
         assert!(state.next_assignment().is_none());
         // Completing in-flight work is still legal after an abort.
         state.complete(a.variant);

@@ -19,21 +19,19 @@
 //!   pinned by tests), recorded per worker and folded into the
 //!   [`RunReport`](crate::RunReport) per phase (scratch clustering, reuse
 //!   clustering, lock wait, schedule decisions).
-//! - A process-shareable [`Metrics`] registry that accumulates run
-//!   reports and cold-path service events (cache hits/evictions, protocol
-//!   errors, contained panics) across runs — the data the service's
-//!   `METRICS` protocol verb exposes in Prometheus-style text form.
+//!
+//! Nothing here aggregates across runs: a caller that wants that (the
+//! service daemon, for its `METRICS` verb) merges each report's
+//! [`PhaseHistograms`] into its own ledger.
 //!
 //! Ring sizing: [`TRACE_RING_CAPACITY`] records per worker. A record is a
 //! few dozen bytes, so a full ring is well under 1 MiB per worker; when a
 //! run emits more events than fit, the ring wraps and keeps the *newest*
 //! records, counting the overwritten ones in [`TraceSnapshot::dropped`].
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::json::{JsonArray, JsonObject};
-use crate::metrics::RunReport;
 use crate::variant::VariantSet;
 
 /// How much a run records into its trace rings.
@@ -187,35 +185,6 @@ pub enum TraceEvent {
         /// Variant index of the offending job.
         variant: u32,
     },
-    /// The service's cross-run dominance cache served a warm seed.
-    CacheHit,
-    /// The service's cache evicted entries to make room.
-    CacheEvicted {
-        /// Entries evicted in this insertion.
-        entries: u32,
-    },
-    /// A connection produced a protocol-level error (oversized line,
-    /// invalid UTF-8, unparseable request).
-    ProtocolError,
-    /// A streaming APPEND batch was applied to a registered dataset.
-    AppendApplied {
-        /// Points inserted by this batch.
-        points: u32,
-        /// Dataset size after the batch.
-        total: u32,
-    },
-    /// The dominance cache was maintained after an APPEND: entries whose
-    /// cached clustering was provably untouched were extended to the new
-    /// dataset length, entries intersecting the insertion's affected
-    /// ε-region were dropped.
-    CacheRepaired {
-        /// Entries kept verbatim (zero-length appends only).
-        kept: u32,
-        /// Entries dropped because the insertion touched their ε-region.
-        dropped: u32,
-        /// Entries repaired (extended) to cover the appended points.
-        repaired: u32,
-    },
 }
 
 impl TraceEvent {
@@ -230,11 +199,6 @@ impl TraceEvent {
             TraceEvent::Finished { .. } => "finished",
             TraceEvent::ShardMerge { .. } => "shard-merge",
             TraceEvent::PanicContained { .. } => "panic-contained",
-            TraceEvent::CacheHit => "cache-hit",
-            TraceEvent::CacheEvicted { .. } => "cache-evicted",
-            TraceEvent::ProtocolError => "protocol-error",
-            TraceEvent::AppendApplied { .. } => "append-applied",
-            TraceEvent::CacheRepaired { .. } => "cache-repaired",
         }
     }
 }
@@ -242,10 +206,9 @@ impl TraceEvent {
 /// One timestamped, thread-attributed trace record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Monotonic nanoseconds since the trace epoch (the run's `t0`, or
-    /// the registry's construction for shared service events).
+    /// Monotonic nanoseconds since the trace epoch (the run's `t0`).
     pub at_ns: u64,
-    /// Worker thread id, or [`SHARED_THREAD`] for non-worker events.
+    /// Worker thread id.
     pub thread: u16,
     /// The event.
     pub event: TraceEvent,
@@ -295,27 +258,10 @@ impl TraceRecord {
                 .uint("border_points", border_points as u64)
                 .uint("cross_unions", cross_unions as u64),
             TraceEvent::PanicContained { variant } => obj.uint("variant", variant as u64),
-            TraceEvent::CacheEvicted { entries } => obj.uint("entries", entries as u64),
-            TraceEvent::AppendApplied { points, total } => obj
-                .uint("points", points as u64)
-                .uint("total", total as u64),
-            TraceEvent::CacheRepaired {
-                kept,
-                dropped,
-                repaired,
-            } => obj
-                .uint("kept", kept as u64)
-                .uint("dropped", dropped as u64)
-                .uint("repaired", repaired as u64),
-            TraceEvent::CacheHit | TraceEvent::ProtocolError => obj,
         };
         obj.finish()
     }
 }
-
-/// Thread id recorded for events that did not originate on an engine
-/// worker (service cache/protocol events in the shared registry ring).
-pub const SHARED_THREAD: u16 = u16::MAX;
 
 /// Records each per-worker ring holds. Chosen so [`TraceLevel::Spans`]
 /// never wraps for realistic variant sets (3 records per assignment) and
@@ -323,12 +269,8 @@ pub const SHARED_THREAD: u16 = u16::MAX;
 /// worker, while a fully-populated ring stays well under 1 MiB.
 pub const TRACE_RING_CAPACITY: usize = 16_384;
 
-/// Records the shared cold-path ring in [`Metrics`] holds.
-pub const SHARED_RING_CAPACITY: usize = 1_024;
-
-/// A single-owner event ring: one per worker thread, plus the shared
-/// cold-path ring inside [`Metrics`]. Never locked, never reallocated
-/// after construction; wraps keeping the newest records.
+/// A single-owner event ring, one per worker thread. Never locked, never
+/// reallocated after construction; wraps keeping the newest records.
 #[derive(Debug)]
 pub struct TraceRing {
     thread: u16,
@@ -405,19 +347,6 @@ impl TraceRing {
         records.extend_from_slice(&self.ring[split..]);
         records.extend_from_slice(&self.ring[..split]);
         (records, dropped)
-    }
-
-    /// Chronological copy of the stored records (non-consuming).
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let dropped = self.dropped();
-        if dropped == 0 {
-            return self.ring.clone();
-        }
-        let split = (self.written % self.capacity as u64) as usize;
-        let mut records = Vec::with_capacity(self.ring.len());
-        records.extend_from_slice(&self.ring[split..]);
-        records.extend_from_slice(&self.ring[..split]);
-        records
     }
 }
 
@@ -893,189 +822,6 @@ impl PhaseHistograms {
     }
 }
 
-/// Counter-and-histogram snapshot taken from a [`Metrics`] registry —
-/// everything the service's `METRICS` exposition needs, decoupled from
-/// the registry's lock.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Engine runs observed.
-    pub runs: u64,
-    /// Variant jobs completed across observed runs.
-    pub variants_completed: u64,
-    /// Jobs that clustered from scratch.
-    pub from_scratch: u64,
-    /// Jobs that reused an in-run completion.
-    pub in_run_reused: u64,
-    /// Jobs that reused a warm (cross-run cache) seed.
-    pub warm_hits: u64,
-    /// Contained job panics observed.
-    pub panics_contained: u64,
-    /// Cold-path events recorded (cache hits/evictions, protocol
-    /// errors), including any the shared ring has since dropped.
-    pub events_recorded: u64,
-    /// Jobs executed through the intra-variant sharded path.
-    pub sharded_variants: u64,
-    /// Shard tasks executed across those jobs.
-    pub shard_tasks: u64,
-    /// Points found with at least one ε-neighbor in another shard.
-    pub shard_border_points: u64,
-    /// Cross-shard core-core unions applied in merge phases.
-    pub shard_cross_unions: u64,
-    /// Streaming APPEND batches applied to registered datasets.
-    pub appends_applied: u64,
-    /// Points inserted across all applied APPEND batches.
-    pub append_points: u64,
-    /// Dominance-cache entries repaired (extended) after appends.
-    pub cache_entries_repaired: u64,
-    /// Dominance-cache entries dropped by append invalidation.
-    pub cache_entries_dropped: u64,
-    /// Cluster-delta lines pushed to WATCH subscribers.
-    pub watch_deltas: u64,
-    /// Merged per-phase latency histograms across observed runs.
-    pub phases: PhaseHistograms,
-}
-
-struct MetricsInner {
-    snapshot: MetricsSnapshot,
-    events: TraceRing,
-}
-
-/// A process-shareable metrics registry: accumulates engine
-/// [`RunReport`]s and cold-path service events across runs.
-///
-/// The engine writes nothing here on its own — callers that want
-/// cross-run aggregation (the service's dispatcher, the CLI's `trace`
-/// command) call [`Metrics::observe_run`] per run. All methods take
-/// `&self`; the registry locks internally (cold path only — never inside
-/// a worker loop).
-pub struct Metrics {
-    inner: Mutex<MetricsInner>,
-    epoch: Instant,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Metrics")
-            .field("snapshot", &self.snapshot())
-            .finish()
-    }
-}
-
-impl Metrics {
-    /// An empty registry; its event timestamps count from now.
-    pub fn new() -> Metrics {
-        Metrics {
-            inner: Mutex::new(MetricsInner {
-                snapshot: MetricsSnapshot::default(),
-                events: TraceRing::new(SHARED_THREAD, SHARED_RING_CAPACITY),
-            }),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Folds one run's outcome counters and phase histograms into the
-    /// registry.
-    pub fn observe_run(&self, report: &RunReport) {
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        let snap = &mut inner.snapshot;
-        snap.runs += 1;
-        snap.variants_completed += report.outcomes.len() as u64;
-        snap.from_scratch += report.from_scratch_count() as u64;
-        snap.warm_hits += report.warm_hits() as u64;
-        snap.in_run_reused += report
-            .outcomes
-            .iter()
-            .filter(|o| o.reused_from().is_some() && !o.warm)
-            .count() as u64;
-        snap.sharded_variants += report.sharding.variants;
-        snap.shard_tasks += report.sharding.shards;
-        snap.shard_border_points += report.sharding.border_points;
-        snap.shard_cross_unions += report.sharding.cross_unions;
-        snap.phases.merge(&report.phases);
-    }
-
-    /// Counts one contained job panic (a run that failed as a unit).
-    pub fn observe_panic(&self) {
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        inner.snapshot.panics_contained += 1;
-        let at_ns = saturating_ns(self.epoch.elapsed());
-        inner
-            .events
-            .push(at_ns, TraceEvent::PanicContained { variant: u32::MAX });
-        inner.snapshot.events_recorded += 1;
-    }
-
-    /// Records a cold-path event (cache hit/eviction, protocol error)
-    /// into the shared ring.
-    pub fn record_event(&self, event: TraceEvent) {
-        let at_ns = saturating_ns(self.epoch.elapsed());
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        inner.events.push(at_ns, event);
-        inner.snapshot.events_recorded += 1;
-    }
-
-    /// Counts one applied streaming APPEND batch and records the
-    /// [`TraceEvent::AppendApplied`] event in the shared ring.
-    pub fn observe_append(&self, points: u32, total: u32) {
-        let at_ns = saturating_ns(self.epoch.elapsed());
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        inner.snapshot.appends_applied += 1;
-        inner.snapshot.append_points += points as u64;
-        inner
-            .events
-            .push(at_ns, TraceEvent::AppendApplied { points, total });
-        inner.snapshot.events_recorded += 1;
-    }
-
-    /// Counts one post-append dominance-cache maintenance pass and
-    /// records the [`TraceEvent::CacheRepaired`] event.
-    pub fn observe_cache_repair(&self, kept: u32, dropped: u32, repaired: u32) {
-        let at_ns = saturating_ns(self.epoch.elapsed());
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        inner.snapshot.cache_entries_repaired += repaired as u64;
-        inner.snapshot.cache_entries_dropped += dropped as u64;
-        inner.events.push(
-            at_ns,
-            TraceEvent::CacheRepaired {
-                kept,
-                dropped,
-                repaired,
-            },
-        );
-        inner.snapshot.events_recorded += 1;
-    }
-
-    /// Counts cluster-delta lines pushed to WATCH subscribers.
-    pub fn observe_watch_deltas(&self, deltas: u64) {
-        let mut inner = self.inner.lock().expect("metrics mutex poisoned");
-        inner.snapshot.watch_deltas += deltas;
-    }
-
-    /// A decoupled copy of the current counters and histograms.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner
-            .lock()
-            .expect("metrics mutex poisoned")
-            .snapshot
-            .clone()
-    }
-
-    /// Chronological copy of the shared ring's surviving events.
-    pub fn recent_events(&self) -> Vec<TraceRecord> {
-        self.inner
-            .lock()
-            .expect("metrics mutex poisoned")
-            .events
-            .records()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1110,8 +856,11 @@ mod tests {
     fn off_tracer_records_nothing_and_allocates_nothing() {
         let mut t = WorkerTracer::new(0, TraceLevel::Off, Instant::now());
         for _ in 0..100 {
-            t.record(TraceEvent::CacheHit);
-            t.record_full(TraceEvent::ProtocolError);
+            t.record(TraceEvent::PanicContained { variant: 0 });
+            t.record_full(TraceEvent::ExpandWave {
+                variant: 0,
+                points: 1,
+            });
         }
         let (records, dropped) = t.into_records();
         assert!(records.is_empty());
@@ -1352,21 +1101,5 @@ mod tests {
         let cum = h.cumulative_buckets();
         assert_eq!(cum.last().unwrap(), &(u64::MAX, 3));
         assert!(cum.windows(2).all(|w| w[0].1 <= w[1].1), "monotone");
-    }
-
-    #[test]
-    fn metrics_registry_accumulates_events() {
-        let m = Metrics::new();
-        m.record_event(TraceEvent::CacheHit);
-        m.record_event(TraceEvent::CacheEvicted { entries: 3 });
-        m.record_event(TraceEvent::ProtocolError);
-        m.observe_panic();
-        let snap = m.snapshot();
-        assert_eq!(snap.events_recorded, 4);
-        assert_eq!(snap.panics_contained, 1);
-        let events = m.recent_events();
-        assert_eq!(events.len(), 4);
-        assert!(events.iter().all(|e| e.thread == SHARED_THREAD));
-        assert_eq!(events[0].event, TraceEvent::CacheHit);
     }
 }

@@ -187,17 +187,6 @@ impl VariantSet {
         }
         result
     }
-
-    /// The maximum fraction of variants that can reuse data given `t`
-    /// threads: `f = (|V| − T) / |V|` (§IV-D). At least `1 − f` variants
-    /// are clustered from scratch because the first `T` assignments find
-    /// nothing completed.
-    pub fn max_reuse_fraction(&self, t: usize) -> f64 {
-        if self.variants.is_empty() {
-            return 0.0;
-        }
-        (self.variants.len().saturating_sub(t)) as f64 / self.variants.len() as f64
-    }
 }
 
 impl std::ops::Index<usize> for VariantSet {
@@ -269,19 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn max_reuse_fraction_matches_paper_s3() {
-        // |V| = 57, T = 16 ⇒ f = 41/57 ≈ 0.719.
-        let set =
-            VariantSet::cartesian(&[0.2, 0.3, 0.4], &(10..=100).step_by(5).collect::<Vec<_>>());
-        assert_eq!(set.len(), 57);
-        assert!((set.max_reuse_fraction(16) - 41.0 / 57.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_set() {
         let set = VariantSet::new(vec![]);
         assert!(set.is_empty());
-        assert_eq!(set.max_reuse_fraction(4), 0.0);
         assert!(set.minpts_priority_indices().is_empty());
     }
 

@@ -92,45 +92,6 @@ pub fn read_binary<R: Read>(reader: R) -> io::Result<Vec<Point2>> {
     Ok(points)
 }
 
-/// Magic header of the label (clustering result) binary format.
-const LABEL_MAGIC: &[u8; 8] = b"VBPLBL01";
-
-/// Writes a raw cluster labeling (`u32` per point; `u32::MAX` = noise)
-/// in a compact binary format, so expensive clusterings of huge datasets
-/// can be checkpointed and reloaded.
-pub fn write_labels<W: Write>(writer: W, labels: &[u32]) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(LABEL_MAGIC)?;
-    w.write_all(&(labels.len() as u64).to_le_bytes())?;
-    for &l in labels {
-        w.write_all(&l.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Reads a labeling written by [`write_labels`].
-pub fn read_labels<R: Read>(reader: R) -> io::Result<Vec<u32>> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != LABEL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a VBP label file (bad magic)",
-        ));
-    }
-    let mut count_bytes = [0u8; 8];
-    r.read_exact(&mut count_bytes)?;
-    let count = u64::from_le_bytes(count_bytes) as usize;
-    let mut labels = Vec::with_capacity(count.min(1 << 26));
-    let mut buf = [0u8; 4];
-    for _ in 0..count {
-        r.read_exact(&mut buf)?;
-        labels.push(u32::from_le_bytes(buf));
-    }
-    Ok(labels)
-}
-
 /// Saves to a path, choosing format by extension: `.csv` → CSV, anything
 /// else → binary.
 pub fn save<P: AsRef<Path>>(path: P, points: &[Point2]) -> io::Result<()> {
@@ -221,24 +182,6 @@ mod tests {
         assert_eq!(load(&bin).unwrap(), sample());
         let _ = std::fs::remove_file(csv);
         let _ = std::fs::remove_file(bin);
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        let labels = vec![0u32, 1, u32::MAX, 2, 0];
-        let mut buf = Vec::new();
-        write_labels(&mut buf, &labels).unwrap();
-        assert_eq!(read_labels(buf.as_slice()).unwrap(), labels);
-    }
-
-    #[test]
-    fn labels_reject_point_file_and_vice_versa() {
-        let mut pts_buf = Vec::new();
-        write_binary(&mut pts_buf, &sample()).unwrap();
-        assert!(read_labels(pts_buf.as_slice()).is_err());
-        let mut lbl_buf = Vec::new();
-        write_labels(&mut lbl_buf, &[1, 2, 3]).unwrap();
-        assert!(read_binary(lbl_buf.as_slice()).is_err());
     }
 
     #[test]

@@ -161,16 +161,8 @@ impl SpaceWeatherSpec {
         (waves, blobs)
     }
 
-    /// The normalized TEC intensity field in `[0, ~2]` at map coordinates
-    /// `(x, y)` (longitude, latitude). For repeated evaluation (e.g.
-    /// rendering the whole map) use [`SpaceWeatherSpec::field`] instead,
-    /// which precomputes the feature set once.
-    pub fn tec_field(&self, x: f64, y: f64) -> f64 {
-        self.field().value(x, y)
-    }
-
-    /// A reusable view of the TEC field with the wave trains and blobs
-    /// precomputed.
+    /// The normalized TEC intensity field (`[0, ~2]` over map coordinates
+    /// longitude, latitude), with the wave trains and blobs precomputed.
     pub fn field(&self) -> TecField {
         let (waves, blobs) = self.features();
         TecField {
@@ -298,11 +290,12 @@ mod tests {
     fn field_is_positive_and_structured() {
         let spec = SpaceWeatherSpec::full(1);
         let e = spec.extent();
+        let field = spec.field();
         let mut values = Vec::new();
         for i in 0..30 {
             for j in 0..30 {
                 let p = e.lerp(i as f64 / 29.0, j as f64 / 29.0);
-                values.push(spec.tec_field(p.x, p.y));
+                values.push(field.value(p.x, p.y));
             }
         }
         assert!(values.iter().all(|&v| v > 0.0));

@@ -7,9 +7,9 @@
 //! re-clustering the whole map per update is wasteful. Inserting a point
 //! only perturbs its ε-neighborhood: neighbor counts there grow by one,
 //! some points may *become* core, and each newly-core point can merge the
-//! clusters around it. This module maintains exactly that state:
+//! clusters around it. This module maintains exactly that state, and
+//! nothing else:
 //!
-//! - a [`DynamicRTree`] for ε-queries over the growing database,
 //! - per-point self-inclusive neighbor counts and core flags,
 //! - a [`DisjointSets`] structure over core connectivity,
 //! - deterministic border claims (minimum adjacent core id, the same
@@ -17,11 +17,14 @@
 //!
 //! so a snapshot after inserting points one by one is **identical** to
 //! running the batch disjoint-set DBSCAN on the final database (tested).
+//!
+//! It holds no index and no points: [`IncrementalDbscan::insert`] takes
+//! its ε-neighborhoods from the caller, who already has the database
+//! indexed (the daemon's `WATCH` streams query the dataset's own `T_low`).
 
 use std::collections::HashSet;
 
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::{DynamicRTree, SpatialIndex};
+use vbp_geom::PointId;
 
 use crate::algorithm::DbscanParams;
 use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID};
@@ -46,7 +49,6 @@ pub struct InsertOutcome {
 #[derive(Clone, Debug)]
 pub struct IncrementalDbscan {
     params: DbscanParams,
-    tree: DynamicRTree,
     /// Self-inclusive ε-neighbor counts.
     count: Vec<u32>,
     core: Vec<bool>,
@@ -60,7 +62,6 @@ impl IncrementalDbscan {
     pub fn new(params: DbscanParams) -> Self {
         Self {
             params,
-            tree: DynamicRTree::new(),
             count: Vec::new(),
             core: Vec::new(),
             sets: DisjointSets::new(0),
@@ -88,10 +89,19 @@ impl IncrementalDbscan {
         self.core[p as usize]
     }
 
-    /// Inserts a point and updates the clustering.
-    pub fn insert(&mut self, p: Point2) -> InsertOutcome {
-        let pid = self.tree.insert(p);
-        debug_assert_eq!(pid as usize, self.count.len());
+    /// Inserts the next point (its id is [`IncrementalDbscan::len`] before
+    /// the call) and updates the clustering.
+    ///
+    /// `neighbors_of(q, out)` must fill `out` (handed over empty) with the
+    /// ε-neighborhood of point `q` over the points inserted so far, the
+    /// new one included (closed at ε, `q` itself a member, any order). It
+    /// is asked once for the new point and once for each point the
+    /// insertion makes core.
+    pub fn insert(
+        &mut self,
+        mut neighbors_of: impl FnMut(PointId, &mut Vec<PointId>),
+    ) -> InsertOutcome {
+        let pid = self.count.len() as PointId;
         self.count.push(0);
         self.core.push(false);
         self.claim.push(UNCLAIMED);
@@ -101,8 +111,7 @@ impl IncrementalDbscan {
         self.grow_sets();
 
         let mut neighbors: Vec<PointId> = Vec::new();
-        self.tree
-            .epsilon_neighbors(p, self.params.eps, &mut neighbors);
+        neighbors_of(pid, &mut neighbors);
         self.count[pid as usize] = neighbors.len() as u32;
         for &q in &neighbors {
             if q != pid {
@@ -132,8 +141,7 @@ impl IncrementalDbscan {
         let mut old_core_adjacent: Vec<PointId> = Vec::new();
         for &c in &newly_core {
             let mut list = Vec::new();
-            let cp = self.tree.points()[c as usize];
-            self.tree.epsilon_neighbors(cp, self.params.eps, &mut list);
+            neighbors_of(c, &mut list);
             for &q in &list {
                 if q != c && self.core[q as usize] && !is_newly_core(q) {
                     old_core_adjacent.push(q);
@@ -275,8 +283,22 @@ mod vec {
 mod tests {
     use super::*;
     use crate::parallel::parallel_dbscan;
+    use vbp_geom::Point2;
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::BruteForce;
+
+    /// Inserts `points[inc.len()]`, answering its ε-queries by a scan
+    /// over the inserted prefix.
+    fn insert_next(inc: &mut IncrementalDbscan, points: &[Point2]) -> InsertOutcome {
+        let prefix = &points[..=inc.len()];
+        let eps = inc.params().eps;
+        inc.insert(|q, out| {
+            let center = prefix[q as usize];
+            out.extend(
+                (0..prefix.len() as PointId).filter(|&c| prefix[c as usize].within(&center, eps)),
+            );
+        })
+    }
 
     fn cloud(n: usize, seed: u64) -> Vec<Point2> {
         let mut state = seed | 1;
@@ -299,8 +321,8 @@ mod tests {
             let points = cloud(250, seed);
             let params = DbscanParams::new(0.8, 4);
             let mut inc = IncrementalDbscan::new(params);
-            for &p in &points {
-                inc.insert(p);
+            for _ in &points {
+                insert_next(&mut inc, &points);
             }
             let snapshot = inc.snapshot();
             let batch = parallel_dbscan(&BruteForce::new(shared_points(points.clone())), params, 1);
@@ -313,8 +335,8 @@ mod tests {
         let points = cloud(120, 11);
         let params = DbscanParams::new(0.9, 4);
         let mut inc = IncrementalDbscan::new(params);
-        for (i, &p) in points.iter().enumerate() {
-            inc.insert(p);
+        for i in 0..points.len() {
+            insert_next(&mut inc, &points);
             if i % 25 == 24 {
                 let snap = inc.snapshot();
                 snap.check_consistency().unwrap();
@@ -336,11 +358,16 @@ mod tests {
         // three core at once.
         let params = DbscanParams::new(1.0, 3);
         let mut inc = IncrementalDbscan::new(params);
-        let a = inc.insert(Point2::new(0.0, 0.0));
+        let points = [
+            Point2::new(0.0, 0.0),
+            Point2::new(0.5, 0.0),
+            Point2::new(0.25, 0.4),
+        ];
+        let a = insert_next(&mut inc, &points);
         assert!(a.newly_core.is_empty());
-        let b = inc.insert(Point2::new(0.5, 0.0));
+        let b = insert_next(&mut inc, &points);
         assert!(b.newly_core.is_empty());
-        let c = inc.insert(Point2::new(0.25, 0.4));
+        let c = insert_next(&mut inc, &points);
         assert_eq!(c.newly_core.len(), 3);
         assert!(inc.is_core(0) && inc.is_core(1) && inc.is_core(2));
         let snap = inc.snapshot();
@@ -353,14 +380,19 @@ mod tests {
         let params = DbscanParams::new(1.1, 3);
         let mut inc = IncrementalDbscan::new(params);
         // Two triangles 2 apart…
-        for (dx, _) in [(0.0, ()), (3.0, ())] {
-            inc.insert(Point2::new(dx, 0.0));
-            inc.insert(Point2::new(dx + 1.0, 0.0));
-            inc.insert(Point2::new(dx + 0.5, 0.8));
+        let mut points = Vec::new();
+        for dx in [0.0, 3.0] {
+            points.push(Point2::new(dx, 0.0));
+            points.push(Point2::new(dx + 1.0, 0.0));
+            points.push(Point2::new(dx + 0.5, 0.8));
+        }
+        // …bridged by a midpoint within ε of both.
+        points.push(Point2::new(2.0, 0.0));
+        for _ in 0..6 {
+            insert_next(&mut inc, &points);
         }
         assert_eq!(inc.snapshot().num_clusters(), 2);
-        // …bridged by a midpoint within ε of both.
-        let outcome = inc.insert(Point2::new(2.0, 0.0));
+        let outcome = insert_next(&mut inc, &points);
         assert!(outcome.merges >= 1, "expected a merge, got {outcome:?}");
         assert_eq!(inc.snapshot().num_clusters(), 1);
     }
@@ -369,10 +401,15 @@ mod tests {
     fn noise_becomes_border_then_core() {
         let params = DbscanParams::new(1.0, 3);
         let mut inc = IncrementalDbscan::new(params);
-        inc.insert(Point2::new(0.0, 0.0)); // alone: noise
+        let points = [
+            Point2::new(0.0, 0.0),
+            Point2::new(0.5, 0.0),
+            Point2::new(1.0, 0.0),
+        ];
+        insert_next(&mut inc, &points); // alone: noise
         assert_eq!(inc.snapshot().noise_count(), 1);
-        inc.insert(Point2::new(0.5, 0.0));
-        inc.insert(Point2::new(1.0, 0.0));
+        insert_next(&mut inc, &points);
+        insert_next(&mut inc, &points);
         // Now 0.5 is core (3 neighbors incl. self); 0.0 is border.
         let snap = inc.snapshot();
         assert_eq!(snap.num_clusters(), 1);

@@ -116,11 +116,6 @@ impl ClusterResult {
         1.0 - self.noise_count() as f64 / self.len() as f64
     }
 
-    /// Size of the largest cluster, 0 if none.
-    pub fn max_cluster_size(&self) -> usize {
-        self.clusters.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Tight MBB of cluster `c` over the given point database.
     pub fn cluster_mbb(&self, c: ClusterId, points: &[Point2]) -> Mbb {
         let members = self.cluster(c);
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(r.cluster(1), &[3, 4, 5]);
         assert_eq!(r.noise_count(), 1);
         assert_eq!(r.noise_points(), vec![2]);
-        assert_eq!(r.max_cluster_size(), 3);
         r.check_consistency().unwrap();
     }
 

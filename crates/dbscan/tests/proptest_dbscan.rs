@@ -148,8 +148,15 @@ proptest! {
         prop_assert_eq!(&from_grid, &from_parallel);
 
         let mut inc = vbp_dbscan::IncrementalDbscan::new(params);
-        for &p in &points {
-            inc.insert(p);
+        for id in 0..points.len() {
+            // ε-queries answered by a scan over the inserted prefix.
+            let prefix = &points[..=id];
+            inc.insert(|q, out| {
+                let center = prefix[q as usize];
+                out.extend(
+                    (0..prefix.len() as PointId).filter(|&c| prefix[c as usize].within(&center, eps)),
+                );
+            });
         }
         prop_assert_eq!(&inc.snapshot(), &from_grid);
     }

@@ -44,12 +44,6 @@ impl Extent {
         Self::new(0.0, 0.0, side, side)
     }
 
-    /// A global longitude/latitude window, the canvas of the simulated TEC
-    /// maps (`-180..180` × `-90..90`).
-    pub fn world_lon_lat() -> Self {
-        Self::new(-180.0, -90.0, 180.0, 90.0)
-    }
-
     /// Tight extent of a point set; `None` when empty.
     pub fn of_points(points: &[Point2]) -> Option<Self> {
         Mbb::from_points(points.iter()).map(|mbb| Self { mbb })
@@ -131,18 +125,6 @@ impl Extent {
             f64::INFINITY
         }
     }
-
-    /// The ε at which a disc contains `k` points in expectation under
-    /// uniform density: `sqrt(k / (π ρ))`. A principled starting point for
-    /// variant grids on synthetic data.
-    pub fn eps_for_expected_neighbors(&self, n: usize, k: usize) -> f64 {
-        let rho = self.mean_density(n);
-        if rho.is_finite() && rho > 0.0 {
-            (k as f64 / (std::f64::consts::PI * rho)).sqrt()
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,19 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn density_and_eps_heuristic() {
+    fn mean_density_is_points_per_area() {
         let e = Extent::square(10.0); // area 100
         assert_eq!(e.mean_density(1000), 10.0);
-        let eps = e.eps_for_expected_neighbors(1000, 4);
-        // π ε² ρ = 4  =>  ε = sqrt(4 / (π·10)) ≈ 0.3568
-        assert!((eps - 0.356_824_8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn world_window() {
-        let w = Extent::world_lon_lat();
-        assert_eq!(w.width(), 360.0);
-        assert_eq!(w.height(), 180.0);
     }
 
     #[test]

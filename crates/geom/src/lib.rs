@@ -8,8 +8,6 @@
 //! - [`Point2`]: a 2-D point with `f64` coordinates.
 //! - [`Mbb`]: an axis-aligned minimum bounding box, the unit of indexing in
 //!   the R-tree (§IV-A of the paper) and of cluster expansion (§IV-B).
-//! - [`distance`]: DBSCAN's ε-neighborhood uses Euclidean distance, and
-//!   the hot path uses the squared form to avoid `sqrt`.
 //! - [`binning`]: the unit-width bin sort the paper applies to the point
 //!   database before building the packed R-tree, so that points that are
 //!   spatially close end up contiguous in memory and share leaf MBBs.
@@ -18,13 +16,11 @@
 #![warn(missing_docs)]
 
 pub mod binning;
-pub mod distance;
 pub mod extent;
 pub mod mbb;
 pub mod point;
 
 pub use binning::{bin_sort, bin_sort_with_width, BinOrder};
-pub use distance::{dist, dist_sq};
 pub use extent::Extent;
 pub use mbb::Mbb;
 pub use point::Point2;

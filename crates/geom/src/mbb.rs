@@ -156,26 +156,6 @@ impl Mbb {
         self.width() * self.height()
     }
 
-    /// Half the perimeter — the classic R-tree "margin" measure used by
-    /// node-split heuristics.
-    #[inline]
-    pub fn half_perimeter(&self) -> f64 {
-        self.width() + self.height()
-    }
-
-    /// Center of the box.
-    #[inline]
-    pub fn center(&self) -> Point2 {
-        self.min.midpoint(&self.max)
-    }
-
-    /// Area increase required to absorb `other` (Guttman's insertion
-    /// criterion: choose the subtree whose MBB needs the least enlargement).
-    #[inline]
-    pub fn enlargement(&self, other: &Self) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Area of the intersection, 0 if disjoint.
     #[inline]
     pub fn intersection_area(&self, other: &Self) -> f64 {
@@ -269,8 +249,6 @@ mod tests {
         assert_eq!(b.width(), 4.0);
         assert_eq!(b.height(), 3.0);
         assert_eq!(b.area(), 12.0);
-        assert_eq!(b.half_perimeter(), 7.0);
-        assert_eq!(b.center(), Point2::new(2.0, 1.5));
     }
 
     #[test]
@@ -278,14 +256,6 @@ mod tests {
         let b = Mbb::from_point(Point2::new(1.0, 1.0));
         assert_eq!(b.area(), 0.0);
         assert!(b.contains_point(&Point2::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn enlargement_is_zero_for_contained() {
-        let outer = mbb(0.0, 0.0, 10.0, 10.0);
-        let inner = mbb(1.0, 1.0, 2.0, 2.0);
-        assert_eq!(outer.enlargement(&inner), 0.0);
-        assert!(inner.enlargement(&outer) > 0.0);
     }
 
     #[test]

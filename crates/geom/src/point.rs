@@ -64,12 +64,6 @@ impl Point2 {
         Self::new(self.x.max(other.x), self.y.max(other.y))
     }
 
-    /// Midpoint of the segment from `self` to `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Self) -> Self {
-        Self::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Returns `true` if both coordinates are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -168,13 +162,6 @@ mod tests {
         let b = Point2::new(3.0, 2.0);
         assert_eq!(a.min(&b), Point2::new(1.0, 2.0));
         assert_eq!(a.max(&b), Point2::new(3.0, 5.0));
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(2.0, 6.0);
-        assert_eq!(a.midpoint(&b), Point2::new(1.0, 3.0));
     }
 
     #[test]

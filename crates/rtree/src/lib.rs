@@ -16,13 +16,10 @@
 //!   internal levels are packed bottom-up. Used as both `T_low`
 //!   (`r = r_tuned`, drives Algorithm 2's `NeighborSearch`) and `T_high`
 //!   (`r = 1`, drives cluster-MBB candidate harvesting in Algorithm 3).
-//! - [`DynamicRTree`] — a classic Guttman insertion R-tree with quadratic
-//!   split, the structure the original DBSCAN paper assumed; it is the
-//!   index under `vbp_dbscan`'s `IncrementalDbscan`.
 //! - [`BruteForce`] — the no-index reference the test suites hold the
-//!   trees to.
+//!   tree to.
 //!
-//! All three implement [`SpatialIndex`], the query interface DBSCAN and
+//! Both implement [`SpatialIndex`], the query interface DBSCAN and
 //! VariantDBSCAN are generic over. On the packed tree there are also
 //! [`knn`] (k-nearest-neighbor search, behind the k-distance ε heuristic)
 //! and [`tuner`] (the empirical `r` sweep the engine's auto-`r` runs).
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod brute;
-pub mod dynamic;
 pub mod knn;
 pub mod packed;
 pub mod stats;
@@ -38,7 +34,6 @@ pub mod traits;
 pub mod tuner;
 
 pub use brute::BruteForce;
-pub use dynamic::DynamicRTree;
 pub use packed::PackedRTree;
 pub use stats::TreeStats;
 pub use traits::{shared_points, SharedPoints, SpatialIndex};

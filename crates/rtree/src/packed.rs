@@ -186,11 +186,6 @@ impl PackedRTree {
         self.levels.len()
     }
 
-    /// MBB of the whole dataset, if non-empty.
-    pub fn root_mbb(&self) -> Option<Mbb> {
-        self.levels.last().map(|l| l[0])
-    }
-
     /// Point range `[start, end)` covered by leaf `leaf`.
     #[inline]
     fn leaf_range(&self, leaf: usize) -> (usize, usize) {
@@ -400,7 +395,6 @@ mod tests {
     fn empty_tree() {
         let t = PackedRTree::from_sorted(shared_points([]), 4);
         assert_eq!(t.depth(), 0);
-        assert!(t.root_mbb().is_none());
         let mut out = Vec::new();
         t.range_query(&Mbb::around_point(Point2::ORIGIN, 10.0), &mut out);
         assert!(out.is_empty());
@@ -422,7 +416,7 @@ mod tests {
         for r in [1, 3, 7, 100, 1000] {
             let t = PackedRTree::from_sorted(shared_points(pts.clone()), r);
             let mut covered = vec![false; pts.len()];
-            t.for_each_overlapping_leaf(&t.root_mbb().unwrap(), |s, e| {
+            t.for_each_overlapping_leaf(&Mbb::from_points(&pts).unwrap(), |s, e| {
                 assert!(s < e && e <= pts.len());
                 for c in &mut covered[s..e] {
                     assert!(!*c, "leaf ranges overlap");

@@ -14,7 +14,7 @@
 
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{BruteForce, DynamicRTree, PackedRTree, SpatialIndex};
+use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
 
 /// Scales the case budget: 1 by default, 4 under `VBP_CONFORMANCE_FULL=1`.
 fn budget() -> usize {
@@ -158,7 +158,6 @@ fn all_backends_agree_with_the_oracle() {
             .iter()
             .map(|&r| PackedRTree::from_sorted(shared.clone(), r))
             .collect();
-        let dynamic = DynamicRTree::from_points(points);
 
         for &eps in &family.eps {
             for center in centers(points) {
@@ -190,10 +189,6 @@ fn all_backends_agree_with_the_oracle() {
                         ctx(&format!("packed-naive r={r}"))
                     );
                 }
-
-                let mut out = Vec::new();
-                dynamic.epsilon_neighbors(center, eps, &mut out);
-                assert_eq!(sorted(out), expect, "{}", ctx("dynamic"));
             }
         }
     }

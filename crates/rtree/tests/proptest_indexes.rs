@@ -2,15 +2,14 @@
 //!
 //! This is the load-bearing correctness argument for the whole repository:
 //! DBSCAN and VariantDBSCAN are only as correct as their ε-neighborhood
-//! oracle, so each index (packed tree across many `r`, dynamic) is
-//! checked against a linear scan on random point clouds, random query
-//! centers, and random radii — including duplicate points and degenerate
-//! (collinear) clouds.
+//! oracle, so the packed tree (across many `r`) is checked against a
+//! linear scan on random point clouds, random query centers, and random
+//! radii — including duplicate points and degenerate (collinear) clouds.
 
 use proptest::prelude::*;
 use vbp_geom::{Mbb, Point2, PointId};
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{BruteForce, DynamicRTree, PackedRTree, SpatialIndex};
+use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
     proptest::collection::vec(
@@ -74,22 +73,6 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_tree_equals_brute_force(
-        points in arb_points(200),
-        cx in -60.0f64..60.0,
-        cy in -60.0f64..60.0,
-        eps in 0.0f64..30.0,
-    ) {
-        let tree = DynamicRTree::from_points(&points);
-        let mut out = Vec::new();
-        tree.epsilon_neighbors(Point2::new(cx, cy), eps, &mut out);
-        prop_assert_eq!(
-            coord_multiset(&tree, &out),
-            brute_epsilon(&points, Point2::new(cx, cy), eps)
-        );
-    }
-
-    #[test]
     fn range_queries_agree_across_indexes(
         points in arb_points(200),
         r in 1usize..40,
@@ -109,12 +92,7 @@ proptest! {
         let brute = BruteForce::new(shared_points(points.clone()));
         out.clear();
         brute.range_query(&q, &mut out);
-        prop_assert_eq!(coord_multiset(&brute, &out), expect.clone());
-
-        let dynamic = DynamicRTree::from_points(&points);
-        out.clear();
-        dynamic.range_query(&q, &mut out);
-        prop_assert_eq!(coord_multiset(&dynamic, &out), expect);
+        prop_assert_eq!(coord_multiset(&brute, &out), expect);
     }
 
     #[test]

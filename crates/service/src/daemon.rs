@@ -56,12 +56,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use variantdbscan::{
-    Engine, EngineError, JsonObject, Metrics, RunRequest, Sharding, TraceEvent, Variant,
-    VariantSet, WarmSource,
+    Engine, EngineError, JsonObject, PhaseHistograms, PreparedIndex, RunRequest, ShardTotals,
+    Sharding, Variant, VariantSet, WarmSource,
 };
 use vbp_dbscan::algorithm::dbscan_brute_force;
 use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, Labels, MAX_CLUSTER_ID};
-use vbp_geom::Point2;
+use vbp_geom::binning::invert_permutation;
+use vbp_geom::{Point2, PointId};
 use vbp_rtree::SpatialIndex;
 
 use crate::api::{AppendReply, Delta, ErrorCode, Rejection, SubmitReply, WatchReply};
@@ -92,7 +93,9 @@ pub(crate) struct JobDone {
     pub(crate) report_json: Option<Arc<str>>,
 }
 
-/// Service-level counters (the engine and cache keep their own).
+/// The daemon's one ledger: every counter it keeps and the engine's
+/// per-phase latency histograms, under one lock (the cache counts its own
+/// traffic under the cache lock).
 ///
 /// Invariant, held at every instant the lock is free: `submitted ==
 /// completed + failed + in_flight`. Admission increments `submitted`
@@ -105,7 +108,12 @@ pub(crate) struct JobDone {
 /// in-flight component) — the triple is bumped in a single lock
 /// acquisition once the outcome is known, so the identity holds at
 /// arbitrary observation points just like the admission one.
-#[derive(Clone, Copy, Debug, Default)]
+///
+/// A finished run is accounted in one acquisition too — job counters,
+/// engine counters and its phase samples together — so inside any one
+/// scrape the `scratch` histogram holds exactly `from_scratch` samples
+/// and the `reuse` histogram exactly `reuse_hits + in_run_reused`.
+#[derive(Clone, Debug, Default)]
 struct ServiceStats {
     submitted: u64,
     completed: u64,
@@ -122,6 +130,11 @@ struct ServiceStats {
     engine_in_run_reused: u64,
     engine_scratch: u64,
     engine_busy: Duration,
+    /// Runs that failed as a unit because a job panicked (contained at
+    /// the engine boundary).
+    panics_contained: u64,
+    /// Census of the intra-variant sharded executions, summed over runs.
+    shards: ShardTotals,
     appends: u64,
     appends_applied: u64,
     appends_rejected: u64,
@@ -130,6 +143,8 @@ struct ServiceStats {
     watch_deltas: u64,
     store_restored: u64,
     store_restore_failed: u64,
+    /// Per-phase engine latency, merged from every finished run.
+    phases: PhaseHistograms,
 }
 
 /// How a fleet of daemons folds one counter into one number: the router
@@ -203,6 +218,23 @@ pub(crate) const JOB_COUNTERS: &[Counter] = &[
     sum("from_scratch", "vbp_from_scratch_total", |s| {
         s.engine_scratch
     }),
+    sum(
+        "panics_contained",
+        "vbp_engine_panics_contained_total",
+        |s| s.panics_contained,
+    ),
+    sum("shard_variants", "vbp_shard_variants_total", |s| {
+        s.shards.variants
+    }),
+    sum("shard_tasks", "vbp_shard_tasks_total", |s| s.shards.shards),
+    sum(
+        "shard_border_points",
+        "vbp_shard_border_points_total",
+        |s| s.shards.border_points,
+    ),
+    sum("shard_cross_unions", "vbp_shard_cross_unions_total", |s| {
+        s.shards.cross_unions
+    }),
 ];
 
 /// Streaming and store counters; see [`JOB_COUNTERS`] for the ordering.
@@ -235,7 +267,9 @@ pub fn counters() -> impl Iterator<Item = &'static Counter> {
 
 /// One live `WATCH` stream: an insertion-maintained clustering for a
 /// `(dataset, variant)` pair, the bookkeeping needed to describe each
-/// append as a cluster delta, and the subscribed connections.
+/// append as a cluster delta, and the subscribed connections. It holds
+/// clustering state only — no points and no index; [`feed_stream`]
+/// answers its ε-queries from the dataset's own `T_low`.
 ///
 /// Delta semantics: after a batch of `k` insertions the stream reports
 /// `new` (clusters whose members were all noise or newly-appended
@@ -275,7 +309,6 @@ pub(crate) struct Shared {
     sharding: Option<Sharding>,
     draining: AtomicBool,
     stats: Mutex<ServiceStats>,
-    metrics: Metrics,
     started: Instant,
     /// Serializes `APPEND`s (and `WATCH` registration, which must see a
     /// registry snapshot consistent with the watch streams). Never held
@@ -331,7 +364,6 @@ impl Shared {
                 store_restore_failed: boot.restore_failed,
                 ..ServiceStats::default()
             }),
-            metrics: Metrics::new(),
             started: Instant::now(),
             append_lock: Mutex::new(()),
             watchers: Mutex::new(Vec::new()),
@@ -366,11 +398,9 @@ impl Shared {
     }
 
     /// One framing violation (oversized line, invalid UTF-8, malformed
-    /// HTTP head): counter + trace event, the same pair whichever
-    /// protocol the bytes arrived on.
+    /// HTTP head), whichever protocol the bytes arrived on.
     pub(crate) fn note_protocol_error(&self) {
         self.stats().protocol_errors += 1;
-        self.metrics.record_event(TraceEvent::ProtocolError);
     }
 
     /// A well-framed request that failed to parse (bad verb, bad JSON,
@@ -534,12 +564,8 @@ impl Shared {
         self.registry.swap(Arc::clone(&entry));
 
         let repair = repair_cache(self, &old_entry, &entry, points);
-        let deltas = notify_watchers(self, dataset, points);
+        let deltas = notify_watchers(self, &entry);
 
-        self.metrics
-            .observe_append(points.len() as u32, report.total as u32);
-        self.metrics
-            .observe_cache_repair(0, repair.dropped as u32, repair.repaired as u32);
         let reply = AppendReply {
             appended: points.len(),
             total: report.total,
@@ -551,7 +577,7 @@ impl Shared {
     }
 
     /// `WATCH`: subscribes the caller to the `(dataset, variant)` delta
-    /// stream, creating it (by replaying the dataset through an
+    /// stream, creating it (by feeding the current generation through an
     /// insertion-maintained clustering) when it is the first subscriber.
     /// Answers the census at subscription time and the receiving end of
     /// the pushes; dropping the receiver is the unsubscribe — the next
@@ -565,8 +591,8 @@ impl Shared {
             return Err(Rejection::draining());
         }
         // The append lock keeps the registry snapshot and the new
-        // stream's replayed state consistent: no append can land between
-        // reading the points and registering the stream.
+        // stream's state consistent: no append can land between feeding
+        // the stream and registering it.
         let guard = self.append_lock.lock().expect("append lock poisoned");
         let Some(entry) = self.registry.get(dataset) else {
             drop(guard);
@@ -585,9 +611,8 @@ impl Shared {
             None => {
                 let mut inc =
                     IncrementalDbscan::new(DbscanParams::new(variant.eps, variant.minpts));
-                for p in entry.index.caller_points() {
-                    inc.insert(p);
-                }
+                let tree_pos = invert_permutation(entry.index.permutation());
+                feed_stream(&mut inc, &entry.index, &tree_pos);
                 let snapshot = inc.snapshot();
                 let labels: Vec<u32> = snapshot.labels().iter_raw().collect();
                 let core = (0..labels.len()).map(|p| inc.is_core(p as u32)).collect();
@@ -617,7 +642,7 @@ impl Shared {
 
     /// The `STATS` document: one JSON object, the same on every door.
     pub(crate) fn stats_json(&self) -> String {
-        let s = *self.stats();
+        let s = self.stats().clone();
         let cache = self.cache().stats();
         let mut doc = JsonObject::new()
             .uint("uptime_ms", self.started.elapsed().as_millis() as u64)
@@ -641,17 +666,17 @@ impl Shared {
     /// Prometheus-style text exposition of the service counters, cache
     /// counters, and per-phase latency histograms, one metric per line.
     ///
-    /// The service counters are rendered from a *single copy* of the same
-    /// [`ServiceStats`] that [`Shared::stats_json`] serializes, taken
+    /// Counters and histograms are rendered from a *single copy* of the
+    /// same [`ServiceStats`] that [`Shared::stats_json`] serializes, taken
     /// under the stats lock, through the same counter table — so the
     /// exposition can never structurally disagree with `STATS`, and the
-    /// admission invariant (`submitted == completed + failed +
-    /// in_flight`) holds inside any one exposition.
+    /// ledger's invariants (`submitted == completed + failed +
+    /// in_flight`; one phase sample per clustered variant) hold inside
+    /// any one exposition.
     pub(crate) fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
-        let s = *self.stats();
+        let s = self.stats().clone();
         let cache = self.cache().stats();
-        let m = self.metrics.snapshot();
         let mut out = String::with_capacity(4096);
         let u = |out: &mut String, name: &str, v: u64| {
             let _ = writeln!(out, "{name} {v}");
@@ -682,31 +707,7 @@ impl Shared {
         };
         u(&mut out, "vbp_watch_streams", streams as u64);
         u(&mut out, "vbp_watch_subscribers", subscribers as u64);
-        u(&mut out, "vbp_engine_runs_total", m.runs);
-        u(
-            &mut out,
-            "vbp_engine_variants_completed_total",
-            m.variants_completed,
-        );
-        u(
-            &mut out,
-            "vbp_engine_panics_contained_total",
-            m.panics_contained,
-        );
-        u(&mut out, "vbp_events_recorded_total", m.events_recorded);
-        u(&mut out, "vbp_shard_variants_total", m.sharded_variants);
-        u(&mut out, "vbp_shard_tasks_total", m.shard_tasks);
-        u(
-            &mut out,
-            "vbp_shard_border_points_total",
-            m.shard_border_points,
-        );
-        u(
-            &mut out,
-            "vbp_shard_cross_unions_total",
-            m.shard_cross_unions,
-        );
-        for (phase, hist) in m.phases.phases() {
+        for (phase, hist) in s.phases.phases() {
             for (le, cum) in hist.cumulative_buckets() {
                 if le == u64::MAX {
                     let _ = writeln!(
@@ -770,15 +771,11 @@ impl Shared {
             if entry.index.appended_since_sort() == 0 {
                 continue;
             }
-            let old_perm = entry.index.permutation().to_vec();
-            let clean = self.engine.resort_prepared(&entry.index);
-            let new_perm = clean.permutation();
             // caller id -> old tree position.
-            let mut old_pos = vec![0u32; old_perm.len()];
-            for (tree_idx, &caller) in old_perm.iter().enumerate() {
-                old_pos[caller as usize] = tree_idx as u32;
-            }
-            let remap: Vec<usize> = new_perm
+            let old_pos = invert_permutation(entry.index.permutation());
+            let clean = self.engine.resort_prepared(&entry.index);
+            let remap: Vec<usize> = clean
+                .permutation()
                 .iter()
                 .map(|&caller| old_pos[caller as usize] as usize)
                 .collect();
@@ -882,30 +879,23 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     // Seed from the cache: one warm source per distinct best hit.
     let mut warm: Vec<WarmSource> = Vec::new();
     if shared.cache_enabled {
-        let mut hits = 0u32;
-        {
-            let mut cache = shared.cache();
-            for &v in variants.as_slice() {
-                if let Some(hit) = cache.lookup(&entry.name, v) {
-                    // A concurrent APPEND may leave entries sized for a
-                    // different snapshot than the one this batch holds;
-                    // they are valid for *their* generation but unusable
-                    // as warm sources here.
-                    if hit.result.len() != entry.index.len() {
-                        continue;
-                    }
-                    hits += 1;
-                    if !warm.iter().any(|w| w.variant == hit.variant) {
-                        warm.push(WarmSource {
-                            variant: hit.variant,
-                            result: hit.result,
-                        });
-                    }
+        let mut cache = shared.cache();
+        for &v in variants.as_slice() {
+            if let Some(hit) = cache.lookup(&entry.name, v) {
+                // A concurrent APPEND may leave entries sized for a
+                // different snapshot than the one this batch holds;
+                // they are valid for *their* generation but unusable
+                // as warm sources here.
+                if hit.result.len() != entry.index.len() {
+                    continue;
+                }
+                if !warm.iter().any(|w| w.variant == hit.variant) {
+                    warm.push(WarmSource {
+                        variant: hit.variant,
+                        result: hit.result,
+                    });
                 }
             }
-        }
-        for _ in 0..hits {
-            shared.metrics.record_event(TraceEvent::CacheHit);
         }
     }
 
@@ -917,7 +907,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let report = match shared.engine.execute(&request) {
         Ok(report) => report,
         Err(EngineError::JobPanic(panic)) => {
-            shared.metrics.observe_panic();
+            shared.stats().panics_contained += 1;
             if variants.len() == 1 {
                 // The poisoned variant is isolated: fail exactly these
                 // jobs with a typed message, keep the dispatcher alive.
@@ -948,34 +938,25 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
         }
     };
     let busy = t0.elapsed();
-    shared.metrics.observe_run(&report);
 
     if shared.cache_enabled {
-        let evicted = {
-            let mut cache = shared.cache();
-            // Insert only while this batch's snapshot is still current:
-            // the registry read happens *under the cache lock*, the same
-            // lock `APPEND`'s repair pass holds, so a stale-generation
-            // result can never slip in behind the repair sweep.
-            let current = shared
-                .registry
-                .get(&entry.name)
-                .is_some_and(|e| e.index.len() == entry.index.len());
-            let before = cache.stats().evictions;
-            if current {
-                for (i, &v) in variants.as_slice().iter().enumerate() {
-                    cache.insert(&entry.name, v, Arc::clone(&report.results[i]));
-                }
+        let mut cache = shared.cache();
+        // Insert only while this batch's snapshot is still current:
+        // the registry read happens *under the cache lock*, the same
+        // lock `APPEND`'s repair pass holds, so a stale-generation
+        // result can never slip in behind the repair sweep.
+        let current = shared
+            .registry
+            .get(&entry.name)
+            .is_some_and(|e| e.index.len() == entry.index.len());
+        if current {
+            for (i, &v) in variants.as_slice().iter().enumerate() {
+                cache.insert(&entry.name, v, Arc::clone(&report.results[i]));
             }
-            cache.stats().evictions - before
-        };
-        if evicted > 0 {
-            shared.metrics.record_event(TraceEvent::CacheEvicted {
-                entries: u32::try_from(evicted).unwrap_or(u32::MAX),
-            });
         }
     }
 
+    // The whole run in one acquisition of the one ledger lock.
     {
         let mut s = shared.stats();
         s.batches += 1;
@@ -988,6 +969,8 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
             .filter(|o| o.reused_from().is_some() && !o.warm)
             .count() as u64;
         s.engine_busy += busy;
+        s.shards.merge(&report.sharding);
+        s.phases.merge(&report.phases);
         s.completed += batch.len() as u64;
         s.in_flight = s.in_flight.saturating_sub(batch.len() as u64);
     }
@@ -1091,18 +1074,51 @@ fn repair_cache(
     })
 }
 
-/// Feeds an applied append batch to every watch stream of `dataset`,
-/// broadcasting one [`Delta`] per subscriber, and prunes dead
+/// Brings a stream's clustering up to `index`'s generation: inserts, in
+/// caller order, every point the stream has not seen yet, and returns how
+/// many points crossed the core threshold on the way. The one feed both
+/// the first subscription (from empty) and every append (the new tail)
+/// go through.
+///
+/// Each ε-query is answered by the generation's own `T_low`: tree ids map
+/// back to caller ids through the permutation, and only ids up to the one
+/// being inserted count, so the stream sees the points arrive one at a
+/// time although the tree already holds them all. `tree_pos` is the
+/// caller id → tree position inverse of `index.permutation()`.
+fn feed_stream(inc: &mut IncrementalDbscan, index: &PreparedIndex, tree_pos: &[PointId]) -> usize {
+    let tree = index.t_low();
+    let permutation = index.permutation();
+    let eps = inc.params().eps;
+    let mut promoted = 0usize;
+    for id in inc.len() as PointId..index.len() as PointId {
+        let outcome = inc.insert(|q, out| {
+            let center = tree.points()[tree_pos[q as usize] as usize];
+            tree.epsilon_neighbors(center, eps, out);
+            out.retain_mut(|p| {
+                *p = permutation[*p as usize];
+                *p <= id
+            });
+        });
+        promoted += outcome.newly_core.len();
+    }
+    promoted
+}
+
+/// Feeds a freshly swapped-in generation to every watch stream of its
+/// dataset, broadcasting one [`Delta`] per subscriber, and prunes dead
 /// subscribers and empty streams. Returns the number of deltas
 /// actually delivered.
-fn notify_watchers(shared: &Shared, dataset: &str, appended: &[Point2]) -> u64 {
+fn notify_watchers(shared: &Shared, entry: &DatasetEntry) -> u64 {
     let mut watchers = shared.watchers.lock().expect("watchers lock poisoned");
+    if !watchers.iter().any(|s| s.dataset == entry.name) {
+        return 0;
+    }
+    // Built once per append, shared by every stream of the dataset.
+    let tree_pos = invert_permutation(entry.index.permutation());
     let mut delivered = 0u64;
-    for stream in watchers.iter_mut().filter(|s| s.dataset == dataset) {
-        let mut promoted = 0usize;
-        for &p in appended {
-            promoted += stream.inc.insert(p).newly_core.len();
-        }
+    for stream in watchers.iter_mut().filter(|s| s.dataset == entry.name) {
+        let appended = entry.index.len() - stream.inc.len();
+        let promoted = feed_stream(&mut stream.inc, &entry.index, &tree_pos);
         let snapshot = stream.inc.snapshot();
         let labels: Vec<u32> = snapshot.labels().iter_raw().collect();
         let core: Vec<bool> = (0..labels.len())
@@ -1121,7 +1137,7 @@ fn notify_watchers(shared: &Shared, dataset: &str, appended: &[Point2]) -> u64 {
             dataset: stream.dataset.clone(),
             eps: stream.variant.eps,
             minpts: stream.variant.minpts,
-            appended: appended.len(),
+            appended,
             new: born,
             absorbed,
             promoted,
@@ -1138,9 +1154,6 @@ fn notify_watchers(shared: &Shared, dataset: &str, appended: &[Point2]) -> u64 {
         delivered += stream.subscribers.len() as u64;
     }
     watchers.retain(|s| !s.subscribers.is_empty());
-    if delivered > 0 {
-        shared.metrics.observe_watch_deltas(delivered);
-    }
     delivered
 }
 
@@ -1238,7 +1251,7 @@ mod tests {
         // The hint travels typed and as the line protocol's token.
         assert_eq!(rejection.retry_after, Some(1));
         assert_eq!(rejection.message, "retry-after=1 queue full");
-        let s = *shared.stats();
+        let s = shared.stats().clone();
         assert_eq!((s.submitted, s.rejected_overloaded), (2, 1));
         assert_eq!(s.in_flight, 2, "admitted jobs are in flight");
     }
@@ -1251,7 +1264,7 @@ mod tests {
         }
         shared.account_terminal(2, false);
         shared.account_terminal(1, true);
-        let s = *shared.stats();
+        let s = shared.stats().clone();
         assert_eq!(
             (s.submitted, s.completed, s.failed, s.in_flight),
             (5, 2, 1, 2)
@@ -1283,7 +1296,7 @@ mod tests {
             shared.watch("nope", Variant::new(1.0, 4)).err(),
             Some(Rejection::draining())
         );
-        let s = *shared.stats();
+        let s = shared.stats().clone();
         assert_eq!(s.unknown_dataset, 2, "submit + the un-drained append");
         assert_eq!(
             (s.appends, s.appends_applied, s.appends_rejected),

@@ -45,17 +45,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that perturbs nothing — the identity baseline.
-    pub fn benign(seed: u64) -> FaultPlan {
-        FaultPlan {
-            rng: Pcg32::seeded(seed),
-            max_write_chunk: 0,
-            delay_prob: 0.0,
-            delay: Duration::ZERO,
-            cut_after_bytes: None,
-        }
-    }
-
     /// A plan that splits writes into 1–7 byte chunks with occasional
     /// short delays — hostile pacing, but every byte arrives.
     pub fn torn_writes(seed: u64) -> FaultPlan {
@@ -86,11 +75,6 @@ impl<T: Transport> FaultTransport<T> {
             written: 0,
             cut: false,
         }
-    }
-
-    /// Total bytes successfully written through the faults.
-    pub fn bytes_written(&self) -> usize {
-        self.written
     }
 
     fn maybe_delay(&mut self) {
@@ -285,7 +269,7 @@ mod tests {
         let mut ft = FaultTransport::new(rec, plan);
         let err = ft.write_all(b"0123456789abcdef").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(ft.bytes_written(), 10);
+        assert_eq!(ft.written, 10);
         assert_eq!(ft.inner.chunks.concat(), b"0123456789");
         assert!(ft.inner.closed, "cut must tear the inner transport down");
         // Reads after the cut observe EOF, like a real half-open socket.

@@ -179,40 +179,14 @@ pub fn metric_u64(text: &str, name: &str) -> u64 {
         .unwrap_or_else(|_| panic!("metric {name} is not a u64"))
 }
 
-/// Asserts the `METRICS` exposition carries the same job counters as a
-/// `STATS` JSON line sampled at the same quiescent point, and that the
-/// admission invariant (`submitted = completed + failed + in_flight`)
-/// holds *inside* the exposition itself.
+/// Asserts the `METRICS` exposition carries every row of the daemon's
+/// counter table with the value a `STATS` JSON line sampled at the same
+/// quiescent point gives it, and that the admission invariant
+/// (`submitted = completed + failed + in_flight`) holds *inside* the
+/// exposition itself.
 pub fn assert_metrics_match_stats(metrics: &str, stats: &str, ctx: &str) {
-    for (metric_name, json_key) in [
-        ("vbp_jobs_submitted_total", "submitted"),
-        ("vbp_jobs_completed_total", "completed"),
-        ("vbp_jobs_failed_total", "failed"),
-        ("vbp_jobs_in_flight", "in_flight"),
-        (
-            "vbp_rejected_total{reason=\"overloaded\"}",
-            "rejected_overloaded",
-        ),
-        (
-            "vbp_rejected_total{reason=\"draining\"}",
-            "rejected_draining",
-        ),
-        ("vbp_unknown_dataset_total", "unknown_dataset"),
-        ("vbp_bad_request_total", "bad_request"),
-        ("vbp_protocol_errors_total", "protocol_errors"),
-        ("vbp_batches_total", "batches"),
-        ("vbp_reuse_hits_total", "reuse_hits"),
-        ("vbp_in_run_reused_total", "in_run_reused"),
-        ("vbp_from_scratch_total", "from_scratch"),
-        ("vbp_append_batches_total", "appends"),
-        ("vbp_append_applied_total", "appends_applied"),
-        ("vbp_append_rejected_total", "appends_rejected"),
-        ("vbp_append_points_total", "append_points"),
-        ("vbp_watch_subscriptions_total", "watches"),
-        ("vbp_watch_deltas_total", "watch_deltas"),
-        ("vbp_store_restored", "store_restored"),
-        ("vbp_store_restore_failed", "store_restore_failed"),
-    ] {
+    for c in vbp_service::counters() {
+        let (metric_name, json_key) = (c.series, c.key);
         assert_eq!(
             metric_u64(metrics, metric_name),
             field_u64(stats, json_key),

@@ -145,7 +145,7 @@ fn twenty_variant_workload_matches_direct_engine_and_reuses_across_runs() {
         "cache hits missing from exposition"
     );
     assert!(
-        common::metric_u64(&metrics, "vbp_engine_runs_total") > 0
+        common::metric_u64(&metrics, "vbp_batches_total") > 0
             && common::metric_u64(
                 &metrics,
                 "vbp_phase_latency_ns_bucket{phase=\"scratch\",le=\"+Inf\"}"

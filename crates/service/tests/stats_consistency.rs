@@ -7,6 +7,12 @@
 //! submitter threads race work through the daemon, so the invariant is
 //! observed mid-admission, mid-batch, and mid-completion — where a
 //! two-step counter update would be caught red-handed.
+//!
+//! The same poller scrapes `METRICS`, whose phase histograms live under
+//! the same lock as the counters: inside every single scrape the
+//! `scratch` histogram holds exactly `from_scratch` samples and the
+//! `reuse` histogram exactly `reuse_hits + in_run_reused` — identities a
+//! second lock could only satisfy at rest.
 
 mod common;
 
@@ -14,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{assert_stats_consistent, field_u64, start_server, Watchdog};
+use common::{assert_stats_consistent, field_u64, metric_u64, start_server, Watchdog};
 use vbp_service::{Client, ErrorCode, ServiceConfig};
 
 const DATASET: &str = "cF_10k_5N@400";
@@ -34,8 +40,8 @@ fn stats_invariant_holds_at_every_observation_point() {
     let addr = handle.local_addr();
     let done = Arc::new(AtomicBool::new(false));
 
-    // The poller: reads STATS as fast as the daemon answers and checks
-    // the invariant on every single observation.
+    // The poller: reads STATS and METRICS as fast as the daemon answers
+    // and checks the invariants on every single observation.
     let poller = {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
@@ -45,6 +51,24 @@ fn stats_invariant_holds_at_every_observation_point() {
             while !done.load(Ordering::Acquire) {
                 let stats = client.stats_json().unwrap();
                 assert_stats_consistent(&stats, &format!("observation {observations}"));
+                let metrics = client.metrics().unwrap();
+                let samples = |phase: &str| {
+                    metric_u64(
+                        &metrics,
+                        &format!("vbp_phase_latency_ns_count{{phase=\"{phase}\"}}"),
+                    )
+                };
+                assert_eq!(
+                    samples("scratch"),
+                    metric_u64(&metrics, "vbp_from_scratch_total"),
+                    "observation {observations}: scratch samples vs from_scratch"
+                );
+                assert_eq!(
+                    samples("reuse"),
+                    metric_u64(&metrics, "vbp_reuse_hits_total")
+                        + metric_u64(&metrics, "vbp_in_run_reused_total"),
+                    "observation {observations}: reuse samples vs reuse counters"
+                );
                 observations += 1;
             }
             observations

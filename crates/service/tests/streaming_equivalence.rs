@@ -14,7 +14,10 @@
 //!    for the *current* dataset generation and structurally consistent
 //!    (repaired entries are real clusterings, not length-padded husks);
 //! 4. **Atomicity** — a torn `APPEND` (connection cut mid-line) leaves
-//!    the dataset at its pre-append snapshot.
+//!    the dataset at its pre-append snapshot;
+//! 5. **Late subscription** — a `WATCH` opened on a generation that has
+//!    already been re-sorted and carries an unsorted tail answers the
+//!    from-scratch census, and its deltas chain from there.
 //!
 //! Schedules replay exactly from their seed: a failure prints
 //! `VBP_STREAM_SEED=0x...`. `VBP_STREAM_FULL=1` widens the sweep.
@@ -25,13 +28,15 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{assert_isomorphic, assert_stats_consistent, brute_core_points, field_u64, Watchdog};
-use variantdbscan::{Engine, RunRequest, Variant, VariantSet};
+use common::{
+    assert_isomorphic, assert_stats_consistent, brute_core_points, field_u64, metric_u64, Watchdog,
+};
+use variantdbscan::{Engine, RunRequest, Variant, VariantSet, APPEND_RESORT_FRACTION};
 use vbp_data::Pcg32;
 use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
 use vbp_geom::Point2;
 use vbp_rtree::PackedRTree;
-use vbp_service::{Client, ServerHandle, ServiceConfig};
+use vbp_service::{Client, Delta, ServerHandle, ServiceConfig};
 
 const DATASET: &str = "cF_10k_5N@300";
 
@@ -95,6 +100,16 @@ fn gen_batch(rng: &mut Pcg32, base: &[Point2], remote: bool, len: usize) -> Vec<
             Point2::new(lo_x + offset + fx * w, lo_y + offset + fy * h)
         })
         .collect()
+}
+
+/// The watcher's next `DELTA`; panics once `deadline` has passed.
+fn next_delta(watcher: &mut Client, deadline: Instant, ctx: &str) -> Delta {
+    loop {
+        match watcher.poll_delta(Duration::from_millis(200)).unwrap() {
+            Some(delta) => return delta,
+            None => assert!(Instant::now() < deadline, "{ctx} never arrived"),
+        }
+    }
 }
 
 /// One seeded APPEND/SUBMIT/WATCH interleaving. Returns the totals of
@@ -169,15 +184,11 @@ fn run_schedule(seed: u64, actions: usize) -> (u64, u64) {
     let mut last = (census.clusters, census.noise);
     let deadline = Instant::now() + Duration::from_secs(30);
     for d in 0..appends {
-        let delta = loop {
-            match watcher.poll_delta(Duration::from_millis(200)).unwrap() {
-                Some(delta) => break delta,
-                None => assert!(
-                    Instant::now() < deadline,
-                    "{ctx_seed}: delta {d}/{appends} never arrived"
-                ),
-            }
-        };
+        let delta = next_delta(
+            &mut watcher,
+            deadline,
+            &format!("{ctx_seed}: delta {d}/{appends}"),
+        );
         assert_eq!(delta.dataset, DATASET, "{ctx_seed}");
         assert_eq!(
             chain + delta.new - delta.absorbed,
@@ -296,6 +307,90 @@ fn seeded_streaming_interleavings_match_batch_runs() {
         dropped > 0,
         "no schedule ever took the cache drop path (near batches broken?)"
     );
+}
+
+/// Late subscription: the `WATCH` arrives after the dataset has been
+/// re-sorted (so caller ids and tree positions no longer line up) and
+/// has grown an unsorted tail on top — the generation shape a stream's
+/// first feed has to walk through the permutation.
+#[test]
+fn late_watch_on_a_resorted_generation_answers_the_batch_census() {
+    let _wd = Watchdog::arm("streaming-late-watch", Duration::from_secs(240));
+    let mut rng = Pcg32::seeded(0x1A7E_5AB5);
+    let initial = vbp_data::DatasetSpec::by_name(DATASET).unwrap().generate();
+    let (eps, minpts) = variant_pool(&initial)[0];
+    let census_of = |points: &[Point2]| {
+        let direct = scratch_run(points, eps, minpts);
+        (direct.num_clusters(), direct.noise_count())
+    };
+
+    let mut handle = streaming_server();
+    let mut feed = Client::connect(handle.local_addr()).unwrap();
+    feed.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut accumulated = initial.clone();
+
+    // Three near batches of 40 push the unsorted tail past the engine's
+    // re-sort rule (mirrored here from its documented constant); three
+    // of 5 then give the subscribed generation a tail again.
+    let (mut tail, mut resorts) = (0usize, 0usize);
+    for len in [40, 40, 40, 5, 5, 5] {
+        let batch = gen_batch(&mut rng, &initial, false, len);
+        let reply = feed.append(DATASET, &batch).unwrap();
+        accumulated.extend_from_slice(&batch);
+        assert_eq!(reply.total, accumulated.len());
+        tail += len;
+        if tail as f64 > accumulated.len() as f64 * APPEND_RESORT_FRACTION {
+            resorts += 1;
+            tail = 0;
+        }
+    }
+    assert_eq!((resorts, tail), (1, 15), "schedule shape");
+
+    let mut watcher = Client::connect(handle.local_addr()).unwrap();
+    let census = watcher.watch(DATASET, eps, minpts).unwrap();
+    assert_eq!(
+        (census.clusters, census.noise),
+        census_of(&accumulated),
+        "late WATCH census at subscription"
+    );
+
+    // One near and one remote append: exactly one delta each, chaining
+    // from the subscription census to the from-scratch one.
+    let mut chain = census.clusters;
+    for remote in [false, true] {
+        let batch = gen_batch(&mut rng, &initial, remote, 6);
+        feed.append(DATASET, &batch).unwrap();
+        accumulated.extend_from_slice(&batch);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let delta = next_delta(&mut watcher, deadline, &format!("delta (remote: {remote})"));
+        assert_eq!(delta.appended, batch.len());
+        assert_eq!(
+            chain + delta.new - delta.absorbed,
+            delta.clusters,
+            "delta (remote: {remote}) census does not chain"
+        );
+        chain = delta.clusters;
+        assert_eq!((delta.clusters, delta.noise), census_of(&accumulated));
+        assert!(
+            watcher
+                .poll_delta(Duration::from_millis(100))
+                .unwrap()
+                .is_none(),
+            "spurious extra delta (remote: {remote})"
+        );
+    }
+
+    // A second subscriber joins the same stream: same census, no second
+    // clustering.
+    let mut second = Client::connect(handle.local_addr()).unwrap();
+    let again = second.watch(DATASET, eps, minpts).unwrap();
+    assert_eq!((again.clusters, again.noise), census_of(&accumulated));
+    let metrics = handle.metrics_text();
+    assert_eq!(metric_u64(&metrics, "vbp_watch_streams"), 1);
+    assert_eq!(metric_u64(&metrics, "vbp_watch_subscribers"), 2);
+
+    feed.shutdown().unwrap();
+    handle.wait();
 }
 
 /// Atomicity: an `APPEND` line cut mid-write (connection dies before the

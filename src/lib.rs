@@ -6,10 +6,9 @@
 //!
 //! The actual implementations live in:
 //!
-//! - [`vbp_geom`] — points, minimum bounding boxes, distances, binning.
-//! - [`vbp_rtree`] — the packed and dynamic R-tree indexes, the
-//!   brute-force reference index, and the ε-neighborhood search of
-//!   Algorithm 2.
+//! - [`vbp_geom`] — points, minimum bounding boxes, binning.
+//! - [`vbp_rtree`] — the packed R-tree index, the brute-force reference
+//!   index, and the ε-neighborhood search of Algorithm 2.
 //! - [`vbp_dbscan`] — DBSCAN (Algorithm 1), its sharded disjoint-set
 //!   kernel and grid-based reference, incremental DBSCAN, the DBDC quality
 //!   metric, and the k-distance heuristic.

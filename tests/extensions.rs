@@ -10,6 +10,17 @@ fn dataset(n: usize) -> Vec<Point2> {
     SyntheticSpec::new(SyntheticClass::CF, n, 0.15, 4242).generate()
 }
 
+/// Inserts `points[inc.len()]`, answering its ε-queries by a scan over
+/// the inserted prefix.
+fn insert_next(inc: &mut IncrementalDbscan, points: &[Point2]) {
+    let prefix = &points[..=inc.len()];
+    let eps = inc.params().eps;
+    inc.insert(|q, out| {
+        let center = prefix[q as usize];
+        out.extend((0..prefix.len() as u32).filter(|&c| prefix[c as usize].within(&center, eps)));
+    });
+}
+
 /// All four DBSCAN implementations agree on structure; the three with
 /// deterministic border claims agree exactly.
 #[test]
@@ -24,8 +35,8 @@ fn four_dbscan_implementations_agree() {
     let from_parallel = parallel_dbscan(&brute, params, 4);
     let from_grid = grid_dbscan(&points, params);
     let mut inc = IncrementalDbscan::new(params);
-    for &p in &points {
-        inc.insert(p);
+    for _ in &points {
+        insert_next(&mut inc, &points);
     }
     let from_incremental = inc.snapshot();
 
@@ -52,8 +63,8 @@ fn incremental_tracks_batch_on_tec_stream() {
     let stream = SpaceWeatherSpec::scaled(2, 1_600).generate();
     let params = DbscanParams::new(1.2, 4);
     let mut inc = IncrementalDbscan::new(params);
-    for (i, &p) in stream.iter().enumerate() {
-        inc.insert(p);
+    for i in 0..stream.len() {
+        insert_next(&mut inc, &stream);
         if (i + 1) % 800 == 0 {
             let snap = inc.snapshot();
             let batch = parallel_dbscan(
