@@ -70,7 +70,7 @@ use vbp_rtree::traits::shared_points;
 use vbp_rtree::{tune_r_sampled, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
-use crate::expand::cluster_with_reuse_traced;
+use crate::expand::{cluster_with_reuse_traced, NeighborCounts};
 use crate::metrics::{ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats};
 use crate::scheduler::{ScheduleState, Scheduler};
 use crate::seeds::ReuseScheme;
@@ -1045,6 +1045,9 @@ impl Engine {
                 .expect("fresh slot");
         }
         let panic_slot: OnceLock<JobPanic> = OnceLock::new();
+        // The variants of one ε share each point's |N_ε(p)|; a table is
+        // allocated only once a reuse assignment at its ε runs.
+        let neighbor_counts = NeighborCounts::new(index.len(), variants.iter().map(|v| v.eps));
 
         let t0 = Instant::now();
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
@@ -1053,6 +1056,7 @@ impl Engine {
                     let schedule = &schedule;
                     let results = &results[..];
                     let panic_slot = &panic_slot;
+                    let neighbor_counts = &neighbor_counts;
                     scope.spawn(move || {
                         worker_loop(
                             thread_id,
@@ -1063,6 +1067,7 @@ impl Engine {
                             index.t_high(),
                             schedule,
                             results,
+                            neighbor_counts,
                             panic_slot,
                             t0,
                             trace,
@@ -1175,6 +1180,7 @@ fn worker_loop(
     t_high: &PackedRTree,
     schedule: &Mutex<ScheduleState>,
     results: &[OnceLock<Arc<ClusterResult>>],
+    neighbor_counts: &NeighborCounts,
     panic_slot: &OnceLock<JobPanic>,
     t0: Instant,
     trace: TraceLevel,
@@ -1258,6 +1264,7 @@ fn worker_loop(
                             &prev,
                             source_variant,
                             reuse,
+                            neighbor_counts.at(variant.eps),
                             tracer,
                             variant_idx,
                         );

@@ -20,6 +20,15 @@
 //!    belonged to a different old cluster *destroys* that cluster
 //!    (it can no longer be copied wholesale);
 //! 5. whatever remains unvisited is clustered from scratch (line 18).
+//!
+//! Every search also records `|N_ε(p)|` in a table shared by all variants
+//! of a run at the same ε (`NeighborCounts`). The remainder pass and the
+//! ExpandCluster waves search a point only to test whether it is core, so
+//! a point an earlier variant at this ε already counted below `minpts` is
+//! settled without a search. Labels do not depend on what the table holds.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use vbp_dbscan::{ClusterId, ClusterResult, Labels, MAX_CLUSTER_ID};
 use vbp_geom::{Mbb, PointId};
@@ -67,12 +76,74 @@ impl ReuseStats {
     }
 }
 
+/// The `|N_ε(p)|` tables of one engine run: one per distinct ε, each `n`
+/// counters over the run's `T_low`, allocated at the first reuse
+/// assignment at that ε and dropped with the run.
+///
+/// Entry `p` is 0 while unknown — a closed ball always contains `p`, so a
+/// searched point never stores 0 — and otherwise the exact count some
+/// search at this ε returned. Every writer of an entry writes that same
+/// value, so `Relaxed` loads and stores suffice: a race decides only
+/// whether a later reader skips a search, never what it would have found.
+pub(crate) struct NeighborCounts {
+    n: usize,
+    tables: Vec<(u64, OnceLock<Box<[AtomicU32]>>)>,
+}
+
+impl NeighborCounts {
+    /// Unallocated tables for `n` points at each distinct ε in `eps`.
+    pub(crate) fn new(n: usize, eps: impl IntoIterator<Item = f64>) -> Self {
+        let mut keys: Vec<u64> = eps.into_iter().map(f64::to_bits).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Self {
+            n,
+            tables: keys.into_iter().map(|k| (k, OnceLock::new())).collect(),
+        }
+    }
+
+    /// The table for `eps`, allocated on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eps` was not among the values passed to [`Self::new`].
+    pub(crate) fn at(&self, eps: f64) -> &[AtomicU32] {
+        let i = self
+            .tables
+            .binary_search_by_key(&eps.to_bits(), |&(k, _)| k)
+            .expect("neighbour-count table for an ε outside the run");
+        self.tables[i].1.get_or_init(|| unknown_counts(self.n))
+    }
+}
+
+/// A table of `n` unknown counts.
+fn unknown_counts(n: usize) -> Box<[AtomicU32]> {
+    (0..n).map(|_| AtomicU32::new(0)).collect()
+}
+
+#[inline]
+fn record_count(counts: &[AtomicU32], p: PointId, len: usize) {
+    counts[p as usize].store(u32::try_from(len).unwrap_or(u32::MAX), Ordering::Relaxed);
+}
+
+/// `true` when an earlier search at this ε found `p` to have fewer than
+/// `minpts` neighbours.
+#[inline]
+fn known_non_core(counts: &[AtomicU32], p: PointId, minpts: usize) -> bool {
+    let count = counts[p as usize].load(Ordering::Relaxed);
+    count != 0 && (count as usize) < minpts
+}
+
 /// Runs VariantDBSCAN's reuse path for one variant.
 ///
 /// `t_low` is the tuned-`r` tree used for ε-neighborhood searches;
 /// `t_high` is the `r = 1` tree used for the cluster-MBB harvest. Both
 /// must index the same point database in the same order, which must also
 /// be the order `previous` was computed over.
+///
+/// Neighbour counts are kept for this call only; an engine run shares
+/// them among the variants of one ε and so may search less, but returns
+/// the same labels.
 ///
 /// # Panics
 ///
@@ -95,16 +166,20 @@ pub fn cluster_with_reuse(
         previous,
         source_variant,
         scheme,
+        &unknown_counts(t_low.len()),
         &mut tracer,
         0,
     )
 }
 
-/// [`cluster_with_reuse`] with the engine's per-worker tracer threaded
-/// through: at [`TraceLevel::Full`](crate::trace::TraceLevel) every
-/// frontier ε-query batch and every ExpandCluster wave lands in the ring
-/// as a typed event tagged with `variant_idx`. With a disabled tracer the
-/// extra cost is one inlined level compare per batch.
+/// [`cluster_with_reuse`] with the engine's run-scoped state threaded
+/// through. `counts` is the [`NeighborCounts`] table for `variant.eps`
+/// over `t_low`: read to skip searches whose non-core answer is known,
+/// written after every search. At
+/// [`TraceLevel::Full`](crate::trace::TraceLevel) every frontier ε-query
+/// batch and every ExpandCluster wave lands in the ring as a typed event
+/// tagged with `variant_idx`. With a disabled tracer the extra cost is one
+/// inlined level compare per batch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cluster_with_reuse_traced(
     t_low: &PackedRTree,
@@ -113,6 +188,7 @@ pub(crate) fn cluster_with_reuse_traced(
     previous: &ClusterResult,
     source_variant: Variant,
     scheme: ReuseScheme,
+    counts: &[AtomicU32],
     tracer: &mut WorkerTracer,
     variant_idx: u32,
 ) -> (ClusterResult, ReuseStats) {
@@ -126,6 +202,11 @@ pub(crate) fn cluster_with_reuse_traced(
         n,
         previous.len(),
         "previous result covers a different database"
+    );
+    assert_eq!(
+        n,
+        counts.len(),
+        "neighbour counts cover a different database"
     );
     debug_assert!(
         !scheme.reuses() || variant.can_reuse(&source_variant),
@@ -208,7 +289,8 @@ pub(crate) fn cluster_with_reuse_traced(
             let expand_set = &mut expand_set;
             let in_expand = &mut in_expand;
             let labels = &labels;
-            t_low.epsilon_neighbors_batch(&mut frontier, eps, &mut neighbors, &mut |_, ns| {
+            t_low.epsilon_neighbors_batch(&mut frontier, eps, &mut neighbors, &mut |p, ns| {
+                record_count(counts, p, ns.len());
                 for &q in ns {
                     if labels.cluster(q) == Some(c) && !in_expand[q as usize] {
                         in_expand[q as usize] = true;
@@ -239,6 +321,7 @@ pub(crate) fn cluster_with_reuse_traced(
             &mut queue,
             &mut wave,
             &mut neighbors,
+            counts,
             &mut stats.expand_searches,
             &mut stats.clusters_destroyed,
             tracer,
@@ -247,16 +330,22 @@ pub(crate) fn cluster_with_reuse_traced(
     }
 
     // Line 18: cluster the remainder with plain DBSCAN, continuing the
-    // cluster id sequence and respecting the labels assigned above.
+    // cluster id sequence and respecting the labels assigned above. A
+    // point already counted below minpts at this ε is non-core without a
+    // search; its labelling below is the same either way.
     for p in 0..n as PointId {
         if visited[p as usize] {
             continue;
         }
         visited[p as usize] = true;
-        neighbors.clear();
-        t_low.epsilon_neighbors(points[p as usize], eps, &mut neighbors);
-        stats.remainder_searches += 1;
-        if neighbors.len() < minpts {
+        let core = !known_non_core(counts, p, minpts) && {
+            neighbors.clear();
+            t_low.epsilon_neighbors(points[p as usize], eps, &mut neighbors);
+            record_count(counts, p, neighbors.len());
+            stats.remainder_searches += 1;
+            neighbors.len() >= minpts
+        };
+        if !core {
             if labels.cluster(p).is_none() {
                 labels.mark_noise(p);
             }
@@ -290,6 +379,7 @@ pub(crate) fn cluster_with_reuse_traced(
             &mut queue,
             &mut wave,
             &mut neighbors,
+            counts,
             &mut stats.remainder_searches,
             &mut stats.clusters_destroyed,
             tracer,
@@ -314,12 +404,16 @@ pub(crate) fn cluster_with_reuse_traced(
 /// [`SpatialIndex::epsilon_neighbors_batch`] so consecutive ε-searches
 /// probe warm leaves.
 ///
-/// Order-equivalence: the set of searched points is the
+/// Order-equivalence: the set of visited points is the
 /// density-reachability closure of the seeds over points not visited at
 /// loop entry — independent of visit order — and every label written is
 /// the same `c`, so final labels, `searches`, and the destroyed-cluster
 /// set are identical to the depth-first version (the exact-count unit
 /// tests below pin this).
+///
+/// A visited point whose count in `counts` is known and below `minpts`
+/// is marked visited but left out of the wave: its search would only
+/// have found it non-core, which pushes nothing.
 #[allow(clippy::too_many_arguments)]
 fn expand_wave(
     t_low: &PackedRTree,
@@ -333,6 +427,7 @@ fn expand_wave(
     queue: &mut Vec<PointId>,
     wave: &mut Vec<PointId>,
     neighbors: &mut Vec<PointId>,
+    counts: &[AtomicU32],
     searches: &mut usize,
     clusters_destroyed: &mut usize,
     tracer: &mut WorkerTracer,
@@ -354,7 +449,9 @@ fn expand_wave(
                 continue;
             }
             visited[i as usize] = true;
-            wave.push(i);
+            if !known_non_core(counts, i, minpts) {
+                wave.push(i);
+            }
         }
         *searches += wave.len();
         tracer.record_full(TraceEvent::ExpandWave {
@@ -363,7 +460,8 @@ fn expand_wave(
         });
         let labels = &*labels;
         let visited = &*visited;
-        t_low.epsilon_neighbors_batch(wave, eps, neighbors, &mut |_, ns| {
+        t_low.epsilon_neighbors_batch(wave, eps, neighbors, &mut |p, ns| {
+            record_count(counts, p, ns.len());
             if ns.len() >= minpts {
                 for &nb in ns {
                     if !visited[nb as usize] || labels.cluster(nb).is_none() {
@@ -405,6 +503,7 @@ fn compact_labels(labels: Labels) -> Labels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variant::VariantSet;
     use vbp_dbscan::{dbscan, quality_score};
     use vbp_geom::Point2;
 
@@ -546,6 +645,136 @@ mod tests {
                 reused.check_consistency().unwrap();
             }
         }
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Three blobs over a sparse background on a lattice of spacing 0.25
+    /// (exact in binary), every seventh point doubled: pair distances land
+    /// exactly on ε ∈ {0.5, 0.75, 1.0}, and duplicates sit at distance 0.
+    fn lattice_cloud(seed: u64) -> Vec<Point2> {
+        let mut rnd = xorshift(seed);
+        let blobs = [(4, 4), (22, 8), (10, 26)];
+        let mut pts = Vec::new();
+        for i in 0..360u64 {
+            let (x, y) = if i % 3 == 0 {
+                (rnd() % 40, rnd() % 40)
+            } else {
+                let (bx, by) = blobs[(i / 3 % 3) as usize];
+                (bx + rnd() % 10, by + rnd() % 10)
+            };
+            let p = Point2::new(x as f64 * 0.25, y as f64 * 0.25);
+            pts.push(p);
+            if i % 7 == 0 {
+                pts.push(p);
+            }
+        }
+        pts
+    }
+
+    /// `|N_ε(p)|` over `t_low`'s points by brute force.
+    fn brute_counts(t_low: &PackedRTree, eps: f64) -> Vec<u32> {
+        let pts = t_low.points();
+        pts.iter()
+            .map(|p| pts.iter().filter(|q| p.dist_sq(q) <= eps * eps).count() as u32)
+            .collect()
+    }
+
+    fn table(values: impl Iterator<Item = u32>) -> Box<[AtomicU32]> {
+        values.map(AtomicU32::new).collect()
+    }
+
+    fn assert_known_counts_exact(counts: &[AtomicU32], exact: &[u32], ctx: &str) {
+        for (p, (c, &want)) in counts.iter().zip(exact).enumerate() {
+            let c = c.load(Ordering::Relaxed);
+            assert!(
+                c == 0 || c == want,
+                "{ctx}: point {p} holds {c}, |N_ε| = {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn neighbour_counts_skip_searches_and_never_change_labels() {
+        let variants = VariantSet::cartesian(&[0.5, 0.75, 1.0], &[2, 4, 7, 11]);
+        let mut saved = 0usize;
+        for seed in [0x5EED_0001u64, 0x5EED_0002] {
+            let (t_low, t_high) = trees(&lattice_cloud(seed), 8);
+            let n = t_low.len();
+            let mut coin = xorshift(seed ^ 0xC0FFEE);
+            for source in variants.iter() {
+                let base = dbscan(&t_low, source.params());
+                for target in variants.iter().filter(|t| t.can_reuse(&source)) {
+                    let exact = brute_counts(&t_low, target.eps);
+                    for scheme in ReuseScheme::REUSING {
+                        let ctx = format!("seed {seed:x} {source}->{target} {scheme}");
+                        let run = |counts: &[AtomicU32]| {
+                            let mut tracer = WorkerTracer::disabled();
+                            cluster_with_reuse_traced(
+                                &t_low,
+                                &t_high,
+                                target,
+                                &base,
+                                source,
+                                scheme,
+                                counts,
+                                &mut tracer,
+                                0,
+                            )
+                        };
+                        let empty = unknown_counts(n);
+                        let (want, empty_stats) = run(&empty);
+                        assert_known_counts_exact(&empty, &exact, &ctx);
+                        assert_eq!(
+                            (want.clone(), empty_stats),
+                            cluster_with_reuse(&t_low, &t_high, target, &base, source, scheme),
+                            "{ctx}: public entry point"
+                        );
+
+                        let full = table(exact.iter().copied());
+                        let half =
+                            table(exact.iter().map(|&c| if coin() & 1 == 0 { c } else { 0 }));
+                        for (name, counts) in [("full", &full), ("half", &half)] {
+                            let (got, stats) = run(counts);
+                            assert_eq!(got, want, "{ctx}: {name} table changed labels");
+                            assert_known_counts_exact(counts, &exact, &ctx);
+                            assert_eq!(
+                                (
+                                    stats.points_reused,
+                                    stats.clusters_reused,
+                                    stats.clusters_destroyed,
+                                    stats.frontier_searches
+                                ),
+                                (
+                                    empty_stats.points_reused,
+                                    empty_stats.clusters_reused,
+                                    empty_stats.clusters_destroyed,
+                                    empty_stats.frontier_searches
+                                ),
+                                "{ctx}: {name} table"
+                            );
+                            assert!(
+                                stats.total_searches() <= empty_stats.total_searches(),
+                                "{ctx}: {name} table searched {} > {}",
+                                stats.total_searches(),
+                                empty_stats.total_searches()
+                            );
+                            if name == "full" {
+                                saved += empty_stats.total_searches() - stats.total_searches();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saved > 0, "a known count never saved a search");
     }
 
     #[test]

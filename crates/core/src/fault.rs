@@ -14,7 +14,11 @@
 //! it on its own. Bit-exact comparison keeps concurrent test binaries
 //! honest: armed values are chosen outside any real workload's parameter
 //! grid, so an armed seam cannot accidentally fire for unrelated traffic,
-//! and [`disarm`] (or the RAII [`ArmedFault`]) restores the default.
+//! and [`disarm`] (or the RAII [`ArmedFault`]) restores the default. The
+//! seam holds one ε for the whole process, so an [`ArmedFault`] also
+//! holds a process-wide lock for its lifetime: tests on parallel threads
+//! that arm it take turns instead of overwriting (or disarming) each
+//! other's poison.
 //!
 //! The containment contract under test lives in
 //! [`Engine::execute`](crate::Engine::execute):
@@ -23,6 +27,7 @@
 //! connections — stays alive.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::variant::Variant;
 
@@ -32,6 +37,9 @@ use crate::variant::Variant;
 const DISARMED: u64 = u64::MAX;
 
 static PANIC_EPS_BITS: AtomicU64 = AtomicU64::new(DISARMED);
+
+/// Held by every live [`ArmedFault`], so at most one is armed at a time.
+static ARMED: Mutex<()> = Mutex::new(());
 
 /// The panic message prefix injected faults carry, so tests can tell an
 /// injected panic from a genuine engine bug.
@@ -49,14 +57,20 @@ pub fn disarm() {
 }
 
 /// RAII guard: arms on construction, disarms on drop — so a panicking test
-/// cannot leak an armed fault into tests that run after it.
-pub struct ArmedFault;
+/// cannot leak an armed fault into tests that run after it. Construction
+/// waits until no other guard in the process is alive.
+pub struct ArmedFault {
+    _turn: MutexGuard<'static, ()>,
+}
 
 impl ArmedFault {
-    /// Arms the seam for the lifetime of the guard.
+    /// Waits for any other live guard to drop, then arms the seam for the
+    /// lifetime of this one. A guard dropped by a panicking test poisons
+    /// the lock; the next guard takes it anyway, since it protects no data.
     pub fn new(eps: f64) -> Self {
+        let turn = ARMED.lock().unwrap_or_else(PoisonError::into_inner);
         arm_panic_on_eps(eps);
-        ArmedFault
+        ArmedFault { _turn: turn }
     }
 }
 

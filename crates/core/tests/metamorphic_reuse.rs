@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use variantdbscan::{
-    cluster_with_reuse, Engine, EngineConfig, ReuseScheme, RunRequest, Variant, VariantSet,
-    WarmSource,
+    cluster_with_reuse, Engine, EngineConfig, ExecutionPath, ReuseScheme, RunRequest, Variant,
+    VariantSet, WarmSource,
 };
 use vbp_dbscan::{dbscan, ClusterId, ClusterResult, Labels};
 use vbp_geom::{Point2, PointId};
@@ -177,6 +177,60 @@ proptest! {
         // A cartesian grid with ≥ 2 distinct ε columns always contains a
         // valid pair; deterministic seeding makes this assert stable.
         prop_assert!(pairs >= 1, "grid {:?}/{:?} produced no valid reuse pair", eps, minpts);
+    }
+
+    /// The engine shares each point's `|N_ε(p)|` among the variants of one
+    /// ε; that must be invisible in the labels. A `T = 1` run over a grid
+    /// with at least three minpts per ε equals, bit for bit, a replay of
+    /// each (source, target) pair it chose through `cluster_with_reuse`,
+    /// which counts afresh on every call — and never searches more.
+    #[test]
+    fn shared_neighbour_counts_equal_a_per_pair_replay(
+        points in arb_cloud(),
+        eps_steps in proptest::collection::vec(0.05f64..0.4, 1..4),
+        minpts_steps in proptest::collection::vec(1usize..4, 3..6),
+        scheme_idx in 0usize..3,
+    ) {
+        let scheme = ReuseScheme::REUSING[scheme_idx];
+        // Running sums keep the ε and minpts values distinct, so a reuse
+        // source names exactly one variant of the grid.
+        let eps: Vec<f64> = eps_steps.iter().scan(0.1, |e, s| { *e += s; Some(*e) }).collect();
+        let minpts: Vec<usize> = minpts_steps.iter().scan(1, |m, s| { *m += s; Some(*m) }).collect();
+        let variants = VariantSet::cartesian(&eps, &minpts);
+        let engine = Engine::new(
+            EngineConfig::default().with_threads(1).with_r(16).with_reuse(scheme),
+        );
+        let prepared = engine.prepare(&points, None).unwrap();
+        let report = engine.execute(&RunRequest::prepared(&prepared, &variants)).unwrap();
+
+        let mut replayed = 0usize;
+        for o in &report.outcomes {
+            let ExecutionPath::Reused { source, stats } = o.path else { continue };
+            let si = variants.iter().position(|v| v == source).unwrap();
+            let (replay, replay_stats) = cluster_with_reuse(
+                prepared.t_low(),
+                prepared.t_high(),
+                o.variant,
+                &report.results[si],
+                source,
+                scheme,
+            );
+            let ctx = format!("{scheme:?}: {source} -> {}", o.variant);
+            prop_assert_eq!(&replay, &*report.results[o.index], "{}: labels differ from the replay", ctx);
+            prop_assert_eq!(
+                (stats.points_reused, stats.clusters_reused, stats.clusters_destroyed),
+                (replay_stats.points_reused, replay_stats.clusters_reused, replay_stats.clusters_destroyed),
+                "{}", ctx
+            );
+            prop_assert!(
+                stats.total_searches() <= replay_stats.total_searches(),
+                "{}: run searched {} > replay {}", ctx, stats.total_searches(), replay_stats.total_searches()
+            );
+            replayed += 1;
+        }
+        // T = 1 clusters one variant per ε family from scratch at most;
+        // the other minpts values of that ε reuse.
+        prop_assert!(replayed >= variants.len() - eps.len(), "only {} pairs replayed", replayed);
     }
 
     /// The cross-run (cache-seeded) warm-start path: results of one run,

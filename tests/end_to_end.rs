@@ -2,8 +2,12 @@
 //! generation through indexing, variant clustering, and quality scoring —
 //! the same path the paper's evaluation exercises, at test-friendly scale.
 
+use std::collections::HashMap;
+
 use vbp::prelude::*;
-use vbp::variantdbscan::{Engine, EngineConfig, ReuseScheme, RunRequest, Scheduler};
+use vbp::variantdbscan::{
+    cluster_with_reuse, Engine, EngineConfig, ExecutionPath, ReuseScheme, RunRequest, Scheduler,
+};
 use vbp::vbp_data::{SpaceWeatherSpec, SyntheticSpec};
 use vbp::vbp_dbscan::{dbscan, quality_score, DbscanParams};
 use vbp::vbp_rtree::PackedRTree;
@@ -65,6 +69,85 @@ fn space_weather_pipeline_finds_wave_structure() {
     assert!(loosest.clustered_fraction() > 0.5);
     let strictest = &report.results[0];
     assert!(strictest.noise_count() >= loosest.noise_count());
+}
+
+/// Reuse on a space-weather grid with several minpts per ε — the shape
+/// where the variants of one ε share each point's neighbour count — at
+/// T = 1 and T = 2. Every variant is core-isomorphic to a from-scratch
+/// `dbscan` (same noise set, same cluster count, core points mapped
+/// one-to-one), and the T = 1 run equals, label for label, a replay of
+/// each of its (source, target) pairs through `cluster_with_reuse`.
+#[test]
+fn space_weather_grid_reuse_is_exact_at_one_and_two_threads() {
+    let points = SpaceWeatherSpec::scaled(1, 3_000).generate();
+    let engine = |threads| {
+        Engine::new(
+            EngineConfig::default()
+                .with_threads(threads)
+                .with_r(70)
+                .with_reuse(ReuseScheme::ClusDensity),
+        )
+    };
+    let prepared = engine(1).prepare(&points, None).unwrap();
+    let tree = prepared.t_low();
+    let eps = vbp::vbp_dbscan::suggest_eps(tree, 4, 3).unwrap();
+    let variants = VariantSet::cartesian(&[eps, eps * 1.25], &[4, 6, 8, 12]);
+    let direct: Vec<ClusterResult> = variants.iter().map(|v| dbscan(tree, v.params())).collect();
+
+    for threads in [1, 2] {
+        let report = engine(threads)
+            .execute(&RunRequest::prepared(&prepared, &variants))
+            .unwrap();
+        assert!(report.from_scratch_count() < variants.len());
+        for (i, v) in variants.iter().enumerate() {
+            let (want, got) = (&direct[i], &*report.results[i]);
+            let ctx = format!("T={threads} {v}");
+            assert_eq!(want.num_clusters(), got.num_clusters(), "{ctx}");
+            let mut cluster_map = HashMap::new();
+            let mut scratch = Vec::new();
+            for p in 0..tree.len() as u32 {
+                assert_eq!(
+                    want.labels().is_noise(p),
+                    got.labels().is_noise(p),
+                    "{ctx}: noise status of {p}"
+                );
+                let core =
+                    tree.epsilon_count(tree.points()[p as usize], v.eps, &mut scratch) >= v.minpts;
+                if let (true, Some(a), Some(b)) =
+                    (core, want.labels().cluster(p), got.labels().cluster(p))
+                {
+                    assert_eq!(*cluster_map.entry(a).or_insert(b), b, "{ctx}: core {p}");
+                }
+            }
+            // One-to-one: no two direct clusters share an image.
+            let mut images: Vec<_> = cluster_map.values().collect();
+            images.sort();
+            images.dedup();
+            assert_eq!(images.len(), cluster_map.len(), "{ctx}: clusters merged");
+        }
+
+        if threads == 1 {
+            for o in &report.outcomes {
+                let ExecutionPath::Reused { source, .. } = o.path else {
+                    continue;
+                };
+                let si = variants.iter().position(|v| v == source).unwrap();
+                let (replay, _) = cluster_with_reuse(
+                    tree,
+                    prepared.t_high(),
+                    o.variant,
+                    &report.results[si],
+                    source,
+                    ReuseScheme::ClusDensity,
+                );
+                assert_eq!(
+                    &replay, &*report.results[o.index],
+                    "T=1 {source} -> {}: labels differ from the replay",
+                    o.variant
+                );
+            }
+        }
+    }
 }
 
 /// Reference config and optimized config agree on clustering structure
