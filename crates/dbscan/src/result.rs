@@ -55,6 +55,30 @@ impl ClusterResult {
         }
     }
 
+    /// Appends `tail`'s points after this result's: its point ids shift
+    /// by [`len`](Self::len) and its cluster ids by
+    /// [`num_clusters`](Self::num_clusters). The outcome equals, bit for
+    /// bit, [`ClusterResult::from_labels`] of the concatenated labels;
+    /// the existing member lists are kept as they are, and the labels
+    /// move into one exact-size allocation.
+    pub fn extend(&mut self, tail: &ClusterResult) {
+        let (n, k) = (self.len() as PointId, self.num_clusters() as u32);
+        let mut raw = Vec::with_capacity(self.len() + tail.len());
+        raw.extend(self.labels.iter_raw());
+        raw.extend(
+            tail.labels
+                .iter_raw()
+                .map(|l| if l == NOISE { l } else { l + k }),
+        );
+        self.labels = Labels::from_raw(raw);
+        self.clusters.reserve_exact(tail.clusters.len());
+        self.clusters.extend(
+            tail.clusters
+                .iter()
+                .map(|members| members.iter().map(|&p| p + n).collect()),
+        );
+    }
+
     /// Per-point labels.
     #[inline]
     pub fn labels(&self) -> &Labels {
@@ -233,6 +257,42 @@ mod tests {
         let d = r.cluster_density(0, &points);
         assert!(d.is_finite());
         assert!(d > 1e100);
+    }
+
+    /// `base.extend(tail)` against `from_labels` of the concatenation.
+    fn check_extend(base: Vec<u32>, tail: Vec<u32>) {
+        let k = base
+            .iter()
+            .filter(|&&l| l != NOISE)
+            .map(|&l| l + 1)
+            .max()
+            .unwrap_or(0);
+        let mut whole = base.clone();
+        whole.extend(tail.iter().map(|&l| if l == NOISE { l } else { l + k }));
+        let mut grown = ClusterResult::from_labels(Labels::from_raw(base));
+        grown.extend(&ClusterResult::from_labels(Labels::from_raw(tail)));
+        assert_eq!(grown, ClusterResult::from_labels(Labels::from_raw(whole)));
+        grown.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn extend_equals_from_labels_of_the_concatenation() {
+        // Empty base, empty tail, both empty.
+        check_extend(vec![], vec![0, NOISE, 0, 1]);
+        check_extend(vec![0, NOISE, 1, 1], vec![]);
+        check_extend(vec![], vec![]);
+        // An all-noise tail adds no cluster.
+        check_extend(vec![1, 0, NOISE, 0], vec![NOISE; 3]);
+        // Multi-cluster tails, interleaved ids, onto bases with and
+        // without clusters.
+        check_extend(vec![0, 1, 0, NOISE, 2], vec![1, 0, NOISE, 2, 0, 1]);
+        check_extend(vec![NOISE, NOISE], vec![0, 1, 1, 0]);
+        let mut r = ClusterResult::empty();
+        r.extend(&sample());
+        r.extend(&sample());
+        assert_eq!(r.num_clusters(), 4);
+        assert_eq!(r.cluster(3), &[9, 10, 11]);
+        assert_eq!(r.noise_points(), vec![2, 8]);
     }
 
     #[test]

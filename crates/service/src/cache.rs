@@ -299,47 +299,57 @@ impl DominanceCache {
     }
 
     /// Maintains every entry of `dataset` after a streaming append: the
-    /// judge inspects each `(variant, cached result)` and returns either
-    /// the repaired result (the old clustering extended to the mutated
-    /// dataset's length — only sound when the insertion provably did not
-    /// touch the entry's ε-region) or `None` to drop the entry. Repaired
+    /// judge gets each entry's variant and its result slot, and either
+    /// repairs the result in place (extends the old clustering to the
+    /// mutated dataset's length — only sound when the insertion provably
+    /// did not touch the entry's ε-region) and answers `true`, or
+    /// answers `false` to drop the entry. A reader still holding the old
+    /// `Arc` keeps the old result: the judge writes through
+    /// [`Arc::make_mut`], which copies a shared result first. Repaired
     /// entries are re-charged at their new size and the LRU is re-evicted
     /// to budget afterwards; dropped entries do not count as evictions.
     pub fn maintain_after_append(
         &mut self,
         dataset: &str,
-        mut judge: impl FnMut(&Variant, &ClusterResult) -> Option<Arc<ClusterResult>>,
+        mut judge: impl FnMut(&Variant, &mut Arc<ClusterResult>) -> bool,
     ) -> RepairStats {
         let mut stats = RepairStats::default();
         let mut i = 0;
         while i < self.entries.len() {
-            if self.entries[i].dataset != dataset {
+            let e = &mut self.entries[i];
+            if e.dataset != dataset {
                 i += 1;
                 continue;
             }
-            match judge(&self.entries[i].variant, &self.entries[i].result) {
-                Some(next) => {
-                    let bytes = result_bytes(&next);
-                    let e = &mut self.entries[i];
-                    self.bytes = self.bytes - e.bytes + bytes;
-                    e.result = next;
-                    e.bytes = bytes;
-                    stats.repaired += 1;
-                    i += 1;
-                }
-                None => {
-                    // swap_remove moves an unvisited tail entry into `i`,
-                    // so the index is intentionally not advanced.
-                    let gone = self.entries.swap_remove(i);
-                    self.bytes -= gone.bytes;
-                    stats.dropped += 1;
-                }
+            if judge(&e.variant, &mut e.result) {
+                let bytes = result_bytes(&e.result);
+                self.bytes = self.bytes - e.bytes + bytes;
+                e.bytes = bytes;
+                stats.repaired += 1;
+                i += 1;
+            } else {
+                // swap_remove moves an unvisited tail entry into `i`,
+                // so the index is intentionally not advanced.
+                let gone = self.entries.swap_remove(i);
+                self.bytes -= gone.bytes;
+                stats.dropped += 1;
             }
         }
         self.repaired += stats.repaired as u64;
         self.repair_dropped += stats.dropped as u64;
         self.evict_to_budget();
         stats
+    }
+
+    /// The largest ε among the entries of `dataset`, `None` when it has
+    /// none: the one radius whose ε-queries answer every entry's
+    /// touched test at once.
+    pub(crate) fn widest_eps(&self, dataset: &str) -> Option<f64> {
+        self.entries
+            .iter()
+            .filter(|e| e.dataset == dataset)
+            .map(|e| e.variant.eps)
+            .reduce(f64::max)
     }
 
     /// A counter-neutral copy of every live entry, in deterministic
@@ -553,12 +563,11 @@ mod tests {
         cache.insert("other", Variant::new(3.0, 4), result_of(vec![0]));
         let stats = cache.maintain_after_append("d", |v, r| {
             if v.eps > 1.5 {
-                None // pretend the insertion touched this ε-region
-            } else {
-                let mut raw: Vec<u32> = r.labels().iter_raw().collect();
-                raw.push(u32::MAX); // appended point judged noise
-                Some(result_of(raw))
+                return false; // pretend the insertion touched this ε-region
             }
+            // The appended point judged noise.
+            Arc::make_mut(r).extend(&result_of(vec![u32::MAX]));
+            true
         });
         assert_eq!(
             stats,
@@ -595,9 +604,8 @@ mod tests {
         // Repair doubles every entry: the ledger overflows and the LRU
         // must shed entries until the budget holds again.
         cache.maintain_after_append("d", |_, r| {
-            let mut raw: Vec<u32> = r.labels().iter_raw().collect();
-            raw.extend_from_slice(&[u32::MAX; 8]);
-            Some(result_of(raw))
+            Arc::make_mut(r).extend(&result_of(vec![u32::MAX; 8]));
+            true
         });
         cache.check_invariants().unwrap();
         assert!(cache.stats().evictions > 0);

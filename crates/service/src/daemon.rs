@@ -63,7 +63,7 @@ use vbp_dbscan::algorithm::dbscan_brute_force;
 use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, Labels, MAX_CLUSTER_ID};
 use vbp_geom::binning::invert_permutation;
 use vbp_geom::{Point2, PointId};
-use vbp_rtree::SpatialIndex;
+use vbp_rtree::{PackedRTree, SpatialIndex};
 
 use crate::api::{AppendReply, Delta, ErrorCode, Rejection, SubmitReply, WatchReply};
 use crate::cache::{DominanceCache, RepairStats};
@@ -563,7 +563,7 @@ impl Shared {
         });
         self.registry.swap(Arc::clone(&entry));
 
-        let repair = repair_cache(self, &old_entry, &entry, points);
+        let repair = repair_cache(self, &old_entry, &entry, points, report.resorted);
         let deltas = notify_watchers(self, &entry);
 
         let reply = AppendReply {
@@ -771,25 +771,15 @@ impl Shared {
             if entry.index.appended_since_sort() == 0 {
                 continue;
             }
-            // caller id -> old tree position.
-            let old_pos = invert_permutation(entry.index.permutation());
             let clean = self.engine.resort_prepared(&entry.index);
-            let remap: Vec<usize> = clean
-                .permutation()
-                .iter()
-                .map(|&caller| old_pos[caller as usize] as usize)
-                .collect();
+            let gather = rekey_gather(entry.index.permutation(), clean.permutation());
             self.cache().remap_results(&entry.name, |_, result| {
-                if result.len() != remap.len() {
+                if result.len() != gather.len() {
                     // Covers a different generation (e.g. inserted
                     // mid-drain race) — cannot be re-keyed soundly.
                     return None;
                 }
-                let old_raw: Vec<u32> = result.labels().iter_raw().collect();
-                let new_raw: Vec<u32> = remap.iter().map(|&i| old_raw[i]).collect();
-                Some(Arc::new(ClusterResult::from_labels(Labels::from_raw(
-                    new_raw,
-                ))))
+                Some(Arc::new(rekeyed(result, &gather)))
             });
             self.registry.swap(Arc::new(DatasetEntry {
                 name: entry.name.clone(),
@@ -1020,58 +1010,92 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
 /// is untouched iff no inserted point has a pre-append point within
 /// `v.eps`. Then every old point keeps its ε-neighborhood, hence its
 /// count, core status, and label; the inserted points cluster purely
-/// among themselves and are spliced on with offset cluster ids.
+/// among themselves. One query per inserted point, at the widest cached
+/// ε, against the previous generation's `T_low` (which holds exactly the
+/// pre-append points) finds the batch's smallest squared distance to an
+/// old point, so each entry's test is one comparison with its own `ε²`
+/// — the kernel's closed predicate.
+///
+/// The successor's tree order is the old one followed by the batch, so
+/// an untouched entry *is* its old result extended by the batch's own
+/// clustering ([`ClusterResult::extend`]). It is written through
+/// [`Arc::make_mut`]: a batch still holding the old `Arc` keeps the old
+/// result. After a re-sort the extended result is then re-keyed into the
+/// new tree order by the gather the store flush uses ([`rekey_gather`]).
 fn repair_cache(
     shared: &Shared,
     old_entry: &DatasetEntry,
     entry: &DatasetEntry,
     appended: &[Point2],
+    resorted: bool,
 ) -> RepairStats {
     if !shared.cache_enabled {
         return RepairStats::default();
     }
     let old_n = old_entry.index.len();
-    // The previous generation's `T_low` holds exactly the pre-append
-    // points, so "touched" is a non-empty ε-query against it.
-    let old_tree = old_entry.index.t_low();
-    let mut neighbors: Vec<vbp_geom::PointId> = Vec::new();
     let mut cache = shared.cache();
-    cache.maintain_after_append(&entry.name, |variant, result| {
-        if result.len() != old_n {
+    let nearest = cache
+        .widest_eps(&entry.name)
+        .and_then(|eps| nearest_sq(old_entry.index.t_low(), appended, eps));
+    let mut gather: Option<Vec<PointId>> = None;
+    cache.maintain_after_append(&entry.name, |variant, slot| {
+        if slot.len() != old_n {
             // An older generation (raced a previous append's sweep);
             // nothing to extend it from.
-            return None;
+            return false;
         }
-        for &p in appended {
-            neighbors.clear();
-            old_tree.epsilon_neighbors(p, variant.eps, &mut neighbors);
-            if !neighbors.is_empty() {
-                return None; // ε-region touched: old labels may shift
-            }
+        if nearest.is_some_and(|d| d <= variant.eps * variant.eps) {
+            return false; // ε-region touched: old labels may shift
         }
-        // Untouched: splice. Old labels come out in caller order via the
-        // *old* permutation, the appended points are clustered alone and
-        // offset past the old cluster ids, and the combined caller-order
-        // labeling is mapped into the successor index's tree order.
-        let old_caller = old_entry.index.labels_in_caller_order(result);
-        let offset = result.num_clusters() as u32;
         let tail = dbscan_brute_force(appended, DbscanParams::new(variant.eps, variant.minpts));
-        let mut caller: Vec<u32> = old_caller;
-        caller.extend(tail.labels().iter_raw().map(|l| {
-            if l <= MAX_CLUSTER_ID {
-                l + offset
-            } else {
-                l // noise / unclassified sentinels pass through
-            }
-        }));
-        let tree: Vec<u32> = entry
-            .index
-            .permutation()
-            .iter()
-            .map(|&orig| caller[orig as usize])
-            .collect();
-        Some(Arc::new(ClusterResult::from_labels(Labels::from_raw(tree))))
+        Arc::make_mut(slot).extend(&tail);
+        if resorted {
+            let gather = gather.get_or_insert_with(|| {
+                // The extended order: old tree order, then the batch.
+                let mut extended = old_entry.index.permutation().to_vec();
+                extended.extend(old_n as PointId..entry.index.len() as PointId);
+                rekey_gather(&extended, entry.index.permutation())
+            });
+            *slot = Arc::new(rekeyed(slot, gather));
+        }
+        true
     })
+}
+
+/// The smallest squared distance from a point of `batch` to a point of
+/// `tree` within `eps` of it, computed as the ε-kernel computes it
+/// (`dx*dx + dy*dy`); `None` when no point of `tree` is that close.
+fn nearest_sq(tree: &PackedRTree, batch: &[Point2], eps: f64) -> Option<f64> {
+    let (xs, ys) = tree.coords();
+    let mut neighbors: Vec<PointId> = Vec::new();
+    let mut nearest: Option<f64> = None;
+    for p in batch {
+        neighbors.clear();
+        tree.epsilon_neighbors(*p, eps, &mut neighbors);
+        for &i in &neighbors {
+            let dx = xs[i as usize] - p.x;
+            let dy = ys[i as usize] - p.y;
+            let d = dx * dx + dy * dy;
+            nearest = Some(nearest.map_or(d, |m| m.min(d)));
+        }
+    }
+    nearest
+}
+
+/// The gather that re-keys a clustering from one tree order to another
+/// over the same caller ids: position `i` of the `to` order takes the
+/// label at position `gather[i]` of the `from` order. Both orders are
+/// given as permutations (tree position → caller id).
+fn rekey_gather(from: &[PointId], to: &[PointId]) -> Vec<PointId> {
+    let from_pos = invert_permutation(from);
+    to.iter().map(|&caller| from_pos[caller as usize]).collect()
+}
+
+/// `result` re-keyed through a [`rekey_gather`] gather.
+fn rekeyed(result: &ClusterResult, gather: &[PointId]) -> ClusterResult {
+    let labels = result.labels();
+    let raw = gather.iter().map(|&i| labels.raw(i)).collect();
+    ClusterResult::from_labels(Labels::from_raw(raw))
 }
 
 /// Brings a stream's clustering up to `index`'s generation: inserts, in
@@ -1454,6 +1478,164 @@ mod tests {
         assert_eq!(tail(&shared), 0, "the third clump forces a re-sort");
         shared.append("d", &[anchor]).unwrap();
         check_repair_boundary(&shared, anchor, 3);
+    }
+
+    fn clump_shared(base: &[Point2]) -> Shared {
+        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(8));
+        let config = ServiceConfig {
+            cache_bytes: 1 << 20,
+            ..ServiceConfig::default()
+        };
+        let registry = Registry::new();
+        registry.register(&engine, "d", base).unwrap();
+        Shared::new(engine, registry, &config, StoreBoot::default())
+    }
+
+    /// Clusters `variants` on the current generation of `"d"` and caches
+    /// every result.
+    fn warm(shared: &Shared, variants: &[Variant]) {
+        let entry = shared.registry.get("d").unwrap();
+        let set = VariantSet::new(variants.to_vec());
+        let report = shared
+            .engine
+            .execute(&RunRequest::prepared(&entry.index, &set))
+            .unwrap();
+        for (i, &v) in set.as_slice().iter().enumerate() {
+            shared
+                .cache()
+                .insert("d", v, Arc::clone(&report.results[i]));
+        }
+    }
+
+    /// The oracle for a repair, built the long way: old labels scattered
+    /// to caller order, the batch's labels spliced on (cluster ids
+    /// offset), gathered through the new permutation, and every member
+    /// list re-derived by `from_labels`.
+    fn spliced(
+        old: &PreparedIndex,
+        new: &PreparedIndex,
+        result: &ClusterResult,
+        batch: &[Point2],
+        v: Variant,
+    ) -> ClusterResult {
+        let mut caller = old.labels_in_caller_order(result);
+        let offset = result.num_clusters() as u32;
+        let tail = dbscan_brute_force(batch, DbscanParams::new(v.eps, v.minpts));
+        caller.extend(tail.labels().iter_raw().map(|l| {
+            if l <= MAX_CLUSTER_ID {
+                l + offset
+            } else {
+                l
+            }
+        }));
+        let tree = new
+            .permutation()
+            .iter()
+            .map(|&orig| caller[orig as usize])
+            .collect();
+        ClusterResult::from_labels(Labels::from_raw(tree))
+    }
+
+    #[test]
+    fn one_query_at_the_widest_eps_decides_every_entry() {
+        let mut base = clump(0.0, 0.0, 8);
+        base.extend(clump(20.0, 20.0, 8));
+        let shared = clump_shared(&base);
+        let variants = [0.25, 0.5, 1.0].map(|eps| Variant::new(eps, 3));
+        warm(&shared, &variants);
+        let old = shared.registry.get("d").unwrap();
+        let narrow = shared.cache().snapshot_entries()[0].2.clone();
+
+        // Exactly 0.5 from the clump's corner (0, 0), farther from every
+        // other old point: untouched at 0.25, touched at 0.5 (the
+        // predicate is closed) and at 1.0.
+        let batch = [Point2::new(-0.5, 0.0)];
+        let reply = shared.append("d", &batch).unwrap();
+        assert_eq!((reply.repaired, reply.dropped), (1, 2));
+        let entries = shared.cache().snapshot_entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].1, variants[0]);
+        let new = shared.registry.get("d").unwrap();
+        let want = spliced(&old.index, &new.index, &narrow, &batch, variants[0]);
+        assert_eq!(*entries[0].2, want);
+    }
+
+    #[test]
+    fn repaired_entries_equal_the_spliced_oracle_across_a_resort() {
+        let mut base = clump(0.0, 0.0, 8);
+        base.extend(clump(20.0, 20.0, 8));
+        let shared = clump_shared(&base);
+        let variants = [
+            Variant::new(0.3, 3),
+            Variant::new(0.5, 4),
+            Variant::new(0.75, 2),
+            Variant::new(1.0, 6),
+        ];
+        warm(&shared, &variants);
+
+        // Seeded remote clumps: side 1–4, spacing 0.25 / 0.5 (one
+        // cluster, or noise under a large minpts) or 2.0 (all noise),
+        // 20 apart so that no batch is within 1.0 of anything earlier.
+        // Each lies below everything earlier, so the bin sort of a
+        // re-sort moves it ahead of the old points: the re-key matters.
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let (mut resorts, mut maintained) = (0, 0);
+        for round in 0..12 {
+            let side = 1 + next(4) as usize;
+            let spacing = [0.25, 0.5, 2.0][next(3) as usize];
+            let (x, y) = (100.0 + 20.0 * round as f64, -100.0 - 20.0 * round as f64);
+            let batch: Vec<Point2> = (0..side * side)
+                .map(|i| {
+                    let (col, row) = ((i % side) as f64, (i / side) as f64);
+                    Point2::new(x + col * spacing, y + row * spacing)
+                })
+                .collect();
+
+            let old = shared.registry.get("d").unwrap();
+            let before: Vec<(Variant, ClusterResult)> = shared
+                .cache()
+                .snapshot_entries()
+                .into_iter()
+                .map(|(_, v, r)| (v, (*r).clone()))
+                .collect();
+            // A reader holding one entry's `Arc` across the append.
+            let held = shared.cache().lookup("d", variants[1]).unwrap().result;
+
+            let reply = shared.append("d", &batch).unwrap();
+            assert_eq!((reply.repaired, reply.dropped), (variants.len(), 0));
+            let new = shared.registry.get("d").unwrap();
+            if new.index.appended_since_sort() == 0 {
+                resorts += 1;
+            } else {
+                maintained += 1;
+            }
+
+            let after = shared.cache().snapshot_entries();
+            assert_eq!(after.len(), before.len());
+            for ((_, v, result), (v0, old_result)) in after.iter().zip(&before) {
+                assert_eq!(v, v0);
+                let want = spliced(&old.index, &new.index, old_result, &batch, *v);
+                assert_eq!(**result, want, "round {round}, {v}");
+                if *v == variants[1] {
+                    assert_eq!(
+                        held.len(),
+                        old.index.len(),
+                        "the held copy keeps its length"
+                    );
+                    assert_eq!(*held, *old_result, "and its labels");
+                }
+            }
+        }
+        assert!(
+            resorts >= 1 && maintained >= 1,
+            "{resorts} re-sorts, {maintained} maintained"
+        );
     }
 
     #[test]

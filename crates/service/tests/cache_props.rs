@@ -234,10 +234,10 @@ proptest! {
         let stats = cache.maintain_after_append("alpha", |variant, result| {
             assert_eq!(result.len(), base_n, "judge saw a non-alpha or mutated entry");
             if touched(variant.eps) {
-                None
-            } else {
-                Some(result_of(total))
+                return false;
             }
+            *result = result_of(total);
+            true
         });
         prop_assert_eq!(
             stats.repaired + stats.dropped,
