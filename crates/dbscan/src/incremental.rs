@@ -13,16 +13,24 @@
 //! - per-point self-inclusive neighbor counts and core flags,
 //! - a [`DisjointSets`] structure over core connectivity,
 //! - deterministic border claims (minimum adjacent core id, the same
-//!   convention as [`crate::parallel`]) —
+//!   convention as the disjoint-set kernel in [`crate::sharded`]),
+//! - a running census: clusters are cores minus successful unions (the
+//!   union-find reading of DBSCAN), noise is the non-core points no core
+//!   has claimed —
 //!
-//! so a snapshot after inserting points one by one is **identical** to
+//! so a snapshot after inserting points in any batches is **identical** to
 //! running the batch disjoint-set DBSCAN on the final database (tested).
+//!
+//! Insertion only ever joins components, so what a batch did to the
+//! clustering follows from the batch itself: [`InsertOutcome`] counts the
+//! promotions and, from the unions, the clusters born and absorbed — no
+//! comparison of whole clusterings. [`IncrementalDbscan::snapshot`] is the
+//! oracle the tests hold the census to.
 //!
 //! It holds no index and no points: [`IncrementalDbscan::insert`] takes
 //! its ε-neighborhoods from the caller, who already has the database
-//! indexed (the daemon's `WATCH` streams query the dataset's own `T_low`).
-
-use std::collections::HashSet;
+//! indexed (the daemon's `WATCH` streams query the dataset's own `T_low`,
+//! which already holds every point of the batch).
 
 use vbp_geom::PointId;
 
@@ -33,16 +41,16 @@ use crate::unionfind::DisjointSets;
 
 const UNCLAIMED: u32 = u32::MAX;
 
-/// What an insertion did to the clustering.
+/// What one batch of insertions did to the clustering. The census
+/// replays: clusters before + `born` − `absorbed` = clusters after.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InsertOutcome {
-    /// Id assigned to the inserted point.
-    pub id: PointId,
-    /// Points (possibly including the new one) that became core.
-    pub newly_core: Vec<PointId>,
-    /// Number of previously-distinct core components merged by this
-    /// insertion (0 = the point joined quietly or is noise/border).
-    pub merges: usize,
+    /// Points (old or inserted) that crossed the core threshold.
+    pub promoted: usize,
+    /// Clusters after the batch that hold no core from before it.
+    pub born: usize,
+    /// Clusters from before the batch merged into another one.
+    pub absorbed: usize,
 }
 
 /// An insertion-maintained DBSCAN clustering.
@@ -55,6 +63,8 @@ pub struct IncrementalDbscan {
     sets: DisjointSets,
     /// Minimum adjacent core id for non-core points.
     claim: Vec<u32>,
+    clusters: usize,
+    noise: usize,
 }
 
 impl IncrementalDbscan {
@@ -66,6 +76,8 @@ impl IncrementalDbscan {
             core: Vec::new(),
             sets: DisjointSets::new(0),
             claim: Vec::new(),
+            clusters: 0,
+            noise: 0,
         }
     }
 
@@ -84,133 +96,142 @@ impl IncrementalDbscan {
         self.params
     }
 
-    /// Returns `true` if `p` is currently a core point.
-    pub fn is_core(&self, p: PointId) -> bool {
-        self.core[p as usize]
+    /// Number of clusters now (O(1); equals the snapshot's).
+    pub fn clusters(&self) -> usize {
+        self.clusters
     }
 
-    /// Inserts the next point (its id is [`IncrementalDbscan::len`] before
-    /// the call) and updates the clustering.
+    /// Number of noise points now (O(1); equals the snapshot's).
+    pub fn noise(&self) -> usize {
+        self.noise
+    }
+
+    /// Inserts the next `points` points — ids [`IncrementalDbscan::len`]
+    /// onwards, one at a time in id order — and reports what the batch
+    /// did.
     ///
     /// `neighbors_of(q, out)` must fill `out` (handed over empty) with the
-    /// ε-neighborhood of point `q` over the points inserted so far, the
-    /// new one included (closed at ε, `q` itself a member, any order). It
-    /// is asked once for the new point and once for each point the
-    /// insertion makes core.
+    /// ε-neighborhood of point `q` (closed at ε, `q` itself a member, any
+    /// order) over at least the points inserted so far. Ids not inserted
+    /// yet may be reported too: they are dropped, so a caller whose index
+    /// already holds the whole batch need not filter. It is asked once for
+    /// each inserted point and once for each point the batch makes core.
     pub fn insert(
         &mut self,
+        points: usize,
         mut neighbors_of: impl FnMut(PointId, &mut Vec<PointId>),
     ) -> InsertOutcome {
-        let pid = self.count.len() as PointId;
-        self.count.push(0);
-        self.core.push(false);
-        self.claim.push(UNCLAIMED);
-        // DisjointSets has no push; rebuild-free growth by recreating the
-        // parent entry: emulate with a fresh structure when capacity
-        // lags. Cheaper: keep sets sized to capacity and grow amortized.
-        self.grow_sets();
-
-        let mut neighbors: Vec<PointId> = Vec::new();
-        neighbors_of(pid, &mut neighbors);
-        self.count[pid as usize] = neighbors.len() as u32;
-        for &q in &neighbors {
-            if q != pid {
-                self.count[q as usize] += 1;
-            }
-        }
-
-        // Which points crossed the core threshold?
+        let start = self.count.len() as PointId;
+        let clusters_before = self.clusters;
         let minpts = self.params.minpts as u32;
-        let mut newly_core: Vec<PointId> = neighbors
-            .iter()
-            .copied()
-            .filter(|&q| !self.core[q as usize] && self.count[q as usize] >= minpts)
-            .collect();
-        newly_core.sort_unstable();
+        // B, the points this batch makes core, and the cores from before
+        // the batch seen next to them (filtered to ∉ B below).
+        let mut promoted: Vec<PointId> = Vec::new();
+        let mut old_adjacent: Vec<PointId> = Vec::new();
+        let mut neighbors: Vec<PointId> = Vec::new();
+        let mut list: Vec<PointId> = Vec::new();
+        for _ in 0..points {
+            let pid = self.sets.push();
+            self.count.push(0);
+            self.core.push(false);
+            self.claim.push(UNCLAIMED);
+            self.noise += 1;
+            let mut ask = |q: PointId, out: &mut Vec<PointId>| {
+                out.clear();
+                neighbors_of(q, out);
+                out.retain(|&p| p <= pid);
+            };
 
-        for &c in &newly_core {
-            self.core[c as usize] = true;
-        }
-
-        // Gather each newly-core point's neighborhood once; remember
-        // which *pre-existing* cores are adjacent so the merge count can
-        // be computed exactly as (distinct components among them before
-        // unions) − (after unions).
-        let is_newly_core = |q: PointId| newly_core.binary_search(&q).is_ok();
-        let mut adjacency: Vec<Vec<PointId>> = Vec::with_capacity(newly_core.len());
-        let mut old_core_adjacent: Vec<PointId> = Vec::new();
-        for &c in &newly_core {
-            let mut list = Vec::new();
-            neighbors_of(c, &mut list);
-            for &q in &list {
-                if q != c && self.core[q as usize] && !is_newly_core(q) {
-                    old_core_adjacent.push(q);
-                }
-            }
-            adjacency.push(list);
-        }
-        let components_before: HashSet<u32> = old_core_adjacent
-            .iter()
-            .map(|&q| self.sets.find(q))
-            .collect();
-
-        for (&c, list) in newly_core.iter().zip(&adjacency) {
-            for &q in list {
-                if q == c {
-                    continue;
-                }
-                if self.core[q as usize] {
-                    self.sets.union(c, q);
-                } else if c < self.claim[q as usize] {
-                    self.claim[q as usize] = c;
-                }
-            }
-        }
-        let components_after: HashSet<u32> = old_core_adjacent
-            .iter()
-            .map(|&q| self.sets.find(q))
-            .collect();
-        let merges = components_before
-            .len()
-            .saturating_sub(components_after.len());
-
-        // If the new point is not core, claim it to its minimum core
-        // neighbor (existing cores; newly-core ones already claimed it
-        // above only if it is in *their* neighborhood — symmetric, so
-        // covered — but older cores never re-scan, so do it here).
-        if !self.core[pid as usize] {
+            ask(pid, &mut neighbors);
+            self.count[pid as usize] = neighbors.len() as u32;
             for &q in &neighbors {
-                if q != pid && self.core[q as usize] && q < self.claim[pid as usize] {
-                    self.claim[pid as usize] = q;
+                if q != pid {
+                    self.count[q as usize] += 1;
+                }
+            }
+
+            // Which points crossed the core threshold?
+            let first = promoted.len();
+            promoted.extend(
+                neighbors
+                    .iter()
+                    .filter(|&&q| !self.core[q as usize] && self.count[q as usize] >= minpts),
+            );
+            for &c in &promoted[first..] {
+                self.core[c as usize] = true;
+                self.clusters += 1;
+                if self.claim[c as usize] == UNCLAIMED {
+                    self.noise -= 1;
+                }
+            }
+
+            for &c in &promoted[first..] {
+                ask(c, &mut list);
+                for &q in &list {
+                    if q == c {
+                        continue;
+                    }
+                    if self.core[q as usize] {
+                        // Points of this batch are never pre-batch cores;
+                        // skipping them keeps a first feed's list empty.
+                        if q < start {
+                            old_adjacent.push(q);
+                        }
+                        if self.sets.union(c, q) {
+                            self.clusters -= 1;
+                        }
+                    } else if c < self.claim[q as usize] {
+                        self.set_claim(q, c);
+                    }
+                }
+            }
+
+            // If the new point is not core, claim it to its minimum core
+            // neighbor: the newly-core ones above reached it only if it is
+            // in *their* neighborhood (symmetric, so covered), but older
+            // cores never re-scan.
+            if !self.core[pid as usize] {
+                for &q in &neighbors {
+                    if q != pid && self.core[q as usize] && q < self.claim[pid as usize] {
+                        self.set_claim(pid, q);
+                    }
                 }
             }
         }
 
+        // born = |roots(B)| − |roots(B) ∩ roots(pre-batch cores next to B)|:
+        // a component after the batch holds a pre-batch core iff one of
+        // its B members is adjacent to one (it is connected).
+        promoted.sort_unstable();
+        old_adjacent.retain(|q| promoted.binary_search(q).is_err());
+        let old_roots = self.roots(&old_adjacent);
+        let born = self
+            .roots(&promoted)
+            .iter()
+            .filter(|r| old_roots.binary_search(r).is_err())
+            .count();
         InsertOutcome {
-            id: pid,
-            newly_core,
-            merges,
+            promoted: promoted.len(),
+            born,
+            absorbed: clusters_before + born - self.clusters,
         }
     }
 
-    fn grow_sets(&mut self) {
-        // DisjointSets::new is cheap; grow by rebuilding with identity
-        // parents for the tail while copying existing links via find().
-        // To avoid O(n) per insert we grow geometrically.
-        if self.sets.len() >= self.count.len() {
-            return;
+    /// Claims non-core `p` for core `by`; a first claim takes `p` out of
+    /// noise.
+    fn set_claim(&mut self, p: PointId, by: PointId) {
+        if self.claim[p as usize] == UNCLAIMED {
+            self.noise -= 1;
         }
-        let new_cap = (self.count.len().max(8)).next_power_of_two();
-        let mut grown = DisjointSets::new(new_cap);
-        for x in 0..self.sets.len() as u32 {
-            let root = self.sets.find(x);
-            if root != x {
-                grown.union(x, root);
-            }
-        }
-        // Re-normalize roots to the minimum element of each component so
-        // labeling stays deterministic (union by rank may pick either).
-        self.sets = grown;
+        self.claim[p as usize] = by;
+    }
+
+    /// The distinct roots of `points`, sorted.
+    fn roots(&mut self, points: &[PointId]) -> Vec<u32> {
+        let mut roots: Vec<u32> = points.iter().map(|&p| self.sets.find(p)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
     }
 
     /// Snapshot of the current clustering, labeling points in insertion
@@ -218,7 +239,7 @@ impl IncrementalDbscan {
     pub fn snapshot(&mut self) -> ClusterResult {
         let n = self.count.len();
         let mut labels = Labels::unclassified(n);
-        let mut root_to_cluster: vec::RootMap = vec::RootMap::new(self.sets.len());
+        let mut root_to_cluster: vec::RootMap = vec::RootMap::new(n);
         let mut next: ClusterId = 0;
         for p in 0..n {
             if self.core[p] {
@@ -283,34 +304,142 @@ mod vec {
 mod tests {
     use super::*;
     use crate::parallel::parallel_dbscan;
+    use std::collections::BTreeSet;
     use vbp_geom::Point2;
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::BruteForce;
 
-    /// Inserts `points[inc.len()]`, answering its ε-queries by a scan
-    /// over the inserted prefix.
-    fn insert_next(inc: &mut IncrementalDbscan, points: &[Point2]) -> InsertOutcome {
-        let prefix = &points[..=inc.len()];
+    const NOISE_RAW: u32 = u32::MAX;
+
+    /// Inserts the next `k` of `points`, answering ε-queries by a scan
+    /// over all of them: `insert` drops the ids not inserted yet.
+    fn insert_batch(inc: &mut IncrementalDbscan, points: &[Point2], k: usize) -> InsertOutcome {
         let eps = inc.params().eps;
-        inc.insert(|q, out| {
-            let center = prefix[q as usize];
+        inc.insert(k, |q, out| {
+            let center = points[q as usize];
             out.extend(
-                (0..prefix.len() as PointId).filter(|&c| prefix[c as usize].within(&center, eps)),
+                (0..points.len() as PointId).filter(|&c| points[c as usize].within(&center, eps)),
             );
         })
     }
 
-    fn cloud(n: usize, seed: u64) -> Vec<Point2> {
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed | 1;
-        let mut rnd = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+            state
+        }
+    }
+
+    fn cloud(n: usize, seed: u64) -> Vec<Point2> {
+        let mut next = xorshift(seed);
+        let mut rnd = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
         (0..n)
             .map(|_| Point2::new(rnd() * 12.0, rnd() * 12.0))
             .collect()
+    }
+
+    /// Cluster-delta census between two snapshots of an insertion-only
+    /// clustering: `(born, absorbed)` such that `clusters_before + born -
+    /// absorbed == clusters_after`. The oracle [`InsertOutcome`] is held
+    /// to.
+    ///
+    /// Correspondence is computed over points that were *core before* —
+    /// cores never leave their cluster under insertion (components only
+    /// merge), while border points may be re-claimed across clusters, which
+    /// would double-count a cluster as both surviving and absorbed.
+    fn delta_counts(
+        before: &[u32],
+        core_before: &[bool],
+        after: &[u32],
+        clusters_after: usize,
+    ) -> (usize, usize) {
+        let mut sources: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); clusters_after];
+        for p in 0..before.len() {
+            if core_before[p] && before[p] <= MAX_CLUSTER_ID {
+                let a = after[p];
+                assert!(a <= MAX_CLUSTER_ID, "a core point cannot become noise");
+                sources[a as usize].insert(before[p]);
+            }
+        }
+        let born = sources.iter().filter(|s| s.is_empty()).count();
+        let absorbed = sources
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| s.len() - 1)
+            .sum();
+        (born, absorbed)
+    }
+
+    #[test]
+    fn delta_counts_replays_the_census() {
+        // before: clusters {0} (cores), {1} (cores); after: cluster 0
+        // absorbed cluster 1, and a brand-new cluster 1 appeared among
+        // previously-noise points.
+        let before = vec![0, 0, 1, 1, NOISE_RAW, NOISE_RAW];
+        let core_before = vec![true, true, true, true, false, false];
+        let after = vec![0, 0, 0, 0, 1, 1];
+        let (born, absorbed) = delta_counts(&before, &core_before, &after, 2);
+        assert_eq!((born, absorbed), (1, 1));
+        // census replay: 2 before + 1 born - 1 absorbed = 2 after
+        assert_eq!(2 + born - absorbed, 2);
+    }
+
+    #[test]
+    fn batch_census_equals_the_snapshot_diff() {
+        // Lattice clouds at spacing 0.25: duplicates are common and many
+        // pairs sit exactly at every ε drawn, all exact in binary.
+        let (mut batches, mut with_born, mut with_absorbed) = (0, 0, 0);
+        for seed in 1..=200u64 {
+            let mut next = xorshift(seed);
+            let side = 3 + next() % 10;
+            let n = 20 + (next() % 100) as usize;
+            let points: Vec<Point2> = (0..n)
+                .map(|_| {
+                    let (x, y) = (next() % side, next() % side);
+                    Point2::new(x as f64 * 0.25, y as f64 * 0.25)
+                })
+                .collect();
+            let params = DbscanParams::new(0.25 * (1 + next() % 4) as f64, 1 + next() as usize % 6);
+            let mut inc = IncrementalDbscan::new(params);
+            while inc.len() < n {
+                let before: Vec<u32> = inc.snapshot().labels().iter_raw().collect();
+                let core_before = inc.core.clone();
+                let k = (1 + next() as usize % 20).min(n - inc.len());
+                let outcome = insert_batch(&mut inc, &points, k);
+
+                let after = inc.snapshot();
+                let raw: Vec<u32> = after.labels().iter_raw().collect();
+                let (born, absorbed) =
+                    delta_counts(&before, &core_before, &raw, after.num_clusters());
+                let promoted = (0..inc.len())
+                    .filter(|&p| inc.core[p] && !core_before.get(p).copied().unwrap_or(false))
+                    .count();
+                let at = format!("seed {seed}, {params:?}, batch ending at {}", inc.len());
+                let want = InsertOutcome {
+                    promoted,
+                    born,
+                    absorbed,
+                };
+                assert_eq!(outcome, want, "{at}");
+                assert_eq!(
+                    (inc.clusters(), inc.noise()),
+                    (after.num_clusters(), after.noise_count()),
+                    "{at}"
+                );
+                batches += 1;
+                with_born += usize::from(born > 0);
+                with_absorbed += usize::from(absorbed > 0);
+            }
+            let batch = parallel_dbscan(&BruteForce::new(shared_points(points)), params, 1);
+            assert_eq!(inc.snapshot(), batch, "seed {seed}");
+        }
+        assert!(
+            with_born > batches / 10 && with_absorbed > batches / 20,
+            "{batches} batches: {with_born} with born, {with_absorbed} with absorbed"
+        );
     }
 
     #[test]
@@ -322,7 +451,7 @@ mod tests {
             let params = DbscanParams::new(0.8, 4);
             let mut inc = IncrementalDbscan::new(params);
             for _ in &points {
-                insert_next(&mut inc, &points);
+                insert_batch(&mut inc, &points, 1);
             }
             let snapshot = inc.snapshot();
             let batch = parallel_dbscan(&BruteForce::new(shared_points(points.clone())), params, 1);
@@ -336,7 +465,7 @@ mod tests {
         let params = DbscanParams::new(0.9, 4);
         let mut inc = IncrementalDbscan::new(params);
         for i in 0..points.len() {
-            insert_next(&mut inc, &points);
+            insert_batch(&mut inc, &points, 1);
             if i % 25 == 24 {
                 let snap = inc.snapshot();
                 snap.check_consistency().unwrap();
@@ -363,16 +492,25 @@ mod tests {
             Point2::new(0.5, 0.0),
             Point2::new(0.25, 0.4),
         ];
-        let a = insert_next(&mut inc, &points);
-        assert!(a.newly_core.is_empty());
-        let b = insert_next(&mut inc, &points);
-        assert!(b.newly_core.is_empty());
-        let c = insert_next(&mut inc, &points);
-        assert_eq!(c.newly_core.len(), 3);
-        assert!(inc.is_core(0) && inc.is_core(1) && inc.is_core(2));
+        let a = insert_batch(&mut inc, &points, 1);
+        assert_eq!(a.promoted, 0);
+        let b = insert_batch(&mut inc, &points, 1);
+        assert_eq!(b.promoted, 0);
+        assert_eq!((inc.clusters(), inc.noise()), (0, 2));
+        let c = insert_batch(&mut inc, &points, 1);
+        assert_eq!(
+            c,
+            InsertOutcome {
+                promoted: 3,
+                born: 1,
+                absorbed: 0
+            }
+        );
+        assert_eq!(inc.core, [true; 3]);
         let snap = inc.snapshot();
         assert_eq!(snap.num_clusters(), 1);
         assert_eq!(snap.noise_count(), 0);
+        assert_eq!((inc.clusters(), inc.noise()), (1, 0));
     }
 
     #[test]
@@ -388,13 +526,14 @@ mod tests {
         }
         // …bridged by a midpoint within ε of both.
         points.push(Point2::new(2.0, 0.0));
-        for _ in 0..6 {
-            insert_next(&mut inc, &points);
-        }
+        insert_batch(&mut inc, &points, 6);
         assert_eq!(inc.snapshot().num_clusters(), 2);
-        let outcome = insert_next(&mut inc, &points);
-        assert!(outcome.merges >= 1, "expected a merge, got {outcome:?}");
+        assert_eq!(inc.clusters(), 2);
+        let outcome = insert_batch(&mut inc, &points, 1);
+        assert_eq!(outcome.absorbed, 1, "expected a merge, got {outcome:?}");
+        assert_eq!(outcome.born, 0);
         assert_eq!(inc.snapshot().num_clusters(), 1);
+        assert_eq!(inc.clusters(), 1);
     }
 
     #[test]
@@ -406,14 +545,15 @@ mod tests {
             Point2::new(0.5, 0.0),
             Point2::new(1.0, 0.0),
         ];
-        insert_next(&mut inc, &points); // alone: noise
+        insert_batch(&mut inc, &points, 1); // alone: noise
         assert_eq!(inc.snapshot().noise_count(), 1);
-        insert_next(&mut inc, &points);
-        insert_next(&mut inc, &points);
+        assert_eq!(inc.noise(), 1);
+        insert_batch(&mut inc, &points, 2);
         // Now 0.5 is core (3 neighbors incl. self); 0.0 is border.
         let snap = inc.snapshot();
         assert_eq!(snap.num_clusters(), 1);
         assert!(!snap.labels().is_noise(0));
+        assert_eq!((inc.clusters(), inc.noise()), (1, 0));
     }
 
     #[test]
@@ -421,5 +561,14 @@ mod tests {
         let mut inc = IncrementalDbscan::new(DbscanParams::new(1.0, 2));
         assert!(inc.is_empty());
         assert!(inc.snapshot().is_empty());
+        assert_eq!(
+            inc.insert(0, |_, _| unreachable!()),
+            InsertOutcome {
+                promoted: 0,
+                born: 0,
+                absorbed: 0
+            }
+        );
+        assert_eq!((inc.clusters(), inc.noise()), (0, 0));
     }
 }

@@ -37,6 +37,15 @@ impl DisjointSets {
         self.parent.is_empty()
     }
 
+    /// Adds one singleton set and returns its element.
+    pub fn push(&mut self) -> u32 {
+        let x = self.parent.len() as u32;
+        assert!(x < u32::MAX);
+        self.parent.push(x);
+        self.rank.push(0);
+        x
+    }
+
     /// Representative of `x`'s set.
     pub fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
@@ -220,6 +229,20 @@ mod tests {
         for i in 0..100 {
             assert_eq!(ds.find(i), ds.find(0));
         }
+    }
+
+    #[test]
+    fn pushed_elements_union_and_find_like_constructed_ones() {
+        let mut ds = DisjointSets::new(2);
+        assert!(ds.union(0, 1));
+        assert_eq!((ds.push(), ds.push()), (2, 3));
+        assert_eq!(ds.len(), 4);
+        assert_eq!(ds.find(2), 2);
+        assert!(ds.union(3, 0));
+        assert!(!ds.union(1, 3));
+        assert_eq!(ds.find(3), ds.find(1));
+        assert_ne!(ds.find(2), ds.find(0));
+        assert_eq!(ds.set_count(), 2); // {0,1,3}, {2}
     }
 
     #[test]

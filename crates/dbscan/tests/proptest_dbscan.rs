@@ -151,7 +151,7 @@ proptest! {
         for id in 0..points.len() {
             // ε-queries answered by a scan over the inserted prefix.
             let prefix = &points[..=id];
-            inc.insert(|q, out| {
+            inc.insert(1, |q, out| {
                 let center = prefix[q as usize];
                 out.extend(
                     (0..prefix.len() as PointId).filter(|&c| prefix[c as usize].within(&center, eps)),

@@ -60,7 +60,7 @@ use variantdbscan::{
     Sharding, Variant, VariantSet, WarmSource,
 };
 use vbp_dbscan::algorithm::dbscan_brute_force;
-use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, Labels, MAX_CLUSTER_ID};
+use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, InsertOutcome, Labels};
 use vbp_geom::binning::invert_permutation;
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::{PackedRTree, SpatialIndex};
@@ -266,31 +266,15 @@ pub fn counters() -> impl Iterator<Item = &'static Counter> {
 }
 
 /// One live `WATCH` stream: an insertion-maintained clustering for a
-/// `(dataset, variant)` pair, the bookkeeping needed to describe each
-/// append as a cluster delta, and the subscribed connections. It holds
+/// `(dataset, variant)` pair and the subscribed connections. It holds
 /// clustering state only — no points and no index; [`feed_stream`]
-/// answers its ε-queries from the dataset's own `T_low`.
-///
-/// Delta semantics: after a batch of `k` insertions the stream reports
-/// `new` (clusters whose members were all noise or newly-appended
-/// before the batch), `absorbed` (previously-distinct clusters merged
-/// into a survivor), and `promoted` (points that crossed the core
-/// threshold). The census replays: `clusters_before + new - absorbed ==
-/// clusters_after`, which the streaming-equivalence suite checks over
-/// the whole delta history.
+/// answers its ε-queries from the dataset's own `T_low`. Each append's
+/// [`Delta`] is what [`IncrementalDbscan::insert`] reports for the batch,
+/// with the census it keeps running.
 struct WatchStream {
     dataset: String,
     variant: Variant,
     inc: IncrementalDbscan,
-    /// Raw caller-order labels at the last snapshot.
-    labels: Vec<u32>,
-    /// Core flags at the last snapshot. Cluster correspondence is
-    /// computed over *cores only*: a core never leaves its cluster
-    /// (components only merge), while a border point may be re-claimed
-    /// by a newly-promoted core of another cluster.
-    core: Vec<bool>,
-    clusters: usize,
-    noise: usize,
     subscribers: Vec<mpsc::Sender<Delta>>,
 }
 
@@ -600,43 +584,35 @@ impl Shared {
         };
         let (tx, rx) = mpsc::channel();
         let mut watchers = self.watchers.lock().expect("watchers lock poisoned");
-        let census = match watchers
-            .iter_mut()
-            .find(|s| s.dataset == dataset && s.variant == variant)
+        let at = match watchers
+            .iter()
+            .position(|s| s.dataset == dataset && s.variant == variant)
         {
-            Some(stream) => {
-                stream.subscribers.push(tx);
-                (stream.clusters, stream.noise)
+            Some(at) => {
+                watchers[at].subscribers.push(tx);
+                at
             }
             None => {
                 let mut inc =
                     IncrementalDbscan::new(DbscanParams::new(variant.eps, variant.minpts));
                 let tree_pos = invert_permutation(entry.index.permutation());
                 feed_stream(&mut inc, &entry.index, &tree_pos);
-                let snapshot = inc.snapshot();
-                let labels: Vec<u32> = snapshot.labels().iter_raw().collect();
-                let core = (0..labels.len()).map(|p| inc.is_core(p as u32)).collect();
-                let census = (snapshot.num_clusters(), snapshot.noise_count());
                 watchers.push(WatchStream {
                     dataset: dataset.to_string(),
                     variant,
                     inc,
-                    labels,
-                    core,
-                    clusters: census.0,
-                    noise: census.1,
                     subscribers: vec![tx],
                 });
-                census
+                watchers.len() - 1
             }
+        };
+        let reply = WatchReply {
+            clusters: watchers[at].inc.clusters(),
+            noise: watchers[at].inc.noise(),
         };
         drop(watchers);
         drop(guard);
         self.stats().watches += 1;
-        let reply = WatchReply {
-            clusters: census.0,
-            noise: census.1,
-        };
         Ok((reply, rx))
     }
 
@@ -1099,33 +1075,30 @@ fn rekeyed(result: &ClusterResult, gather: &[PointId]) -> ClusterResult {
 }
 
 /// Brings a stream's clustering up to `index`'s generation: inserts, in
-/// caller order, every point the stream has not seen yet, and returns how
-/// many points crossed the core threshold on the way. The one feed both
-/// the first subscription (from empty) and every append (the new tail)
-/// go through.
+/// caller order and as one batch, every point the stream has not seen
+/// yet, and returns what the batch did. The one feed both the first
+/// subscription (from empty) and every append (the new tail) go through.
 ///
-/// Each ε-query is answered by the generation's own `T_low`: tree ids map
-/// back to caller ids through the permutation, and only ids up to the one
-/// being inserted count, so the stream sees the points arrive one at a
+/// Each ε-query is answered by the generation's own `T_low`, its tree ids
+/// mapped back to caller ids through the permutation; `insert` drops the
+/// ids it has not reached, so the stream sees the points arrive one at a
 /// time although the tree already holds them all. `tree_pos` is the
 /// caller id → tree position inverse of `index.permutation()`.
-fn feed_stream(inc: &mut IncrementalDbscan, index: &PreparedIndex, tree_pos: &[PointId]) -> usize {
+fn feed_stream(
+    inc: &mut IncrementalDbscan,
+    index: &PreparedIndex,
+    tree_pos: &[PointId],
+) -> InsertOutcome {
     let tree = index.t_low();
     let permutation = index.permutation();
     let eps = inc.params().eps;
-    let mut promoted = 0usize;
-    for id in inc.len() as PointId..index.len() as PointId {
-        let outcome = inc.insert(|q, out| {
-            let center = tree.points()[tree_pos[q as usize] as usize];
-            tree.epsilon_neighbors(center, eps, out);
-            out.retain_mut(|p| {
-                *p = permutation[*p as usize];
-                *p <= id
-            });
-        });
-        promoted += outcome.newly_core.len();
-    }
-    promoted
+    inc.insert(index.len() - inc.len(), |q, out| {
+        let center = tree.points()[tree_pos[q as usize] as usize];
+        tree.epsilon_neighbors(center, eps, out);
+        for p in out.iter_mut() {
+            *p = permutation[*p as usize];
+        }
+    })
 }
 
 /// Feeds a freshly swapped-in generation to every watch stream of its
@@ -1142,36 +1115,18 @@ fn notify_watchers(shared: &Shared, entry: &DatasetEntry) -> u64 {
     let mut delivered = 0u64;
     for stream in watchers.iter_mut().filter(|s| s.dataset == entry.name) {
         let appended = entry.index.len() - stream.inc.len();
-        let promoted = feed_stream(&mut stream.inc, &entry.index, &tree_pos);
-        let snapshot = stream.inc.snapshot();
-        let labels: Vec<u32> = snapshot.labels().iter_raw().collect();
-        let core: Vec<bool> = (0..labels.len())
-            .map(|p| stream.inc.is_core(p as u32))
-            .collect();
-        let (born, absorbed) = delta_counts(
-            &stream.labels,
-            &stream.core,
-            &labels,
-            snapshot.num_clusters(),
-        );
-        let clusters = snapshot.num_clusters();
-        let noise = snapshot.noise_count();
-        debug_assert_eq!(stream.clusters + born - absorbed, clusters);
+        let outcome = feed_stream(&mut stream.inc, &entry.index, &tree_pos);
         let delta = Delta {
             dataset: stream.dataset.clone(),
             eps: stream.variant.eps,
             minpts: stream.variant.minpts,
             appended,
-            new: born,
-            absorbed,
-            promoted,
-            clusters,
-            noise,
+            new: outcome.born,
+            absorbed: outcome.absorbed,
+            promoted: outcome.promoted,
+            clusters: stream.inc.clusters(),
+            noise: stream.inc.noise(),
         };
-        stream.labels = labels;
-        stream.core = core;
-        stream.clusters = clusters;
-        stream.noise = noise;
         stream
             .subscribers
             .retain(|tx| tx.send(delta.clone()).is_ok());
@@ -1179,38 +1134,6 @@ fn notify_watchers(shared: &Shared, entry: &DatasetEntry) -> u64 {
     }
     watchers.retain(|s| !s.subscribers.is_empty());
     delivered
-}
-
-/// Cluster-delta census between two snapshots of an insertion-only
-/// clustering: `(born, absorbed)` such that `clusters_before + born -
-/// absorbed == clusters_after`.
-///
-/// Correspondence is computed over points that were *core before* —
-/// cores never leave their cluster under insertion (components only
-/// merge), while border points may be re-claimed across clusters, which
-/// would double-count a cluster as both surviving and absorbed.
-fn delta_counts(
-    before: &[u32],
-    core_before: &[bool],
-    after: &[u32],
-    clusters_after: usize,
-) -> (usize, usize) {
-    use std::collections::BTreeSet;
-    let mut sources: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); clusters_after];
-    for p in 0..before.len() {
-        if core_before[p] && before[p] <= MAX_CLUSTER_ID {
-            let a = after[p];
-            debug_assert!(a <= MAX_CLUSTER_ID, "a core point cannot become noise");
-            sources[a as usize].insert(before[p]);
-        }
-    }
-    let born = sources.iter().filter(|s| s.is_empty()).count();
-    let absorbed = sources
-        .iter()
-        .filter(|s| !s.is_empty())
-        .map(|s| s.len() - 1)
-        .sum();
-    (born, absorbed)
 }
 
 /// Parses `name value` out of a metrics exposition; panics when the
@@ -1228,6 +1151,7 @@ pub(crate) fn metric(text: &str, name: &str) -> u64 {
 mod tests {
     use super::*;
     use variantdbscan::EngineConfig;
+    use vbp_dbscan::MAX_CLUSTER_ID;
 
     /// A `Shared` with no threads attached: admission control can be
     /// unit-tested without racing a live dispatcher.
@@ -1638,18 +1562,5 @@ mod tests {
         );
     }
 
-    #[test]
-    fn delta_counts_replays_the_census() {
-        // before: clusters {0} (cores), {1} (cores); after: cluster 0
-        // absorbed cluster 1, and a brand-new cluster 1 appeared among
-        // previously-noise points.
-        let before = vec![0, 0, 1, 1, NOISE_RAW, NOISE_RAW];
-        let core_before = vec![true, true, true, true, false, false];
-        let after = vec![0, 0, 0, 0, 1, 1];
-        let (born, absorbed) = delta_counts(&before, &core_before, &after, 2);
-        assert_eq!((born, absorbed), (1, 1));
-        // census replay: 2 before + 1 born - 1 absorbed = 2 after
-        assert_eq!(2 + born - absorbed, 2);
-    }
     const NOISE_RAW: u32 = u32::MAX;
 }

@@ -10,12 +10,12 @@ fn dataset(n: usize) -> Vec<Point2> {
     SyntheticSpec::new(SyntheticClass::CF, n, 0.15, 4242).generate()
 }
 
-/// Inserts `points[inc.len()]`, answering its ε-queries by a scan over
-/// the inserted prefix.
-fn insert_next(inc: &mut IncrementalDbscan, points: &[Point2]) {
-    let prefix = &points[..=inc.len()];
+/// Inserts the next `k` of `points` as one batch, answering its
+/// ε-queries by a scan over the prefix the batch ends at.
+fn insert_batch(inc: &mut IncrementalDbscan, points: &[Point2], k: usize) {
+    let prefix = &points[..inc.len() + k];
     let eps = inc.params().eps;
-    inc.insert(|q, out| {
+    inc.insert(k, |q, out| {
         let center = prefix[q as usize];
         out.extend((0..prefix.len() as u32).filter(|&c| prefix[c as usize].within(&center, eps)));
     });
@@ -36,7 +36,7 @@ fn four_dbscan_implementations_agree() {
     let from_grid = grid_dbscan(&points, params);
     let mut inc = IncrementalDbscan::new(params);
     for _ in &points {
-        insert_next(&mut inc, &points);
+        insert_batch(&mut inc, &points, 1);
     }
     let from_incremental = inc.snapshot();
 
@@ -56,23 +56,33 @@ fn four_dbscan_implementations_agree() {
     }
 }
 
-/// Incremental DBSCAN over a simulated TEC stream stays consistent with
-/// batch re-clustering at every checkpoint.
+/// Incremental DBSCAN over a simulated TEC stream, fed in batches of
+/// varying size, stays consistent with batch re-clustering at every
+/// checkpoint, and so does its running census.
 #[test]
 fn incremental_tracks_batch_on_tec_stream() {
     let stream = SpaceWeatherSpec::scaled(2, 1_600).generate();
     let params = DbscanParams::new(1.2, 4);
     let mut inc = IncrementalDbscan::new(params);
-    for i in 0..stream.len() {
-        insert_next(&mut inc, &stream);
-        if (i + 1) % 800 == 0 {
+    let mut sizes = [1, 7, 64, 3, 200].into_iter().cycle();
+    while inc.len() < stream.len() {
+        let next_checkpoint = (inc.len() / 800 + 1) * 800;
+        let k = sizes
+            .next()
+            .unwrap()
+            .min(next_checkpoint.min(stream.len()) - inc.len());
+        insert_batch(&mut inc, &stream, k);
+        let at = inc.len();
+        if at.is_multiple_of(800) {
             let snap = inc.snapshot();
             let batch = parallel_dbscan(
-                &BruteForce::new(shared_points(stream[..=i].to_vec())),
+                &BruteForce::new(shared_points(stream[..at].to_vec())),
                 params,
                 1,
             );
-            assert_eq!(snap, batch, "checkpoint at {}", i + 1);
+            assert_eq!(snap, batch, "checkpoint at {at}");
+            assert_eq!(inc.clusters(), batch.num_clusters(), "checkpoint at {at}");
+            assert_eq!(inc.noise(), batch.noise_count(), "checkpoint at {at}");
         }
     }
 }
