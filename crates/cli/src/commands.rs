@@ -840,12 +840,12 @@ commands:
            [--reuse off|default|density|ptssq] [--json] [--shards S]
            (--r auto tunes r empirically at index-build time;
             --json emits the full RunReport as one JSON line;
-            --shards S > 1 splits wide variants into S spatial shards)
+            --shards S > 1 clusters wide variants in S slices)
   trace    (--dataset … | --input F)          traced VariantDBSCAN run: per-variant
            --eps E1,… --minpts M1,…            span dump + per-phase latency
            [--level spans|full] [--json]       histograms (--json embeds the trace
            [--threads T] [--r R|auto]          snapshot in the RunReport line;
-           [--shards S] …                       full level records shard merges)
+           [--shards S] …                       full level adds reuse-path waves)
   simulate --eps … --minpts … [--threads T]   analytic scheduler comparison
   serve    --datasets NAME[@N],…              run the clustering daemon until a
            [--addr HOST:PORT] [--threads T]   client sends SHUTDOWN; datasets are

@@ -647,58 +647,41 @@ pub enum RunSource<'a> {
 /// the rest idle. When a request opts in via [`RunRequest::sharding`],
 /// the engine places work on two levels instead:
 ///
-/// - **wide runs** (dataset at least [`Sharding::min_points`] points)
+/// - **wide runs** (dataset at least [`Sharding::MIN_POINTS`] points)
 ///   trade variant-parallel workers for shard teams — each from-scratch
 ///   clustering executes as [`vbp_dbscan::sharded_dbscan`] over `shards`
-///   ε-halo'd spatial shards, with a team of `min(shards, threads)`
+///   slices of tree order, with a team of `min(shards, threads)`
 ///   threads, and the engine spawns `threads / team` outer workers so
 ///   the two levels multiply back to the configured thread budget;
 /// - **narrow runs** pack variant-parallel exactly as before — sharding
-///   tiny variants would pay partition/merge overhead for no win.
+///   tiny variants would pay thread start-up and atomics for no win.
 ///
-/// Sharding never changes results: shard-merged labels are bit-identical
-/// to the unsharded kernel at every shard count and thread interleaving
+/// Sharding never changes results: sharded labels are bit-identical to
+/// the single-thread kernel at every shard count and thread interleaving
 /// (see `vbp_dbscan::sharded`), and reuse-path assignments are untouched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sharding {
     shards: usize,
-    min_points: usize,
 }
 
 impl Sharding {
-    /// Default width gate: datasets below this many points stay on the
-    /// packed variant-parallel path.
-    pub const DEFAULT_MIN_POINTS: usize = 4_096;
+    /// Width gate: datasets below this many points stay on the packed
+    /// variant-parallel path.
+    pub const MIN_POINTS: usize = 4_096;
 
-    /// Policy with `shards` spatial shards per wide variant and the
-    /// default width gate.
+    /// Policy with `shards` slices per wide variant.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Sharding {
         assert!(shards >= 1, "need at least one shard");
-        Sharding {
-            shards,
-            min_points: Self::DEFAULT_MIN_POINTS,
-        }
-    }
-
-    /// Overrides the width gate: datasets with fewer points than this
-    /// run unsharded.
-    pub fn with_min_points(mut self, min_points: usize) -> Sharding {
-        self.min_points = min_points;
-        self
+        Sharding { shards }
     }
 
     /// Shards per wide variant.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The width gate (minimum dataset size to shard).
-    pub fn min_points(&self) -> usize {
-        self.min_points
     }
 }
 
@@ -1015,7 +998,7 @@ impl Engine {
         // Narrow runs, single-shard policies, and non-opted runs keep
         // today's one-level packing.
         let shard_plan: Option<ShardPlan> = sharding.and_then(|policy| {
-            (policy.shards() > 1 && index.len() >= policy.min_points()).then(|| ShardPlan {
+            (policy.shards() > 1 && index.len() >= Sharding::MIN_POINTS).then(|| ShardPlan {
                 shards: policy.shards(),
                 team: policy.shards().min(self.config.threads),
             })
@@ -1280,9 +1263,9 @@ fn worker_loop(
                     }
                     _ => {
                         if let Some(plan) = shard_plan {
-                            // Second placement level: split this wide
-                            // variant into ε-halo'd shards and cluster
-                            // them with the worker's team. A capacity
+                            // Second placement level: cluster this wide
+                            // variant's slices of tree order with the
+                            // worker's team. A capacity
                             // overflow (> u32::MAX − 1 points) panics
                             // here and is contained as a JobPanic like
                             // any other job failure.
@@ -1331,24 +1314,13 @@ fn worker_loop(
             ExecutionPath::Reused { .. } => phases.reuse.record(busy),
         }
         if let Some(ss) = &shard_stats {
-            // Shard-phase observability: per-shard local latencies and
-            // the merge latency feed their own histograms, the census
-            // feeds the run's ShardTotals, and (at TraceLevel::Full) a
-            // ShardMerge detail event lands in the trace ring.
+            // Shard observability: per-slice latencies feed their own
+            // histogram and the census feeds the run's ShardTotals.
             for &ns in &ss.local_ns {
                 phases.shard_local.record_ns(ns);
             }
-            phases.shard_merge.record_ns(ss.merge_ns);
             shard_totals.variants += 1;
             shard_totals.shards += ss.shards as u64;
-            shard_totals.border_points += ss.border_points as u64;
-            shard_totals.cross_unions += ss.cross_unions;
-            tracer.record_full(TraceEvent::ShardMerge {
-                variant: variant_idx,
-                shards: ss.shards.min(u32::MAX as usize) as u32,
-                border_points: ss.border_points.min(u32::MAX as usize) as u32,
-                cross_unions: ss.cross_unions.min(u64::from(u32::MAX)) as u32,
-            });
         }
         tracer.record(TraceEvent::Finished {
             variant: variant_idx,
@@ -1542,22 +1514,18 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_unsharded_and_reports_totals() {
-        let points = blobs(1500, 4, 99);
+        let points = blobs(Sharding::MIN_POINTS, 4, 99);
         let variants = small_grid();
         let engine = Engine::new(EngineConfig::default().with_threads(4).with_r(16));
         let plain = run(&engine, &points, &variants);
         let sharded = engine
-            .execute(
-                &RunRequest::new(&points, &variants)
-                    .sharding(Sharding::new(4).with_min_points(0))
-                    .trace(TraceLevel::Full),
-            )
+            .execute(&RunRequest::new(&points, &variants).sharding(Sharding::new(4)))
             .expect("test input is valid");
 
         // Sharding changes placement, never structure: cluster and noise
         // counts are invariants of the geometry (only deterministic
         // border membership may move between the sequential scratch
-        // kernel and the shard-merged one).
+        // kernel and the sharded one).
         for (a, b) in plain.outcomes.iter().zip(&sharded.outcomes) {
             assert_eq!(a.clusters, b.clusters, "{}", a.variant);
             assert_eq!(a.noise, b.noise, "{}", a.variant);
@@ -1567,25 +1535,21 @@ mod tests {
         }
 
         // Every from-scratch assignment went through the shard path and
-        // left its footprint in the totals, histograms, and trace.
+        // left its footprint in the totals and the histogram.
         let scratch = sharded.from_scratch_count() as u64;
         assert!(scratch >= 1);
         assert_eq!(sharded.sharding.variants, scratch);
-        assert!(sharded.sharding.shards >= scratch, "{:?}", sharded.sharding);
-        assert_eq!(sharded.phases.shard_merge.count(), scratch);
-        assert!(sharded.phases.shard_local.count() >= scratch);
-        let trace = sharded.trace.as_ref().expect("trace requested");
-        let merges = trace
-            .records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ShardMerge { .. }))
-            .count() as u64;
-        assert_eq!(merges, scratch);
+        assert_eq!(
+            sharded.sharding.shards,
+            4 * scratch,
+            "{:?}",
+            sharded.sharding
+        );
+        assert_eq!(sharded.phases.shard_local.count(), 4 * scratch);
 
         // Unsharded runs carry zero shard accounting.
         assert_eq!(plain.sharding, crate::metrics::ShardTotals::default());
         assert_eq!(plain.phases.shard_local.count(), 0);
-        assert_eq!(plain.phases.shard_merge.count(), 0);
     }
 
     #[test]

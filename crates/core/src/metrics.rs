@@ -136,12 +136,8 @@ impl WorkerStats {
 pub struct ShardTotals {
     /// Variants executed through the sharded path.
     pub variants: u64,
-    /// Shard tasks executed across those variants.
+    /// Shard tasks (slices) executed across those variants.
     pub shards: u64,
-    /// Points found with at least one ε-neighbor in another shard.
-    pub border_points: u64,
-    /// Cross-shard core-core unions applied in merge phases.
-    pub cross_unions: u64,
 }
 
 impl ShardTotals {
@@ -150,8 +146,6 @@ impl ShardTotals {
     pub fn merge(&mut self, other: &ShardTotals) {
         self.variants += other.variants;
         self.shards += other.shards;
-        self.border_points += other.border_points;
-        self.cross_unions += other.cross_unions;
     }
 
     /// JSON object form.
@@ -159,8 +153,6 @@ impl ShardTotals {
         JsonObject::new()
             .uint("variants", self.variants)
             .uint("shards", self.shards)
-            .uint("border_points", self.border_points)
-            .uint("cross_unions", self.cross_unions)
             .finish()
     }
 }

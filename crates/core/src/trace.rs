@@ -167,19 +167,6 @@ pub enum TraceEvent {
         /// Noise points.
         noise: u32,
     },
-    /// A from-scratch job ran the intra-variant sharded path: its points
-    /// were partitioned into ε-halo'd shards, clustered concurrently, and
-    /// merged through the cross-shard union phase.
-    ShardMerge {
-        /// Variant index.
-        variant: u32,
-        /// Shards the variant's points were partitioned into.
-        shards: u32,
-        /// Points with at least one ε-neighbor in another shard.
-        border_points: u32,
-        /// Cross-shard core-core unions applied in the merge phase.
-        cross_unions: u32,
-    },
     /// A clustering job panicked and was contained in its worker.
     PanicContained {
         /// Variant index of the offending job.
@@ -197,7 +184,6 @@ impl TraceEvent {
             TraceEvent::FrontierBatch { .. } => "frontier-batch",
             TraceEvent::ExpandWave { .. } => "expand-wave",
             TraceEvent::Finished { .. } => "finished",
-            TraceEvent::ShardMerge { .. } => "shard-merge",
             TraceEvent::PanicContained { .. } => "panic-contained",
         }
     }
@@ -247,16 +233,6 @@ impl TraceRecord {
                 .uint("variant", variant as u64)
                 .uint("clusters", clusters as u64)
                 .uint("noise", noise as u64),
-            TraceEvent::ShardMerge {
-                variant,
-                shards,
-                border_points,
-                cross_unions,
-            } => obj
-                .uint("variant", variant as u64)
-                .uint("shards", shards as u64)
-                .uint("border_points", border_points as u64)
-                .uint("cross_unions", cross_unions as u64),
             TraceEvent::PanicContained { variant } => obj.uint("variant", variant as u64),
         };
         obj.finish()
@@ -775,12 +751,10 @@ pub struct PhaseHistograms {
     pub lock_wait: Histogram,
     /// In-lock schedule decision latency (same two sample points).
     pub sched: Histogram,
-    /// Per-shard local clustering latency (core flagging + intra-shard
-    /// unions), one sample per shard task of a sharded execution. Empty
-    /// unless a run requested intra-variant sharding.
+    /// Per-slice clustering latency (the slice's ε pass: core flags,
+    /// unions and border claims), one sample per shard task of a sharded
+    /// execution. Empty unless a run requested intra-variant sharding.
     pub shard_local: Histogram,
-    /// Cross-shard merge latency, one sample per sharded variant.
-    pub shard_merge: Histogram,
 }
 
 impl PhaseHistograms {
@@ -797,18 +771,16 @@ impl PhaseHistograms {
         self.lock_wait.merge(&other.lock_wait);
         self.sched.merge(&other.sched);
         self.shard_local.merge(&other.shard_local);
-        self.shard_merge.merge(&other.shard_merge);
     }
 
     /// The phases as `(name, histogram)` pairs, in stable order.
-    pub fn phases(&self) -> [(&'static str, &Histogram); 6] {
+    pub fn phases(&self) -> [(&'static str, &Histogram); 5] {
         [
             ("scratch", &self.scratch),
             ("reuse", &self.reuse),
             ("lock_wait", &self.lock_wait),
             ("sched", &self.sched),
             ("shard_local", &self.shard_local),
-            ("shard_merge", &self.shard_merge),
         ]
     }
 

@@ -15,7 +15,7 @@
 //! between the ≤ 21 relevant neighbor cells; Gan & Tao's asymptotic
 //! guarantee additionally needs BCP machinery, which real workloads do
 //! not reward). Border points are claimed by their minimum-id adjacent
-//! core — the same deterministic convention as [`crate::parallel`] and
+//! core — the same deterministic convention as [`crate::sharded`] and
 //! [`crate::incremental`], so all three produce byte-identical results.
 
 use std::collections::HashMap;
@@ -204,7 +204,7 @@ pub fn grid_dbscan(points: &[Point2], params: DbscanParams) -> ClusterResult {
 mod tests {
     use super::*;
     use crate::algorithm::dbscan;
-    use crate::parallel::parallel_dbscan;
+    use crate::sharded::parallel_dbscan;
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::BruteForce;
 

@@ -303,7 +303,7 @@ mod vec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::parallel_dbscan;
+    use crate::sharded::parallel_dbscan;
     use std::collections::BTreeSet;
     use vbp_geom::Point2;
     use vbp_rtree::traits::shared_points;

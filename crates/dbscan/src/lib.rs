@@ -6,9 +6,11 @@
 //!   the paper's Algorithm 1, generic over any
 //!   [`SpatialIndex`](vbp_rtree::SpatialIndex) so the same code runs with
 //!   the paper's packed R-tree, a brute-force scan, or any other index.
-//! - [`sharded`] / [`parallel`] — the disjoint-set kernel (Patwary et
-//!   al., SC'12) over ε-halo'd spatial shards: what the engine runs when a
-//!   request asks for intra-variant sharding.
+//! - [`sharded`] — the disjoint-set kernel (Patwary et al., SC'12): one
+//!   ε pass over contiguous slices of index order that unions each core
+//!   edge where it finds it. [`sharded_dbscan`] is what the engine runs
+//!   when a request asks for intra-variant sharding; [`parallel_dbscan`]
+//!   is the same kernel at one slice per thread.
 //! - [`gridbscan`] — exact cell-graph DBSCAN (Gan & Tao), the independent
 //!   reference the test suites hold the sharded kernel byte-identical to.
 //! - [`incremental`] — insertion-maintained clustering, behind the
@@ -27,7 +29,6 @@ pub mod gridbscan;
 pub mod incremental;
 pub mod kdist;
 pub mod labels;
-pub mod parallel;
 pub mod quality;
 pub mod result;
 pub mod sharded;
@@ -38,8 +39,9 @@ pub use gridbscan::grid_dbscan;
 pub use incremental::{IncrementalDbscan, InsertOutcome};
 pub use kdist::{kdist_plot, suggest_eps, KneePoint};
 pub use labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE, UNCLASSIFIED};
-pub use parallel::parallel_dbscan;
 pub use quality::{quality_score, QualityReport};
 pub use result::ClusterResult;
-pub use sharded::{check_point_id_capacity, sharded_dbscan, CapacityError, ShardStats, MAX_POINTS};
+pub use sharded::{
+    check_point_id_capacity, parallel_dbscan, sharded_dbscan, CapacityError, ShardStats, MAX_POINTS,
+};
 pub use unionfind::{ConcurrentDisjointSets, DisjointSets};

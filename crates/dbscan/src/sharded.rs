@@ -1,43 +1,44 @@
-//! Intra-variant sharded DBSCAN: ε-halo'd spatial shards clustered
-//! concurrently and merged through the disjoint-set structure.
+//! Intra-variant parallel DBSCAN — the related-work baseline of §III:
+//! one ε pass over contiguous slices of index order, unioning each core
+//! edge through the lock-free disjoint-set structure where it is found.
 //!
-//! The engine parallelizes *across* variants, so a run's makespan is
+//! VariantDBSCAN parallelizes *across* variants, so a run's makespan is
 //! bounded by its largest variant: a single million-point variant cannot
-//! use more than one core. This module supplies the missing axis — the
-//! grid-partitioned shard recipe of Wang/Gu/Shun ("Theoretically-Efficient
-//! and Practical Parallel DBSCAN") layered over the Patwary et al. SC'12
-//! disjoint-set kernel. This is the crate's one disjoint-set kernel:
-//! [`parallel_dbscan`](crate::parallel_dbscan) is this function at one
-//! shard per thread.
+//! use more than one core. The pre-existing alternative (Patwary et al.,
+//! SC'12 — "A New Scalable Parallel DBSCAN Algorithm Using the
+//! Disjoint-set Data Structure") parallelizes *inside* one clustering;
+//! like Wang/Gu/Shun ("Theoretically-Efficient and Practical Parallel
+//! DBSCAN") this kernel unions each core-core edge as soon as a query
+//! finds it, so there is no partition, halo or merge phase. For a single
+//! variant it scales, but it cannot share any work between variants, so
+//! on a variant sweep the reuse-based engine wins (`benchmark/` times
+//! both: one variant as `scratch_cf`'s `dbscan.sharded_s` /
+//! `dbscan.parallel_s`, the sweep as `sweep_sw`).
 //!
-//! 1. **Partition** — points are bucketed into the ε-width grid cells of
-//!    `geom::binning` (cell key `(⌊y/ε⌋, ⌊x/ε⌋)`), and the cells are
-//!    walked row-major and greedily grouped into `shards` contiguous
-//!    stripes of roughly equal point count. A point's ε-ball overlaps at
-//!    most the 3×3 cell block around it, so only points in cells on a
-//!    stripe boundary — the ε-halo — can have neighbors in another shard.
-//! 2. **Local clustering** — each shard task flags its cores and applies
-//!    every *intra-shard* core-core union plus every border claim (an
-//!    atomic `fetch_min` on `claim[q]`, lowest-core-id wins). Edges
-//!    whose endpoints straddle shards are set aside instead of unioned.
-//! 3. **Merge** — the deferred cross-shard edges are applied to the same
-//!    [`ConcurrentDisjointSets`], stitching halo-straddling clusters
-//!    together.
-//! 4. **Label** — a sequential pass numbers clusters by first appearance
-//!    in point order; claimed non-cores join their claimant's cluster and
-//!    everything else is noise.
+//! 1. **Slices** — index order (tree order for a packed R-tree, so each
+//!    slice is already spatially compact) is cut into `min(shards, n)`
+//!    contiguous slices of ⌊n/S⌋ or ⌈n/S⌉ points, drained by a pool of
+//!    `threads` workers.
+//! 2. **One ε pass** — every point is queried once. A point with at least
+//!    `minpts` neighbours stores its core flag, unions with every
+//!    neighbour whose flag already reads core, and claims every other
+//!    neighbour with an atomic `fetch_min` on `claim[q]` (lowest core id
+//!    wins).
+//! 3. **Label** — a sequential pass numbers clusters by first appearance
+//!    in point order; non-cores join their claimant's cluster and
+//!    unclaimed non-cores are noise.
 //!
 //! Every phase is order-independent: core flags depend only on geometry,
 //! the union structure's final partition is interleaving-independent, and
-//! border claims resolve by atomic minimum. The output is therefore
-//! **bit-identical across every shard count and thread count** — pinned
-//! by this module's tests and the `sharded_metamorphic` suite — and
-//! label-isomorphic to sequential DBSCAN (border points go to their
-//! lowest-id adjacent core rather than the first cluster to reach them).
+//! a final non-core's claim is the minimum over all its core neighbours.
+//! The output is therefore **bit-identical across every shard count and
+//! thread count** — pinned by this module's tests and the
+//! `sharded_metamorphic` suite — and label-isomorphic to sequential
+//! DBSCAN (border points go to their lowest-id adjacent core rather than
+//! the first cluster to reach them, which the paper's quality metric
+//! treats as equivalent).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use vbp_geom::PointId;
@@ -93,35 +94,27 @@ impl std::fmt::Display for CapacityError {
 impl std::error::Error for CapacityError {}
 
 /// Instrumentation from one sharded execution, consumed by the engine's
-/// shard-phase histograms and `METRICS` counters.
+/// `shard_local` phase histogram and `METRICS` counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shards actually used (≤ the requested count when the dataset has
-    /// fewer populated ε-cells than shards).
+    /// Slices actually used: `min(shards, n)`.
     pub shards: usize,
-    /// Points owned by each shard, in shard order.
+    /// Points in each slice, in slice order (⌊n/S⌋ or ⌈n/S⌉ each).
     pub points_per_shard: Vec<usize>,
-    /// Points with at least one ε-neighbor owned by another shard — the
-    /// occupancy of the ε-halo.
-    pub border_points: usize,
-    /// Cross-shard core-core unions applied in the merge phase.
-    pub cross_unions: u64,
-    /// Wall-clock nanoseconds of each shard's local phases (core
-    /// flagging + intra-shard unions), in shard order.
+    /// Wall-clock nanoseconds of each slice's ε pass (queries, core
+    /// flags, unions and claims), in slice order.
     pub local_ns: Vec<u64>,
-    /// Wall-clock nanoseconds of the cross-shard merge phase.
-    pub merge_ns: u64,
     /// The familiar kernel counters (searches, cores, noise, clusters),
     /// so sharded executions report through the same
     /// [`DbscanStats`] surface as the unsharded paths.
     pub dbscan: DbscanStats,
 }
 
-/// Runs sharded DBSCAN: `shards` spatial shards clustered by a pool of
-/// `threads` workers, then merged.
+/// Runs disjoint-set DBSCAN over `shards` contiguous slices of index
+/// order with a pool of `threads` workers.
 ///
 /// Returns the clustering (bit-identical at any shard/thread count)
-/// plus per-phase instrumentation. Datasets larger than [`MAX_POINTS`]
+/// plus per-slice instrumentation. Datasets larger than [`MAX_POINTS`]
 /// are rejected with a typed [`CapacityError`] — point ids must stay
 /// below the `u32::MAX` claim sentinel.
 ///
@@ -142,109 +135,63 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
         return Ok((ClusterResult::empty(), ShardStats::default()));
     }
 
-    let (shard_of, n_shards) = partition(index.points(), params.eps, shards);
-    let mut owned: Vec<Vec<PointId>> = vec![Vec::new(); n_shards];
-    for (p, &s) in shard_of.iter().enumerate() {
-        owned[s as usize].push(p as PointId);
-    }
-
+    let n_shards = shards.min(n);
+    let slice_start = |s: usize| s * n / n_shards;
     let core: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let sets = ConcurrentDisjointSets::new(n);
     let claim: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCLAIMED)).collect();
     let local_ns: Vec<AtomicU64> = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
-    let border_points = AtomicUsize::new(0);
-    let searches = AtomicUsize::new(0);
     let neighbors_found = AtomicUsize::new(0);
-    let cross: Vec<Mutex<Vec<(u32, u32)>>> =
-        (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();
 
-    // Local phase A: core flags + halo census, one task per shard. The
-    // batched query walks each shard's points in tree order, so
-    // consecutive queries probe warm index leaves.
     run_tasks(n_shards, threads, |s| {
         let t0 = Instant::now();
-        let mut ids = owned[s].clone();
-        let mut scratch: Vec<PointId> = Vec::new();
-        let mut border = 0usize;
-        let mut found = 0usize;
-        searches.fetch_add(ids.len(), Ordering::Relaxed);
-        index.epsilon_neighbors_batch(&mut ids, params.eps, &mut scratch, &mut |p, neighbors| {
-            found += neighbors.len();
-            if neighbors.len() >= params.minpts {
-                core[p as usize].store(true, Ordering::Release);
-            }
-            if neighbors.iter().any(|&q| shard_of[q as usize] != s as u32) {
-                border += 1;
-            }
-        });
-        border_points.fetch_add(border, Ordering::Relaxed);
-        neighbors_found.fetch_add(found, Ordering::Relaxed);
-        local_ns[s].fetch_add(elapsed_ns(t0), Ordering::Relaxed);
-    });
-
-    // Local phase B: intra-shard unions and border claims; cross-shard
-    // core-core edges are deferred to the merge phase. The one-direction
-    // `q > p` rule dedups each edge globally because every point is owned
-    // by exactly one shard.
-    run_tasks(n_shards, threads, |s| {
-        let t0 = Instant::now();
-        let mut ids: Vec<PointId> = owned[s]
-            .iter()
-            .copied()
-            .filter(|&p| core[p as usize].load(Ordering::Acquire))
+        let mut ids: Vec<PointId> = (slice_start(s)..slice_start(s + 1))
+            .map(|p| p as PointId)
             .collect();
         let mut scratch: Vec<PointId> = Vec::new();
-        let mut deferred: Vec<(u32, u32)> = Vec::new();
         let mut found = 0usize;
-        searches.fetch_add(ids.len(), Ordering::Relaxed);
         index.epsilon_neighbors_batch(&mut ids, params.eps, &mut scratch, &mut |p, neighbors| {
             found += neighbors.len();
+            if neighbors.len() < params.minpts {
+                return;
+            }
+            // Publish-then-read: of two adjacent cores p and q, each
+            // stores its own flag before loading the other's, and SeqCst
+            // puts all four accesses in one total order. Whichever store
+            // comes second in that order precedes its own load, which
+            // comes after the first store — so at least the core that
+            // finishes second reads the other as core and unions the
+            // edge. A neighbour that reads non-core is claimed instead:
+            // a final non-core is claimed by every core neighbour, and a
+            // claim on a point that turns out core is ignored by the
+            // label pass.
+            core[p as usize].store(true, Ordering::SeqCst);
             for &q in neighbors {
                 if q == p {
                     continue;
                 }
-                if core[q as usize].load(Ordering::Acquire) {
-                    if q > p {
-                        if shard_of[q as usize] == s as u32 {
-                            sets.union(p, q);
-                        } else {
-                            deferred.push((p, q));
-                        }
-                    }
+                if core[q as usize].load(Ordering::SeqCst) {
+                    sets.union(p, q);
                 } else {
-                    // Deterministic border claim: smallest core id wins,
-                    // regardless of shard or interleaving.
-                    claim[q as usize].fetch_min(p, Ordering::AcqRel);
+                    claim[q as usize].fetch_min(p, Ordering::Relaxed);
                 }
             }
         });
-        *cross[s].lock().expect("cross-edge mutex poisoned") = deferred;
         neighbors_found.fetch_add(found, Ordering::Relaxed);
-        local_ns[s].fetch_add(elapsed_ns(t0), Ordering::Relaxed);
+        local_ns[s].store(elapsed_ns(t0), Ordering::Relaxed);
     });
-
-    // Merge phase: stitch halo-straddling components. Union order is
-    // irrelevant to the final partition, so a simple sequential drain is
-    // both correct and cheap (the edge count is O(halo), not O(n)).
-    let t0 = Instant::now();
-    let mut cross_unions = 0u64;
-    for edges in &cross {
-        for &(p, q) in edges.lock().expect("cross-edge mutex poisoned").iter() {
-            sets.union(p, q);
-            cross_unions += 1;
-        }
-    }
-    let merge_ns = elapsed_ns(t0);
 
     // Label pass: clusters numbered by first appearance in point order,
     // claimed non-cores join their claimant's cluster, unclaimed
-    // non-cores are noise.
+    // non-cores are noise. Joining the workers ordered all their flag,
+    // claim and union writes before this pass, so its loads (like the
+    // claims, which publish nothing but themselves) can be Relaxed.
     let mut labels = Labels::unclassified(n);
     let mut root_to_cluster: Vec<u32> = vec![NOISE; n];
     let mut next: ClusterId = 0;
     let mut n_core = 0usize;
     for (p, is_core) in core.iter().enumerate() {
-        if is_core.load(Ordering::Acquire) {
+        if is_core.load(Ordering::Relaxed) {
             n_core += 1;
             let root = sets.find(p as u32) as usize;
             if root_to_cluster[root] == NOISE {
@@ -256,10 +203,10 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
         }
     }
     for (p, claimed) in claim.iter().enumerate() {
-        if core[p].load(Ordering::Acquire) {
+        if core[p].load(Ordering::Relaxed) {
             continue;
         }
-        let claimant = claimed.load(Ordering::Acquire);
+        let claimant = claimed.load(Ordering::Relaxed);
         if claimant == UNCLAIMED {
             labels.mark_noise(p as PointId);
         } else {
@@ -269,7 +216,7 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
     }
 
     let dbscan = DbscanStats {
-        neighbor_searches: searches.load(Ordering::Relaxed),
+        neighbor_searches: n,
         neighbors_found: neighbors_found.load(Ordering::Relaxed),
         core_points: n_core,
         noise_points: labels.noise_count(),
@@ -277,61 +224,32 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
     };
     let stats = ShardStats {
         shards: n_shards,
-        points_per_shard: owned.iter().map(Vec::len).collect(),
-        border_points: border_points.load(Ordering::Relaxed),
-        cross_unions,
+        points_per_shard: (0..n_shards)
+            .map(|s| slice_start(s + 1) - slice_start(s))
+            .collect(),
         local_ns: local_ns.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        merge_ns,
         dbscan,
     };
     Ok((ClusterResult::from_labels(labels), stats))
 }
 
-/// Buckets points into ε-width grid cells and groups the cells, walked
-/// row-major, into at most `shards` contiguous stripes of roughly equal
-/// point count. Returns each point's stripe and the stripe count.
+/// Runs disjoint-set parallel DBSCAN with `threads` worker threads: the
+/// [`sharded_dbscan`] kernel at one slice per thread.
 ///
-/// Degenerate widths (ε = 0) fall back to unit cells; datasets with
-/// fewer populated cells than requested shards simply produce fewer
-/// stripes.
-fn partition(points: &[vbp_geom::Point2], eps: f64, shards: usize) -> (Vec<u32>, usize) {
-    let n = points.len();
-    let w = if eps > 0.0 && eps.is_finite() {
-        eps
-    } else {
-        1.0
-    };
-    if shards <= 1 {
-        return (vec![0; n], 1);
+/// # Panics
+///
+/// Panics if `threads == 0`, or if the dataset exceeds [`MAX_POINTS`]
+/// ([`sharded_dbscan`] returns the same bound as a typed
+/// [`CapacityError`] instead).
+pub fn parallel_dbscan<I: SpatialIndex + ?Sized>(
+    index: &I,
+    params: DbscanParams,
+    threads: usize,
+) -> ClusterResult {
+    match sharded_dbscan(index, params, threads, threads) {
+        Ok((result, _)) => result,
+        Err(e) => panic!("parallel_dbscan: {e}"),
     }
-
-    let cell_of = |i: usize| -> (i64, i64) {
-        let p = &points[i];
-        ((p.y / w).floor() as i64, (p.x / w).floor() as i64)
-    };
-    let mut counts: HashMap<(i64, i64), usize> = HashMap::new();
-    for i in 0..n {
-        *counts.entry(cell_of(i)).or_insert(0) += 1;
-    }
-    let mut cells: Vec<((i64, i64), usize)> = counts.into_iter().collect();
-    cells.sort_unstable_by_key(|&(key, _)| key);
-
-    // Greedy prefix partition: advance to the next stripe once the
-    // cumulative count reaches this stripe's share of n. Deterministic in
-    // the cell order alone.
-    let mut cell_shard: HashMap<(i64, i64), u32> = HashMap::with_capacity(cells.len());
-    let mut acc = 0usize;
-    let mut s = 0usize;
-    for (key, c) in cells {
-        if s + 1 < shards && acc * shards >= n * (s + 1) {
-            s += 1;
-        }
-        cell_shard.insert(key, s as u32);
-        acc += c;
-    }
-    let n_shards = s + 1;
-    let shard_of: Vec<u32> = (0..n).map(|i| cell_shard[&cell_of(i)]).collect();
-    (shard_of, n_shards)
 }
 
 /// Monotonic elapsed nanoseconds, saturating.
@@ -368,7 +286,7 @@ fn run_tasks(tasks: usize, threads: usize, work: impl Fn(usize) + Sync) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::parallel_dbscan;
+    use crate::algorithm::dbscan;
     use vbp_geom::Point2;
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::{BruteForce, PackedRTree};
@@ -396,9 +314,70 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let (result, stats) = sharded_dbscan(&idx, params, shards, threads).unwrap();
                 assert_eq!(result, reference, "shards={shards} threads={threads}");
-                assert!(stats.shards >= 1 && stats.shards <= shards);
+                assert_eq!(stats.shards, shards);
                 assert_eq!(stats.points_per_shard.iter().sum::<usize>(), 400);
             }
+        }
+    }
+
+    #[allow(clippy::needless_range_loop)]
+    /// Core-structure equivalence with sequential DBSCAN: same clusters
+    /// over core points, same noise set.
+    fn assert_equivalent(points: &[Point2], params: DbscanParams, threads: usize) {
+        let idx = BruteForce::new(shared_points(points.to_vec()));
+        let seq = dbscan(&idx, params);
+        let par = parallel_dbscan(&idx, params, threads);
+
+        assert_eq!(seq.num_clusters(), par.num_clusters(), "cluster count");
+        assert_eq!(seq.noise_count(), par.noise_count(), "noise count");
+        let is_core: Vec<bool> = points
+            .iter()
+            .map(|p| points.iter().filter(|q| p.within(q, params.eps)).count() >= params.minpts)
+            .collect();
+        for i in 0..points.len() {
+            assert_eq!(
+                seq.labels().is_noise(i as PointId),
+                par.labels().is_noise(i as PointId),
+                "noise status of {i}"
+            );
+        }
+        for i in 0..points.len() {
+            if !is_core[i] {
+                continue;
+            }
+            for j in (i + 1)..points.len() {
+                if is_core[j] {
+                    assert_eq!(
+                        seq.labels().cluster(i as PointId) == seq.labels().cluster(j as PointId),
+                        par.labels().cluster(i as PointId) == par.labels().cluster(j as PointId),
+                        "core pair ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equivalent_to_sequential_on_random_clouds() {
+        for seed in [1u64, 2, 3] {
+            let points = cloud(300, seed);
+            for threads in [1usize, 2, 4, 8] {
+                assert_equivalent(&points, DbscanParams::new(0.8, 4), threads);
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_across_thread_counts() {
+        // Border claims use atomic-min, so the *exact* labeling (not just
+        // the partition) is independent of the thread count.
+        let points = cloud(400, 17);
+        let idx = BruteForce::new(shared_points(points));
+        let params = DbscanParams::new(0.7, 5);
+        let one = parallel_dbscan(&idx, params, 1);
+        for threads in [2usize, 3, 8] {
+            let many = parallel_dbscan(&idx, params, threads);
+            assert_eq!(one, many, "threads={threads}");
         }
     }
 
@@ -411,26 +390,25 @@ mod tests {
         let (result, stats) = sharded_dbscan(&tree, params, 4, 2).unwrap();
         assert_eq!(result, reference);
         result.check_consistency().unwrap();
-        // A 15×15 extent at ε = 0.7 splits into multiple stripes, and a
-        // random cloud's clusters straddle them.
-        assert!(stats.shards > 1, "{stats:?}");
-        assert!(stats.border_points > 0, "{stats:?}");
-        // Phase A queries every point once, phase B every core once.
-        assert!(stats.dbscan.neighbor_searches >= 600, "{stats:?}");
+        assert_eq!(stats.shards, 4, "{stats:?}");
+        // One pass queries every point exactly once.
+        assert_eq!(stats.dbscan.neighbor_searches, 600, "{stats:?}");
         assert_eq!(stats.dbscan.clusters, result.num_clusters());
         assert_eq!(stats.dbscan.noise_points, result.noise_count());
     }
 
     #[test]
-    fn stripes_balance_point_counts() {
+    fn slices_balance_point_counts() {
         let points = cloud(1000, 5);
         let idx = BruteForce::new(shared_points(points));
-        let (_, stats) = sharded_dbscan(&idx, DbscanParams::new(0.5, 4), 4, 2).unwrap();
-        assert_eq!(stats.shards, 4);
-        for &c in &stats.points_per_shard {
-            // Cell granularity skews stripe sizes, but no stripe may
-            // dwarf the others (perfect balance would be 250 each).
-            assert!(c > 60 && c < 500, "{:?}", stats.points_per_shard);
+        for shards in [1usize, 3, 4, 7, 1000, 1500] {
+            let (_, stats) = sharded_dbscan(&idx, DbscanParams::new(0.5, 4), shards, 2).unwrap();
+            assert_eq!(stats.shards, shards.min(1000));
+            let (lo, hi) = (1000 / stats.shards, 1000_usize.div_ceil(stats.shards));
+            for &c in &stats.points_per_shard {
+                assert!(c == lo || c == hi, "{shards}: {:?}", stats.points_per_shard);
+            }
+            assert_eq!(stats.points_per_shard.iter().sum::<usize>(), 1000);
         }
     }
 
@@ -441,8 +419,7 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(stats.shards, 0);
 
-        // ε = 0 over duplicates: unit-cell fallback, still identical to
-        // the unsharded kernel.
+        // ε = 0 over duplicates: still identical to the unsharded kernel.
         let dups: Vec<Point2> = (0..40)
             .map(|i| Point2::new((i % 3) as f64, (i % 2) as f64))
             .collect();
@@ -451,25 +428,35 @@ mod tests {
         let reference = parallel_dbscan(&idx, params, 1);
         let (r, _) = sharded_dbscan(&idx, params, 3, 2).unwrap();
         assert_eq!(r, reference);
-
-        // One populated cell: the stripe count collapses to 1.
-        let blob: Vec<Point2> = (0..50).map(|_| Point2::new(0.25, 0.25)).collect();
-        let idx = BruteForce::new(shared_points(blob));
-        let (_, stats) = sharded_dbscan(&idx, DbscanParams::new(5.0, 3), 8, 2).unwrap();
-        assert_eq!(stats.shards, 1);
     }
 
     #[test]
-    fn shard_stats_account_phases() {
+    fn all_noise_and_all_one_cluster() {
+        let points = cloud(50, 23);
+        let idx = BruteForce::new(shared_points(points));
+        let strict = parallel_dbscan(&idx, DbscanParams::new(0.001, 3), 4);
+        assert_eq!(strict.num_clusters(), 0);
+        assert_eq!(strict.noise_count(), 50);
+        let loose = parallel_dbscan(&idx, DbscanParams::new(1_000.0, 3), 4);
+        assert_eq!(loose.num_clusters(), 1);
+        assert_eq!(loose.noise_count(), 0);
+    }
+
+    #[test]
+    fn more_threads_than_points() {
+        let points = cloud(5, 31);
+        let idx = BruteForce::new(shared_points(points));
+        let r = parallel_dbscan(&idx, DbscanParams::new(0.5, 2), 64);
+        r.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn shard_stats_account_slices() {
         let points = cloud(500, 41);
         let idx = BruteForce::new(shared_points(points));
         let (_, stats) = sharded_dbscan(&idx, DbscanParams::new(0.6, 4), 4, 2).unwrap();
         assert_eq!(stats.local_ns.len(), stats.shards);
         assert!(stats.local_ns.iter().all(|&ns| ns > 0));
-        // Merge work happened iff cross-shard edges existed.
-        if stats.cross_unions > 0 {
-            assert!(stats.border_points > 0);
-        }
     }
 
     #[test]
@@ -477,6 +464,13 @@ mod tests {
     fn zero_shards_rejected() {
         let idx = BruteForce::new(shared_points([]));
         let _ = sharded_dbscan(&idx, DbscanParams::new(1.0, 3), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread")]
+    fn zero_threads_rejected() {
+        let idx = BruteForce::new(shared_points([]));
+        parallel_dbscan(&idx, DbscanParams::new(1.0, 3), 0);
     }
 
     #[test]

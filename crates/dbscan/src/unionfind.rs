@@ -290,6 +290,62 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_racing_shares_match_sequential_with_min_roots() {
+        // The sharded kernel's shape: threads race on one edge list and
+        // an edge may be applied by both of its endpoints' workers. Here
+        // each of 8 threads applies every edge `i` with
+        // `(i + t) % 8 < 3`, so every edge is applied by exactly 3.
+        let n = 3_000u32;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let edges: Vec<(u32, u32)> = (0..2_400)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (
+                    (state % u64::from(n)) as u32,
+                    ((state >> 32) % u64::from(n)) as u32,
+                )
+            })
+            .collect();
+        let conc = ConcurrentDisjointSets::new(n as usize);
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let (conc, edges) = (&conc, &edges);
+                s.spawn(move || {
+                    for (i, &(a, b)) in edges.iter().enumerate() {
+                        if (i + t) % 8 < 3 {
+                            conc.union(a, b);
+                        }
+                    }
+                });
+            }
+        });
+
+        let mut seq = DisjointSets::new(n as usize);
+        for &(a, b) in &edges {
+            seq.union(a, b);
+        }
+        // Each sequential component's minimum id; ascending x sees it
+        // first.
+        let mut min_of = vec![u32::MAX; n as usize];
+        for x in 0..n {
+            let r = seq.find(x) as usize;
+            min_of[r] = min_of[r].min(x);
+        }
+        // Equal partitions, and every concurrent root is its component's
+        // minimum id — the label pass's determinism rests on the latter.
+        let roots = conc.roots();
+        for x in 0..n {
+            assert_eq!(
+                roots[x as usize],
+                min_of[seq.find(x) as usize],
+                "element {x}"
+            );
+        }
+    }
+
+    #[test]
     fn concurrent_racing_unions_on_same_pair() {
         let ds = ConcurrentDisjointSets::new(2);
         let winners = std::sync::atomic::AtomicU32::new(0);

@@ -227,14 +227,6 @@ pub(crate) const JOB_COUNTERS: &[Counter] = &[
         s.shards.variants
     }),
     sum("shard_tasks", "vbp_shard_tasks_total", |s| s.shards.shards),
-    sum(
-        "shard_border_points",
-        "vbp_shard_border_points_total",
-        |s| s.shards.border_points,
-    ),
-    sum("shard_cross_unions", "vbp_shard_cross_unions_total", |s| {
-        s.shards.cross_unions
-    }),
 ];
 
 /// Streaming and store counters; see [`JOB_COUNTERS`] for the ordering.
@@ -1279,14 +1271,7 @@ mod tests {
         }
         // Per-phase histogram framing: each phase carries a +Inf bucket
         // whose cumulative count equals its _count line.
-        for phase in [
-            "scratch",
-            "reuse",
-            "lock_wait",
-            "sched",
-            "shard_local",
-            "shard_merge",
-        ] {
+        for phase in ["scratch", "reuse", "lock_wait", "sched", "shard_local"] {
             let inf = metric(
                 &text,
                 &format!("vbp_phase_latency_ns_bucket{{phase=\"{phase}\",le=\"+Inf\"}}"),
@@ -1298,12 +1283,7 @@ mod tests {
             assert_eq!(inf, count, "{phase} +Inf bucket must equal the count");
         }
         // Shard counters are always exposed (zero while nothing shards).
-        for name in [
-            "vbp_shard_variants_total",
-            "vbp_shard_tasks_total",
-            "vbp_shard_border_points_total",
-            "vbp_shard_cross_unions_total",
-        ] {
+        for name in ["vbp_shard_variants_total", "vbp_shard_tasks_total"] {
             assert_eq!(metric(&text, name), 0, "{name} without sharded runs");
         }
         // Every line is `name value` with a vbp_ namespace.

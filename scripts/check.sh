@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --fast       # skip the release build, the rustdoc stage and the benchmark stage
+#   scripts/check.sh --fast       # skip the release build and tests, the rustdoc stage and the benchmark stage
 #   CHECK_FULL=1 scripts/check.sh # + release conformance stages and the extended chaos sweeps
 
 set -euo pipefail
@@ -24,6 +24,11 @@ echo "==> cargo test --workspace -q"
 timeout 1800 cargo test --locked --workspace -q
 
 if [[ $fast -eq 0 ]]; then
+  # The sharded kernel's correctness rests on the order of its core-flag
+  # stores and loads, which optimised code exercises harder.
+  echo "==> cargo test --release -p vbp-dbscan"
+  timeout 900 cargo test --locked --release -q -p vbp-dbscan
+
   echo "==> cargo doc (broken intra-doc links are errors)"
   RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline
 
