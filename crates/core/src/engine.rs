@@ -65,9 +65,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vbp_dbscan::{dbscan_with_scratch, sharded_dbscan, ClusterResult, DbscanScratch};
+use vbp_geom::binning::invert_permutation;
 use vbp_geom::{Point2, PointId};
-use vbp_rtree::traits::shared_points;
-use vbp_rtree::{tune_r_sampled, PackedRTree, TuneReport};
+use vbp_rtree::{tune_r_sampled, Column, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
 use crate::expand::{cluster_with_reuse_traced, NeighborCounts};
@@ -307,12 +307,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// A handle is the whole of one dataset generation: the tree pair holds
 /// the points in tree order (one shared array), the permutation maps
 /// them back, and [`PreparedIndex::caller_points`] derives caller order
-/// for the few readers that want it.
+/// for the few readers that want it. Successive maintained appends share
+/// these arrays ([`Column`]s), each handle seeing its own prefix.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
     t_low: PackedRTree,
     t_high: PackedRTree,
-    permutation: Vec<PointId>,
+    permutation: Column<PointId>,
+    /// The inverse of `permutation`, built on first use and carried
+    /// across maintained appends.
+    tree_positions: OnceLock<Column<PointId>>,
     tune: Option<TuneReport>,
     build_time: Duration,
     /// Points appended (at the tree tail, outside bin order) since the
@@ -334,7 +338,8 @@ impl PreparedIndex {
         Self {
             t_low,
             t_high,
-            permutation,
+            permutation: permutation.into(),
+            tree_positions: OnceLock::new(),
             tune,
             build_time,
             appended_since_sort,
@@ -394,6 +399,41 @@ impl PreparedIndex {
         self.appended_since_sort
     }
 
+    /// Caller id → tree position, the inverse of
+    /// [`PreparedIndex::permutation`]. Built in O(n) on the first call
+    /// for a generation that has none, then carried by every maintained
+    /// append in O(batch): an appended caller id `q` sits at tree
+    /// position `q`.
+    pub fn tree_positions(&self) -> &[PointId] {
+        self.tree_positions
+            .get_or_init(|| invert_permutation(&self.permutation).into())
+    }
+
+    /// This handle followed by `batch` at the tail of tree order: the
+    /// points, coordinates, permutation and (when built) its inverse grow
+    /// by the batch, and the two trees grow as
+    /// [`PackedRTree::grown_over`] describes.
+    fn appended(&self, batch: &[Point2]) -> Self {
+        let (old_n, total) = (self.len(), self.len() + batch.len());
+        let tail = || (old_n..total).map(|i| i as PointId);
+        let t_low = self.t_low.appended(batch);
+        let (xs, ys) = t_low.shared_coords();
+        let t_high = self.t_high.grown_over(t_low.shared_points(), xs, ys);
+        let tree_positions = match self.tree_positions.get() {
+            Some(inverse) => OnceLock::from(inverse.appended(tail())),
+            None => OnceLock::new(),
+        };
+        Self {
+            t_low,
+            t_high,
+            permutation: self.permutation.appended(tail()),
+            tree_positions,
+            tune: self.tune.clone(),
+            build_time: self.build_time,
+            appended_since_sort: self.appended_since_sort + batch.len(),
+        }
+    }
+
     /// The accumulated database in the caller's original point order
     /// (inverts [`PreparedIndex::permutation`]).
     pub fn caller_points(&self) -> Vec<Point2> {
@@ -430,7 +470,7 @@ impl PreparedIndex {
     pub fn to_snapshot(&self) -> IndexSnapshot {
         IndexSnapshot {
             points: self.t_low.shared_points(),
-            permutation: self.permutation.clone(),
+            permutation: self.permutation.to_vec(),
             chosen_r: self.chosen_r(),
             fanout: self.t_low.fanout(),
             tune: self.tune.clone(),
@@ -462,11 +502,11 @@ impl PreparedIndex {
     /// Rebuilds a handle from decoded snapshot data.
     ///
     /// Both packed trees are *derived* from the stored tree-order
-    /// points — `PackedRTree::from_sorted_with_fanout` is the single
-    /// construction path fresh prepares, maintained appends, and
-    /// re-sorts all go through, so the derived trees are bit-identical
-    /// to the ones that were snapshotted, in every append-generation
-    /// state. Deriving (instead of trusting level MBBs from disk) also
+    /// points. Fresh prepares, maintained appends and re-sorts all build
+    /// through `PackedRTree::grown_over` (a fresh build is growth from
+    /// the empty tree), and growth equals a fresh build over the
+    /// concatenation, so the derived trees are bit-identical to the ones
+    /// that were snapshotted, in every append-generation state. Deriving (instead of trusting level MBBs from disk) also
     /// closes the one hole checksums cannot: a CRC-valid but *crafted*
     /// file whose boxes fail to cover their points would silently drop
     /// neighbors; boxes computed from the validated points cannot.
@@ -544,11 +584,11 @@ impl PreparedIndex {
             appended_since_sort,
         } = snap;
         let shared = points;
-        let xs: Arc<[f64]> = shared.iter().map(|p| p.x).collect();
-        let ys: Arc<[f64]> = shared.iter().map(|p| p.y).collect();
+        let xs: Column<f64> = shared.iter().map(|p| p.x).collect();
+        let ys: Column<f64> = shared.iter().map(|p| p.y).collect();
         let (t_low, t_high) = if shared.len() >= Self::PARALLEL_RESTORE_MIN {
             std::thread::scope(|s| {
-                let (hp, hx, hy) = (Arc::clone(&shared), Arc::clone(&xs), Arc::clone(&ys));
+                let (hp, hx, hy) = (shared.clone(), xs.clone(), ys.clone());
                 let high =
                     s.spawn(move || PackedRTree::from_sorted_with_coords(hp, 1, fanout, hx, hy));
                 let t_low = PackedRTree::from_sorted_with_coords(shared, chosen_r, fanout, xs, ys);
@@ -562,7 +602,8 @@ impl PreparedIndex {
         Self {
             t_low,
             t_high,
-            permutation,
+            permutation: permutation.into(),
+            tree_positions: OnceLock::new(),
             tune,
             build_time: Duration::from_nanos(build_time_ns),
             appended_since_sort: appended_since_sort as usize,
@@ -893,14 +934,18 @@ impl Engine {
     /// old handle stay valid) plus an [`AppendReport`].
     ///
     /// The maintain path appends the new points at the *tail of tree
-    /// order* and rebuilds the packed `T_low`/`T_high` arrays with
-    /// [`PackedRTree::from_sorted`] — no bin sort and no `r` re-tune, the
-    /// O(n) cost that makes appends cheap relative to a full
-    /// [`Engine::prepare`]. Appended caller ids continue the old
-    /// numbering (`old_len..old_len+k`). Once the unsorted tail exceeds
-    /// [`APPEND_RESORT_FRACTION`] of the dataset, the handle is re-sorted
-    /// from scratch (same `chosen_r`; the tail fraction resets to zero)
-    /// so query locality cannot degrade without bound.
+    /// order*: no bin sort and no `r` re-tune. The points, coordinates,
+    /// permutation and `T_high`'s leaf boxes are [`Column`]s the batch is
+    /// written onto in place ([`PackedRTree::appended`]); only the small
+    /// levels — `T_low`'s `n / r` leaves and the levels above `T_high`'s
+    /// leaves — are copied, with just their last partial node and right
+    /// spine recomputed. The trees equal a [`PackedRTree::from_sorted`]
+    /// build over the concatenation, level by level. Appended caller ids
+    /// continue the old numbering (`old_len..old_len+k`). Once the
+    /// unsorted tail exceeds [`APPEND_RESORT_FRACTION`] of the dataset,
+    /// the handle is re-sorted from scratch (same `chosen_r`; the tail
+    /// fraction resets to zero) so query locality cannot degrade without
+    /// bound.
     pub fn append_to_prepared(
         &self,
         index: &PreparedIndex,
@@ -923,19 +968,7 @@ impl Engine {
             caller.extend_from_slice(new_points);
             self.bin_sorted(index, &caller)
         } else {
-            // Maintain: new tree order = old tree order ++ new points.
-            let mut tree_points: Vec<Point2> = index.t_low.shared_points().to_vec();
-            tree_points.extend_from_slice(new_points);
-            let t_low = PackedRTree::from_sorted(shared_points(tree_points), index.chosen_r());
-            let mut permutation = index.permutation.clone();
-            permutation.extend((old_n..total).map(|i| i as PointId));
-            PreparedIndex::around(
-                t_low,
-                permutation,
-                index.tune.clone(),
-                index.build_time,
-                unsorted_tail,
-            )
+            index.appended(new_points)
         };
         let time = start.elapsed();
         next.build_time += time;
@@ -1112,7 +1145,7 @@ impl Engine {
             chosen_r: index.chosen_r(),
             tune: index.tune.clone(),
             results,
-            permutation: index.permutation.clone(),
+            permutation: index.permutation.to_vec(),
             worker_stats,
             warm_seeds: warm.len(),
             phases,
@@ -1510,6 +1543,37 @@ mod tests {
             .append_to_prepared(&index, &[Point2::new(f64::NAN, 0.0)])
             .expect_err("non-finite appends are rejected");
         assert!(matches!(err, EngineError::NonFinitePoint { index: 0, .. }));
+    }
+
+    #[test]
+    fn grown_handles_snapshot_their_own_prefix_and_carry_the_inverse() {
+        let all = blobs(600, 3, 11);
+        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(8));
+        let base = engine.prepare(&all[..500], None).expect("finite");
+        assert_eq!(base.tree_positions().len(), 500, "built on first use");
+        let step = |index: &PreparedIndex, batch: &[Point2]| {
+            let (next, report) = engine.append_to_prepared(index, batch).expect("finite");
+            assert!(!report.resorted);
+            next
+        };
+        // `mid`'s columns are then grown in place by `late`, and forked.
+        let mid = step(&base, &all[500..510]);
+        let late = step(&mid, &all[510..530]);
+        let fork = step(&mid, &all[540..545]);
+        for (index, len) in [(&mid, 510), (&late, 530), (&fork, 515)] {
+            assert_eq!(index.len(), len);
+            assert_eq!(
+                index.tree_positions(),
+                invert_permutation(index.permutation())
+            );
+            let restored = PreparedIndex::restore(&mut index.snapshot_bytes().as_slice())
+                .expect("a fresh snapshot restores");
+            assert_eq!(restored.caller_points(), index.caller_points());
+            assert_eq!(restored.permutation(), index.permutation());
+            assert_eq!(restored.snapshot_bytes(), index.snapshot_bytes());
+        }
+        assert_eq!(fork.caller_points()[510..], all[540..545]);
+        assert_eq!(late.caller_points(), all[..530]);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Labels {
     }
 
     /// Iterates raw labels in point order.
-    pub fn iter_raw(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn iter_raw(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
         self.raw.iter().copied()
     }
 
@@ -108,9 +108,33 @@ impl Labels {
         self.raw.iter().filter(|&&l| l == UNCLASSIFIED).count()
     }
 
+    /// Appends raw labels, growing the allocation by the bounded-slack
+    /// rule of [`vbp_rtree::column::grown_capacity`] when they do not fit
+    /// — so a run of small appends copies the labels once per `len / 8`
+    /// points, never once per append.
+    pub(crate) fn append_raw(&mut self, tail: impl ExactSizeIterator<Item = u32>) {
+        reserve_bounded(&mut self.raw, tail.len());
+        self.raw.extend(tail);
+    }
+
+    /// Labels the allocation has room for before an append must copy.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.raw.capacity()
+    }
+
     /// Consumes the labeling, returning the raw vector.
     pub fn into_raw(self) -> Vec<u32> {
         self.raw
+    }
+}
+
+/// Makes room for `additional` more items in `v` by the bounded-slack
+/// growth rule (no reallocation when they already fit).
+pub(crate) fn reserve_bounded<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        let len = v.len();
+        v.reserve_exact(vbp_rtree::column::grown_capacity(len, additional) - len);
     }
 }
 

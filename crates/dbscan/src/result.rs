@@ -2,7 +2,7 @@
 
 use vbp_geom::{Mbb, Point2, PointId};
 
-use crate::labels::{ClusterId, Labels, NOISE};
+use crate::labels::{reserve_bounded, ClusterId, Labels, NOISE};
 
 /// A finished clustering: per-point labels plus the inverted
 /// cluster → members view that VariantDBSCAN's reuse machinery iterates
@@ -13,6 +13,8 @@ pub struct ClusterResult {
     labels: Labels,
     /// `clusters[c]` = point ids of cluster `c`, in discovery order.
     clusters: Vec<Vec<PointId>>,
+    /// Points in some cluster: the member lists' total length.
+    clustered: usize,
 }
 
 impl ClusterResult {
@@ -44,7 +46,12 @@ impl ClusterResult {
             clusters.iter().all(|c| !c.is_empty()),
             "cluster ids must be dense"
         );
-        Self { labels, clusters }
+        let clustered = clusters.iter().map(Vec::len).sum();
+        Self {
+            labels,
+            clusters,
+            clustered,
+        }
     }
 
     /// The empty clustering of an empty database.
@@ -52,31 +59,34 @@ impl ClusterResult {
         Self {
             labels: Labels::unclassified(0),
             clusters: Vec::new(),
+            clustered: 0,
         }
     }
 
     /// Appends `tail`'s points after this result's: its point ids shift
     /// by [`len`](Self::len) and its cluster ids by
     /// [`num_clusters`](Self::num_clusters). The outcome equals, bit for
-    /// bit, [`ClusterResult::from_labels`] of the concatenated labels;
-    /// the existing member lists are kept as they are, and the labels
-    /// move into one exact-size allocation.
+    /// bit, [`ClusterResult::from_labels`] of the concatenated labels.
+    ///
+    /// O(`tail`), amortized: the labels and the cluster list grow in
+    /// place, and when they must reallocate they take bounded slack
+    /// ([`vbp_rtree::column::grown_capacity`]: at most an eighth of their
+    /// length), so a stream of small appends copies them once per
+    /// `len / 8` points. The existing member lists are kept as they are.
     pub fn extend(&mut self, tail: &ClusterResult) {
         let (n, k) = (self.len() as PointId, self.num_clusters() as u32);
-        let mut raw = Vec::with_capacity(self.len() + tail.len());
-        raw.extend(self.labels.iter_raw());
-        raw.extend(
+        self.labels.append_raw(
             tail.labels
                 .iter_raw()
                 .map(|l| if l == NOISE { l } else { l + k }),
         );
-        self.labels = Labels::from_raw(raw);
-        self.clusters.reserve_exact(tail.clusters.len());
+        reserve_bounded(&mut self.clusters, tail.clusters.len());
         self.clusters.extend(
             tail.clusters
                 .iter()
                 .map(|members| members.iter().map(|&p| p + n).collect()),
         );
+        self.clustered += tail.clustered;
     }
 
     /// Per-point labels.
@@ -117,9 +127,16 @@ impl ClusterResult {
             .map(|(c, m)| (c as ClusterId, m.as_slice()))
     }
 
+    /// Number of points in some cluster: the member lists' total length.
+    #[inline]
+    pub fn clustered_count(&self) -> usize {
+        self.clustered
+    }
+
     /// Number of noise points.
+    #[inline]
     pub fn noise_count(&self) -> usize {
-        self.labels.noise_count()
+        self.len() - self.clustered
     }
 
     /// Ids of all noise points.
@@ -192,6 +209,13 @@ impl ClusterResult {
                 ));
             }
         }
+        let clustered: usize = seen.iter().sum();
+        if clustered != self.clustered {
+            return Err(format!(
+                "{} clustered points recorded, labels say {clustered}",
+                self.clustered
+            ));
+        }
         Ok(())
     }
 }
@@ -259,16 +283,26 @@ mod tests {
         assert!(d > 1e100);
     }
 
+    /// The concatenation of `parts`, each part's cluster ids shifted past
+    /// the clusters before it.
+    fn concatenated(parts: &[Vec<u32>]) -> Vec<u32> {
+        let mut whole = Vec::new();
+        let mut k = 0;
+        for part in parts {
+            whole.extend(part.iter().map(|&l| if l == NOISE { l } else { l + k }));
+            k += part
+                .iter()
+                .filter(|&&l| l != NOISE)
+                .map(|&l| l + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        whole
+    }
+
     /// `base.extend(tail)` against `from_labels` of the concatenation.
     fn check_extend(base: Vec<u32>, tail: Vec<u32>) {
-        let k = base
-            .iter()
-            .filter(|&&l| l != NOISE)
-            .map(|&l| l + 1)
-            .max()
-            .unwrap_or(0);
-        let mut whole = base.clone();
-        whole.extend(tail.iter().map(|&l| if l == NOISE { l } else { l + k }));
+        let whole = concatenated(&[base.clone(), tail.clone()]);
         let mut grown = ClusterResult::from_labels(Labels::from_raw(base));
         grown.extend(&ClusterResult::from_labels(Labels::from_raw(tail)));
         assert_eq!(grown, ClusterResult::from_labels(Labels::from_raw(whole)));
@@ -293,6 +327,82 @@ mod tests {
         assert_eq!(r.num_clusters(), 4);
         assert_eq!(r.cluster(3), &[9, 10, 11]);
         assert_eq!(r.noise_points(), vec![2, 8]);
+    }
+
+    /// A deterministic tail of 1–8 points with up to three clusters,
+    /// each cluster id first used in order (dense).
+    fn tail_labels(i: u32) -> Vec<u32> {
+        let k = i % 4;
+        (0..k + 1 + i * 7 % 5)
+            .map(|j| match j {
+                j if j < k => j,
+                j if k == 0 || (i + j).is_multiple_of(3) => NOISE,
+                j => (i + j) % k,
+            })
+            .collect()
+    }
+
+    /// Slack never exceeds an eighth of the length (the growth rule),
+    /// in the labels and in the cluster list.
+    fn assert_bounded_slack(r: &ClusterResult) {
+        let labels = r.labels().capacity() - r.len();
+        assert!(
+            labels <= r.len() / 8,
+            "{labels} spare labels at {}",
+            r.len()
+        );
+        let clusters = r.clusters.capacity() - r.num_clusters();
+        assert!(clusters <= r.num_clusters() / 8, "{clusters} spare slots");
+    }
+
+    #[test]
+    fn extend_chains_equal_from_labels_of_the_concatenation() {
+        let mut parts = vec![vec![0, 0, NOISE, 1, 1, 1, 2, 0]];
+        let mut grown = ClusterResult::from_labels(Labels::from_raw(parts[0].clone()));
+        let mut reallocations = 0;
+        for i in 0..200 {
+            let tail = tail_labels(i);
+            let before = grown.labels().capacity();
+            grown.extend(&ClusterResult::from_labels(Labels::from_raw(tail.clone())));
+            reallocations += usize::from(grown.labels().capacity() != before);
+            parts.push(tail);
+            assert_bounded_slack(&grown);
+            if i % 50 == 49 {
+                let whole = ClusterResult::from_labels(Labels::from_raw(concatenated(&parts)));
+                assert_eq!(grown, whole, "after {} extends", i + 1);
+                grown.check_consistency().unwrap();
+            }
+        }
+        // ~900 points in 200 appends: the bounded slack makes the labels
+        // reallocate a few dozen times, not once per append.
+        assert!(reallocations < 50, "{reallocations} reallocations");
+    }
+
+    #[test]
+    fn extend_through_make_mut_copies_a_shared_result_once() {
+        use std::sync::Arc;
+        let base = vec![0, NOISE, 1, 1, 0];
+        let mut slot = Arc::new(ClusterResult::from_labels(Labels::from_raw(base.clone())));
+        let reader = Arc::clone(&slot);
+        let mut parts = vec![base];
+        for i in 0..20 {
+            let tail = tail_labels(i);
+            Arc::make_mut(&mut slot)
+                .extend(&ClusterResult::from_labels(Labels::from_raw(tail.clone())));
+            parts.push(tail);
+        }
+        let whole = ClusterResult::from_labels(Labels::from_raw(concatenated(&parts)));
+        assert_eq!(*slot, whole);
+        assert_bounded_slack(&slot);
+        // The reader's copy is untouched; a clone keeps its own length.
+        assert_eq!(
+            *reader,
+            ClusterResult::from_labels(Labels::from_raw(parts[0].clone()))
+        );
+        let snapshot = (*slot).clone();
+        Arc::make_mut(&mut slot).extend(&sample());
+        assert_eq!(snapshot, whole);
+        assert_eq!(slot.len(), whole.len() + 6);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod brute;
+pub mod column;
 pub mod knn;
 pub mod packed;
 pub mod stats;
@@ -34,6 +35,7 @@ pub mod traits;
 pub mod tuner;
 
 pub use brute::BruteForce;
+pub use column::Column;
 pub use packed::PackedRTree;
 pub use stats::TreeStats;
 pub use traits::{shared_points, SharedPoints, SpatialIndex};

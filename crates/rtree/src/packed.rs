@@ -12,11 +12,17 @@
 //! `r` is the paper's tuning knob (§IV-A, Figure 4): `r = 1` gives exact
 //! leaves (the `T_high` configuration), larger `r` trades filter work for
 //! fewer node visits (the `T_low` configuration, good values 70–110).
-
-use std::sync::Arc;
+//!
+//! Growth. Every array of the tree is a [`Column`], so a streaming
+//! APPEND ([`PackedRTree::appended`]) writes the batch's points,
+//! coordinates and — at `r = 1` — leaf boxes into the shared buffers in
+//! place, and copies only the levels whose last node the batch rewrites.
+//! A fresh build is the same growth from the empty tree, so the two can
+//! never disagree.
 
 use vbp_geom::{bin_sort, BinOrder, Mbb, Point2, PointId};
 
+use crate::column::Column;
 use crate::stats::TreeStats;
 use crate::traits::{SharedPoints, SpatialIndex};
 
@@ -31,19 +37,19 @@ pub struct PackedRTree {
     /// SoA mirror of `points`: all x coordinates, contiguous in tree
     /// order. The ε-query hot loop streams `xs`/`ys` instead of chasing
     /// `Point2` structs — the coordinates of a leaf's points sit in two
-    /// dense `f64` runs the compiler can vectorize over. Shared
-    /// (`Arc`) because the `T_low`/`T_high` pair is always built over
-    /// the *same* point order: one materialization serves both trees.
-    xs: Arc<[f64]>,
+    /// dense `f64` runs the compiler can vectorize over. Shared because
+    /// the `T_low`/`T_high` pair is always built over the *same* point
+    /// order: one materialization serves both trees.
+    xs: Column<f64>,
     /// SoA mirror of `points`: all y coordinates.
-    ys: Arc<[f64]>,
+    ys: Column<f64>,
     /// Points per leaf MBB (the paper's `r`).
     r: usize,
     /// Internal fanout.
     fanout: usize,
     /// `levels[0]` = leaf MBBs, `levels.last()` = single root MBB
     /// (absent only for an empty tree).
-    levels: Vec<Vec<Mbb>>,
+    levels: Vec<Column<Mbb>>,
 }
 
 impl PackedRTree {
@@ -64,8 +70,8 @@ impl PackedRTree {
     ///
     /// Panics if `r == 0` or `fanout < 2`.
     pub fn from_sorted_with_fanout(points: SharedPoints, r: usize, fanout: usize) -> Self {
-        let xs: Arc<[f64]> = points.iter().map(|p| p.x).collect();
-        let ys: Arc<[f64]> = points.iter().map(|p| p.y).collect();
+        let xs: Column<f64> = points.iter().map(|p| p.x).collect();
+        let ys: Column<f64> = points.iter().map(|p| p.y).collect();
         Self::from_sorted_with_coords(points, r, fanout, xs, ys)
     }
 
@@ -82,42 +88,83 @@ impl PackedRTree {
         points: SharedPoints,
         r: usize,
         fanout: usize,
-        xs: Arc<[f64]>,
-        ys: Arc<[f64]>,
+        xs: Column<f64>,
+        ys: Column<f64>,
     ) -> Self {
         assert!(r >= 1, "r (points per leaf MBB) must be ≥ 1");
         assert!(fanout >= 2, "fanout must be ≥ 2");
-        assert_eq!(xs.len(), points.len(), "xs must mirror points");
-        assert_eq!(ys.len(), points.len(), "ys must mirror points");
+        let empty = Self {
+            points: Column::default(),
+            xs: Column::default(),
+            ys: Column::default(),
+            r,
+            fanout,
+            levels: Vec::new(),
+        };
+        empty.grown_over(points, xs, ys)
+    }
 
-        let n = points.len();
-        let mut levels: Vec<Vec<Mbb>> = Vec::new();
+    /// This tree followed by `batch` in tree order: the batch's points
+    /// and coordinates are appended to the shared columns (in place when
+    /// this is their latest handle), and the levels are grown as
+    /// [`PackedRTree::grown_over`] describes. The result equals
+    /// [`PackedRTree::from_sorted_with_fanout`] of the concatenation,
+    /// level by level; `self` is unchanged and keeps answering over its
+    /// own points.
+    pub fn appended(&self, batch: &[Point2]) -> Self {
+        let points = self.points.appended(batch.iter().copied());
+        let xs = self.xs.appended(batch.iter().map(|p| p.x));
+        let ys = self.ys.appended(batch.iter().map(|p| p.y));
+        self.grown_over(points, xs, ys)
+    }
+
+    /// This tree's levels grown over `points`, which must begin with this
+    /// tree's points (`xs`/`ys` mirroring them) — how the second tree of
+    /// a `T_low`/`T_high` pair follows the columns the first one grew.
+    ///
+    /// A level's nodes before the first one the new points reach are kept
+    /// as they are; that node (the old last partial one, if any) and
+    /// every new node are computed. So the `r = 1` leaf level — one
+    /// degenerate box per point, never rewritten — grows in place, and
+    /// only the small levels (the `r > 1` leaves and everything above
+    /// the leaves, at most `n / fanout` boxes) are copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is shorter than this tree or `xs`/`ys` do not
+    /// mirror it.
+    pub fn grown_over(&self, points: SharedPoints, xs: Column<f64>, ys: Column<f64>) -> Self {
+        let (old_n, n) = (self.points.len(), points.len());
+        assert!(n >= old_n, "{n} points cannot extend a tree of {old_n}");
+        assert_eq!(xs.len(), n, "xs must mirror points");
+        assert_eq!(ys.len(), n, "ys must mirror points");
+        debug_assert!(
+            points[..old_n] == self.points[..],
+            "points must extend the tree's"
+        );
+        let (r, fanout) = (self.r, self.fanout);
+        let pts: &[Point2] = &points;
+        let mut levels: Vec<Column<Mbb>> = Vec::with_capacity(self.levels.len() + 1);
         if n > 0 {
-            // Leaf level: one MBB per r consecutive points. r = 1 (the
-            // T_high shape) gets a direct map — every leaf is the
-            // degenerate box of its single point, and skipping the
-            // chunk iterator halves the warm-restore derivation cost.
-            let mut leaves = Vec::with_capacity(n.div_ceil(r));
-            if r == 1 {
-                leaves.extend(points.iter().map(|p| Mbb::new(*p, *p)));
-            } else {
-                for chunk in points.chunks(r) {
-                    // chunks() never yields an empty slice.
-                    leaves.push(Mbb::from_points(chunk.iter()).unwrap());
+            // The first node of each level that the new points change.
+            let mut dirty = old_n / r;
+            let leaf = |j: usize| {
+                if r == 1 {
+                    Mbb::new(pts[j], pts[j])
+                } else {
+                    // A leaf range is never empty.
+                    Mbb::from_points(&pts[j * r..((j + 1) * r).min(n)]).unwrap()
                 }
-            }
-            levels.push(leaves);
+            };
+            let leaves = (dirty..n.div_ceil(r)).map(leaf);
+            levels.push(grown_level(self.levels.first(), dirty, leaves));
             // Pack parents until a single root remains.
-            while levels.last().unwrap().len() > 1 {
-                let below = levels.last().unwrap();
-                let mut level = Vec::with_capacity(below.len().div_ceil(fanout));
-                for chunk in below.chunks(fanout) {
-                    let mut mbb = chunk[0];
-                    for child in &chunk[1..] {
-                        mbb = mbb.union(child);
-                    }
-                    level.push(mbb);
-                }
+            while let Some(below) = levels.last().filter(|level| level.len() > 1) {
+                dirty /= fanout;
+                let parent =
+                    |i: usize| union_of(&below[i * fanout..((i + 1) * fanout).min(below.len())]);
+                let parents = (dirty..below.len().div_ceil(fanout)).map(parent);
+                let level = grown_level(self.levels.get(levels.len()), dirty, parents);
                 levels.push(level);
             }
         }
@@ -177,7 +224,7 @@ impl PackedRTree {
     /// Shared handle to the indexed points (tree order).
     #[inline]
     pub fn shared_points(&self) -> SharedPoints {
-        Arc::clone(&self.points)
+        self.points.clone()
     }
 
     /// Number of tree levels (0 for an empty tree, 1 for a single leaf).
@@ -246,7 +293,7 @@ impl PackedRTree {
 
     /// Number of leaf MBBs.
     pub fn leaf_count(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
+        self.levels.first().map_or(0, |leaves| leaves.len())
     }
 
     /// The SoA coordinate arrays `(xs, ys)`, in tree order. Exposed for
@@ -260,8 +307,8 @@ impl PackedRTree {
     /// Shared handles to the SoA coordinate mirror, for building a
     /// second tree over the same point order without re-collecting
     /// (see [`PackedRTree::from_sorted_with_coords`]).
-    pub fn shared_coords(&self) -> (Arc<[f64]>, Arc<[f64]>) {
-        (Arc::clone(&self.xs), Arc::clone(&self.ys))
+    pub fn shared_coords(&self) -> (Column<f64>, Column<f64>) {
+        (self.xs.clone(), self.ys.clone())
     }
 
     /// The pre-SoA reference formulation of the ε-query: filter through
@@ -290,8 +337,8 @@ impl PackedRTree {
     /// Structural statistics (`vbp info` prints them), for
     /// sanity-checking `r` sweeps.
     pub fn stats(&self) -> TreeStats {
-        let leaf_mbbs = self.levels.first().map(Vec::as_slice).unwrap_or(&[]);
-        let node_count: usize = self.levels.iter().map(Vec::len).sum();
+        let leaf_mbbs = self.levels.first().map_or(&[][..], |leaves| &leaves[..]);
+        let node_count: usize = self.levels.iter().map(|level| level.len()).sum();
         let leaf_area_total: f64 = leaf_mbbs.iter().map(Mbb::area).sum();
         TreeStats {
             points: self.points.len(),
@@ -306,6 +353,32 @@ impl PackedRTree {
             },
         }
     }
+}
+
+/// A level grown from `old` (absent when the old tree was shallower):
+/// its first `keep` nodes followed by `fresh`. In place when `keep` is
+/// the whole old level; a copy of the kept nodes otherwise.
+fn grown_level(
+    old: Option<&Column<Mbb>>,
+    keep: usize,
+    fresh: impl ExactSizeIterator<Item = Mbb>,
+) -> Column<Mbb> {
+    match old {
+        Some(old) => old.prefix(keep).appended(fresh),
+        None => {
+            debug_assert_eq!(keep, 0, "a new level keeps no nodes");
+            fresh.collect()
+        }
+    }
+}
+
+/// The MBB of a run of sibling nodes, folded left to right.
+fn union_of(children: &[Mbb]) -> Mbb {
+    let mut mbb = children[0];
+    for child in &children[1..] {
+        mbb = mbb.union(child);
+    }
+    mbb
 }
 
 impl SpatialIndex for PackedRTree {
@@ -608,5 +681,211 @@ mod tests {
         built.epsilon_neighbors(query, 2.0, &mut a);
         again.epsilon_neighbors(query, 2.0, &mut b);
         assert_eq!(a, b);
+    }
+
+    /// Everything a tree holds, as bits: points, coordinates, every level.
+    type Bits = (Vec<[u64; 2]>, Vec<u64>, Vec<u64>, Vec<Vec<[u64; 4]>>);
+
+    fn bits_of(points: &[Point2], xs: &[f64], ys: &[f64], levels: &[Vec<Mbb>]) -> Bits {
+        let p = |p: &Point2| [p.x.to_bits(), p.y.to_bits()];
+        let b = |m: &Mbb| [m.min, m.max].map(|q| p(&q)).concat().try_into().unwrap();
+        (
+            points.iter().map(p).collect(),
+            xs.iter().map(|x| x.to_bits()).collect(),
+            ys.iter().map(|y| y.to_bits()).collect(),
+            levels.iter().map(|l| l.iter().map(b).collect()).collect(),
+        )
+    }
+
+    fn bits(t: &PackedRTree) -> Bits {
+        let levels: Vec<Vec<Mbb>> = t.levels.iter().map(|l| l.to_vec()).collect();
+        bits_of(&t.points, &t.xs, &t.ys, &levels)
+    }
+
+    /// The packing rule written out plainly: leaves over `r`-chunks, then
+    /// parents over `fanout`-chunks until one root remains.
+    fn reference_bits(points: &[Point2], r: usize, fanout: usize) -> Bits {
+        let mut levels: Vec<Vec<Mbb>> = Vec::new();
+        if !points.is_empty() {
+            levels.push(
+                points
+                    .chunks(r)
+                    .map(|c| Mbb::from_points(c).unwrap())
+                    .collect(),
+            );
+            while levels.last().unwrap().len() > 1 {
+                let below = levels.last().unwrap();
+                let level = below
+                    .chunks(fanout)
+                    .map(|c| c[1..].iter().fold(c[0], |m, b| m.union(b)))
+                    .collect();
+                levels.push(level);
+            }
+        }
+        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
+        bits_of(points, &xs, &ys, &levels)
+    }
+
+    /// Grows a tree over `points[..cuts[0]]` batch by batch to the next
+    /// cut, checking every step against a fresh build of the prefix and
+    /// against the packing rule, bit for bit.
+    fn check_growth(points: &[Point2], cuts: &[usize], r: usize, fanout: usize) {
+        let mut tree = PackedRTree::from_sorted_with_fanout(
+            shared_points(points[..cuts[0]].to_vec()),
+            r,
+            fanout,
+        );
+        for w in cuts.windows(2) {
+            tree = tree.appended(&points[w[0]..w[1]]);
+            let prefix = &points[..w[1]];
+            let fresh =
+                PackedRTree::from_sorted_with_fanout(shared_points(prefix.to_vec()), r, fanout);
+            let grown = bits(&tree);
+            assert_eq!(grown, bits(&fresh), "r={r} fanout={fanout} cuts={w:?}");
+            assert_eq!(
+                grown,
+                reference_bits(prefix, r, fanout),
+                "r={r} fanout={fanout}"
+            );
+        }
+    }
+
+    fn scattered(n: usize) -> Vec<Point2> {
+        (0..n as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                Point2::new((h >> 40) as f64 / 1e4, ((h >> 16) & 0xFF_FFFF) as f64 / 1e5)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn appended_batches_fill_split_and_complete_the_last_leaf() {
+        let points = scattered(700);
+        for r in [1, 3, 80] {
+            for fanout in [2, 16] {
+                // From the empty tree: one point, a batch that exactly
+                // completes the first leaf, one that fills a whole leaf,
+                // one that splits across leaves, then a long run of
+                // small batches.
+                let mut cuts = vec![0, 1, r, 2 * r, 4 * r + 1];
+                while *cuts.last().unwrap() + 7 <= points.len() {
+                    cuts.push(cuts.last().unwrap() + 7);
+                }
+                check_growth(&points, &cuts, r, fanout);
+                // From a non-empty tree whose last leaf is partial (for
+                // r > 1): complete it exactly, then split the next.
+                let full = (2 * r).max(r + 1);
+                check_growth(&points, &[r + 1, full, full + 1, 5 * r + 3], r, fanout);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn successive_appends_equal_a_fresh_build_of_the_concatenation(
+            points in proptest::collection::vec(
+                proptest::prelude::Strategy::prop_map(
+                    (-20.0f64..20.0, -20.0f64..20.0),
+                    |(x, y)| Point2::new(x, y),
+                ),
+                0..300,
+            ),
+            raw_cuts in proptest::collection::vec(0usize..300, 0..10),
+            shape in 0usize..6,
+        ) {
+            let (r, fanout) = [(1, 2), (1, 16), (3, 2), (3, 16), (80, 2), (80, 16)][shape];
+            let mut cuts: Vec<usize> = raw_cuts.iter().map(|&c| c.min(points.len())).collect();
+            cuts.push(0);
+            cuts.push(points.len());
+            cuts.sort_unstable();
+            check_growth(&points, &cuts, r, fanout);
+        }
+    }
+
+    #[test]
+    fn two_appends_to_one_handle_fork_and_the_parent_keeps_its_prefix() {
+        let points = scattered(400);
+        let base = PackedRTree::from_sorted(shared_points(points[..200].to_vec()), 5);
+        // The first append copies into a buffer with slack; the next one
+        // to the same handle is then a fork off a shared buffer.
+        let parent = base.appended(&points[200..203]);
+        let left = parent.appended(&points[203..210]);
+        let right = parent.appended(&points[300..340]);
+        let mut right_points = points[..203].to_vec();
+        right_points.extend_from_slice(&points[300..340]);
+        for (tree, want) in [
+            (&parent, points[..203].to_vec()),
+            (&left, points[..210].to_vec()),
+            (&right, right_points),
+        ] {
+            assert_eq!(bits(tree), reference_bits(&want, 5, DEFAULT_FANOUT));
+            let brute = crate::BruteForce::new(shared_points(want.clone()));
+            for c in &points[..40] {
+                let (mut got, mut expect) = (Vec::new(), Vec::new());
+                tree.epsilon_neighbors(*c, 2.0, &mut got);
+                brute.epsilon_neighbors(*c, 2.0, &mut expect);
+                got.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(got, expect, "a handle of {} points", want.len());
+            }
+        }
+    }
+
+    #[test]
+    fn readers_of_older_handles_see_their_prefix_while_a_writer_appends() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Barrier, Mutex};
+        let points = scattered(3000);
+        let first = PackedRTree::from_sorted(shared_points(points[..10].to_vec()), 1);
+        let published = Mutex::new(vec![first.clone()]);
+        let (start, done) = (Barrier::new(3), AtomicBool::new(false));
+        let mut tree = first;
+        std::thread::scope(|s| {
+            for seed in 0..2usize {
+                let (published, start, done, points) = (&published, &start, &done, &points);
+                s.spawn(move || {
+                    start.wait();
+                    let mut checked = 0usize;
+                    while !done.load(Ordering::Acquire) || checked < 50 {
+                        // Alternate between an old handle and one of the
+                        // newest, whose buffers the writer is filling.
+                        let tree = {
+                            let all = published.lock().unwrap();
+                            let back = (checked * 31 + seed * 7) % all.len();
+                            let pick = if checked.is_multiple_of(2) {
+                                back
+                            } else {
+                                back.min(3)
+                            };
+                            all[all.len() - 1 - pick].clone()
+                        };
+                        let n = tree.len();
+                        assert_eq!(tree.points(), &points[..n]);
+                        let (xs, ys) = tree.coords();
+                        assert!(xs.iter().zip(&points[..n]).all(|(x, p)| *x == p.x));
+                        assert!(ys.iter().zip(&points[..n]).all(|(y, p)| *y == p.y));
+                        assert_eq!(tree.leaf_count(), n);
+                        for (j, leaf) in tree.levels[0].iter().enumerate() {
+                            assert_eq!(*leaf, Mbb::from_point(points[j]));
+                        }
+                        checked += 1;
+                    }
+                });
+            }
+            start.wait();
+            let mut at = 10;
+            while at < points.len() {
+                let next = (at + 1 + at % 5).min(points.len());
+                tree = tree.appended(&points[at..next]);
+                published.lock().unwrap().push(tree.clone());
+                at = next;
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(bits(&tree), reference_bits(&points, 1, DEFAULT_FANOUT));
     }
 }

@@ -1,8 +1,8 @@
 //! The query interface the clustering substrate is generic over.
 
-use std::sync::Arc;
-
 use vbp_geom::{Mbb, Point2, PointId};
+
+use crate::column::Column;
 
 /// A spatial index over an immutable 2-D point database.
 ///
@@ -117,8 +117,9 @@ fn retain_from(v: &mut [PointId], start: usize, mut keep: impl FnMut(PointId) ->
 /// Every index implementation stores one of these; clones are cheap
 /// reference-count bumps, so `T_low` and `T_high` (and all engine worker
 /// threads) share a single allocation — the paper's "we assume that we can
-/// store all relevant data in memory" made concrete.
-pub type SharedPoints = Arc<[Point2]>;
+/// store all relevant data in memory" made concrete. A [`Column`], so a
+/// streaming append grows it in place ([`crate::PackedRTree::appended`]).
+pub type SharedPoints = Column<Point2>;
 
 /// Builds a [`SharedPoints`] from any point collection.
 pub fn shared_points<I: IntoIterator<Item = Point2>>(points: I) -> SharedPoints {

@@ -143,10 +143,11 @@ pub struct DominanceCache {
 }
 
 /// Estimated resident size of one cached result: the label array plus the
-/// per-cluster member lists, four bytes per id each.
+/// per-cluster member lists, four bytes per id each. O(1): the member
+/// lists' total length is the result's
+/// [`clustered_count`](ClusterResult::clustered_count).
 pub fn result_bytes(result: &ClusterResult) -> usize {
-    let members: usize = result.iter_clusters().map(|(_, m)| m.len()).sum();
-    (result.len() + members) * 4 + ENTRY_OVERHEAD_BYTES
+    (result.len() + result.clustered_count()) * 4 + ENTRY_OVERHEAD_BYTES
 }
 
 impl DominanceCache {
@@ -306,8 +307,10 @@ impl DominanceCache {
     /// answers `false` to drop the entry. A reader still holding the old
     /// `Arc` keeps the old result: the judge writes through
     /// [`Arc::make_mut`], which copies a shared result first. Repaired
-    /// entries are re-charged at their new size and the LRU is re-evicted
-    /// to budget afterwards; dropped entries do not count as evictions.
+    /// entries are re-charged at their new size — [`result_bytes`] is
+    /// O(1), so the ledger moves by the tail's bytes without walking any
+    /// member list — and the LRU is re-evicted to budget afterwards;
+    /// dropped entries do not count as evictions.
     pub fn maintain_after_append(
         &mut self,
         dataset: &str,
@@ -411,10 +414,21 @@ impl DominanceCache {
     }
 
     /// Structural self-check, used by the chaos suite after every fault
-    /// schedule: the byte ledger matches the entries, the budget holds,
+    /// schedule: each entry is charged what its member lists, walked,
+    /// add up to, the byte ledger matches the entries, the budget holds,
     /// no stamp outruns the clock, and no `(dataset, variant)` key is
     /// duplicated. Returns a description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
+        for e in &self.entries {
+            let members: usize = e.result.iter_clusters().map(|(_, m)| m.len()).sum();
+            let walked = (e.result.len() + members) * 4 + ENTRY_OVERHEAD_BYTES;
+            if e.bytes != walked {
+                return Err(format!(
+                    "entry {} charged {} bytes, its lists hold {walked}",
+                    e.variant, e.bytes
+                ));
+            }
+        }
         let summed: usize = self.entries.iter().map(|e| e.bytes).sum();
         if summed != self.bytes {
             return Err(format!(

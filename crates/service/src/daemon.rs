@@ -587,8 +587,7 @@ impl Shared {
             None => {
                 let mut inc =
                     IncrementalDbscan::new(DbscanParams::new(variant.eps, variant.minpts));
-                let tree_pos = invert_permutation(entry.index.permutation());
-                feed_stream(&mut inc, &entry.index, &tree_pos);
+                feed_stream(&mut inc, &entry.index);
                 watchers.push(WatchStream {
                     dataset: dataset.to_string(),
                     variant,
@@ -1074,15 +1073,15 @@ fn rekeyed(result: &ClusterResult, gather: &[PointId]) -> ClusterResult {
 /// Each ε-query is answered by the generation's own `T_low`, its tree ids
 /// mapped back to caller ids through the permutation; `insert` drops the
 /// ids it has not reached, so the stream sees the points arrive one at a
-/// time although the tree already holds them all. `tree_pos` is the
-/// caller id → tree position inverse of `index.permutation()`.
-fn feed_stream(
-    inc: &mut IncrementalDbscan,
-    index: &PreparedIndex,
-    tree_pos: &[PointId],
-) -> InsertOutcome {
+/// time although the tree already holds them all. Caller ids reach tree
+/// positions through [`PreparedIndex::tree_positions`], which a
+/// maintained append carries forward in O(batch): the inverse is built
+/// only for the first stream of a generation that has none (the first
+/// `WATCH`, or the first append after a re-sort).
+fn feed_stream(inc: &mut IncrementalDbscan, index: &PreparedIndex) -> InsertOutcome {
     let tree = index.t_low();
     let permutation = index.permutation();
+    let tree_pos = index.tree_positions();
     let eps = inc.params().eps;
     inc.insert(index.len() - inc.len(), |q, out| {
         let center = tree.points()[tree_pos[q as usize] as usize];
@@ -1099,15 +1098,10 @@ fn feed_stream(
 /// actually delivered.
 fn notify_watchers(shared: &Shared, entry: &DatasetEntry) -> u64 {
     let mut watchers = shared.watchers.lock().expect("watchers lock poisoned");
-    if !watchers.iter().any(|s| s.dataset == entry.name) {
-        return 0;
-    }
-    // Built once per append, shared by every stream of the dataset.
-    let tree_pos = invert_permutation(entry.index.permutation());
     let mut delivered = 0u64;
     for stream in watchers.iter_mut().filter(|s| s.dataset == entry.name) {
         let appended = entry.index.len() - stream.inc.len();
-        let outcome = feed_stream(&mut stream.inc, &entry.index, &tree_pos);
+        let outcome = feed_stream(&mut stream.inc, &entry.index);
         let delta = Delta {
             dataset: stream.dataset.clone(),
             eps: stream.variant.eps,

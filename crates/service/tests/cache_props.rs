@@ -271,6 +271,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Repeated repairs move each entry's charge by its tail alone, and
+    /// the ledger still equals every entry's walked size afterwards. The
+    /// judge extends in place through `Arc::make_mut` (copying the entries
+    /// a reader still holds), drops some entries, and the LRU re-evicts
+    /// to a budget the growth crosses.
+    #[test]
+    fn repeated_repairs_keep_the_ledger_exact(
+        variants in proptest::collection::vec(arb_variant(), 1..8),
+        rounds in proptest::collection::vec((1usize..9, 0u32..4, 0u32..10), 1..24),
+        base_n in 8usize..64,
+        budget_entries in 2usize..12,
+    ) {
+        let budget = budget_entries * result_bytes(&result_of(base_n + 40));
+        let mut cache = DominanceCache::new(budget);
+        for v in &variants {
+            cache.insert("alpha", *v, result_of(base_n));
+        }
+        let mut held: Vec<Arc<ClusterResult>> = Vec::new();
+        for (round, &(len, clusters, drop_every)) in rounds.iter().enumerate() {
+            let tail = ClusterResult::from_labels(Labels::from_raw(
+                (0..len as u32)
+                    .map(|j| if clusters == 0 { u32::MAX } else { j % clusters.min(len as u32) })
+                    .collect(),
+            ));
+            let mut visited = 0u32;
+            cache.maintain_after_append("alpha", |_, result| {
+                visited += 1;
+                if drop_every > 0 && visited.is_multiple_of(drop_every + 1) {
+                    return false;
+                }
+                if (round + visited as usize).is_multiple_of(3) {
+                    held.push(Arc::clone(result));
+                }
+                Arc::make_mut(result).extend(&tail);
+                true
+            });
+            if let Err(e) = cache.check_invariants() {
+                return Err(TestCaseError::fail(format!("round {round}: {e}")));
+            }
+        }
+        for old in &held {
+            prop_assert!(old.check_consistency().is_ok(), "a held result changed");
+        }
+    }
+}
+
 /// Deterministic Fisher–Yates driven by splitmix64 — enough entropy to
 /// vary insertion order without pulling in an RNG dependency.
 fn shuffle<T>(v: &mut [T], mut state: u64) {

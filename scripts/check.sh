@@ -29,6 +29,12 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p vbp-dbscan"
   timeout 900 cargo test --locked --release -q -p vbp-dbscan
 
+  # An append writes its batch into buffers other index generations
+  # share; the column's claim-then-publish order is likewise exercised
+  # harder by optimised code.
+  echo "==> cargo test --release -p vbp-rtree"
+  timeout 900 cargo test --locked --release -q -p vbp-rtree
+
   echo "==> cargo doc (broken intra-doc links are errors)"
   RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline
 
