@@ -4,8 +4,9 @@
 //!
 //! One engine run:
 //!
-//! 1. bin-sorts the database and builds the two shared R-trees
-//!    (`T_low` with the tuned `r`, `T_high` with `r = 1`);
+//! 1. bin-sorts the database and builds the shared R-tree `T_low` with
+//!    the tuned `r` (the paper's second tree, `T_high`, is not built:
+//!    see [`PreparedIndex`]);
 //! 2. spawns `T` workers that repeatedly pull an
 //!    [`Assignment`](crate::scheduler::Assignment) from the shared
 //!    [`ScheduleState`] — either "cluster variant `v` from scratch"
@@ -292,27 +293,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A prebuilt, reusable index pair over one point database.
+/// A prebuilt, reusable index over one point database.
 ///
-/// Rebuilding `T_low`/`T_high` on every run is fine for one-shot sweeps
-/// but wasteful for a long-running service answering many variant
-/// requests against the same datasets. `PreparedIndex` hoists the bin
-/// sort, the (optional) `r` auto-tune, and both tree builds out of the
+/// Rebuilding the tree on every run is fine for one-shot sweeps but
+/// wasteful for a long-running service answering many variant requests
+/// against the same datasets. `PreparedIndex` hoists the bin sort, the
+/// (optional) `r` auto-tune, and the tree build out of the
 /// run loop: build once with [`Engine::prepare`], then execute any number
 /// of [`RunRequest::prepared`] runs. Runs over a prepared index report
 /// `index_build_time == 0` — the build cost lives in
 /// [`PreparedIndex::build_time`], amortized across every run that shares
 /// the handle.
 ///
-/// A handle is the whole of one dataset generation: the tree pair holds
-/// the points in tree order (one shared array), the permutation maps
+/// A handle is the whole of one dataset generation: the tree holds the
+/// points in tree order (one shared array), the permutation maps
 /// them back, and [`PreparedIndex::caller_points`] derives caller order
 /// for the few readers that want it. Successive maintained appends share
 /// these arrays ([`Column`]s), each handle seeing its own prefix.
+///
+/// The paper's §IV-A builds a second tree, `T_high` (`r = 1`), for the
+/// cluster-MBB harvest of Algorithm 3. Its leaf level alone is one
+/// 32-byte box per point, and `T_low`'s exact `range_query` returns the
+/// same ids, so this index keeps one tree; [`PreparedIndex::t_high`]
+/// remains as a name for it.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
     t_low: PackedRTree,
-    t_high: PackedRTree,
     permutation: Column<PointId>,
     /// The inverse of `permutation`, built on first use and carried
     /// across maintained appends.
@@ -325,8 +331,7 @@ pub struct PreparedIndex {
 }
 
 impl PreparedIndex {
-    /// Assembles a handle around `t_low`, deriving `T_high` from it —
-    /// the pair always shares one point order (and one SoA mirror).
+    /// Assembles a handle around `t_low`.
     fn around(
         t_low: PackedRTree,
         permutation: Vec<PointId>,
@@ -334,10 +339,8 @@ impl PreparedIndex {
         build_time: Duration,
         appended_since_sort: usize,
     ) -> Self {
-        let t_high = high_tree_for(&t_low);
         Self {
             t_low,
-            t_high,
             permutation: permutation.into(),
             tree_positions: OnceLock::new(),
             tune,
@@ -364,10 +367,13 @@ impl PreparedIndex {
         &self.t_low
     }
 
-    /// The `r = 1` tree used for cluster-MBB harvests.
+    /// The tree for cluster-MBB harvests: [`PreparedIndex::t_low`]. The
+    /// paper harvests on a second, `r = 1` tree; `T_low`'s `range_query`
+    /// returns the same ids, so this index builds one tree. Kept for
+    /// callers that name the paper's pair.
     #[inline]
     pub fn t_high(&self) -> &PackedRTree {
-        &self.t_high
+        &self.t_low
     }
 
     /// Permutation mapping tree order → caller point order.
@@ -387,7 +393,7 @@ impl PreparedIndex {
         self.tune.as_ref()
     }
 
-    /// Wall time spent bin-sorting, tuning, and building both trees,
+    /// Wall time spent bin-sorting, tuning, and building the tree,
     /// plus any streaming maintenance applied since.
     pub fn build_time(&self) -> Duration {
         self.build_time
@@ -411,21 +417,18 @@ impl PreparedIndex {
 
     /// This handle followed by `batch` at the tail of tree order: the
     /// points, coordinates, permutation and (when built) its inverse grow
-    /// by the batch, and the two trees grow as
-    /// [`PackedRTree::grown_over`] describes.
+    /// by the batch, and the tree grows as [`PackedRTree::appended`]
+    /// describes.
     fn appended(&self, batch: &[Point2]) -> Self {
         let (old_n, total) = (self.len(), self.len() + batch.len());
         let tail = || (old_n..total).map(|i| i as PointId);
         let t_low = self.t_low.appended(batch);
-        let (xs, ys) = t_low.shared_coords();
-        let t_high = self.t_high.grown_over(t_low.shared_points(), xs, ys);
         let tree_positions = match self.tree_positions.get() {
             Some(inverse) => OnceLock::from(inverse.appended(tail())),
             None => OnceLock::new(),
         };
         Self {
             t_low,
-            t_high,
             permutation: self.permutation.appended(tail()),
             tree_positions,
             tune: self.tune.clone(),
@@ -449,8 +452,8 @@ impl PreparedIndex {
     /// checksummed [`vbp_store`] container: the tree-order points, the
     /// permutation, the tuned-`r` report, and the append generation
     /// counter. [`PreparedIndex::restore`] on those bytes skips the bin
-    /// sort and the auto-tune sweep entirely and re-derives both packed
-    /// trees from the stored order in O(n).
+    /// sort and the auto-tune sweep entirely and re-derives the packed
+    /// tree from the stored order in O(n).
     ///
     /// Callers that want a clean generation on disk should flush a
     /// dirty tail through [`Engine::resort_prepared`] first;
@@ -501,12 +504,12 @@ impl PreparedIndex {
 
     /// Rebuilds a handle from decoded snapshot data.
     ///
-    /// Both packed trees are *derived* from the stored tree-order
-    /// points. Fresh prepares, maintained appends and re-sorts all build
-    /// through `PackedRTree::grown_over` (a fresh build is growth from
-    /// the empty tree), and growth equals a fresh build over the
-    /// concatenation, so the derived trees are bit-identical to the ones
-    /// that were snapshotted, in every append-generation state. Deriving (instead of trusting level MBBs from disk) also
+    /// The packed tree is *derived* from the stored tree-order points.
+    /// Fresh prepares, maintained appends and re-sorts all build through
+    /// `PackedRTree::grown_over` (a fresh build is growth from the empty
+    /// tree), and growth equals a fresh build over the concatenation, so
+    /// the derived tree is bit-identical to the one that was
+    /// snapshotted, in every append-generation state. Deriving (instead of trusting level MBBs from disk) also
     /// closes the one hole checksums cannot: a CRC-valid but *crafted*
     /// file whose boxes fail to cover their points would silently drop
     /// neighbors; boxes computed from the validated points cannot.
@@ -565,10 +568,6 @@ impl PreparedIndex {
         Ok(Self::from_snapshot_trusted(snap))
     }
 
-    /// Dataset size from which the two tree derivations run on separate
-    /// threads — below this the spawn overhead eats the win.
-    const PARALLEL_RESTORE_MIN: usize = 8 * 1024;
-
     /// [`PreparedIndex::from_snapshot`] minus the validation pass, for
     /// callers (decode, `from_snapshot` itself) that have already proven
     /// `chosen_r ≥ 1`, `fanout ≥ 2`, a bijective permutation covering
@@ -583,25 +582,8 @@ impl PreparedIndex {
             build_time_ns,
             appended_since_sort,
         } = snap;
-        let shared = points;
-        let xs: Column<f64> = shared.iter().map(|p| p.x).collect();
-        let ys: Column<f64> = shared.iter().map(|p| p.y).collect();
-        let (t_low, t_high) = if shared.len() >= Self::PARALLEL_RESTORE_MIN {
-            std::thread::scope(|s| {
-                let (hp, hx, hy) = (shared.clone(), xs.clone(), ys.clone());
-                let high =
-                    s.spawn(move || PackedRTree::from_sorted_with_coords(hp, 1, fanout, hx, hy));
-                let t_low = PackedRTree::from_sorted_with_coords(shared, chosen_r, fanout, xs, ys);
-                (t_low, high.join().expect("tree derivation does not panic"))
-            })
-        } else {
-            let t_low = PackedRTree::from_sorted_with_coords(shared, chosen_r, fanout, xs, ys);
-            let t_high = high_tree_for(&t_low);
-            (t_low, t_high)
-        };
         Self {
-            t_low,
-            t_high,
+            t_low: PackedRTree::from_sorted_with_fanout(points, chosen_r, fanout),
             permutation: permutation.into(),
             tree_positions: OnceLock::new(),
             tune,
@@ -626,20 +608,11 @@ impl PreparedIndex {
     }
 }
 
-/// The `r = 1` companion tree (`T_high`) over an existing tree's point
-/// order, reusing its SoA coordinate mirror instead of re-collecting
-/// two `f64` arrays — the pair always shares one point order, so the
-/// mirror is materialized exactly once per index.
-fn high_tree_for(t_low: &PackedRTree) -> PackedRTree {
-    let (xs, ys) = t_low.shared_coords();
-    PackedRTree::from_sorted_with_coords(t_low.shared_points(), 1, t_low.fanout(), xs, ys)
-}
-
 /// Unsorted-tail fraction above which [`Engine::append_to_prepared`]
 /// re-sorts the whole handle instead of maintaining the packed arrays in
 /// place. Appends land at the tail of tree order (outside bin order), so
 /// query locality degrades with the tail; a quarter of the dataset is
-/// where the one-off O(n log n) re-sort starts paying for itself.
+/// where the one-off full re-sort starts paying for itself.
 pub const APPEND_RESORT_FRACTION: f64 = 0.25;
 
 /// Record of one [`Engine::append_to_prepared`] batch.
@@ -672,7 +645,7 @@ pub struct WarmSource {
 /// The database a [`RunRequest`] executes over.
 #[derive(Clone, Copy, Debug)]
 pub enum RunSource<'a> {
-    /// Raw points: the run builds its own index pair and reports the
+    /// Raw points: the run builds its own index and reports the
     /// build cost in [`RunReport::index_build_time`].
     Points(&'a [Point2]),
     /// A prebuilt index: the run reports `index_build_time == 0` (the
@@ -879,7 +852,7 @@ impl Engine {
         Ok(report)
     }
 
-    /// Builds the two shared R-trees (and runs the [`RChoice::Auto`]
+    /// Builds the shared R-tree (and runs the [`RChoice::Auto`]
     /// sweep, when configured) over `points` without clustering anything,
     /// returning a handle that any number of [`RunRequest::prepared`]
     /// runs can share. `representative_eps` feeds the auto-tuner; pass
@@ -923,10 +896,7 @@ impl Engine {
             },
         };
         let (t_low, permutation) = PackedRTree::build(points, chosen_r);
-        let mut index = PreparedIndex::around(t_low, permutation, tune, Duration::ZERO, 0);
-        // Read the clock last: deriving `T_high` is part of the build.
-        index.build_time = build_start.elapsed();
-        index
+        PreparedIndex::around(t_low, permutation, tune, build_start.elapsed(), 0)
     }
 
     /// Applies one streaming APPEND batch to a prepared handle, returning
@@ -934,12 +904,12 @@ impl Engine {
     /// old handle stay valid) plus an [`AppendReport`].
     ///
     /// The maintain path appends the new points at the *tail of tree
-    /// order*: no bin sort and no `r` re-tune. The points, coordinates,
-    /// permutation and `T_high`'s leaf boxes are [`Column`]s the batch is
-    /// written onto in place ([`PackedRTree::appended`]); only the small
-    /// levels — `T_low`'s `n / r` leaves and the levels above `T_high`'s
-    /// leaves — are copied, with just their last partial node and right
-    /// spine recomputed. The trees equal a [`PackedRTree::from_sorted`]
+    /// order*: no bin sort and no `r` re-tune. The points, coordinates and
+    /// permutation are [`Column`]s the batch is written onto in place
+    /// ([`PackedRTree::appended`]); only the tree's small levels — its
+    /// `n / r` leaves and the levels above — are copied, with just their
+    /// last partial node and right spine recomputed. The tree equals a
+    /// [`PackedRTree::from_sorted`]
     /// build over the concatenation, level by level. Appended caller ids
     /// continue the old numbering (`old_len..old_len+k`). Once the
     /// unsorted tail exceeds [`APPEND_RESORT_FRACTION`] of the dataset,
@@ -987,7 +957,7 @@ impl Engine {
     /// re-sort [`Engine::append_to_prepared`] applies when the tail
     /// crosses [`APPEND_RESORT_FRACTION`]: bin-sort the accumulated
     /// caller-order points with the already-chosen `r` (no re-tune) and
-    /// rebuild both packed trees. The returned handle answers the same
+    /// rebuild the packed tree. The returned handle answers the same
     /// queries with `appended_since_sort == 0` — the clean generation
     /// the warm-state store persists before shutdown. A handle that is
     /// already clean is returned as a cheap clone.
@@ -1005,7 +975,7 @@ impl Engine {
     /// [`Engine::resort_prepared`]: bin-sorts `caller` — `index`'s
     /// accumulated database in caller order, plus any batch being
     /// appended — with the already-chosen `r` (no re-tune) and rebuilds
-    /// both packed trees. The tail counter resets to zero.
+    /// the packed tree. The tail counter resets to zero.
     fn bin_sorted(&self, index: &PreparedIndex, caller: &[Point2]) -> PreparedIndex {
         let (t_low, permutation) = PackedRTree::build(caller, index.chosen_r());
         PreparedIndex::around(t_low, permutation, index.tune.clone(), index.build_time, 0)
@@ -1080,7 +1050,6 @@ impl Engine {
                             variants,
                             warm,
                             index.t_low(),
-                            index.t_high(),
                             schedule,
                             results,
                             neighbor_counts,
@@ -1193,7 +1162,6 @@ fn worker_loop(
     variants: &VariantSet,
     warm: &[WarmSource],
     t_low: &PackedRTree,
-    t_high: &PackedRTree,
     schedule: &Mutex<ScheduleState>,
     results: &[OnceLock<Arc<ClusterResult>>],
     neighbor_counts: &NeighborCounts,
@@ -1275,7 +1243,7 @@ fn worker_loop(
                         };
                         let (result, stats) = cluster_with_reuse_traced(
                             t_low,
-                            t_high,
+                            t_low,
                             variant,
                             &prev,
                             source_variant,
@@ -2028,7 +1996,7 @@ mod tests {
 
     #[test]
     fn prepared_index_builds_once_across_runs() {
-        // Regression: one-shot runs used to rebuild T_low/T_high per call
+        // Regression: one-shot runs used to rebuild the index per call
         // even on an unchanged point set. Two runs over one prepared
         // handle must not pay (or report) any index construction — the
         // build cost lives in the handle, once.

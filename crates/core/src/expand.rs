@@ -8,9 +8,11 @@
 //! frontier needs work:
 //!
 //! 1. build an MBB around the cluster, inflated by the new ε (line 10);
-//! 2. query the high-resolution tree `T_high` for all points inside it
-//!    (line 11) — `T_high` has one point per MBB so this harvest does not
-//!    over-approximate;
+//! 2. query the tree for all points inside it (line 11). The paper
+//!    harvests on a second, `r = 1` tree `T_high` so that the harvest
+//!    does not over-approximate; `range_query` filters each candidate by
+//!    containment, so `T_low` returns the same ids and the engine keeps
+//!    one tree;
 //! 3. the points *outside* the cluster (line 12) get ε-searches against
 //!    the tuned tree `T_low` (lines 13–14); any of their neighbors lying
 //!    *inside* the cluster form the `expandSet` (line 15) — the boundary
@@ -137,9 +139,11 @@ fn known_non_core(counts: &[AtomicU32], p: PointId, minpts: usize) -> bool {
 /// Runs VariantDBSCAN's reuse path for one variant.
 ///
 /// `t_low` is the tuned-`r` tree used for ε-neighborhood searches;
-/// `t_high` is the `r = 1` tree used for the cluster-MBB harvest. Both
-/// must index the same point database in the same order, which must also
-/// be the order `previous` was computed over.
+/// `t_high` is the tree the cluster-MBB harvest queries — the paper's
+/// `r = 1` tree. Both must index the same point database in the same
+/// order, which must also be the order `previous` was computed over. Any
+/// such tree returns the same harvest, so the labels do not depend on
+/// `t_high`'s `r`; the engine passes `t_low` for both.
 ///
 /// Neighbour counts are kept for this call only; an engine run shares
 /// them among the variants of one ε and so may search less, but returns
@@ -196,7 +200,7 @@ pub(crate) fn cluster_with_reuse_traced(
     assert_eq!(
         n,
         t_high.len(),
-        "T_low and T_high must index the same database"
+        "the harvest tree must index the same database as T_low"
     );
     assert_eq!(
         n,
@@ -260,8 +264,8 @@ pub(crate) fn cluster_with_reuse_traced(
         stats.points_reused += members.len();
         stats.clusters_reused += 1;
 
-        // Lines 10–12: harvest the inflated cluster MBB with T_high and
-        // split candidates into inside (already labeled c) and outside.
+        // Lines 10–12: harvest the inflated cluster MBB and split the
+        // candidates into inside (already labeled c) and outside.
         candidates.clear();
         t_high.range_query(&cluster_mbb.inflate(eps), &mut candidates);
 

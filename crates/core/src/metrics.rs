@@ -165,7 +165,7 @@ pub struct RunReport {
     /// Wall-clock makespan of the whole run (tree construction excluded;
     /// the paper indexes once and amortizes across variants).
     pub total_time: Duration,
-    /// Time spent building T_low / T_high and bin-sorting — including the
+    /// Time spent bin-sorting and building `T_low` — including the
     /// auto-tuning sweep when [`RChoice::Auto`](crate::RChoice) ran.
     pub index_build_time: Duration,
     /// Number of worker threads.

@@ -110,6 +110,40 @@ proptest! {
     }
 
     #[test]
+    fn harvest_on_t_low_matches_the_r1_tree(
+        points in arb_cloud(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..24),
+            0..4,
+        ),
+        resort in any::<bool>(),
+        (src, dst) in arb_pair(),
+        scheme_idx in 0usize..4,
+    ) {
+        // The engine harvests cluster MBBs on T_low instead of the paper's
+        // r = 1 tree. Labels and search counts must not notice, on fresh
+        // handles, on handles grown by appends (which may cross the
+        // re-sort fraction) and on an explicitly re-sorted handle.
+        let scheme = [ReuseScheme::Disabled, ReuseScheme::REUSING[0], ReuseScheme::REUSING[1], ReuseScheme::REUSING[2]][scheme_idx];
+        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(16));
+        let mut index = engine.prepare(&points, None).unwrap();
+        for batch in &batches {
+            let batch: Vec<Point2> = batch.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+            index = engine.append_to_prepared(&index, &batch).unwrap().0;
+        }
+        if resort {
+            index = engine.resort_prepared(&index);
+        }
+        let t_low = index.t_low();
+        let r1 = PackedRTree::from_sorted(t_low.shared_points(), 1);
+        let base = dbscan(t_low, src.params());
+        prop_assert_eq!(
+            cluster_with_reuse(t_low, t_low, dst, &base, src, scheme),
+            cluster_with_reuse(t_low, &r1, dst, &base, src, scheme)
+        );
+    }
+
+    #[test]
     fn engine_matches_direct_dbscan_for_random_grids(
         points in arb_cloud(),
         eps_base in 0.2f64..0.8,

@@ -20,7 +20,7 @@ pub mod extent;
 pub mod mbb;
 pub mod point;
 
-pub use binning::{bin_sort, bin_sort_with_width, BinOrder};
+pub use binning::{bin_sort, bin_sort_reference, bin_sort_with_width, BinOrder};
 pub use extent::Extent;
 pub use mbb::Mbb;
 pub use point::Point2;

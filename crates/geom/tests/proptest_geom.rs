@@ -1,7 +1,7 @@
 //! Property-based tests for the geometric primitives.
 
 use proptest::prelude::*;
-use vbp_geom::{bin_sort, BinOrder, Mbb, Point2};
+use vbp_geom::{bin_sort, bin_sort_reference, bin_sort_with_width, BinOrder, Mbb, Point2};
 
 fn arb_point() -> impl Strategy<Value = Point2> {
     (-1000.0f64..1000.0, -1000.0f64..1000.0).prop_map(|(x, y)| Point2::new(x, y))
@@ -10,6 +10,23 @@ fn arb_point() -> impl Strategy<Value = Point2> {
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point2>> {
     proptest::collection::vec(arb_point(), 0..max)
 }
+
+/// One coordinate of a bin-sort cloud, by `kind`: on a bin edge (`edge`
+/// bins from the origin, so odd and even rows and negative bins), a
+/// signed zero, or uniform in `±scale`.
+fn cloud_coord(kind: u32, unit: f64, edge: i32, scale: f64, width: f64) -> f64 {
+    match kind {
+        0 => f64::from(edge) * width,
+        1 if edge % 2 == 0 => 0.0,
+        1 => -0.0,
+        _ => unit * scale,
+    }
+}
+
+/// Magnitudes of a cloud: a few bins, thousands, beyond 2³² bins, and
+/// (at ±1e15) beyond 2⁶⁴ cells.
+const CLOUD_SCALES: [f64; 4] = [4.0, 1e3, 1e6, 1e15];
+const CLOUD_WIDTHS: [f64; 3] = [0.25, 1.0, 7.5];
 
 proptest! {
     #[test]
@@ -82,6 +99,37 @@ proptest! {
         sorted.sort_unstable();
         let expect: Vec<u32> = (0..points.len() as u32).collect();
         prop_assert_eq!(sorted, expect);
+    }
+
+    #[test]
+    fn bin_sort_matches_the_comparator_oracle(
+        spec in proptest::collection::vec(
+            (0u32..3, -1.0f64..1.0, -6i32..6, 0u32..4, -1.0f64..1.0, -6i32..6),
+            0..160,
+        ),
+        scale in 0usize..CLOUD_SCALES.len(),
+        width in 0usize..CLOUD_WIDTHS.len(),
+        serp in any::<bool>(),
+    ) {
+        // The linear sort's order is the comparator's, with ties (here:
+        // duplicates and signed zeros) kept in ascending caller id.
+        let (scale, width) = (CLOUD_SCALES[scale], CLOUD_WIDTHS[width]);
+        let order = if serp { BinOrder::Serpentine } else { BinOrder::RowMajor };
+        let mut points: Vec<Point2> = Vec::with_capacity(spec.len());
+        for (i, &(kx, ux, ex, ky, uy, ey)) in spec.iter().enumerate() {
+            let p = if ky == 3 && i > 0 {
+                // A duplicate of an earlier point.
+                points[ey.unsigned_abs() as usize % i]
+            } else {
+                let x = cloud_coord(kx, ux, ex, scale, width);
+                Point2::new(x, cloud_coord(ky, uy, ey, scale, width))
+            };
+            points.push(p);
+        }
+        prop_assert_eq!(
+            bin_sort_with_width(&points, width, order),
+            bin_sort_reference(&points, width, order)
+        );
     }
 
     #[test]

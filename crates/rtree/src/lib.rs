@@ -13,9 +13,11 @@
 //!
 //! - [`PackedRTree`] — the paper's index: points are sorted into unit-width
 //!   bins ([`vbp_geom::binning`]), leaves take `r` consecutive points, and
-//!   internal levels are packed bottom-up. Used as both `T_low`
-//!   (`r = r_tuned`, drives Algorithm 2's `NeighborSearch`) and `T_high`
-//!   (`r = 1`, drives cluster-MBB candidate harvesting in Algorithm 3).
+//!   internal levels are packed bottom-up. The paper builds it twice:
+//!   `T_low` (`r = r_tuned`, drives Algorithm 2's `NeighborSearch`) and
+//!   `T_high` (`r = 1`, for the cluster-MBB harvest of Algorithm 3). The
+//!   engine builds `T_low` only: its exact `range_query` returns the same
+//!   harvest.
 //! - [`BruteForce`] — the no-index reference the test suites hold the
 //!   tree to.
 //!

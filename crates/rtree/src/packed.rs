@@ -10,12 +10,14 @@
 //! analysis calls for.
 //!
 //! `r` is the paper's tuning knob (§IV-A, Figure 4): `r = 1` gives exact
-//! leaves (the `T_high` configuration), larger `r` trades filter work for
-//! fewer node visits (the `T_low` configuration, good values 70–110).
+//! leaves (the paper's `T_high`), larger `r` trades filter work for fewer
+//! node visits (its `T_low`, good values 70–110). The engine builds only
+//! `T_low`: [`SpatialIndex::range_query`] filters candidates by point
+//! containment, so any `r` returns the same ids.
 //!
 //! Growth. Every array of the tree is a [`Column`], so a streaming
-//! APPEND ([`PackedRTree::appended`]) writes the batch's points,
-//! coordinates and — at `r = 1` — leaf boxes into the shared buffers in
+//! APPEND ([`PackedRTree::appended`]) writes the batch's points and
+//! coordinates (and, at `r = 1`, leaf boxes) into the shared buffers in
 //! place, and copies only the levels whose last node the batch rewrites.
 //! A fresh build is the same growth from the empty tree, so the two can
 //! never disagree.
@@ -37,9 +39,7 @@ pub struct PackedRTree {
     /// SoA mirror of `points`: all x coordinates, contiguous in tree
     /// order. The ε-query hot loop streams `xs`/`ys` instead of chasing
     /// `Point2` structs — the coordinates of a leaf's points sit in two
-    /// dense `f64` runs the compiler can vectorize over. Shared because
-    /// the `T_low`/`T_high` pair is always built over the *same* point
-    /// order: one materialization serves both trees.
+    /// dense `f64` runs the compiler can vectorize over.
     xs: Column<f64>,
     /// SoA mirror of `points`: all y coordinates.
     ys: Column<f64>,
@@ -70,27 +70,6 @@ impl PackedRTree {
     ///
     /// Panics if `r == 0` or `fanout < 2`.
     pub fn from_sorted_with_fanout(points: SharedPoints, r: usize, fanout: usize) -> Self {
-        let xs: Column<f64> = points.iter().map(|p| p.x).collect();
-        let ys: Column<f64> = points.iter().map(|p| p.y).collect();
-        Self::from_sorted_with_coords(points, r, fanout, xs, ys)
-    }
-
-    /// [`PackedRTree::from_sorted_with_fanout`] over an already
-    /// materialized SoA coordinate mirror — how the second tree of a
-    /// `T_low`/`T_high` pair (and a warm restore) reuses the first's
-    /// arrays instead of re-collecting two `f64` vectors per tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r == 0`, `fanout < 2`, or `xs`/`ys` do not mirror
-    /// `points`.
-    pub fn from_sorted_with_coords(
-        points: SharedPoints,
-        r: usize,
-        fanout: usize,
-        xs: Column<f64>,
-        ys: Column<f64>,
-    ) -> Self {
         assert!(r >= 1, "r (points per leaf MBB) must be ≥ 1");
         assert!(fanout >= 2, "fanout must be ≥ 2");
         let empty = Self {
@@ -101,13 +80,16 @@ impl PackedRTree {
             fanout,
             levels: Vec::new(),
         };
+        let xs: Column<f64> = points.iter().map(|p| p.x).collect();
+        let ys: Column<f64> = points.iter().map(|p| p.y).collect();
         empty.grown_over(points, xs, ys)
     }
 
     /// This tree followed by `batch` in tree order: the batch's points
     /// and coordinates are appended to the shared columns (in place when
-    /// this is their latest handle), and the levels are grown as
-    /// [`PackedRTree::grown_over`] describes. The result equals
+    /// this is their latest handle), and each level keeps its nodes
+    /// before the first one the batch reaches and computes only that
+    /// node and the new ones. The result equals
     /// [`PackedRTree::from_sorted_with_fanout`] of the concatenation,
     /// level by level; `self` is unchanged and keeps answering over its
     /// own points.
@@ -119,8 +101,7 @@ impl PackedRTree {
     }
 
     /// This tree's levels grown over `points`, which must begin with this
-    /// tree's points (`xs`/`ys` mirroring them) — how the second tree of
-    /// a `T_low`/`T_high` pair follows the columns the first one grew.
+    /// tree's points (`xs`/`ys` mirroring them).
     ///
     /// A level's nodes before the first one the new points reach are kept
     /// as they are; that node (the old last partial one, if any) and
@@ -133,7 +114,7 @@ impl PackedRTree {
     ///
     /// Panics if `points` is shorter than this tree or `xs`/`ys` do not
     /// mirror it.
-    pub fn grown_over(&self, points: SharedPoints, xs: Column<f64>, ys: Column<f64>) -> Self {
+    fn grown_over(&self, points: SharedPoints, xs: Column<f64>, ys: Column<f64>) -> Self {
         let (old_n, n) = (self.points.len(), points.len());
         assert!(n >= old_n, "{n} points cannot extend a tree of {old_n}");
         assert_eq!(xs.len(), n, "xs must mirror points");
@@ -302,13 +283,6 @@ impl PackedRTree {
     #[inline]
     pub fn coords(&self) -> (&[f64], &[f64]) {
         (&self.xs, &self.ys)
-    }
-
-    /// Shared handles to the SoA coordinate mirror, for building a
-    /// second tree over the same point order without re-collecting
-    /// (see [`PackedRTree::from_sorted_with_coords`]).
-    pub fn shared_coords(&self) -> (Column<f64>, Column<f64>) {
-        (self.xs.clone(), self.ys.clone())
     }
 
     /// The pre-SoA reference formulation of the ε-query: filter through

@@ -115,8 +115,8 @@ fn retain_from(v: &mut [PointId], start: usize, mut keep: impl FnMut(PointId) ->
 /// Shared, immutable point database handle.
 ///
 /// Every index implementation stores one of these; clones are cheap
-/// reference-count bumps, so `T_low` and `T_high` (and all engine worker
-/// threads) share a single allocation — the paper's "we assume that we can
+/// reference-count bumps, so every clone of a tree (and every engine
+/// worker thread) shares a single allocation — the paper's "we assume that we can
 /// store all relevant data in memory" made concrete. A [`Column`], so a
 /// streaming append grows it in place ([`crate::PackedRTree::appended`]).
 pub type SharedPoints = Column<Point2>;

@@ -3,7 +3,7 @@
 //! The daemon's whole reason to stay resident is that index construction
 //! and `r` tuning are paid once per dataset, not once per request: each
 //! registered dataset keeps one [`PreparedIndex`] (the bin-sorted points
-//! under the `T_low`/`T_high` pair of the paper's §IV-A) alive for the
+//! under the packed R-tree of the paper's §IV-A) alive for the
 //! process lifetime. Requests then run through
 //! [`Engine::execute`](variantdbscan::Engine::execute) with a
 //! [`RunRequest::prepared`](variantdbscan::RunRequest::prepared) over
@@ -31,7 +31,7 @@ const SUGGEST_MINPTS: usize = 4;
 pub struct DatasetEntry {
     /// Registry key (the catalog name it was loaded under).
     pub name: String,
-    /// The points under prebuilt `T_low`/`T_high`, shared by every
+    /// The points under a prebuilt packed R-tree, shared by every
     /// request; [`PreparedIndex::caller_points`] derives caller order.
     pub index: PreparedIndex,
     /// k-dist-estimated representative ε (fed to the auto-tuner and

@@ -5,8 +5,8 @@
 //! server writes every dataset's prepared index plus its surviving
 //! dominance-cache entries under the store directory. On the next boot,
 //! [`boot_from_store`] restores each requested dataset from its file —
-//! skipping the bin sort and the `r` auto-tune entirely (both packed
-//! trees are re-derived from the stored order in O(n)) — and falls
+//! skipping the bin sort and the `r` auto-tune entirely (the packed
+//! tree is re-derived from the stored order in O(n)) — and falls
 //! back to a cold [`Registry::load`] rebuild for
 //! any file that is missing, truncated, corrupt, version-mismatched, or
 //! inconsistent with its own index. Fallbacks are logged and counted

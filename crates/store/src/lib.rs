@@ -1,7 +1,7 @@
 //! Persistent warm-state store for VariantDBSCAN.
 //!
 //! The expensive part of serving a dataset is preparing it: bin-sorting
-//! the points, packing the `T_low`/`T_high` R-tree pair, and sweeping
+//! the points, packing the R-tree, and sweeping
 //! candidate leaf capacities to tune `r`. This crate makes that work
 //! durable. A snapshot is a single versioned, checksummed container
 //! file — fixed header, section directory, length-prefixed CRC-validated
@@ -10,7 +10,7 @@
 //! point array, the permutation back to caller order, the tuned-`r`
 //! report, the append generation counter, and the surviving
 //! dominance-cache entries. The tree level MBBs themselves are *not*
-//! stored — both packed trees are pure O(n) functions of the tree-order
+//! stored — the packed tree is a pure O(n) function of the tree-order
 //! points and the stored parameters, so a restore re-derives them
 //! bit-identically from already-validated data instead of trusting
 //! (and having to re-validate) redundant geometry from disk.

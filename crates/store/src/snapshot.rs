@@ -10,13 +10,13 @@
 //! section id ranges are disjoint, so both shapes share one directory
 //! namespace and every payload byte is checksummed exactly once.
 //!
-//! The snapshot deliberately stores **no tree level MBBs**. Both packed
-//! trees are pure functions of the tree-order point array, the chosen
+//! The snapshot deliberately stores **no tree level MBBs**. The packed
+//! tree is a pure function of the tree-order point array, the chosen
 //! `r`, and the fanout — `PackedRTree::from_sorted_with_fanout` is the
 //! single construction path for fresh builds, maintained appends, and
-//! re-sorts alike — so a restore re-derives them bit-identically in
-//! O(n) instead of reading, checksumming, and *re-validating* 32 bytes
-//! per point of redundant geometry. (Validation is not optional: a
+//! re-sorts alike — so a restore re-derives its levels bit-identically
+//! in O(n) instead of reading, checksumming, and *re-validating*
+//! redundant geometry. (Validation is not optional: a
 //! CRC-valid file can still be a crafted one, and a leaf MBB that fails
 //! to cover its points silently drops neighbors. Deriving the levels
 //! from the checked points makes that entire attack surface
@@ -64,12 +64,12 @@ pub const MAX_NAME_BYTES: usize = 256;
 /// The serializable state of one `PreparedIndex`, as plain data: the
 /// tree-order points, the permutation mapping them back to caller
 /// order, and the scalar build parameters. The core crate converts
-/// between this and its private handle; a restore re-derives both
-/// packed trees from these fields without bin-sorting or re-tuning.
+/// between this and its private handle; a restore re-derives the
+/// packed tree from these fields without bin-sorting or re-tuning.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexSnapshot {
-    /// The database in tree (packing) order — exactly the array both
-    /// packed trees are built over. Shared (`Arc`) so decode → tree
+    /// The database in tree (packing) order — exactly the array the
+    /// packed tree is built over. Shared (`Arc`) so decode → tree
     /// derivation hands the array over without copying it.
     pub points: SharedPoints,
     /// Tree order → caller order (`permutation[i]` is the caller index
@@ -77,7 +77,7 @@ pub struct IndexSnapshot {
     pub permutation: Vec<u32>,
     /// The `r` the index was built with.
     pub chosen_r: usize,
-    /// Internal fanout of both packed trees.
+    /// Internal fanout of the packed tree.
     pub fanout: usize,
     /// The auto-tuning sweep record, when `RChoice::Auto` ran.
     pub tune: Option<TuneReport>,

@@ -35,6 +35,11 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p vbp-rtree"
   timeout 900 cargo test --locked --release -q -p vbp-rtree
 
+  # The bin sort's wrapping cell arithmetic and packed radix entries are
+  # what optimised code (with overflow checks off) runs.
+  echo "==> cargo test --release -p vbp-geom"
+  timeout 900 cargo test --locked --release -q -p vbp-geom
+
   echo "==> cargo doc (broken intra-doc links are errors)"
   RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline
 

@@ -243,3 +243,25 @@ fn caller_order_results_are_consistent() {
         }
     }
 }
+
+/// A prepare is one bin sort and one tree: on catalog inputs the linear
+/// sort's permutation is the comparator sort's, and the paper's second
+/// tree is the first one under another name.
+#[test]
+fn prepare_sorts_as_the_comparator_oracle_and_builds_one_tree() {
+    use vbp::vbp_geom::{bin_sort_reference, BinOrder};
+
+    let engine = Engine::new(EngineConfig::default().with_r(70));
+    for name in ["cF_10k_5N@8000", "SW1@6000"] {
+        let points = DatasetSpec::by_name(name).unwrap().generate();
+        let prepared = engine.prepare(&points, None).unwrap();
+        assert_eq!(
+            prepared.permutation(),
+            &bin_sort_reference(&points, 1.0, BinOrder::Serpentine)[..],
+            "{name}: permutation"
+        );
+        let (low, high) = (prepared.t_low(), prepared.t_high());
+        assert_eq!(high.len(), low.len(), "{name}: tree sizes");
+        assert_eq!(high.points(), low.points(), "{name}: tree points");
+    }
+}
