@@ -23,16 +23,22 @@
 //!    (it can no longer be copied wholesale);
 //! 5. whatever remains unvisited is clustered from scratch (line 18).
 //!
-//! Every search also records `|N_ε(p)|` in a table shared by all variants
-//! of a run at the same ε (`NeighborCounts`). The remainder pass and the
-//! ExpandCluster waves search a point only to test whether it is core, so
-//! a point an earlier variant at this ε already counted below `minpts` is
-//! settled without a search. Labels do not depend on what the table holds.
+//! Every search counts the whole ε-neighbourhood but collects only the
+//! neighbours its caller can use
+//! ([`SpatialIndex::epsilon_count_keyed`] keyed by the labels): the
+//! frontier wants those labelled with the cluster, the expansion waves
+//! those still unclaimed, which a core point claims where it finds them, so
+//! each point enters a wave at most once. Every search also records
+//! `|N_ε(p)|` in a table shared by all variants of a run at the same ε
+//! (`NeighborCounts`). The remainder pass and the ExpandCluster waves
+//! search a point only to test whether it is core, so a point an earlier
+//! variant at this ε already counted below `minpts` is settled without a
+//! search. Labels do not depend on what the table holds.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-use vbp_dbscan::{ClusterId, ClusterResult, Labels, MAX_CLUSTER_ID};
+use vbp_dbscan::{ClusterId, ClusterResult, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use vbp_geom::{Mbb, PointId};
 use vbp_rtree::{PackedRTree, SpatialIndex};
 
@@ -219,11 +225,21 @@ pub(crate) fn cluster_with_reuse_traced(
 
     let points = t_low.points();
     let eps = variant.eps;
-    let minpts = variant.minpts;
 
-    let mut labels = Labels::unclassified(n);
-    let mut visited = vec![false; n];
-    let mut destroyed = vec![false; previous.num_clusters()];
+    let mut x = Expansion {
+        t_low,
+        eps,
+        minpts: variant.minpts,
+        previous,
+        counts,
+        labels: Labels::unclassified(n),
+        visited: vec![false; n],
+        destroyed: vec![false; previous.num_clusters()],
+        clusters_destroyed: 0,
+        neighbors: Vec::new(),
+        wave: Vec::new(),
+        next: Vec::new(),
+    };
     let mut stats = ReuseStats {
         total_points: n,
         ..ReuseStats::default()
@@ -232,16 +248,13 @@ pub(crate) fn cluster_with_reuse_traced(
 
     // Scratch buffers shared across the whole run.
     let mut candidates: Vec<PointId> = Vec::new();
-    let mut neighbors: Vec<PointId> = Vec::new();
-    let mut queue: Vec<PointId> = Vec::new();
-    let mut wave: Vec<PointId> = Vec::new();
     let mut frontier: Vec<PointId> = Vec::new();
     let mut expand_set: Vec<PointId> = Vec::new();
     let mut in_expand = vec![false; n];
 
     let order = seed_list(scheme, previous, points);
     for &old_c in &order {
-        if destroyed[old_c as usize] {
+        if x.destroyed[old_c as usize] {
             continue; // Algorithm 3, line 8
         }
         let members = previous.cluster(old_c);
@@ -254,11 +267,11 @@ pub(crate) fn cluster_with_reuse_traced(
         let mut cluster_mbb = Mbb::empty();
         for &p in members {
             debug_assert!(
-                labels.is_unclassified(p),
+                x.labels.is_unclassified(p),
                 "undestroyed old cluster contains an already-claimed point"
             );
-            labels.assign(p, c);
-            visited[p as usize] = true;
+            x.labels.assign(p, c);
+            x.visited[p as usize] = true;
             cluster_mbb.expand_to(&points[p as usize]);
         }
         stats.points_reused += members.len();
@@ -271,66 +284,53 @@ pub(crate) fn cluster_with_reuse_traced(
 
         // Lines 13–15: ε-search each outside point; its neighbors inside
         // the cluster are the boundary through which growth can happen.
-        // The searches go through the batched entry point, which reorders
-        // the frontier into tree order so consecutive probes hit warm
-        // leaves. No label changes happen in this loop, so the reordering
-        // cannot change the resulting expand set (only its order, which
-        // the closure below is insensitive to).
+        // Each search counts the whole neighbourhood but returns only the
+        // neighbours labelled c. The frontier is searched in tree order so
+        // consecutive probes hit warm leaves; no label changes in this
+        // loop, so the order cannot change the resulting expand set (only
+        // its order, which the closure below is insensitive to).
         expand_set.clear();
         frontier.clear();
         frontier.extend(
             candidates
                 .iter()
                 .copied()
-                .filter(|&p| labels.cluster(p) != Some(c)),
+                .filter(|&p| x.labels.cluster(p) != Some(c)),
         );
+        frontier.sort_unstable();
         stats.frontier_searches += frontier.len();
         tracer.record_full(TraceEvent::FrontierBatch {
             variant: variant_idx,
             queries: frontier.len().min(u32::MAX as usize) as u32,
         });
-        {
-            let expand_set = &mut expand_set;
-            let in_expand = &mut in_expand;
-            let labels = &labels;
-            t_low.epsilon_neighbors_batch(&mut frontier, eps, &mut neighbors, &mut |p, ns| {
-                record_count(counts, p, ns.len());
-                for &q in ns {
-                    if labels.cluster(q) == Some(c) && !in_expand[q as usize] {
-                        in_expand[q as usize] = true;
-                        expand_set.push(q);
-                    }
+        for &p in &frontier {
+            x.neighbors.clear();
+            let count = t_low.epsilon_count_keyed(
+                points[p as usize],
+                eps,
+                x.labels.as_raw(),
+                c..=c,
+                &mut x.neighbors,
+            );
+            record_count(counts, p, count);
+            for &q in &x.neighbors {
+                if !in_expand[q as usize] {
+                    in_expand[q as usize] = true;
+                    expand_set.push(q);
                 }
-            });
+            }
         }
 
-        // Line 16: unmark the boundary so ExpandCluster searches it.
+        // Lines 16–17 / Algorithm 4: the boundary is ExpandCluster's first
+        // wave (its points are already visited and labelled c), less the
+        // points already counted below minpts.
         for &q in &expand_set {
-            visited[q as usize] = false;
             in_expand[q as usize] = false; // reset for the next seed
+            if !known_non_core(counts, q, x.minpts) {
+                x.next.push(q);
+            }
         }
-
-        // Line 17 / Algorithm 4: grow the cluster from the boundary.
-        queue.clear();
-        queue.extend_from_slice(&expand_set);
-        expand_wave(
-            t_low,
-            eps,
-            minpts,
-            c,
-            &mut labels,
-            &mut visited,
-            previous,
-            &mut destroyed,
-            &mut queue,
-            &mut wave,
-            &mut neighbors,
-            counts,
-            &mut stats.expand_searches,
-            &mut stats.clusters_destroyed,
-            tracer,
-            variant_idx,
-        );
+        stats.expand_searches += x.expand(c, tracer, variant_idx);
     }
 
     // Line 18: cluster the remainder with plain DBSCAN, continuing the
@@ -338,20 +338,17 @@ pub(crate) fn cluster_with_reuse_traced(
     // point already counted below minpts at this ε is non-core without a
     // search; its labelling below is the same either way.
     for p in 0..n as PointId {
-        if visited[p as usize] {
+        if x.visited[p as usize] {
             continue;
         }
-        visited[p as usize] = true;
-        let core = !known_non_core(counts, p, minpts) && {
-            neighbors.clear();
-            t_low.epsilon_neighbors(points[p as usize], eps, &mut neighbors);
-            record_count(counts, p, neighbors.len());
+        x.visited[p as usize] = true;
+        let core = !known_non_core(counts, p, x.minpts) && {
             stats.remainder_searches += 1;
-            neighbors.len() >= minpts
+            x.count(p) >= x.minpts
         };
         if !core {
-            if labels.cluster(p).is_none() {
-                labels.mark_noise(p);
+            if x.labels.cluster(p).is_none() {
+                x.labels.mark_noise(p);
             }
             continue;
         }
@@ -359,37 +356,21 @@ pub(crate) fn cluster_with_reuse_traced(
         // cluster, later found core in the remainder — then its cluster
         // simply keeps it; we expand under p's existing cluster to stay
         // consistent with density reachability).
-        let c = match labels.cluster(p) {
+        let c = match x.labels.cluster(p) {
             Some(existing) => existing,
             None => {
                 assert!(next_cluster <= MAX_CLUSTER_ID, "cluster id space exhausted");
                 let c = next_cluster;
                 next_cluster += 1;
-                labels.assign(p, c);
+                x.labels.assign(p, c);
                 c
             }
         };
-        queue.clear();
-        queue.extend(neighbors.iter().copied().filter(|&q| q != p));
-        expand_wave(
-            t_low,
-            eps,
-            minpts,
-            c,
-            &mut labels,
-            &mut visited,
-            previous,
-            &mut destroyed,
-            &mut queue,
-            &mut wave,
-            &mut neighbors,
-            counts,
-            &mut stats.remainder_searches,
-            &mut stats.clusters_destroyed,
-            tracer,
-            variant_idx,
-        );
+        x.search(p);
+        x.claim(c);
+        stats.remainder_searches += x.expand(c, tracer, variant_idx);
     }
+    stats.clusters_destroyed = x.clusters_destroyed;
 
     // Compact cluster ids: destruction-free runs already have dense ids,
     // but a run that created ids and then absorbed nothing extra still may
@@ -397,83 +378,121 @@ pub(crate) fn cluster_with_reuse_traced(
     // copied points are labeled immediately — so ids stay dense; the
     // compaction below is a cheap safety net for the invariant
     // ClusterResult enforces).
-    let result = ClusterResult::from_labels(compact_labels(labels));
+    let result = ClusterResult::from_labels(compact_labels(x.labels));
     (result, stats)
 }
 
-/// Algorithm 4's queue expansion, wave-batched: each round drains the
-/// queue — assigning labels (and destroy bookkeeping) exactly as the
-/// depth-first formulation's pop did — collects the not-yet-visited points
-/// into a wave, and hands the whole wave to
-/// [`SpatialIndex::epsilon_neighbors_batch`] so consecutive ε-searches
-/// probe warm leaves.
-///
-/// Order-equivalence: the set of visited points is the
-/// density-reachability closure of the seeds over points not visited at
-/// loop entry — independent of visit order — and every label written is
-/// the same `c`, so final labels, `searches`, and the destroyed-cluster
-/// set are identical to the depth-first version (the exact-count unit
-/// tests below pin this).
-///
-/// A visited point whose count in `counts` is known and below `minpts`
-/// is marked visited but left out of the wave: its search would only
-/// have found it non-core, which pushes nothing.
-#[allow(clippy::too_many_arguments)]
-fn expand_wave(
-    t_low: &PackedRTree,
+/// The state ExpandCluster (Algorithm 4) and the remainder pass write
+/// while one variant is clustered by reuse.
+struct Expansion<'a> {
+    t_low: &'a PackedRTree,
     eps: f64,
     minpts: usize,
-    c: ClusterId,
-    labels: &mut Labels,
-    visited: &mut [bool],
-    previous: &ClusterResult,
-    destroyed: &mut [bool],
-    queue: &mut Vec<PointId>,
-    wave: &mut Vec<PointId>,
-    neighbors: &mut Vec<PointId>,
-    counts: &[AtomicU32],
-    searches: &mut usize,
-    clusters_destroyed: &mut usize,
-    tracer: &mut WorkerTracer,
-    variant_idx: u32,
-) {
-    while !queue.is_empty() {
-        wave.clear();
-        for i in queue.drain(..) {
-            if labels.cluster(i).is_none() {
-                labels.assign(i, c);
-                if let Some(old) = previous.labels().cluster(i) {
-                    if !destroyed[old as usize] {
-                        destroyed[old as usize] = true;
-                        *clusters_destroyed += 1;
+    previous: &'a ClusterResult,
+    counts: &'a [AtomicU32],
+    labels: Labels,
+    /// A point is visited once it is queued for its ε-search (or settled
+    /// without one), so each point is searched at most once.
+    visited: Vec<bool>,
+    /// Old clusters a new cluster has absorbed a point of.
+    destroyed: Vec<bool>,
+    clusters_destroyed: usize,
+    /// The unclaimed neighbours the last [`Self::search`] found.
+    neighbors: Vec<PointId>,
+    /// The wave being searched, in tree order.
+    wave: Vec<PointId>,
+    /// The wave the current one's core points push.
+    next: Vec<PointId>,
+}
+
+impl Expansion<'_> {
+    /// Records and returns `|N_ε(p)|`, collecting nothing. The remainder
+    /// pass reaches mostly points that turn out non-core, whose
+    /// neighbours are mostly unclaimed; it collects them ([`Self::search`])
+    /// only for a point found core, and counts the two scans as one
+    /// search.
+    fn count(&mut self, p: PointId) -> usize {
+        let count = self.t_low.epsilon_count(
+            self.t_low.points()[p as usize],
+            self.eps,
+            &mut self.neighbors,
+        );
+        record_count(self.counts, p, count);
+        count
+    }
+
+    /// One ε-search of `p`: records and returns `|N_ε(p)|` and leaves the
+    /// still unclaimed neighbours in `self.neighbors`.
+    fn search(&mut self, p: PointId) -> usize {
+        self.neighbors.clear();
+        let count = self.t_low.epsilon_count_keyed(
+            self.t_low.points()[p as usize],
+            self.eps,
+            self.labels.as_raw(),
+            UNCLAIMED,
+            &mut self.neighbors,
+        );
+        record_count(self.counts, p, count);
+        count
+    }
+
+    /// A core point's neighbours (`self.neighbors`) join cluster `c`: each
+    /// still unclaimed one is labelled `c` — destroying the old cluster it
+    /// was copied from, if any — and, if not yet visited, marked visited
+    /// and pushed onto the next wave unless its count is known to be below
+    /// `minpts` (its search would only find it non-core, which pushes
+    /// nothing).
+    fn claim(&mut self, c: ClusterId) {
+        for &q in &self.neighbors {
+            if self.labels.cluster(q).is_none() {
+                self.labels.assign(q, c);
+                if let Some(old) = self.previous.labels().cluster(q) {
+                    if !self.destroyed[old as usize] {
+                        self.destroyed[old as usize] = true;
+                        self.clusters_destroyed += 1;
                     }
                 }
             }
-            if visited[i as usize] {
-                continue;
-            }
-            visited[i as usize] = true;
-            if !known_non_core(counts, i, minpts) {
-                wave.push(i);
+            if !self.visited[q as usize] {
+                self.visited[q as usize] = true;
+                if !known_non_core(self.counts, q, self.minpts) {
+                    self.next.push(q);
+                }
             }
         }
-        *searches += wave.len();
-        tracer.record_full(TraceEvent::ExpandWave {
-            variant: variant_idx,
-            points: wave.len().min(u32::MAX as usize) as u32,
-        });
-        let labels = &*labels;
-        let visited = &*visited;
-        t_low.epsilon_neighbors_batch(wave, eps, neighbors, &mut |p, ns| {
-            record_count(counts, p, ns.len());
-            if ns.len() >= minpts {
-                for &nb in ns {
-                    if !visited[nb as usize] || labels.cluster(nb).is_none() {
-                        queue.push(nb);
-                    }
+    }
+
+    /// Algorithm 4's expansion of cluster `c`, wave by wave, from the
+    /// points already pushed onto `self.next`; returns the searches made.
+    /// Each wave is searched in tree order so consecutive ε-searches probe
+    /// warm leaves, and each core point claims its unclaimed neighbours
+    /// where it finds them, so a point enters a wave at most once.
+    ///
+    /// Order-equivalence: every label written is the same `c`, so the set
+    /// searched is the density-reachability closure of the first wave over
+    /// the points not visited before it, whatever the order; and outside a
+    /// first wave a point is labelled exactly when it is visited, so an
+    /// unclaimed neighbour is one the seed-queue formulation would have
+    /// pushed. Labels, searches, counts and the destroyed set are the
+    /// seed queue's (the oracle in the tests below pins this).
+    fn expand(&mut self, c: ClusterId, tracer: &mut WorkerTracer, variant_idx: u32) -> usize {
+        let mut searches = 0;
+        while !self.next.is_empty() {
+            std::mem::swap(&mut self.wave, &mut self.next);
+            self.wave.sort_unstable();
+            searches += self.wave.len();
+            tracer.record_full(TraceEvent::ExpandWave {
+                variant: variant_idx,
+                points: self.wave.len().min(u32::MAX as usize) as u32,
+            });
+            for i in 0..self.wave.len() {
+                if self.search(self.wave[i]) >= self.minpts {
+                    self.claim(c);
                 }
             }
-        });
+            self.wave.clear();
+        }
+        searches
     }
 }
 
@@ -508,6 +527,7 @@ fn compact_labels(labels: Labels) -> Labels {
 mod tests {
     use super::*;
     use crate::variant::VariantSet;
+    use proptest::prelude::*;
     use vbp_dbscan::{dbscan, quality_score};
     use vbp_geom::Point2;
 
@@ -702,6 +722,230 @@ mod tests {
                 c == 0 || c == want,
                 "{ctx}: point {p} holds {c}, |N_ε| = {want}"
             );
+        }
+    }
+
+    /// The seed-queue formulation of the reuse path that
+    /// [`cluster_with_reuse_traced`] replaced, kept as its oracle: every
+    /// ε-search materialises the whole neighbourhood through
+    /// [`SpatialIndex::epsilon_neighbors_batch`], a core point pushes
+    /// every neighbour not both visited and clustered, and each wave's
+    /// drain assigns labels and destroys old clusters before the wave is
+    /// searched.
+    fn seed_queue_reuse(
+        t_low: &PackedRTree,
+        variant: Variant,
+        previous: &ClusterResult,
+        scheme: ReuseScheme,
+        counts: &[AtomicU32],
+    ) -> (ClusterResult, ReuseStats) {
+        let n = t_low.len();
+        let points = t_low.points();
+        let (eps, minpts) = (variant.eps, variant.minpts);
+        let mut labels = Labels::unclassified(n);
+        let mut visited = vec![false; n];
+        let mut destroyed = vec![false; previous.num_clusters()];
+        let mut stats = ReuseStats {
+            total_points: n,
+            ..ReuseStats::default()
+        };
+        let mut next_cluster: ClusterId = 0;
+        let (mut candidates, mut neighbors, mut queue, mut wave) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut frontier, mut expand_set) = (Vec::new(), Vec::new());
+        let mut in_expand = vec![false; n];
+        let mut expand_wave =
+            |c: ClusterId,
+             labels: &mut Labels,
+             visited: &mut [bool],
+             destroyed: &mut [bool],
+             queue: &mut Vec<PointId>,
+             neighbors: &mut Vec<PointId>,
+             searches: &mut usize,
+             clusters_destroyed: &mut usize| {
+                while !queue.is_empty() {
+                    wave.clear();
+                    for i in queue.drain(..) {
+                        if labels.cluster(i).is_none() {
+                            labels.assign(i, c);
+                            if let Some(old) = previous.labels().cluster(i) {
+                                if !destroyed[old as usize] {
+                                    destroyed[old as usize] = true;
+                                    *clusters_destroyed += 1;
+                                }
+                            }
+                        }
+                        if visited[i as usize] {
+                            continue;
+                        }
+                        visited[i as usize] = true;
+                        if !known_non_core(counts, i, minpts) {
+                            wave.push(i);
+                        }
+                    }
+                    *searches += wave.len();
+                    let (labels, visited) = (&*labels, &*visited);
+                    t_low.epsilon_neighbors_batch(&mut wave, eps, neighbors, &mut |p, ns| {
+                        record_count(counts, p, ns.len());
+                        if ns.len() >= minpts {
+                            queue.extend(ns.iter().copied().filter(|&nb| {
+                                !visited[nb as usize] || labels.cluster(nb).is_none()
+                            }));
+                        }
+                    });
+                }
+            };
+
+        for &old_c in &seed_list(scheme, previous, points) {
+            if destroyed[old_c as usize] {
+                continue;
+            }
+            let c = next_cluster;
+            next_cluster += 1;
+            let mut cluster_mbb = Mbb::empty();
+            for &p in previous.cluster(old_c) {
+                labels.assign(p, c);
+                visited[p as usize] = true;
+                cluster_mbb.expand_to(&points[p as usize]);
+            }
+            stats.points_reused += previous.cluster(old_c).len();
+            stats.clusters_reused += 1;
+            candidates.clear();
+            t_low.range_query(&cluster_mbb.inflate(eps), &mut candidates);
+            expand_set.clear();
+            frontier.clear();
+            frontier.extend(
+                candidates
+                    .iter()
+                    .copied()
+                    .filter(|&p| labels.cluster(p) != Some(c)),
+            );
+            stats.frontier_searches += frontier.len();
+            t_low.epsilon_neighbors_batch(&mut frontier, eps, &mut neighbors, &mut |p, ns| {
+                record_count(counts, p, ns.len());
+                for &q in ns {
+                    if labels.cluster(q) == Some(c) && !in_expand[q as usize] {
+                        in_expand[q as usize] = true;
+                        expand_set.push(q);
+                    }
+                }
+            });
+            for &q in &expand_set {
+                visited[q as usize] = false;
+                in_expand[q as usize] = false;
+            }
+            queue.clear();
+            queue.extend_from_slice(&expand_set);
+            expand_wave(
+                c,
+                &mut labels,
+                &mut visited,
+                &mut destroyed,
+                &mut queue,
+                &mut neighbors,
+                &mut stats.expand_searches,
+                &mut stats.clusters_destroyed,
+            );
+        }
+
+        for p in 0..n as PointId {
+            if visited[p as usize] {
+                continue;
+            }
+            visited[p as usize] = true;
+            let core = !known_non_core(counts, p, minpts) && {
+                neighbors.clear();
+                t_low.epsilon_neighbors(points[p as usize], eps, &mut neighbors);
+                record_count(counts, p, neighbors.len());
+                stats.remainder_searches += 1;
+                neighbors.len() >= minpts
+            };
+            if !core {
+                if labels.cluster(p).is_none() {
+                    labels.mark_noise(p);
+                }
+                continue;
+            }
+            let c = labels.cluster(p).unwrap_or_else(|| {
+                let c = next_cluster;
+                next_cluster += 1;
+                labels.assign(p, c);
+                c
+            });
+            queue.clear();
+            queue.extend(neighbors.iter().copied().filter(|&q| q != p));
+            expand_wave(
+                c,
+                &mut labels,
+                &mut visited,
+                &mut destroyed,
+                &mut queue,
+                &mut neighbors,
+                &mut stats.remainder_searches,
+                &mut stats.clusters_destroyed,
+            );
+        }
+        (ClusterResult::from_labels(compact_labels(labels)), stats)
+    }
+
+    /// A lattice cloud (spacing 0.25, so distances tie with ε exactly)
+    /// with duplicates.
+    fn arb_lattice() -> impl Strategy<Value = Vec<Point2>> {
+        proptest::collection::vec(
+            (0usize..20, 0usize..20)
+                .prop_map(|(x, y)| Point2::new(x as f64 * 0.25, y as f64 * 0.25)),
+            0..220,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn fused_waves_equal_the_seed_queue(
+            points in arb_lattice(),
+            eps_steps in (0usize..4, 0usize..3),
+            minpts in (1usize..9, 0usize..8),
+            cut in 0usize..220,
+            coin in any::<u64>(),
+        ) {
+            // ε = 0 and minpts = 1 are in range; the target satisfies the
+            // inclusion criteria for the source.
+            let source = Variant::new(eps_steps.0 as f64 * 0.25, minpts.0);
+            let target = Variant::new(
+                (eps_steps.0 + eps_steps.1) as f64 * 0.25,
+                (minpts.0 - minpts.1.min(minpts.0 - 1)).max(1),
+            );
+            // A bin-sorted tree, one grown by an append (its tail is in
+            // arrival order, not bin order), and that one re-sorted.
+            let cut = cut.min(points.len());
+            let (sorted, _) = PackedRTree::build(&points, 8);
+            let grown = PackedRTree::build(&points[..cut], 8).0.appended(&points[cut..]);
+            let resorted = PackedRTree::build(grown.points(), 8).0;
+            let mut coin = xorshift(coin | 1);
+            for t_low in [&sorted, &grown, &resorted] {
+                let n = t_low.len();
+                let base = dbscan(t_low, source.params());
+                let exact = brute_counts(t_low, target.eps);
+                let half: Vec<u32> =
+                    exact.iter().map(|&c| if coin() & 1 == 0 { c } else { 0 }).collect();
+                for scheme in [ReuseScheme::Disabled, ReuseScheme::ClusDefault,
+                               ReuseScheme::ClusDensity, ReuseScheme::ClusPtsSquared] {
+                    for prefill in [vec![0; n], half.clone(), exact.clone()] {
+                        let (fused, oracle) = (table(prefill.iter().copied()), table(prefill.into_iter()));
+                        let mut tracer = WorkerTracer::disabled();
+                        let got = cluster_with_reuse_traced(
+                            t_low, t_low, target, &base, source, scheme, &fused, &mut tracer, 0,
+                        );
+                        let want = seed_queue_reuse(t_low, target, &base, scheme, &oracle);
+                        prop_assert_eq!(&got, &want);
+                        let load = |t: &[AtomicU32]| -> Vec<u32> {
+                            t.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+                        };
+                        prop_assert_eq!(load(&fused), load(&oracle));
+                    }
+                }
+            }
         }
     }
 

@@ -5,11 +5,18 @@
 //! high-resolution `r = 1` tree, a uniform grid, or a brute-force scan —
 //! which is precisely how the paper's "reference implementation" (T = 1,
 //! r = 1) and optimized configurations differ.
+//!
+//! The core test needs only `|N_ε(p)|`, and the expansion only the
+//! neighbours no cluster has claimed yet, so the kernel never materialises
+//! a whole neighbourhood: it counts ([`SpatialIndex::epsilon_count`]) or
+//! counts and selects the unclaimed neighbours
+//! ([`SpatialIndex::epsilon_count_keyed`]), which the packed R-tree answers
+//! on its leaf scan.
 
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::SpatialIndex;
 
-use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID};
+use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use crate::result::ClusterResult;
 
 /// The two DBSCAN inputs of §II-A: the search radius ε and the core-point
@@ -59,15 +66,17 @@ pub struct DbscanStats {
 /// Reusable scratch buffers for repeated DBSCAN runs.
 ///
 /// VariantDBSCAN clusters the same database dozens of times; reusing the
-/// seed queue and neighbor buffers removes the dominant allocations from
-/// the steady state.
+/// neighbour and wave buffers removes the dominant allocations from the
+/// steady state.
 #[derive(Debug, Default)]
 pub struct DbscanScratch {
+    /// The unclaimed neighbours one ε-scan returned.
     neighbors: Vec<PointId>,
-    seeds: Vec<PointId>,
-    /// One round of the seed queue, handed as a whole to the index's
-    /// batched query entry point (which may reorder it into tree order).
+    /// The points whose ε-searches run next, each claimed and marked
+    /// visited when it was pushed.
     wave: Vec<PointId>,
+    /// The wave the current one's core points push.
+    next: Vec<PointId>,
 }
 
 impl DbscanScratch {
@@ -101,18 +110,41 @@ pub fn dbscan<I: SpatialIndex + ?Sized>(index: &I, params: DbscanParams) -> Clus
 
 /// [`dbscan`] with caller-provided scratch buffers; also returns the
 /// instrumentation counters.
+///
+/// No ε-search materialises a neighbourhood. The outer loop, which reaches
+/// mostly noise, only counts ([`SpatialIndex::epsilon_count`]); a point it
+/// finds core is scanned once more to collect, and counted as one search.
+/// Every wave search is a [`SpatialIndex::epsilon_count_keyed`] keyed by
+/// the labels: it counts the whole neighbourhood for the core test but
+/// returns only the [`UNCLAIMED`] neighbours, the ones an expansion can
+/// still claim. A core point's expansion claims each of them where it is
+/// found — labels it `c` and, if unvisited, marks it visited and pushes it
+/// onto the next wave — so each point enters a wave at most once. Each
+/// wave is searched in ascending id order (tree order for a packed tree).
+///
+/// The result equals the seed-queue formulation of Algorithm 1 bit for bit:
+/// one cluster's expansion assigns only `c`, so the set it searches is the
+/// density-reachability closure of `p` whatever the order; and a point is
+/// labelled exactly when it is visited, so an unclaimed neighbour is one
+/// the seed queue would have pushed.
 pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
     index: &I,
     params: DbscanParams,
     scratch: &mut DbscanScratch,
 ) -> (ClusterResult, DbscanStats) {
     let n = index.len();
+    let points = index.points();
     let mut labels = Labels::unclassified(n);
     let mut stats = DbscanStats::default();
     let mut next_cluster: ClusterId = 0;
     // `visited` is the paper's visitedSet: a point enters it exactly when
-    // its ε-neighborhood is computed, so each point is searched once.
+    // it is queued for its ε-search, so each point is searched once.
     let mut visited = vec![false; n];
+    let DbscanScratch {
+        neighbors,
+        wave,
+        next,
+    } = scratch;
 
     for p in 0..n as PointId {
         if visited[p as usize] {
@@ -120,16 +152,14 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
         }
         visited[p as usize] = true;
 
-        scratch.neighbors.clear();
-        index.epsilon_neighbors(
-            index.points()[p as usize],
-            params.eps,
-            &mut scratch.neighbors,
-        );
+        // Most points this loop reaches are noise, and a noise point's
+        // neighbours are mostly unclaimed: count alone, and collect only
+        // for the point that starts a cluster.
+        let count = index.epsilon_count(points[p as usize], params.eps, neighbors);
         stats.neighbor_searches += 1;
-        stats.neighbors_found += scratch.neighbors.len();
+        stats.neighbors_found += count;
 
-        if scratch.neighbors.len() < params.minpts {
+        if count < params.minpts {
             // Provisional noise; may be relabeled as a border point when a
             // later core point reaches it (Algorithm 1, lines 15–16).
             labels.mark_noise(p);
@@ -141,60 +171,38 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
         let c = next_cluster;
         next_cluster += 1;
         stats.core_points += 1;
+        neighbors.clear();
+        index.epsilon_count_keyed(
+            points[p as usize],
+            params.eps,
+            labels.as_raw(),
+            UNCLAIMED,
+            neighbors,
+        );
         labels.assign(p, c);
+        wave.clear();
+        claim(neighbors, c, &mut labels, &mut visited, wave);
 
-        scratch.seeds.clear();
-        scratch
-            .seeds
-            .extend(scratch.neighbors.iter().copied().filter(|&q| q != p));
-
-        // Wave-batched expansion: each round drains the seed queue —
-        // assigning border labels exactly as the per-seed pop did — then
-        // hands all not-yet-visited seeds to the index's batched query
-        // entry point, which may reorder them so consecutive ε-searches
-        // probe warm leaves. The searched set is the density-reachability
-        // closure of the seeds (order-independent), so labels and all
-        // counters match the one-seed-at-a-time formulation exactly.
-        while !scratch.seeds.is_empty() {
-            scratch.wave.clear();
-            for q in scratch.seeds.drain(..) {
-                // Assign q to the cluster if it has no cluster yet (it may
-                // be provisional noise — that makes it a border point).
-                if labels.cluster(q).is_none() {
-                    labels.assign(q, c);
+        while !wave.is_empty() {
+            wave.sort_unstable();
+            stats.neighbor_searches += wave.len();
+            next.clear();
+            for &q in wave.iter() {
+                neighbors.clear();
+                let count = index.epsilon_count_keyed(
+                    points[q as usize],
+                    params.eps,
+                    labels.as_raw(),
+                    UNCLAIMED,
+                    neighbors,
+                );
+                stats.neighbors_found += count;
+                if count >= params.minpts {
+                    stats.core_points += 1;
+                    claim(neighbors, c, &mut labels, &mut visited, next);
                 }
-                if visited[q as usize] {
-                    continue;
-                }
-                visited[q as usize] = true;
-                scratch.wave.push(q);
             }
-            stats.neighbor_searches += scratch.wave.len();
-
-            let seeds = &mut scratch.seeds;
-            let stats = &mut stats;
-            let labels = &labels;
-            let visited = &visited;
-            index.epsilon_neighbors_batch(
-                &mut scratch.wave,
-                params.eps,
-                &mut scratch.neighbors,
-                &mut |_, ns| {
-                    stats.neighbors_found += ns.len();
-                    if ns.len() >= params.minpts {
-                        stats.core_points += 1;
-                        // The searched point is core: its neighbors join
-                        // the seed set. Points that already belong to this
-                        // cluster and were visited add no work (the
-                        // drain's checks skip them cheaply).
-                        for &nb in ns {
-                            if !visited[nb as usize] || labels.cluster(nb).is_none() {
-                                seeds.push(nb);
-                            }
-                        }
-                    }
-                },
-            );
+            std::mem::swap(wave, next);
         }
     }
 
@@ -202,6 +210,29 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
     stats.noise_points = result.noise_count();
     stats.clusters = result.num_clusters();
     (result, stats)
+}
+
+/// A core point's neighbours join cluster `c`: each still unclaimed one is
+/// labelled `c` (a noise point so becomes a border point) and, if not yet
+/// visited, marked visited and pushed onto `wave`. `found` was unclaimed
+/// when scanned; only the scanning point itself can have been labelled
+/// since.
+fn claim(
+    found: &[PointId],
+    c: ClusterId,
+    labels: &mut Labels,
+    visited: &mut [bool],
+    wave: &mut Vec<PointId>,
+) {
+    for &q in found {
+        if labels.cluster(q).is_none() {
+            labels.assign(q, c);
+        }
+        if !visited[q as usize] {
+            visited[q as usize] = true;
+            wave.push(q);
+        }
+    }
 }
 
 /// Convenience: cluster raw points with a brute-force index. Intended for
@@ -215,6 +246,7 @@ pub fn dbscan_brute_force(points: &[Point2], params: DbscanParams) -> ClusterRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vbp_rtree::traits::shared_points;
     use vbp_rtree::{BruteForce, PackedRTree};
 
@@ -382,6 +414,115 @@ mod tests {
         assert_eq!(stats.noise_points, res.noise_count());
         assert!(stats.core_points > 0);
         assert!(stats.neighbors_found >= 50);
+    }
+
+    /// The seed-queue formulation of Algorithm 1 that
+    /// [`dbscan_with_scratch`] replaced, kept as its oracle: every
+    /// ε-search materialises the whole neighbourhood, a core point pushes
+    /// every neighbour not both visited and clustered, and each wave's
+    /// drain assigns labels before the wave is searched.
+    fn seed_queue_dbscan<I: SpatialIndex + ?Sized>(
+        index: &I,
+        params: DbscanParams,
+    ) -> (ClusterResult, DbscanStats) {
+        let n = index.len();
+        let mut labels = Labels::unclassified(n);
+        let mut stats = DbscanStats::default();
+        let mut next_cluster: ClusterId = 0;
+        let mut visited = vec![false; n];
+        let (mut neighbors, mut seeds, mut wave) = (Vec::new(), Vec::new(), Vec::new());
+        for p in 0..n as PointId {
+            if visited[p as usize] {
+                continue;
+            }
+            visited[p as usize] = true;
+            neighbors.clear();
+            index.epsilon_neighbors(index.points()[p as usize], params.eps, &mut neighbors);
+            stats.neighbor_searches += 1;
+            stats.neighbors_found += neighbors.len();
+            if neighbors.len() < params.minpts {
+                labels.mark_noise(p);
+                continue;
+            }
+            let c = next_cluster;
+            next_cluster += 1;
+            stats.core_points += 1;
+            labels.assign(p, c);
+            seeds.clear();
+            seeds.extend(neighbors.iter().copied().filter(|&q| q != p));
+            while !seeds.is_empty() {
+                wave.clear();
+                for q in seeds.drain(..) {
+                    if labels.cluster(q).is_none() {
+                        labels.assign(q, c);
+                    }
+                    if !visited[q as usize] {
+                        visited[q as usize] = true;
+                        wave.push(q);
+                    }
+                }
+                stats.neighbor_searches += wave.len();
+                let (labels, visited, stats) = (&labels, &visited, &mut stats);
+                index.epsilon_neighbors_batch(
+                    &mut wave,
+                    params.eps,
+                    &mut neighbors,
+                    &mut |_, ns| {
+                        stats.neighbors_found += ns.len();
+                        if ns.len() >= params.minpts {
+                            stats.core_points += 1;
+                            seeds.extend(ns.iter().copied().filter(|&nb| {
+                                !visited[nb as usize] || labels.cluster(nb).is_none()
+                            }));
+                        }
+                    },
+                );
+            }
+        }
+        let result = ClusterResult::from_labels(labels);
+        stats.noise_points = result.noise_count();
+        stats.clusters = result.num_clusters();
+        (result, stats)
+    }
+
+    /// Points on a lattice of spacing 0.25 (exact in binary), so pair
+    /// distances land exactly on the lattice ε values, with duplicates.
+    fn lattice_cloud() -> impl Strategy<Value = Vec<Point2>> {
+        proptest::collection::vec(
+            (0usize..24, 0usize..24)
+                .prop_map(|(x, y)| Point2::new(x as f64 * 0.25, y as f64 * 0.25)),
+            0..260,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fused_waves_equal_the_seed_queue(
+            points in lattice_cloud(),
+            eps_step in 0usize..6,
+            minpts in 1usize..9,
+        ) {
+            // ε = 0 (duplicates only) and lattice distances, ties included.
+            let params = DbscanParams::new(eps_step as f64 * 0.25, minpts);
+            let (tree, _) = PackedRTree::build(&points, 7);
+            let shared = tree.shared_points();
+            let brute = BruteForce::new(shared.clone());
+            let indexes: [&dyn SpatialIndex; 4] = [
+                &brute,
+                &tree,
+                &PackedRTree::from_sorted(shared.clone(), 1),
+                &PackedRTree::from_sorted_with_fanout(shared, 80, 2),
+            ];
+            let want = seed_queue_dbscan(&brute, params);
+            let mut scratch = DbscanScratch::new();
+            for index in indexes {
+                let got = dbscan_with_scratch(index, params, &mut scratch);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(&seed_queue_dbscan(index, params), &want);
+            }
+        }
     }
 
     #[test]

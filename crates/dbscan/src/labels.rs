@@ -5,6 +5,8 @@
 //! labeling per completed variant alive for reuse, so at the paper's scale
 //! (5.2M points × dozens of variants) every byte per point counts.
 
+use std::ops::RangeInclusive;
+
 use vbp_geom::PointId;
 
 /// Identifier of a cluster within one clustering result (dense, 0-based).
@@ -19,6 +21,11 @@ pub const UNCLASSIFIED: u32 = u32::MAX - 1;
 
 /// Largest usable cluster id.
 pub const MAX_CLUSTER_ID: u32 = u32::MAX - 2;
+
+/// The raw labels of a point no cluster has claimed yet — unclassified or
+/// provisional noise. An expansion selects its ε-neighbours by this range
+/// and claims exactly those.
+pub const UNCLAIMED: RangeInclusive<u32> = UNCLASSIFIED..=NOISE;
 
 /// A per-point cluster labeling.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,6 +98,14 @@ impl Labels {
     #[inline]
     pub fn mark_noise(&mut self, p: PointId) {
         self.raw[p as usize] = NOISE;
+    }
+
+    /// Raw labels in point order: the keys a fused ε-scan
+    /// ([`SpatialIndex::epsilon_count_keyed`](vbp_rtree::SpatialIndex::epsilon_count_keyed))
+    /// selects neighbours by.
+    #[inline]
+    pub fn as_raw(&self) -> &[u32] {
+        &self.raw
     }
 
     /// Iterates raw labels in point order.

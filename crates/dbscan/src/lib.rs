@@ -38,7 +38,7 @@ pub use algorithm::{dbscan, dbscan_with_scratch, DbscanParams, DbscanScratch, Db
 pub use gridbscan::grid_dbscan;
 pub use incremental::{IncrementalDbscan, InsertOutcome};
 pub use kdist::{kdist_plot, suggest_eps, KneePoint};
-pub use labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE, UNCLASSIFIED};
+pub use labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE, UNCLAIMED, UNCLASSIFIED};
 pub use quality::{quality_score, QualityReport};
 pub use result::ClusterResult;
 pub use sharded::{

@@ -22,6 +22,8 @@
 //! A fresh build is the same growth from the empty tree, so the two can
 //! never disagree.
 
+use std::ops::RangeInclusive;
+
 use vbp_geom::{bin_sort, BinOrder, Mbb, Point2, PointId};
 
 use crate::column::Column;
@@ -390,6 +392,73 @@ impl SpatialIndex for PackedRTree {
             }
             out.truncate(w);
         });
+    }
+
+    // Counting only: the same leaf scan without a write per candidate.
+    fn epsilon_count(&self, center: Point2, eps: f64, _scratch: &mut Vec<PointId>) -> usize {
+        let query = Mbb::around_point(center, eps);
+        let eps_sq = eps * eps;
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let mut count = 0;
+        self.for_each_overlapping_leaf(&query, |s, e| {
+            for (&x, &y) in xs[s..e].iter().zip(&ys[s..e]) {
+                let (dx, dy) = (x - center.x, y - center.y);
+                count += usize::from(dx * dx + dy * dy <= eps_sq);
+            }
+        });
+        count
+    }
+
+    // The fused kernel. One pass over a leaf's coordinates and keys adds
+    // its hits to the count and notes whether any hit has a wanted key;
+    // only a leaf with such a hit is scanned again, to push those hits.
+    // On `cF_1M_5N@400000` at ε 0.45, r = 80, the first pass costs about
+    // 1 ns per candidate against 0.5–0.75 ns for a count and 1.5–1.9 ns
+    // for writing every candidate (`epsilon_neighbors`), and the four
+    // from-scratch variants there rescan 7 % of the leaves they visit. A
+    // query whose hits are all wanted pays both passes, about twice the
+    // list's cost; DBSCAN counts first where that is the common case. A
+    // one pass that builds a bitmask of wanted hits per 64 points was
+    // about 28 % slower than these two passes on those four variants.
+    fn epsilon_count_keyed(
+        &self,
+        center: Point2,
+        eps: f64,
+        keys: &[u32],
+        want: RangeInclusive<u32>,
+        out: &mut Vec<PointId>,
+    ) -> usize {
+        if want.is_empty() {
+            return self.epsilon_count(center, eps, out);
+        }
+        let keys = &keys[..self.points.len()];
+        // `lo ≤ k ≤ hi` as one unsigned compare.
+        let (lo, span) = (*want.start(), want.end() - want.start());
+        let query = Mbb::around_point(center, eps);
+        let eps_sq = eps * eps;
+        let within = |x: f64, y: f64| {
+            let (dx, dy) = (x - center.x, y - center.y);
+            dx * dx + dy * dy <= eps_sq
+        };
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let mut count = 0;
+        self.for_each_overlapping_leaf(&query, |s, e| {
+            let leaf = xs[s..e].iter().zip(&ys[s..e]).zip(&keys[s..e]);
+            let mut any = false;
+            for ((&x, &y), &k) in leaf.clone() {
+                let hit = within(x, y);
+                count += usize::from(hit);
+                any |= hit & (k.wrapping_sub(lo) <= span);
+            }
+            if any {
+                for (i, ((&x, &y), &k)) in leaf.enumerate() {
+                    if within(x, y) && k.wrapping_sub(lo) <= span {
+                        out.push((s + i) as PointId);
+                    }
+                }
+            }
+        });
+        count
     }
 
     fn range_query(&self, query: &Mbb, out: &mut Vec<PointId>) {

@@ -1,5 +1,7 @@
 //! The query interface the clustering substrate is generic over.
 
+use std::ops::RangeInclusive;
+
 use vbp_geom::{Mbb, Point2, PointId};
 
 use crate::column::Column;
@@ -66,12 +68,39 @@ pub trait SpatialIndex: Send + Sync {
         out.truncate(new_len);
     }
 
-    /// Counts the ε-neighborhood without materializing it. Useful for
-    /// noise detection passes and statistics.
+    /// `|N_ε(center)|`. The default materialises the neighbourhood into
+    /// `scratch`; [`crate::PackedRTree`] counts on its leaf scan and leaves
+    /// `scratch` untouched.
     fn epsilon_count(&self, center: Point2, eps: f64, scratch: &mut Vec<PointId>) -> usize {
         scratch.clear();
         self.epsilon_neighbors(center, eps, scratch);
         scratch.len()
+    }
+
+    /// Counts the ε-neighbourhood and collects only part of it: returns
+    /// `|N_ε(center)|` and appends to `out` the neighbours `q` whose
+    /// `keys[q]` lies in `want`, in the order [`Self::epsilon_neighbors`]
+    /// lists them. `keys` holds one entry per indexed point.
+    ///
+    /// DBSCAN's expansion needs a neighbour's id only when the neighbour is
+    /// still unclaimed, yet needs the full count for the core test; this
+    /// query returns exactly that. The default materialises the
+    /// neighbourhood and then filters it; [`crate::PackedRTree`] fuses the
+    /// count and the selection into its leaf scan.
+    fn epsilon_count_keyed(
+        &self,
+        center: Point2,
+        eps: f64,
+        keys: &[u32],
+        want: RangeInclusive<u32>,
+        out: &mut Vec<PointId>,
+    ) -> usize {
+        let start = out.len();
+        self.epsilon_neighbors(center, eps, out);
+        let count = out.len() - start;
+        let new_len = retain_from(out, start, |id| want.contains(&keys[id as usize]));
+        out.truncate(new_len);
+        count
     }
 
     /// Batched ε-neighborhood queries: runs [`Self::epsilon_neighbors`] for

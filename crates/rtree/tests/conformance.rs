@@ -13,6 +13,7 @@
 //! denser query sample.
 
 use vbp_geom::{Point2, PointId};
+use vbp_rtree::packed::DEFAULT_FANOUT;
 use vbp_rtree::traits::shared_points;
 use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
 
@@ -261,5 +262,83 @@ fn zero_eps_returns_exactly_the_coincident_points() {
         let mut out = Vec::new();
         index.epsilon_neighbors(Point2::new(1.5, 1.0), 0.0, &mut out);
         assert!(out.is_empty());
+    }
+}
+
+#[test]
+fn keyed_counts_agree_with_the_neighbour_list() {
+    // The fused count-and-select query against each backend's own
+    // `epsilon_neighbors`: the count is the list's length and the kept ids
+    // are the list filtered by key, in the list's order, appended after
+    // what `out` already held. Keys include the label sentinels the
+    // clustering kernels select by (the largest cluster id, unclassified,
+    // noise) and the ends of the `u32` range.
+    const MAX_CLUSTER_ID: u32 = u32::MAX - 2;
+    const UNCLASSIFIED: u32 = u32::MAX - 1;
+    const NOISE: u32 = u32::MAX;
+    let palette = [0, 1, 5, MAX_CLUSTER_ID, UNCLASSIFIED, NOISE];
+    let wants = [
+        UNCLASSIFIED..=NOISE,
+        0..=0,
+        MAX_CLUSTER_ID..=MAX_CLUSTER_ID,
+        NOISE..=NOISE,
+        1..=5,
+        0..=u32::MAX,
+        #[allow(clippy::reversed_empty_ranges)]
+        (5..=1),
+    ];
+    let mut rng = Rng(0x0C0_7EED);
+    for family in families() {
+        let points = &family.points;
+        let shared = shared_points(points.iter().copied());
+        let keys: Vec<u32> = (0..points.len())
+            .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
+            .collect();
+        let mut backends: Vec<(String, Box<dyn SpatialIndex>)> =
+            vec![("brute".into(), Box::new(BruteForce::new(shared.clone())))];
+        for r in [1usize, 7, 80, 130] {
+            for fanout in [DEFAULT_FANOUT, 2] {
+                backends.push((
+                    format!("packed r={r} fanout={fanout}"),
+                    Box::new(PackedRTree::from_sorted_with_fanout(
+                        shared.clone(),
+                        r,
+                        fanout,
+                    )),
+                ));
+            }
+        }
+        for &eps in &family.eps {
+            for center in centers(points) {
+                for (name, index) in &backends {
+                    let ctx = format!(
+                        "family={} backend={name} ε={eps} center=({}, {})",
+                        family.name, center.x, center.y
+                    );
+                    let mut all = Vec::new();
+                    index.epsilon_neighbors(center, eps, &mut all);
+                    let mut scratch = vec![7];
+                    assert_eq!(
+                        index.epsilon_count(center, eps, &mut scratch),
+                        all.len(),
+                        "{ctx}"
+                    );
+                    for want in &wants {
+                        let mut kept = vec![u32::MAX];
+                        let count =
+                            index.epsilon_count_keyed(center, eps, &keys, want.clone(), &mut kept);
+                        assert_eq!(count, all.len(), "{ctx} want={want:?}");
+                        let expect: Vec<PointId> = std::iter::once(u32::MAX)
+                            .chain(
+                                all.iter()
+                                    .copied()
+                                    .filter(|&q| want.contains(&keys[q as usize])),
+                            )
+                            .collect();
+                        assert_eq!(kept, expect, "{ctx} want={want:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -40,6 +40,11 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p vbp-geom"
   timeout 900 cargo test --locked --release -q -p vbp-geom
 
+  # The engine's reuse proptests hold the fused expansion waves to their
+  # seed-queue oracle; optimised code is what runs them in production.
+  echo "==> cargo test --release -p variantdbscan"
+  timeout 900 cargo test --locked --release -q -p variantdbscan
+
   echo "==> cargo doc (broken intra-doc links are errors)"
   RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline
 

@@ -265,3 +265,42 @@ fn prepare_sorts_as_the_comparator_oracle_and_builds_one_tree() {
         assert_eq!(high.points(), low.points(), "{name}: tree points");
     }
 }
+
+/// The from-scratch kernel over the packed tree, whose ε-scan fuses the
+/// count and the selection of unclaimed neighbours, equals the same kernel
+/// over an index that keeps every trait default — its counts and keyed
+/// scans materialise the tree's neighbour list and filter it — in labels
+/// and every counter, at the four (ε, minpts) pairs of the benchmark's
+/// from-scratch workload. (A brute-force scan would take the same
+/// defaults at ≈ 1 s per pair in a debug build.)
+#[test]
+fn fused_scan_clusters_as_the_materialising_default() {
+    use vbp::vbp_dbscan::{dbscan_with_scratch, DbscanScratch};
+    use vbp::vbp_geom::{Mbb, Point2, PointId};
+    use vbp::vbp_rtree::SpatialIndex;
+
+    struct Defaults<'a>(&'a PackedRTree);
+    impl SpatialIndex for Defaults<'_> {
+        fn points(&self) -> &[Point2] {
+            self.0.points()
+        }
+        fn range_candidates(&self, query: &Mbb, out: &mut Vec<PointId>) {
+            self.0.range_candidates(query, out);
+        }
+        fn epsilon_neighbors(&self, center: Point2, eps: f64, out: &mut Vec<PointId>) {
+            self.0.epsilon_neighbors(center, eps, out);
+        }
+    }
+
+    let points = DatasetSpec::by_name("cF_10k_5N@8000").unwrap().generate();
+    let (tree, _) = PackedRTree::build(&points, 80);
+    let mut scratch = DbscanScratch::new();
+    for (eps, minpts) in [(0.35, 4), (0.40, 6), (0.45, 8), (0.50, 10)] {
+        let params = DbscanParams::new(eps, minpts);
+        let fused = dbscan_with_scratch(&tree, params, &mut scratch);
+        let default = dbscan_with_scratch(&Defaults(&tree), params, &mut scratch);
+        assert_eq!(fused.0, default.0, "({eps}, {minpts}): labels");
+        assert_eq!(fused.1, default.1, "({eps}, {minpts}): stats");
+        assert!(fused.1.clusters > 0, "({eps}, {minpts}): nothing clustered");
+    }
+}
