@@ -20,7 +20,11 @@
 //! 4. ExpandCluster (Algorithm 4) runs the normal DBSCAN expansion seeded
 //!    with `expandSet`, absorbing new points; absorbing a point that
 //!    belonged to a different old cluster *destroys* that cluster
-//!    (it can no longer be copied wholesale);
+//!    (it can no longer be copied at its own seed turn). When the absorbed
+//!    point is core under the new variant, all of that cluster is
+//!    density-reachable from it, so its still unclaimed members join the
+//!    expanding cluster wholesale through steps 1–3 instead of being
+//!    searched one by one (a *merge*); a border contact only destroys;
 //! 5. whatever remains unvisited is clustered from scratch (line 18).
 //!
 //! Every search counts the whole ε-neighbourhood but collects only the
@@ -57,7 +61,14 @@ pub struct ReuseStats {
     pub clusters_reused: usize,
     /// Old clusters destroyed by absorption into another cluster.
     pub clusters_destroyed: usize,
-    /// ε-searches on frontier candidates (Algorithm 3 lines 13–14).
+    /// Destroyed old clusters that joined an expanding cluster wholesale
+    /// once it reached one of their points that is core under the new
+    /// variant.
+    pub clusters_merged: usize,
+    /// Points those merges copied instead of searching.
+    pub points_merged: usize,
+    /// ε-searches on frontier candidates (Algorithm 3 lines 13–14), at
+    /// seed turns and merges.
     pub frontier_searches: usize,
     /// ε-searches inside ExpandCluster (Algorithm 4).
     pub expand_searches: usize,
@@ -223,114 +234,52 @@ pub(crate) fn cluster_with_reuse_traced(
         "inclusion criteria violated: {variant} cannot reuse {source_variant}"
     );
 
-    let points = t_low.points();
-    let eps = variant.eps;
-
     let mut x = Expansion {
         t_low,
-        eps,
+        t_high,
+        eps: variant.eps,
         minpts: variant.minpts,
         previous,
+        merges: scheme.reuses(),
         counts,
+        tracer,
+        variant_idx,
         labels: Labels::unclassified(n),
         visited: vec![false; n],
         destroyed: vec![false; previous.num_clusters()],
-        clusters_destroyed: 0,
+        copied: vec![false; previous.num_clusters()],
+        fresh: vec![false; n],
+        stats: ReuseStats {
+            total_points: n,
+            ..ReuseStats::default()
+        },
         neighbors: Vec::new(),
         wave: Vec::new(),
         next: Vec::new(),
-    };
-    let mut stats = ReuseStats {
-        total_points: n,
-        ..ReuseStats::default()
+        candidates: Vec::new(),
+        frontier: Vec::new(),
+        inside: Vec::new(),
     };
     let mut next_cluster: ClusterId = 0;
 
-    // Scratch buffers shared across the whole run.
-    let mut candidates: Vec<PointId> = Vec::new();
-    let mut frontier: Vec<PointId> = Vec::new();
-    let mut expand_set: Vec<PointId> = Vec::new();
-    let mut in_expand = vec![false; n];
-
-    let order = seed_list(scheme, previous, points);
-    for &old_c in &order {
+    for &old_c in &seed_list(scheme, previous, t_low.points()) {
         if x.destroyed[old_c as usize] {
             continue; // Algorithm 3, line 8
         }
-        let members = previous.cluster(old_c);
-        debug_assert!(!members.is_empty());
-
-        // Line 9: copy the old cluster wholesale and mark it visited.
+        // Lines 9–17: copy the old cluster wholesale, search its frontier
+        // and expand it.
         assert!(next_cluster <= MAX_CLUSTER_ID, "cluster id space exhausted");
         let c = next_cluster;
         next_cluster += 1;
-        let mut cluster_mbb = Mbb::empty();
-        for &p in members {
-            debug_assert!(
-                x.labels.is_unclassified(p),
-                "undestroyed old cluster contains an already-claimed point"
-            );
-            x.labels.assign(p, c);
-            x.visited[p as usize] = true;
-            cluster_mbb.expand_to(&points[p as usize]);
-        }
-        stats.points_reused += members.len();
-        stats.clusters_reused += 1;
-
-        // Lines 10–12: harvest the inflated cluster MBB and split the
-        // candidates into inside (already labeled c) and outside.
-        candidates.clear();
-        t_high.range_query(&cluster_mbb.inflate(eps), &mut candidates);
-
-        // Lines 13–15: ε-search each outside point; its neighbors inside
-        // the cluster are the boundary through which growth can happen.
-        // Each search counts the whole neighbourhood but returns only the
-        // neighbours labelled c. The frontier is searched in tree order so
-        // consecutive probes hit warm leaves; no label changes in this
-        // loop, so the order cannot change the resulting expand set (only
-        // its order, which the closure below is insensitive to).
-        expand_set.clear();
-        frontier.clear();
-        frontier.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&p| x.labels.cluster(p) != Some(c)),
+        let copied = x.copy(old_c, c);
+        debug_assert_eq!(
+            copied,
+            previous.cluster(old_c).len(),
+            "undestroyed old cluster contains an already-claimed point"
         );
-        frontier.sort_unstable();
-        stats.frontier_searches += frontier.len();
-        tracer.record_full(TraceEvent::FrontierBatch {
-            variant: variant_idx,
-            queries: frontier.len().min(u32::MAX as usize) as u32,
-        });
-        for &p in &frontier {
-            x.neighbors.clear();
-            let count = t_low.epsilon_count_keyed(
-                points[p as usize],
-                eps,
-                x.labels.as_raw(),
-                c..=c,
-                &mut x.neighbors,
-            );
-            record_count(counts, p, count);
-            for &q in &x.neighbors {
-                if !in_expand[q as usize] {
-                    in_expand[q as usize] = true;
-                    expand_set.push(q);
-                }
-            }
-        }
-
-        // Lines 16–17 / Algorithm 4: the boundary is ExpandCluster's first
-        // wave (its points are already visited and labelled c), less the
-        // points already counted below minpts.
-        for &q in &expand_set {
-            in_expand[q as usize] = false; // reset for the next seed
-            if !known_non_core(counts, q, x.minpts) {
-                x.next.push(q);
-            }
-        }
-        stats.expand_searches += x.expand(c, tracer, variant_idx);
+        x.stats.points_reused += copied;
+        x.stats.clusters_reused += 1;
+        x.stats.expand_searches += x.expand(c);
     }
 
     // Line 18: cluster the remainder with plain DBSCAN, continuing the
@@ -343,7 +292,7 @@ pub(crate) fn cluster_with_reuse_traced(
         }
         x.visited[p as usize] = true;
         let core = !known_non_core(counts, p, x.minpts) && {
-            stats.remainder_searches += 1;
+            x.stats.remainder_searches += 1;
             x.count(p) >= x.minpts
         };
         if !core {
@@ -367,10 +316,10 @@ pub(crate) fn cluster_with_reuse_traced(
             }
         };
         x.search(p);
+        x.merge(p, c);
         x.claim(c);
-        stats.remainder_searches += x.expand(c, tracer, variant_idx);
+        x.stats.remainder_searches += x.expand(c);
     }
-    stats.clusters_destroyed = x.clusters_destroyed;
 
     // Compact cluster ids: destruction-free runs already have dense ids,
     // but a run that created ids and then absorbed nothing extra still may
@@ -379,33 +328,159 @@ pub(crate) fn cluster_with_reuse_traced(
     // compaction below is a cheap safety net for the invariant
     // ClusterResult enforces).
     let result = ClusterResult::from_labels(compact_labels(x.labels));
-    (result, stats)
+    (result, x.stats)
 }
 
-/// The state ExpandCluster (Algorithm 4) and the remainder pass write
-/// while one variant is clustered by reuse.
+/// The state the copies of old clusters (Algorithm 3), ExpandCluster
+/// (Algorithm 4) and the remainder pass write while one variant is
+/// clustered by reuse.
 struct Expansion<'a> {
     t_low: &'a PackedRTree,
+    t_high: &'a PackedRTree,
     eps: f64,
     minpts: usize,
     previous: &'a ClusterResult,
+    /// Whether `previous` satisfies the inclusion criteria, so that an old
+    /// cluster reached through a core point may join wholesale
+    /// ([`Self::merge`]).
+    merges: bool,
     counts: &'a [AtomicU32],
+    tracer: &'a mut WorkerTracer,
+    variant_idx: u32,
     labels: Labels,
-    /// A point is visited once it is queued for its ε-search (or settled
-    /// without one), so each point is searched at most once.
+    /// A point is visited once it is copied, queued for its wave search or
+    /// settled without one, so no point enters two waves.
     visited: Vec<bool>,
     /// Old clusters a new cluster has absorbed a point of.
     destroyed: Vec<bool>,
-    clusters_destroyed: usize,
+    /// Old clusters whose members have been copied, at their own seed
+    /// turn or by a merge.
+    copied: Vec<bool>,
+    /// The members the running [`Self::copy`] labelled and whose frontier
+    /// has not yet found them.
+    fresh: Vec<bool>,
+    stats: ReuseStats,
     /// The unclaimed neighbours the last [`Self::search`] found.
     neighbors: Vec<PointId>,
     /// The wave being searched, in tree order.
     wave: Vec<PointId>,
     /// The wave the current one's core points push.
     next: Vec<PointId>,
+    /// The points a copied cluster's inflated MBB harvests.
+    candidates: Vec<PointId>,
+    /// The harvested points still unclaimed, in tree order.
+    frontier: Vec<PointId>,
+    /// The members of the cluster one frontier search found.
+    inside: Vec<PointId>,
 }
 
 impl Expansion<'_> {
+    /// Algorithm 3 lines 9–15: the still unclaimed members of old cluster
+    /// `old` join cluster `c`, labelled and visited, and the points of
+    /// their MBB inflated by ε that are still unclaimed are ε-searched for
+    /// the members they reach. Those members are the boundary through
+    /// which `c` can grow; each is pushed onto the next wave unless its
+    /// count is known to be below `minpts`. Returns the number of members
+    /// copied.
+    ///
+    /// The harvest queries `t_high` and filters by containment, so any
+    /// tree over the same points returns the same candidates. Of the
+    /// points outside `c` (the paper's line 12), only the unclaimed ones
+    /// can still join: a member whose neighbours outside `c` are all
+    /// claimed would claim nothing when searched, so it is left out of
+    /// the boundary. Each frontier search counts the whole neighbourhood
+    /// but collects only the neighbours labelled `c`, in tree order so
+    /// that consecutive probes hit warm leaves; no label changes while
+    /// the frontier is searched, so the order cannot change the boundary
+    /// found. Members `c` held before this call are not part of the
+    /// boundary: each was pushed when it was claimed.
+    fn copy(&mut self, old: ClusterId, c: ClusterId) -> usize {
+        self.copied[old as usize] = true;
+        let points = self.t_low.points();
+        let members = self.previous.cluster(old);
+        let mut mbb = Mbb::empty();
+        let mut copied = 0;
+        for &p in members {
+            if self.labels.cluster(p).is_none() {
+                self.labels.assign(p, c);
+                self.visited[p as usize] = true;
+                self.fresh[p as usize] = true;
+                mbb.expand_to(&points[p as usize]);
+                copied += 1;
+            }
+        }
+        if copied == 0 {
+            return 0;
+        }
+
+        self.candidates.clear();
+        self.t_high
+            .range_query(&mbb.inflate(self.eps), &mut self.candidates);
+        let labels = &self.labels;
+        self.frontier.clear();
+        self.frontier.extend(
+            self.candidates
+                .iter()
+                .copied()
+                .filter(|&p| labels.cluster(p).is_none()),
+        );
+        self.frontier.sort_unstable();
+        self.stats.frontier_searches += self.frontier.len();
+        self.tracer.record_full(TraceEvent::FrontierBatch {
+            variant: self.variant_idx,
+            queries: self.frontier.len().min(u32::MAX as usize) as u32,
+        });
+        for &p in &self.frontier {
+            self.inside.clear();
+            let count = self.t_low.epsilon_count_keyed(
+                points[p as usize],
+                self.eps,
+                self.labels.as_raw(),
+                c..=c,
+                &mut self.inside,
+            );
+            record_count(self.counts, p, count);
+            for &q in &self.inside {
+                if std::mem::take(&mut self.fresh[q as usize])
+                    && !known_non_core(self.counts, q, self.minpts)
+                {
+                    self.next.push(q);
+                }
+            }
+        }
+        for &p in members {
+            self.fresh[p as usize] = false;
+        }
+        copied
+    }
+
+    /// `q` was just found core in cluster `c`. If the old cluster `q` was
+    /// copied from has not been copied yet, all of it is density-reachable
+    /// from `q` (DESIGN §7 item 4), so its still unclaimed members join `c`
+    /// wholesale ([`Self::copy`]) instead of being searched one by one.
+    /// Only under the inclusion criteria: without them `previous` says
+    /// nothing about the new variant's clusters.
+    fn merge(&mut self, q: PointId, c: ClusterId) {
+        if !self.merges {
+            return;
+        }
+        let Some(old) = self.previous.labels().cluster(q) else {
+            return;
+        };
+        if self.copied[old as usize] {
+            return;
+        }
+        debug_assert!(
+            self.destroyed[old as usize],
+            "an old cluster merged before it was destroyed"
+        );
+        let copied = self.copy(old, c);
+        if copied > 0 {
+            self.stats.clusters_merged += 1;
+            self.stats.points_merged += copied;
+        }
+    }
+
     /// Records and returns `|N_ε(p)|`, collecting nothing. The remainder
     /// pass reaches mostly points that turn out non-core, whose
     /// neighbours are mostly unclaimed; it collects them ([`Self::search`])
@@ -449,7 +524,7 @@ impl Expansion<'_> {
                 if let Some(old) = self.previous.labels().cluster(q) {
                     if !self.destroyed[old as usize] {
                         self.destroyed[old as usize] = true;
-                        self.clusters_destroyed += 1;
+                        self.stats.clusters_destroyed += 1;
                     }
                 }
             }
@@ -465,28 +540,33 @@ impl Expansion<'_> {
     /// Algorithm 4's expansion of cluster `c`, wave by wave, from the
     /// points already pushed onto `self.next`; returns the searches made.
     /// Each wave is searched in tree order so consecutive ε-searches probe
-    /// warm leaves, and each core point claims its unclaimed neighbours
+    /// warm leaves. A core point first merges the old cluster it was
+    /// copied from ([`Self::merge`]), then claims its unclaimed neighbours
     /// where it finds them, so a point enters a wave at most once.
     ///
     /// Order-equivalence: every label written is the same `c`, so the set
-    /// searched is the density-reachability closure of the first wave over
-    /// the points not visited before it, whatever the order; and outside a
+    /// labelled is the density-reachability closure of the first wave over
+    /// the points not claimed before it, whatever the order; and outside a
     /// first wave a point is labelled exactly when it is visited, so an
     /// unclaimed neighbour is one the seed-queue formulation would have
-    /// pushed. Labels, searches, counts and the destroyed set are the
-    /// seed queue's (the oracle in the tests below pins this).
-    fn expand(&mut self, c: ClusterId, tracer: &mut WorkerTracer, variant_idx: u32) -> usize {
+    /// pushed. A merge labels what the seed queue would have reached
+    /// through the merged cluster and searches its frontier instead of its
+    /// interior, so labels and the destroyed set are the seed queue's (the
+    /// oracle in the tests below pins this); searches differ.
+    fn expand(&mut self, c: ClusterId) -> usize {
         let mut searches = 0;
         while !self.next.is_empty() {
             std::mem::swap(&mut self.wave, &mut self.next);
             self.wave.sort_unstable();
             searches += self.wave.len();
-            tracer.record_full(TraceEvent::ExpandWave {
-                variant: variant_idx,
+            self.tracer.record_full(TraceEvent::ExpandWave {
+                variant: self.variant_idx,
                 points: self.wave.len().min(u32::MAX as usize) as u32,
             });
             for i in 0..self.wave.len() {
-                if self.search(self.wave[i]) >= self.minpts {
+                let q = self.wave[i];
+                if self.search(q) >= self.minpts {
+                    self.merge(q, c);
                     self.claim(c);
                 }
             }
@@ -528,6 +608,7 @@ mod tests {
     use super::*;
     use crate::variant::VariantSet;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
     use vbp_dbscan::{dbscan, quality_score};
     use vbp_geom::Point2;
 
@@ -898,11 +979,24 @@ mod tests {
         )
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+    /// Cases of [`fused_waves_match_the_seed_queue`]: 40, or 160 under
+    /// `VBP_CONFORMANCE_FULL=1` (the `CHECK_FULL=1` path of
+    /// `scripts/check.sh`).
+    fn cases() -> u32 {
+        match std::env::var("VBP_CONFORMANCE_FULL") {
+            Ok(v) if v != "0" && !v.is_empty() => 160,
+            _ => 40,
+        }
+    }
 
-        #[test]
-        fn fused_waves_equal_the_seed_queue(
+    /// Old clusters merged across one run of
+    /// [`fused_waves_match_the_seed_queue`].
+    static MERGED: AtomicUsize = AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        fn fused_waves_match_the_seed_queue(
             points in arb_lattice(),
             eps_steps in (0usize..4, 0usize..3),
             minpts in (1usize..9, 0usize..8),
@@ -934,19 +1028,42 @@ mod tests {
                     for prefill in [vec![0; n], half.clone(), exact.clone()] {
                         let (fused, oracle) = (table(prefill.iter().copied()), table(prefill.into_iter()));
                         let mut tracer = WorkerTracer::disabled();
-                        let got = cluster_with_reuse_traced(
+                        let (got, stats) = cluster_with_reuse_traced(
                             t_low, t_low, target, &base, source, scheme, &fused, &mut tracer, 0,
                         );
-                        let want = seed_queue_reuse(t_low, target, &base, scheme, &oracle);
+                        let (want, oracle_stats) =
+                            seed_queue_reuse(t_low, target, &base, scheme, &oracle);
                         prop_assert_eq!(&got, &want);
-                        let load = |t: &[AtomicU32]| -> Vec<u32> {
-                            t.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-                        };
-                        prop_assert_eq!(load(&fused), load(&oracle));
+                        // A merge copies what the seed queue searched and a
+                        // frontier skips claimed points, so searches and the
+                        // entries they record differ; the destroy
+                        // bookkeeping does not.
+                        prop_assert_eq!(
+                            (stats.points_reused, stats.clusters_reused, stats.clusters_destroyed),
+                            (oracle_stats.points_reused, oracle_stats.clusters_reused,
+                             oracle_stats.clusters_destroyed)
+                        );
+                        prop_assert!(scheme.reuses() || stats.clusters_merged == 0);
+                        for (p, (c, &want)) in fused.iter().zip(&exact).enumerate() {
+                            let c = c.load(Ordering::Relaxed);
+                            prop_assert!(c == 0 || c == want, "point {} holds {}, |N_ε| = {}", p, c, want);
+                        }
+                        MERGED.fetch_add(stats.clusters_merged, Ordering::Relaxed);
                     }
                 }
             }
         }
+    }
+
+    /// The fused waves, merges included, label as the seed queue does,
+    /// and the property run exercises the merge.
+    #[test]
+    fn fused_waves_equal_the_seed_queue() {
+        fused_waves_match_the_seed_queue();
+        assert!(
+            MERGED.load(Ordering::Relaxed) > 0,
+            "no old cluster merged across the property run"
+        );
     }
 
     #[test]
@@ -1038,6 +1155,91 @@ mod tests {
         assert_eq!(result.num_clusters(), base.num_clusters());
         let q = quality_score(&base, &result);
         assert_eq!(q.mean_score, 1.0);
+    }
+
+    #[test]
+    fn a_border_contact_destroys_and_a_core_contact_merges() {
+        // Old clusters A and B (5×3 grids) and x, B's border under the
+        // source. Under the target a 3×3 grid E, noise under the source,
+        // extends A to within ε of x, which is not core. A, copied first,
+        // claims x through E and destroys B without joining it; the
+        // remainder pass reaches B through a core point and merges the
+        // rest of it. x stays with A. r, noise under the source and first
+        // in tree order, is marked noise by the remainder pass before the
+        // merge; under the target it is a border of B, which B's frontier
+        // finds.
+        let grid = |x0: f64, nx: usize, ny: usize| {
+            (0..nx).flat_map(move |i| {
+                (0..ny).map(move |j| Point2::new(x0 + i as f64 * 0.25, j as f64 * 0.25))
+            })
+        };
+        let mut pts: Vec<Point2> = grid(0.0, 5, 3).chain(grid(4.25, 5, 3)).collect();
+        pts.extend(grid(2.0, 3, 3));
+        pts.push(Point2::new(3.5, 0.25));
+        pts.push(Point2::new(4.75, -0.9));
+        let (t_low, t_high) = trees(&pts, 4);
+        let at = |x: f64, y: f64| {
+            let p = Point2::new(x, y);
+            t_low.points().iter().position(|q| *q == p).unwrap() as PointId
+        };
+        let (a, b, e, x, r) = (
+            at(0.0, 0.0),
+            at(4.25, 0.0),
+            at(2.0, 0.0),
+            at(3.5, 0.25),
+            at(4.75, -0.9),
+        );
+        assert_eq!(r, 0);
+        let source = Variant::new(0.8, 11);
+        let target = Variant::new(1.0, 9);
+        let base = dbscan(&t_low, source.params());
+        assert_eq!(base.num_clusters(), 2);
+        assert!(base.labels().is_noise(e) && base.labels().is_noise(r));
+        assert_eq!(base.labels().cluster(x), base.labels().cluster(b));
+
+        let scheme = ReuseScheme::ClusDensity;
+        let (got, stats) = cluster_with_reuse(&t_low, &t_high, target, &base, source, scheme);
+        assert_eq!(
+            (
+                stats.clusters_reused,
+                stats.clusters_destroyed,
+                stats.clusters_merged,
+                stats.points_merged
+            ),
+            (1, 1, 1, 14)
+        );
+        let cluster = |p| got.labels().cluster(p);
+        assert_eq!((cluster(x), cluster(e)), (cluster(a), cluster(a)));
+        assert_eq!(cluster(r), cluster(b));
+        assert_ne!(cluster(b), cluster(a));
+        let counts = unknown_counts(t_low.len());
+        assert_eq!(
+            got,
+            seed_queue_reuse(&t_low, target, &base, scheme, &counts).0
+        );
+    }
+
+    #[test]
+    fn disabled_scheme_ignores_a_source_that_violates_inclusion() {
+        // At the larger ε the source's one cluster spans both grids; a
+        // merge through it would join grids the target keeps apart.
+        let pts = playground();
+        let (t_low, t_high) = trees(&pts, 8);
+        let wide = Variant::new(11.0, 4);
+        let target = Variant::new(0.5, 4);
+        let previous = dbscan(&t_low, wide.params());
+        assert_eq!(previous.num_clusters(), 1);
+        let (result, stats) = cluster_with_reuse(
+            &t_low,
+            &t_high,
+            target,
+            &previous,
+            wide,
+            ReuseScheme::Disabled,
+        );
+        assert_eq!(result, dbscan(&t_low, target.params()));
+        assert_eq!(result.num_clusters(), 2);
+        assert_eq!(stats.clusters_merged, 0);
     }
 
     #[test]

@@ -233,9 +233,11 @@ impl PackedRTree {
         let Some(top) = self.levels.len().checked_sub(1) else {
             return;
         };
-        // Depth-first over (level, node index) pairs; a small inline stack
-        // would also do, but Vec keeps it simple and is not on the critical
-        // path compared to the leaf scans.
+        // Depth-first over (level, node index) pairs. The walk is on the
+        // critical path of an ε-query: on `cF_1M_5N@400000` at r = 80 it
+        // takes 210–230 ns of a 450–590 ns counting query (2-core Xeon).
+        // A per-leaf list of the leaves within ε, built once per (tree, ε),
+        // would replace it for ε-queries without changing their order.
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(64);
         for (i, mbb) in self.levels[top].iter().enumerate() {
             if mbb.intersects(query) {

@@ -40,8 +40,10 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p vbp-geom"
   timeout 900 cargo test --locked --release -q -p vbp-geom
 
-  # The engine's reuse proptests hold the fused expansion waves to their
-  # seed-queue oracle; optimised code is what runs them in production.
+  # The engine's reuse proptests hold the fused expansion waves, and the
+  # merge of an old cluster reached through a core point, to their
+  # destroy-and-re-search seed-queue oracle; optimised code is what runs
+  # them in production.
   echo "==> cargo test --release -p variantdbscan"
   timeout 900 cargo test --locked --release -q -p variantdbscan
 
@@ -57,6 +59,7 @@ if [[ "${CHECK_FULL:-0}" != "0" ]]; then
   echo "==> conformance (release, VBP_CONFORMANCE_FULL=1)"
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p vbp-rtree --test conformance
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --test metamorphic_reuse
+  VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --lib expand::
   VBP_CONFORMANCE_FULL=1 timeout 600 cargo test -q --locked --release -p vbp-dbscan --test sharded_metamorphic
   echo "==> chaos extended sweep (release, VBP_CHAOS_FULL=1: 96 + 24 + 24 schedules)"
   VBP_CHAOS_FULL=1 timeout 900 cargo test -q --locked --release -p vbp-service --test chaos

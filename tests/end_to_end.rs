@@ -76,7 +76,8 @@ fn space_weather_pipeline_finds_wave_structure() {
 /// T = 1 and T = 2. Every variant is core-isomorphic to a from-scratch
 /// `dbscan` (same noise set, same cluster count, core points mapped
 /// one-to-one), and the T = 1 run equals, label for label, a replay of
-/// each of its (source, target) pairs through `cluster_with_reuse`.
+/// each of its (source, target) pairs through `cluster_with_reuse` —
+/// old clusters merged wholesale included.
 #[test]
 fn space_weather_grid_reuse_is_exact_at_one_and_two_threads() {
     let points = SpaceWeatherSpec::scaled(1, 3_000).generate();
@@ -127,10 +128,12 @@ fn space_weather_grid_reuse_is_exact_at_one_and_two_threads() {
         }
 
         if threads == 1 {
+            let mut merged = 0;
             for o in &report.outcomes {
-                let ExecutionPath::Reused { source, .. } = o.path else {
+                let ExecutionPath::Reused { source, stats } = o.path else {
                     continue;
                 };
+                merged += stats.clusters_merged;
                 let si = variants.iter().position(|v| v == source).unwrap();
                 let (replay, _) = cluster_with_reuse(
                     tree,
@@ -146,6 +149,7 @@ fn space_weather_grid_reuse_is_exact_at_one_and_two_threads() {
                     o.variant
                 );
             }
+            assert!(merged > 0, "T=1: no old cluster merged");
         }
     }
 }
