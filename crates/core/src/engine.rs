@@ -313,8 +313,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// The paper's §IV-A builds a second tree, `T_high` (`r = 1`), for the
 /// cluster-MBB harvest of Algorithm 3. Its leaf level alone is one
-/// 32-byte box per point, and `T_low`'s exact `range_query` returns the
-/// same ids, so this index keeps one tree; [`PreparedIndex::t_high`]
+/// 32-byte box per point, and the reuse path harvests on `T_low` at leaf
+/// grain instead, so this index keeps one tree; [`PreparedIndex::t_high`]
 /// remains as a name for it.
 #[derive(Clone, Debug)]
 pub struct PreparedIndex {
@@ -367,9 +367,9 @@ impl PreparedIndex {
         &self.t_low
     }
 
-    /// The tree for cluster-MBB harvests: [`PreparedIndex::t_low`]. The
-    /// paper harvests on a second, `r = 1` tree; `T_low`'s `range_query`
-    /// returns the same ids, so this index builds one tree. Kept for
+    /// The paper's harvest tree, here [`PreparedIndex::t_low`]. The paper
+    /// harvests on a second, `r = 1` tree; the reuse path harvests on
+    /// `T_low` at leaf grain, so this index builds one tree. Kept for
     /// callers that name the paper's pair.
     #[inline]
     pub fn t_high(&self) -> &PackedRTree {
@@ -1031,9 +1031,10 @@ impl Engine {
                 .expect("fresh slot");
         }
         let panic_slot: OnceLock<JobPanic> = OnceLock::new();
-        // The variants of one ε share each point's |N_ε(p)|; a table is
-        // allocated only once a reuse assignment at its ε runs.
-        let neighbor_counts = NeighborCounts::new(index.len(), variants.iter().map(|v| v.eps));
+        // The variants of one ε share each point's |N_ε(p)| and the
+        // tree's leaf-reach table; both are made only once a reuse
+        // assignment at their ε runs.
+        let neighbor_counts = NeighborCounts::new(index.t_low(), variants.iter().map(|v| v.eps));
 
         let t0 = Instant::now();
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
@@ -1241,14 +1242,15 @@ fn worker_loop(
                         } else {
                             variants[u]
                         };
+                        let (counts, reach) = neighbor_counts.at(variant.eps);
                         let (result, stats) = cluster_with_reuse_traced(
-                            t_low,
                             t_low,
                             variant,
                             &prev,
                             source_variant,
                             reuse,
-                            neighbor_counts.at(variant.eps),
+                            counts,
+                            reach,
                             tracer,
                             variant_idx,
                         );

@@ -8,11 +8,14 @@
 //! frontier needs work:
 //!
 //! 1. build an MBB around the cluster, inflated by the new ε (line 10);
-//! 2. query the tree for all points inside it (line 11). The paper
-//!    harvests on a second, `r = 1` tree `T_high` so that the harvest
-//!    does not over-approximate; `range_query` filters each candidate by
-//!    containment, so `T_low` returns the same ids and the engine keeps
-//!    one tree;
+//! 2. harvest the points inside it (line 11). The paper queries a second,
+//!    `r = 1` tree `T_high` so that the harvest does not over-approximate.
+//!    Here the harvest runs at the tuned tree's leaf grain instead: the
+//!    members that share a leaf form a run, and only the points inside a
+//!    run's box inflated by ε are kept, found through the tree's
+//!    [`LeafReach`] table — a subset of the MBB's points that still holds
+//!    every point within ε of a member. Without a table (it would hold
+//!    more entries than the tree holds points) the MBB is range-queried;
 //! 3. the points *outside* the cluster (line 12) get ε-searches against
 //!    the tuned tree `T_low` (lines 13–14); any of their neighbors lying
 //!    *inside* the cluster form the `expandSet` (line 15) — the boundary
@@ -29,10 +32,12 @@
 //!
 //! Every search counts the whole ε-neighbourhood but collects only the
 //! neighbours its caller can use
-//! ([`SpatialIndex::epsilon_count_keyed`] keyed by the labels): the
-//! frontier wants those labelled with the cluster, the expansion waves
-//! those still unclaimed, which a core point claims where it finds them, so
-//! each point enters a wave at most once. Every search also records
+//! ([`SpatialIndex::epsilon_count_keyed_at`], reading the same
+//! [`LeafReach`] table in place of the tree walk): the frontier wants the
+//! members just copied that no earlier frontier search found, the
+//! expansion waves the neighbours still unclaimed (keyed by the labels),
+//! which a core point claims where it finds them, so each point enters a
+//! wave at most once. Every search also records
 //! `|N_ε(p)|` in a table shared by all variants of a run at the same ε
 //! (`NeighborCounts`). The remainder pass and the ExpandCluster waves
 //! search a point only to test whether it is core, so a point an earlier
@@ -44,7 +49,7 @@ use std::sync::OnceLock;
 
 use vbp_dbscan::{ClusterId, ClusterResult, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use vbp_geom::{Mbb, PointId};
-use vbp_rtree::{PackedRTree, SpatialIndex};
+use vbp_rtree::{LeafReach, PackedRTree, SpatialIndex, COUNT_ONLY};
 
 use crate::seeds::{seed_list, ReuseScheme};
 use crate::trace::{TraceEvent, WorkerTracer};
@@ -97,41 +102,67 @@ impl ReuseStats {
 
 /// The `|N_ε(p)|` tables of one engine run: one per distinct ε, each `n`
 /// counters over the run's `T_low`, allocated at the first reuse
-/// assignment at that ε and dropped with the run.
+/// assignment at that ε and dropped with the run. Beside each, `T_low`'s
+/// [`LeafReach`] table at that ε, built at the same time: the reuse path
+/// reads it in every search and harvest, and one build per ε instead of
+/// one per variant saves ≈ 0.5 ms a variant on `SW1@100000`, ≈ 2.3 % of
+/// `sweep_sw`'s reuse time.
 ///
 /// Entry `p` is 0 while unknown — a closed ball always contains `p`, so a
 /// searched point never stores 0 — and otherwise the exact count some
 /// search at this ε returned. Every writer of an entry writes that same
 /// value, so `Relaxed` loads and stores suffice: a race decides only
 /// whether a later reader skips a search, never what it would have found.
-pub(crate) struct NeighborCounts {
-    n: usize,
-    tables: Vec<(u64, OnceLock<Box<[AtomicU32]>>)>,
+pub(crate) struct NeighborCounts<'a> {
+    t_low: &'a PackedRTree,
+    tables: Vec<AtEps>,
 }
 
-impl NeighborCounts {
-    /// Unallocated tables for `n` points at each distinct ε in `eps`.
-    pub(crate) fn new(n: usize, eps: impl IntoIterator<Item = f64>) -> Self {
+/// The state [`NeighborCounts`] keeps for one ε (keyed by its bits).
+struct AtEps {
+    key: u64,
+    counts: OnceLock<Box<[AtomicU32]>>,
+    reach: OnceLock<Option<LeafReach>>,
+}
+
+impl<'a> NeighborCounts<'a> {
+    /// Unmade tables over `t_low` at each distinct ε in `eps`.
+    pub(crate) fn new(t_low: &'a PackedRTree, eps: impl IntoIterator<Item = f64>) -> Self {
         let mut keys: Vec<u64> = eps.into_iter().map(f64::to_bits).collect();
         keys.sort_unstable();
         keys.dedup();
+        let at_eps = |key| AtEps {
+            key,
+            counts: OnceLock::new(),
+            reach: OnceLock::new(),
+        };
         Self {
-            n,
-            tables: keys.into_iter().map(|k| (k, OnceLock::new())).collect(),
+            t_low,
+            tables: keys.into_iter().map(at_eps).collect(),
         }
     }
 
-    /// The table for `eps`, allocated on first use.
+    /// The count table and `T_low`'s [`LeafReach`] table for `eps`, each
+    /// made on first use.
     ///
     /// # Panics
     ///
     /// Panics if `eps` was not among the values passed to [`Self::new`].
-    pub(crate) fn at(&self, eps: f64) -> &[AtomicU32] {
+    pub(crate) fn at(&self, eps: f64) -> (&[AtomicU32], Option<&LeafReach>) {
         let i = self
             .tables
-            .binary_search_by_key(&eps.to_bits(), |&(k, _)| k)
+            .binary_search_by_key(&eps.to_bits(), |t| t.key)
             .expect("neighbour-count table for an ε outside the run");
-        self.tables[i].1.get_or_init(|| unknown_counts(self.n))
+        let table = &self.tables[i];
+        (
+            table
+                .counts
+                .get_or_init(|| unknown_counts(self.t_low.len())),
+            table
+                .reach
+                .get_or_init(|| self.t_low.leaf_reach(eps))
+                .as_ref(),
+        )
     }
 }
 
@@ -155,12 +186,11 @@ fn known_non_core(counts: &[AtomicU32], p: PointId, minpts: usize) -> bool {
 
 /// Runs VariantDBSCAN's reuse path for one variant.
 ///
-/// `t_low` is the tuned-`r` tree used for ε-neighborhood searches;
-/// `t_high` is the tree the cluster-MBB harvest queries — the paper's
-/// `r = 1` tree. Both must index the same point database in the same
-/// order, which must also be the order `previous` was computed over. Any
-/// such tree returns the same harvest, so the labels do not depend on
-/// `t_high`'s `r`; the engine passes `t_low` for both.
+/// `t_low` is the tuned-`r` tree every ε-search and the cluster harvest
+/// run on; it must index the point database in the order `previous` was
+/// computed over. `t_high` names the paper's second, `r = 1` harvest
+/// tree. The harvest runs on `t_low` at leaf grain instead, so `t_high`
+/// is only checked to index as many points; the engine passes `t_low`.
 ///
 /// Neighbour counts are kept for this call only; an engine run shares
 /// them among the variants of one ε and so may search less, but returns
@@ -179,15 +209,20 @@ pub fn cluster_with_reuse(
     source_variant: Variant,
     scheme: ReuseScheme,
 ) -> (ClusterResult, ReuseStats) {
+    assert_eq!(
+        t_low.len(),
+        t_high.len(),
+        "the harvest tree must index the same database as T_low"
+    );
     let mut tracer = WorkerTracer::disabled();
     cluster_with_reuse_traced(
         t_low,
-        t_high,
         variant,
         previous,
         source_variant,
         scheme,
         &unknown_counts(t_low.len()),
+        t_low.leaf_reach(variant.eps).as_ref(),
         &mut tracer,
         0,
     )
@@ -196,7 +231,10 @@ pub fn cluster_with_reuse(
 /// [`cluster_with_reuse`] with the engine's run-scoped state threaded
 /// through. `counts` is the [`NeighborCounts`] table for `variant.eps`
 /// over `t_low`: read to skip searches whose non-core answer is known,
-/// written after every search. At
+/// written after every search. `reach` is `t_low`'s [`LeafReach`] table
+/// at `variant.eps`, which every search and the harvest read, or `None`
+/// when it would be over its budget (searches then walk the tree and the
+/// harvest range-queries the MBB). At
 /// [`TraceLevel::Full`](crate::trace::TraceLevel) every frontier ε-query
 /// batch and every ExpandCluster wave lands in the ring as a typed event
 /// tagged with `variant_idx`. With a disabled tracer the extra cost is one
@@ -204,21 +242,16 @@ pub fn cluster_with_reuse(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cluster_with_reuse_traced(
     t_low: &PackedRTree,
-    t_high: &PackedRTree,
     variant: Variant,
     previous: &ClusterResult,
     source_variant: Variant,
     scheme: ReuseScheme,
     counts: &[AtomicU32],
+    reach: Option<&LeafReach>,
     tracer: &mut WorkerTracer,
     variant_idx: u32,
 ) -> (ClusterResult, ReuseStats) {
     let n = t_low.len();
-    assert_eq!(
-        n,
-        t_high.len(),
-        "the harvest tree must index the same database as T_low"
-    );
     assert_eq!(
         n,
         previous.len(),
@@ -236,7 +269,7 @@ pub(crate) fn cluster_with_reuse_traced(
 
     let mut x = Expansion {
         t_low,
-        t_high,
+        harvest: Harvest::new(variant.eps, reach),
         eps: variant.eps,
         minpts: variant.minpts,
         previous,
@@ -248,7 +281,7 @@ pub(crate) fn cluster_with_reuse_traced(
         visited: vec![false; n],
         destroyed: vec![false; previous.num_clusters()],
         copied: vec![false; previous.num_clusters()],
-        fresh: vec![false; n],
+        fresh: vec![STALE; n],
         stats: ReuseStats {
             total_points: n,
             ..ReuseStats::default()
@@ -256,7 +289,6 @@ pub(crate) fn cluster_with_reuse_traced(
         neighbors: Vec::new(),
         wave: Vec::new(),
         next: Vec::new(),
-        candidates: Vec::new(),
         frontier: Vec::new(),
         inside: Vec::new(),
     };
@@ -331,12 +363,19 @@ pub(crate) fn cluster_with_reuse_traced(
     (result, x.stats)
 }
 
+/// The mark of a member [`Expansion::copy`] copied and no frontier search
+/// has found yet.
+const FRESH: u32 = 1;
+/// Every other point's mark.
+const STALE: u32 = 0;
+
 /// The state the copies of old clusters (Algorithm 3), ExpandCluster
 /// (Algorithm 4) and the remainder pass write while one variant is
 /// clustered by reuse.
 struct Expansion<'a> {
     t_low: &'a PackedRTree,
-    t_high: &'a PackedRTree,
+    /// The harvest and the [`LeafReach`] table every search reads.
+    harvest: Harvest<'a>,
     eps: f64,
     minpts: usize,
     previous: &'a ClusterResult,
@@ -356,9 +395,10 @@ struct Expansion<'a> {
     /// Old clusters whose members have been copied, at their own seed
     /// turn or by a merge.
     copied: Vec<bool>,
-    /// The members the running [`Self::copy`] labelled and whose frontier
-    /// has not yet found them.
-    fresh: Vec<bool>,
+    /// [`FRESH`] for the members the running [`Self::copy`] labelled and
+    /// whose frontier has not yet found them, [`STALE`] otherwise: the
+    /// keys its frontier searches select by.
+    fresh: Vec<u32>,
     stats: ReuseStats,
     /// The unclaimed neighbours the last [`Self::search`] found.
     neighbors: Vec<PointId>,
@@ -366,8 +406,6 @@ struct Expansion<'a> {
     wave: Vec<PointId>,
     /// The wave the current one's core points push.
     next: Vec<PointId>,
-    /// The points a copied cluster's inflated MBB harvests.
-    candidates: Vec<PointId>,
     /// The harvested points still unclaimed, in tree order.
     frontier: Vec<PointId>,
     /// The members of the cluster one frontier search found.
@@ -376,36 +414,35 @@ struct Expansion<'a> {
 
 impl Expansion<'_> {
     /// Algorithm 3 lines 9–15: the still unclaimed members of old cluster
-    /// `old` join cluster `c`, labelled and visited, and the points of
-    /// their MBB inflated by ε that are still unclaimed are ε-searched for
+    /// `old` join cluster `c`, labelled and visited, and the still
+    /// unclaimed points the [`Harvest`] finds near them are ε-searched for
     /// the members they reach. Those members are the boundary through
     /// which `c` can grow; each is pushed onto the next wave unless its
     /// count is known to be below `minpts`. Returns the number of members
     /// copied.
     ///
-    /// The harvest queries `t_high` and filters by containment, so any
-    /// tree over the same points returns the same candidates. Of the
-    /// points outside `c` (the paper's line 12), only the unclaimed ones
-    /// can still join: a member whose neighbours outside `c` are all
-    /// claimed would claim nothing when searched, so it is left out of
-    /// the boundary. Each frontier search counts the whole neighbourhood
-    /// but collects only the neighbours labelled `c`, in tree order so
-    /// that consecutive probes hit warm leaves; no label changes while
-    /// the frontier is searched, so the order cannot change the boundary
-    /// found. Members `c` held before this call are not part of the
-    /// boundary: each was pushed when it was claimed.
+    /// The harvest keeps every point within ε of a copied member, and
+    /// only points of the members' MBB inflated by ε. Of the points
+    /// outside `c` (the paper's line 12), only the unclaimed ones can
+    /// still join: a member whose neighbours outside `c` are all claimed
+    /// would claim nothing when searched, so it is left out of the
+    /// boundary. Each frontier search counts the whole neighbourhood but
+    /// collects only the copied members no earlier frontier search found
+    /// (keyed by their [`FRESH`] marks, so a leaf whose members were all
+    /// found is not scanned twice); the frontier is searched in tree order
+    /// so that consecutive probes hit warm leaves, and no label changes
+    /// while it is, so the order cannot change the boundary found. Members
+    /// `c` held before this call are not part of the boundary: each was
+    /// pushed when it was claimed.
     fn copy(&mut self, old: ClusterId, c: ClusterId) -> usize {
         self.copied[old as usize] = true;
-        let points = self.t_low.points();
         let members = self.previous.cluster(old);
-        let mut mbb = Mbb::empty();
         let mut copied = 0;
         for &p in members {
             if self.labels.cluster(p).is_none() {
                 self.labels.assign(p, c);
                 self.visited[p as usize] = true;
-                self.fresh[p as usize] = true;
-                mbb.expand_to(&points[p as usize]);
+                self.fresh[p as usize] = FRESH;
                 copied += 1;
             }
         }
@@ -413,18 +450,17 @@ impl Expansion<'_> {
             return 0;
         }
 
-        self.candidates.clear();
-        self.t_high
-            .range_query(&mbb.inflate(self.eps), &mut self.candidates);
-        let labels = &self.labels;
+        let (fresh, labels) = (&self.fresh, &self.labels);
         self.frontier.clear();
-        self.frontier.extend(
-            self.candidates
+        self.harvest.collect(
+            self.t_low,
+            members
                 .iter()
                 .copied()
-                .filter(|&p| labels.cluster(p).is_none()),
+                .filter(|&p| fresh[p as usize] == FRESH),
+            |p| labels.cluster(p).is_none(),
+            &mut self.frontier,
         );
-        self.frontier.sort_unstable();
         self.stats.frontier_searches += self.frontier.len();
         self.tracer.record_full(TraceEvent::FrontierBatch {
             variant: self.variant_idx,
@@ -432,24 +468,24 @@ impl Expansion<'_> {
         });
         for &p in &self.frontier {
             self.inside.clear();
-            let count = self.t_low.epsilon_count_keyed(
-                points[p as usize],
+            let count = self.t_low.epsilon_count_keyed_at(
+                p,
                 self.eps,
-                self.labels.as_raw(),
-                c..=c,
+                self.harvest.reach,
+                &self.fresh,
+                FRESH..=FRESH,
                 &mut self.inside,
             );
             record_count(self.counts, p, count);
             for &q in &self.inside {
-                if std::mem::take(&mut self.fresh[q as usize])
-                    && !known_non_core(self.counts, q, self.minpts)
-                {
+                self.fresh[q as usize] = STALE;
+                if !known_non_core(self.counts, q, self.minpts) {
                     self.next.push(q);
                 }
             }
         }
         for &p in members {
-            self.fresh[p as usize] = false;
+            self.fresh[p as usize] = STALE;
         }
         copied
     }
@@ -487,9 +523,12 @@ impl Expansion<'_> {
     /// only for a point found core, and counts the two scans as one
     /// search.
     fn count(&mut self, p: PointId) -> usize {
-        let count = self.t_low.epsilon_count(
-            self.t_low.points()[p as usize],
+        let count = self.t_low.epsilon_count_keyed_at(
+            p,
             self.eps,
+            self.harvest.reach,
+            self.labels.as_raw(),
+            COUNT_ONLY,
             &mut self.neighbors,
         );
         record_count(self.counts, p, count);
@@ -500,9 +539,10 @@ impl Expansion<'_> {
     /// still unclaimed neighbours in `self.neighbors`.
     fn search(&mut self, p: PointId) -> usize {
         self.neighbors.clear();
-        let count = self.t_low.epsilon_count_keyed(
-            self.t_low.points()[p as usize],
+        let count = self.t_low.epsilon_count_keyed_at(
+            p,
             self.eps,
+            self.harvest.reach,
             self.labels.as_raw(),
             UNCLAIMED,
             &mut self.neighbors,
@@ -576,6 +616,113 @@ impl Expansion<'_> {
     }
 }
 
+/// Algorithm 3's harvest (lines 10–12): the points near a copied
+/// cluster's members that may still join it, in tree order.
+///
+/// With a [`LeafReach`] table for the tree at ε it works at leaf grain.
+/// The copied members, ascending as [`ClusterResult`] lists them, fall
+/// into runs that share a leaf. Each run's box, inflated by ε, is added
+/// into the union box of every leaf in its leaf's row that it meets, and
+/// each leaf so touched is scanned once for the points inside its union
+/// box. A point within ε of a member lies in that member's inflated run
+/// box, so the box meets the point's leaf; and that box lies inside the
+/// member's leaf box inflated by ε, so the point's leaf is in the row.
+/// Every point that can reach a member is therefore kept, and every point
+/// kept lies in the members' MBB inflated by ε: the frontier searches of
+/// the points dropped would have found no member. Without a table (it
+/// would hold more entries than the tree holds points) the harvest is
+/// the paper's: that MBB, range-queried through the tree walk.
+struct Harvest<'a> {
+    eps: f64,
+    reach: Option<&'a LeafReach>,
+    /// Per leaf, the union of the inflated run boxes that reach it; empty
+    /// while untouched. One box per leaf, and only with a table.
+    reached: Vec<Mbb>,
+    /// The leaves whose union box is not empty.
+    touched: Vec<u32>,
+    /// The points the MBB's range query returns, without a table.
+    candidates: Vec<PointId>,
+}
+
+impl<'a> Harvest<'a> {
+    /// A harvest over `reach`, the [`LeafReach`] table of the tree it
+    /// runs on at `eps`, if there is one.
+    fn new(eps: f64, reach: Option<&'a LeafReach>) -> Self {
+        let leaves = reach.map_or(0, LeafReach::leaf_count);
+        Self {
+            eps,
+            reach,
+            reached: vec![Mbb::empty(); leaves],
+            touched: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Appends to `out`, ascending, the points of `tree` that `keep`
+    /// accepts among those harvested around `copied` (ascending ids of
+    /// `tree`'s points; at least one).
+    fn collect(
+        &mut self,
+        tree: &PackedRTree,
+        copied: impl Iterator<Item = PointId>,
+        keep: impl Fn(PointId) -> bool,
+        out: &mut Vec<PointId>,
+    ) {
+        let points = tree.points();
+        let Some(reach) = self.reach else {
+            let mut mbb = Mbb::empty();
+            for p in copied {
+                mbb.expand_to(&points[p as usize]);
+            }
+            self.candidates.clear();
+            tree.range_query(&mbb.inflate(self.eps), &mut self.candidates);
+            let start = out.len();
+            out.extend(self.candidates.iter().copied().filter(|&p| keep(p)));
+            out[start..].sort_unstable();
+            return;
+        };
+        let (r, boxes) = (tree.points_per_leaf(), tree.leaf_mbbs());
+        let (eps, reached, touched) = (self.eps, &mut self.reached, &mut self.touched);
+        let mut add_run = |leaf: usize, run: Mbb| {
+            let run = run.inflate(eps);
+            for &k in reach.of(leaf) {
+                if boxes[k as usize].intersects(&run) {
+                    let union = &mut reached[k as usize];
+                    if union.is_empty() {
+                        touched.push(k);
+                    }
+                    *union = union.union(&run);
+                }
+            }
+        };
+        let mut run: Option<(usize, Mbb)> = None;
+        for p in copied {
+            let (leaf, at) = (p as usize / r, points[p as usize]);
+            match &mut run {
+                Some((current, mbb)) if *current == leaf => mbb.expand_to(&at),
+                _ => {
+                    if let Some((done, mbb)) = run.replace((leaf, Mbb::from_point(at))) {
+                        add_run(done, mbb);
+                    }
+                }
+            }
+        }
+        if let Some((done, mbb)) = run {
+            add_run(done, mbb);
+        }
+        touched.sort_unstable();
+        for &k in touched.iter() {
+            let union = std::mem::replace(&mut reached[k as usize], Mbb::empty());
+            for p in tree.leaf_range(k as usize) {
+                if union.contains_point(&points[p]) && keep(p as PointId) {
+                    out.push(p as PointId);
+                }
+            }
+        }
+        touched.clear();
+    }
+}
+
 /// Renumbers cluster ids to be dense `0..k` while preserving noise, in
 /// first-appearance order.
 fn compact_labels(labels: Labels) -> Labels {
@@ -612,8 +759,9 @@ mod tests {
     use vbp_dbscan::{dbscan, quality_score};
     use vbp_geom::Point2;
 
-    /// Builds T_low/T_high over the given points (bin-sorted internally),
-    /// returning the trees plus the points in tree order.
+    /// Builds T_low over the given points (bin-sorted internally) and the
+    /// paper's r = 1 T_high over the same points in the same order, which
+    /// [`cluster_with_reuse`] checks for length and otherwise ignores.
     fn trees(points: &[Point2], r: usize) -> (PackedRTree, PackedRTree) {
         let (t_low, _) = PackedRTree::build(points, r);
         let t_high = PackedRTree::from_sorted(t_low.shared_points(), 1);
@@ -979,7 +1127,8 @@ mod tests {
         )
     }
 
-    /// Cases of [`fused_waves_match_the_seed_queue`]: 40, or 160 under
+    /// Cases of [`fused_waves_match_the_seed_queue`] and
+    /// [`per_leaf_harvest_lies_between_the_boundary_and_the_mbb`]: 40, or 160 under
     /// `VBP_CONFORMANCE_FULL=1` (the `CHECK_FULL=1` path of
     /// `scripts/check.sh`).
     fn cases() -> u32 {
@@ -1029,7 +1178,8 @@ mod tests {
                         let (fused, oracle) = (table(prefill.iter().copied()), table(prefill.into_iter()));
                         let mut tracer = WorkerTracer::disabled();
                         let (got, stats) = cluster_with_reuse_traced(
-                            t_low, t_low, target, &base, source, scheme, &fused, &mut tracer, 0,
+                            t_low, target, &base, source, scheme, &fused,
+                            t_low.leaf_reach(target.eps).as_ref(), &mut tracer, 0,
                         );
                         let (want, oracle_stats) =
                             seed_queue_reuse(t_low, target, &base, scheme, &oracle);
@@ -1049,6 +1199,75 @@ mod tests {
                             prop_assert!(c == 0 || c == want, "point {} holds {}, |N_ε| = {}", p, c, want);
                         }
                         MERGED.fetch_add(stats.clusters_merged, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// The per-leaf harvest around a set of copied members keeps
+        /// every unclaimed point within ε of one of them (the true
+        /// ε-boundary) and only unclaimed points of their MBB inflated by
+        /// ε (the paper's harvest), in strictly ascending order. Members
+        /// are random subsets of a DBSCAN's clusters, claimed points a
+        /// random share of the rest; one `Harvest` serves every cluster
+        /// of a tree, as in a reuse run.
+        #[test]
+        fn per_leaf_harvest_lies_between_the_boundary_and_the_mbb(
+            points in arb_lattice(),
+            eps_step in 0usize..5,
+            shape in 0usize..3,
+            cut in 0usize..220,
+            coin in any::<u64>(),
+        ) {
+            let eps = eps_step as f64 * 0.25;
+            let r = [1, 4, 80][shape];
+            let cut = cut.min(points.len());
+            let (sorted, _) = PackedRTree::build(&points, r);
+            let grown = PackedRTree::build(&points[..cut], r).0.appended(&points[cut..]);
+            let resorted = PackedRTree::build(grown.points(), r).0;
+            let mut coin = xorshift(coin | 1);
+            for tree in [&sorted, &grown, &resorted] {
+                let pts = tree.points();
+                let clusters = dbscan(tree, Variant::new(0.25, 2).params());
+                let reach = tree.leaf_reach(eps);
+                let mut harvest = Harvest::new(eps, reach.as_ref());
+                for (_, cluster) in clusters.iter_clusters() {
+                    let mut copied: Vec<PointId> =
+                        cluster.iter().copied().filter(|_| !coin().is_multiple_of(3)).collect();
+                    if copied.is_empty() {
+                        copied.push(cluster[0]);
+                    }
+                    let mut member = vec![false; pts.len()];
+                    for &p in cluster {
+                        member[p as usize] = true;
+                    }
+                    let claimed: Vec<bool> = (0..pts.len()).map(|_| coin().is_multiple_of(4)).collect();
+                    let keep = |p: PointId| !member[p as usize] && !claimed[p as usize];
+
+                    let mut per_leaf = Vec::new();
+                    harvest.collect(tree, copied.iter().copied(), keep, &mut per_leaf);
+                    let boundary: Vec<PointId> = (0..pts.len() as PointId)
+                        .filter(|&p| keep(p))
+                        .filter(|&p| {
+                            let at = pts[p as usize];
+                            copied.iter().any(|&m| at.dist_sq(&pts[m as usize]) <= eps * eps)
+                        })
+                        .collect();
+                    let mbb = Mbb::from_points(copied.iter().map(|&m| &pts[m as usize])).unwrap();
+                    let mut in_mbb = Vec::new();
+                    tree.range_query(&mbb.inflate(eps), &mut in_mbb);
+                    in_mbb.retain(|&p| keep(p));
+
+                    prop_assert!(per_leaf.windows(2).all(|w| w[0] < w[1]), "not ascending: {:?}", per_leaf);
+                    for p in &boundary {
+                        prop_assert!(per_leaf.contains(p), "r={} ε={}: boundary point {} not harvested", r, eps, p);
+                    }
+                    for p in &per_leaf {
+                        prop_assert!(in_mbb.contains(p), "r={} ε={}: {} outside the MBB harvest", r, eps, p);
                     }
                 }
             }
@@ -1084,12 +1303,12 @@ mod tests {
                             let mut tracer = WorkerTracer::disabled();
                             cluster_with_reuse_traced(
                                 &t_low,
-                                &t_high,
                                 target,
                                 &base,
                                 source,
                                 scheme,
                                 counts,
+                                t_low.leaf_reach(target.eps).as_ref(),
                                 &mut tracer,
                                 0,
                             )

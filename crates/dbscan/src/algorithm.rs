@@ -8,13 +8,14 @@
 //!
 //! The core test needs only `|N_ε(p)|`, and the expansion only the
 //! neighbours no cluster has claimed yet, so the kernel never materialises
-//! a whole neighbourhood: it counts ([`SpatialIndex::epsilon_count`]) or
-//! counts and selects the unclaimed neighbours
-//! ([`SpatialIndex::epsilon_count_keyed`]), which the packed R-tree answers
-//! on its leaf scan.
+//! a whole neighbourhood: it counts, or counts and selects the unclaimed
+//! neighbours ([`SpatialIndex::epsilon_count_keyed_at`]), which the packed
+//! R-tree answers on its leaf scan. Every search is centred on an indexed
+//! point, so the tree reads the leaves to scan off a per-ε table
+//! ([`SpatialIndex::leaf_reach`]) instead of walking from the root.
 
 use vbp_geom::{Point2, PointId};
-use vbp_rtree::SpatialIndex;
+use vbp_rtree::{SpatialIndex, COUNT_ONLY};
 
 use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use crate::result::ClusterResult;
@@ -111,11 +112,13 @@ pub fn dbscan<I: SpatialIndex + ?Sized>(index: &I, params: DbscanParams) -> Clus
 /// [`dbscan`] with caller-provided scratch buffers; also returns the
 /// instrumentation counters.
 ///
-/// No ε-search materialises a neighbourhood. The outer loop, which reaches
-/// mostly noise, only counts ([`SpatialIndex::epsilon_count`]); a point it
-/// finds core is scanned once more to collect, and counted as one search.
-/// Every wave search is a [`SpatialIndex::epsilon_count_keyed`] keyed by
-/// the labels: it counts the whole neighbourhood for the core test but
+/// No ε-search materialises a neighbourhood. Each is a
+/// [`SpatialIndex::epsilon_count_keyed_at`] reading the
+/// [`SpatialIndex::leaf_reach`] table this call builds for ε, if the
+/// index builds one. The outer loop, which reaches mostly noise, only
+/// counts ([`COUNT_ONLY`]); a point it finds core is scanned once more to
+/// collect, and counted as one search. Every wave search is keyed by the
+/// labels: it counts the whole neighbourhood for the core test but
 /// returns only the [`UNCLAIMED`] neighbours, the ones an expansion can
 /// still claim. A core point's expansion claims each of them where it is
 /// found — labels it `c` and, if unvisited, marks it visited and pushes it
@@ -133,7 +136,8 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
     scratch: &mut DbscanScratch,
 ) -> (ClusterResult, DbscanStats) {
     let n = index.len();
-    let points = index.points();
+    let reach = index.leaf_reach(params.eps);
+    let reach = reach.as_ref();
     let mut labels = Labels::unclassified(n);
     let mut stats = DbscanStats::default();
     let mut next_cluster: ClusterId = 0;
@@ -155,7 +159,14 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
         // Most points this loop reaches are noise, and a noise point's
         // neighbours are mostly unclaimed: count alone, and collect only
         // for the point that starts a cluster.
-        let count = index.epsilon_count(points[p as usize], params.eps, neighbors);
+        let count = index.epsilon_count_keyed_at(
+            p,
+            params.eps,
+            reach,
+            labels.as_raw(),
+            COUNT_ONLY,
+            neighbors,
+        );
         stats.neighbor_searches += 1;
         stats.neighbors_found += count;
 
@@ -172,13 +183,7 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
         next_cluster += 1;
         stats.core_points += 1;
         neighbors.clear();
-        index.epsilon_count_keyed(
-            points[p as usize],
-            params.eps,
-            labels.as_raw(),
-            UNCLAIMED,
-            neighbors,
-        );
+        index.epsilon_count_keyed_at(p, params.eps, reach, labels.as_raw(), UNCLAIMED, neighbors);
         labels.assign(p, c);
         wave.clear();
         claim(neighbors, c, &mut labels, &mut visited, wave);
@@ -189,9 +194,10 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
             next.clear();
             for &q in wave.iter() {
                 neighbors.clear();
-                let count = index.epsilon_count_keyed(
-                    points[q as usize],
+                let count = index.epsilon_count_keyed_at(
+                    q,
                     params.eps,
+                    reach,
                     labels.as_raw(),
                     UNCLAIMED,
                     neighbors,

@@ -16,8 +16,11 @@
 //!   internal levels are packed bottom-up. The paper builds it twice:
 //!   `T_low` (`r = r_tuned`, drives Algorithm 2's `NeighborSearch`) and
 //!   `T_high` (`r = 1`, for the cluster-MBB harvest of Algorithm 3). The
-//!   engine builds `T_low` only: its exact `range_query` returns the same
-//!   harvest.
+//!   engine builds `T_low` only and harvests at its leaf grain.
+//! - [`LeafReach`] — for one tree and one ε, the leaves each leaf can
+//!   reach: searches centred on indexed points read it in place of the
+//!   tree walk ([`SpatialIndex::epsilon_count_keyed_at`]), and the reuse
+//!   harvest reads it to visit only the leaves a copied member reaches.
 //! - [`BruteForce`] — the no-index reference the test suites hold the
 //!   tree to.
 //!
@@ -32,6 +35,7 @@ pub mod brute;
 pub mod column;
 pub mod knn;
 pub mod packed;
+pub mod reach;
 pub mod stats;
 pub mod traits;
 pub mod tuner;
@@ -39,6 +43,7 @@ pub mod tuner;
 pub use brute::BruteForce;
 pub use column::Column;
 pub use packed::PackedRTree;
+pub use reach::LeafReach;
 pub use stats::TreeStats;
-pub use traits::{shared_points, SharedPoints, SpatialIndex};
+pub use traits::{shared_points, SharedPoints, SpatialIndex, COUNT_ONLY};
 pub use tuner::{tune_r, tune_r_default, tune_r_sampled, TuneReport, DEFAULT_R_CANDIDATES};

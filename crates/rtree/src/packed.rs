@@ -15,6 +15,12 @@
 //! `T_low`: [`SpatialIndex::range_query`] filters candidates by point
 //! containment, so any `r` returns the same ids.
 //!
+//! Search. A query box is answered by a walk from the root
+//! ([`PackedRTree::for_each_overlapping_leaf`]). A search centred on an
+//! indexed point can skip the walk: the [`LeafReach`] row of the point's
+//! leaf lists, in walk order, every leaf its ε-box can meet
+//! ([`crate::reach`]). Both enumerations feed the same leaf-scan kernels.
+//!
 //! Growth. Every array of the tree is a [`Column`], so a streaming
 //! APPEND ([`PackedRTree::appended`]) writes the batch's points and
 //! coordinates (and, at `r = 1`, leaf boxes) into the shared buffers in
@@ -22,11 +28,12 @@
 //! A fresh build is the same growth from the empty tree, so the two can
 //! never disagree.
 
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use vbp_geom::{bin_sort, BinOrder, Mbb, Point2, PointId};
 
 use crate::column::Column;
+use crate::reach::LeafReach;
 use crate::stats::TreeStats;
 use crate::traits::{SharedPoints, SpatialIndex};
 
@@ -216,12 +223,16 @@ impl PackedRTree {
         self.levels.len()
     }
 
-    /// Point range `[start, end)` covered by leaf `leaf`.
+    /// The points of leaf `leaf`: `[leaf·r, min((leaf + 1)·r, n))`.
     #[inline]
-    fn leaf_range(&self, leaf: usize) -> (usize, usize) {
-        let start = leaf * self.r;
-        let end = ((leaf + 1) * self.r).min(self.points.len());
-        (start, end)
+    pub fn leaf_range(&self, leaf: usize) -> Range<usize> {
+        leaf * self.r..((leaf + 1) * self.r).min(self.points.len())
+    }
+
+    /// The leaf MBBs, one per leaf in leaf order.
+    #[inline]
+    pub fn leaf_mbbs(&self) -> &[Mbb] {
+        self.levels.first().map_or(&[], |leaves| &leaves[..])
     }
 
     /// Core traversal: invokes `visit(start, end)` for the contiguous point
@@ -233,11 +244,12 @@ impl PackedRTree {
         let Some(top) = self.levels.len().checked_sub(1) else {
             return;
         };
-        // Depth-first over (level, node index) pairs. The walk is on the
-        // critical path of an ε-query: on `cF_1M_5N@400000` at r = 80 it
-        // takes 210–230 ns of a 450–590 ns counting query (2-core Xeon).
-        // A per-leaf list of the leaves within ε, built once per (tree, ε),
-        // would replace it for ε-queries without changing their order.
+        // Depth-first over (level, node index) pairs, so leaves are
+        // visited in descending index order. On `cF_1M_5N@400000` at
+        // r = 80 the walk took 210–230 ns of a 450–590 ns counting query
+        // (2-core Xeon); a search centred on an indexed point reads its
+        // leaf's row of a `LeafReach` table instead, which lists the same
+        // leaves in this order (`for_each_leaf_within`).
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(64);
         for (i, mbb) in self.levels[top].iter().enumerate() {
             if mbb.intersects(query) {
@@ -246,8 +258,8 @@ impl PackedRTree {
         }
         while let Some((level, idx)) = stack.pop() {
             if level == 0 {
-                let (s, e) = self.leaf_range(idx);
-                visit(s, e);
+                let leaf = self.leaf_range(idx);
+                visit(leaf.start, leaf.end);
                 continue;
             }
             let below = &self.levels[level - 1];
@@ -259,6 +271,105 @@ impl PackedRTree {
                 }
             }
         }
+    }
+
+    /// Invokes `visit(start, end)` for every leaf the ε-search centred on
+    /// indexed point `id` scans: each leaf whose MBB meets `id`'s ε-box,
+    /// in the walk's order. With `reach` — [`SpatialIndex::leaf_reach`]'s
+    /// table for this tree and `eps` — they are read off the row of `id`'s
+    /// leaf and tested against the box one by one; without, the tree is
+    /// walked ([`Self::for_each_overlapping_leaf`]).
+    pub fn for_each_leaf_within(
+        &self,
+        id: PointId,
+        eps: f64,
+        reach: Option<&LeafReach>,
+        visit: impl FnMut(usize, usize),
+    ) {
+        let query = Mbb::around_point(self.points[id as usize], eps);
+        match reach {
+            Some(reach) => Row(self.row(reach, id, eps)).for_each(self, &query, visit),
+            None => Walk.for_each(self, &query, visit),
+        }
+    }
+
+    /// `reach`'s row for the leaf of indexed point `id`.
+    #[inline]
+    fn row<'t>(&self, reach: &'t LeafReach, id: PointId, eps: f64) -> &'t [u32] {
+        debug_assert!(
+            reach.eps().to_bits() == eps.to_bits() && reach.leaf_count() == self.leaf_count(),
+            "a leaf-reach table for another tree or ε"
+        );
+        reach.of(id as usize / self.r)
+    }
+
+    /// `|N_ε(center)|`, counted on the scan of the leaves `leaves`
+    /// enumerates.
+    fn count_within(&self, center: Point2, eps: f64, leaves: impl Leaves) -> usize {
+        let query = Mbb::around_point(center, eps);
+        let eps_sq = eps * eps;
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let mut count = 0;
+        leaves.for_each(self, &query, |s, e| {
+            for (&x, &y) in xs[s..e].iter().zip(&ys[s..e]) {
+                let (dx, dy) = (x - center.x, y - center.y);
+                count += usize::from(dx * dx + dy * dy <= eps_sq);
+            }
+        });
+        count
+    }
+
+    // The fused kernel. One pass over a leaf's coordinates and keys adds
+    // its hits to the count and notes whether any hit has a wanted key;
+    // only a leaf with such a hit is scanned again, to push those hits.
+    // On `cF_1M_5N@400000` at ε 0.45, r = 80, the first pass costs about
+    // 1 ns per candidate against 0.5–0.75 ns for a count and 1.5–1.9 ns
+    // for writing every candidate (`epsilon_neighbors`), and the four
+    // from-scratch variants there rescan 7 % of the leaves they visit. A
+    // query whose hits are all wanted pays both passes, about twice the
+    // list's cost; DBSCAN counts first where that is the common case. A
+    // one pass that builds a bitmask of wanted hits per 64 points was
+    // about 28 % slower than these two passes on those four variants.
+    fn count_keyed_within(
+        &self,
+        center: Point2,
+        eps: f64,
+        leaves: impl Leaves,
+        keys: &[u32],
+        want: RangeInclusive<u32>,
+        out: &mut Vec<PointId>,
+    ) -> usize {
+        if want.is_empty() {
+            return self.count_within(center, eps, leaves);
+        }
+        let keys = &keys[..self.points.len()];
+        // `lo ≤ k ≤ hi` as one unsigned compare.
+        let (lo, span) = (*want.start(), want.end() - want.start());
+        let query = Mbb::around_point(center, eps);
+        let eps_sq = eps * eps;
+        let within = |x: f64, y: f64| {
+            let (dx, dy) = (x - center.x, y - center.y);
+            dx * dx + dy * dy <= eps_sq
+        };
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let mut count = 0;
+        leaves.for_each(self, &query, |s, e| {
+            let leaf = xs[s..e].iter().zip(&ys[s..e]).zip(&keys[s..e]);
+            let mut any = false;
+            for ((&x, &y), &k) in leaf.clone() {
+                let hit = within(x, y);
+                count += usize::from(hit);
+                any |= hit & (k.wrapping_sub(lo) <= span);
+            }
+            if any {
+                for (i, ((&x, &y), &k)) in leaf.enumerate() {
+                    if within(x, y) && k.wrapping_sub(lo) <= span {
+                        out.push((s + i) as PointId);
+                    }
+                }
+            }
+        });
+        count
     }
 
     /// Iterates over the children `(index, MBB)` of internal node `idx` at
@@ -278,7 +389,7 @@ impl PackedRTree {
 
     /// Number of leaf MBBs.
     pub fn leaf_count(&self) -> usize {
-        self.levels.first().map_or(0, |leaves| leaves.len())
+        self.leaf_mbbs().len()
     }
 
     /// The SoA coordinate arrays `(xs, ys)`, in tree order. Exposed for
@@ -315,7 +426,7 @@ impl PackedRTree {
     /// Structural statistics (`vbp info` prints them), for
     /// sanity-checking `r` sweeps.
     pub fn stats(&self) -> TreeStats {
-        let leaf_mbbs = self.levels.first().map_or(&[][..], |leaves| &leaves[..]);
+        let leaf_mbbs = self.leaf_mbbs();
         let node_count: usize = self.levels.iter().map(|level| level.len()).sum();
         let leaf_area_total: f64 = leaf_mbbs.iter().map(Mbb::area).sum();
         TreeStats {
@@ -329,6 +440,44 @@ impl PackedRTree {
             } else {
                 leaf_area_total / leaf_mbbs.len() as f64
             },
+        }
+    }
+}
+
+/// How an ε-scan enumerates the leaves whose MBB meets its query box.
+/// Each kernel is compiled once per enumeration: one body serving both
+/// behind a branch compiled to a keyed scan 35–60 % slower when every hit
+/// is wanted (`cF_1M_5N@400000`, ε 0.45, r = 80).
+trait Leaves: Copy {
+    /// Invokes `visit(start, end)` for each such leaf of `tree`.
+    fn for_each(self, tree: &PackedRTree, query: &Mbb, visit: impl FnMut(usize, usize));
+}
+
+/// From the root ([`PackedRTree::for_each_overlapping_leaf`]).
+#[derive(Clone, Copy)]
+struct Walk;
+
+impl Leaves for Walk {
+    #[inline]
+    fn for_each(self, tree: &PackedRTree, query: &Mbb, visit: impl FnMut(usize, usize)) {
+        tree.for_each_overlapping_leaf(query, visit);
+    }
+}
+
+/// Along a [`LeafReach`] row whose leaf's inflated box contains the
+/// query box, testing each listed leaf against the query.
+#[derive(Clone, Copy)]
+struct Row<'a>(&'a [u32]);
+
+impl Leaves for Row<'_> {
+    #[inline]
+    fn for_each(self, tree: &PackedRTree, query: &Mbb, mut visit: impl FnMut(usize, usize)) {
+        let boxes = tree.leaf_mbbs();
+        for &leaf in self.0 {
+            if boxes[leaf as usize].intersects(query) {
+                let leaf = tree.leaf_range(leaf as usize);
+                visit(leaf.start, leaf.end);
+            }
         }
     }
 }
@@ -398,30 +547,9 @@ impl SpatialIndex for PackedRTree {
 
     // Counting only: the same leaf scan without a write per candidate.
     fn epsilon_count(&self, center: Point2, eps: f64, _scratch: &mut Vec<PointId>) -> usize {
-        let query = Mbb::around_point(center, eps);
-        let eps_sq = eps * eps;
-        let (xs, ys) = (&self.xs[..], &self.ys[..]);
-        let mut count = 0;
-        self.for_each_overlapping_leaf(&query, |s, e| {
-            for (&x, &y) in xs[s..e].iter().zip(&ys[s..e]) {
-                let (dx, dy) = (x - center.x, y - center.y);
-                count += usize::from(dx * dx + dy * dy <= eps_sq);
-            }
-        });
-        count
+        self.count_within(center, eps, Walk)
     }
 
-    // The fused kernel. One pass over a leaf's coordinates and keys adds
-    // its hits to the count and notes whether any hit has a wanted key;
-    // only a leaf with such a hit is scanned again, to push those hits.
-    // On `cF_1M_5N@400000` at ε 0.45, r = 80, the first pass costs about
-    // 1 ns per candidate against 0.5–0.75 ns for a count and 1.5–1.9 ns
-    // for writing every candidate (`epsilon_neighbors`), and the four
-    // from-scratch variants there rescan 7 % of the leaves they visit. A
-    // query whose hits are all wanted pays both passes, about twice the
-    // list's cost; DBSCAN counts first where that is the common case. A
-    // one pass that builds a bitmask of wanted hits per 64 points was
-    // about 28 % slower than these two passes on those four variants.
     fn epsilon_count_keyed(
         &self,
         center: Point2,
@@ -430,37 +558,31 @@ impl SpatialIndex for PackedRTree {
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
-        if want.is_empty() {
-            return self.epsilon_count(center, eps, out);
+        self.count_keyed_within(center, eps, Walk, keys, want, out)
+    }
+
+    // The same kernels over the leaves `reach` lists for `id`'s leaf.
+    fn epsilon_count_keyed_at(
+        &self,
+        id: PointId,
+        eps: f64,
+        reach: Option<&LeafReach>,
+        keys: &[u32],
+        want: RangeInclusive<u32>,
+        out: &mut Vec<PointId>,
+    ) -> usize {
+        let center = self.points[id as usize];
+        match reach {
+            Some(reach) => {
+                let row = Row(self.row(reach, id, eps));
+                self.count_keyed_within(center, eps, row, keys, want, out)
+            }
+            None => self.count_keyed_within(center, eps, Walk, keys, want, out),
         }
-        let keys = &keys[..self.points.len()];
-        // `lo ≤ k ≤ hi` as one unsigned compare.
-        let (lo, span) = (*want.start(), want.end() - want.start());
-        let query = Mbb::around_point(center, eps);
-        let eps_sq = eps * eps;
-        let within = |x: f64, y: f64| {
-            let (dx, dy) = (x - center.x, y - center.y);
-            dx * dx + dy * dy <= eps_sq
-        };
-        let (xs, ys) = (&self.xs[..], &self.ys[..]);
-        let mut count = 0;
-        self.for_each_overlapping_leaf(&query, |s, e| {
-            let leaf = xs[s..e].iter().zip(&ys[s..e]).zip(&keys[s..e]);
-            let mut any = false;
-            for ((&x, &y), &k) in leaf.clone() {
-                let hit = within(x, y);
-                count += usize::from(hit);
-                any |= hit & (k.wrapping_sub(lo) <= span);
-            }
-            if any {
-                for (i, ((&x, &y), &k)) in leaf.enumerate() {
-                    if within(x, y) && k.wrapping_sub(lo) <= span {
-                        out.push((s + i) as PointId);
-                    }
-                }
-            }
-        });
-        count
+    }
+
+    fn leaf_reach(&self, eps: f64) -> Option<LeafReach> {
+        LeafReach::build(self, eps)
     }
 
     fn range_query(&self, query: &Mbb, out: &mut Vec<PointId>) {

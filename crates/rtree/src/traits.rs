@@ -5,6 +5,13 @@ use std::ops::RangeInclusive;
 use vbp_geom::{Mbb, Point2, PointId};
 
 use crate::column::Column;
+use crate::reach::LeafReach;
+
+/// The empty `want` of [`SpatialIndex::epsilon_count_keyed`] and
+/// [`SpatialIndex::epsilon_count_keyed_at`]: count the neighbourhood and
+/// collect nothing.
+#[allow(clippy::reversed_empty_ranges)]
+pub const COUNT_ONLY: RangeInclusive<u32> = 1..=0;
 
 /// A spatial index over an immutable 2-D point database.
 ///
@@ -101,6 +108,36 @@ pub trait SpatialIndex: Send + Sync {
         let new_len = retain_from(out, start, |id| want.contains(&keys[id as usize]));
         out.truncate(new_len);
         count
+    }
+
+    /// [`Self::epsilon_count_keyed`] centred on the indexed point `id`.
+    /// `reach` is [`Self::leaf_reach`]'s table for this `eps`, if it
+    /// built one; an empty `want` ([`COUNT_ONLY`]) counts and collects
+    /// nothing.
+    ///
+    /// The default ignores `reach` and calls the centred form.
+    /// [`crate::PackedRTree`] scans the leaves `reach` lists for `id`'s
+    /// leaf instead of walking the tree from the root: the same leaves in
+    /// the same order ([`crate::reach`]), so the same count and the same
+    /// kept ids in the same order.
+    fn epsilon_count_keyed_at(
+        &self,
+        id: PointId,
+        eps: f64,
+        _reach: Option<&LeafReach>,
+        keys: &[u32],
+        want: RangeInclusive<u32>,
+        out: &mut Vec<PointId>,
+    ) -> usize {
+        self.epsilon_count_keyed(self.points()[id as usize], eps, keys, want, out)
+    }
+
+    /// The table [`Self::epsilon_count_keyed_at`] reads in place of the
+    /// tree walk, built for `eps`. `None` (the default) when the index
+    /// has none, or when the table would hold more entries than the
+    /// index holds points.
+    fn leaf_reach(&self, _eps: f64) -> Option<LeafReach> {
+        None
     }
 
     /// Batched ε-neighborhood queries: runs [`Self::epsilon_neighbors`] for

@@ -12,7 +12,7 @@
 //! `CHECK_FULL=1` path of `scripts/check.sh`) for larger point sets and a
 //! denser query sample.
 
-use vbp_geom::{Point2, PointId};
+use vbp_geom::{Mbb, Point2, PointId};
 use vbp_rtree::packed::DEFAULT_FANOUT;
 use vbp_rtree::traits::shared_points;
 use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
@@ -341,4 +341,95 @@ fn keyed_counts_agree_with_the_neighbour_list() {
             }
         }
     }
+}
+
+#[test]
+fn table_searches_equal_the_walk() {
+    // A search centred on an indexed point through the tree's leaf-reach
+    // table scans the leaves the walk scans, in the walk's order, so it
+    // returns the same count and the same kept ids in the same order. On
+    // fresh trees and on trees grown by an append that rewrote a partial
+    // last leaf and left another; and on the over-budget side, where no
+    // table is built and the search walks.
+    const UNCLASSIFIED: u32 = u32::MAX - 1;
+    const NOISE: u32 = u32::MAX;
+    let palette = [0, 1, 5, UNCLASSIFIED, NOISE];
+    #[allow(clippy::reversed_empty_ranges)]
+    let wants = [UNCLASSIFIED..=NOISE, 0..=0, 1..=5, 0..=u32::MAX, 5..=1];
+    let mut rng = Rng(0x7AB1_E5EE);
+    let (mut tables, mut walks) = (0usize, 0usize);
+    for family in families() {
+        let points = &family.points;
+        let keys: Vec<u32> = (0..points.len())
+            .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
+            .collect();
+        let stride = (points.len() / (15 * budget())).max(1);
+        let ids: Vec<PointId> = (0..points.len() as PointId).step_by(stride).collect();
+        for r in [1usize, 7, 80, 130] {
+            for fanout in [DEFAULT_FANOUT, 2] {
+                let fresh =
+                    PackedRTree::from_sorted_with_fanout(shared_points(points.clone()), r, fanout);
+                // Cut inside a leaf, and keep the whole not a multiple of r.
+                let n = points.len() - usize::from(r > 1 && points.len() % r == 0);
+                let cut = (n / 2 / r * r + r / 2).min(n);
+                let grown = PackedRTree::from_sorted_with_fanout(
+                    shared_points(points[..cut].iter().copied()),
+                    r,
+                    fanout,
+                )
+                .appended(&points[cut..n]);
+                for (shape, tree) in [("fresh", &fresh), ("appended", &grown)] {
+                    for &eps in &family.eps {
+                        let ctx = format!(
+                            "family={} {shape} r={r} fanout={fanout} ε={eps}",
+                            family.name
+                        );
+                        let reach = tree.leaf_reach(eps);
+                        match &reach {
+                            Some(table) => {
+                                assert!(table.entries() <= tree.len(), "{ctx}: over budget");
+                                tables += 1;
+                            }
+                            None => walks += 1,
+                        }
+                        for &id in ids.iter().filter(|&&id| (id as usize) < tree.len()) {
+                            let center = tree.points()[id as usize];
+                            let (mut listed, mut walked) = (Vec::new(), Vec::new());
+                            tree.for_each_leaf_within(id, eps, reach.as_ref(), |s, e| {
+                                listed.push((s, e));
+                            });
+                            tree.for_each_overlapping_leaf(
+                                &Mbb::around_point(center, eps),
+                                |s, e| walked.push((s, e)),
+                            );
+                            assert_eq!(listed, walked, "{ctx} id={id}: leaves scanned");
+                            for want in &wants {
+                                let (mut got, mut expect) = (vec![7], vec![7]);
+                                let count = tree.epsilon_count_keyed_at(
+                                    id,
+                                    eps,
+                                    reach.as_ref(),
+                                    &keys,
+                                    want.clone(),
+                                    &mut got,
+                                );
+                                let walk_count = tree.epsilon_count_keyed(
+                                    center,
+                                    eps,
+                                    &keys,
+                                    want.clone(),
+                                    &mut expect,
+                                );
+                                assert_eq!(count, walk_count, "{ctx} id={id} want={want:?}");
+                                assert_eq!(got, expect, "{ctx} id={id} want={want:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Both sides of the budget are reached: r = 1 with any neighbour, or
+    // ε spanning a dense family, would need more entries than points.
+    assert!(tables > 0 && walks > 0, "tables {tables}, walks {walks}");
 }

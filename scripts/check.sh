@@ -31,7 +31,8 @@ if [[ $fast -eq 0 ]]; then
 
   # An append writes its batch into buffers other index generations
   # share; the column's claim-then-publish order is likewise exercised
-  # harder by optimised code.
+  # harder by optimised code. The conformance suite also holds searches
+  # through the leaf-reach table to the tree walk, leaf by leaf.
   echo "==> cargo test --release -p vbp-rtree"
   timeout 900 cargo test --locked --release -q -p vbp-rtree
 
@@ -40,10 +41,12 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p vbp-geom"
   timeout 900 cargo test --locked --release -q -p vbp-geom
 
-  # The engine's reuse proptests hold the fused expansion waves, and the
-  # merge of an old cluster reached through a core point, to their
-  # destroy-and-re-search seed-queue oracle; optimised code is what runs
-  # them in production.
+  # The engine's reuse proptests hold the fused expansion waves, the
+  # merge of an old cluster reached through a core point and the per-leaf
+  # harvest through the leaf-reach table to their destroy-and-re-search,
+  # MBB-harvesting seed-queue oracle, and bound that harvest between the
+  # true ε-boundary and the MBB; optimised code is what runs them in
+  # production.
   echo "==> cargo test --release -p variantdbscan"
   timeout 900 cargo test --locked --release -q -p variantdbscan
 
@@ -59,6 +62,7 @@ if [[ "${CHECK_FULL:-0}" != "0" ]]; then
   echo "==> conformance (release, VBP_CONFORMANCE_FULL=1)"
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p vbp-rtree --test conformance
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --test metamorphic_reuse
+  VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --test proptest_variant
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --lib expand::
   VBP_CONFORMANCE_FULL=1 timeout 600 cargo test -q --locked --release -p vbp-dbscan --test sharded_metamorphic
   echo "==> chaos extended sweep (release, VBP_CHAOS_FULL=1: 96 + 24 + 24 schedules)"

@@ -271,12 +271,14 @@ fn prepare_sorts_as_the_comparator_oracle_and_builds_one_tree() {
 }
 
 /// The from-scratch kernel over the packed tree, whose ε-scan fuses the
-/// count and the selection of unclaimed neighbours, equals the same kernel
-/// over an index that keeps every trait default — its counts and keyed
-/// scans materialise the tree's neighbour list and filter it — in labels
-/// and every counter, at the four (ε, minpts) pairs of the benchmark's
-/// from-scratch workload. (A brute-force scan would take the same
-/// defaults at ≈ 1 s per pair in a debug build.)
+/// count and the selection of unclaimed neighbours and reads the leaves to
+/// scan off the tree's leaf-reach table, equals the same kernel over an
+/// index that keeps every trait default — it builds no table
+/// (`leaf_reach`), and its id-centred searches (`epsilon_count_keyed_at`)
+/// walk the tree from the root and materialise the neighbour list and
+/// filter it — in labels and every counter, at the four (ε, minpts) pairs
+/// of the benchmark's from-scratch workload. (A brute-force scan would
+/// take the same defaults at ≈ 1 s per pair in a debug build.)
 #[test]
 fn fused_scan_clusters_as_the_materialising_default() {
     use vbp::vbp_dbscan::{dbscan_with_scratch, DbscanScratch};
@@ -301,6 +303,10 @@ fn fused_scan_clusters_as_the_materialising_default() {
     let mut scratch = DbscanScratch::new();
     for (eps, minpts) in [(0.35, 4), (0.40, 6), (0.45, 8), (0.50, 10)] {
         let params = DbscanParams::new(eps, minpts);
+        assert!(
+            tree.leaf_reach(eps).is_some(),
+            "({eps}, {minpts}): no table"
+        );
         let fused = dbscan_with_scratch(&tree, params, &mut scratch);
         let default = dbscan_with_scratch(&Defaults(&tree), params, &mut scratch);
         assert_eq!(fused.0, default.0, "({eps}, {minpts}): labels");
