@@ -54,7 +54,9 @@ impl DbscanParams {
 pub struct DbscanStats {
     /// Number of ε-neighborhood searches issued.
     pub neighbor_searches: usize,
-    /// Total neighbors returned across all searches.
+    /// Sum of the neighbourhood sizes `|N_ε(p)|` over all searches. The
+    /// searches count every neighbour but return only the ones an
+    /// expansion can still claim, so this exceeds the ids returned.
     pub neighbors_found: usize,
     /// Number of core points discovered.
     pub core_points: usize,

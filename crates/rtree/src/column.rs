@@ -13,13 +13,20 @@
 //! every handle's point of view, and old generations stay valid for as
 //! long as anyone holds them.
 //!
-//! This module holds the crate's only `unsafe` code. The invariant it
-//! keeps: **a slot is written once, before any handle covering it
-//! exists, and is never written again.** A writer first claims the slots
-//! `[len, len + k)` by moving the buffer's filled mark from `len` to
-//! `len + k` with one compare-and-swap (the mark only ever grows, so a
-//! slot is claimed at most once), writes them, and only then creates the
-//! handle that covers them. Handles reach other threads through the usual
+//! The crate's `unsafe` code is in two places:
+//!
+//! - this module, whose buffer writes and reads rest on the invariant
+//!   below;
+//! - the ε-scan kernels' dispatch (`scan.rs`), which calls a
+//!   `#[target_feature]` copy of a kernel only on a host where
+//!   `is_x86_feature_detected!` found its features.
+//!
+//! The invariant this module keeps: **a slot is written once, before
+//! any handle covering it exists, and is never written again.** A writer
+//! first claims the slots `[len, len + k)` by moving the buffer's filled
+//! mark from `len` to `len + k` with one compare-and-swap (the mark only
+//! ever grows, so a slot is claimed at most once), writes them, and only
+//! then creates the handle that covers them. Handles reach other threads through the usual
 //! synchronisation (a lock, a channel, a thread spawn), which orders the
 //! writes before any read through the handle.
 

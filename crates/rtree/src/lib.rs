@@ -30,12 +30,14 @@
 //! and [`tuner`] (the empirical `r` sweep the engine's auto-`r` runs).
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod brute;
 pub mod column;
 pub mod knn;
 pub mod packed;
 pub mod reach;
+mod scan;
 pub mod stats;
 pub mod traits;
 pub mod tuner;

@@ -19,7 +19,9 @@
 //! ([`PackedRTree::for_each_overlapping_leaf`]). A search centred on an
 //! indexed point can skip the walk: the [`LeafReach`] row of the point's
 //! leaf lists, in walk order, every leaf its ε-box can meet
-//! ([`crate::reach`]). Both enumerations feed the same leaf-scan kernels.
+//! ([`crate::reach`]). Both enumerations hand their leaves, as lists in
+//! walk order, to the same leaf-scan kernels, which are compiled once per
+//! x86 vector level and picked for the host once (`scan.rs`).
 //!
 //! Growth. Every array of the tree is a [`Column`], so a streaming
 //! APPEND ([`PackedRTree::appended`]) writes the batch's points and
@@ -34,6 +36,7 @@ use vbp_geom::{bin_sort, BinOrder, Mbb, Point2, PointId};
 
 use crate::column::Column;
 use crate::reach::LeafReach;
+use crate::scan::{Level, Scan};
 use crate::stats::TreeStats;
 use crate::traits::{SharedPoints, SpatialIndex};
 
@@ -241,15 +244,24 @@ impl PackedRTree {
     /// lookup array" of Algorithm 2 — here the lookup is arithmetic because
     /// leaves cover contiguous ranges of the sorted database.
     pub fn for_each_overlapping_leaf(&self, query: &Mbb, mut visit: impl FnMut(usize, usize)) {
+        self.walk(query, |leaf| {
+            let leaf = self.leaf_range(leaf);
+            visit(leaf.start, leaf.end);
+        });
+    }
+
+    /// Invokes `visit(leaf)` for every leaf whose MBB intersects `query`.
+    pub(crate) fn walk(&self, query: &Mbb, mut visit: impl FnMut(usize)) {
         let Some(top) = self.levels.len().checked_sub(1) else {
             return;
         };
         // Depth-first over (level, node index) pairs, so leaves are
         // visited in descending index order. On `cF_1M_5N@400000` at
-        // r = 80 the walk took 210–230 ns of a 450–590 ns counting query
-        // (2-core Xeon); a search centred on an indexed point reads its
-        // leaf's row of a `LeafReach` table instead, which lists the same
-        // leaves in this order (`for_each_leaf_within`).
+        // r = 80, ε 0.35–0.5, the walk costs 180–240 ns a query (2-core
+        // Xeon), as much as the AVX-512 leaf scan of a counting query
+        // there (180–250 ns); a search centred on an indexed point reads
+        // its leaf's row of a `LeafReach` table instead, which lists the
+        // same leaves in this order (`for_each_leaf_within`).
         let mut stack: Vec<(usize, usize)> = Vec::with_capacity(64);
         for (i, mbb) in self.levels[top].iter().enumerate() {
             if mbb.intersects(query) {
@@ -258,8 +270,7 @@ impl PackedRTree {
         }
         while let Some((level, idx)) = stack.pop() {
             if level == 0 {
-                let leaf = self.leaf_range(idx);
-                visit(leaf.start, leaf.end);
+                visit(idx);
                 continue;
             }
             let below = &self.levels[level - 1];
@@ -284,12 +295,18 @@ impl PackedRTree {
         id: PointId,
         eps: f64,
         reach: Option<&LeafReach>,
-        visit: impl FnMut(usize, usize),
+        mut visit: impl FnMut(usize, usize),
     ) {
         let query = Mbb::around_point(self.points[id as usize], eps);
-        match reach {
-            Some(reach) => Row(self.row(reach, id, eps)).for_each(self, &query, visit),
-            None => Walk.for_each(self, &query, visit),
+        let Some(reach) = reach else {
+            return self.for_each_overlapping_leaf(&query, visit);
+        };
+        let boxes = self.leaf_mbbs();
+        for &leaf in self.row(reach, id, eps) {
+            if boxes[leaf as usize].intersects(&query) {
+                let leaf = self.leaf_range(leaf as usize);
+                visit(leaf.start, leaf.end);
+            }
         }
     }
 
@@ -303,38 +320,44 @@ impl PackedRTree {
         reach.of(id as usize / self.r)
     }
 
+    /// The leaf scan of the ε-search centred on `center`.
+    fn scan(&self, center: Point2, eps: f64) -> Scan<'_> {
+        Scan {
+            xs: &self.xs,
+            ys: &self.ys,
+            boxes: self.leaf_mbbs(),
+            r: self.r,
+            query: Mbb::around_point(center, eps),
+            center,
+            eps_sq: eps * eps,
+        }
+    }
+
     /// `|N_ε(center)|`, counted on the scan of the leaves `leaves`
     /// enumerates.
-    fn count_within(&self, center: Point2, eps: f64, leaves: impl Leaves) -> usize {
-        let query = Mbb::around_point(center, eps);
-        let eps_sq = eps * eps;
-        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+    fn count_within(&self, center: Point2, eps: f64, leaves: Leaves) -> usize {
+        let (scan, level) = (self.scan(center, eps), Level::host());
         let mut count = 0;
-        leaves.for_each(self, &query, |s, e| {
-            for (&x, &y) in xs[s..e].iter().zip(&ys[s..e]) {
-                let (dx, dy) = (x - center.x, y - center.y);
-                count += usize::from(dx * dx + dy * dy <= eps_sq);
-            }
-        });
+        leaves.runs(self, &scan.query, |run| count += level.count(&scan, run));
         count
     }
 
-    // The fused kernel. One pass over a leaf's coordinates and keys adds
-    // its hits to the count and notes whether any hit has a wanted key;
-    // only a leaf with such a hit is scanned again, to push those hits.
-    // On `cF_1M_5N@400000` at ε 0.45, r = 80, the first pass costs about
-    // 1 ns per candidate against 0.5–0.75 ns for a count and 1.5–1.9 ns
-    // for writing every candidate (`epsilon_neighbors`), and the four
-    // from-scratch variants there rescan 7 % of the leaves they visit. A
-    // query whose hits are all wanted pays both passes, about twice the
-    // list's cost; DBSCAN counts first where that is the common case. A
-    // one pass that builds a bitmask of wanted hits per 64 points was
-    // about 28 % slower than these two passes on those four variants.
+    // The fused kernel (`scan.rs`): it counts every hit and pushes only
+    // the wanted ones, rescanning just the leaves that hold one. The four
+    // from-scratch variants on `cF_1M_5N@400000` at r = 80 rescan 7 % of
+    // the leaves they visit. There, at ε 0.35–0.5 (2-core Xeon), the
+    // first pass costs 1.3–1.6 ns per candidate at the baseline SSE2
+    // width, 0.94–1.13 ns with AVX2 and 0.58–0.67 ns with AVX-512, against
+    // 0.82–0.97, 0.56–0.66 and 0.49–0.52 ns to count. The rescan stays
+    // scalar, so a query whose hits are all wanted pays it in full;
+    // DBSCAN counts first where that is the common case. At the baseline
+    // width, one pass that builds a bitmask of wanted hits per 64 points
+    // was about 28 % slower than the two passes on those four variants.
     fn count_keyed_within(
         &self,
         center: Point2,
         eps: f64,
-        leaves: impl Leaves,
+        leaves: Leaves,
         keys: &[u32],
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
@@ -343,31 +366,11 @@ impl PackedRTree {
             return self.count_within(center, eps, leaves);
         }
         let keys = &keys[..self.points.len()];
-        // `lo ≤ k ≤ hi` as one unsigned compare.
-        let (lo, span) = (*want.start(), want.end() - want.start());
-        let query = Mbb::around_point(center, eps);
-        let eps_sq = eps * eps;
-        let within = |x: f64, y: f64| {
-            let (dx, dy) = (x - center.x, y - center.y);
-            dx * dx + dy * dy <= eps_sq
-        };
-        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let want = (*want.start(), want.end() - want.start());
+        let (scan, level) = (self.scan(center, eps), Level::host());
         let mut count = 0;
-        leaves.for_each(self, &query, |s, e| {
-            let leaf = xs[s..e].iter().zip(&ys[s..e]).zip(&keys[s..e]);
-            let mut any = false;
-            for ((&x, &y), &k) in leaf.clone() {
-                let hit = within(x, y);
-                count += usize::from(hit);
-                any |= hit & (k.wrapping_sub(lo) <= span);
-            }
-            if any {
-                for (i, ((&x, &y), &k)) in leaf.enumerate() {
-                    if within(x, y) && k.wrapping_sub(lo) <= span {
-                        out.push((s + i) as PointId);
-                    }
-                }
-            }
+        leaves.runs(self, &scan.query, |run| {
+            count += level.count_keyed(&scan, run, keys, want, out);
         });
         count
     }
@@ -444,39 +447,44 @@ impl PackedRTree {
     }
 }
 
+/// The walk hands its leaves to a kernel in chunks of this many, from a
+/// buffer on the stack.
+const WALK_CHUNK: usize = 64;
+
 /// How an ε-scan enumerates the leaves whose MBB meets its query box.
-/// Each kernel is compiled once per enumeration: one body serving both
-/// behind a branch compiled to a keyed scan 35–60 % slower when every hit
-/// is wanted (`cF_1M_5N@400000`, ε 0.45, r = 80).
-trait Leaves: Copy {
-    /// Invokes `visit(start, end)` for each such leaf of `tree`.
-    fn for_each(self, tree: &PackedRTree, query: &Mbb, visit: impl FnMut(usize, usize));
+/// Both hand the kernels (`scan.rs`) lists of leaves in the walk's order,
+/// which the kernels test against the query box one by one, so each
+/// kernel is compiled once per vector level and serves both.
+#[derive(Clone, Copy)]
+enum Leaves<'a> {
+    /// From the root ([`PackedRTree::walk`]).
+    Walk,
+    /// Along a [`LeafReach`] row whose leaf's inflated box contains the
+    /// query box.
+    Row(&'a [u32]),
 }
 
-/// From the root ([`PackedRTree::for_each_overlapping_leaf`]).
-#[derive(Clone, Copy)]
-struct Walk;
-
-impl Leaves for Walk {
+impl Leaves<'_> {
+    /// Invokes `scan(run)` on lists of leaves that together hold every
+    /// leaf of `tree` whose box meets `query`, in the walk's order: a row
+    /// whole, the walk's leaves in chunks of [`WALK_CHUNK`] (which pass
+    /// the kernels' box test again).
     #[inline]
-    fn for_each(self, tree: &PackedRTree, query: &Mbb, visit: impl FnMut(usize, usize)) {
-        tree.for_each_overlapping_leaf(query, visit);
-    }
-}
-
-/// Along a [`LeafReach`] row whose leaf's inflated box contains the
-/// query box, testing each listed leaf against the query.
-#[derive(Clone, Copy)]
-struct Row<'a>(&'a [u32]);
-
-impl Leaves for Row<'_> {
-    #[inline]
-    fn for_each(self, tree: &PackedRTree, query: &Mbb, mut visit: impl FnMut(usize, usize)) {
-        let boxes = tree.leaf_mbbs();
-        for &leaf in self.0 {
-            if boxes[leaf as usize].intersects(query) {
-                let leaf = tree.leaf_range(leaf as usize);
-                visit(leaf.start, leaf.end);
+    fn runs(self, tree: &PackedRTree, query: &Mbb, mut scan: impl FnMut(&[u32])) {
+        match self {
+            Leaves::Row(row) => scan(row),
+            Leaves::Walk => {
+                let mut chunk = [0u32; WALK_CHUNK];
+                let mut len = 0;
+                tree.walk(query, |leaf| {
+                    chunk[len] = leaf as u32;
+                    len += 1;
+                    if len == WALK_CHUNK {
+                        scan(&chunk);
+                        len = 0;
+                    }
+                });
+                scan(&chunk[..len]);
             }
         }
     }
@@ -519,35 +527,21 @@ impl SpatialIndex for PackedRTree {
         });
     }
 
-    // The SoA kernel. Two deviations from the textbook loop, both for the
-    // memory-bound regime §IV-A tunes `r` for: (1) coordinates stream from
-    // the dense `xs`/`ys` arrays instead of strided `Point2` loads; (2) the
-    // inner loop is branch-light — it writes every candidate id and bumps
-    // the cursor by the predicate (0 or 1), so there is no data-dependent
-    // branch for the compiler to guard vectorization on. NaN coordinates
+    // The SoA kernel (`Level::collect`). Two deviations from the textbook
+    // loop, both for the memory-bound regime §IV-A tunes `r` for: (1)
+    // coordinates stream from the dense `xs`/`ys` arrays instead of
+    // strided `Point2` loads; (2) the inner loop is branch-light — it
+    // writes every candidate id and bumps the cursor by the predicate (0
+    // or 1), so there is no data-dependent branch. NaN coordinates
     // compare false and are correctly skipped.
     fn epsilon_neighbors(&self, center: Point2, eps: f64, out: &mut Vec<PointId>) {
-        let query = Mbb::around_point(center, eps);
-        let eps_sq = eps * eps;
-        let (cx, cy) = (center.x, center.y);
-        let (xs, ys) = (&self.xs[..], &self.ys[..]);
-        self.for_each_overlapping_leaf(&query, |s, e| {
-            let base = out.len();
-            out.resize(base + (e - s), 0);
-            let mut w = base;
-            for i in s..e {
-                let dx = xs[i] - cx;
-                let dy = ys[i] - cy;
-                out[w] = i as PointId;
-                w += usize::from(dx * dx + dy * dy <= eps_sq);
-            }
-            out.truncate(w);
-        });
+        let (scan, level) = (self.scan(center, eps), Level::host());
+        Leaves::Walk.runs(self, &scan.query, |run| level.collect(&scan, run, out));
     }
 
     // Counting only: the same leaf scan without a write per candidate.
     fn epsilon_count(&self, center: Point2, eps: f64, _scratch: &mut Vec<PointId>) -> usize {
-        self.count_within(center, eps, Walk)
+        self.count_within(center, eps, Leaves::Walk)
     }
 
     fn epsilon_count_keyed(
@@ -558,7 +552,7 @@ impl SpatialIndex for PackedRTree {
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
-        self.count_keyed_within(center, eps, Walk, keys, want, out)
+        self.count_keyed_within(center, eps, Leaves::Walk, keys, want, out)
     }
 
     // The same kernels over the leaves `reach` lists for `id`'s leaf.
@@ -571,14 +565,8 @@ impl SpatialIndex for PackedRTree {
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
-        let center = self.points[id as usize];
-        match reach {
-            Some(reach) => {
-                let row = Row(self.row(reach, id, eps));
-                self.count_keyed_within(center, eps, row, keys, want, out)
-            }
-            None => self.count_keyed_within(center, eps, Walk, keys, want, out),
-        }
+        let leaves = reach.map_or(Leaves::Walk, |reach| Leaves::Row(self.row(reach, id, eps)));
+        self.count_keyed_within(self.points[id as usize], eps, leaves, keys, want, out)
     }
 
     fn leaf_reach(&self, eps: f64) -> Option<LeafReach> {
@@ -769,6 +757,34 @@ mod tests {
                 soa.sort_unstable();
                 naive.sort_unstable();
                 assert_eq!(soa, naive, "r={r}, center=({cx},{cy}), ε={eps}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_over_many_chunks_scans_in_walk_order() {
+        let pts = grid_points(25, 25);
+        let keys: Vec<u32> = (0..pts.len() as u32).map(|i| i % 3).collect();
+        for r in [1, 2, 7] {
+            let (t, _) = PackedRTree::build(&pts, r);
+            for (center, eps) in [
+                (Point2::new(12.0, 12.0), 40.0),
+                (Point2::new(3.0, 20.0), 9.0),
+            ] {
+                let mut leaves = 0;
+                t.for_each_overlapping_leaf(&Mbb::around_point(center, eps), |_, _| leaves += 1);
+                assert!(r > 1 || leaves > 2 * WALK_CHUNK, "r={r}: {leaves} leaves");
+                // The naive path lists candidates in walk order too.
+                let (mut got, mut naive) = (Vec::new(), Vec::new());
+                t.epsilon_neighbors(center, eps, &mut got);
+                t.epsilon_neighbors_naive(center, eps, &mut naive);
+                assert_eq!(got, naive, "r={r}, ε={eps}");
+                assert_eq!(t.epsilon_count(center, eps, &mut Vec::new()), naive.len());
+                let mut kept = Vec::new();
+                let count = t.epsilon_count_keyed(center, eps, &keys, 1..=1, &mut kept);
+                assert_eq!(count, naive.len());
+                naive.retain(|&i| keys[i as usize] == 1);
+                assert_eq!(kept, naive, "r={r}, ε={eps}");
             }
         }
     }

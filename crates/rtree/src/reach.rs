@@ -43,15 +43,12 @@ impl LeafReach {
     /// once the rows hold more entries than `tree` holds points.
     pub(crate) fn build(tree: &PackedRTree, eps: f64) -> Option<Self> {
         let budget = tree.len();
-        let r = tree.points_per_leaf();
         let boxes = tree.leaf_mbbs();
         let mut offsets = Vec::with_capacity(boxes.len() + 1);
         let mut leaves = Vec::new();
         offsets.push(0);
         for leaf in boxes {
-            tree.for_each_overlapping_leaf(&leaf.inflate(eps), |start, _| {
-                leaves.push((start / r) as u32);
-            });
+            tree.walk(&leaf.inflate(eps), |leaf| leaves.push(leaf as u32));
             if leaves.len() > budget {
                 return None;
             }

@@ -37,6 +37,7 @@
 //! exactly one of the two layers.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bytes;
 pub mod container;

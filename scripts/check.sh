@@ -32,7 +32,11 @@ if [[ $fast -eq 0 ]]; then
   # An append writes its batch into buffers other index generations
   # share; the column's claim-then-publish order is likewise exercised
   # harder by optimised code. The conformance suite also holds searches
-  # through the leaf-reach table to the tree walk, leaf by leaf.
+  # through the leaf-reach table to the tree walk, leaf by leaf, and
+  # `scan::tests::every_level_scans_as_the_baseline` holds the ε-scan
+  # kernels' AVX2 and AVX-512 copies (those the host has) to the
+  # baseline copy, count for count and id for id, as optimised code
+  # compiles them.
   echo "==> cargo test --release -p vbp-rtree"
   timeout 900 cargo test --locked --release -q -p vbp-rtree
 

@@ -314,3 +314,54 @@ fn fused_scan_clusters_as_the_materialising_default() {
         assert!(fused.1.clusters > 0, "({eps}, {minpts}): nothing clustered");
     }
 }
+
+/// The packed tree's leaf scans run at the widest vector level the host
+/// supports; `BruteForce` answers the same searches with its own scalar
+/// loop. Clustering through either must give the same labels and the
+/// same counters, on a lattice where many pairs lie at (or within an
+/// ulp of) exactly ε and on a synthetic dataset, at `scratch_cf`'s four
+/// (ε, minpts) pairs.
+#[test]
+fn vector_width_scan_clusters_as_the_scalar_brute_force() {
+    use vbp::vbp_dbscan::{dbscan_with_scratch, DbscanScratch};
+    use vbp::vbp_geom::Point2;
+    use vbp::vbp_rtree::{BruteForce, SpatialIndex};
+
+    // A sparse 0.05-spaced lattice: every ε below is a whole number of
+    // steps, so the axis neighbours (and 6-8-10 triples) sit on the
+    // boundary. Patches of 40 × 40 steps, a point in 29 kept, are
+    // parted by bands of 20 steps, a point in 400 kept; some points are
+    // doubled.
+    let mut lattice = Vec::new();
+    for i in 0..200u64 {
+        for j in 0..200u64 {
+            let one_in = if i % 60 < 40 && j % 60 < 40 { 29 } else { 400 };
+            if ((i * 200 + j).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % one_in == 0 {
+                let p = Point2::new(i as f64 * 0.05, j as f64 * 0.05);
+                lattice.push(p);
+                if (i + j) % 11 == 0 {
+                    lattice.push(p);
+                }
+            }
+        }
+    }
+    let synthetic = DatasetSpec::by_name("cF_10k_5N@2000").unwrap().generate();
+    let mut scratch = DbscanScratch::new();
+    for (name, points) in [("lattice", lattice), ("cF_10k_5N@2000", synthetic)] {
+        for r in [16, 80] {
+            let (tree, _) = PackedRTree::build(&points, r);
+            let brute = BruteForce::new(tree.shared_points());
+            for (eps, minpts) in [(0.35, 4), (0.40, 6), (0.45, 8), (0.50, 10)] {
+                let at = format!("{name}, r={r}, ({eps}, {minpts})");
+                assert!(tree.leaf_reach(eps).is_some(), "{at}: no table");
+                let params = DbscanParams::new(eps, minpts);
+                let packed = dbscan_with_scratch(&tree, params, &mut scratch);
+                let scalar = dbscan_with_scratch(&brute, params, &mut scratch);
+                assert_eq!(packed.0, scalar.0, "{at}: labels");
+                assert_eq!(packed.1, scalar.1, "{at}: stats");
+                assert!(packed.1.clusters > 1, "{at}: {:?}", packed.1);
+                assert!(packed.1.noise_points > 0, "{at}: {:?}", packed.1);
+            }
+        }
+    }
+}
