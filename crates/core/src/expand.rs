@@ -49,7 +49,7 @@ use std::sync::OnceLock;
 
 use vbp_dbscan::{ClusterId, ClusterResult, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use vbp_geom::{Mbb, PointId};
-use vbp_rtree::{LeafReach, PackedRTree, SpatialIndex, COUNT_ONLY};
+use vbp_rtree::{LeafReach, PackedRTree, Skip, SpatialIndex, COUNT_ONLY};
 
 use crate::seeds::{seed_list, ReuseScheme};
 use crate::trace::{TraceEvent, WorkerTracer};
@@ -353,12 +353,12 @@ pub(crate) fn cluster_with_reuse_traced(
         x.stats.remainder_searches += x.expand(c);
     }
 
-    // Compact cluster ids: destruction-free runs already have dense ids,
-    // but a run that created ids and then absorbed nothing extra still may
-    // leave gaps if a reused cluster was fully absorbed later (it cannot —
-    // copied points are labeled immediately — so ids stay dense; the
-    // compaction below is a cheap safety net for the invariant
-    // ClusterResult enforces).
+    // Renumber cluster ids in order of first appearance over the points.
+    // The ids are dense already: each is taken at a seed turn that copies
+    // at least one point or by a remainder point that labels itself. But
+    // they were issued in seed-list order, so this renumbers every reused
+    // result whose seed list is not in point order: the labels returned
+    // are numbered by first appearance, not by seed turn.
     let result = ClusterResult::from_labels(compact_labels(x.labels));
     (result, x.stats)
 }
@@ -472,6 +472,7 @@ impl Expansion<'_> {
                 p,
                 self.eps,
                 self.harvest.reach,
+                Skip::NONE,
                 &self.fresh,
                 FRESH..=FRESH,
                 &mut self.inside,
@@ -527,6 +528,7 @@ impl Expansion<'_> {
             p,
             self.eps,
             self.harvest.reach,
+            Skip::NONE,
             self.labels.as_raw(),
             COUNT_ONLY,
             &mut self.neighbors,
@@ -543,6 +545,7 @@ impl Expansion<'_> {
             p,
             self.eps,
             self.harvest.reach,
+            Skip::NONE,
             self.labels.as_raw(),
             UNCLAIMED,
             &mut self.neighbors,

@@ -15,7 +15,7 @@
 //! ([`SpatialIndex::leaf_reach`]) instead of walking from the root.
 
 use vbp_geom::{Point2, PointId};
-use vbp_rtree::{SpatialIndex, COUNT_ONLY};
+use vbp_rtree::{LeafReach, Skip, SpatialIndex, COUNT_ONLY};
 
 use crate::labels::{ClusterId, Labels, MAX_CLUSTER_ID, UNCLAIMED};
 use crate::result::ClusterResult;
@@ -54,9 +54,11 @@ impl DbscanParams {
 pub struct DbscanStats {
     /// Number of ε-neighborhood searches issued.
     pub neighbor_searches: usize,
-    /// Sum of the neighbourhood sizes `|N_ε(p)|` over all searches. The
-    /// searches count every neighbour but return only the ones an
-    /// expansion can still claim, so this exceeds the ids returned.
+    /// Sum over all searches of `min(|N_ε(p)|, minpts)`: the neighbours
+    /// each search needed to decide whether `p` is core. A search may stop
+    /// counting once it reaches `minpts`, so a larger sum would depend on
+    /// the index; this one does not, and a tree, [`vbp_rtree::BruteForce`]
+    /// and the trait defaults report the same value.
     pub neighbors_found: usize,
     /// Number of core points discovered.
     pub core_points: usize,
@@ -120,12 +122,21 @@ pub fn dbscan<I: SpatialIndex + ?Sized>(index: &I, params: DbscanParams) -> Clus
 /// index builds one. The outer loop, which reaches mostly noise, only
 /// counts ([`COUNT_ONLY`]); a point it finds core is scanned once more to
 /// collect, and counted as one search. Every wave search is keyed by the
-/// labels: it counts the whole neighbourhood for the core test but
-/// returns only the [`UNCLAIMED`] neighbours, the ones an expansion can
-/// still claim. A core point's expansion claims each of them where it is
-/// found — labels it `c` and, if unvisited, marks it visited and pushes it
-/// onto the next wave — so each point enters a wave at most once. Each
-/// wave is searched in ascending id order (tree order for a packed tree).
+/// labels: it counts the neighbourhood for the core test but returns
+/// only the [`UNCLAIMED`] neighbours, the ones an expansion can still
+/// claim. A core point's expansion claims each of them where it is found
+/// — labels it `c` and, if unvisited, marks it visited and pushes it onto
+/// the next wave — so each point enters a wave at most once. Each wave is
+/// searched in ascending id order (tree order for a packed tree).
+///
+/// With a table, the call also keeps per leaf the number of its points
+/// still unclaimed, decremented exactly where a point is labelled with a
+/// cluster. Every search passes it as a [`Skip`] with `need = minpts`:
+/// once its count reaches `minpts` the core test is decided, so a
+/// counting search stops there and a keyed one passes over the leaves
+/// with nothing left to claim. Counts of noise points stay exact; only
+/// [`DbscanStats::neighbors_found`] reads the others, and it sums
+/// `min(count, minpts)`.
 ///
 /// The result equals the seed-queue formulation of Algorithm 1 bit for bit:
 /// one cluster's expansion assigns only `c`, so the set it searches is the
@@ -140,6 +151,7 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
     let n = index.len();
     let reach = index.leaf_reach(params.eps);
     let reach = reach.as_ref();
+    let mut live = Live::new(reach, n);
     let mut labels = Labels::unclassified(n);
     let mut stats = DbscanStats::default();
     let mut next_cluster: ClusterId = 0;
@@ -165,12 +177,13 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
             p,
             params.eps,
             reach,
+            live.skip(params.minpts),
             labels.as_raw(),
             COUNT_ONLY,
             neighbors,
         );
         stats.neighbor_searches += 1;
-        stats.neighbors_found += count;
+        stats.neighbors_found += count.min(params.minpts);
 
         if count < params.minpts {
             // Provisional noise; may be relabeled as a border point when a
@@ -185,10 +198,18 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
         next_cluster += 1;
         stats.core_points += 1;
         neighbors.clear();
-        index.epsilon_count_keyed_at(p, params.eps, reach, labels.as_raw(), UNCLAIMED, neighbors);
-        labels.assign(p, c);
+        index.epsilon_count_keyed_at(
+            p,
+            params.eps,
+            reach,
+            live.skip(params.minpts),
+            labels.as_raw(),
+            UNCLAIMED,
+            neighbors,
+        );
+        live.assign(&mut labels, p, c);
         wave.clear();
-        claim(neighbors, c, &mut labels, &mut visited, wave);
+        claim(neighbors, c, &mut labels, &mut live, &mut visited, wave);
 
         while !wave.is_empty() {
             wave.sort_unstable();
@@ -200,14 +221,15 @@ pub fn dbscan_with_scratch<I: SpatialIndex + ?Sized>(
                     q,
                     params.eps,
                     reach,
+                    live.skip(params.minpts),
                     labels.as_raw(),
                     UNCLAIMED,
                     neighbors,
                 );
-                stats.neighbors_found += count;
+                stats.neighbors_found += count.min(params.minpts);
                 if count >= params.minpts {
                     stats.core_points += 1;
-                    claim(neighbors, c, &mut labels, &mut visited, next);
+                    claim(neighbors, c, &mut labels, &mut live, &mut visited, next);
                 }
             }
             std::mem::swap(wave, next);
@@ -229,16 +251,62 @@ fn claim(
     found: &[PointId],
     c: ClusterId,
     labels: &mut Labels,
+    live: &mut Live,
     visited: &mut [bool],
     wave: &mut Vec<PointId>,
 ) {
     for &q in found {
         if labels.cluster(q).is_none() {
-            labels.assign(q, c);
+            live.assign(labels, q, c);
         }
         if !visited[q as usize] {
             visited[q as usize] = true;
             wave.push(q);
+        }
+    }
+}
+
+/// Per leaf of the index's [`LeafReach`] table, how many of its points
+/// are still [`UNCLAIMED`]: the `live` of the searches' [`Skip`]. Empty
+/// without a table, and then the searches skip nothing.
+struct Live {
+    /// The index's points per leaf.
+    r: usize,
+    left: Vec<u32>,
+}
+
+impl Live {
+    /// Every point unclaimed, if there is a table.
+    fn new(reach: Option<&LeafReach>, n: usize) -> Self {
+        let r = reach.map_or(1, LeafReach::points_per_leaf);
+        let left = (0..reach.map_or(0, LeafReach::leaf_count))
+            .map(|leaf| (n - leaf * r).min(r) as u32)
+            .collect();
+        Self { r, left }
+    }
+
+    /// Labels the unclaimed point `p` with cluster `c`: the one place a
+    /// point stops being unclaimed.
+    #[inline]
+    fn assign(&mut self, labels: &mut Labels, p: PointId, c: ClusterId) {
+        labels.assign(p, c);
+        if let Some(left) = self.left.get_mut(p as usize / self.r) {
+            *left -= 1;
+        }
+    }
+
+    /// What a search may skip once its count reaches `minpts`: the core
+    /// test is then decided, and a leaf with no unclaimed point holds
+    /// nothing it could claim. Without a table, nothing.
+    #[inline]
+    fn skip(&self, minpts: usize) -> Skip<'_> {
+        if self.left.is_empty() {
+            Skip::NONE
+        } else {
+            Skip {
+                need: minpts,
+                live: &self.left,
+            }
         }
     }
 }
@@ -447,7 +515,7 @@ mod tests {
             neighbors.clear();
             index.epsilon_neighbors(index.points()[p as usize], params.eps, &mut neighbors);
             stats.neighbor_searches += 1;
-            stats.neighbors_found += neighbors.len();
+            stats.neighbors_found += neighbors.len().min(params.minpts);
             if neighbors.len() < params.minpts {
                 labels.mark_noise(p);
                 continue;
@@ -476,7 +544,7 @@ mod tests {
                     params.eps,
                     &mut neighbors,
                     &mut |_, ns| {
-                        stats.neighbors_found += ns.len();
+                        stats.neighbors_found += ns.len().min(params.minpts);
                         if ns.len() >= params.minpts {
                             stats.core_points += 1;
                             seeds.extend(ns.iter().copied().filter(|&nb| {
@@ -503,8 +571,18 @@ mod tests {
         )
     }
 
+    /// Cases of each proptest here: 64, or 256 under
+    /// `VBP_CONFORMANCE_FULL=1` (the `CHECK_FULL=1` path of
+    /// `scripts/check.sh`).
+    fn cases() -> u32 {
+        match std::env::var("VBP_CONFORMANCE_FULL") {
+            Ok(v) if v != "0" && !v.is_empty() => 256,
+            _ => 64,
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
 
         #[test]
         fn fused_waves_equal_the_seed_queue(

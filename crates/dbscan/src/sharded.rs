@@ -151,7 +151,7 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
         let mut scratch: Vec<PointId> = Vec::new();
         let mut found = 0usize;
         index.epsilon_neighbors_batch(&mut ids, params.eps, &mut scratch, &mut |p, neighbors| {
-            found += neighbors.len();
+            found += neighbors.len().min(params.minpts);
             if neighbors.len() < params.minpts {
                 return;
             }

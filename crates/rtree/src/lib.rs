@@ -47,5 +47,5 @@ pub use column::Column;
 pub use packed::PackedRTree;
 pub use reach::LeafReach;
 pub use stats::TreeStats;
-pub use traits::{shared_points, SharedPoints, SpatialIndex, COUNT_ONLY};
+pub use traits::{shared_points, SharedPoints, Skip, SpatialIndex, COUNT_ONLY};
 pub use tuner::{tune_r, tune_r_default, tune_r_sampled, TuneReport, DEFAULT_R_CANDIDATES};

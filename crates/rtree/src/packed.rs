@@ -38,7 +38,7 @@ use crate::column::Column;
 use crate::reach::LeafReach;
 use crate::scan::{Level, Scan};
 use crate::stats::TreeStats;
-use crate::traits::{SharedPoints, SpatialIndex};
+use crate::traits::{SharedPoints, Skip, SpatialIndex};
 
 /// Internal-node fanout. 16 keeps the tree shallow while each node's child
 /// MBB array (16 × 32 B = 512 B) spans only a few cache lines.
@@ -314,14 +314,20 @@ impl PackedRTree {
     #[inline]
     fn row<'t>(&self, reach: &'t LeafReach, id: PointId, eps: f64) -> &'t [u32] {
         debug_assert!(
-            reach.eps().to_bits() == eps.to_bits() && reach.leaf_count() == self.leaf_count(),
+            reach.eps().to_bits() == eps.to_bits()
+                && reach.leaf_count() == self.leaf_count()
+                && reach.points_per_leaf() == self.r,
             "a leaf-reach table for another tree or ε"
         );
-        reach.of(id as usize / self.r)
+        reach.of(reach.leaf_of(id))
     }
 
     /// The leaf scan of the ε-search centred on `center`.
-    fn scan(&self, center: Point2, eps: f64) -> Scan<'_> {
+    fn scan<'s>(&'s self, center: Point2, eps: f64, skip: Skip<'s>) -> Scan<'s> {
+        debug_assert!(
+            skip.live.is_empty() || skip.live.len() == self.leaf_count(),
+            "a live count per leaf of another tree"
+        );
         Scan {
             xs: &self.xs,
             ys: &self.ys,
@@ -330,15 +336,18 @@ impl PackedRTree {
             query: Mbb::around_point(center, eps),
             center,
             eps_sq: eps * eps,
+            skip,
         }
     }
 
-    /// `|N_ε(center)|`, counted on the scan of the leaves `leaves`
-    /// enumerates.
-    fn count_within(&self, center: Point2, eps: f64, leaves: Leaves) -> usize {
-        let (scan, level) = (self.scan(center, eps), Level::host());
+    /// The hits of `scan` over the leaves `leaves` enumerates: `|N_ε|`,
+    /// or a partial count once it reaches `scan.skip.need`.
+    fn count_within(&self, scan: Scan, leaves: Leaves) -> usize {
+        let level = Level::host();
         let mut count = 0;
-        leaves.runs(self, &scan.query, |run| count += level.count(&scan, run));
+        leaves.runs(self, &scan.query, |run| {
+            count = level.count(&scan, run, count)
+        });
         count
     }
 
@@ -348,29 +357,28 @@ impl PackedRTree {
     // the leaves they visit. There, at ε 0.35–0.5 (2-core Xeon), the
     // first pass costs 1.3–1.6 ns per candidate at the baseline SSE2
     // width, 0.94–1.13 ns with AVX2 and 0.58–0.67 ns with AVX-512, against
-    // 0.82–0.97, 0.56–0.66 and 0.49–0.52 ns to count. The rescan stays
-    // scalar, so a query whose hits are all wanted pays it in full;
+    // 0.82–0.97, 0.56–0.66 and 0.49–0.52 ns to count. The rescan pushes
+    // by bitmask, and a query whose hits are all wanted pays it in full;
     // DBSCAN counts first where that is the common case. At the baseline
-    // width, one pass that builds a bitmask of wanted hits per 64 points
+    // width, one pass that builds a bitmask of wanted hits for every leaf
     // was about 28 % slower than the two passes on those four variants.
     fn count_keyed_within(
         &self,
-        center: Point2,
-        eps: f64,
+        scan: Scan,
         leaves: Leaves,
         keys: &[u32],
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
         if want.is_empty() {
-            return self.count_within(center, eps, leaves);
+            return self.count_within(scan, leaves);
         }
         let keys = &keys[..self.points.len()];
         let want = (*want.start(), want.end() - want.start());
-        let (scan, level) = (self.scan(center, eps), Level::host());
+        let level = Level::host();
         let mut count = 0;
         leaves.runs(self, &scan.query, |run| {
-            count += level.count_keyed(&scan, run, keys, want, out);
+            count = level.count_keyed(&scan, run, count, keys, want, out);
         });
         count
     }
@@ -535,13 +543,13 @@ impl SpatialIndex for PackedRTree {
     // or 1), so there is no data-dependent branch. NaN coordinates
     // compare false and are correctly skipped.
     fn epsilon_neighbors(&self, center: Point2, eps: f64, out: &mut Vec<PointId>) {
-        let (scan, level) = (self.scan(center, eps), Level::host());
+        let (scan, level) = (self.scan(center, eps, Skip::NONE), Level::host());
         Leaves::Walk.runs(self, &scan.query, |run| level.collect(&scan, run, out));
     }
 
     // Counting only: the same leaf scan without a write per candidate.
     fn epsilon_count(&self, center: Point2, eps: f64, _scratch: &mut Vec<PointId>) -> usize {
-        self.count_within(center, eps, Leaves::Walk)
+        self.count_within(self.scan(center, eps, Skip::NONE), Leaves::Walk)
     }
 
     fn epsilon_count_keyed(
@@ -552,21 +560,25 @@ impl SpatialIndex for PackedRTree {
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
-        self.count_keyed_within(center, eps, Leaves::Walk, keys, want, out)
+        let scan = self.scan(center, eps, Skip::NONE);
+        self.count_keyed_within(scan, Leaves::Walk, keys, want, out)
     }
 
-    // The same kernels over the leaves `reach` lists for `id`'s leaf.
+    // The same kernels over the leaves `reach` lists for `id`'s leaf,
+    // leaving out what `skip` allows.
     fn epsilon_count_keyed_at(
         &self,
         id: PointId,
         eps: f64,
         reach: Option<&LeafReach>,
+        skip: Skip,
         keys: &[u32],
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
         let leaves = reach.map_or(Leaves::Walk, |reach| Leaves::Row(self.row(reach, id, eps)));
-        self.count_keyed_within(self.points[id as usize], eps, leaves, keys, want, out)
+        let scan = self.scan(self.points[id as usize], eps, skip);
+        self.count_keyed_within(scan, leaves, keys, want, out)
     }
 
     fn leaf_reach(&self, eps: f64) -> Option<LeafReach> {
@@ -607,7 +619,7 @@ impl SpatialIndex for PackedRTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::shared_points;
+    use crate::traits::{shared_points, COUNT_ONLY};
 
     fn grid_points(w: usize, h: usize) -> Vec<Point2> {
         let mut v = Vec::new();
@@ -786,6 +798,60 @@ mod tests {
                 naive.retain(|&i| keys[i as usize] == 1);
                 assert_eq!(kept, naive, "r={r}, ε={eps}");
             }
+        }
+    }
+
+    #[test]
+    fn a_search_skips_settled_leaves_only_once_its_count_reaches_need() {
+        // Three leaves of four points on a line; every point is within ε
+        // of point 5, whose row visits leaves 2, 1, 0 in that order.
+        const UNCLAIMED: RangeInclusive<u32> = u32::MAX - 1..=u32::MAX;
+        let pts: Vec<Point2> = (0..12).map(|i| Point2::new(f64::from(i), 0.0)).collect();
+        let t = PackedRTree::from_sorted(shared_points(pts), 4);
+        let eps = 20.0;
+        let reach = t.leaf_reach(eps).unwrap();
+        assert_eq!((reach.leaf_of(5), reach.of(1)), (1, &[2, 1, 0][..]));
+        // Leaves 0 and 2 wholly claimed, leaf 1 unclaimed.
+        let mut keys = vec![0; 12];
+        keys[4..8].fill(u32::MAX);
+        let search = |keys: &[u32], need: usize, want: RangeInclusive<u32>| {
+            let live: Vec<u32> = keys
+                .chunks(4)
+                .map(|leaf| leaf.iter().filter(|k| want.contains(k)).count() as u32)
+                .collect();
+            let mut kept = Vec::new();
+            let skip = Skip { need, live: &live };
+            let count = t.epsilon_count_keyed_at(5, eps, Some(&reach), skip, keys, want, &mut kept);
+            (count, kept)
+        };
+        let unclaimed = vec![4, 5, 6, 7];
+        // Leaf 2 is settled but comes before the count reaches `need`, so
+        // it is scanned; leaf 0 comes after, and is skipped.
+        assert_eq!(search(&keys, 4, UNCLAIMED), (8, unclaimed.clone()));
+        assert_eq!(search(&keys, 8, UNCLAIMED), (8, unclaimed.clone()));
+        // Below `need` every leaf is scanned and the count is exact.
+        assert_eq!(search(&keys, 9, UNCLAIMED), (12, unclaimed.clone()));
+        assert_eq!(search(&keys, 13, UNCLAIMED), (12, unclaimed.clone()));
+        // A leaf with one unclaimed point is never skipped.
+        keys[1] = u32::MAX - 1;
+        assert_eq!(search(&keys, 4, UNCLAIMED), (12, vec![4, 5, 6, 7, 1]));
+        // A counting search stops at the first leaf that reaches `need`.
+        assert_eq!(search(&keys, 1, COUNT_ONLY), (4, Vec::new()));
+        assert_eq!(search(&keys, 4, COUNT_ONLY), (4, Vec::new()));
+        assert_eq!(search(&keys, 5, COUNT_ONLY), (8, Vec::new()));
+        assert_eq!(search(&keys, 13, COUNT_ONLY), (12, Vec::new()));
+        // Without a skip, both count exactly.
+        for want in [UNCLAIMED, COUNT_ONLY] {
+            let count = t.epsilon_count_keyed_at(
+                5,
+                eps,
+                Some(&reach),
+                Skip::NONE,
+                &keys,
+                want,
+                &mut Vec::new(),
+            );
+            assert_eq!(count, 12);
         }
     }
 

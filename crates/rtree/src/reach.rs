@@ -16,6 +16,8 @@
 //! member lies in a leaf that meets the inflated box of the member's
 //! leaf.
 
+use vbp_geom::PointId;
+
 use crate::packed::PackedRTree;
 use crate::traits::SpatialIndex;
 
@@ -33,6 +35,8 @@ use crate::traits::SpatialIndex;
 #[derive(Clone, Debug)]
 pub struct LeafReach {
     eps: f64,
+    /// The tree's points per leaf.
+    r: usize,
     /// Leaf `j`'s row is `leaves[offsets[j]..offsets[j + 1]]`.
     offsets: Vec<u32>,
     leaves: Vec<u32>,
@@ -56,6 +60,7 @@ impl LeafReach {
         }
         Some(Self {
             eps,
+            r: tree.points_per_leaf(),
             offsets,
             leaves,
         })
@@ -65,6 +70,18 @@ impl LeafReach {
     #[inline]
     pub fn eps(&self) -> f64 {
         self.eps
+    }
+
+    /// The tree's points per leaf.
+    #[inline]
+    pub fn points_per_leaf(&self) -> usize {
+        self.r
+    }
+
+    /// The leaf that holds the tree's point `id`.
+    #[inline]
+    pub fn leaf_of(&self, id: PointId) -> usize {
+        id as usize / self.r
     }
 
     /// Number of leaves the table has a row for.

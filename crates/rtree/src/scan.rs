@@ -22,13 +22,21 @@
 //! - [`Level::count_keyed`]: the fused pass. One pass over a leaf's
 //!   coordinates and keys adds its hits to the count and notes whether
 //!   any hit has a wanted key; only a leaf with such a hit is scanned
-//!   again, by the scalar, out-of-line [`push_wanted`], to push those
-//!   hits.
+//!   again, by [`push_wanted`], to push those hits. That push pass
+//!   builds a `u64` mask of the wanted hits per chunk of up to 64 points,
+//!   with no branch per point, then pushes the id of each set bit in
+//!   ascending order (`trailing_zeros`, then clear the lowest bit).
 //! - [`Level::collect`]: the materialising compaction of
 //!   `epsilon_neighbors`, which writes every candidate's id and advances
 //!   its cursor by the predicate. Its stores keep the compaction
 //!   scalar at every level; the row loop around it is compiled per
 //!   level like the others.
+//!
+//! The two counting kernels take a [`Skip`]: once the count reaches
+//! `skip.need`, the count stops, and the keyed pass passes over every
+//! leaf `skip.live` marks as holding no wanted key. From-scratch DBSCAN
+//! uses it with `need = minpts`, where the core test is then decided;
+//! every other caller passes [`Skip::NONE`] and gets exact counts.
 //!
 //! Each per-leaf body is a pure function over slices that returns its
 //! result by value, so it vectorises at the width its row loop was
@@ -45,6 +53,8 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use vbp_geom::{Mbb, Point2, PointId};
+
+use crate::traits::Skip;
 
 /// One search's leaf scan: the tree's coordinate columns and leaf boxes,
 /// the query box and the predicate.
@@ -63,6 +73,8 @@ pub(crate) struct Scan<'a> {
     pub(crate) center: Point2,
     /// `ε²`.
     pub(crate) eps_sq: f64,
+    /// What the scan may leave out once its count reaches `skip.need`.
+    pub(crate) skip: Skip<'a>,
 }
 
 impl Scan<'_> {
@@ -73,6 +85,13 @@ impl Scan<'_> {
         self.boxes[leaf]
             .intersects(&self.query)
             .then(|| leaf * self.r..((leaf + 1) * self.r).min(self.xs.len()))
+    }
+
+    /// Whether a scan whose count is `count` may pass over `leaf`: the
+    /// count has reached `need` and no point of `leaf` is wanted.
+    #[inline(always)]
+    fn settled(&self, count: usize, leaf: u32) -> bool {
+        count >= self.skip.need && self.skip.live.get(leaf as usize) == Some(&0)
     }
 
     /// `dist²(center, (x, y)) ≤ ε²`, in the one order every level uses.
@@ -145,42 +164,45 @@ impl Level {
         levels
     }
 
-    /// The hits among the points of the leaves in `row` that meet the
-    /// query.
+    /// `count` plus the hits among the points of the leaves in `row` that
+    /// meet the query, leaf by leaf until the sum reaches `skip.need`.
     #[inline]
-    pub(crate) fn count(self, scan: &Scan, row: &[u32]) -> usize {
+    pub(crate) fn count(self, scan: &Scan, row: &[u32], count: usize) -> usize {
         match self.0 {
-            Isa::Base => base::count(scan, row),
+            Isa::Base => base::count(scan, row, count),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: a `Level` is `Avx2` only where avx2 was detected.
-            Isa::Avx2 => unsafe { avx2::count(scan, row) },
+            Isa::Avx2 => unsafe { avx2::count(scan, row, count) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: a `Level` is `Avx512` only where `has_avx512` found
             // avx512f, avx512vl, avx512bw and avx512dq.
-            Isa::Avx512 => unsafe { avx512::count(scan, row) },
+            Isa::Avx512 => unsafe { avx512::count(scan, row, count) },
         }
     }
 
     /// [`Level::count`], appending to `out` the hits whose key is wanted,
-    /// leaf by leaf in `row`'s order and in tree order within a leaf.
+    /// leaf by leaf in `row`'s order and in tree order within a leaf. Once
+    /// the sum reaches `skip.need` it passes over the leaves `skip.live`
+    /// marks as holding no wanted key, and scans the rest.
     #[inline]
     pub(crate) fn count_keyed(
         self,
         scan: &Scan,
         row: &[u32],
+        count: usize,
         keys: &[u32],
         want: Want,
         out: &mut Vec<PointId>,
     ) -> usize {
         match self.0 {
-            Isa::Base => base::count_keyed(scan, row, keys, want, out),
+            Isa::Base => base::count_keyed(scan, row, count, keys, want, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: a `Level` is `Avx2` only where avx2 was detected.
-            Isa::Avx2 => unsafe { avx2::count_keyed(scan, row, keys, want, out) },
+            Isa::Avx2 => unsafe { avx2::count_keyed(scan, row, count, keys, want, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: a `Level` is `Avx512` only where `has_avx512` found
             // avx512f, avx512vl, avx512bw and avx512dq.
-            Isa::Avx512 => unsafe { avx512::count_keyed(scan, row, keys, want, out) },
+            Isa::Avx512 => unsafe { avx512::count_keyed(scan, row, count, keys, want, out) },
         }
     }
 
@@ -221,8 +243,8 @@ macro_rules! row_loops {
 
             #[inline(never)]
             $(#[target_feature(enable = $features)])?
-            pub(super) fn count(scan: &Scan, row: &[u32]) -> usize {
-                super::count(scan, row)
+            pub(super) fn count(scan: &Scan, row: &[u32], count: usize) -> usize {
+                super::count(scan, row, count)
             }
 
             #[inline(never)]
@@ -230,11 +252,12 @@ macro_rules! row_loops {
             pub(super) fn count_keyed(
                 scan: &Scan,
                 row: &[u32],
+                count: usize,
                 keys: &[u32],
                 want: Want,
                 out: &mut Vec<PointId>,
             ) -> usize {
-                super::count_keyed(scan, row, keys, want, out)
+                super::count_keyed(scan, row, count, keys, want, out)
             }
 
             #[inline(never)]
@@ -252,9 +275,11 @@ row_loops!(#[cfg(target_arch = "x86_64")] mod avx512, "avx512f,avx512vl,avx512bw
 
 /// The row loop of [`Level::count`].
 #[inline(always)]
-fn count(scan: &Scan, row: &[u32]) -> usize {
-    let mut count = 0;
+fn count(scan: &Scan, row: &[u32], mut count: usize) -> usize {
     for &leaf in row {
+        if count >= scan.skip.need {
+            break;
+        }
         if let Some(run) = scan.reached(leaf) {
             count += count_run(scan, &scan.xs[run.clone()], &scan.ys[run]);
         }
@@ -267,12 +292,15 @@ fn count(scan: &Scan, row: &[u32]) -> usize {
 fn count_keyed(
     scan: &Scan,
     row: &[u32],
+    mut count: usize,
     keys: &[u32],
     want: Want,
     out: &mut Vec<PointId>,
 ) -> usize {
-    let mut count = 0;
     for &leaf in row {
+        if scan.settled(count, leaf) {
+            continue;
+        }
         if let Some(run) = scan.reached(leaf) {
             let (xs, ys) = (&scan.xs[run.clone()], &scan.ys[run.clone()]);
             let (hits, any) = count_keyed_run(scan, xs, ys, &keys[run.clone()], want);
@@ -327,9 +355,12 @@ fn count_keyed_run(
     (hits, any)
 }
 
-/// The second pass over a leaf with a wanted hit: pushes each such hit.
-/// A branch per point, so it stays scalar and out of the row loop.
-#[inline(never)]
+/// The second pass over a leaf with a wanted hit: pushes each such hit,
+/// in tree order. Per chunk of up to 64 points it first builds a mask of
+/// the wanted hits, with no branch per point, then pushes the id of each
+/// set bit, lowest first. Inlined into the row loop, so the mask is
+/// built at the loop's vector width.
+#[inline(always)]
 fn push_wanted(
     scan: &Scan,
     run: Range<usize>,
@@ -337,9 +368,27 @@ fn push_wanted(
     (lo, span): Want,
     out: &mut Vec<PointId>,
 ) {
-    for i in run {
-        if scan.within(scan.xs[i], scan.ys[i]) && keys[i].wrapping_sub(lo) <= span {
-            out.push(i as PointId);
+    let (xs, ys, keys) = (
+        &scan.xs[run.clone()],
+        &scan.ys[run.clone()],
+        &keys[run.clone()],
+    );
+    for first in (0..run.len()).step_by(64) {
+        let end = (first + 64).min(run.len());
+        let mut mask = 0u64;
+        for (bit, ((&x, &y), &k)) in xs[first..end]
+            .iter()
+            .zip(&ys[first..end])
+            .zip(&keys[first..end])
+            .enumerate()
+        {
+            let wanted = scan.within(x, y) & (k.wrapping_sub(lo) <= span);
+            mask |= u64::from(wanted) << bit;
+        }
+        let base = run.start + first;
+        while mask != 0 {
+            out.push((base + mask.trailing_zeros() as usize) as PointId);
+            mask &= mask - 1;
         }
     }
 }
@@ -364,9 +413,14 @@ mod tests {
     const FRESH: Want = (1, 0);
     /// `u32::MAX − 1 ..= u32::MAX`: a key of 0 wraps to just past it.
     const UNCLAIMED: Want = (u32::MAX - 1, 1);
+    /// Every key, so every hit is pushed.
+    const EVERY: Want = (0, u32::MAX);
+    const WANTS: [Want; 3] = [FRESH, UNCLAIMED, EVERY];
 
     /// A lattice around the origin, so many points lie at exactly the
-    /// radii the cases search, then duplicates, signed zeros and NaNs.
+    /// radii the cases search, then duplicates, signed zeros and NaNs;
+    /// five times over and one point more, so that leaves of 63–130
+    /// points come out whole and the last one partial.
     fn points() -> Vec<Point2> {
         let mut points = Vec::new();
         for i in -3..=3 {
@@ -387,6 +441,8 @@ mod tests {
             Point2::new(-1.5, -2.0),
             Point2::new(1.0, 0.5),
         ]);
+        let mut points = points.repeat(5);
+        points.push(Point2::new(0.25, -0.75));
         points
     }
 
@@ -395,15 +451,35 @@ mod tests {
         [0, 1, 2, u32::MAX - 2, u32::MAX - 1, u32::MAX][i % 6]
     }
 
-    /// What a level's three kernels return for one search.
+    /// What a level's kernels return for one search: the count, the
+    /// count and kept ids of each of [`WANTS`], and every hit.
     type Answers = (usize, Vec<(usize, Vec<PointId>)>, Vec<PointId>);
 
-    fn run(level: Level, scan: &Scan, row: &[u32], keys: &[u32]) -> Answers {
-        let count = level.count(scan, row);
-        let keyed = [FRESH, UNCLAIMED]
-            .map(|want| {
+    /// One search at `level`, whose counting kernels may stop or skip
+    /// leaves once the count reaches `need`; each keyed search's `live`
+    /// is derived from the keys its want selects.
+    fn run(level: Level, scan: &Scan, row: &[u32], keys: &[u32], need: usize) -> Answers {
+        let live = Skip { need, live: &[] };
+        let count = level.count(
+            &Scan {
+                skip: live,
+                ..*scan
+            },
+            row,
+            0,
+        );
+        let keyed = WANTS
+            .map(|(lo, span)| {
+                let live: Vec<u32> = keys
+                    .chunks(scan.r)
+                    .map(|leaf| leaf.iter().filter(|k| k.wrapping_sub(lo) <= span).count() as u32)
+                    .collect();
+                let scan = Scan {
+                    skip: Skip { need, live: &live },
+                    ..*scan
+                };
                 let mut out = vec![7];
-                let count = level.count_keyed(scan, row, keys, want, &mut out);
+                let count = level.count_keyed(&scan, row, 0, keys, (lo, span), &mut out);
                 (count, out)
             })
             .to_vec();
@@ -426,10 +502,25 @@ mod tests {
             Point2::new(1.5, 2.0),
         ];
         let radii = [0.0, 0.5, 1.0, 1.25f64.sqrt(), 2.5, 5.0];
-        let mut searches = 0;
-        // Leaf lengths 1 to 17 (two 8-lane vectors and one), each with a
-        // partial last leaf of every length the point count leaves.
-        for r in 1..=17 {
+        let (mut searches, mut chunk_ends) = (0, 0);
+        // Leaf lengths 1 to 17 (two 8-lane vectors and one), and around
+        // one and two of the rescan's 64-point chunks, each with a partial
+        // last leaf.
+        let sizes = [63, 64, 65, 127, 128, 129, 130];
+        for r in (1..=17).chain(sizes) {
+            if r > 17 {
+                // The first and last lane of each chunk hold a point that
+                // is a hit at ε = 5 around the origin, so `EVERY` pushes
+                // it from the rescan there.
+                for leaf in points.chunks(r) {
+                    for chunk in leaf.chunks(64) {
+                        for p in [chunk[0], chunk[chunk.len() - 1]] {
+                            assert!(p.dist_sq(&Point2::new(0.0, 0.0)) <= 25.0, "r={r}");
+                            chunk_ends += 1;
+                        }
+                    }
+                }
+            }
             let leaves = points.len().div_ceil(r);
             let everything = Mbb::new(
                 Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
@@ -452,23 +543,32 @@ mod tests {
                             query: Mbb::around_point(center, eps),
                             center,
                             eps_sq: eps * eps,
+                            skip: Skip::NONE,
                         };
-                        let base = run(Level::BASE, &scan, &row, &keys);
-                        for &level in &levels[1..] {
-                            let got = run(level, &scan, &row, &keys);
-                            assert_eq!(got, base, "{level:?}, r={r}, {center:?}, ε={eps}");
+                        for need in [usize::MAX, 3] {
+                            let base = run(Level::BASE, &scan, &row, &keys, need);
+                            for &level in &levels[1..] {
+                                let got = run(level, &scan, &row, &keys, need);
+                                assert_eq!(
+                                    got, base,
+                                    "{level:?}, r={r}, {center:?}, ε={eps}, need={need}"
+                                );
+                            }
+                            check_baseline(&scan, &row, &keys, need, &base);
                         }
-                        check_baseline(&scan, &row, &keys, &base);
                         searches += 1;
                     }
                 }
             }
         }
-        assert_eq!(searches, 17 * 2 * 4 * 6);
+        assert_eq!(searches, 24 * 2 * 4 * 6);
+        assert_eq!(chunk_ends, 2 * (5 + 5 + 9 + 5 + 5 + 7 + 7));
     }
 
-    /// The baseline against the predicate applied point by point.
-    fn check_baseline(scan: &Scan, row: &[u32], keys: &[u32], got: &Answers) {
+    /// The baseline against the predicate applied point by point: every
+    /// kept id, and the exact count unless it reached `need`, where the
+    /// scan may stop or skip.
+    fn check_baseline(scan: &Scan, row: &[u32], keys: &[u32], need: usize, got: &Answers) {
         let hits: Vec<PointId> = row
             .iter()
             .filter_map(|&leaf| scan.reached(leaf))
@@ -479,11 +579,18 @@ mod tests {
             })
             .map(|i| i as PointId)
             .collect();
+        let counted = |count: usize| {
+            if hits.len() < need {
+                count == hits.len()
+            } else {
+                (need..=hits.len()).contains(&count)
+            }
+        };
         let (count, keyed, all) = got;
-        assert_eq!(*count, hits.len());
+        assert!(counted(*count), "{count} of {} hits", hits.len());
         assert_eq!(all[1..], hits[..]);
-        for ((lo, span), (count, out)) in [FRESH, UNCLAIMED].into_iter().zip(keyed) {
-            assert_eq!(*count, hits.len());
+        for ((lo, span), (count, out)) in WANTS.into_iter().zip(keyed) {
+            assert!(counted(*count), "{count} of {} hits", hits.len());
             let wanted: Vec<PointId> = hits
                 .iter()
                 .copied()

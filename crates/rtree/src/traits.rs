@@ -13,6 +13,35 @@ use crate::reach::LeafReach;
 #[allow(clippy::reversed_empty_ranges)]
 pub const COUNT_ONLY: RangeInclusive<u32> = 1..=0;
 
+/// What an id-centred search ([`SpatialIndex::epsilon_count_keyed_at`])
+/// may leave unscanned once its count reaches `need`: every leaf `l` with
+/// `live[l] == 0`, and, for an empty `want`, everything.
+///
+/// A caller whose only use of the count is `count ≥ need` — DBSCAN's core
+/// test, with `need = minpts` — loses nothing: once the count reaches
+/// `need` the test is decided, and a leaf none of whose points has a
+/// wanted key contributes no kept id. The search then returns a count in
+/// `need..=|N_ε|` instead of `|N_ε|`; below `need` it is exact. `live`
+/// is indexed by the tree's leaves ([`LeafReach::leaf_of`]), and
+/// `live[l] == 0` must mean that no point of leaf `l` has a key in the
+/// search's `want`; it may be empty, and then no leaf is skipped for it.
+/// Indexes other than [`crate::PackedRTree`] ignore it and count exactly.
+#[derive(Clone, Copy, Debug)]
+pub struct Skip<'a> {
+    /// The count at which the caller's test is decided.
+    pub need: usize,
+    /// Per leaf, how many of its points have a wanted key (0 = none).
+    pub live: &'a [u32],
+}
+
+impl Skip<'static> {
+    /// Skip nothing: the count is `|N_ε|`, for callers that store it.
+    pub const NONE: Self = Self {
+        need: usize::MAX,
+        live: &[],
+    };
+}
+
 /// A spatial index over an immutable 2-D point database.
 ///
 /// The contract mirrors Algorithm 2 of the paper (`NeighborSearch`): a
@@ -113,18 +142,22 @@ pub trait SpatialIndex: Send + Sync {
     /// [`Self::epsilon_count_keyed`] centred on the indexed point `id`.
     /// `reach` is [`Self::leaf_reach`]'s table for this `eps`, if it
     /// built one; an empty `want` ([`COUNT_ONLY`]) counts and collects
-    /// nothing.
+    /// nothing. `skip` says what the search may leave unscanned once its
+    /// count reaches `skip.need` ([`Skip`]); the kept ids never depend on
+    /// it, and with [`Skip::NONE`] the count is exact.
     ///
-    /// The default ignores `reach` and calls the centred form.
+    /// The default ignores `reach` and `skip` and calls the centred form.
     /// [`crate::PackedRTree`] scans the leaves `reach` lists for `id`'s
     /// leaf instead of walking the tree from the root: the same leaves in
     /// the same order ([`crate::reach`]), so the same count and the same
     /// kept ids in the same order.
+    #[allow(clippy::too_many_arguments)]
     fn epsilon_count_keyed_at(
         &self,
         id: PointId,
         eps: f64,
         _reach: Option<&LeafReach>,
+        _skip: Skip<'_>,
         keys: &[u32],
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,

@@ -15,7 +15,7 @@
 use vbp_geom::{Mbb, Point2, PointId};
 use vbp_rtree::packed::DEFAULT_FANOUT;
 use vbp_rtree::traits::shared_points;
-use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
+use vbp_rtree::{BruteForce, PackedRTree, Skip, SpatialIndex};
 
 /// Scales the case budget: 1 by default, 4 under `VBP_CONFORMANCE_FULL=1`.
 fn budget() -> usize {
@@ -409,6 +409,7 @@ fn table_searches_equal_the_walk() {
                                     id,
                                     eps,
                                     reach.as_ref(),
+                                    Skip::NONE,
                                     &keys,
                                     want.clone(),
                                     &mut got,
@@ -432,4 +433,106 @@ fn table_searches_equal_the_walk() {
     // Both sides of the budget are reached: r = 1 with any neighbour, or
     // ε spanning a dense family, would need more entries than points.
     assert!(tables > 0 && walks > 0, "tables {tables}, walks {walks}");
+}
+
+#[test]
+fn skipped_searches_keep_every_wanted_id() {
+    // A search may pass over a leaf none of whose points has a wanted key
+    // once its count reaches `need`, and a counting search may stop
+    // there. Over random key states — leaves of mixed keys and leaves
+    // whose points all carry one key, so that some are settled for each
+    // want — with `live` derived from the keys, the kept ids and their
+    // order are the unskipped search's. The count is exact below `need`
+    // and lies in `need..=exact` otherwise. Through the leaf-reach table
+    // and through the walk; `BruteForce` ignores the skip.
+    const UNCLASSIFIED: u32 = u32::MAX - 1;
+    const NOISE: u32 = u32::MAX;
+    let palette = [0, 1, 5, UNCLASSIFIED, NOISE];
+    #[allow(clippy::reversed_empty_ranges)]
+    let wants = [UNCLASSIFIED..=NOISE, 0..=0, 1..=5, 0..=u32::MAX, 5..=1];
+    let mut rng = Rng(0x5C1F_1EAF);
+    let (mut searches, mut partial) = (0usize, 0usize);
+    for family in families() {
+        let points = &family.points;
+        let stride = (points.len() / (15 * budget())).max(1);
+        let ids: Vec<PointId> = (0..points.len() as PointId).step_by(stride).collect();
+        let brute = BruteForce::new(shared_points(points.clone()));
+        for r in [7usize, 80, 130] {
+            let tree = PackedRTree::from_sorted(shared_points(points.clone()), r);
+            let mut pick = || palette[(rng.next_u64() % palette.len() as u64) as usize];
+            let keys: Vec<u32> = (0..tree.leaf_count())
+                .flat_map(|leaf| {
+                    let len = (points.len() - leaf * r).min(r);
+                    let one = (leaf % 3 != 0).then(&mut pick);
+                    (0..len)
+                        .map(|_| one.unwrap_or_else(&mut pick))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            for &eps in &family.eps {
+                let table = tree.leaf_reach(eps);
+                for reach in [table.as_ref(), None] {
+                    let ctx = format!(
+                        "family={} r={r} ε={eps} table={}",
+                        family.name,
+                        reach.is_some()
+                    );
+                    for want in &wants {
+                        let live: Vec<u32> = keys
+                            .chunks(r)
+                            .map(|leaf| leaf.iter().filter(|k| want.contains(k)).count() as u32)
+                            .collect();
+                        for &id in &ids {
+                            let mut exact_ids = vec![7];
+                            let exact = tree.epsilon_count_keyed_at(
+                                id,
+                                eps,
+                                reach,
+                                Skip::NONE,
+                                &keys,
+                                want.clone(),
+                                &mut exact_ids,
+                            );
+                            for need in [1, 2, 4, 10, exact, exact + 1] {
+                                let skip = Skip { need, live: &live };
+                                let mut got = vec![7];
+                                let count = tree.epsilon_count_keyed_at(
+                                    id,
+                                    eps,
+                                    reach,
+                                    skip,
+                                    &keys,
+                                    want.clone(),
+                                    &mut got,
+                                );
+                                let at = format!("{ctx} id={id} want={want:?} need={need}");
+                                assert_eq!(got, exact_ids, "{at}: kept ids");
+                                if exact < need {
+                                    assert_eq!(count, exact, "{at}: count");
+                                } else {
+                                    assert!((need..=exact).contains(&count), "{at}: {count}");
+                                }
+                                partial += usize::from(count < exact);
+                                let mut brute_ids = vec![7];
+                                let brute_count = brute.epsilon_count_keyed_at(
+                                    id,
+                                    eps,
+                                    None,
+                                    skip,
+                                    &keys,
+                                    want.clone(),
+                                    &mut brute_ids,
+                                );
+                                assert_eq!(brute_count, exact, "{at}: brute-force count");
+                                assert_eq!(sorted(brute_ids), sorted(exact_ids.clone()), "{at}");
+                                searches += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The skips are taken: many counts stop short of the exact one.
+    assert!(partial * 10 > searches, "{partial} partial of {searches}");
 }

@@ -25,7 +25,11 @@ timeout 1800 cargo test --locked --workspace -q
 
 if [[ $fast -eq 0 ]]; then
   # The sharded kernel's correctness rests on the order of its core-flag
-  # stores and loads, which optimised code exercises harder.
+  # stores and loads, which optimised code exercises harder. The
+  # `algorithm::` proptests hold the from-scratch kernel, whose searches
+  # stop or skip settled leaves once a count reaches minpts, to its
+  # seed-queue oracle in labels and every counter (4× their cases under
+  # CHECK_FULL=1).
   echo "==> cargo test --release -p vbp-dbscan"
   timeout 900 cargo test --locked --release -q -p vbp-dbscan
 
@@ -68,6 +72,7 @@ if [[ "${CHECK_FULL:-0}" != "0" ]]; then
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --test metamorphic_reuse
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --test proptest_variant
   VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p variantdbscan --lib expand::
+  VBP_CONFORMANCE_FULL=1 cargo test -q --locked --release -p vbp-dbscan --lib algorithm::
   VBP_CONFORMANCE_FULL=1 timeout 600 cargo test -q --locked --release -p vbp-dbscan --test sharded_metamorphic
   echo "==> chaos extended sweep (release, VBP_CHAOS_FULL=1: 96 + 24 + 24 schedules)"
   VBP_CHAOS_FULL=1 timeout 900 cargo test -q --locked --release -p vbp-service --test chaos
