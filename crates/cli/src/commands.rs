@@ -146,11 +146,9 @@ pub fn sweep(args: &Args) -> Result<String, String> {
     let variants = VariantSet::cartesian(&eps, &minpts);
     let config = engine_config(args)?;
     let engine = Engine::new(config);
-    let mut request = RunRequest::new(&points, &variants);
-    if let Some(policy) = sharding_policy(args)? {
-        request = request.sharding(policy);
-    }
-    let report = engine.execute(&request).map_err(|e| e.to_string())?;
+    let report = engine
+        .execute(&RunRequest::new(&points, &variants))
+        .map_err(|e| e.to_string())?;
 
     if args.has("json") {
         return Ok(format!("{}\n", report.to_json()));
@@ -235,11 +233,9 @@ pub fn trace(args: &Args) -> Result<String, String> {
     if !level.enabled() {
         return Err("--level off records nothing; use spans or full".into());
     }
-    let mut request = RunRequest::new(&points, &variants).trace(level);
-    if let Some(policy) = sharding_policy(args)? {
-        request = request.sharding(policy);
-    }
-    let report = engine.execute(&request).map_err(|e| e.to_string())?;
+    let report = engine
+        .execute(&RunRequest::new(&points, &variants).trace(level))
+        .map_err(|e| e.to_string())?;
 
     if args.has("json") {
         return Ok(format!("{}\n", report.to_json()));
@@ -464,7 +460,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         queue_cap: args.num("queue-cap", 256usize)?,
         cache_bytes: args.num("cache-mb", 64usize)? << 20,
         batch_window: std::time::Duration::from_millis(args.num("batch-ms", 2u64)?),
-        shards: args.num("shards", 0usize)?,
         store_dir,
         http_addr,
         ..vbp_service::ServiceConfig::default()
@@ -757,14 +752,6 @@ pub fn watch(args: &Args) -> Result<String, String> {
     Ok(format!("{seen} deltas observed\n"))
 }
 
-/// Parses `--shards N` into the optional intra-variant sharding policy:
-/// absent, `0`, and `1` all mean "variant-parallel only" (the default
-/// placement); `N > 1` opts the run in with the default width gate.
-fn sharding_policy(args: &Args) -> Result<Option<variantdbscan::Sharding>, String> {
-    let shards = args.num("shards", 0usize)?;
-    Ok((shards > 1).then(|| variantdbscan::Sharding::new(shards)))
-}
-
 /// Builds the engine configuration from common flags.
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     let scheduler = match args.get("scheduler").unwrap_or("greedy") {
@@ -837,21 +824,19 @@ commands:
   sweep    (--dataset … | --input F)          VariantDBSCAN over V = eps × minpts
            --eps E1,E2,… --minpts M1,M2,…
            [--threads T] [--r R|auto] [--scheduler greedy|minpts]
-           [--reuse off|default|density|ptssq] [--json] [--shards S]
+           [--reuse off|default|density|ptssq] [--json]
            (--r auto tunes r empirically at index-build time;
-            --json emits the full RunReport as one JSON line;
-            --shards S > 1 clusters wide variants in S slices)
+            --json emits the full RunReport as one JSON line)
   trace    (--dataset … | --input F)          traced VariantDBSCAN run: per-variant
            --eps E1,… --minpts M1,…            span dump + per-phase latency
            [--level spans|full] [--json]       histograms (--json embeds the trace
-           [--threads T] [--r R|auto]          snapshot in the RunReport line;
-           [--shards S] …                       full level adds reuse-path waves)
+           [--threads T] [--r R|auto] …        snapshot in the RunReport line;
+                                                full level adds reuse-path waves)
   simulate --eps … --minpts … [--threads T]   analytic scheduler comparison
   serve    --datasets NAME[@N],…              run the clustering daemon until a
            [--addr HOST:PORT] [--threads T]   client sends SHUTDOWN; datasets are
            [--r R|auto] [--queue-cap N]       indexed once at startup and results
            [--cache-mb MB] [--batch-ms MS]    are cached across requests
-           [--shards S]                       (S > 1 shards wide variants)
            [--http PORT|HOST:PORT]            (also serve an HTTP/1.1 gateway:
                                               POST /v1/submit|append,
                                               GET /v1/datasets|/metrics|/healthz)
@@ -881,39 +866,10 @@ commands:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Spec;
-
-    const SPEC: Spec = Spec {
-        valued: &[
-            "dataset",
-            "input",
-            "out",
-            "eps",
-            "minpts",
-            "r",
-            "threads",
-            "scheduler",
-            "reuse",
-            "addr",
-            "datasets",
-            "queue-cap",
-            "cache-mb",
-            "batch-ms",
-            "level",
-            "shards",
-            "points",
-            "count",
-            "store",
-            "backends",
-            "vnodes",
-            "pool",
-        ],
-        switches: &["render", "json", "labels"],
-    };
 
     fn parse(parts: &[&str]) -> Args {
         let raw: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        Args::parse(&raw, &SPEC).unwrap()
+        Args::parse(&raw, &crate::SPEC).unwrap()
     }
 
     #[test]
@@ -963,28 +919,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("|V| = 4"), "{out}");
         assert!(out.matches("scratch").count() >= 1, "{out}");
-    }
-
-    #[test]
-    fn sweep_with_shards_reports_shard_totals_in_json() {
-        let out = sweep(&parse(&[
-            "sweep",
-            "--dataset",
-            "cF_10k_5N@6000",
-            "--eps",
-            "0.5",
-            "--minpts",
-            "4",
-            "--threads",
-            "2",
-            "--shards",
-            "2",
-            "--json",
-        ]))
-        .unwrap();
-        // 6000 points clears the default width gate, so the lone
-        // from-scratch variant shards and the totals land in the report.
-        assert!(out.contains("\"sharding\":{\"variants\":1"), "{out}");
     }
 
     #[test]

@@ -8,8 +8,9 @@ mod commands;
 use args::{Args, Spec};
 
 /// Flags accepted by each command (one shared spec keeps the parser
-/// simple; per-command validation happens in the command itself).
-const SPEC: Spec = Spec {
+/// simple; per-command validation happens in the command itself). The
+/// command tests parse against this same table.
+pub(crate) const SPEC: Spec = Spec {
     valued: &[
         "dataset",
         "input",
@@ -27,7 +28,6 @@ const SPEC: Spec = Spec {
         "cache-mb",
         "batch-ms",
         "level",
-        "shards",
         "points",
         "count",
         "store",

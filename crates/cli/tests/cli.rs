@@ -63,8 +63,13 @@ fn bad_flags_and_missing_operands_are_refused() {
     assert!(stderr.contains("one of --dataset or --input is required"));
     let stderr = refused("cluster --dataset DATA");
     assert!(stderr.contains("--eps is required"));
-    let stderr = refused("sweep --nope 1");
-    assert!(stderr.contains("unknown flag --nope"));
+    for (line, flag) in [("sweep --nope 1", "nope"), ("sweep --shards 2", "shards")] {
+        let stderr = refused(line);
+        assert!(
+            stderr.contains(&format!("unknown flag --{flag}")),
+            "{stderr}"
+        );
+    }
     for line in ["store", "store inspect"] {
         let stderr = refused(line);
         assert!(stderr.contains("usage: vbp store inspect FILE | vbp store verify DIR"));

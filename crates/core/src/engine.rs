@@ -65,14 +65,14 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use vbp_dbscan::{dbscan_with_scratch, sharded_dbscan, ClusterResult, DbscanScratch};
+use vbp_dbscan::{dbscan_with_scratch, ClusterResult, DbscanScratch};
 use vbp_geom::binning::invert_permutation;
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::{tune_r_sampled, Column, PackedRTree, TuneReport};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
 use crate::expand::{cluster_with_reuse_traced, NeighborCounts};
-use crate::metrics::{ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats};
+use crate::metrics::{ExecutionPath, RunReport, VariantOutcome, WorkerStats};
 use crate::scheduler::{ScheduleState, Scheduler};
 use crate::seeds::ReuseScheme;
 use crate::trace::{
@@ -653,60 +653,6 @@ pub enum RunSource<'a> {
     Prepared(&'a PreparedIndex),
 }
 
-/// Intra-variant sharding policy for a [`RunRequest`] — the engine's
-/// second placement level.
-///
-/// Variant-level parallelism (the paper's axis) caps a run's makespan at
-/// its *largest variant*: one huge variant keeps one worker busy while
-/// the rest idle. When a request opts in via [`RunRequest::sharding`],
-/// the engine places work on two levels instead:
-///
-/// - **wide runs** (dataset at least [`Sharding::MIN_POINTS`] points)
-///   trade variant-parallel workers for shard teams — each from-scratch
-///   clustering executes as [`vbp_dbscan::sharded_dbscan`] over `shards`
-///   slices of tree order, with a team of `min(shards, threads)`
-///   threads, and the engine spawns `threads / team` outer workers so
-///   the two levels multiply back to the configured thread budget;
-/// - **narrow runs** pack variant-parallel exactly as before — sharding
-///   tiny variants would pay thread start-up and atomics for no win.
-///
-/// Sharding never changes results: sharded labels are bit-identical to
-/// the single-thread kernel at every shard count and thread interleaving
-/// (see `vbp_dbscan::sharded`), and reuse-path assignments are untouched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sharding {
-    shards: usize,
-}
-
-impl Sharding {
-    /// Width gate: datasets below this many points stay on the packed
-    /// variant-parallel path.
-    pub const MIN_POINTS: usize = 4_096;
-
-    /// Policy with `shards` slices per wide variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Sharding {
-        assert!(shards >= 1, "need at least one shard");
-        Sharding { shards }
-    }
-
-    /// Shards per wide variant.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-/// Resolved per-run placement: how many shards each from-scratch
-/// clustering splits into and how many threads its team gets.
-#[derive(Clone, Copy, Debug)]
-struct ShardPlan {
-    shards: usize,
-    team: usize,
-}
-
 /// One engine run, described declaratively: the database, the variant
 /// set, and the run's options — warm reuse sources and [`TraceLevel`]:
 ///
@@ -724,7 +670,6 @@ pub struct RunRequest<'a> {
     variants: &'a VariantSet,
     warm: &'a [WarmSource],
     trace: TraceLevel,
-    sharding: Option<Sharding>,
 }
 
 impl<'a> RunRequest<'a> {
@@ -745,7 +690,6 @@ impl<'a> RunRequest<'a> {
             variants,
             warm: &[],
             trace: TraceLevel::Off,
-            sharding: None,
         }
     }
 
@@ -764,15 +708,6 @@ impl<'a> RunRequest<'a> {
     /// snapshot.
     pub fn trace(mut self, level: TraceLevel) -> RunRequest<'a> {
         self.trace = level;
-        self
-    }
-
-    /// Opts the run into intra-variant sharding (default off): wide
-    /// variants execute as shard teams under the given [`Sharding`]
-    /// policy, narrow ones pack variant-parallel as before. Labels are
-    /// unaffected — only placement changes.
-    pub fn sharding(mut self, policy: Sharding) -> RunRequest<'a> {
-        self.sharding = Some(policy);
         self
     }
 }
@@ -841,13 +776,7 @@ impl Engine {
         }
         // One-shot runs own their index, so they pay (and report) its
         // construction; prepared runs amortize it and report zero.
-        let mut report = self.run_scheduled(
-            index,
-            variants,
-            request.warm,
-            request.trace,
-            request.sharding,
-        )?;
+        let mut report = self.run_scheduled(index, variants, request.warm, request.trace)?;
         report.index_build_time = build_time;
         Ok(report)
     }
@@ -991,25 +920,8 @@ impl Engine {
         variants: &VariantSet,
         warm: &[WarmSource],
         trace: TraceLevel,
-        sharding: Option<Sharding>,
     ) -> Result<RunReport, JobPanic> {
         let n_var = variants.len();
-
-        // Two-level placement: a wide sharded run trades outer
-        // variant-parallel workers for intra-variant shard teams so the
-        // levels multiply back to (at most) the configured thread budget.
-        // Narrow runs, single-shard policies, and non-opted runs keep
-        // today's one-level packing.
-        let shard_plan: Option<ShardPlan> = sharding.and_then(|policy| {
-            (policy.shards() > 1 && index.len() >= Sharding::MIN_POINTS).then(|| ShardPlan {
-                shards: policy.shards(),
-                team: policy.shards().min(self.config.threads),
-            })
-        });
-        let outer_threads = match shard_plan {
-            Some(plan) => (self.config.threads / plan.team).max(1),
-            None => self.config.threads,
-        };
 
         // The three-way shared state split (see module docs): a small
         // mutex for the schedule, lock-free once-cells for results, and
@@ -1038,7 +950,7 @@ impl Engine {
 
         let t0 = Instant::now();
         let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..outer_threads)
+            let handles: Vec<_> = (0..self.config.threads)
                 .map(|thread_id| {
                     let schedule = &schedule;
                     let results = &results[..];
@@ -1057,7 +969,6 @@ impl Engine {
                             panic_slot,
                             t0,
                             trace,
-                            shard_plan,
                         )
                     })
                 })
@@ -1074,12 +985,10 @@ impl Engine {
         let mut worker_stats = Vec::with_capacity(outputs.len());
         let mut phases = PhaseHistograms::new();
         let mut tracers = Vec::with_capacity(outputs.len());
-        let mut shard_totals = ShardTotals::default();
         let mut outcomes: Vec<VariantOutcome> = Vec::with_capacity(n_var);
         for out in outputs {
             outcomes.extend(out.outcomes);
             phases.merge(&out.phases);
-            shard_totals.merge(&out.sharding);
             worker_stats.push(out.stats);
             tracers.push(out.tracer);
         }
@@ -1119,7 +1028,6 @@ impl Engine {
             worker_stats,
             warm_seeds: warm.len(),
             phases,
-            sharding: shard_totals,
             trace: trace_snapshot,
         })
     }
@@ -1145,7 +1053,6 @@ struct WorkerOutput {
     stats: WorkerStats,
     tracer: WorkerTracer,
     phases: PhaseHistograms,
-    sharding: ShardTotals,
 }
 
 /// One worker: pull → cluster → publish, until the schedule drains.
@@ -1169,13 +1076,11 @@ fn worker_loop(
     panic_slot: &OnceLock<JobPanic>,
     t0: Instant,
     trace: TraceLevel,
-    shard_plan: Option<ShardPlan>,
 ) -> WorkerOutput {
     let mut scratch = DbscanScratch::new();
     let mut outcomes = Vec::new();
     let mut stats = WorkerStats::new(thread_id);
     let mut phases = PhaseHistograms::new();
-    let mut shard_totals = ShardTotals::default();
     let mut tracer = WorkerTracer::new(u16::try_from(thread_id).unwrap_or(u16::MAX - 1), trace, t0);
     let worker_start = Instant::now();
     loop {
@@ -1261,37 +1166,16 @@ fn worker_loop(
                                 stats,
                             },
                             from_warm,
-                            None,
                         )
                     }
                     _ => {
-                        if let Some(plan) = shard_plan {
-                            // Second placement level: cluster this wide
-                            // variant's slices of tree order with the
-                            // worker's team. A capacity
-                            // overflow (> u32::MAX − 1 points) panics
-                            // here and is contained as a JobPanic like
-                            // any other job failure.
-                            let (result, shard_stats) =
-                                sharded_dbscan(t_low, variant.params(), plan.shards, plan.team)
-                                    .unwrap_or_else(|e| panic!("sharded clustering: {e}"));
-                            let stats = shard_stats.dbscan;
-                            (
-                                result,
-                                ExecutionPath::FromScratch(stats),
-                                false,
-                                Some(shard_stats),
-                            )
-                        } else {
-                            let (result, stats) =
-                                dbscan_with_scratch(t_low, variant.params(), scratch);
-                            (result, ExecutionPath::FromScratch(stats), false, None)
-                        }
+                        let (result, stats) = dbscan_with_scratch(t_low, variant.params(), scratch);
+                        (result, ExecutionPath::FromScratch(stats), false)
                     }
                 }
             }))
         };
-        let (result, path, from_warm, shard_stats) = match clustered {
+        let (result, path, from_warm) = match clustered {
             Ok(done) => done,
             Err(payload) => {
                 // Containment: record the first panic, poison the schedule
@@ -1315,15 +1199,6 @@ fn worker_loop(
         match &path {
             ExecutionPath::FromScratch(_) => phases.scratch.record(busy),
             ExecutionPath::Reused { .. } => phases.reuse.record(busy),
-        }
-        if let Some(ss) = &shard_stats {
-            // Shard observability: per-slice latencies feed their own
-            // histogram and the census feeds the run's ShardTotals.
-            for &ns in &ss.local_ns {
-                phases.shard_local.record_ns(ns);
-            }
-            shard_totals.variants += 1;
-            shard_totals.shards += ss.shards as u64;
         }
         tracer.record(TraceEvent::Finished {
             variant: variant_idx,
@@ -1375,7 +1250,6 @@ fn worker_loop(
         stats,
         tracer,
         phases,
-        sharding: shard_totals,
     }
 }
 
@@ -1544,61 +1418,6 @@ mod tests {
         }
         assert_eq!(fork.caller_points()[510..], all[540..545]);
         assert_eq!(late.caller_points(), all[..530]);
-    }
-
-    #[test]
-    fn sharded_run_matches_unsharded_and_reports_totals() {
-        let points = blobs(Sharding::MIN_POINTS, 4, 99);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(4).with_r(16));
-        let plain = run(&engine, &points, &variants);
-        let sharded = engine
-            .execute(&RunRequest::new(&points, &variants).sharding(Sharding::new(4)))
-            .expect("test input is valid");
-
-        // Sharding changes placement, never structure: cluster and noise
-        // counts are invariants of the geometry (only deterministic
-        // border membership may move between the sequential scratch
-        // kernel and the sharded one).
-        for (a, b) in plain.outcomes.iter().zip(&sharded.outcomes) {
-            assert_eq!(a.clusters, b.clusters, "{}", a.variant);
-            assert_eq!(a.noise, b.noise, "{}", a.variant);
-        }
-        for (a, b) in plain.results.iter().zip(&sharded.results) {
-            assert!(quality_score(a, b).mean_score > 0.99);
-        }
-
-        // Every from-scratch assignment went through the shard path and
-        // left its footprint in the totals and the histogram.
-        let scratch = sharded.from_scratch_count() as u64;
-        assert!(scratch >= 1);
-        assert_eq!(sharded.sharding.variants, scratch);
-        assert_eq!(
-            sharded.sharding.shards,
-            4 * scratch,
-            "{:?}",
-            sharded.sharding
-        );
-        assert_eq!(sharded.phases.shard_local.count(), 4 * scratch);
-
-        // Unsharded runs carry zero shard accounting.
-        assert_eq!(plain.sharding, crate::metrics::ShardTotals::default());
-        assert_eq!(plain.phases.shard_local.count(), 0);
-    }
-
-    #[test]
-    fn narrow_runs_ignore_the_sharding_policy() {
-        let points = blobs(400, 3, 17);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-        // 400 points sits far below the default width gate.
-        let report = engine
-            .execute(&RunRequest::new(&points, &variants).sharding(Sharding::new(4)))
-            .expect("test input is valid");
-        assert_eq!(report.sharding, crate::metrics::ShardTotals::default());
-        assert_eq!(report.phases.shard_local.count(), 0);
-        // The packed path keeps the full worker complement.
-        assert_eq!(report.worker_stats.len(), 2);
     }
 
     #[test]

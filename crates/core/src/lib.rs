@@ -58,13 +58,11 @@ pub mod variant;
 pub use deptree::DependencyTree;
 pub use engine::{
     AppendReport, Engine, EngineConfig, EngineError, JobPanic, PreparedIndex, RChoice, RunRequest,
-    RunSource, Sharding, WarmSource, APPEND_RESORT_FRACTION,
+    RunSource, WarmSource, APPEND_RESORT_FRACTION,
 };
 pub use expand::{cluster_with_reuse, ReuseStats};
 pub use json::{parse_json, JsonArray, JsonObject, JsonValue};
-pub use metrics::{
-    tune_report_to_json, ExecutionPath, RunReport, ShardTotals, VariantOutcome, WorkerStats,
-};
+pub use metrics::{tune_report_to_json, ExecutionPath, RunReport, VariantOutcome, WorkerStats};
 pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, ScheduleState, Scheduler};
 pub use seeds::{seed_list, ReuseScheme};
 pub use sim::{simulate, simulate_with, SimCostModel, SimOutcome, SimReport};

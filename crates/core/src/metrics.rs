@@ -130,33 +130,6 @@ impl WorkerStats {
     }
 }
 
-/// Aggregate counters for the intra-variant sharded executions of one
-/// run (all zero when no variant took the sharded path).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardTotals {
-    /// Variants executed through the sharded path.
-    pub variants: u64,
-    /// Shard tasks (slices) executed across those variants.
-    pub shards: u64,
-}
-
-impl ShardTotals {
-    /// Adds another total in (associative, like the phase histograms the
-    /// workers fold alongside it).
-    pub fn merge(&mut self, other: &ShardTotals) {
-        self.variants += other.variants;
-        self.shards += other.shards;
-    }
-
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .uint("variants", self.variants)
-            .uint("shards", self.shards)
-            .finish()
-    }
-}
-
 /// The complete record of an engine run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -191,14 +164,10 @@ pub struct RunReport {
     /// request set [`RunRequest::warm`](crate::RunRequest::warm)).
     pub warm_seeds: usize,
     /// Per-phase latency histograms (scratch/reuse busy time, lock wait,
-    /// schedule decisions, shard local/merge), merged across workers.
+    /// schedule decisions), merged across workers.
     /// Always recorded — the per-sample cost is one `leading_zeros` and
     /// two adds.
     pub phases: PhaseHistograms,
-    /// Aggregate counters of the run's intra-variant sharded executions
-    /// (all zero unless the request opted in via
-    /// [`RunRequest::sharding`](crate::RunRequest::sharding)).
-    pub sharding: ShardTotals,
     /// The run's merged trace, when the request asked for a
     /// [`TraceLevel`](crate::trace::TraceLevel) above `Off`.
     pub trace: Option<TraceSnapshot>,
@@ -366,7 +335,6 @@ impl RunReport {
             .float("lock_wait_share", self.lock_wait_share())
             .raw("tune", &tune)
             .raw("phases", &self.phases.to_json())
-            .raw("sharding", &self.sharding.to_json())
             .raw("outcomes", &outcomes.finish())
             .raw("worker_stats", &workers.finish());
         match &self.trace {
@@ -471,7 +439,6 @@ mod tests {
             worker_stats: Vec::new(),
             warm_seeds: 0,
             phases: PhaseHistograms::new(),
-            sharding: ShardTotals::default(),
             trace: None,
         }
     }

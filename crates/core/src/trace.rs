@@ -751,10 +751,6 @@ pub struct PhaseHistograms {
     pub lock_wait: Histogram,
     /// In-lock schedule decision latency (same two sample points).
     pub sched: Histogram,
-    /// Per-slice clustering latency (the slice's ε pass: core flags,
-    /// unions and border claims), one sample per shard task of a sharded
-    /// execution. Empty unless a run requested intra-variant sharding.
-    pub shard_local: Histogram,
 }
 
 impl PhaseHistograms {
@@ -770,17 +766,15 @@ impl PhaseHistograms {
         self.reuse.merge(&other.reuse);
         self.lock_wait.merge(&other.lock_wait);
         self.sched.merge(&other.sched);
-        self.shard_local.merge(&other.shard_local);
     }
 
     /// The phases as `(name, histogram)` pairs, in stable order.
-    pub fn phases(&self) -> [(&'static str, &Histogram); 5] {
+    pub fn phases(&self) -> [(&'static str, &Histogram); 4] {
         [
             ("scratch", &self.scratch),
             ("reuse", &self.reuse),
             ("lock_wait", &self.lock_wait),
             ("sched", &self.sched),
-            ("shard_local", &self.shard_local),
         ]
     }
 

@@ -8,9 +8,9 @@
 //!   the paper's packed R-tree, a brute-force scan, or any other index.
 //! - [`sharded`] — the disjoint-set kernel (Patwary et al., SC'12): one
 //!   ε pass over contiguous slices of index order that unions each core
-//!   edge where it finds it. [`sharded_dbscan`] is what the engine runs
-//!   when a request asks for intra-variant sharding; [`parallel_dbscan`]
-//!   is the same kernel at one slice per thread.
+//!   edge where it finds it: the §III baseline the benchmark times next
+//!   to the sequential kernel. [`parallel_dbscan`] is the same kernel at
+//!   one slice per thread.
 //! - [`gridbscan`] — exact cell-graph DBSCAN (Gan & Tao), the independent
 //!   reference the test suites hold the sharded kernel byte-identical to.
 //! - [`incremental`] — insertion-maintained clustering, behind the

@@ -9,11 +9,12 @@
 //! Disjoint-set Data Structure") parallelizes *inside* one clustering;
 //! like Wang/Gu/Shun ("Theoretically-Efficient and Practical Parallel
 //! DBSCAN") this kernel unions each core-core edge as soon as a query
-//! finds it, so there is no partition, halo or merge phase. For a single
-//! variant it scales, but it cannot share any work between variants, so
-//! on a variant sweep the reuse-based engine wins (`benchmark/` times
+//! finds it, so there is no partition, halo or merge phase. It splits a
+//! single variant across threads, but it pays a union or a claim per
+//! neighbour of every core and cannot share any work between variants;
+//! the engine runs the sequential kernel instead (`benchmark/` times
 //! both: one variant as `scratch_cf`'s `dbscan.sharded_s` /
-//! `dbscan.parallel_s`, the sweep as `sweep_sw`).
+//! `dbscan.parallel_s` against `dbscan.scratch_s`).
 //!
 //! 1. **Slices** — index order (tree order for a packed R-tree, so each
 //!    slice is already spatially compact) is cut into `min(shards, n)`
@@ -38,8 +39,7 @@
 //! the first cluster to reach them, which the paper's quality metric
 //! treats as equivalent).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use vbp_geom::PointId;
 use vbp_rtree::SpatialIndex;
@@ -93,17 +93,14 @@ impl std::fmt::Display for CapacityError {
 
 impl std::error::Error for CapacityError {}
 
-/// Instrumentation from one sharded execution, consumed by the engine's
-/// `shard_local` phase histogram and `METRICS` counters.
+/// Instrumentation from one sharded execution: how index order was cut
+/// into slices, and the kernel's counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Slices actually used: `min(shards, n)`.
     pub shards: usize,
     /// Points in each slice, in slice order (⌊n/S⌋ or ⌈n/S⌉ each).
     pub points_per_shard: Vec<usize>,
-    /// Wall-clock nanoseconds of each slice's ε pass (queries, core
-    /// flags, unions and claims), in slice order.
-    pub local_ns: Vec<u64>,
     /// The familiar kernel counters (searches, cores, noise, clusters),
     /// so sharded executions report through the same
     /// [`DbscanStats`] surface as the unsharded paths.
@@ -140,11 +137,9 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
     let core: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let sets = ConcurrentDisjointSets::new(n);
     let claim: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCLAIMED)).collect();
-    let local_ns: Vec<AtomicU64> = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
     let neighbors_found = AtomicUsize::new(0);
 
     run_tasks(n_shards, threads, |s| {
-        let t0 = Instant::now();
         let mut ids: Vec<PointId> = (slice_start(s)..slice_start(s + 1))
             .map(|p| p as PointId)
             .collect();
@@ -178,7 +173,6 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
             }
         });
         neighbors_found.fetch_add(found, Ordering::Relaxed);
-        local_ns[s].store(elapsed_ns(t0), Ordering::Relaxed);
     });
 
     // Label pass: clusters numbered by first appearance in point order,
@@ -227,7 +221,6 @@ pub fn sharded_dbscan<I: SpatialIndex + ?Sized>(
         points_per_shard: (0..n_shards)
             .map(|s| slice_start(s + 1) - slice_start(s))
             .collect(),
-        local_ns: local_ns.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         dbscan,
     };
     Ok((ClusterResult::from_labels(labels), stats))
@@ -250,11 +243,6 @@ pub fn parallel_dbscan<I: SpatialIndex + ?Sized>(
         Ok((result, _)) => result,
         Err(e) => panic!("parallel_dbscan: {e}"),
     }
-}
-
-/// Monotonic elapsed nanoseconds, saturating.
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Work-stealing-free task pool: `threads` scoped workers drain the task
@@ -448,15 +436,6 @@ mod tests {
         let idx = BruteForce::new(shared_points(points));
         let r = parallel_dbscan(&idx, DbscanParams::new(0.5, 2), 64);
         r.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn shard_stats_account_slices() {
-        let points = cloud(500, 41);
-        let idx = BruteForce::new(shared_points(points));
-        let (_, stats) = sharded_dbscan(&idx, DbscanParams::new(0.6, 4), 4, 2).unwrap();
-        assert_eq!(stats.local_ns.len(), stats.shards);
-        assert!(stats.local_ns.iter().all(|&ns| ns > 0));
     }
 
     #[test]

@@ -56,8 +56,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use variantdbscan::{
-    Engine, EngineError, JsonObject, PhaseHistograms, PreparedIndex, RunRequest, ShardTotals,
-    Sharding, Variant, VariantSet, WarmSource,
+    Engine, EngineError, JsonObject, PhaseHistograms, PreparedIndex, RunRequest, Variant,
+    VariantSet, WarmSource,
 };
 use vbp_dbscan::algorithm::dbscan_brute_force;
 use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, InsertOutcome, Labels};
@@ -133,8 +133,6 @@ struct ServiceStats {
     /// Runs that failed as a unit because a job panicked (contained at
     /// the engine boundary).
     panics_contained: u64,
-    /// Census of the intra-variant sharded executions, summed over runs.
-    shards: ShardTotals,
     appends: u64,
     appends_applied: u64,
     appends_rejected: u64,
@@ -223,10 +221,6 @@ pub(crate) const JOB_COUNTERS: &[Counter] = &[
         "vbp_engine_panics_contained_total",
         |s| s.panics_contained,
     ),
-    sum("shard_variants", "vbp_shard_variants_total", |s| {
-        s.shards.variants
-    }),
-    sum("shard_tasks", "vbp_shard_tasks_total", |s| s.shards.shards),
 ];
 
 /// Streaming and store counters; see [`JOB_COUNTERS`] for the ordering.
@@ -282,7 +276,6 @@ pub(crate) struct Shared {
     queue_cap: usize,
     batch_window: Duration,
     job_timeout: Duration,
-    sharding: Option<Sharding>,
     draining: AtomicBool,
     stats: Mutex<ServiceStats>,
     started: Instant,
@@ -333,7 +326,6 @@ impl Shared {
             queue_cap: config.queue_cap.max(1),
             batch_window: config.batch_window,
             job_timeout: config.job_timeout,
-            sharding: (config.shards > 1).then(|| Sharding::new(config.shards)),
             draining: AtomicBool::new(false),
             stats: Mutex::new(ServiceStats {
                 store_restored: boot.restored,
@@ -857,10 +849,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     }
 
     let t0 = Instant::now();
-    let mut request = RunRequest::prepared(&entry.index, &variants).warm(&warm);
-    if let Some(policy) = shared.sharding {
-        request = request.sharding(policy);
-    }
+    let request = RunRequest::prepared(&entry.index, &variants).warm(&warm);
     let report = match shared.engine.execute(&request) {
         Ok(report) => report,
         Err(EngineError::JobPanic(panic)) => {
@@ -926,7 +915,6 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
             .filter(|o| o.reused_from().is_some() && !o.warm)
             .count() as u64;
         s.engine_busy += busy;
-        s.shards.merge(&report.sharding);
         s.phases.merge(&report.phases);
         s.completed += batch.len() as u64;
         s.in_flight = s.in_flight.saturating_sub(batch.len() as u64);
@@ -1265,7 +1253,7 @@ mod tests {
         }
         // Per-phase histogram framing: each phase carries a +Inf bucket
         // whose cumulative count equals its _count line.
-        for phase in ["scratch", "reuse", "lock_wait", "sched", "shard_local"] {
+        for phase in ["scratch", "reuse", "lock_wait", "sched"] {
             let inf = metric(
                 &text,
                 &format!("vbp_phase_latency_ns_bucket{{phase=\"{phase}\",le=\"+Inf\"}}"),
@@ -1275,10 +1263,6 @@ mod tests {
                 &format!("vbp_phase_latency_ns_count{{phase=\"{phase}\"}}"),
             );
             assert_eq!(inf, count, "{phase} +Inf bucket must equal the count");
-        }
-        // Shard counters are always exposed (zero while nothing shards).
-        for name in ["vbp_shard_variants_total", "vbp_shard_tasks_total"] {
-            assert_eq!(metric(&text, name), 0, "{name} without sharded runs");
         }
         // Every line is `name value` with a vbp_ namespace.
         for line in text.lines() {

@@ -64,13 +64,6 @@ pub struct ServiceConfig {
     /// Socket write timeout, so a client that stops draining its
     /// receive buffer cannot wedge a handler mid-reply forever.
     pub write_timeout: Duration,
-    /// Intra-variant shards for wide datasets; `0` or `1` keeps the
-    /// engine's default variant-parallel placement. When `> 1`, every
-    /// engine run opts in via
-    /// [`RunRequest::sharding`](variantdbscan::RunRequest::sharding) with this shard
-    /// count and the default width gate, and the shard counters show up
-    /// non-zero in `METRICS`.
-    pub shards: usize,
     /// Warm-state store directory. When set, a graceful drain persists
     /// every dataset's prepared index and surviving cache entries as
     /// checksummed container files under this directory (see
@@ -97,7 +90,6 @@ impl Default for ServiceConfig {
             max_line_bytes: 8192,
             job_timeout: Duration::from_secs(600),
             write_timeout: Duration::from_secs(30),
-            shards: 0,
             store_dir: None,
             http_addr: None,
         }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --fast       # skip the release build and tests, the rustdoc stage and the benchmark stage
+#   scripts/check.sh --fast       # skip the release build and tests, the rustdoc stage and the benchmark's
+#                                 # tests and --quick run (the benchmark package is still compiled)
 #   CHECK_FULL=1 scripts/check.sh # + release conformance stages and the extended chaos sweeps
 
 set -euo pipefail
@@ -14,6 +15,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
+
+# Compile-only, so the fast path too catches a public name that
+# benchmark/src imports and the workspace no longer has.
+echo "==> cargo check (benchmark package)"
+cargo check --locked --offline --manifest-path benchmark/Cargo.toml --all-targets
 
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release"

@@ -1,8 +1,11 @@
 //! Integration tests for the beyond-the-paper components, exercised
 //! through the umbrella crate exactly as a downstream user would.
 
+use vbp::variantdbscan::{EngineConfig, RChoice};
 use vbp::vbp_data::{SpaceWeatherSpec, SyntheticClass, SyntheticSpec};
-use vbp::vbp_dbscan::{dbscan, grid_dbscan, parallel_dbscan, DbscanParams, IncrementalDbscan};
+use vbp::vbp_dbscan::{
+    dbscan, grid_dbscan, parallel_dbscan, sharded_dbscan, DbscanParams, IncrementalDbscan,
+};
 use vbp::vbp_geom::Point2;
 use vbp::vbp_rtree::{traits::shared_points, BruteForce, PackedRTree};
 
@@ -22,14 +25,14 @@ fn insert_batch(inc: &mut IncrementalDbscan, points: &[Point2], k: usize) {
 }
 
 /// All four DBSCAN implementations agree on structure; the three with
-/// deterministic border claims agree exactly.
+/// deterministic border claims agree exactly. The tree-order runs (the
+/// classic kernel and the sharded kernel the benchmark times) are held to
+/// the grid oracle on packed trees at `r = 70` and at the engine's
+/// default `r`.
 #[test]
 fn four_dbscan_implementations_agree() {
     let points = dataset(2_000);
     let params = DbscanParams::new(0.6, 4);
-
-    let (tree, perm) = PackedRTree::build(&points, 70);
-    let classic_tree_order = dbscan(&tree, params);
 
     let brute = BruteForce::new(shared_points(points.clone()));
     let from_parallel = parallel_dbscan(&brute, params, 4);
@@ -44,15 +47,44 @@ fn four_dbscan_implementations_agree() {
     assert_eq!(from_parallel, from_grid);
     assert_eq!(from_parallel, from_incremental);
 
-    // Classic (tree order) vs the trio: same structure.
-    assert_eq!(classic_tree_order.num_clusters(), from_grid.num_clusters());
-    assert_eq!(classic_tree_order.noise_count(), from_grid.noise_count());
-    // Per-point noise agreement through the permutation.
-    for (tree_idx, &orig) in perm.iter().enumerate() {
+    // Core points by brute force: a search that loses a neighbour can
+    // turn cores into borders and still leave the structure as it was.
+    let core_points = points
+        .iter()
+        .filter(|p| points.iter().filter(|q| q.within(p, params.eps)).count() >= params.minpts)
+        .count();
+    let RChoice::Fixed(default_r) = EngineConfig::default().r else {
+        panic!("the engine's default r is fixed");
+    };
+    for r in [70, default_r] {
+        let (tree, perm) = PackedRTree::build(&points, r);
+        let classic_tree_order = dbscan(&tree, params);
+        let (sharded_tree_order, stats) = sharded_dbscan(&tree, params, 4, 2).unwrap();
+        assert_eq!(stats.dbscan.core_points, core_points, "r = {r}");
+        // Bit-identical across shard and thread counts on the packed tree.
         assert_eq!(
-            classic_tree_order.labels().is_noise(tree_idx as u32),
-            from_grid.labels().is_noise(orig),
+            sharded_tree_order,
+            parallel_dbscan(&tree, params, 2),
+            "r = {r}"
         );
+
+        // Tree-order runs vs the trio: same structure, and per-point
+        // noise agreement through the permutation.
+        for tree_order in [&classic_tree_order, &sharded_tree_order] {
+            assert_eq!(
+                tree_order.num_clusters(),
+                from_grid.num_clusters(),
+                "r = {r}"
+            );
+            assert_eq!(tree_order.noise_count(), from_grid.noise_count(), "r = {r}");
+            for (tree_idx, &orig) in perm.iter().enumerate() {
+                assert_eq!(
+                    tree_order.labels().is_noise(tree_idx as u32),
+                    from_grid.labels().is_noise(orig),
+                    "r = {r}"
+                );
+            }
+        }
     }
 }
 
