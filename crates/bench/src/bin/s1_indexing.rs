@@ -76,22 +76,6 @@ fn main() {
                 reference.time.as_secs_f64() / (seq.time.as_secs_f64() / opts.threads as f64);
             row.push_str(&format!("r={r}:{algorithmic:.2}x[{ideal:.1}x] "));
         }
-        // The engine's self-tuning configuration: RChoice::Auto picks r
-        // from a sampled sweep at index-build time. Reported next to the
-        // fixed-r datapoints so the committed results show what the
-        // auto-tuner chose and what it cost/gained.
-        let auto = measure(
-            EngineConfig::default()
-                .with_threads(1)
-                .with_auto_r()
-                .with_reuse(ReuseScheme::Disabled)
-                .with_keep_results(false),
-            &points,
-            &variants,
-            opts.trials,
-        );
-        let auto_r = auto.report.chosen_r;
-        let auto_speedup = auto.speedup_vs(reference.time);
         // One measured T = 16 datapoint documents what this machine's
         // physical core count does to the wall clock.
         let t16 = measure(
@@ -105,13 +89,11 @@ fn main() {
             opts.trials,
         );
         println!(
-            "{:<14} {:>9} | {:>11} | {}| auto(r={}): {:.2}x | T{} wall r=70: {:.2}x",
+            "{:<14} {:>9} | {:>11} | {}| T{} wall r=70: {:.2}x",
             scaled_name,
             clusters,
             fmt_time(reference.time),
             row,
-            auto_r,
-            auto_speedup,
             opts.threads,
             t16.speedup_vs(reference.time)
         );
@@ -120,8 +102,7 @@ fn main() {
     println!(
         "\nreading: 'r=N:A.AAx[B.Bx]' = algorithmic speedup of the tuned index at \
          T = 1 [projected T = {} with ideal cores, the paper's configuration]. \
-         'auto(r=N)' = the engine's RChoice::Auto at T = 1, tuning cost included \
-         in its wall clock. The trailing column is the measured T = {} wall-clock \
+         The trailing column is the measured T = {} wall-clock \
          on this machine (≈ the algorithmic value when hardware cores < T). Paper \
          shape: r = 1 gains little; r ∈ [70, 110] is the good band.",
         16, 16

@@ -6,6 +6,8 @@
 
 use std::collections::HashMap;
 
+use variantdbscan::EngineConfig;
+
 /// Parsed arguments: a command name plus flag values.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Args {
@@ -118,9 +120,9 @@ impl Args {
             .collect()
     }
 
-    /// `--r R` (default 80, the middle of the paper's good range): ≥ 1.
+    /// `--r R` (default [`EngineConfig::default`]'s): ≥ 1.
     pub fn r(&self) -> Result<usize, String> {
-        at_least_one("r", self.num("r", 80)?)
+        at_least_one("r", self.num("r", EngineConfig::default().r)?)
     }
 
     /// `--threads T`: ≥ 1.

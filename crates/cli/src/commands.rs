@@ -165,20 +165,6 @@ pub fn sweep(args: &Args) -> Result<String, String> {
         config.scheduler,
         config.reuse
     );
-    if let Some(tune) = &report.tune {
-        let sweep: Vec<String> = tune
-            .timings
-            .iter()
-            .map(|(r, t)| format!("r={r}:{:.2}ms", t.as_secs_f64() * 1e3))
-            .collect();
-        let _ = writeln!(
-            s,
-            "auto-tuned r = {} over a {}-point sample [{}]",
-            report.chosen_r,
-            tune.sample_size,
-            sweep.join(" ")
-        );
-    }
     let _ = writeln!(
         s,
         "{:<14} {:>9} {:>9} {:>11} {:>8}  source",
@@ -591,20 +577,6 @@ fn store_inspect(path: &std::path::Path) -> Result<String, String> {
             let _ = writeln!(s, "  suggested ε = none");
         }
     }
-    match &index.tune {
-        Some(t) => {
-            let _ = writeln!(
-                s,
-                "  tuned: best r = {} over {} candidates ({} samples)",
-                t.best_r,
-                t.timings.len(),
-                t.sample_size
-            );
-        }
-        None => {
-            let _ = writeln!(s, "  tuned: no (fixed r)");
-        }
-    }
     let _ = writeln!(s, "  cache entries: {}", snapshot.cache.len());
     for rec in &snapshot.cache {
         let _ = writeln!(s, "    ε = {}, minpts = {}", rec.eps, rec.minpts);
@@ -752,32 +724,32 @@ pub fn watch(args: &Args) -> Result<String, String> {
     Ok(format!("{seen} deltas observed\n"))
 }
 
-/// Builds the engine configuration from common flags.
+/// Builds the engine configuration from common flags: the library's
+/// defaults, with each flag that was given overriding its field.
 fn engine_config(args: &Args) -> Result<EngineConfig, String> {
-    let scheduler = match args.get("scheduler").unwrap_or("greedy") {
-        "greedy" => Scheduler::SchedGreedy,
-        "minpts" => Scheduler::SchedMinpts,
-        other => return Err(format!("--scheduler: unknown '{other}' (greedy|minpts)")),
-    };
-    let reuse = match args.get("reuse").unwrap_or("density") {
-        "off" => ReuseScheme::Disabled,
-        "default" => ReuseScheme::ClusDefault,
-        "density" => ReuseScheme::ClusDensity,
-        "ptssq" => ReuseScheme::ClusPtsSquared,
-        other => {
-            return Err(format!(
-                "--reuse: unknown '{other}' (off|default|density|ptssq)"
-            ))
-        }
-    };
-    let config = EngineConfig::default()
-        .with_threads(args.threads(4)?)
-        .with_scheduler(scheduler)
-        .with_reuse(reuse);
-    let config = match args.get("r") {
-        Some("auto") => config.with_auto_r(),
-        _ => config.with_r(args.r()?),
-    };
+    let mut config = EngineConfig::default();
+    config.threads = args.threads(config.threads)?;
+    config.r = args.r()?;
+    if let Some(scheduler) = args.get("scheduler") {
+        config.scheduler = match scheduler {
+            "greedy" => Scheduler::SchedGreedy,
+            "minpts" => Scheduler::SchedMinpts,
+            other => return Err(format!("--scheduler: unknown '{other}' (greedy|minpts)")),
+        };
+    }
+    if let Some(reuse) = args.get("reuse") {
+        config.reuse = match reuse {
+            "off" => ReuseScheme::Disabled,
+            "default" => ReuseScheme::ClusDefault,
+            "density" => ReuseScheme::ClusDensity,
+            "ptssq" => ReuseScheme::ClusPtsSquared,
+            other => {
+                return Err(format!(
+                    "--reuse: unknown '{other}' (off|default|density|ptssq)"
+                ))
+            }
+        };
+    }
     Ok(config)
 }
 
@@ -823,19 +795,18 @@ commands:
   tune     (--dataset … | --input F) --eps E  sweep r empirically (§V-C)
   sweep    (--dataset … | --input F)          VariantDBSCAN over V = eps × minpts
            --eps E1,E2,… --minpts M1,M2,…
-           [--threads T] [--r R|auto] [--scheduler greedy|minpts]
+           [--threads T] [--r R] [--scheduler greedy|minpts]
            [--reuse off|default|density|ptssq] [--json]
-           (--r auto tunes r empirically at index-build time;
-            --json emits the full RunReport as one JSON line)
+           (--json emits the full RunReport as one JSON line)
   trace    (--dataset … | --input F)          traced VariantDBSCAN run: per-variant
            --eps E1,… --minpts M1,…            span dump + per-phase latency
            [--level spans|full] [--json]       histograms (--json embeds the trace
-           [--threads T] [--r R|auto] …        snapshot in the RunReport line;
+           [--threads T] [--r R] …             snapshot in the RunReport line;
                                                 full level adds reuse-path waves)
   simulate --eps … --minpts … [--threads T]   analytic scheduler comparison
   serve    --datasets NAME[@N],…              run the clustering daemon until a
            [--addr HOST:PORT] [--threads T]   client sends SHUTDOWN; datasets are
-           [--r R|auto] [--queue-cap N]       indexed once at startup and results
+           [--r R] [--queue-cap N]            indexed once at startup and results
            [--cache-mb MB] [--batch-ms MS]    are cached across requests
            [--http PORT|HOST:PORT]            (also serve an HTTP/1.1 gateway:
                                               POST /v1/submit|append,
@@ -922,24 +893,20 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_auto_r_reports_the_tuned_value() {
+    fn sweep_defaults_come_from_the_library() {
         let out = sweep(&parse(&[
             "sweep",
             "--dataset",
-            "cF_10k_5N@1500",
+            "cF_10k_5N@500",
             "--eps",
-            "0.5,0.8",
+            "0.5",
             "--minpts",
             "4",
-            "--threads",
-            "1",
-            "--r",
-            "auto",
         ]))
         .unwrap();
-        assert!(out.contains("r = auto"), "{out}");
-        assert!(out.contains("auto-tuned r = "), "{out}");
-        assert!(out.contains("-point sample"), "{out}");
+        let defaults = EngineConfig::default();
+        let header = format!("T = {}, r = {},", defaults.threads, defaults.r);
+        assert!(out.contains(&header), "{out}");
     }
 
     #[test]

@@ -78,28 +78,48 @@ fn bad_flags_and_missing_operands_are_refused() {
 
 #[test]
 fn out_of_range_numbers_are_errors_not_panics() {
-    for (line, flag) in [
-        ("cluster --dataset DATA --eps -1", "eps"),
-        ("cluster --dataset DATA --eps nan", "eps"),
-        ("cluster --dataset DATA --eps inf", "eps"),
-        ("cluster --dataset DATA --eps 0.5 --minpts 0", "minpts"),
-        ("cluster --dataset DATA --eps 0.5 --r 0", "r"),
-        ("sweep --dataset DATA --eps -1,0.5 --minpts 4", "eps"),
-        ("sweep --dataset DATA --eps 0.5 --minpts 0,4", "minpts"),
+    for (line, refusal) in [
+        ("cluster --dataset DATA --eps -1", "eps: must be "),
+        ("cluster --dataset DATA --eps nan", "eps: must be "),
+        ("cluster --dataset DATA --eps inf", "eps: must be "),
+        (
+            "cluster --dataset DATA --eps 0.5 --minpts 0",
+            "minpts: must be ",
+        ),
+        ("cluster --dataset DATA --eps 0.5 --r 0", "r: must be "),
+        (
+            "sweep --dataset DATA --eps -1,0.5 --minpts 4",
+            "eps: must be ",
+        ),
+        (
+            "sweep --dataset DATA --eps 0.5 --minpts 0,4",
+            "minpts: must be ",
+        ),
         // `sweep` used to clamp these two to 1 silently.
-        ("sweep --dataset DATA --eps 0.5 --minpts 4 --r 0", "r"),
+        (
+            "sweep --dataset DATA --eps 0.5 --minpts 4 --r 0",
+            "r: must be ",
+        ),
         (
             "sweep --dataset DATA --eps 0.5 --minpts 4 --threads 0",
-            "threads",
+            "threads: must be ",
         ),
-        ("trace --dataset DATA --eps nan --minpts 4", "eps"),
-        ("suggest --dataset DATA --minpts 0", "minpts"),
-        ("tune --dataset DATA --eps -1", "eps"),
-        ("simulate --eps 0.2,0.3 --minpts 4,8 --threads 0", "threads"),
+        // `r` is a number; there is no automatic choice.
+        (
+            "sweep --dataset DATA --eps 0.5 --minpts 4 --r auto",
+            "r: cannot parse 'auto'",
+        ),
+        ("trace --dataset DATA --eps nan --minpts 4", "eps: must be "),
+        ("suggest --dataset DATA --minpts 0", "minpts: must be "),
+        ("tune --dataset DATA --eps -1", "eps: must be "),
+        (
+            "simulate --eps 0.2,0.3 --minpts 4,8 --threads 0",
+            "threads: must be ",
+        ),
     ] {
         let stderr = refused(line);
         assert!(
-            stderr.starts_with(&format!("error: --{flag}: must be ")),
+            stderr.starts_with(&format!("error: --{refusal}")),
             "vbp {line}: {stderr}"
         );
         assert_eq!(stderr.lines().count(), 1, "vbp {line}: {stderr}");

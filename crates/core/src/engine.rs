@@ -5,7 +5,7 @@
 //! One engine run:
 //!
 //! 1. bin-sorts the database and builds the shared R-tree `T_low` with
-//!    the tuned `r` (the paper's second tree, `T_high`, is not built:
+//!    the configured `r` (the paper's second tree, `T_high`, is not built:
 //!    see [`PreparedIndex`]);
 //! 2. spawns `T` workers that repeatedly pull an
 //!    [`Assignment`](crate::scheduler::Assignment) from the shared
@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 use vbp_dbscan::{dbscan_with_scratch, ClusterResult, DbscanScratch};
 use vbp_geom::binning::invert_permutation;
 use vbp_geom::{Point2, PointId};
-use vbp_rtree::{tune_r_sampled, Column, PackedRTree, TuneReport};
+use vbp_rtree::{Column, PackedRTree};
 use vbp_store::{Container, IndexSnapshot, StoreError};
 
 use crate::expand::{cluster_with_reuse_traced, NeighborCounts};
@@ -80,52 +80,14 @@ use crate::trace::{
 };
 use crate::variant::{Variant, VariantSet};
 
-/// How the engine picks `r` (points per leaf MBB of `T_low`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RChoice {
-    /// Use this `r` as given.
-    Fixed(usize),
-    /// Run a sampled [`tune_r`](vbp_rtree::tune_r) sweep at index-build
-    /// time and use the winner. The sweep is capped (sample ≤
-    /// [`AUTO_TUNE_MAX_SAMPLE`] points, [`AUTO_TUNE_CANDIDATES`]
-    /// candidates, [`AUTO_TUNE_QUERIES`] queries each) so tuning stays well
-    /// under one variant's clustering cost; the chosen `r` and the full
-    /// [`TuneReport`](vbp_rtree::TuneReport) land in the [`RunReport`].
-    Auto,
-}
-
-impl std::fmt::Display for RChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RChoice::Fixed(r) => write!(f, "{r}"),
-            RChoice::Auto => write!(f, "auto"),
-        }
-    }
-}
-
-/// Largest point sample [`RChoice::Auto`] builds candidate trees over.
-pub const AUTO_TUNE_MAX_SAMPLE: usize = 4_096;
-
-/// Candidate `r` values [`RChoice::Auto`] sweeps — a pruned version of
-/// [`vbp_rtree::DEFAULT_R_CANDIDATES`] (neighboring values time within
-/// noise of each other; fewer builds keeps tuning cheap).
-pub const AUTO_TUNE_CANDIDATES: [usize; 5] = [1, 10, 30, 70, 110];
-
-/// ε-queries timed per candidate tree by [`RChoice::Auto`].
-pub const AUTO_TUNE_QUERIES: usize = 256;
-
-/// The `r` [`RChoice::Auto`] falls back to when there is nothing to tune
-/// against (an empty variant set). Middle of the paper's good band.
-pub const AUTO_TUNE_FALLBACK_R: usize = 80;
-
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Worker threads `T`.
     pub threads: usize,
     /// Points per leaf MBB of `T_low` (the paper's `r`; 70–110 works well,
-    /// see Figure 4), or [`RChoice::Auto`] to tune it at index-build time.
-    pub r: RChoice,
+    /// see Figure 4).
+    pub r: usize,
     /// Thread scheduling heuristic.
     pub scheduler: Scheduler,
     /// Cluster reuse prioritization (or [`ReuseScheme::Disabled`]).
@@ -139,7 +101,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            r: RChoice::Fixed(80),
+            r: 80,
             scheduler: Scheduler::SchedGreedy,
             reuse: ReuseScheme::ClusDensity,
             keep_results: true,
@@ -153,7 +115,7 @@ impl EngineConfig {
     pub fn reference() -> Self {
         Self {
             threads: 1,
-            r: RChoice::Fixed(1),
+            r: 1,
             scheduler: Scheduler::SchedGreedy,
             reuse: ReuseScheme::Disabled,
             keep_results: true,
@@ -166,16 +128,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for a fixed `r`.
+    /// Builder-style setter for `r`.
     pub fn with_r(mut self, r: usize) -> Self {
-        self.r = RChoice::Fixed(r);
-        self
-    }
-
-    /// Builder-style switch to [`RChoice::Auto`]: tune `r` empirically at
-    /// index-build time.
-    pub fn with_auto_r(mut self) -> Self {
-        self.r = RChoice::Auto;
+        self.r = r;
         self
     }
 
@@ -297,10 +252,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Rebuilding the tree on every run is fine for one-shot sweeps but
 /// wasteful for a long-running service answering many variant requests
-/// against the same datasets. `PreparedIndex` hoists the bin sort, the
-/// (optional) `r` auto-tune, and the tree build out of the
-/// run loop: build once with [`Engine::prepare`], then execute any number
-/// of [`RunRequest::prepared`] runs. Runs over a prepared index report
+/// against the same datasets. `PreparedIndex` hoists the bin sort and
+/// the tree build out of the run loop: build once with
+/// [`Engine::prepare`], then execute any number of
+/// [`RunRequest::prepared`] runs. Runs over a prepared index report
 /// `index_build_time == 0` — the build cost lives in
 /// [`PreparedIndex::build_time`], amortized across every run that shares
 /// the handle.
@@ -323,7 +278,6 @@ pub struct PreparedIndex {
     /// The inverse of `permutation`, built on first use and carried
     /// across maintained appends.
     tree_positions: OnceLock<Column<PointId>>,
-    tune: Option<TuneReport>,
     build_time: Duration,
     /// Points appended (at the tree tail, outside bin order) since the
     /// last full bin sort — the maintain-vs-resort policy input.
@@ -335,7 +289,6 @@ impl PreparedIndex {
     fn around(
         t_low: PackedRTree,
         permutation: Vec<PointId>,
-        tune: Option<TuneReport>,
         build_time: Duration,
         appended_since_sort: usize,
     ) -> Self {
@@ -343,7 +296,6 @@ impl PreparedIndex {
             t_low,
             permutation: permutation.into(),
             tree_positions: OnceLock::new(),
-            tune,
             build_time,
             appended_since_sort,
         }
@@ -361,7 +313,7 @@ impl PreparedIndex {
         self.permutation.is_empty()
     }
 
-    /// The tuned-`r` tree used for ε-neighborhood searches.
+    /// The tree (`r` points per leaf) used for ε-neighborhood searches.
     #[inline]
     pub fn t_low(&self) -> &PackedRTree {
         &self.t_low
@@ -388,12 +340,7 @@ impl PreparedIndex {
         self.t_low.points_per_leaf()
     }
 
-    /// The auto-tuning sweep record, when [`RChoice::Auto`] ran.
-    pub fn tune(&self) -> Option<&TuneReport> {
-        self.tune.as_ref()
-    }
-
-    /// Wall time spent bin-sorting, tuning, and building the tree,
+    /// Wall time spent bin-sorting and building the tree,
     /// plus any streaming maintenance applied since.
     pub fn build_time(&self) -> Duration {
         self.build_time
@@ -431,7 +378,6 @@ impl PreparedIndex {
             t_low,
             permutation: self.permutation.appended(tail()),
             tree_positions,
-            tune: self.tune.clone(),
             build_time: self.build_time,
             appended_since_sort: self.appended_since_sort + batch.len(),
         }
@@ -450,10 +396,10 @@ impl PreparedIndex {
 
     /// Writes this handle's complete warm state into `w` as one
     /// checksummed [`vbp_store`] container: the tree-order points, the
-    /// permutation, the tuned-`r` report, and the append generation
-    /// counter. [`PreparedIndex::restore`] on those bytes skips the bin
-    /// sort and the auto-tune sweep entirely and re-derives the packed
-    /// tree from the stored order in O(n).
+    /// permutation, `r`, and the append generation counter.
+    /// [`PreparedIndex::restore`] on those bytes skips the bin sort
+    /// entirely and re-derives the packed tree from the stored order in
+    /// O(n).
     ///
     /// Callers that want a clean generation on disk should flush a
     /// dirty tail through [`Engine::resort_prepared`] first;
@@ -476,7 +422,6 @@ impl PreparedIndex {
             permutation: self.permutation.to_vec(),
             chosen_r: self.chosen_r(),
             fanout: self.t_low.fanout(),
-            tune: self.tune.clone(),
             build_time_ns: self.build_time.as_nanos().min(u128::from(u64::MAX)) as u64,
             appended_since_sort: self.appended_since_sort as u64,
         }
@@ -578,7 +523,6 @@ impl PreparedIndex {
             permutation,
             chosen_r,
             fanout,
-            tune,
             build_time_ns,
             appended_since_sort,
         } = snap;
@@ -586,7 +530,6 @@ impl PreparedIndex {
             t_low: PackedRTree::from_sorted_with_fanout(points, chosen_r, fanout),
             permutation: permutation.into(),
             tree_positions: OnceLock::new(),
-            tune,
             build_time: Duration::from_nanos(build_time_ns),
             appended_since_sort: appended_since_sort as usize,
         }
@@ -726,9 +669,7 @@ impl Engine {
     /// Panics if `threads == 0` or `r == 0`.
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.threads >= 1, "need at least one worker thread");
-        if let RChoice::Fixed(r) = config.r {
-            assert!(r >= 1, "r must be ≥ 1");
-        }
+        assert!(config.r >= 1, "r must be ≥ 1");
         Self { config }
     }
 
@@ -760,7 +701,7 @@ impl Engine {
                         point: points[bad],
                     });
                 }
-                prepared_local = self.prepare_unchecked(points, representative_eps(variants));
+                prepared_local = self.prepare_unchecked(points);
                 (&prepared_local, prepared_local.build_time)
             }
             RunSource::Prepared(index) => (index, Duration::ZERO),
@@ -781,16 +722,14 @@ impl Engine {
         Ok(report)
     }
 
-    /// Builds the shared R-tree (and runs the [`RChoice::Auto`]
-    /// sweep, when configured) over `points` without clustering anything,
-    /// returning a handle that any number of [`RunRequest::prepared`]
-    /// runs can share. `representative_eps` feeds the auto-tuner; pass
-    /// `None` to fall back to [`AUTO_TUNE_FALLBACK_R`] (a fixed `r`
-    /// ignores it entirely).
+    /// Builds the shared R-tree over `points` with the configured `r`
+    /// without clustering anything, returning a handle that any number of
+    /// [`RunRequest::prepared`] runs can share. `_representative_eps` is
+    /// not read; it stays in the signature for existing callers.
     pub fn prepare(
         &self,
         points: &[Point2],
-        representative_eps: Option<f64>,
+        _representative_eps: Option<f64>,
     ) -> Result<PreparedIndex, EngineError> {
         if let Some(bad) = points.iter().position(|p| !p.is_finite()) {
             return Err(EngineError::NonFinitePoint {
@@ -798,34 +737,15 @@ impl Engine {
                 point: points[bad],
             });
         }
-        Ok(self.prepare_unchecked(points, representative_eps))
+        Ok(self.prepare_unchecked(points))
     }
 
     /// [`Engine::prepare`] minus the finiteness check (already done by
     /// [`Engine::execute`] on the raw-points path).
-    fn prepare_unchecked(&self, points: &[Point2], eps_hint: Option<f64>) -> PreparedIndex {
-        // Tuning (when enabled) is part of index construction: it runs
-        // once per prepare, before any variant, and its cost is reported
-        // in `build_time`.
+    fn prepare_unchecked(&self, points: &[Point2]) -> PreparedIndex {
         let build_start = Instant::now();
-        let (chosen_r, tune) = match self.config.r {
-            RChoice::Fixed(r) => (r, None),
-            RChoice::Auto => match eps_hint {
-                Some(eps) => {
-                    let report = tune_r_sampled(
-                        points,
-                        eps,
-                        AUTO_TUNE_MAX_SAMPLE,
-                        &AUTO_TUNE_CANDIDATES,
-                        AUTO_TUNE_QUERIES,
-                    );
-                    (report.best_r, Some(report))
-                }
-                None => (AUTO_TUNE_FALLBACK_R, None),
-            },
-        };
-        let (t_low, permutation) = PackedRTree::build(points, chosen_r);
-        PreparedIndex::around(t_low, permutation, tune, build_start.elapsed(), 0)
+        let (t_low, permutation) = PackedRTree::build(points, self.config.r);
+        PreparedIndex::around(t_low, permutation, build_start.elapsed(), 0)
     }
 
     /// Applies one streaming APPEND batch to a prepared handle, returning
@@ -833,7 +753,7 @@ impl Engine {
     /// old handle stay valid) plus an [`AppendReport`].
     ///
     /// The maintain path appends the new points at the *tail of tree
-    /// order*: no bin sort and no `r` re-tune. The points, coordinates and
+    /// order*: no bin sort. The points, coordinates and
     /// permutation are [`Column`]s the batch is written onto in place
     /// ([`PackedRTree::appended`]); only the tree's small levels — its
     /// `n / r` leaves and the levels above — are copied, with just their
@@ -885,7 +805,7 @@ impl Engine {
     /// Flushes a handle's unsorted append tail through the same full
     /// re-sort [`Engine::append_to_prepared`] applies when the tail
     /// crosses [`APPEND_RESORT_FRACTION`]: bin-sort the accumulated
-    /// caller-order points with the already-chosen `r` (no re-tune) and
+    /// caller-order points with the handle's `r` and
     /// rebuild the packed tree. The returned handle answers the same
     /// queries with `appended_since_sort == 0` — the clean generation
     /// the warm-state store persists before shutdown. A handle that is
@@ -903,11 +823,11 @@ impl Engine {
     /// The full re-sort behind [`Engine::append_to_prepared`] and
     /// [`Engine::resort_prepared`]: bin-sorts `caller` — `index`'s
     /// accumulated database in caller order, plus any batch being
-    /// appended — with the already-chosen `r` (no re-tune) and rebuilds
+    /// appended — with the handle's `r` and rebuilds
     /// the packed tree. The tail counter resets to zero.
     fn bin_sorted(&self, index: &PreparedIndex, caller: &[Point2]) -> PreparedIndex {
         let (t_low, permutation) = PackedRTree::build(caller, index.chosen_r());
-        PreparedIndex::around(t_low, permutation, index.tune.clone(), index.build_time, 0)
+        PreparedIndex::around(t_low, permutation, index.build_time, 0)
     }
 
     /// The engine core: clusters `variants` over a prepared index with
@@ -1022,7 +942,6 @@ impl Engine {
             index_build_time: Duration::ZERO,
             threads: self.config.threads,
             chosen_r: index.chosen_r(),
-            tune: index.tune.clone(),
             results,
             permutation: index.permutation.to_vec(),
             worker_stats,
@@ -1031,18 +950,6 @@ impl Engine {
             trace: trace_snapshot,
         })
     }
-}
-
-/// The ε the auto-tuner sweeps with: the median of the variant set's ε
-/// values — robust to a few outlier variants and exact for the common
-/// replicated-variant scenarios. `None` for an empty set.
-fn representative_eps(variants: &VariantSet) -> Option<f64> {
-    if variants.is_empty() {
-        return None;
-    }
-    let mut eps: Vec<f64> = variants.iter().map(|v| v.eps).collect();
-    eps.sort_by(|a, b| a.partial_cmp(b).expect("variant ε is always finite"));
-    Some(eps[eps.len() / 2])
 }
 
 /// Everything one worker hands back when its loop drains: the outcomes
@@ -1353,7 +1260,7 @@ mod tests {
         let all = blobs(700, 4, 7);
         let variants = small_grid();
         let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-        let mut index = engine.prepare(&all[..400], Some(1.2)).expect("finite");
+        let mut index = engine.prepare(&all[..400], None).expect("finite");
 
         // First batch (100 on 400: tail 20% — maintain), second batch
         // (+100: tail 200/600 = 33% — resort).
@@ -1664,53 +1571,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_r_tunes_and_reports() {
-        let points = blobs(1_500, 4, 53);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_auto_r());
-        let report = run(&engine, &points, &variants);
-        assert!(AUTO_TUNE_CANDIDATES.contains(&report.chosen_r));
-        let tune = report.tune.as_ref().expect("auto mode must record a sweep");
-        assert_eq!(tune.best_r, report.chosen_r);
-        assert_eq!(tune.timings.len(), AUTO_TUNE_CANDIDATES.len());
-        assert!(tune.sample_size <= AUTO_TUNE_MAX_SAMPLE);
-        // Results must match a fixed-r run (r only affects speed).
-        let fixed_engine = Engine::new(
-            EngineConfig::default()
-                .with_threads(2)
-                .with_r(report.chosen_r),
-        );
-        let fixed = run(&fixed_engine, &points, &variants);
-        assert_eq!(fixed.chosen_r, report.chosen_r);
-        assert!(fixed.tune.is_none());
-        for (a, b) in report.results.iter().zip(&fixed.results) {
-            assert_eq!(a.num_clusters(), b.num_clusters());
-            assert_eq!(a.noise_count(), b.noise_count());
-        }
-    }
-
-    #[test]
-    fn auto_r_on_empty_variant_set_falls_back() {
-        let points = blobs(200, 2, 59);
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_auto_r());
-        let report = run(&engine, &points, &VariantSet::new(vec![]));
-        assert_eq!(report.chosen_r, AUTO_TUNE_FALLBACK_R);
-        assert!(report.tune.is_none());
-    }
-
-    #[test]
     fn fixed_r_is_recorded() {
         let points = blobs(100, 2, 61);
         let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(17));
         let report = run(&engine, &points, &small_grid());
         assert_eq!(report.chosen_r, 17);
-        assert!(report.tune.is_none());
-    }
-
-    #[test]
-    fn rchoice_displays() {
-        assert_eq!(RChoice::Fixed(70).to_string(), "70");
-        assert_eq!(RChoice::Auto.to_string(), "auto");
     }
 
     #[test]
@@ -1847,18 +1712,6 @@ mod tests {
             );
             assert_eq!(a.results[i].noise_count(), direct.results[i].noise_count());
         }
-    }
-
-    #[test]
-    fn prepared_auto_r_uses_eps_hint() {
-        let points = blobs(1_200, 4, 67);
-        let engine = Engine::new(EngineConfig::default().with_threads(1).with_auto_r());
-        let with_hint = engine.prepare(&points, Some(1.0)).unwrap();
-        assert!(AUTO_TUNE_CANDIDATES.contains(&with_hint.chosen_r()));
-        assert!(with_hint.tune().is_some());
-        let without = engine.prepare(&points, None).unwrap();
-        assert_eq!(without.chosen_r(), AUTO_TUNE_FALLBACK_R);
-        assert!(without.tune().is_none());
     }
 
     #[test]
@@ -2044,7 +1897,7 @@ mod tests {
     fn job_panic_is_contained_and_engine_stays_usable() {
         let points = blobs(400, 3, 57);
         let engine = Engine::new(EngineConfig::default().with_threads(4).with_r(16));
-        let index = engine.prepare(&points, Some(1.0)).unwrap();
+        let index = engine.prepare(&points, None).unwrap();
 
         // A poisoned variant in the middle of an otherwise healthy set
         // fails the whole run with a typed error naming the variant —

@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use vbp_dbscan::{ClusterResult, DbscanStats};
 use vbp_geom::PointId;
-use vbp_rtree::TuneReport;
 
 use crate::expand::ReuseStats;
 use crate::json::{JsonArray, JsonObject};
@@ -138,19 +137,12 @@ pub struct RunReport {
     /// Wall-clock makespan of the whole run (tree construction excluded;
     /// the paper indexes once and amortizes across variants).
     pub total_time: Duration,
-    /// Time spent bin-sorting and building `T_low` — including the
-    /// auto-tuning sweep when [`RChoice::Auto`](crate::RChoice) ran.
+    /// Time spent bin-sorting and building `T_low`.
     pub index_build_time: Duration,
     /// Number of worker threads.
     pub threads: usize,
-    /// The `r` (points per leaf MBB) `T_low` was actually built with —
-    /// the configured value under [`RChoice::Fixed`](crate::RChoice), the
-    /// sweep winner under [`RChoice::Auto`](crate::RChoice).
+    /// The `r` (points per leaf MBB) `T_low` was built with.
     pub chosen_r: usize,
-    /// The auto-tuning sweep's full record; `None` unless
-    /// [`RChoice::Auto`](crate::RChoice) ran (and found variants to tune
-    /// against).
-    pub tune: Option<TuneReport>,
     /// Clustering results per variant (in canonical variant order), in
     /// *tree order* point ids. Empty when the engine is configured with
     /// `keep_results = false`.
@@ -302,7 +294,7 @@ impl RunReport {
     }
 
     /// Renders the whole run machine-readably (one JSON object, no
-    /// trailing newline): totals, tuning, per-variant outcomes, and
+    /// trailing newline): totals, per-variant outcomes, and
     /// per-worker stats. Emitted by `vbp sweep --json` and embedded in
     /// the service's `STATS` output.
     pub fn to_json(&self) -> String {
@@ -314,10 +306,6 @@ impl RunReport {
         for w in &self.worker_stats {
             workers.push_raw(&w.to_json());
         }
-        let tune = self
-            .tune
-            .as_ref()
-            .map_or_else(|| "null".to_string(), tune_report_to_json);
         let o = JsonObject::new()
             .uint("variants", self.outcomes.len() as u64)
             .uint("threads", self.threads as u64)
@@ -333,7 +321,6 @@ impl RunReport {
             .float("sched_ms", self.total_sched_time().as_secs_f64() * 1e3)
             .float("idle_ms", self.total_idle().as_secs_f64() * 1e3)
             .float("lock_wait_share", self.lock_wait_share())
-            .raw("tune", &tune)
             .raw("phases", &self.phases.to_json())
             .raw("outcomes", &outcomes.finish())
             .raw("worker_stats", &workers.finish());
@@ -343,25 +330,6 @@ impl RunReport {
         }
         .finish()
     }
-}
-
-/// JSON for a [`TuneReport`] (rendered here, next to the run report
-/// that embeds it; `vbp-rtree` stays serialization-free).
-pub fn tune_report_to_json(tune: &TuneReport) -> String {
-    let mut timings = JsonArray::new();
-    for (r, t) in &tune.timings {
-        timings.push_raw(
-            &JsonObject::new()
-                .uint("r", *r as u64)
-                .float("ms", t.as_secs_f64() * 1e3)
-                .finish(),
-        );
-    }
-    JsonObject::new()
-        .uint("best_r", tune.best_r as u64)
-        .uint("sample_size", tune.sample_size as u64)
-        .raw("timings", &timings.finish())
-        .finish()
 }
 
 impl WorkerStats {
@@ -433,7 +401,6 @@ mod tests {
             index_build_time: Duration::ZERO,
             threads,
             chosen_r: 1,
-            tune: None,
             results: Vec::new(),
             permutation: Vec::new(),
             worker_stats: Vec::new(),
@@ -557,24 +524,7 @@ mod tests {
             json.contains(r#""source":{"eps":0.4,"minpts":8}"#),
             "{json}"
         );
-        assert!(json.contains(r#""tune":null"#), "{json}");
         assert!(json.contains(r#""worker_stats":[{"thread":0"#), "{json}");
-    }
-
-    #[test]
-    fn tune_report_json_shape() {
-        let t = vbp_rtree::TuneReport {
-            best_r: 30,
-            timings: vec![
-                (1, Duration::from_millis(2)),
-                (30, Duration::from_millis(1)),
-            ],
-            sample_size: 512,
-        };
-        let json = tune_report_to_json(&t);
-        crate::json::parse_json(json.as_bytes()).expect("well-formed JSON");
-        assert!(json.contains(r#""best_r":30"#), "{json}");
-        assert!(json.contains(r#""timings":[{"r":1,"ms":2}"#), "{json}");
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //!    the `APPEND_RESORT_FRACTION` full re-sort) survive the round
 //!    trip, as does an explicit [`Engine::resort_prepared`] flush.
 
-use variantdbscan::{
-    Engine, EngineConfig, PreparedIndex, RChoice, RunRequest, Variant, VariantSet,
-};
+use variantdbscan::{Engine, EngineConfig, PreparedIndex, RunRequest, Variant, VariantSet};
 use vbp_geom::Point2;
 
 /// Deterministic clustered cloud (no RNG: fixed LCG) with a few dense
-/// blobs plus scattered background, sized so auto-tune actually sweeps.
+/// blobs plus scattered background.
 fn cloud(n: usize, seed: u64) -> Vec<Point2> {
     let mut state = seed | 1;
     let mut next = move || {
@@ -50,11 +48,12 @@ fn variants() -> VariantSet {
     ])
 }
 
+/// Points per leaf for most of the suite: not the default, so the round
+/// trip has to carry `r` rather than fall back to it.
+const R: usize = 30;
+
 fn engine() -> Engine {
-    Engine::new(EngineConfig {
-        r: RChoice::Auto,
-        ..EngineConfig::default()
-    })
+    Engine::new(EngineConfig::default().with_r(R))
 }
 
 fn roundtrip(index: &PreparedIndex) -> PreparedIndex {
@@ -79,10 +78,6 @@ fn assert_equivalent(engine: &Engine, original: &PreparedIndex, restored: &Prepa
     assert_eq!(
         restored.appended_since_sort(),
         original.appended_since_sort()
-    );
-    assert_eq!(
-        restored.tune().map(|t| t.best_r),
-        original.tune().map(|t| t.best_r)
     );
 
     let vs = variants();
@@ -112,22 +107,21 @@ fn assert_equivalent(engine: &Engine, original: &PreparedIndex, restored: &Prepa
 fn fresh_prepare_roundtrips() {
     let engine = engine();
     let points = cloud(1200, 0xA11CE);
-    let index = engine.prepare(&points, Some(0.5)).unwrap();
-    assert!(index.tune().is_some(), "auto-tune should have run");
+    let index = engine.prepare(&points, None).unwrap();
+    assert_eq!(index.chosen_r(), R);
     let restored = roundtrip(&index);
+    assert_eq!(restored.chosen_r(), R);
     assert_equivalent(&engine, &index, &restored);
 }
 
 #[test]
-fn fixed_r_without_tune_roundtrips() {
-    let engine = Engine::new(EngineConfig {
-        r: RChoice::Fixed(7),
-        ..EngineConfig::default()
-    });
+fn default_r_restores_at_80() {
+    let engine = Engine::new(EngineConfig::default());
     let points = cloud(500, 0xBEEF);
     let index = engine.prepare(&points, None).unwrap();
-    assert!(index.tune().is_none());
+    assert_eq!(index.chosen_r(), 80);
     let restored = roundtrip(&index);
+    assert_eq!(restored.chosen_r(), 80);
     assert_equivalent(&engine, &index, &restored);
 }
 
@@ -144,7 +138,7 @@ fn empty_dataset_roundtrips() {
 fn maintained_append_generation_roundtrips() {
     let engine = engine();
     let points = cloud(1000, 0x5EED);
-    let index = engine.prepare(&points, Some(0.5)).unwrap();
+    let index = engine.prepare(&points, None).unwrap();
     // Small batch: stays under APPEND_RESORT_FRACTION → maintain branch.
     let extra = cloud(60, 0xD00D);
     let (index, report) = engine.append_to_prepared(&index, &extra).unwrap();
@@ -158,7 +152,7 @@ fn maintained_append_generation_roundtrips() {
 fn resorted_append_generation_roundtrips() {
     let engine = engine();
     let points = cloud(600, 0xF00D);
-    let index = engine.prepare(&points, Some(0.5)).unwrap();
+    let index = engine.prepare(&points, None).unwrap();
     // Large batch: crosses APPEND_RESORT_FRACTION → full re-sort.
     let extra = cloud(400, 0xCAFE);
     let (index, report) = engine.append_to_prepared(&index, &extra).unwrap();
@@ -174,7 +168,7 @@ fn appends_resume_on_a_restored_handle() {
     let engine = engine();
     let points = cloud(800, 0x1234);
     let extra = cloud(50, 0x5678);
-    let original = engine.prepare(&points, Some(0.5)).unwrap();
+    let original = engine.prepare(&points, None).unwrap();
     let restored = roundtrip(&original);
 
     let (a, _) = engine.append_to_prepared(&original, &extra).unwrap();
@@ -186,7 +180,7 @@ fn appends_resume_on_a_restored_handle() {
 fn resort_prepared_flushes_the_tail_and_roundtrips() {
     let engine = engine();
     let points = cloud(900, 0x9999);
-    let index = engine.prepare(&points, Some(0.5)).unwrap();
+    let index = engine.prepare(&points, None).unwrap();
     let (dirty, report) = engine
         .append_to_prepared(&index, &cloud(80, 0x8888))
         .unwrap();
@@ -217,7 +211,7 @@ fn resort_prepared_flushes_the_tail_and_roundtrips() {
 #[test]
 fn corrupt_snapshots_are_rejected_with_typed_errors() {
     let engine = engine();
-    let index = engine.prepare(&cloud(300, 0x7777), Some(0.5)).unwrap();
+    let index = engine.prepare(&cloud(300, 0x7777), None).unwrap();
     let bytes = index.snapshot_bytes();
 
     // Every truncation fails; none panics.

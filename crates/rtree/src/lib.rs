@@ -27,7 +27,7 @@
 //! Both implement [`SpatialIndex`], the query interface DBSCAN and
 //! VariantDBSCAN are generic over. On the packed tree there are also
 //! [`knn`] (k-nearest-neighbor search, behind the k-distance ε heuristic)
-//! and [`tuner`] (the empirical `r` sweep the engine's auto-`r` runs).
+//! and [`tuner`] (the empirical `r` sweep of §V-C that `vbp tune` runs).
 
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -48,4 +48,4 @@ pub use packed::PackedRTree;
 pub use reach::LeafReach;
 pub use stats::TreeStats;
 pub use traits::{shared_points, SharedPoints, Skip, SpatialIndex, COUNT_ONLY};
-pub use tuner::{tune_r, tune_r_default, tune_r_sampled, TuneReport, DEFAULT_R_CANDIDATES};
+pub use tuner::{tune_r, tune_r_default, TuneReport, DEFAULT_R_CANDIDATES};

@@ -1,4 +1,4 @@
-//! Empirical auto-tuning of `r` (points per leaf MBB).
+//! Empirical tuning of `r` (points per leaf MBB).
 //!
 //! §V-C of the paper determines good `r` values "empirically", noting the
 //! optimum depends on the spatial distribution, `⌈|D|/r⌉`, tree depth,
@@ -24,9 +24,6 @@ pub struct TuneReport {
     pub best_r: usize,
     /// Measured `(r, total query time)` per candidate, in sweep order.
     pub timings: Vec<(usize, Duration)>,
-    /// Number of database points the sweep actually built trees over
-    /// (equals the database size unless the caller sampled).
-    pub sample_size: usize,
 }
 
 /// Times `queries` ε-neighborhood searches (on evenly-strided database
@@ -70,7 +67,6 @@ pub fn tune_r(points: &[Point2], eps: f64, candidates: &[usize], queries: usize)
     TuneReport {
         best_r: best.unwrap().1,
         timings,
-        sample_size: points.len(),
     }
 }
 
@@ -79,30 +75,6 @@ pub fn tune_r(points: &[Point2], eps: f64, candidates: &[usize], queries: usize)
 pub fn tune_r_default(points: &[Point2], eps: f64) -> TuneReport {
     let queries = (points.len() / 10).clamp(100, 2_000);
     tune_r(points, eps, &DEFAULT_R_CANDIDATES, queries)
-}
-
-/// [`tune_r`] over an evenly-strided sample of at most `max_sample`
-/// points, so tuning cost stays bounded (≪ one variant's clustering cost)
-/// no matter the database size. A strided sample keeps the spatial
-/// distribution — which is what the optimal `r` depends on (§V-C) —
-/// while shrinking tree-build and query cost; density drops by the
-/// sampling factor, so the sweep slightly favors the candidate ordering
-/// of a sparser dataset, which is acceptable for picking a leaf size.
-/// The sampled size is recorded in [`TuneReport::sample_size`].
-pub fn tune_r_sampled(
-    points: &[Point2],
-    eps: f64,
-    max_sample: usize,
-    candidates: &[usize],
-    queries: usize,
-) -> TuneReport {
-    assert!(max_sample >= 1, "need a sample budget of at least 1");
-    if points.len() <= max_sample {
-        return tune_r(points, eps, candidates, queries);
-    }
-    let stride = points.len().div_ceil(max_sample);
-    let sample: Vec<Point2> = points.iter().step_by(stride).copied().collect();
-    tune_r(&sample, eps, candidates, queries)
 }
 
 #[cfg(test)]
@@ -156,7 +128,6 @@ mod tests {
     fn empty_database_is_fine() {
         let report = tune_r(&[], 1.0, &[1, 10], 100);
         assert!(report.best_r == 1 || report.best_r == 10);
-        assert_eq!(report.sample_size, 0);
     }
 
     #[test]
@@ -164,17 +135,6 @@ mod tests {
         let points = clustered_points(500);
         let report = tune_r(&points, 0.0, &[1, 30], 50);
         assert!(report.best_r == 1 || report.best_r == 30);
-    }
-
-    #[test]
-    fn sampled_sweep_caps_the_database() {
-        let points = clustered_points(4_000);
-        let report = tune_r_sampled(&points, 0.5, 1_000, &[1, 30, 90], 100);
-        assert!(report.sample_size <= 1_000, "got {}", report.sample_size);
-        assert!([1usize, 30, 90].contains(&report.best_r));
-        // Small databases are not sampled at all.
-        let full = tune_r_sampled(&points, 0.5, 100_000, &[1, 30], 100);
-        assert_eq!(full.sample_size, points.len());
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub struct DatasetEntry {
     /// The points under a prebuilt packed R-tree, shared by every
     /// request; [`PreparedIndex::caller_points`] derives caller order.
     pub index: PreparedIndex,
-    /// k-dist-estimated representative ε (fed to the auto-tuner and
-    /// reported by `DATASETS`).
+    /// k-dist-estimated representative ε (reported by `DATASETS` and
+    /// persisted with the dataset).
     pub suggested_eps: Option<f64>,
 }
 
@@ -68,13 +68,12 @@ impl Registry {
     }
 
     /// Registers an arbitrary point set under `name`, prebuilding its
-    /// indexes. A representative ε is estimated from the k-dist plot so
-    /// [`RChoice::Auto`](variantdbscan::RChoice) tunes against realistic
-    /// query radii even before the first request arrives.
+    /// indexes. A representative ε is estimated from the k-dist plot, a
+    /// starting radius for clients that have none yet.
     pub fn register(&self, engine: &Engine, name: &str, points: &[Point2]) -> Result<(), String> {
         let suggested_eps = representative_eps(points);
         let index = engine
-            .prepare(points, suggested_eps)
+            .prepare(points, None)
             .map_err(|e| format!("dataset '{name}': {e}"))?;
         self.swap(Arc::new(DatasetEntry {
             name: name.to_string(),
@@ -134,7 +133,7 @@ impl Registry {
     }
 }
 
-/// Estimates a representative ε for auto-tuning: the k-dist knee over a
+/// Estimates a representative ε: the k-dist knee over a
 /// throwaway coarse index, sampled with a stride that caps the estimate
 /// at a few thousand queries.
 fn representative_eps(points: &[Point2]) -> Option<f64> {

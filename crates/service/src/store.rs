@@ -5,11 +5,10 @@
 //! server writes every dataset's prepared index plus its surviving
 //! dominance-cache entries under the store directory. On the next boot,
 //! [`boot_from_store`] restores each requested dataset from its file —
-//! skipping the bin sort and the `r` auto-tune entirely (the packed
-//! tree is re-derived from the stored order in O(n)) — and falls
-//! back to a cold [`Registry::load`] rebuild for
-//! any file that is missing, truncated, corrupt, version-mismatched, or
-//! inconsistent with its own index. Fallbacks are logged and counted
+//! skipping the bin sort entirely (the packed tree is re-derived from
+//! the stored order in O(n)) — and falls back to a cold
+//! [`Registry::load`] rebuild for any file that is missing, truncated,
+//! corrupt, version-mismatched, or inconsistent with its own index. Fallbacks are logged and counted
 //! (`vbp_store_restore_failed` in `METRICS`); they are never allowed to
 //! surface wrong labels, because nothing a failed validation touched is
 //! ever installed.
@@ -78,8 +77,8 @@ pub fn persist_dataset(
 
 /// One dataset restored from its store file, validated end to end.
 pub struct RestoredDataset {
-    /// The registry entry, its index rebuilt without any bin sort, tree
-    /// build, or tune sweep.
+    /// The registry entry, its index rebuilt without any bin sort or
+    /// tree build.
     pub entry: DatasetEntry,
     /// The dataset's surviving cache entries, tree-order results.
     pub cache: Vec<(Variant, Arc<ClusterResult>)>,

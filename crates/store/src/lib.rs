@@ -1,14 +1,13 @@
 //! Persistent warm-state store for VariantDBSCAN.
 //!
 //! The expensive part of serving a dataset is preparing it: bin-sorting
-//! the points, packing the R-tree, and sweeping
-//! candidate leaf capacities to tune `r`. This crate makes that work
+//! the points and packing the R-tree. This crate makes that work
 //! durable. A snapshot is a single versioned, checksummed container
 //! file — fixed header, section directory, length-prefixed CRC-validated
 //! sections — holding everything a daemon needs to resume serving a
-//! dataset without re-sorting or re-tuning anything: the tree-order
-//! point array, the permutation back to caller order, the tuned-`r`
-//! report, the append generation counter, and the surviving
+//! dataset without re-sorting anything: the tree-order
+//! point array, the permutation back to caller order, `r`,
+//! the append generation counter, and the surviving
 //! dominance-cache entries. The tree level MBBs themselves are *not*
 //! stored — the packed tree is a pure O(n) function of the tree-order
 //! points and the stored parameters, so a restore re-derives them

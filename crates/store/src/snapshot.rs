@@ -21,7 +21,7 @@
 //! to cover its points silently drops neighbors. Deriving the levels
 //! from the checked points makes that entire attack surface
 //! unrepresentable.) What remains on disk is exactly the expensive,
-//! non-derivable state: the bin-sorted point order and the tuned `r`.
+//! non-derivable state: the bin-sorted point order and `r`.
 //!
 //! Every decoder here is total: lengths are cross-checked against the
 //! bytes actually present, permutations must be bijections, labels must
@@ -29,11 +29,9 @@
 //! ids) before a [`ClusterResult`] is ever constructed — the panics in
 //! `ClusterResult::from_labels` are unreachable from arbitrary input.
 
-use std::time::Duration;
-
 use vbp_dbscan::{ClusterResult, Labels, NOISE, UNCLASSIFIED};
 use vbp_geom::Point2;
-use vbp_rtree::{SharedPoints, TuneReport};
+use vbp_rtree::SharedPoints;
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::container::{Container, ContainerWriter};
@@ -44,13 +42,16 @@ use crate::error::StoreError;
 /// unchanged alongside the dataset sections in one flat container.
 pub mod section_id {
     /// Index: scalar metadata (`n`, `r`, fanout, build time, append
-    /// generation).
+    /// generation, and a flag byte for [`TUNE`]).
     pub const INDEX_META: u32 = 0x0001;
     /// Index: point coordinates in tree (packing) order.
     pub const POINTS: u32 = 0x0002;
     /// Index: tree order → caller order permutation.
     pub const PERMUTATION: u32 = 0x0003;
-    /// Index: the auto-tuner's sweep record (optional).
+    /// Index: an `r`-tuning sweep record, written by older versions
+    /// (with the meta flag byte set to 1) and no longer parsed: a file
+    /// that carries it restores at its stored `r`, and is re-encoded
+    /// without it.
     pub const TUNE: u32 = 0x0006;
     /// Dataset: registry metadata (name, suggested ε).
     pub const DATASET_META: u32 = 0x0101;
@@ -65,7 +66,7 @@ pub const MAX_NAME_BYTES: usize = 256;
 /// tree-order points, the permutation mapping them back to caller
 /// order, and the scalar build parameters. The core crate converts
 /// between this and its private handle; a restore re-derives the
-/// packed tree from these fields without bin-sorting or re-tuning.
+/// packed tree from these fields without bin-sorting.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexSnapshot {
     /// The database in tree (packing) order — exactly the array the
@@ -79,8 +80,6 @@ pub struct IndexSnapshot {
     pub chosen_r: usize,
     /// Internal fanout of the packed tree.
     pub fanout: usize,
-    /// The auto-tuning sweep record, when `RChoice::Auto` ran.
-    pub tune: Option<TuneReport>,
     /// Accumulated build + maintenance wall time, nanoseconds.
     pub build_time_ns: u64,
     /// Points appended at the tree tail since the last full bin sort
@@ -105,7 +104,9 @@ impl IndexSnapshot {
         meta.u64(self.fanout as u64);
         meta.u64(self.build_time_ns);
         meta.u64(self.appended_since_sort);
-        meta.u8(u8::from(self.tune.is_some()));
+        // The `TUNE` flag: no such section is written, but the byte keeps
+        // the layout every existing file and reader shares.
+        meta.u8(0);
 
         let mut points = ByteWriter::new();
         for p in self.points.iter() {
@@ -121,17 +122,6 @@ impl IndexSnapshot {
         w.section(section_id::INDEX_META, meta.finish());
         w.section(section_id::POINTS, points.finish());
         w.section(section_id::PERMUTATION, perm.finish());
-        if let Some(tune) = &self.tune {
-            let mut t = ByteWriter::new();
-            t.u64(tune.best_r as u64);
-            t.u64(tune.sample_size as u64);
-            t.u64(tune.timings.len() as u64);
-            for (r, d) in &tune.timings {
-                t.u64(*r as u64);
-                t.u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-            }
-            w.section(section_id::TUNE, t.finish());
-        }
     }
 
     /// Parses and validates one index file.
@@ -149,7 +139,7 @@ impl IndexSnapshot {
         let fanout = meta.u64()?;
         let build_time_ns = meta.u64()?;
         let appended_since_sort = meta.u64()?;
-        let has_tune = meta.u8()?;
+        let tune_flag = meta.u8()?;
         meta.done()?;
         let malformed = |section: u32, reason: String| StoreError::Malformed { section, reason };
         let n = usize::try_from(n_raw)
@@ -174,10 +164,10 @@ impl IndexSnapshot {
                 format!("append generation {appended_since_sort} exceeds {n} points"),
             ));
         }
-        if has_tune > 1 {
+        if tune_flag > 1 {
             return Err(malformed(
                 section_id::INDEX_META,
-                format!("bad tune flag {has_tune}"),
+                format!("bad tune flag {tune_flag}"),
             ));
         }
 
@@ -230,47 +220,11 @@ impl IndexSnapshot {
             permutation.push(i);
         }
 
-        let tune = if has_tune == 1 {
-            let mut t = ByteReader::new(c.require(section_id::TUNE)?, section_id::TUNE);
-            let best_r = t.u64()?;
-            let sample_size = t.u64()?;
-            let count = t.count(16, "tune timings")?;
-            let mut timings = Vec::with_capacity(count);
-            for _ in 0..count {
-                let r = t.u64()?;
-                let ns = t.u64()?;
-                let r = usize::try_from(r).map_err(|_| {
-                    malformed(section_id::TUNE, format!("candidate r {r} overflows"))
-                })?;
-                timings.push((r, Duration::from_nanos(ns)));
-            }
-            t.done()?;
-            let best_r = usize::try_from(best_r)
-                .map_err(|_| malformed(section_id::TUNE, format!("best r {best_r} overflows")))?;
-            let sample_size = usize::try_from(sample_size).map_err(|_| {
-                malformed(section_id::TUNE, format!("sample {sample_size} overflows"))
-            })?;
-            Some(TuneReport {
-                best_r,
-                timings,
-                sample_size,
-            })
-        } else {
-            if c.section(section_id::TUNE).is_some() {
-                return Err(malformed(
-                    section_id::TUNE,
-                    "tune section present but meta flag says absent".into(),
-                ));
-            }
-            None
-        };
-
         Ok(Self {
             points,
             permutation,
             chosen_r: chosen_r as usize,
             fanout: fanout as usize,
-            tune,
             build_time_ns,
             appended_since_sort,
         })
@@ -531,14 +485,6 @@ mod tests {
             permutation: vec![1, 2, 0],
             chosen_r: 2,
             fanout: 16,
-            tune: Some(TuneReport {
-                best_r: 2,
-                timings: vec![
-                    (1, Duration::from_nanos(500)),
-                    (2, Duration::from_nanos(300)),
-                ],
-                sample_size: 3,
-            }),
             build_time_ns: 12_345,
             appended_since_sort: 1,
         }
@@ -644,7 +590,6 @@ mod tests {
             permutation: Vec::new(),
             chosen_r: 1,
             fanout: 2,
-            tune: None,
             build_time_ns: 0,
             appended_since_sort: 0,
         };

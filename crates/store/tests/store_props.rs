@@ -17,14 +17,15 @@ use proptest::collection;
 use proptest::prelude::*;
 use proptest::proptest;
 use vbp_geom::Point2;
-use vbp_rtree::{SharedPoints, TuneReport};
+use vbp_rtree::SharedPoints;
 use vbp_store::{
-    decode_cache_records, CacheRecord, Container, DatasetMeta, DatasetSnapshot, IndexSnapshot,
+    decode_cache_records, section_id, ByteWriter, CacheRecord, Container, ContainerWriter,
+    DatasetMeta, DatasetSnapshot, IndexSnapshot,
 };
 
 /// A structurally valid index snapshot over `coords` (decode-level
 /// validity: bijective permutation, finite points, sane parameters).
-fn valid_index(coords: &[(f64, f64)], with_tune: bool) -> IndexSnapshot {
+fn valid_index(coords: &[(f64, f64)]) -> IndexSnapshot {
     let points: SharedPoints = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
     let n = points.len();
     // A rotation is a cheap non-trivial bijection.
@@ -34,19 +35,14 @@ fn valid_index(coords: &[(f64, f64)], with_tune: bool) -> IndexSnapshot {
         permutation,
         chosen_r: 2,
         fanout: 16,
-        tune: with_tune.then(|| TuneReport {
-            best_r: 2,
-            timings: vec![(2, std::time::Duration::from_micros(10))],
-            sample_size: n,
-        }),
         build_time_ns: 1_000,
         appended_since_sort: 0,
     }
 }
 
-/// A complete, valid, encoded dataset snapshot file.
-fn valid_file(coords: &[(f64, f64)], with_tune: bool, with_cache: bool) -> Vec<u8> {
-    let index = valid_index(coords, with_tune);
+/// A complete, valid dataset snapshot.
+fn valid_snapshot(coords: &[(f64, f64)], with_cache: bool) -> DatasetSnapshot {
+    let index = valid_index(coords);
     let cache = if with_cache && !coords.is_empty() {
         // All-noise labels are trivially finished and dense.
         vec![CacheRecord {
@@ -65,7 +61,51 @@ fn valid_file(coords: &[(f64, f64)], with_tune: bool, with_cache: bool) -> Vec<u
         index,
         cache,
     }
-    .encode()
+}
+
+/// A complete, valid, encoded dataset snapshot file.
+fn valid_file(coords: &[(f64, f64)], with_cache: bool) -> Vec<u8> {
+    valid_snapshot(coords, with_cache).encode()
+}
+
+/// `current` as older versions wrote it after tuning `r`: the index
+/// meta flag byte (its last) set to 1 and a `TUNE` section (best `r`,
+/// sample size, then `(r, ns)` timings) after the permutation. The
+/// current writer emits neither.
+fn legacy_tuned_file(current: &[u8], r: usize, n: usize) -> Vec<u8> {
+    let c = Container::parse(current.to_vec()).expect("valid file");
+    let mut tune = ByteWriter::new();
+    tune.u64(r as u64);
+    tune.u64(n as u64);
+    tune.u64(2);
+    for (r, ns) in [(r as u64, 10_000), (1, 25_000)] {
+        tune.u64(r);
+        tune.u64(ns);
+    }
+    let mut tune = Some(tune.finish());
+    let mut w = ContainerWriter::new();
+    for info in c.sections() {
+        let mut payload = c.section(info.id).expect("listed section").to_vec();
+        if info.id == section_id::INDEX_META {
+            *payload.last_mut().expect("flag byte") = 1;
+        }
+        w.section(info.id, payload);
+        if info.id == section_id::PERMUTATION {
+            w.section(section_id::TUNE, tune.take().expect("one permutation"));
+        }
+    }
+    w.finish()
+}
+
+/// The file the property runs on: the current writer's, or the legacy
+/// tuned shape of the same snapshot.
+fn some_file(coords: &[(f64, f64)], legacy: bool, with_cache: bool) -> Vec<u8> {
+    let current = valid_file(coords, with_cache);
+    if legacy {
+        legacy_tuned_file(&current, 2, coords.len())
+    } else {
+        current
+    }
 }
 
 /// Every decoder entry point, driven over the same byte slice. Panics
@@ -102,10 +142,10 @@ proptest! {
     #[test]
     fn truncations_always_fail_typed(
         coords in collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..24),
-        with_tune in any::<bool>(),
+        legacy in any::<bool>(),
         cut in any::<u32>(),
     ) {
-        let full = valid_file(&coords, with_tune, true);
+        let full = some_file(&coords, legacy, true);
         prop_assert!(DatasetSnapshot::decode(&full).is_ok());
         let cut = cut as usize % full.len();
         let truncated = &full[..cut];
@@ -127,7 +167,7 @@ proptest! {
         with_cache in any::<bool>(),
         flip in any::<u32>(),
     ) {
-        let full = valid_file(&coords, false, with_cache);
+        let full = valid_file(&coords, with_cache);
         let bit = flip as usize % (full.len() * 8);
         let mut mutated = full.clone();
         mutated[bit / 8] ^= 1 << (bit % 8);
@@ -139,15 +179,20 @@ proptest! {
 
     /// Valid files keep round-tripping under arbitrary coordinates: the
     /// encode → decode → encode cycle is byte-stable, so repeated
-    /// persists of unchanged state produce identical files.
+    /// persists of unchanged state produce identical files. A legacy
+    /// tuned file decodes to the same points, permutation and `r` as the
+    /// current one and re-encodes without its `TUNE` section.
     #[test]
     fn roundtrip_is_byte_stable(
         coords in collection::vec((-1e6f64..1e6, -1e6f64..1e6), 1..24),
-        with_tune in any::<bool>(),
+        legacy in any::<bool>(),
         with_cache in any::<bool>(),
     ) {
-        let full = valid_file(&coords, with_tune, with_cache);
-        let decoded = DatasetSnapshot::decode(&full).expect("valid file decodes");
+        let snap = valid_snapshot(&coords, with_cache);
+        let full = snap.encode();
+        let decoded = DatasetSnapshot::decode(&some_file(&coords, legacy, with_cache))
+            .expect("valid file decodes");
+        prop_assert_eq!(&decoded, &snap);
         prop_assert_eq!(decoded.encode(), full);
         // The index-only file shape round-trips byte-stably too.
         let index_bytes = decoded.index.encode();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 #   scripts/check.sh              # run everything
-#   scripts/check.sh --fast       # skip the release build and tests, the rustdoc stage and the benchmark's
-#                                 # tests and --quick run (the benchmark package is still compiled)
+#   scripts/check.sh --fast       # skip the release build and tests, the paper-table bins, the rustdoc
+#                                 # stage and the benchmark's tests and --quick run (the benchmark
+#                                 # package is still compiled)
 #   CHECK_FULL=1 scripts/check.sh # + release conformance stages and the extended chaos sweeps
 
 set -euo pipefail
@@ -63,6 +64,14 @@ if [[ $fast -eq 0 ]]; then
   # production.
   echo "==> cargo test --release -p variantdbscan"
   timeout 900 cargo test --locked --release -q -p variantdbscan
+
+  # The five paper-table bins are built by clippy but run by nothing
+  # else; a small run catches one that panics or exits non-zero.
+  echo "==> paper-table bins (--points 2000 --trials 1)"
+  cargo build --locked --release -q -p vbp-bench
+  for bin in table1_datasets s1_indexing s2_reuse s3_combined fig9_makespan; do
+    timeout 300 "${CARGO_TARGET_DIR:-target}/release/$bin" --points 2000 --trials 1 > /dev/null
+  done
 
   echo "==> cargo doc (broken intra-doc links are errors)"
   RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline

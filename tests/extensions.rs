@@ -1,7 +1,7 @@
 //! Integration tests for the beyond-the-paper components, exercised
 //! through the umbrella crate exactly as a downstream user would.
 
-use vbp::variantdbscan::{EngineConfig, RChoice};
+use vbp::variantdbscan::EngineConfig;
 use vbp::vbp_data::{SpaceWeatherSpec, SyntheticClass, SyntheticSpec};
 use vbp::vbp_dbscan::{
     dbscan, grid_dbscan, parallel_dbscan, sharded_dbscan, DbscanParams, IncrementalDbscan,
@@ -53,10 +53,7 @@ fn four_dbscan_implementations_agree() {
         .iter()
         .filter(|p| points.iter().filter(|q| q.within(p, params.eps)).count() >= params.minpts)
         .count();
-    let RChoice::Fixed(default_r) = EngineConfig::default().r else {
-        panic!("the engine's default r is fixed");
-    };
-    for r in [70, default_r] {
+    for r in [70, EngineConfig::default().r] {
         let (tree, perm) = PackedRTree::build(&points, r);
         let classic_tree_order = dbscan(&tree, params);
         let (sharded_tree_order, stats) = sharded_dbscan(&tree, params, 4, 2).unwrap();
