@@ -420,8 +420,28 @@ pub fn serve(args: &Args) -> Result<String, String> {
     if names.is_empty() {
         return Err("--datasets: at least one dataset is required".into());
     }
-    let store_dir = args.get("store").map(std::path::PathBuf::from);
-    let (registry, boot) = match &store_dir {
+    // `--http PORT` (bare port binds 127.0.0.1) or `--http HOST:PORT`.
+    let http_addr = args.get("http").map(|spec| {
+        if spec.contains(':') {
+            spec.to_string()
+        } else {
+            format!("127.0.0.1:{spec}")
+        }
+    });
+    // Every field is one flag; an absent flag takes the library default.
+    let defaults = vbp_service::ServiceConfig::default();
+    let batch_ms = defaults.batch_window.as_millis() as u64;
+    let service = vbp_service::ServiceConfig {
+        addr: args.get("addr").unwrap_or(DEFAULT_ADDR).to_string(),
+        http_addr,
+        store_dir: args.get("store").map(std::path::PathBuf::from),
+        queue_cap: args.num("queue-cap", defaults.queue_cap)?,
+        cache_bytes: args.num("cache-mb", defaults.cache_bytes >> 20)? << 20,
+        batch_window: std::time::Duration::from_millis(args.num("batch-ms", batch_ms)?),
+    };
+    // Refuse a bad configuration before paying for any dataset.
+    service.validate().map_err(|e| e.to_string())?;
+    let (registry, boot) = match &service.store_dir {
         Some(dir) => vbp_service::boot_from_store(&engine, &names, dir)?,
         None => (
             build_registry(&engine, &names)?,
@@ -433,24 +453,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         .into_iter()
         .map(|(n, s)| format!("{n} ({s} points)"))
         .collect();
-    // `--http PORT` (bare port binds 127.0.0.1) or `--http HOST:PORT`.
-    let http_addr = args.get("http").map(|spec| {
-        if spec.contains(':') {
-            spec.to_string()
-        } else {
-            format!("127.0.0.1:{spec}")
-        }
-    });
-    let service = vbp_service::ServiceConfig {
-        addr: args.get("addr").unwrap_or(DEFAULT_ADDR).to_string(),
-        queue_cap: args.num("queue-cap", 256usize)?,
-        cache_bytes: args.num("cache-mb", 64usize)? << 20,
-        batch_window: std::time::Duration::from_millis(args.num("batch-ms", 2u64)?),
-        store_dir,
-        http_addr,
-        ..vbp_service::ServiceConfig::default()
-    };
-    service.validate().map_err(|e| e.to_string())?;
     let restored = boot.restored;
     let mut handle = vbp_service::Server::start_with_store(engine, registry, service, boot)
         .map_err(|e| e.to_string())?;
@@ -497,12 +499,12 @@ pub fn route(args: &Args) -> Result<String, String> {
         Some(spec) => format!("127.0.0.1:{spec}"),
         None => "127.0.0.1:0".to_string(),
     };
+    let defaults = vbp_service::RouterConfig::default();
     let config = vbp_service::RouterConfig {
         http_addr,
         backends,
-        virtual_nodes: args.num("vnodes", 64usize)?,
-        pool_per_backend: args.num("pool", 8usize)?,
-        ..vbp_service::RouterConfig::default()
+        virtual_nodes: args.num("vnodes", defaults.virtual_nodes)?,
+        pool_per_backend: args.num("pool", defaults.pool_per_backend)?,
     };
     config.validate().map_err(|e| e.to_string())?;
     let backend_count = config.backends.len();

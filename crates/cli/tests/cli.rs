@@ -128,6 +128,45 @@ fn out_of_range_numbers_are_errors_not_panics() {
 }
 
 #[test]
+fn serve_and_route_refuse_a_bad_config_before_binding() {
+    // The port each command would bind is already taken here, so a
+    // command that got as far as binding would fail with an address
+    // error instead of its configuration refusal.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap();
+    let over_ms = vbp_service::daemon::JOB_TIMEOUT.as_millis() + 1;
+    for (line, refusal) in [
+        (
+            format!("serve --datasets DATA --addr {addr} --queue-cap 0"),
+            "queue_cap must be at least 1".to_string(),
+        ),
+        (
+            format!("serve --datasets DATA --addr {addr} --batch-ms {over_ms}"),
+            "batch_window must not exceed the 600 s job timeout".to_string(),
+        ),
+        (
+            format!("route --http {addr}"),
+            "at least one --backends address is required".to_string(),
+        ),
+        (
+            format!("route --http {addr} --backends 127.0.0.1:1,127.0.0.1:1"),
+            "backend '127.0.0.1:1' is listed more than once".to_string(),
+        ),
+        (
+            format!("route --http {addr} --backends 127.0.0.1:1 --pool 0"),
+            "pool must be at least 1".to_string(),
+        ),
+        (
+            format!("route --http {addr} --backends 127.0.0.1:1 --vnodes 0"),
+            "vnodes must be at least 1".to_string(),
+        ),
+    ] {
+        let stderr = refused(&line);
+        assert_eq!(stderr, format!("error: {refusal}\n"), "vbp {line}");
+    }
+}
+
+#[test]
 fn boundary_values_the_library_accepts_still_run() {
     let (code, stdout, stderr) = vbp("cluster --dataset DATA --eps 0 --minpts 1 --r 1");
     assert_eq!(code, 0, "{stderr}");

@@ -101,7 +101,7 @@ impl Labels {
     }
 
     /// Raw labels in point order: the keys a fused ε-scan
-    /// ([`SpatialIndex::epsilon_count_keyed`](vbp_rtree::SpatialIndex::epsilon_count_keyed))
+    /// ([`SpatialIndex::epsilon_count_keyed_at`](vbp_rtree::SpatialIndex::epsilon_count_keyed_at))
     /// selects neighbours by.
     #[inline]
     pub fn as_raw(&self) -> &[u32] {

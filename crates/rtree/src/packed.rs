@@ -552,18 +552,6 @@ impl SpatialIndex for PackedRTree {
         self.count_within(self.scan(center, eps, Skip::NONE), Leaves::Walk)
     }
 
-    fn epsilon_count_keyed(
-        &self,
-        center: Point2,
-        eps: f64,
-        keys: &[u32],
-        want: RangeInclusive<u32>,
-        out: &mut Vec<PointId>,
-    ) -> usize {
-        let scan = self.scan(center, eps, Skip::NONE);
-        self.count_keyed_within(scan, Leaves::Walk, keys, want, out)
-    }
-
     // The same kernels over the leaves `reach` lists for `id`'s leaf,
     // leaving out what `skip` allows.
     fn epsilon_count_keyed_at(
@@ -792,8 +780,12 @@ mod tests {
                 t.epsilon_neighbors_naive(center, eps, &mut naive);
                 assert_eq!(got, naive, "r={r}, ε={eps}");
                 assert_eq!(t.epsilon_count(center, eps, &mut Vec::new()), naive.len());
+                // The centres are grid points, so the keyed search can
+                // be centred on one by id; without a table it walks.
+                let id = t.points().iter().position(|p| *p == center).unwrap() as PointId;
                 let mut kept = Vec::new();
-                let count = t.epsilon_count_keyed(center, eps, &keys, 1..=1, &mut kept);
+                let count =
+                    t.epsilon_count_keyed_at(id, eps, None, Skip::NONE, &keys, 1..=1, &mut kept);
                 assert_eq!(count, naive.len());
                 naive.retain(|&i| keys[i as usize] == 1);
                 assert_eq!(kept, naive, "r={r}, ε={eps}");

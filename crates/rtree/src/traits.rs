@@ -7,9 +7,8 @@ use vbp_geom::{Mbb, Point2, PointId};
 use crate::column::Column;
 use crate::reach::LeafReach;
 
-/// The empty `want` of [`SpatialIndex::epsilon_count_keyed`] and
-/// [`SpatialIndex::epsilon_count_keyed_at`]: count the neighbourhood and
-/// collect nothing.
+/// The empty `want` of [`SpatialIndex::epsilon_count_keyed_at`]: count
+/// the neighbourhood and collect nothing.
 #[allow(clippy::reversed_empty_ranges)]
 pub const COUNT_ONLY: RangeInclusive<u32> = 1..=0;
 
@@ -113,44 +112,27 @@ pub trait SpatialIndex: Send + Sync {
         scratch.len()
     }
 
-    /// Counts the ε-neighbourhood and collects only part of it: returns
-    /// `|N_ε(center)|` and appends to `out` the neighbours `q` whose
-    /// `keys[q]` lies in `want`, in the order [`Self::epsilon_neighbors`]
-    /// lists them. `keys` holds one entry per indexed point.
+    /// Counts the ε-neighbourhood of the indexed point `id` and collects
+    /// only part of it: returns `|N_ε(id)|` and appends to `out` the
+    /// neighbours `q` whose `keys[q]` lies in `want`, in the order
+    /// [`Self::epsilon_neighbors`] lists them. `keys` holds one entry per
+    /// indexed point; an empty `want` ([`COUNT_ONLY`]) counts and
+    /// collects nothing.
     ///
-    /// DBSCAN's expansion needs a neighbour's id only when the neighbour is
-    /// still unclaimed, yet needs the full count for the core test; this
-    /// query returns exactly that. The default materialises the
-    /// neighbourhood and then filters it; [`crate::PackedRTree`] fuses the
-    /// count and the selection into its leaf scan.
-    fn epsilon_count_keyed(
-        &self,
-        center: Point2,
-        eps: f64,
-        keys: &[u32],
-        want: RangeInclusive<u32>,
-        out: &mut Vec<PointId>,
-    ) -> usize {
-        let start = out.len();
-        self.epsilon_neighbors(center, eps, out);
-        let count = out.len() - start;
-        let new_len = retain_from(out, start, |id| want.contains(&keys[id as usize]));
-        out.truncate(new_len);
-        count
-    }
-
-    /// [`Self::epsilon_count_keyed`] centred on the indexed point `id`.
-    /// `reach` is [`Self::leaf_reach`]'s table for this `eps`, if it
-    /// built one; an empty `want` ([`COUNT_ONLY`]) counts and collects
-    /// nothing. `skip` says what the search may leave unscanned once its
-    /// count reaches `skip.need` ([`Skip`]); the kept ids never depend on
-    /// it, and with [`Skip::NONE`] the count is exact.
+    /// DBSCAN's expansion needs a neighbour's id only when the neighbour
+    /// is still unclaimed, yet needs the full count for the core test;
+    /// this query returns exactly that. `reach` is [`Self::leaf_reach`]'s
+    /// table for this `eps`, if it built one. `skip` says what the search
+    /// may leave unscanned once its count reaches `skip.need` ([`Skip`]);
+    /// the kept ids never depend on it, and with [`Skip::NONE`] the count
+    /// is exact.
     ///
-    /// The default ignores `reach` and `skip` and calls the centred form.
-    /// [`crate::PackedRTree`] scans the leaves `reach` lists for `id`'s
-    /// leaf instead of walking the tree from the root: the same leaves in
-    /// the same order ([`crate::reach`]), so the same count and the same
-    /// kept ids in the same order.
+    /// The default ignores `reach` and `skip`, materialises the
+    /// neighbourhood and then filters it. [`crate::PackedRTree`] fuses
+    /// the count and the selection into its leaf scan, over the leaves
+    /// `reach` lists for `id`'s leaf instead of a walk from the root: the
+    /// same leaves in the same order ([`crate::reach`]), so the same
+    /// count and the same kept ids in the same order.
     #[allow(clippy::too_many_arguments)]
     fn epsilon_count_keyed_at(
         &self,
@@ -162,7 +144,12 @@ pub trait SpatialIndex: Send + Sync {
         want: RangeInclusive<u32>,
         out: &mut Vec<PointId>,
     ) -> usize {
-        self.epsilon_count_keyed(self.points()[id as usize], eps, keys, want, out)
+        let start = out.len();
+        self.epsilon_neighbors(self.points()[id as usize], eps, out);
+        let count = out.len() - start;
+        let new_len = retain_from(out, start, |q| want.contains(&keys[q as usize]));
+        out.truncate(new_len);
+        count
     }
 
     /// The table [`Self::epsilon_count_keyed_at`] reads in place of the

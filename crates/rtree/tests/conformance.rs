@@ -267,12 +267,13 @@ fn zero_eps_returns_exactly_the_coincident_points() {
 
 #[test]
 fn keyed_counts_agree_with_the_neighbour_list() {
-    // The fused count-and-select query against each backend's own
-    // `epsilon_neighbors`: the count is the list's length and the kept ids
-    // are the list filtered by key, in the list's order, appended after
-    // what `out` already held. Keys include the label sentinels the
-    // clustering kernels select by (the largest cluster id, unclassified,
-    // noise) and the ends of the `u32` range.
+    // The fused count-and-select query, centred on an indexed point,
+    // against each backend's own `epsilon_neighbors` (and the plain count
+    // at every centre, off-data ones included): the count is the list's
+    // length and the kept ids are the list filtered by key, in the list's
+    // order, appended after what `out` already held. Keys include the
+    // label sentinels the clustering kernels select by (the largest
+    // cluster id, unclassified, noise) and the ends of the `u32` range.
     const MAX_CLUSTER_ID: u32 = u32::MAX - 2;
     const UNCLASSIFIED: u32 = u32::MAX - 1;
     const NOISE: u32 = u32::MAX;
@@ -294,6 +295,8 @@ fn keyed_counts_agree_with_the_neighbour_list() {
         let keys: Vec<u32> = (0..points.len())
             .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
             .collect();
+        // The indexed points `centers` samples.
+        let stride = (points.len() / (20 * budget())).max(1);
         let mut backends: Vec<(String, Box<dyn SpatialIndex>)> =
             vec![("brute".into(), Box::new(BruteForce::new(shared.clone())))];
         for r in [1usize, 7, 80, 130] {
@@ -323,10 +326,27 @@ fn keyed_counts_agree_with_the_neighbour_list() {
                         all.len(),
                         "{ctx}"
                     );
+                }
+            }
+            // The keyed search is centred on an indexed point; without a
+            // table it walks from the root on every backend.
+            for id in (0..points.len() as PointId).step_by(stride) {
+                let center = points[id as usize];
+                for (name, index) in &backends {
+                    let ctx = format!("family={} backend={name} ε={eps} id={id}", family.name);
+                    let mut all = Vec::new();
+                    index.epsilon_neighbors(center, eps, &mut all);
                     for want in &wants {
                         let mut kept = vec![u32::MAX];
-                        let count =
-                            index.epsilon_count_keyed(center, eps, &keys, want.clone(), &mut kept);
+                        let count = index.epsilon_count_keyed_at(
+                            id,
+                            eps,
+                            None,
+                            Skip::NONE,
+                            &keys,
+                            want.clone(),
+                            &mut kept,
+                        );
                         assert_eq!(count, all.len(), "{ctx} want={want:?}");
                         let expect: Vec<PointId> = std::iter::once(u32::MAX)
                             .chain(
@@ -414,9 +434,11 @@ fn table_searches_equal_the_walk() {
                                     want.clone(),
                                     &mut got,
                                 );
-                                let walk_count = tree.epsilon_count_keyed(
-                                    center,
+                                let walk_count = tree.epsilon_count_keyed_at(
+                                    id,
                                     eps,
+                                    None,
+                                    Skip::NONE,
                                     &keys,
                                     want.clone(),
                                     &mut expect,

@@ -1,9 +1,14 @@
 //! Configuration validation with typed errors.
 //!
-//! [`ServiceConfig`] and [`RouterConfig`] are plain public structs,
-//! built with struct-literal update syntax over `Default` — which checks
-//! nothing: `queue_cap: 0` or a zero poll interval would wedge the
-//! daemon at runtime. [`ServiceConfig::validate`] and
+//! A config field exists only for a flag a deployment sets: every field
+//! of [`ServiceConfig`] is one `vbp serve` flag and every field of
+//! [`RouterConfig`] one `vbp route` flag. Everything else — poll and
+//! write timeouts, the line cap, the job timeout, the pool's checkout
+//! wait and breaker — is a constant in the module that applies it.
+//!
+//! Both configs are plain public structs, built with struct-literal
+//! update syntax over `Default` — which checks nothing: `queue_cap: 0`
+//! would shed every submit at runtime. [`ServiceConfig::validate`] and
 //! [`RouterConfig::validate`] are the one place those invariants live;
 //! both answer a typed [`ConfigError`] instead of a late panic, from one
 //! error taxonomy, so `vbp serve` and `vbp route` (which build a literal
@@ -11,13 +16,9 @@
 
 use std::fmt;
 
+use crate::daemon::JOB_TIMEOUT;
 use crate::router::RouterConfig;
 use crate::server::ServiceConfig;
-
-/// The smallest request-line cap a daemon can run with: a minimal
-/// `SUBMIT <ds> <eps> <minpts>` must fit, or every request costs an
-/// `ERR protocol`.
-pub const MIN_LINE_BYTES: usize = 64;
 
 /// Why a configuration was rejected. Every variant names the offending
 /// field so the CLI can point at the flag that caused it.
@@ -35,18 +36,7 @@ pub enum ConfigError {
     /// `queue_cap` of 0 admits nothing; every submit would be
     /// `overloaded`.
     ZeroQueueCap,
-    /// `max_line_bytes` below [`MIN_LINE_BYTES`] cannot frame a minimal
-    /// request.
-    LineCapTooSmall {
-        /// The rejected cap.
-        got: usize,
-    },
-    /// A duration that must be positive was zero.
-    ZeroDuration {
-        /// Which duration field was zero.
-        field: &'static str,
-    },
-    /// The batching linger exceeds the job timeout, so every batched
+    /// The batching linger exceeds [`JOB_TIMEOUT`], so every batched
     /// job could time out before the dispatcher even ran it.
     BatchWindowExceedsJobTimeout,
     /// A router needs at least one backend.
@@ -58,8 +48,6 @@ pub enum ConfigError {
     ZeroVirtualNodes,
     /// `pool_per_backend` of 0 can never check out a connection.
     ZeroPoolCap,
-    /// A breaker that trips after 0 failures fast-fails everything.
-    ZeroBreakerThreshold,
 }
 
 impl fmt::Display for ConfigError {
@@ -70,23 +58,17 @@ impl fmt::Display for ConfigError {
                 write!(f, "line and HTTP doors both bind '{addr}'")
             }
             ConfigError::ZeroQueueCap => write!(f, "queue_cap must be at least 1"),
-            ConfigError::LineCapTooSmall { got } => write!(
+            ConfigError::BatchWindowExceedsJobTimeout => write!(
                 f,
-                "max_line_bytes {got} is below the minimum {MIN_LINE_BYTES}"
+                "batch_window must not exceed the {} s job timeout",
+                JOB_TIMEOUT.as_secs()
             ),
-            ConfigError::ZeroDuration { field } => write!(f, "{field} must be positive"),
-            ConfigError::BatchWindowExceedsJobTimeout => {
-                write!(f, "batch_window must not exceed job_timeout")
-            }
             ConfigError::NoBackends => write!(f, "at least one --backends address is required"),
             ConfigError::DuplicateBackend(addr) => {
                 write!(f, "backend '{addr}' is listed more than once")
             }
             ConfigError::ZeroVirtualNodes => write!(f, "vnodes must be at least 1"),
             ConfigError::ZeroPoolCap => write!(f, "pool must be at least 1"),
-            ConfigError::ZeroBreakerThreshold => {
-                write!(f, "breaker threshold must be at least 1")
-            }
         }
     }
 }
@@ -113,23 +95,9 @@ impl ServiceConfig {
         if self.queue_cap == 0 {
             return Err(ConfigError::ZeroQueueCap);
         }
-        if self.max_line_bytes < MIN_LINE_BYTES {
-            return Err(ConfigError::LineCapTooSmall {
-                got: self.max_line_bytes,
-            });
-        }
-        for (field, d) in [
-            ("poll_interval", self.poll_interval),
-            ("job_timeout", self.job_timeout),
-            ("write_timeout", self.write_timeout),
-        ] {
-            if d.is_zero() {
-                return Err(ConfigError::ZeroDuration { field });
-            }
-        }
         // batch_window MAY be zero (no linger), but not longer than the
         // job timeout.
-        if self.batch_window > self.job_timeout {
+        if self.batch_window > JOB_TIMEOUT {
             return Err(ConfigError::BatchWindowExceedsJobTimeout);
         }
         Ok(())
@@ -159,20 +127,6 @@ impl RouterConfig {
         }
         if self.pool_per_backend == 0 {
             return Err(ConfigError::ZeroPoolCap);
-        }
-        if self.breaker_threshold == 0 {
-            return Err(ConfigError::ZeroBreakerThreshold);
-        }
-        for (field, d) in [
-            ("poll_interval", self.poll_interval),
-            ("write_timeout", self.write_timeout),
-            ("backend_timeout", self.backend_timeout),
-            ("checkout_timeout", self.checkout_timeout),
-            ("breaker_cooldown", self.breaker_cooldown),
-        ] {
-            if d.is_zero() {
-                return Err(ConfigError::ZeroDuration { field });
-            }
         }
         Ok(())
     }
@@ -208,28 +162,16 @@ mod tests {
         );
         assert_eq!(
             rejected(ServiceConfig {
-                max_line_bytes: 8,
-                ..base()
-            }),
-            ConfigError::LineCapTooSmall { got: 8 }
-        );
-        assert_eq!(
-            rejected(ServiceConfig {
-                poll_interval: Duration::ZERO,
-                ..base()
-            }),
-            ConfigError::ZeroDuration {
-                field: "poll_interval"
-            }
-        );
-        assert_eq!(
-            rejected(ServiceConfig {
-                job_timeout: Duration::from_millis(1),
-                batch_window: Duration::from_secs(2),
+                batch_window: JOB_TIMEOUT + Duration::from_millis(1),
                 ..base()
             }),
             ConfigError::BatchWindowExceedsJobTimeout
         );
+        let longest = ServiceConfig {
+            batch_window: JOB_TIMEOUT,
+            ..base()
+        };
+        assert_eq!(longest.validate(), Ok(()));
         assert_eq!(
             rejected(ServiceConfig {
                 addr: "127.0.0.1:7070".into(),
@@ -272,13 +214,6 @@ mod tests {
                 ..over(&["a:1"])
             }),
             ConfigError::ZeroPoolCap
-        );
-        assert_eq!(
-            rejected(RouterConfig {
-                breaker_threshold: 0,
-                ..over(&["a:1"])
-            }),
-            ConfigError::ZeroBreakerThreshold
         );
         let tuned = RouterConfig {
             virtual_nodes: 16,

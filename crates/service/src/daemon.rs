@@ -72,6 +72,13 @@ use crate::server::ServiceConfig;
 use crate::store::StoreBoot;
 use crate::wire;
 
+/// How long a submit, on any door, waits for its job's reply before
+/// giving up with `internal`. Contained panics answer far faster; this
+/// only bounds a genuinely wedged engine. The router reads its backends
+/// with the same bound, so one proxied exchange always covers a full
+/// engine run.
+pub const JOB_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// One admitted unit of work: what [`Shared::submit_wait`] enqueues and
 /// the dispatcher answers.
 struct Job {
@@ -143,6 +150,19 @@ struct ServiceStats {
     store_restore_failed: u64,
     /// Per-phase engine latency, merged from every finished run.
     phases: PhaseHistograms,
+}
+
+impl ServiceStats {
+    /// Takes `n` finished jobs out of flight, exactly: a lost or doubled
+    /// count fails here instead of being clamped away.
+    fn leave_flight(&mut self, n: u64) {
+        debug_assert!(
+            self.in_flight >= n,
+            "{n} leave {} in flight",
+            self.in_flight
+        );
+        self.in_flight -= n;
+    }
 }
 
 /// How a fleet of daemons folds one counter into one number: the router
@@ -275,7 +295,6 @@ pub(crate) struct Shared {
     queue_cv: Condvar,
     queue_cap: usize,
     batch_window: Duration,
-    job_timeout: Duration,
     draining: AtomicBool,
     stats: Mutex<ServiceStats>,
     started: Instant,
@@ -325,7 +344,6 @@ impl Shared {
             queue_cv: Condvar::new(),
             queue_cap: config.queue_cap.max(1),
             batch_window: config.batch_window,
-            job_timeout: config.job_timeout,
             draining: AtomicBool::new(false),
             stats: Mutex::new(ServiceStats {
                 store_restored: boot.restored,
@@ -390,7 +408,10 @@ impl Shared {
     }
 
     /// Admission control: reject when draining or full, enqueue and wake
-    /// the dispatcher otherwise.
+    /// the dispatcher otherwise. The job is counted in flight under the
+    /// queue lock, before it becomes visible to the dispatcher, so no
+    /// terminal count can overtake its admission. Queue, then stats, is
+    /// the daemon's one lock order.
     fn admit(&self, job: Job) -> Result<(), Rejection> {
         if self.is_draining() {
             self.stats().rejected_draining += 1;
@@ -402,13 +423,13 @@ impl Shared {
             self.stats().rejected_overloaded += 1;
             return Err(Rejection::retry_in(ErrorCode::Overloaded, 1, "queue full"));
         }
-        q.push_back(job);
-        drop(q);
         {
             let mut s = self.stats();
             s.submitted += 1;
             s.in_flight += 1;
         }
+        q.push_back(job);
+        drop(q);
         self.queue_cv.notify_one();
         Ok(())
     }
@@ -422,7 +443,7 @@ impl Shared {
         } else {
             s.completed += n;
         }
-        s.in_flight = s.in_flight.saturating_sub(n);
+        s.leave_flight(n);
     }
 
     /// `SUBMIT`, whichever door it came through: check the dataset,
@@ -452,7 +473,7 @@ impl Shared {
         // the timeout only guards a genuinely wedged engine (the job
         // stays in-flight in that case, which is what the counters
         // honestly say).
-        match answer.recv_timeout(self.job_timeout) {
+        match answer.recv_timeout(JOB_TIMEOUT) {
             Ok(Ok(done)) => Ok(done),
             Ok(Err(message)) => Err(Rejection::new(ErrorCode::Internal, message)),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(Rejection::new(
@@ -917,7 +938,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
         s.engine_busy += busy;
         s.phases.merge(&report.phases);
         s.completed += batch.len() as u64;
-        s.in_flight = s.in_flight.saturating_sub(batch.len() as u64);
+        s.leave_flight(batch.len() as u64);
     }
 
     let ms = busy.as_secs_f64() * 1e3;
@@ -1135,21 +1156,19 @@ mod tests {
             queue_cap,
             cache_bytes: 0,
             batch_window: Duration::ZERO,
-            job_timeout: Duration::from_secs(5),
             ..ServiceConfig::default()
         };
         Shared::new(engine, Registry::new(), &config, StoreBoot::default())
     }
 
+    /// A job nothing answers, so its reply channel needs no receiver.
     fn dummy_job() -> Job {
-        let (tx, rx) = mpsc::channel();
-        std::mem::forget(rx);
         Job {
             dataset: "d".into(),
             variant: Variant::new(1.0, 4),
             want_labels: false,
             want_report: false,
-            reply: tx,
+            reply: mpsc::channel().0,
         }
     }
 
@@ -1192,6 +1211,46 @@ mod tests {
             (5, 2, 1, 2)
         );
         assert_eq!(s.submitted, s.completed + s.failed + s.in_flight);
+    }
+
+    #[test]
+    fn no_job_finishes_before_it_is_admitted() {
+        // A consumer that pops and finishes each job the moment it can
+        // see it, as the dispatcher does on a non-empty queue: a job
+        // visible before its admission is counted would finish first,
+        // and the ledger would read more finished than submitted.
+        const JOBS: u64 = 100_000;
+        let shared = Arc::new(bare_shared(JOBS as usize));
+        let holds = |s: &Shared| {
+            let s = s.stats();
+            let ledger = (s.submitted, s.completed, s.failed, s.in_flight);
+            assert!(
+                s.submitted >= s.completed + s.failed + s.in_flight,
+                "{ledger:?}"
+            );
+        };
+        let consumer = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                for finished in 0..JOBS {
+                    let mut q = shared.queue.lock().unwrap();
+                    while q.pop_front().is_none() {
+                        q = shared.queue_cv.wait(q).unwrap();
+                    }
+                    drop(q);
+                    shared.account_terminal(1, finished % 7 == 0);
+                    holds(&shared);
+                }
+            })
+        };
+        for _ in 0..JOBS {
+            shared.admit(dummy_job()).unwrap();
+            holds(&shared);
+        }
+        consumer.join().unwrap();
+        let s = shared.stats().clone();
+        let done = (s.submitted, s.completed + s.failed, s.in_flight);
+        assert_eq!(done, (JOBS, JOBS, 0));
     }
 
     #[test]

@@ -63,9 +63,12 @@ use vbp_geom::Point2;
 use crate::api::{AppendReply, DatasetService, ErrorCode, Health, Rejection, SubmitReply};
 use crate::client::ClientError;
 use crate::daemon::Shared;
-use crate::transport::Transport;
+use crate::transport::{Transport, POLL_INTERVAL};
 use crate::wire;
 
+/// Hard cap on one line-protocol request line (bytes, newline
+/// excluded); a longer line costs `ERR protocol` and is discarded.
+pub const MAX_LINE_BYTES: usize = 8192;
 /// Hard cap on the request line (method + target + version), bytes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 4096;
 /// Hard cap on the header block (request line excluded), bytes.
@@ -573,15 +576,14 @@ pub(crate) enum Exchange {
 /// Per-connection request loop of an HTTP door, over any [`Transport`].
 /// Keep-alive: well-formed exchanges loop; a framing violation answers
 /// one typed status and closes; EOF, a fatal I/O error, or the stop flag
-/// (noticed at the next `poll_interval` read timeout) end the loop.
+/// (noticed at the next [`POLL_INTERVAL`] read timeout) end the loop.
 pub(crate) fn serve_http<T: Transport>(
     mut transport: T,
-    poll_interval: Duration,
     stop: &AtomicBool,
     mut handler: impl FnMut(Route<'_>, &[u8]) -> Response,
     mut observe: impl FnMut(Exchange),
 ) {
-    let _ = transport.set_read_timeout(Some(poll_interval));
+    let _ = transport.set_read_timeout(Some(POLL_INTERVAL));
     let mut io = HttpIo::new(transport);
     loop {
         match io.read_request(stop) {

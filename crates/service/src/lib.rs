@@ -50,7 +50,10 @@
 //!   on graceful drain and restored on boot without rebuilding
 //!   anything;
 //! - [`config`] — `validate()` for [`ServiceConfig`] and
-//!   [`RouterConfig`] with typed [`ConfigError`]s.
+//!   [`RouterConfig`] with typed [`ConfigError`]s. A config field
+//!   exists only for a flag a deployment sets (`vbp serve`, `vbp
+//!   route`); timing and framing are constants of the module that
+//!   applies them ([`transport`], [`http`], [`daemon`], [`pool`]).
 //!
 //! Everything is plain `std` — the build environment is offline, so no
 //! async runtime, serialization crate, or protocol framework is used.

@@ -9,31 +9,25 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::Duration;
 
 use variantdbscan::Variant;
 
 use crate::api::{Delta, ErrorCode, Rejection};
 use crate::daemon::Shared;
+use crate::http::MAX_LINE_BYTES;
 use crate::protocol::{
     append_reply_line, datasets_line, err_line, labels_line, parse_request, rejection_line,
     submit_reply_line, watch_reply_line, Request, PROTOCOL_VERSION,
 };
-use crate::transport::{LineEvent, LineIo, Transport};
+use crate::transport::{LineEvent, LineIo, Transport, POLL_INTERVAL};
 
 /// Per-connection request loop over any [`Transport`], with bounded
 /// line framing. Framing violations cost one `ERR protocol` each and
 /// resynchronize; only EOF, a fatal I/O error, `QUIT`, or the stop flag
-/// (noticed at the next `poll_interval` read timeout) end the loop.
-pub(crate) fn serve_line<T: Transport>(
-    mut transport: T,
-    shared: &Shared,
-    stop: &AtomicBool,
-    poll_interval: Duration,
-    max_line_bytes: usize,
-) {
-    let _ = transport.set_read_timeout(Some(poll_interval));
-    let mut io = LineIo::new(transport, max_line_bytes);
+/// (noticed at the next [`POLL_INTERVAL`] read timeout) end the loop.
+pub(crate) fn serve_line<T: Transport>(mut transport: T, shared: &Shared, stop: &AtomicBool) {
+    let _ = transport.set_read_timeout(Some(POLL_INTERVAL));
+    let mut io = LineIo::new(transport, MAX_LINE_BYTES);
     // `WATCH` subscriptions this connection holds: `DELTA` pushes are
     // drained between request/response exchanges and at every
     // read-timeout poll, never inside an exchange. Dropping the
@@ -45,7 +39,7 @@ pub(crate) fn serve_line<T: Transport>(
                 .and_then(|()| drain_watches(&mut io, &mut watches)),
             Ok(LineEvent::Overflow) => {
                 shared.note_protocol_error();
-                let detail = format!("line exceeds {max_line_bytes} bytes");
+                let detail = format!("line exceeds {MAX_LINE_BYTES} bytes");
                 send_line(&mut io, &err_line(ErrorCode::Protocol, &detail))
             }
             Ok(LineEvent::InvalidUtf8) => {

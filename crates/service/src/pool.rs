@@ -7,7 +7,7 @@
 //! out one handler at a time:
 //!
 //! - **Bounded checkout.** A handler that finds no idle connection and
-//!   no free slot blocks on a condvar up to `checkout_timeout`, then
+//!   no free slot blocks on a condvar up to [`CHECKOUT_TIMEOUT`], then
 //!   answers [`PoolError::Busy`] (the router maps it to `503
 //!   overloaded` + `Retry-After`). The bound is the router-side
 //!   analogue of the daemon's bounded admission queue: load sheds with
@@ -16,9 +16,9 @@
 //!   exactly once, immediately — it papers over the one-shot races
 //!   (backend restarting its accept loop, listen backlog momentarily
 //!   full) without turning the pool into a retry storm.
-//! - **Breaker.** `breaker_threshold` *consecutive* failed
+//! - **Breaker.** [`BREAKER_THRESHOLD`] *consecutive* failed
 //!   connect-attempts (each already retried once) open the breaker for
-//!   `breaker_cooldown`; while open, checkouts needing a fresh connect
+//!   [`BREAKER_COOLDOWN`]; while open, checkouts needing a fresh connect
 //!   fast-fail [`PoolError::Unavailable`] without touching the socket.
 //!   One probe per cooldown rediscovers a revived backend. Idle
 //!   connections keep working while the breaker is open — the breaker
@@ -30,12 +30,27 @@
 //!   rejections (`overloaded`, `unknown-dataset`, …) travel through as
 //!   [`PoolError::Service`] and the connection — which just proved
 //!   itself healthy by answering — goes back to idle.
+//!
+//! The router builds every pool with these three constants;
+//! [`BackendPool::new`] takes them as parameters only so the pool's own
+//! tests can run breaker and busy schedules in milliseconds.
 
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::api::DatasetService;
 use crate::client::ClientError;
+
+/// How long a checkout waits for a free connection before
+/// [`PoolError::Busy`].
+pub const CHECKOUT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Consecutive failed connect-sequences that open a backend's breaker.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long an open breaker fast-fails before one checkout probes the
+/// backend again.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
 
 /// A pooled connection: any [`DatasetService`] the connector produces.
 pub type PooledService = Box<dyn DatasetService + Send>;
@@ -131,7 +146,9 @@ pub struct BackendPool {
 }
 
 impl BackendPool {
-    /// A pool of at most `cap` connections built by `connector`.
+    /// A pool of at most `cap` connections built by `connector`, whose
+    /// checkouts wait up to `checkout_timeout` and whose breaker opens
+    /// for `breaker_cooldown` after `breaker_threshold` failed dials.
     pub fn new(
         addr: impl Into<String>,
         cap: usize,

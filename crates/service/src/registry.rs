@@ -1,7 +1,7 @@
 //! Named datasets with prebuilt indexes.
 //!
 //! The daemon's whole reason to stay resident is that index construction
-//! and `r` tuning are paid once per dataset, not once per request: each
+//! is paid once per dataset, not once per request: each
 //! registered dataset keeps one [`PreparedIndex`] (the bin-sorted points
 //! under the packed R-tree of the paper's §IV-A) alive for the
 //! process lifetime. Requests then run through
@@ -20,7 +20,6 @@ use variantdbscan::{Engine, PreparedIndex};
 use vbp_data::DatasetSpec;
 use vbp_dbscan::suggest_eps;
 use vbp_geom::Point2;
-use vbp_rtree::PackedRTree;
 
 /// The k-dist knee is estimated at this minpts (the DBSCAN paper's
 /// recommended default neighborhood size).
@@ -34,8 +33,10 @@ pub struct DatasetEntry {
     /// The points under a prebuilt packed R-tree, shared by every
     /// request; [`PreparedIndex::caller_points`] derives caller order.
     pub index: PreparedIndex,
-    /// k-dist-estimated representative ε (reported by `DATASETS` and
-    /// persisted with the dataset).
+    /// A representative ε: the knee of the k-dist plot over the
+    /// index's own tree, persisted with the dataset. At the default
+    /// `r = 80` this is the knee over the standard packed tree; at any
+    /// other `r` the plot is sampled in that tree's order.
     pub suggested_eps: Option<f64>,
 }
 
@@ -68,13 +69,13 @@ impl Registry {
     }
 
     /// Registers an arbitrary point set under `name`, prebuilding its
-    /// indexes. A representative ε is estimated from the k-dist plot, a
-    /// starting radius for clients that have none yet.
+    /// index. A representative ε is read off the k-dist plot over that
+    /// index, a starting radius for clients that have none yet.
     pub fn register(&self, engine: &Engine, name: &str, points: &[Point2]) -> Result<(), String> {
-        let suggested_eps = representative_eps(points);
         let index = engine
             .prepare(points, None)
             .map_err(|e| format!("dataset '{name}': {e}"))?;
+        let suggested_eps = representative_eps(&index);
         self.swap(Arc::new(DatasetEntry {
             name: name.to_string(),
             index,
@@ -133,22 +134,22 @@ impl Registry {
     }
 }
 
-/// Estimates a representative ε: the k-dist knee over a
-/// throwaway coarse index, sampled with a stride that caps the estimate
-/// at a few thousand queries.
-fn representative_eps(points: &[Point2]) -> Option<f64> {
-    if points.len() < SUGGEST_MINPTS + 1 {
+/// Estimates a representative ε: the k-dist knee over `index`'s tree,
+/// sampled with a stride that caps the estimate at a few thousand
+/// queries.
+fn representative_eps(index: &PreparedIndex) -> Option<f64> {
+    if index.len() < SUGGEST_MINPTS + 1 {
         return None;
     }
-    let (tree, _) = PackedRTree::build(points, 80);
-    let stride = (points.len() / 2_000).max(1);
-    suggest_eps(&tree, SUGGEST_MINPTS, stride)
+    let stride = (index.len() / 2_000).max(1);
+    suggest_eps(index.t_low(), SUGGEST_MINPTS, stride)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use variantdbscan::EngineConfig;
+    use vbp_rtree::PackedRTree;
 
     #[test]
     fn load_by_catalog_name_prebuilds_index() {
@@ -159,6 +160,27 @@ mod tests {
         assert_eq!(entry.index.len(), 500);
         assert!(entry.suggested_eps.is_some());
         assert_eq!(reg.list(), vec![("cF_10k_5N@500".to_string(), 500)]);
+    }
+
+    #[test]
+    fn suggested_eps_is_the_knee_over_a_fresh_default_tree() {
+        // At the default r = 80 the prepared tree is a standalone r = 80
+        // build, so the knee benchmark grids are built from is
+        // bit-identical to one read off such a build.
+        let engine = Engine::new(EngineConfig::default().with_threads(1));
+        let reg = Registry::new();
+        let sizes = (5000..5012).chain([8000]);
+        for name in sizes
+            .map(|n| format!("cF_10k_5N@{n}"))
+            .chain(["SW1@5000".into()])
+        {
+            reg.load(&engine, &name).unwrap();
+            let points = DatasetSpec::by_name(&name).unwrap().generate();
+            let (tree, _) = PackedRTree::build(&points, 80);
+            let standalone = suggest_eps(&tree, SUGGEST_MINPTS, points.len() / 2_000);
+            let registered = reg.get(&name).unwrap().suggested_eps;
+            assert_eq!(registered.map(f64::to_bits), standalone.map(f64::to_bits));
+        }
     }
 
     #[test]

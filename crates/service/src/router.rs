@@ -63,20 +63,28 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use variantdbscan::{parse_json, JsonArray, JsonObject, JsonValue};
 
 use crate::api::{DatasetService, ErrorCode, Health, Rejection};
 use crate::client::ClientError;
-use crate::daemon::{Merge, JOB_COUNTERS, STREAM_COUNTERS};
+use crate::daemon::{Merge, JOB_COUNTERS, JOB_TIMEOUT, STREAM_COUNTERS};
 use crate::http::{serve_http, Exchange, HttpClient, Response, Route};
-use crate::pool::{BackendPool, PoolError, PooledService};
+use crate::pool::{
+    BackendPool, PoolError, PooledService, BREAKER_COOLDOWN, BREAKER_THRESHOLD, CHECKOUT_TIMEOUT,
+};
 use crate::ring::HashRing;
 use crate::transport::{join_handlers, spawn_accept_loop, Handlers, Transport};
 use crate::wire;
 
-/// Router configuration; check one with [`RouterConfig::validate`].
+/// Router configuration: one field per `vbp route` flag (`--http`,
+/// `--backends`, `--vnodes`, `--pool`). Check one with
+/// [`RouterConfig::validate`]. Its door shares the daemon's
+/// [`POLL_INTERVAL`](crate::transport::POLL_INTERVAL) and
+/// [`WRITE_TIMEOUT`](crate::transport::WRITE_TIMEOUT);
+/// backend connections read with the daemon's [`JOB_TIMEOUT`], and each
+/// pool checks out and breaks on [`crate::pool`]'s constants.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Bind address of the router's HTTP door; port 0 for ephemeral.
@@ -90,23 +98,6 @@ pub struct RouterConfig {
     pub virtual_nodes: usize,
     /// Connection-pool cap per backend.
     pub pool_per_backend: usize,
-    /// Handler read-timeout; bounds how fast connections notice a
-    /// shutdown.
-    pub poll_interval: Duration,
-    /// Socket write timeout toward router clients.
-    pub write_timeout: Duration,
-    /// Read timeout on backend connections — bounds one proxied
-    /// exchange, so it must cover a full engine run (the daemon's own
-    /// job timeout is 600s by default).
-    pub backend_timeout: Duration,
-    /// How long a handler waits for a pooled backend connection before
-    /// answering `503 overloaded`.
-    pub checkout_timeout: Duration,
-    /// Consecutive failed connect-sequences before a backend's breaker
-    /// opens.
-    pub breaker_threshold: u32,
-    /// How long an open breaker fast-fails before probing again.
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for RouterConfig {
@@ -116,12 +107,6 @@ impl Default for RouterConfig {
             backends: Vec::new(),
             virtual_nodes: 64,
             pool_per_backend: 8,
-            poll_interval: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(30),
-            backend_timeout: Duration::from_secs(600),
-            checkout_timeout: Duration::from_secs(5),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(1),
         }
     }
 }
@@ -173,7 +158,6 @@ struct RouterShared {
     pools: Vec<BackendPool>,
     stats: Mutex<RouterStats>,
     started: Instant,
-    poll_interval: Duration,
     draining: AtomicBool,
 }
 
@@ -185,16 +169,15 @@ impl RouterShared {
             .iter()
             .map(|addr| {
                 let dial_addr = addr.clone();
-                let backend_timeout = config.backend_timeout;
                 BackendPool::new(
                     addr.clone(),
                     config.pool_per_backend,
-                    config.checkout_timeout,
-                    config.breaker_threshold,
-                    config.breaker_cooldown,
+                    CHECKOUT_TIMEOUT,
+                    BREAKER_THRESHOLD,
+                    BREAKER_COOLDOWN,
                     Box::new(move || {
                         let mut client = HttpClient::connect(dial_addr.as_str())?;
-                        client.set_timeout(Some(backend_timeout))?;
+                        client.set_timeout(Some(JOB_TIMEOUT))?;
                         Ok(Box::new(client) as PooledService)
                     }),
                 )
@@ -205,7 +188,6 @@ impl RouterShared {
             pools,
             stats: Mutex::new(RouterStats::default()),
             started: Instant::now(),
-            poll_interval: config.poll_interval,
             draining: AtomicBool::new(false),
         }
     }
@@ -380,7 +362,6 @@ fn quorum_status(up: usize, total: usize) -> (&'static str, u16) {
 fn serve_router<T: Transport>(transport: T, shared: &RouterShared, stop: &AtomicBool) {
     serve_http(
         transport,
-        shared.poll_interval,
         stop,
         |route, body| route_request(shared, route, body),
         |exchange| match exchange {
@@ -662,7 +643,6 @@ impl Router {
             spawn_accept_loop(
                 listener,
                 "vbp-route",
-                config.write_timeout,
                 Arc::clone(&stop),
                 Arc::clone(&handlers),
                 move |transport| serve_router(transport, &shared, &conn_stop),

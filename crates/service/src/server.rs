@@ -40,30 +40,23 @@ use crate::registry::Registry;
 use crate::store::StoreBoot;
 use crate::transport::{join_handlers, spawn_accept_loop, Handlers, TcpTransport, Transport};
 
-/// Tunables of one server instance.
+/// Settings of one server instance: one field per `vbp serve` flag
+/// (`--addr`, `--http`, `--store`, `--queue-cap`, `--cache-mb`,
+/// `--batch-ms`). Check one with [`ServiceConfig::validate`]. The
+/// doors' timing and framing are constants of the modules that apply
+/// them: [`POLL_INTERVAL`](crate::transport::POLL_INTERVAL) and
+/// [`WRITE_TIMEOUT`](crate::transport::WRITE_TIMEOUT),
+/// [`MAX_LINE_BYTES`](crate::http::MAX_LINE_BYTES), and
+/// [`JOB_TIMEOUT`](crate::daemon::JOB_TIMEOUT).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Admission queue capacity (requests, not bytes).
-    pub queue_cap: usize,
-    /// Reuse cache budget in bytes; 0 disables the cache.
-    pub cache_bytes: usize,
-    /// How long the dispatcher lingers after the first request to batch
-    /// compatible ones.
-    pub batch_window: Duration,
-    /// Handler read-timeout; bounds how fast connections notice a drain.
-    pub poll_interval: Duration,
-    /// Hard cap on one request line (bytes, newline excluded); longer
-    /// lines cost `ERR protocol` and are discarded.
-    pub max_line_bytes: usize,
-    /// How long a handler waits for its job's reply before giving up
-    /// with `ERR internal`. Contained panics answer far faster; this
-    /// only bounds a genuinely wedged engine.
-    pub job_timeout: Duration,
-    /// Socket write timeout, so a client that stops draining its
-    /// receive buffer cannot wedge a handler mid-reply forever.
-    pub write_timeout: Duration,
+    /// Optional second bind address for the HTTP/1.1 gateway
+    /// ([`crate::http`]). `None` (the default) serves the line protocol
+    /// only; when set, both protocols run simultaneously against the
+    /// same admission queue, dispatcher, cache, and counters.
+    pub http_addr: Option<String>,
     /// Warm-state store directory. When set, a graceful drain persists
     /// every dataset's prepared index and surviving cache entries as
     /// checksummed container files under this directory (see
@@ -72,26 +65,24 @@ pub struct ServiceConfig {
     /// to restore them without rebuilding. `None` (the default) keeps
     /// the daemon fully in-memory.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Optional second bind address for the HTTP/1.1 gateway
-    /// ([`crate::http`]). `None` (the default) serves the line protocol
-    /// only; when set, both protocols run simultaneously against the
-    /// same admission queue, dispatcher, cache, and counters.
-    pub http_addr: Option<String>,
+    /// Admission queue capacity (requests, not bytes).
+    pub queue_cap: usize,
+    /// Reuse cache budget in bytes; 0 disables the cache.
+    pub cache_bytes: usize,
+    /// How long the dispatcher lingers after the first request to batch
+    /// compatible ones.
+    pub batch_window: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
+            http_addr: None,
+            store_dir: None,
             queue_cap: 256,
             cache_bytes: 64 << 20,
             batch_window: Duration::from_millis(2),
-            poll_interval: Duration::from_millis(50),
-            max_line_bytes: 8192,
-            job_timeout: Duration::from_secs(600),
-            write_timeout: Duration::from_secs(30),
-            store_dir: None,
-            http_addr: None,
         }
     }
 }
@@ -101,49 +92,31 @@ impl Default for ServiceConfig {
 /// [`ServerHandle::wait`]).
 pub struct Server;
 
-/// The per-connection knobs of the two doors, and the one way each door
-/// is run — shared by socket-accepted connections and the
-/// fault-injection entry points.
-#[derive(Clone)]
-struct Doors {
-    shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    poll_interval: Duration,
-    max_line_bytes: usize,
+/// The HTTP door of the daemon: the gateway's front end with the
+/// daemon's route table behind it.
+fn serve_daemon_http<T: Transport>(transport: T, shared: &Shared, stop: &AtomicBool) {
+    serve_http(
+        transport,
+        stop,
+        |route, body| daemon_route(shared, route, body),
+        |exchange| {
+            if exchange == Exchange::Malformed {
+                shared.note_protocol_error();
+            }
+        },
+    );
 }
 
-impl Doors {
-    fn line<T: Transport>(&self, transport: T) {
-        serve_line(
-            transport,
-            &self.shared,
-            &self.stop,
-            self.poll_interval,
-            self.max_line_bytes,
-        );
-    }
-
-    fn http<T: Transport>(&self, transport: T) {
-        let shared = &*self.shared;
-        serve_http(
-            transport,
-            self.poll_interval,
-            &self.stop,
-            |route, body| daemon_route(shared, route, body),
-            |exchange| {
-                if exchange == Exchange::Malformed {
-                    shared.note_protocol_error();
-                }
-            },
-        );
-    }
-}
+/// One door's connection loop: the line protocol's or the HTTP
+/// gateway's, over one transport against the daemon's shared state.
+type Door<T> = fn(T, &Shared, &AtomicBool);
 
 /// Join/shutdown handle returned by [`Server::start`].
 pub struct ServerHandle {
     local_addr: SocketAddr,
     http_addr: Option<SocketAddr>,
-    doors: Doors,
+    shared: Arc<Shared>,
+    stop: Arc<AtomicBool>,
     accepts: Vec<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
     handlers: Handlers,
@@ -181,40 +154,36 @@ impl Server {
             Some(listener) => Some(listener.local_addr()?),
             None => None,
         };
-        let doors = Doors {
-            shared: Arc::new(Shared::new(engine, registry, &config, boot)),
-            stop: Arc::new(AtomicBool::new(false)),
-            poll_interval: config.poll_interval,
-            max_line_bytes: config.max_line_bytes,
-        };
+        let shared = Arc::new(Shared::new(engine, registry, &config, boot));
+        let stop = Arc::new(AtomicBool::new(false));
         let handlers = Handlers::default();
 
         let dispatcher = {
-            let shared = Arc::clone(&doors.shared);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("vbp-dispatch".into())
                 .spawn(move || dispatcher_loop(&shared))?
         };
-        let accept = |listener, name, serve: fn(&Doors, TcpTransport)| {
-            let doors = doors.clone();
+        let accept = |listener, name, serve: Door<TcpTransport>| {
+            let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
             spawn_accept_loop(
                 listener,
                 name,
-                config.write_timeout,
-                Arc::clone(&doors.stop),
+                Arc::clone(&stop),
                 Arc::clone(&handlers),
-                move |transport| serve(&doors, transport),
+                move |transport| serve(transport, &shared, &stop),
             )
         };
-        let mut accepts = vec![accept(listener, "vbp", Doors::line)?];
+        let mut accepts = vec![accept(listener, "vbp", serve_line)?];
         if let Some(listener) = http_listener {
-            accepts.push(accept(listener, "vbp-http", Doors::http)?);
+            accepts.push(accept(listener, "vbp-http", serve_daemon_http)?);
         }
 
         Ok(ServerHandle {
             local_addr,
             http_addr,
-            doors,
+            shared,
+            stop,
             accepts,
             dispatcher: Some(dispatcher),
             handlers,
@@ -240,28 +209,33 @@ impl ServerHandle {
     /// observes the same shared state (queue, cache, stats, stop flag)
     /// as socket-accepted connections.
     pub fn serve_transport<T: Transport + 'static>(&self, transport: T) -> JoinHandle<()> {
-        let doors = self.doors.clone();
-        std::thread::Builder::new()
-            .name("vbp-conn-test".into())
-            .spawn(move || doors.line(transport))
-            .expect("spawn transport handler")
+        self.spawn_door("vbp-conn-test", serve_line, transport)
     }
 
     /// [`Self::serve_transport`]'s HTTP twin: runs the HTTP gateway's
     /// door over an arbitrary [`Transport`], against the same shared
     /// state as socket-accepted connections.
     pub fn serve_http_transport<T: Transport + 'static>(&self, transport: T) -> JoinHandle<()> {
-        let doors = self.doors.clone();
+        self.spawn_door("vbp-http-conn-test", serve_daemon_http, transport)
+    }
+
+    fn spawn_door<T: Transport + 'static>(
+        &self,
+        name: &str,
+        serve: Door<T>,
+        transport: T,
+    ) -> JoinHandle<()> {
+        let (shared, stop) = (Arc::clone(&self.shared), Arc::clone(&self.stop));
         std::thread::Builder::new()
-            .name("vbp-http-conn-test".into())
-            .spawn(move || doors.http(transport))
-            .expect("spawn http transport handler")
+            .name(name.into())
+            .spawn(move || serve(transport, &shared, &stop))
+            .expect("spawn transport handler")
     }
 
     /// Sets the stop flag and wakes the blocking `accept()`s with
     /// throwaway connections.
     fn stop_accepting(&self) {
-        self.doors.stop.store(true, Ordering::Release);
+        self.stop.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.local_addr);
         if let Some(addr) = self.http_addr {
             let _ = TcpStream::connect(addr);
@@ -271,7 +245,7 @@ impl ServerHandle {
     /// Begins a graceful drain (idempotent): stop admitting, finish
     /// what's queued, wake the accept loops.
     pub fn begin_shutdown(&self) {
-        self.doors.shared.begin_drain();
+        self.shared.begin_drain();
         self.stop_accepting();
     }
 
@@ -288,13 +262,13 @@ impl ServerHandle {
         for h in self.accepts.drain(..) {
             let _ = h.join();
         }
-        self.doors.shared.fail_abandoned_jobs();
+        self.shared.fail_abandoned_jobs();
         join_handlers(&self.handlers);
         // Every thread is joined: the registry, cache, and indexes are
         // quiescent. Persist the warm state now (covers both the wire
         // `SHUTDOWN` and a handle-initiated drain — both funnel through
         // this join).
-        self.doors.shared.persist_store();
+        self.shared.persist_store();
     }
 
     /// Convenience: [`Self::begin_shutdown`] + [`Self::wait`].
@@ -306,34 +280,34 @@ impl ServerHandle {
     /// Current service counters as one JSON line (same payload as the
     /// `STATS` wire command).
     pub fn stats_json(&self) -> String {
-        self.doors.shared.stats_json()
+        self.shared.stats_json()
     }
 
     /// Prometheus-style text exposition (same payload as the `METRICS`
     /// wire command's continuation lines). Rendered from the same
     /// counters as [`Self::stats_json`], so the two always agree.
     pub fn metrics_text(&self) -> String {
-        self.doors.shared.metrics_text()
+        self.shared.metrics_text()
     }
 
     /// Runs the dominance cache's structural self-check
     /// ([`DominanceCache::check_invariants`](crate::cache::DominanceCache::check_invariants))
     /// — the chaos suite calls this after every fault schedule.
     pub fn cache_invariants(&self) -> Result<(), String> {
-        self.doors.shared.cache().check_invariants()
+        self.shared.cache().check_invariants()
     }
 
     /// Counter-neutral snapshot of the cache's live entries — the
     /// streaming-equivalence suite audits every surviving entry against
     /// the mutated dataset after each append.
     pub fn cache_entries(&self) -> Vec<(String, Variant, Arc<ClusterResult>)> {
-        self.doors.shared.cache().snapshot_entries()
+        self.shared.cache().snapshot_entries()
     }
 
     /// Current caller-order points of a registered dataset (the latest
     /// copy-on-write snapshot), or `None` when unknown.
     pub fn dataset_points(&self, name: &str) -> Option<Vec<Point2>> {
-        let entry = self.doors.shared.registry().get(name)?;
+        let entry = self.shared.registry().get(name)?;
         Some(entry.index.caller_points())
     }
 }

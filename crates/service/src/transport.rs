@@ -22,6 +22,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How long a door's read may block before it polls its stop flag: the
+/// bound on how fast an idle connection notices a drain. Every door
+/// (line, HTTP, router) reads with it.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The write timeout of every accepted socket, so a client that stops
+/// draining its receive buffer cannot wedge a handler mid-reply forever.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Byte-stream I/O for one connection, as the connection handler sees
 /// it. Deliberately tiny: one reader, one writer, a read timeout, and a
 /// hard close — everything else (framing, parsing, faults) layers on
@@ -75,15 +84,13 @@ impl Transport for TcpTransport {
 /// loop feeding it; whoever shuts the process down drains and joins it.
 pub(crate) type Handlers = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
-/// Spawns `<name>-accept`: every accepted socket gets `TCP_NODELAY`, the
-/// write timeout (so a client that stops draining its receive buffer
-/// cannot wedge a handler mid-reply forever), and its own `<name>-conn`
-/// thread running `serve`. The loop exits at the first accept after
-/// `stop` is set — shutdown wakes it with a throwaway connection.
+/// Spawns `<name>-accept`: every accepted socket gets `TCP_NODELAY`,
+/// [`WRITE_TIMEOUT`], and its own `<name>-conn` thread running `serve`.
+/// The loop exits at the first accept after `stop` is set — shutdown
+/// wakes it with a throwaway connection.
 pub(crate) fn spawn_accept_loop(
     listener: TcpListener,
     name: &str,
-    write_timeout: Duration,
     stop: Arc<AtomicBool>,
     handlers: Handlers,
     serve: impl Fn(TcpTransport) + Send + Sync + 'static,
@@ -99,7 +106,7 @@ pub(crate) fn spawn_accept_loop(
                 }
                 let Ok(stream) = stream else { continue };
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(write_timeout));
+                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                 let serve = Arc::clone(&serve);
                 let handle = std::thread::Builder::new()
                     .name(conn_name.clone())
@@ -168,7 +175,9 @@ pub struct LineIo<T> {
 
 impl<T: Transport> LineIo<T> {
     /// Frames `transport` with a hard per-line cap of `max_line_bytes`
-    /// (newline excluded).
+    /// (newline excluded). The line door frames with
+    /// [`MAX_LINE_BYTES`](crate::http::MAX_LINE_BYTES); other caps are
+    /// for framing tests.
     pub fn new(transport: T, max_line_bytes: usize) -> LineIo<T> {
         LineIo {
             transport,

@@ -73,13 +73,13 @@ use vbp_data::Pcg32;
 use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::PackedRTree;
+use vbp_service::http::MAX_LINE_BYTES;
 use vbp_service::{
     parse_json, Client, ErrorCode, FaultPlan, FaultTransport, HttpClient, JsonValue, ServerHandle,
     ServiceConfig, TcpTransport, Transport,
 };
 
 const DATASET: &str = "cF_10k_5N@300";
-const MAX_LINE: usize = 512;
 
 /// Precomputed ground truth for the fixed variant pool: direct engine
 /// labels (caller order) and brute-force core sets, computed once for
@@ -133,8 +133,6 @@ fn chaos_server() -> ServerHandle {
             queue_cap: 8,
             cache_bytes: 8 << 20,
             batch_window: Duration::ZERO,
-            max_line_bytes: MAX_LINE,
-            job_timeout: Duration::from_secs(30),
             ..ServiceConfig::default()
         },
     )
@@ -241,7 +239,7 @@ fn run_schedule(seed: u64) {
                 2 => {
                     // Oversized line: blows the byte cap, must get the
                     // typed protocol error and leave the daemon alive.
-                    let n = MAX_LINE + 1 + rng.below(2048) as usize;
+                    let n = MAX_LINE_BYTES + 1 + rng.below(2048) as usize;
                     let mut payload = vec![b'x'; n];
                     payload.push(b'\n');
                     let reply = raw_exchange(&handle, &payload)
@@ -505,7 +503,7 @@ fn run_streaming_schedule(seed: u64) {
                         assert!(reply.starts_with("ERR "), "{ctx}: garbage got {reply:?}");
                     }
                 } else {
-                    let mut payload = vec![b'x'; MAX_LINE + 1 + rng.below(2048) as usize];
+                    let mut payload = vec![b'x'; MAX_LINE_BYTES + 1 + rng.below(2048) as usize];
                     payload.push(b'\n');
                     let reply = raw_exchange(&handle, &payload)
                         .unwrap_or_else(|| panic!("{ctx}: oversized line got no reply"));
@@ -582,8 +580,6 @@ fn http_chaos_server() -> ServerHandle {
             queue_cap: 8,
             cache_bytes: 8 << 20,
             batch_window: Duration::ZERO,
-            max_line_bytes: MAX_LINE,
-            job_timeout: Duration::from_secs(30),
             http_addr: Some("127.0.0.1:0".into()),
             ..ServiceConfig::default()
         },
@@ -1061,8 +1057,6 @@ fn store_server(dir: &std::path::Path) -> ServerHandle {
             queue_cap: 8,
             cache_bytes: 8 << 20,
             batch_window: Duration::ZERO,
-            max_line_bytes: MAX_LINE,
-            job_timeout: Duration::from_secs(30),
             store_dir: Some(dir.to_path_buf()),
             ..ServiceConfig::default()
         },
@@ -1310,8 +1304,6 @@ fn poisoned_batch_peer_is_isolated() {
             // A real batching window, so concurrent submits coalesce
             // into one engine run.
             batch_window: Duration::from_millis(40),
-            max_line_bytes: MAX_LINE,
-            job_timeout: Duration::from_secs(30),
             ..ServiceConfig::default()
         },
     );

@@ -60,7 +60,6 @@ fn chaos_backend(datasets: &[&str]) -> ServerHandle {
             queue_cap: 8,
             cache_bytes: 8 << 20,
             batch_window: Duration::ZERO,
-            job_timeout: Duration::from_secs(30),
             http_addr: Some("127.0.0.1:0".into()),
             ..ServiceConfig::default()
         },
@@ -207,7 +206,6 @@ fn run_router_schedule(seed: u64) {
         .collect();
     let config = RouterConfig {
         backends: addrs.clone(),
-        breaker_cooldown: Duration::from_millis(200),
         ..RouterConfig::default()
     };
     config.validate().unwrap();

@@ -48,8 +48,6 @@ fn streaming_server() -> ServerHandle {
             queue_cap: 16,
             cache_bytes: 8 << 20,
             batch_window: Duration::ZERO,
-            poll_interval: Duration::from_millis(10),
-            job_timeout: Duration::from_secs(30),
             ..ServiceConfig::default()
         },
     )

@@ -65,6 +65,14 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo test --release -p variantdbscan"
   timeout 900 cargo test --locked --release -q -p variantdbscan
 
+  # The daemon's admission and stats identities (submitted == completed
+  # + failed + in_flight at every observation) and the line and HTTP
+  # framing caps are races against the dispatcher and the doors; they
+  # run here under optimised timing, where an admission race first
+  # showed.
+  echo "==> cargo test --release -p vbp-service"
+  timeout 900 cargo test --locked --release -q -p vbp-service
+
   # The five paper-table bins are built by clippy but run by nothing
   # else; a small run catches one that panics or exits non-zero.
   echo "==> paper-table bins (--points 2000 --trials 1)"
