@@ -53,7 +53,7 @@
 //! Each worker additionally samples its own lock-wait, schedule-decision,
 //! busy, and idle time into [`WorkerStats`] and the per-phase latency
 //! [`PhaseHistograms`], and — when the request enables tracing — records
-//! typed [`TraceEvent`](crate::trace::TraceEvent)s into a private ring
+//! typed [`TraceEvent`]s into a private ring
 //! buffer (see [`crate::trace`]), surfaced via [`RunReport::worker_stats`],
 //! [`RunReport::phases`], and [`RunReport::trace`].
 //!
@@ -435,15 +435,10 @@ impl PreparedIndex {
     /// could drop neighbors.
     pub fn restore<R: std::io::Read>(r: &mut R) -> Result<Self, StoreError> {
         let container = Container::read_from(r)?;
-        Self::restore_container(&container)
-    }
-
-    /// [`PreparedIndex::restore`] over an already-parsed container.
-    pub fn restore_container(container: &Container) -> Result<Self, StoreError> {
         // Decode has already proven every invariant `from_snapshot`
         // re-checks, so the trusted constructor applies directly.
         Ok(Self::from_snapshot_trusted(
-            IndexSnapshot::decode_container(container)?,
+            IndexSnapshot::decode_container(&container)?,
         ))
     }
 
@@ -1165,7 +1160,8 @@ mod tests {
     use super::*;
     use crate::variant::Variant;
     use std::time::Duration;
-    use vbp_dbscan::{dbscan, quality_score};
+    use vbp_dbscan::{core_flags, core_isomorphic, dbscan};
+    use vbp_rtree::BruteForce;
 
     /// Deterministic blob generator: `k` Gaussian-ish blobs on a grid plus
     /// uniform noise.
@@ -1335,15 +1331,18 @@ mod tests {
         let report = run(&engine, &points, &variants);
 
         // Compare each variant against a direct DBSCAN over the same tree
-        // order using the paper's quality metric.
+        // order under the label contract.
         let (t_low, _) = PackedRTree::build(&points, 20);
+        let brute = BruteForce::new(t_low.shared_points());
         for (i, v) in variants.iter().enumerate() {
             let direct = dbscan(&t_low, v.params());
-            let got = &report.results[i];
-            assert_eq!(direct.num_clusters(), got.num_clusters(), "variant {v}");
-            assert_eq!(direct.noise_count(), got.noise_count(), "variant {v}");
-            let q = quality_score(&direct, got);
-            assert!(q.mean_score > 0.99, "variant {v}: quality {}", q.mean_score);
+            let got = report.results[i].labels().as_raw();
+            core_isomorphic(
+                direct.labels().as_raw(),
+                got,
+                &core_flags(&brute, v.params()),
+            )
+            .unwrap_or_else(|e| panic!("variant {v}: {e}"));
         }
     }
 

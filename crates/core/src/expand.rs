@@ -759,8 +759,9 @@ mod tests {
     use crate::variant::VariantSet;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
-    use vbp_dbscan::{dbscan, quality_score};
+    use vbp_dbscan::{core_flags, core_isomorphic, dbscan, quality_score};
     use vbp_geom::Point2;
+    use vbp_rtree::BruteForce;
 
     /// Builds T_low over the given points (bin-sorted internally) and the
     /// paper's r = 1 T_high over the same points in the same order, which
@@ -818,11 +819,10 @@ mod tests {
             cluster_with_reuse(&t_low, &t_high, big, &base, small, ReuseScheme::ClusDefault);
         let direct = dbscan(&t_low, big.params());
         assert_eq!(direct.num_clusters(), 1);
-        assert_eq!(reused.num_clusters(), 1);
         assert_eq!(stats.clusters_destroyed, 1);
         assert_eq!(stats.clusters_reused, 1);
-        let q = quality_score(&direct, &reused);
-        assert!(q.mean_score > 0.999, "score {}", q.mean_score);
+        let core = core_flags(&BruteForce::new(t_low.shared_points()), big.params());
+        core_isomorphic(direct.labels().as_raw(), reused.labels().as_raw(), &core).unwrap();
     }
 
     #[test]
@@ -845,11 +845,9 @@ mod tests {
             ReuseScheme::ClusDensity,
         );
         let direct = dbscan(&t_low, loose.params());
-        assert_eq!(reused.num_clusters(), direct.num_clusters());
-        assert_eq!(reused.noise_count(), direct.noise_count());
         assert!(stats.points_reused > 0);
-        let q = quality_score(&direct, &reused);
-        assert!(q.mean_score > 0.999, "score {}", q.mean_score);
+        let core = core_flags(&BruteForce::new(t_low.shared_points()), loose.params());
+        core_isomorphic(direct.labels().as_raw(), reused.labels().as_raw(), &core).unwrap();
     }
 
     #[test]
@@ -867,6 +865,7 @@ mod tests {
             .map(|_| Point2::new(rnd() * 20.0, rnd() * 20.0))
             .collect();
         let (t_low, t_high) = trees(&pts, 16);
+        let brute = BruteForce::new(t_low.shared_points());
 
         for (src, dst) in [
             ((0.5, 8), (0.5, 4)),
@@ -877,26 +876,13 @@ mod tests {
             let source = Variant::new(src.0, src.1);
             let target = Variant::new(dst.0, dst.1);
             let base = dbscan(&t_low, source.params());
+            let direct = dbscan(&t_low, target.params());
+            let core = core_flags(&brute, target.params());
             for scheme in ReuseScheme::REUSING {
                 let (reused, stats) =
                     cluster_with_reuse(&t_low, &t_high, target, &base, source, scheme);
-                let direct = dbscan(&t_low, target.params());
-                assert_eq!(
-                    reused.num_clusters(),
-                    direct.num_clusters(),
-                    "{source}->{target} {scheme}"
-                );
-                assert_eq!(
-                    reused.noise_count(),
-                    direct.noise_count(),
-                    "{source}->{target} {scheme}"
-                );
-                let q = quality_score(&direct, &reused);
-                assert!(
-                    q.mean_score > 0.99,
-                    "{source}->{target} {scheme}: score {}",
-                    q.mean_score
-                );
+                core_isomorphic(direct.labels().as_raw(), reused.labels().as_raw(), &core)
+                    .unwrap_or_else(|e| panic!("{source}->{target} {scheme}: {e}"));
                 assert!(stats.total_searches() > 0);
                 reused.check_consistency().unwrap();
             }

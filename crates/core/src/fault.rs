@@ -4,7 +4,7 @@
 //! variant fail *inside* a worker thread — past the protocol parser, past
 //! admission control, inside the clustering job itself — without touching
 //! the data path for every other variant. This module is that seam: a
-//! process-global "poisoned ε" that [`check`] compares against
+//! process-global "poisoned ε" that `check` compares against
 //! bit-exactly before each assignment runs. A variant whose ε matches the
 //! armed value panics with a recognizable message; every other variant is
 //! untouched (the cost on the hot path is one relaxed atomic load per

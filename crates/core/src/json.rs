@@ -262,7 +262,7 @@ const MAX_JSON_DEPTH: usize = 64;
 
 /// Parses one complete JSON document. Total: every input answers
 /// `Ok` or a descriptive `Err` — no panic, no unbounded recursion
-/// (depth-capped at [`MAX_JSON_DEPTH`]), trailing non-whitespace
+/// (depth-capped at `MAX_JSON_DEPTH`), trailing non-whitespace
 /// rejected.
 pub fn parse_json(bytes: &[u8]) -> Result<JsonValue, String> {
     let s = std::str::from_utf8(bytes).map_err(|_| "body is not valid UTF-8".to_string())?;

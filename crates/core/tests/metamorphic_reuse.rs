@@ -6,19 +6,14 @@
 //! queries) must produce results *label-isomorphic* to clustering the
 //! target from scratch, under all three seed-selection schemes.
 //!
-//! Label isomorphism is checked structurally, with no tolerance:
-//!
-//! 1. the noise sets are identical (noise status is order-independent);
-//! 2. the cluster counts are identical;
-//! 3. the map `direct cluster → reused cluster` restricted to *core*
-//!    points (whose assignment is order-independent, unlike border
-//!    points) is a well-defined bijection — core status is established by
-//!    brute-force neighbor counting, independent of every index backend.
+//! Label isomorphism is the stack's label contract,
+//! [`vbp_dbscan::core_isomorphic`], checked with no tolerance; core status
+//! is counted over a brute-force index, independent of every index
+//! backend.
 //!
 //! Budget: case count scales 4× under `VBP_CONFORMANCE_FULL=1` (the
 //! `CHECK_FULL=1` path of `scripts/check.sh`).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -26,9 +21,9 @@ use variantdbscan::{
     cluster_with_reuse, Engine, EngineConfig, ExecutionPath, ReuseScheme, RunRequest, Variant,
     VariantSet, WarmSource,
 };
-use vbp_dbscan::{dbscan, ClusterId, ClusterResult, Labels};
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::PackedRTree;
+use vbp_dbscan::{core_flags, core_isomorphic, dbscan, ClusterResult};
+use vbp_geom::Point2;
+use vbp_rtree::{shared_points, BruteForce, PackedRTree};
 
 fn cases() -> u32 {
     match std::env::var("VBP_CONFORMANCE_FULL") {
@@ -58,82 +53,6 @@ fn arb_cloud() -> impl Strategy<Value = Vec<Point2>> {
         })
 }
 
-/// Core points of `(eps, minpts)` by brute force — the oracle no index
-/// backend can bias.
-fn brute_core_points(points: &[Point2], eps: f64, minpts: usize) -> Vec<PointId> {
-    let eps_sq = eps * eps;
-    (0..points.len())
-        .filter(|&i| {
-            points
-                .iter()
-                .filter(|q| points[i].dist_sq(q) <= eps_sq)
-                .count()
-                >= minpts
-        })
-        .map(|i| i as PointId)
-        .collect()
-}
-
-/// Checks the three-part label-isomorphism relation between a from-scratch
-/// clustering and a reuse-path clustering of the same variant.
-fn check_isomorphic(
-    direct: &ClusterResult,
-    reused: &ClusterResult,
-    n: usize,
-    cores: &[PointId],
-    ctx: &str,
-) -> Result<(), TestCaseError> {
-    for p in 0..n as PointId {
-        prop_assert_eq!(
-            direct.labels().is_noise(p),
-            reused.labels().is_noise(p),
-            "{ctx}: noise status of point {} differs",
-            p
-        );
-    }
-    prop_assert_eq!(
-        direct.num_clusters(),
-        reused.num_clusters(),
-        "{ctx}: cluster counts differ"
-    );
-
-    // Core points belong to exactly one cluster regardless of expansion
-    // order, so the induced cluster map must be a bijection.
-    let mut forward: HashMap<ClusterId, ClusterId> = HashMap::new();
-    let mut images: HashSet<ClusterId> = HashSet::new();
-    for &p in cores {
-        let a = direct.labels().cluster(p);
-        let b = reused.labels().cluster(p);
-        prop_assert!(
-            a.is_some() && b.is_some(),
-            "{ctx}: core point {} left unclustered (direct {:?}, reused {:?})",
-            p,
-            a,
-            b
-        );
-        let (a, b) = (a.unwrap(), b.unwrap());
-        match forward.get(&a) {
-            Some(&mapped) => prop_assert_eq!(
-                mapped,
-                b,
-                "{ctx}: direct cluster {} split across reused clusters at core {}",
-                a,
-                p
-            ),
-            None => {
-                prop_assert!(
-                    images.insert(b),
-                    "{ctx}: two direct clusters merged into reused cluster {} at core {}",
-                    b,
-                    p
-                );
-                forward.insert(a, b);
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
@@ -150,14 +69,11 @@ proptest! {
         let t_high = PackedRTree::from_sorted(t_low.shared_points(), 1);
         // Index order == caller order for from_sorted trees built off
         // t_low's shared points, so labels are comparable point-for-point.
-        let pts = t_low.shared_points();
+        let brute = BruteForce::new(t_low.shared_points());
 
         let direct: Vec<ClusterResult> =
             variants.iter().map(|v| dbscan(&t_low, v.params())).collect();
-        let cores: Vec<Vec<PointId>> = variants
-            .iter()
-            .map(|v| brute_core_points(&pts, v.eps, v.minpts))
-            .collect();
+        let cores: Vec<Vec<bool>> = variants.iter().map(|v| core_flags(&brute, v.params())).collect();
 
         let mut pairs = 0usize;
         for (si, src) in variants.iter().enumerate() {
@@ -170,8 +86,8 @@ proptest! {
                     cluster_with_reuse(&t_low, &t_high, dst, &direct[si], src, scheme);
                 prop_assert!(reused.check_consistency().is_ok());
                 prop_assert!(stats.fraction_reused() <= 1.0);
-                let ctx = format!("{scheme:?}: reuse {src} -> {dst}");
-                check_isomorphic(&direct[ti], &reused, pts.len(), &cores[ti], &ctx)?;
+                core_isomorphic(direct[ti].labels().as_raw(), reused.labels().as_raw(), &cores[ti])
+                    .map_err(|e| TestCaseError::fail(format!("{scheme:?}: reuse {src} -> {dst}: {e}")))?;
             }
         }
         // A cartesian grid with ≥ 2 distinct ε columns always contains a
@@ -247,6 +163,7 @@ proptest! {
         let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
         let variants = VariantSet::cartesian(&eps, &minpts);
         let prepared = engine.prepare(&points, None).unwrap();
+        let brute = BruteForce::new(shared_points(points.iter().copied()));
 
         // "Earlier run" whose results populate the cache.
         let donor = engine.execute(&RunRequest::prepared(&prepared, &variants)).unwrap();
@@ -272,23 +189,20 @@ proptest! {
             prop_assert!(warm_run.results[0].check_consistency().is_ok());
 
             let scratch = engine.execute(&RunRequest::prepared(&prepared, &single)).unwrap();
-            let cores = brute_core_points(&points, v.eps, v.minpts);
             // Both label vectors come back in prepared-index caller order.
-            let direct = ClusterResult::from_labels(Labels::from_raw(
-                prepared.labels_in_caller_order(&scratch.results[0]),
-            ));
-            let served = ClusterResult::from_labels(Labels::from_raw(
-                prepared.labels_in_caller_order(&warm_run.results[0]),
-            ));
-            let ctx = format!("warm {} -> {}", variants.get(j), v);
-            check_isomorphic(&direct, &served, points.len(), &cores, &ctx)?;
+            core_isomorphic(
+                &prepared.labels_in_caller_order(&scratch.results[0]),
+                &prepared.labels_in_caller_order(&warm_run.results[0]),
+                &core_flags(&brute, v.params()),
+            )
+            .map_err(|e| TestCaseError::fail(format!("warm {} -> {v}: {e}", variants.get(j))))?;
         }
     }
 }
 
 /// Thread-count determinism: the same dataset and variant grid, run at
-/// `T ∈ {1, 2, 8}`, must agree — pointwise-identical noise sets and a
-/// core-point cluster bijection — on both the cold path and the warm
+/// `T ∈ {1, 2, 8}`, must agree — meet the label contract — on both the
+/// cold path and the warm
 /// (identity warm-source) path. Scheduling order may differ wildly
 /// across thread counts; the labels may not.
 #[test]
@@ -310,9 +224,10 @@ fn thread_counts_agree_cold_and_warm() {
     }
 
     let variants = VariantSet::cartesian(&[0.3, 0.45, 0.7], &[3, 6]);
-    let cores: Vec<Vec<PointId>> = variants
+    let brute = BruteForce::new(shared_points(points.iter().copied()));
+    let cores: Vec<Vec<bool>> = variants
         .iter()
-        .map(|v| brute_core_points(&points, v.eps, v.minpts))
+        .map(|v| core_flags(&brute, v.params()))
         .collect();
 
     // T=1 is the reference; every other thread count must match it.
@@ -321,14 +236,9 @@ fn thread_counts_agree_cold_and_warm() {
     let reference = reference_engine
         .execute(&RunRequest::prepared(&reference_prepared, &variants))
         .unwrap();
-    let ref_labels: Vec<ClusterResult> = (0..variants.len())
-        .map(|i| {
-            ClusterResult::from_labels(Labels::from_raw(
-                reference_prepared.labels_in_caller_order(&reference.results[i]),
-            ))
-        })
+    let ref_labels: Vec<Vec<u32>> = (0..variants.len())
+        .map(|i| reference_prepared.labels_in_caller_order(&reference.results[i]))
         .collect();
-    let ref_noise: Vec<usize> = ref_labels.iter().map(|r| r.noise_count()).collect();
 
     for threads in [2usize, 8] {
         let engine = Engine::new(EngineConfig::default().with_threads(threads).with_r(16));
@@ -339,22 +249,9 @@ fn thread_counts_agree_cold_and_warm() {
             .execute(&RunRequest::prepared(&prepared, &variants))
             .unwrap();
         for (i, v) in variants.iter().enumerate() {
-            let got = ClusterResult::from_labels(Labels::from_raw(
-                prepared.labels_in_caller_order(&cold.results[i]),
-            ));
-            assert_eq!(
-                got.noise_count(),
-                ref_noise[i],
-                "T={threads} cold {v}: noise set size drifted"
-            );
-            check_isomorphic(
-                &ref_labels[i],
-                &got,
-                points.len(),
-                &cores[i],
-                &format!("T={threads} cold {v}"),
-            )
-            .unwrap();
+            let got = prepared.labels_in_caller_order(&cold.results[i]);
+            core_isomorphic(&ref_labels[i], &got, &cores[i])
+                .unwrap_or_else(|e| panic!("T={threads} cold {v}: {e}"));
         }
 
         // Warm: every variant seeded with its own cold result (identity
@@ -375,17 +272,9 @@ fn thread_counts_agree_cold_and_warm() {
             "T={threads}: identity warm sources must all hit"
         );
         for (i, v) in variants.iter().enumerate() {
-            let got = ClusterResult::from_labels(Labels::from_raw(
-                prepared.labels_in_caller_order(&warm.results[i]),
-            ));
-            check_isomorphic(
-                &ref_labels[i],
-                &got,
-                points.len(),
-                &cores[i],
-                &format!("T={threads} warm {v}"),
-            )
-            .unwrap();
+            let got = prepared.labels_in_caller_order(&warm.results[i]);
+            core_isomorphic(&ref_labels[i], &got, &cores[i])
+                .unwrap_or_else(|e| panic!("T={threads} warm {v}: {e}"));
         }
     }
 }

@@ -17,9 +17,9 @@ use variantdbscan::{
     cluster_with_reuse, Engine, EngineConfig, ReferenceScheduleState, ReuseScheme, RunRequest,
     ScheduleSource, ScheduleState, Scheduler, Variant, VariantSet,
 };
-use vbp_dbscan::{dbscan, quality_score};
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::{PackedRTree, SpatialIndex};
+use vbp_dbscan::{core_flags, core_isomorphic, dbscan};
+use vbp_geom::Point2;
+use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
 
 fn cases() -> u32 {
     match std::env::var("VBP_CONFORMANCE_FULL") {
@@ -99,24 +99,11 @@ proptest! {
             cluster_with_reuse(&t_low, &t_high, dst, &base, src, scheme);
         let direct = dbscan(&t_low, dst.params());
 
-        prop_assert_eq!(reused.num_clusters(), direct.num_clusters());
-        prop_assert_eq!(reused.noise_count(), direct.noise_count());
         prop_assert!(reused.check_consistency().is_ok());
         prop_assert!(stats.fraction_reused() <= 1.0);
-        // Border points dominate these tiny clouds, so the threshold sits
-        // below the paper's large-dataset ≥ 0.998; structural equality is
-        // already enforced by the exact count and noise-status asserts.
-        let q = quality_score(&direct, &reused);
-        prop_assert!(q.mean_score > 0.95, "quality {}", q.mean_score);
-
-        // Noise status is order-independent, so it must match exactly.
-        for p in 0..points.len() as PointId {
-            prop_assert_eq!(
-                direct.labels().is_noise(p),
-                reused.labels().is_noise(p),
-                "noise status of {} differs", p
-            );
-        }
+        let core = core_flags(&BruteForce::new(t_low.shared_points()), dst.params());
+        core_isomorphic(direct.labels().as_raw(), reused.labels().as_raw(), &core)
+            .map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -180,26 +167,14 @@ proptest! {
         let report = engine.execute(&RunRequest::new(&points, &variants)).unwrap();
         prop_assert_eq!(report.outcomes.len(), variants.len());
 
+        // The engine's tree is this build, so both sides share tree order.
         let (t_low, _) = PackedRTree::build(&points, 16);
+        let brute = BruteForce::new(t_low.shared_points());
         for (i, v) in variants.iter().enumerate() {
             let direct = dbscan(&t_low, v.params());
-            prop_assert_eq!(
-                direct.num_clusters(),
-                report.results[i].num_clusters(),
-                "variant {}", v
-            );
-            prop_assert_eq!(
-                direct.noise_count(),
-                report.results[i].noise_count(),
-                "variant {}", v
-            );
-            // Border points are a large fraction of these small random
-            // clouds, so the score sits below the paper's ≥ 0.998 (which
-            // is measured on 10⁴–10⁶-point datasets); 0.95 still catches
-            // any structural bug because cluster/noise counts above match
-            // exactly.
-            let q = quality_score(&direct, &report.results[i]);
-            prop_assert!(q.mean_score > 0.95, "variant {}: {}", v, q.mean_score);
+            let got = report.results[i].labels().as_raw();
+            core_isomorphic(direct.labels().as_raw(), got, &core_flags(&brute, v.params()))
+                .map_err(|e| TestCaseError::fail(format!("variant {v}: {e}")))?;
         }
     }
 

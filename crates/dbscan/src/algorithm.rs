@@ -319,6 +319,20 @@ pub fn dbscan_brute_force(points: &[Point2], params: DbscanParams) -> ClusterRes
     dbscan(&idx, params)
 }
 
+/// Core status, the half of the stack's label contract that labels do
+/// not carry: `|N_ε(p)| ≥ minpts` for every point of `index`, in the
+/// index's id order. [`core_isomorphic`](crate::core_isomorphic) takes
+/// it. Over a [`vbp_rtree::BruteForce`] the flags owe nothing to the
+/// index a clustering under test searched.
+pub fn core_flags(index: &impl SpatialIndex, params: DbscanParams) -> Vec<bool> {
+    let mut scratch = Vec::new();
+    index
+        .points()
+        .iter()
+        .map(|&p| index.epsilon_count(p, params.eps, &mut scratch) >= params.minpts)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,16 +434,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn index_choice_preserves_order_independent_structure() {
         // Pseudo-random cloud; compare brute force vs packed tree with
         // several r values. Border points may land in different (adjacent)
-        // clusters depending on processing order — the paper measures this
-        // with its quality metric (§V-D) — but three properties are
-        // order-independent and must match exactly:
-        //   1. the set of noise points,
-        //   2. the number of clusters,
-        //   3. co-membership of *core* point pairs.
+        // clusters depending on processing order, but every index must
+        // count the same core points, and the labels must meet the label
+        // contract (`core_isomorphic`).
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -442,40 +452,28 @@ mod tests {
             .collect();
         let params = DbscanParams::new(0.9, 4);
 
-        // Core status via brute force counting.
-        let is_core: Vec<bool> = points
-            .iter()
-            .map(|p| points.iter().filter(|q| p.within(q, params.eps)).count() >= params.minpts)
-            .collect();
-
         let brute = BruteForce::new(shared_points(points.clone()));
         let base = dbscan(&brute, params);
+        let is_core = core_flags(&brute, params);
+        assert!(is_core.iter().any(|&c| c) && !is_core.iter().all(|&c| c));
 
         for r in [1, 8, 64] {
             let (tree, perm) = PackedRTree::build(&points, r);
             let res = dbscan(&tree, params);
-            // Map tree-order labels back to original ids.
+            // Map tree-order flags and labels back to original ids.
+            let mut mapped_core = vec![false; points.len()];
             let mut mapped = vec![crate::labels::UNCLASSIFIED; points.len()];
-            for (tree_idx, &orig) in perm.iter().enumerate() {
-                mapped[orig as usize] = res.labels().raw(tree_idx as PointId);
+            for ((&orig, &core), &label) in perm
+                .iter()
+                .zip(&core_flags(&tree, params))
+                .zip(res.labels().as_raw())
+            {
+                mapped_core[orig as usize] = core;
+                mapped[orig as usize] = label;
             }
-            assert_eq!(base.num_clusters(), res.num_clusters(), "r={r}");
-            for i in 0..points.len() {
-                assert_eq!(
-                    base.labels().raw(i as PointId) == crate::labels::NOISE,
-                    mapped[i] == crate::labels::NOISE,
-                    "noise status of point {i} differs, r={r}"
-                );
-            }
-            let core_ids: Vec<usize> = (0..points.len()).filter(|&i| is_core[i]).collect();
-            for (a, &i) in core_ids.iter().enumerate() {
-                for &j in &core_ids[a + 1..] {
-                    let same_base =
-                        base.labels().raw(i as PointId) == base.labels().raw(j as PointId);
-                    let same_tree = mapped[i] == mapped[j];
-                    assert_eq!(same_base, same_tree, "core pair ({i},{j}) r={r}");
-                }
-            }
+            assert_eq!(mapped_core, is_core, "r={r}: core flags");
+            crate::core_isomorphic(base.labels().as_raw(), &mapped, &is_core)
+                .unwrap_or_else(|e| panic!("r={r}: {e}"));
         }
     }
 

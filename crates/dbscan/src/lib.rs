@@ -18,7 +18,9 @@
 //! - [`labels`] / [`result`] — compact cluster labelings and the
 //!   [`ClusterResult`] type consumed by VariantDBSCAN's reuse machinery.
 //! - [`quality`] — the per-point cluster-similarity score of Januzaj et
-//!   al. (DBDC) used by §V-D to show VariantDBSCAN ≈ DBSCAN (≥ 0.998).
+//!   al. (DBDC) used by §V-D to show VariantDBSCAN ≈ DBSCAN (≥ 0.998),
+//!   and the label contract every suite asserts instead
+//!   ([`core_isomorphic`] over [`core_flags`]).
 //! - [`kdist`] — the sorted k-distance plot heuristic of the original
 //!   DBSCAN paper, which §V-B uses to justify `minpts = 4`.
 
@@ -34,12 +36,14 @@ pub mod result;
 pub mod sharded;
 pub mod unionfind;
 
-pub use algorithm::{dbscan, dbscan_with_scratch, DbscanParams, DbscanScratch, DbscanStats};
+pub use algorithm::{
+    core_flags, dbscan, dbscan_with_scratch, DbscanParams, DbscanScratch, DbscanStats,
+};
 pub use gridbscan::grid_dbscan;
 pub use incremental::{IncrementalDbscan, InsertOutcome};
 pub use kdist::{kdist_plot, suggest_eps, KneePoint};
 pub use labels::{ClusterId, Labels, MAX_CLUSTER_ID, NOISE, UNCLAIMED, UNCLASSIFIED};
-pub use quality::{quality_score, QualityReport};
+pub use quality::{core_isomorphic, quality_score, QualityReport};
 pub use result::ClusterResult;
 pub use sharded::{
     check_point_id_capacity, parallel_dbscan, sharded_dbscan, CapacityError, ShardStats, MAX_POINTS,

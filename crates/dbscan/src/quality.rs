@@ -1,8 +1,10 @@
-//! The cluster-quality metric of §V-D (Januzaj et al., DBDC).
+//! The two comparisons of one clustering against another.
 //!
 //! VariantDBSCAN may process points in a different order than DBSCAN, so
-//! border points can land in different (but adjacent) clusters. The paper
-//! quantifies the discrepancy per point:
+//! border points can land in different (but adjacent) clusters.
+//!
+//! [`quality_score`] is the paper's *reported* metric: the cluster-quality
+//! score of §V-D (Januzaj et al., DBDC). Per point:
 //!
 //! - noise in one result but not the other → score 0;
 //! - noise in both → correctly identified → score 1;
@@ -11,6 +13,12 @@
 //!
 //! The variant's score is the mean over all points; the paper reports
 //! ≥ 0.998 across every dataset (Figure 7c).
+//!
+//! [`core_isomorphic`] is the *asserted* contract, and every suite checks
+//! it: DBSCAN's core partition is unique, so two correct runs may differ
+//! only in which adjacent cluster a border point joins. A score can stay
+//! above any threshold while a core point sits in the wrong cluster; the
+//! relation cannot.
 
 use std::collections::HashMap;
 
@@ -112,6 +120,97 @@ pub fn quality_score(reference: &ClusterResult, candidate: &ClusterResult) -> Qu
     }
 }
 
+/// The stack's label contract: `candidate` labels the same points as
+/// `reference` up to which adjacent cluster each border point joins.
+///
+/// Both are raw labels over the same ids ([`NOISE`] = `u32::MAX`), as
+/// [`Labels::as_raw`](crate::Labels::as_raw) or a caller-order reply
+/// gives them, and `core` is [`core_flags`](crate::core_flags) over those
+/// ids. The relation holds when
+///
+/// - the three slices have one length;
+/// - the noise sets are equal;
+/// - every core point is in a cluster;
+/// - over the core points, the map from `reference`'s clusters to
+///   `candidate`'s never splits a cluster and never merges two;
+/// - each side's cluster ids are dense `0..k`, as every finished
+///   clustering's are, and both sides have the same `k`.
+///
+/// Noise status and the core partition do not depend on visit order, so
+/// every correct path meets it: any index, thread count, schedule, reuse
+/// source, shard count, door or cluster numbering.
+///
+/// # Errors
+///
+/// Describes the first break: the lengths, else the first point (in id
+/// order) whose noise status or core assignment breaks the relation, else
+/// the cluster ids.
+pub fn core_isomorphic(reference: &[u32], candidate: &[u32], core: &[bool]) -> Result<(), String> {
+    if reference.len() != candidate.len() || core.len() != reference.len() {
+        return Err(format!(
+            "lengths differ: reference {}, candidate {}, core flags {}",
+            reference.len(),
+            candidate.len(),
+            core.len()
+        ));
+    }
+    let (mut forward, mut backward) = (HashMap::new(), HashMap::new());
+    for (p, ((&a, &b), &is_core)) in reference.iter().zip(candidate).zip(core).enumerate() {
+        if (a == NOISE) != (b == NOISE) {
+            let side = if a == NOISE { "reference" } else { "candidate" };
+            return Err(format!(
+                "noise status of point {p} differs: noise in {side} only"
+            ));
+        }
+        if !is_core {
+            continue;
+        }
+        if a == NOISE {
+            return Err(format!("core point {p} is noise"));
+        }
+        let image = *forward.entry(a).or_insert(b);
+        if image != b {
+            return Err(format!(
+                "reference cluster {a} split at core point {p}: candidate clusters {image} and {b}"
+            ));
+        }
+        let origin = *backward.entry(b).or_insert(a);
+        if origin != a {
+            return Err(format!(
+                "reference clusters {origin} and {a} merged into candidate cluster {b} at core point {p}"
+            ));
+        }
+    }
+    let k = dense_clusters("reference", reference)?;
+    let k_candidate = dense_clusters("candidate", candidate)?;
+    if k != k_candidate {
+        return Err(format!(
+            "cluster counts differ: reference {k}, candidate {k_candidate}"
+        ));
+    }
+    Ok(())
+}
+
+/// The number of clusters `k` in `labels`, whose ids must be `0..k`.
+fn dense_clusters(side: &str, labels: &[u32]) -> Result<usize, String> {
+    let mut seen = vec![false; labels.len()];
+    for (p, &l) in labels.iter().enumerate() {
+        match seen.get_mut(l as usize) {
+            Some(slot) => *slot = true,
+            None if l == NOISE => {}
+            None => return Err(format!("{side} label {l} of point {p} is no cluster id")),
+        }
+    }
+    let k = seen.iter().take_while(|&&s| s).count();
+    match seen[k..].iter().position(|&s| s) {
+        Some(gap) => Err(format!(
+            "{side} cluster ids are not dense: {} is used, {k} is not",
+            k + gap
+        )),
+        None => Ok(k),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +282,58 @@ mod tests {
         let a = result(vec![0, 0]);
         let b = result(vec![0, 0, 0]);
         quality_score(&a, &b);
+    }
+
+    /// `core_isomorphic`'s error for `reference`/`candidate` with every
+    /// point core but those `border` names.
+    fn breaks(reference: &[u32], candidate: &[u32], border: &[usize]) -> String {
+        let core: Vec<bool> = (0..reference.len()).map(|p| !border.contains(&p)).collect();
+        core_isomorphic(reference, candidate, &core).expect_err("relation broken")
+    }
+
+    #[test]
+    fn core_isomorphic_names_each_way_to_break_it() {
+        let n = NOISE;
+        assert!(breaks(&[0, 0], &[0, 0, 0], &[]).starts_with("lengths differ"));
+        assert!(core_isomorphic(&[0, 0], &[0, 0], &[true]).is_err());
+        assert_eq!(
+            breaks(&[0, 0, n], &[0, 0, 0], &[2]),
+            "noise status of point 2 differs: noise in reference only"
+        );
+        assert_eq!(
+            breaks(&[0, 0, 1, 1], &[0, 0, 0, 0], &[1, 2, 3]),
+            "cluster counts differ: reference 2, candidate 1"
+        );
+        assert_eq!(breaks(&[0, n], &[0, n], &[]), "core point 1 is noise");
+        assert_eq!(
+            breaks(&[0, 0, 0, 0], &[0, 0, 1, 1], &[]),
+            "reference cluster 0 split at core point 2: candidate clusters 0 and 1"
+        );
+        assert_eq!(
+            breaks(&[0, 0, 1, 1], &[0, 0, 0, 0], &[]),
+            "reference clusters 0 and 1 merged into candidate cluster 0 at core point 2"
+        );
+        assert_eq!(
+            breaks(&[0, 0, 1], &[0, 0, 2], &[2]),
+            "candidate cluster ids are not dense: 2 is used, 1 is not"
+        );
+    }
+
+    #[test]
+    fn core_isomorphic_allows_renumbering_and_moved_borders() {
+        let n = NOISE;
+        let core = [true, true, true, true, false, true];
+        assert_eq!(
+            core_isomorphic(&[0, 0, 1, 1, n, 2], &[2, 2, 0, 0, n, 1], &core),
+            Ok(())
+        );
+        // Point 2 is a border point within ε of both clusters' cores.
+        let core = [true, true, false, true, true];
+        assert_eq!(
+            core_isomorphic(&[0, 0, 0, 1, 1], &[0, 0, 1, 1, 1], &core),
+            Ok(())
+        );
+        assert_eq!(core_isomorphic(&[], &[], &[]), Ok(()));
     }
 
     #[test]

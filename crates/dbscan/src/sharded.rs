@@ -55,7 +55,7 @@ const UNCLAIMED: u32 = u32::MAX;
 /// Maximum dataset size the claim/point-id machinery supports.
 ///
 /// Point ids and border claims are `u32`, and `u32::MAX` is reserved as
-/// the [`UNCLAIMED`] sentinel — a dataset of `u32::MAX` points would give
+/// the `UNCLAIMED` sentinel — a dataset of `u32::MAX` points would give
 /// its last point an id that aliases the sentinel (and the sequential
 /// label machinery additionally reserves `u32::MAX - 1` for
 /// "unclassified"). [`sharded_dbscan`] refuses larger inputs; see
@@ -308,49 +308,17 @@ mod tests {
         }
     }
 
-    #[allow(clippy::needless_range_loop)]
-    /// Core-structure equivalence with sequential DBSCAN: same clusters
-    /// over core points, same noise set.
-    fn assert_equivalent(points: &[Point2], params: DbscanParams, threads: usize) {
-        let idx = BruteForce::new(shared_points(points.to_vec()));
-        let seq = dbscan(&idx, params);
-        let par = parallel_dbscan(&idx, params, threads);
-
-        assert_eq!(seq.num_clusters(), par.num_clusters(), "cluster count");
-        assert_eq!(seq.noise_count(), par.noise_count(), "noise count");
-        let is_core: Vec<bool> = points
-            .iter()
-            .map(|p| points.iter().filter(|q| p.within(q, params.eps)).count() >= params.minpts)
-            .collect();
-        for i in 0..points.len() {
-            assert_eq!(
-                seq.labels().is_noise(i as PointId),
-                par.labels().is_noise(i as PointId),
-                "noise status of {i}"
-            );
-        }
-        for i in 0..points.len() {
-            if !is_core[i] {
-                continue;
-            }
-            for j in (i + 1)..points.len() {
-                if is_core[j] {
-                    assert_eq!(
-                        seq.labels().cluster(i as PointId) == seq.labels().cluster(j as PointId),
-                        par.labels().cluster(i as PointId) == par.labels().cluster(j as PointId),
-                        "core pair ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn equivalent_to_sequential_on_random_clouds() {
+        let params = DbscanParams::new(0.8, 4);
         for seed in [1u64, 2, 3] {
-            let points = cloud(300, seed);
+            let idx = BruteForce::new(shared_points(cloud(300, seed)));
+            let seq = dbscan(&idx, params);
+            let core = crate::core_flags(&idx, params);
             for threads in [1usize, 2, 4, 8] {
-                assert_equivalent(&points, DbscanParams::new(0.8, 4), threads);
+                let par = parallel_dbscan(&idx, params, threads);
+                crate::core_isomorphic(seq.labels().as_raw(), par.labels().as_raw(), &core)
+                    .unwrap_or_else(|e| panic!("seed {seed}, threads {threads}: {e}"));
             }
         }
     }

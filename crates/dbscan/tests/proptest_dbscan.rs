@@ -13,7 +13,7 @@
 //! 6. the result is invariant (up to border assignment) across indexes.
 
 use proptest::prelude::*;
-use vbp_dbscan::{dbscan, quality_score, DbscanParams};
+use vbp_dbscan::{core_flags, core_isomorphic, dbscan, quality_score, DbscanParams};
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::traits::shared_points;
 use vbp_rtree::{BruteForce, PackedRTree};
@@ -23,13 +23,6 @@ fn arb_cloud() -> impl Strategy<Value = Vec<Point2>> {
         (-10.0f64..10.0, -10.0f64..10.0).prop_map(|(x, y)| Point2::new(x, y)),
         0..200,
     )
-}
-
-fn core_mask(points: &[Point2], params: DbscanParams) -> Vec<bool> {
-    points
-        .iter()
-        .map(|p| points.iter().filter(|q| p.within(q, params.eps)).count() >= params.minpts)
-        .collect()
 }
 
 proptest! {
@@ -46,7 +39,7 @@ proptest! {
         let result = dbscan(&idx, params);
         prop_assert!(result.check_consistency().is_ok());
 
-        let is_core = core_mask(&points, params);
+        let is_core = core_flags(&idx, params);
         let labels = result.labels();
 
         for i in 0..points.len() {
@@ -91,7 +84,6 @@ proptest! {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn packed_tree_result_equivalent_to_brute_force(
         points in arb_cloud(),
         eps in 0.05f64..3.0,
@@ -105,27 +97,14 @@ proptest! {
         let (tree, perm) = PackedRTree::build(&points, r);
         let tree_result = dbscan(&tree, params);
 
-        prop_assert_eq!(base.num_clusters(), tree_result.num_clusters());
-        prop_assert_eq!(base.noise_count(), tree_result.noise_count());
-
-        // Remap to original order and compare with the paper's quality
-        // metric; only border points may differ, so the score stays high
-        // but need not be 1.0. Noise status is order-independent.
+        // Only border points may differ, so the tree's labels, mapped back
+        // to original order, meet the label contract.
         let mut remapped = vec![vbp_dbscan::NOISE; points.len()];
         for (tree_idx, &orig) in perm.iter().enumerate() {
             remapped[orig as usize] = tree_result.labels().raw(tree_idx as PointId);
         }
-        for i in 0..points.len() {
-            prop_assert_eq!(
-                base.labels().is_noise(i as PointId),
-                remapped[i] == vbp_dbscan::NOISE
-            );
-        }
-        let remapped_result = vbp_dbscan::ClusterResult::from_labels(
-            vbp_dbscan::Labels::from_raw(renumber(&remapped)),
-        );
-        let q = quality_score(&base, &remapped_result);
-        prop_assert!(q.mean_score > 0.9, "quality {}", q.mean_score);
+        core_isomorphic(base.labels().as_raw(), &remapped, &core_flags(&brute, params))
+            .map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -169,15 +148,14 @@ proptest! {
     ) {
         let params = DbscanParams::new(eps, minpts);
         let from_grid = vbp_dbscan::grid_dbscan(&points, params);
-        let classic = dbscan(&BruteForce::new(shared_points(points.clone())), params);
-        prop_assert_eq!(from_grid.num_clusters(), classic.num_clusters());
-        prop_assert_eq!(from_grid.noise_count(), classic.noise_count());
-        for p in 0..points.len() as PointId {
-            prop_assert_eq!(
-                from_grid.labels().is_noise(p),
-                classic.labels().is_noise(p)
-            );
-        }
+        let brute = BruteForce::new(shared_points(points.clone()));
+        let classic = dbscan(&brute, params);
+        core_isomorphic(
+            classic.labels().as_raw(),
+            from_grid.labels().as_raw(),
+            &core_flags(&brute, params),
+        )
+        .map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -212,25 +190,6 @@ proptest! {
         let strict = dbscan(&idx, DbscanParams::new(eps, minpts + 2));
         prop_assert!(strict.noise_count() >= loose.noise_count());
     }
-}
-
-/// Renumbers raw labels (with NOISE sentinel) into dense 0..k ids.
-fn renumber(raw: &[u32]) -> Vec<u32> {
-    let mut map = std::collections::HashMap::new();
-    let mut next = 0u32;
-    raw.iter()
-        .map(|&l| {
-            if l == vbp_dbscan::NOISE {
-                l
-            } else {
-                *map.entry(l).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                })
-            }
-        })
-        .collect()
 }
 
 #[test]

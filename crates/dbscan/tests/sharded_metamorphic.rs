@@ -4,15 +4,9 @@
 //! family, sharded DBSCAN labels must be **bit-identical to the
 //! single-thread disjoint-set kernel** for every shard count × thread
 //! count combination (the slicing and the interleaving must be
-//! invisible), and **label-isomorphic to sequential DBSCAN**:
-//!
-//! 1. the noise sets are identical (noise status is order-independent);
-//! 2. the cluster counts are identical;
-//! 3. the map `sequential cluster → sharded cluster` restricted to
-//!    *core* points (whose assignment is order-independent, unlike
-//!    border points) is a well-defined bijection — core status is
-//!    established by brute-force neighbor counting, independent of every
-//!    index backend.
+//! invisible), and meet the label contract against sequential DBSCAN:
+//! [`vbp_dbscan::core_isomorphic`], with core status counted over a
+//! brute-force index that no index backend or partition can bias.
 //!
 //! The families mirror the ε-neighborhood conformance suite (random,
 //! duplicate-heavy, collinear, dense blob) and keep its exact-boundary ε
@@ -23,11 +17,11 @@
 //! Budget: case count scales under `VBP_CONFORMANCE_FULL=1` (the
 //! `CHECK_FULL=1` path of `scripts/check.sh`).
 
-use std::collections::{HashMap, HashSet};
-
-use vbp_dbscan::{dbscan, parallel_dbscan, sharded_dbscan, ClusterId, ClusterResult, DbscanParams};
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::{PackedRTree, SpatialIndex};
+use vbp_dbscan::{
+    core_flags, core_isomorphic, dbscan, parallel_dbscan, sharded_dbscan, DbscanParams,
+};
+use vbp_geom::Point2;
+use vbp_rtree::{BruteForce, PackedRTree, SpatialIndex};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -134,70 +128,6 @@ fn families() -> Vec<Family> {
     out
 }
 
-/// Core points of `(eps, minpts)` by brute force — the oracle no index
-/// backend or partition can bias.
-fn brute_core_points(points: &[Point2], eps: f64, minpts: usize) -> Vec<PointId> {
-    let eps_sq = eps * eps;
-    (0..points.len())
-        .filter(|&i| {
-            points
-                .iter()
-                .filter(|q| points[i].dist_sq(q) <= eps_sq)
-                .count()
-                >= minpts
-        })
-        .map(|i| i as PointId)
-        .collect()
-}
-
-/// The three-part label-isomorphism relation between the sequential
-/// clustering and a sharded clustering of the same parameters.
-fn check_isomorphic(
-    direct: &ClusterResult,
-    sharded: &ClusterResult,
-    n: usize,
-    cores: &[PointId],
-    ctx: &str,
-) {
-    for p in 0..n as PointId {
-        assert_eq!(
-            direct.labels().is_noise(p),
-            sharded.labels().is_noise(p),
-            "{ctx}: noise status of point {p} differs"
-        );
-    }
-    assert_eq!(
-        direct.num_clusters(),
-        sharded.num_clusters(),
-        "{ctx}: cluster counts differ"
-    );
-    let mut forward: HashMap<ClusterId, ClusterId> = HashMap::new();
-    let mut images: HashSet<ClusterId> = HashSet::new();
-    for &p in cores {
-        let a = direct
-            .labels()
-            .cluster(p)
-            .unwrap_or_else(|| panic!("{ctx}: core point {p} unclustered sequentially"));
-        let b = sharded
-            .labels()
-            .cluster(p)
-            .unwrap_or_else(|| panic!("{ctx}: core point {p} unclustered sharded"));
-        match forward.get(&a) {
-            Some(&mapped) => assert_eq!(
-                mapped, b,
-                "{ctx}: sequential cluster {a} split across sharded clusters at core {p}"
-            ),
-            None => {
-                assert!(
-                    images.insert(b),
-                    "{ctx}: sharded cluster {b} absorbed two sequential clusters"
-                );
-                forward.insert(a, b);
-            }
-        }
-    }
-}
-
 /// The main grid: every family × (ε, minpts) × shard count × thread
 /// count. Bit-equality against the unsharded kernel, isomorphism against
 /// sequential DBSCAN.
@@ -205,7 +135,7 @@ fn check_isomorphic(
 fn shard_merged_labels_match_single_shard_on_every_family() {
     for family in families() {
         let (tree, _) = PackedRTree::build(&family.points, 16);
-        let points = tree.points().to_vec();
+        let brute = BruteForce::new(tree.shared_points());
         for &(eps, minpts) in &family.params {
             let params = DbscanParams::new(eps, minpts);
             let unsharded = parallel_dbscan(&tree, params, 1);
@@ -216,7 +146,7 @@ fn shard_merged_labels_match_single_shard_on_every_family() {
                 family.name
             );
             let sequential = dbscan(&tree, params);
-            let cores = brute_core_points(&points, eps, minpts);
+            let core = core_flags(&brute, params);
             for shards in SHARD_COUNTS {
                 for threads in THREAD_COUNTS {
                     let ctx = format!(
@@ -231,10 +161,15 @@ fn shard_merged_labels_match_single_shard_on_every_family() {
                     );
                     assert_eq!(
                         stats.points_per_shard.iter().sum::<usize>(),
-                        points.len(),
+                        tree.len(),
                         "{ctx}: slices lost points"
                     );
-                    check_isomorphic(&sequential, &result, points.len(), &cores, &ctx);
+                    core_isomorphic(
+                        sequential.labels().as_raw(),
+                        result.labels().as_raw(),
+                        &core,
+                    )
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 }
             }
         }

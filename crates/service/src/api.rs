@@ -7,10 +7,10 @@
 //!
 //! - the replies: [`SubmitReply`], [`AppendReply`], [`WatchReply`], the
 //!   [`Delta`] push, and [`Health`];
-//! - the refusals: [`ErrorCode`] (the wire tokens) and [`Rejection`]
+//! - the refusals: [`ErrorCode`] (the wire tokens) and `Rejection`
 //!   (code + message + backoff hint — everything a door needs to render
 //!   one);
-//! - the argument rules: [`check_variant`] and [`check_batch`], the only
+//! - the argument rules: `check_variant` and `check_batch`, the only
 //!   place a `(ε, minpts)` pair or a point batch off either wire is
 //!   judged;
 //! - [`DatasetService`]: the six verbs every daemon door answers, with
@@ -261,7 +261,7 @@ pub struct Health {
 /// Implemented by [`Client`](crate::client::Client) (line protocol) and
 /// [`HttpClient`](crate::http::HttpClient) (HTTP/1.1 gateway) with
 /// identical semantics: same typed replies, same [`ClientError`]
-/// taxonomy, same [`ErrorCode`](crate::protocol::ErrorCode) tokens on
+/// taxonomy, same [`ErrorCode`] tokens on
 /// rejection. Methods take `&mut self` because both implementations own
 /// one sequential connection.
 pub trait DatasetService {

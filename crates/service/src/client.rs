@@ -21,7 +21,7 @@ pub enum ClientError {
     /// back off before retrying. Both transports produce this variant —
     /// the line protocol via a `retry-after=N` message token, HTTP via
     /// the `Retry-After` header — so backoff logic written against the
-    /// [`DatasetService`](crate::api::DatasetService) trait works on
+    /// [`DatasetService`] trait works on
     /// either wire.
     Overloaded {
         /// The server's parsed backoff hint, when it sent one.

@@ -3,17 +3,17 @@
 //!
 //! Every door — the line protocol ([`crate::line`]), the HTTP gateway
 //! ([`crate::http`]) and, one hop out, the router — is *parse → call →
-//! render* around the entry points of [`Shared`]:
+//! render* around the entry points of `Shared`:
 //!
-//! - [`Shared::submit_wait`] — dataset check, bounded admission, wait for
+//! - `Shared::submit_wait` — dataset check, bounded admission, wait for
 //!   the dispatcher's answer;
-//! - [`Shared::append`] — streaming mutation under the append lock, with
+//! - `Shared::append` — streaming mutation under the append lock, with
 //!   its ledger;
-//! - [`Shared::watch`] — subscribe to a `(dataset, variant)` delta stream;
-//! - [`Shared::stats_json`] / [`Shared::metrics_text`] — the two views of
+//! - `Shared::watch` — subscribe to a `(dataset, variant)` delta stream;
+//! - `Shared::stats_json` / `Shared::metrics_text` — the two views of
 //!   the one counter table ([`counters`]).
 //!
-//! Each answers a typed reply or a [`Rejection`] that already carries
+//! Each answers a typed reply or a `Rejection` that already carries
 //! every decision a door would otherwise have to make (code, message,
 //! backoff hint), so no door re-derives one.
 //!

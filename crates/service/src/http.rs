@@ -3,11 +3,11 @@
 //! router — plus the daemon's own door behind it and a blocking client
 //! in front of it.
 //!
-//! [`serve_http`] frames requests off a [`Transport`], resolves each
-//! through [`Route::parse`] (which owns the `404`/`405 + Allow`
+//! `serve_http` frames requests off a [`Transport`], resolves each
+//! through `Route::parse` (which owns the `404`/`405 + Allow`
 //! answers), hands valid routes to a `FnMut(Route, &[u8]) -> Response`
-//! handler, and writes the [`Response`]. The daemon's handler is
-//! [`daemon_route`] — *parse → call the core → render*; the router's
+//! handler, and writes the `Response`. The daemon's handler is
+//! `daemon_route` — *parse → call the core → render*; the router's
 //! lives in [`crate::router`]. Bodies, replies and errors are spelled by
 //! [`crate::wire`] on both sides of the socket. Hand-rolled and
 //! `std`-only (the build environment is offline), on the same
@@ -33,7 +33,7 @@
 //!
 //! # Status mapping
 //!
-//! Both doors make the same [`Shared`] calls, so an HTTP submission's
+//! Both doors make the same `Shared` calls, so an HTTP submission's
 //! labels are the line protocol's for the same `(dataset, ε, minpts)`,
 //! and a refusal travels under the status of its [`ErrorCode`]:
 //!

@@ -5,7 +5,7 @@
 //! line framing ([`LineIo`]): an oversized or non-UTF-8 line costs the
 //! client one `ERR protocol` and a resync, never unbounded buffering or
 //! a dead handler. Everything between the parse and the render is
-//! [`Shared`]'s; the grammar on both sides of it is [`crate::protocol`]'s.
+//! `Shared`'s; the grammar on both sides of it is [`crate::protocol`]'s.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;

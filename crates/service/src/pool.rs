@@ -2,7 +2,7 @@
 //!
 //! The router keeps a [`BackendPool`] per backend daemon. A pool owns
 //! at most `cap` connections — each a boxed
-//! [`DatasetService`](crate::api::DatasetService), so the pool neither
+//! [`DatasetService`], so the pool neither
 //! knows nor cares which wire its connections speak — and lends them
 //! out one handler at a time:
 //!

@@ -23,11 +23,11 @@
 //! | `GET /healthz`              | probe all, answer by quorum             |
 //!
 //! The router is a second handler behind the gateway's own front end
-//! ([`serve_http`], [`Route`]) and speaks the gateway's own JSON
+//! (`serve_http`, `Route`) and speaks the gateway's own JSON
 //! ([`crate::wire`]): bodies are parsed *at the router*, so a malformed
 //! submit costs a local `400` and never touches a backend, and proxied
 //! replies are re-rendered from the typed
-//! [`DatasetService`](crate::api::DatasetService) reply. The one field
+//! [`DatasetService`] reply. The one field
 //! that does not survive the hop is the submit `report` embed (the
 //! trait reply does not carry it — scrape a backend directly when you
 //! want its RunReport).

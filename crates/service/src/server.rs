@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Both listeners run the one accept loop
-//! ([`spawn_accept_loop`](crate::transport::spawn_accept_loop)) against
-//! the *same* [`Shared`]: one admission queue, one dispatcher, one cache,
+//! (`spawn_accept_loop`) against
+//! the *same* `Shared`: one admission queue, one dispatcher, one cache,
 //! one set of counters, whichever wire a request arrived on.
 //!
 //! # Graceful drain

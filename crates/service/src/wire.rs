@@ -10,7 +10,7 @@
 //!
 //! Request bodies are validated with the line protocol's strictness:
 //! unknown fields are rejected the way trailing tokens are, and the
-//! arguments go through the same [`check_variant`] / [`check_batch`]
+//! arguments go through the same `check_variant` / `check_batch`
 //! rules. Everything is built on the hand-rolled
 //! [`variantdbscan::json`] writer and parser.
 //!

@@ -65,14 +65,13 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use common::{
-    assert_isomorphic, assert_metrics_match_stats, assert_stats_consistent, brute_core_points,
-    field_u64, metric_u64, Watchdog,
+    assert_metrics_match_stats, assert_stats_consistent, field_u64, metric_u64, Watchdog,
 };
 use variantdbscan::{Engine, RunRequest, Variant, VariantSet};
 use vbp_data::Pcg32;
-use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::PackedRTree;
+use vbp_dbscan::{core_flags, core_isomorphic, suggest_eps, DbscanParams};
+use vbp_geom::Point2;
+use vbp_rtree::{shared_points, BruteForce, PackedRTree};
 use vbp_service::http::MAX_LINE_BYTES;
 use vbp_service::{
     parse_json, Client, ErrorCode, FaultPlan, FaultTransport, HttpClient, JsonValue, ServerHandle,
@@ -82,13 +81,13 @@ use vbp_service::{
 const DATASET: &str = "cF_10k_5N@300";
 
 /// Precomputed ground truth for the fixed variant pool: direct engine
-/// labels (caller order) and brute-force core sets, computed once for
+/// labels (caller order) and brute-force core flags, computed once for
 /// the whole binary.
 struct Oracle {
     points: Vec<Point2>,
     pool: Vec<(f64, usize)>,
-    direct: Vec<ClusterResult>,
-    cores: Vec<Vec<PointId>>,
+    direct: Vec<Vec<u32>>,
+    cores: Vec<Vec<bool>>,
 }
 
 fn oracle() -> &'static Oracle {
@@ -103,18 +102,12 @@ fn oracle() -> &'static Oracle {
                 pool.push((base * scale, minpts));
             }
         }
-        let engine = Engine::new(common::engine_config(2));
+        let brute = BruteForce::new(shared_points(points.iter().copied()));
         let mut direct = Vec::new();
         let mut cores = Vec::new();
         for &(eps, minpts) in &pool {
-            let variants = VariantSet::new(vec![Variant::new(eps, minpts)]);
-            let report = engine
-                .execute(&RunRequest::new(&points, &variants))
-                .unwrap();
-            direct.push(ClusterResult::from_labels(Labels::from_raw(
-                report.result_in_caller_order(0),
-            )));
-            cores.push(brute_core_points(&points, eps, minpts));
+            direct.push(direct_labels(&points, eps, minpts));
+            cores.push(core_flags(&brute, DbscanParams::new(eps, minpts)));
         }
         Oracle {
             points,
@@ -146,9 +139,8 @@ fn healthy_submit(client: &mut Client, i: usize, ctx: &str) -> bool {
     let reply = client
         .submit(DATASET, eps, minpts, true)
         .unwrap_or_else(|e| panic!("{ctx}: healthy submit failed: {e}"));
-    let served = ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap()));
-    assert_eq!(served.len(), o.points.len(), "{ctx}: label count");
-    assert_isomorphic(&o.direct[i], &served, &o.cores[i], ctx);
+    core_isomorphic(&o.direct[i], &reply.labels.unwrap(), &o.cores[i])
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     reply.warm
 }
 
@@ -197,8 +189,7 @@ fn torn_submit(handle: &ServerHandle, sub_seed: u64, i: usize, ctx: &str) {
         .skip(2) // "LABELS <n>"
         .map(|t| t.parse().unwrap())
         .collect();
-    let served = ClusterResult::from_labels(Labels::from_raw(labels));
-    assert_isomorphic(&o.direct[i], &served, &o.cores[i], ctx);
+    core_isomorphic(&o.direct[i], &labels, &o.cores[i]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
 /// One seeded fault schedule: boot, cold round, warm round, invariants,
@@ -604,9 +595,7 @@ fn http_healthy_submit(http: &mut HttpClient, i: usize, ctx: &str) -> bool {
         .iter()
         .map(|v| v.as_f64().expect("numeric label") as u32)
         .collect();
-    let served = ClusterResult::from_labels(Labels::from_raw(labels));
-    assert_eq!(served.len(), o.points.len(), "{ctx}: label count");
-    assert_isomorphic(&o.direct[i], &served, &o.cores[i], ctx);
+    core_isomorphic(&o.direct[i], &labels, &o.cores[i]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     doc.get("warm")
         .and_then(JsonValue::as_bool)
         .unwrap_or_else(|| panic!("{ctx}: no warm flag"))
@@ -674,8 +663,7 @@ fn torn_http_submit(handle: &ServerHandle, sub_seed: u64, i: usize, ctx: &str) {
         .iter()
         .map(|v| v.as_f64().expect("numeric label") as u32)
         .collect();
-    let served = ClusterResult::from_labels(Labels::from_raw(labels));
-    assert_isomorphic(&o.direct[i], &served, &o.cores[i], ctx);
+    core_isomorphic(&o.direct[i], &labels, &o.cores[i]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
 /// One seeded *mixed-protocol* fault schedule: hostile and healthy HTTP
@@ -1001,18 +989,13 @@ fn panicking_variant_fails_one_job_and_daemon_keeps_serving() {
     // Seam disarmed: the previously poisoned ε now completes, isomorphic
     // to its direct run.
     let reply = client.submit(DATASET, poison_eps, 4, true).unwrap();
-    let served = ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap()));
-    let engine = Engine::new(common::engine_config(2));
-    let poison_set = VariantSet::new(vec![Variant::new(poison_eps, 4)]);
-    let direct = engine
-        .execute(&RunRequest::new(&o.points, &poison_set))
-        .unwrap();
-    assert_isomorphic(
-        &ClusterResult::from_labels(Labels::from_raw(direct.result_in_caller_order(0))),
-        &served,
-        &brute_core_points(&o.points, poison_eps, 4),
-        "containment: disarmed resubmission",
-    );
+    let brute = BruteForce::new(shared_points(o.points.iter().copied()));
+    core_isomorphic(
+        &direct_labels(&o.points, poison_eps, 4),
+        &reply.labels.unwrap(),
+        &core_flags(&brute, DbscanParams::new(poison_eps, 4)),
+    )
+    .unwrap_or_else(|e| panic!("containment: disarmed resubmission: {e}"));
 
     // Accounting: exactly one failure, invariant intact — and the
     // exposition carries both the same counters and the contained panic.
@@ -1066,13 +1049,13 @@ fn store_server(dir: &std::path::Path) -> ServerHandle {
 }
 
 /// Direct engine labels (caller order) for one variant over an explicit
-/// point set — the oracle for post-append generations the precomputed
-/// [`oracle`] can't cover.
-fn direct_result(points: &[Point2], eps: f64, minpts: usize) -> ClusterResult {
+/// point set: the precomputed [`oracle`]'s, and the oracle for
+/// post-append generations it can't cover.
+fn direct_labels(points: &[Point2], eps: f64, minpts: usize) -> Vec<u32> {
     let engine = Engine::new(common::engine_config(2));
     let variants = VariantSet::new(vec![Variant::new(eps, minpts)]);
     let report = engine.execute(&RunRequest::new(points, &variants)).unwrap();
-    ClusterResult::from_labels(Labels::from_raw(report.result_in_caller_order(0)))
+    report.result_in_caller_order(0)
 }
 
 /// Submits one variant with labels and checks it against a direct engine
@@ -1087,14 +1070,13 @@ fn submit_vs_direct(
     let reply = client
         .submit(DATASET, eps, minpts, true)
         .unwrap_or_else(|e| panic!("{ctx}: submit failed: {e}"));
-    let served = ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap()));
-    assert_eq!(served.len(), points.len(), "{ctx}: label count");
-    assert_isomorphic(
-        &direct_result(points, eps, minpts),
-        &served,
-        &brute_core_points(points, eps, minpts),
-        ctx,
-    );
+    let brute = BruteForce::new(shared_points(points.iter().copied()));
+    core_isomorphic(
+        &direct_labels(points, eps, minpts),
+        &reply.labels.unwrap(),
+        &core_flags(&brute, DbscanParams::new(eps, minpts)),
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     reply.warm
 }
 
@@ -1335,13 +1317,8 @@ fn poisoned_batch_peer_is_isolated() {
         let reply = h.join().unwrap().unwrap_or_else(|e| {
             panic!("healthy batch peer {k} dragged down by poisoned variant: {e}")
         });
-        let served = ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap()));
-        assert_isomorphic(
-            &o.direct[k],
-            &served,
-            &o.cores[k],
-            &format!("batch isolation peer {k}"),
-        );
+        core_isomorphic(&o.direct[k], &reply.labels.unwrap(), &o.cores[k])
+            .unwrap_or_else(|e| panic!("batch isolation peer {k}: {e}"));
     }
 
     let stats = handle.stats_json();

@@ -2,14 +2,11 @@
 //! smoke, chaos, stats consistency, protocol properties).
 #![allow(dead_code)] // each test binary uses its own subset
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use variantdbscan::{Engine, EngineConfig};
-use vbp_dbscan::ClusterResult;
-use vbp_geom::{Point2, PointId};
 use vbp_service::{Registry, Server, ServerHandle, ServiceConfig};
 
 /// Aborts the whole process if the guarded scope takes longer than its
@@ -66,68 +63,6 @@ pub fn start_server(datasets: &[&str], threads: usize, config: ServiceConfig) ->
         registry.load(&engine, name).unwrap();
     }
     Server::start(engine, registry, config).unwrap()
-}
-
-/// Core points of `(eps, minpts)` by brute force — the oracle no index
-/// backend or execution path can bias.
-pub fn brute_core_points(points: &[Point2], eps: f64, minpts: usize) -> Vec<PointId> {
-    let eps_sq = eps * eps;
-    (0..points.len())
-        .filter(|&i| {
-            points
-                .iter()
-                .filter(|q| points[i].dist_sq(q) <= eps_sq)
-                .count()
-                >= minpts
-        })
-        .map(|i| i as PointId)
-        .collect()
-}
-
-/// The metamorphic suite's structural label-isomorphism check: identical
-/// noise sets, identical cluster counts, and a core-point cluster
-/// bijection (border points may legally differ between execution paths).
-pub fn assert_isomorphic(
-    direct: &ClusterResult,
-    served: &ClusterResult,
-    cores: &[PointId],
-    ctx: &str,
-) {
-    assert_eq!(direct.len(), served.len(), "{ctx}: size mismatch");
-    for p in 0..direct.len() as PointId {
-        assert_eq!(
-            direct.labels().is_noise(p),
-            served.labels().is_noise(p),
-            "{ctx}: noise status of point {p} differs"
-        );
-    }
-    assert_eq!(
-        direct.num_clusters(),
-        served.num_clusters(),
-        "{ctx}: cluster counts differ"
-    );
-    let mut forward: HashMap<u32, u32> = HashMap::new();
-    let mut images: HashSet<u32> = HashSet::new();
-    for &p in cores {
-        let a = direct
-            .labels()
-            .cluster(p)
-            .unwrap_or_else(|| panic!("{ctx}: core point {p} unclustered in direct run"));
-        let b = served
-            .labels()
-            .cluster(p)
-            .unwrap_or_else(|| panic!("{ctx}: core point {p} unclustered in served run"));
-        match forward.get(&a) {
-            Some(&mapped) => assert_eq!(mapped, b, "{ctx}: cluster {a} split at core {p}"),
-            None => {
-                assert!(
-                    images.insert(b),
-                    "{ctx}: clusters merged into {b} at core {p}"
-                );
-                forward.insert(a, b);
-            }
-        }
-    }
 }
 
 /// Pulls one unsigned counter out of a (flat, trusted) JSON line.

@@ -4,10 +4,10 @@
 //! datasets, drives a 20-variant workload through the TCP line protocol,
 //! and checks the three properties the service exists for:
 //!
-//! 1. **Correctness** — every label vector the daemon returns is
-//!    label-isomorphic to a direct `Engine::run` over the same points
-//!    (and bit-identical for the fully-cold first request per dataset,
-//!    where no reuse is possible);
+//! 1. **Correctness** — every label vector the daemon returns meets the
+//!    label contract (`core_isomorphic`) against a direct `Engine::run`
+//!    over the same points (and is bit-identical for the fully-cold first
+//!    request per dataset, where no reuse is possible);
 //! 2. **Cross-run reuse** — resubmitting the same workload hits the
 //!    dominance cache (`warm=1` replies, `reuse_hits > 0` in `STATS`);
 //! 3. **Graceful drain** — `SHUTDOWN` completes in-flight requests,
@@ -18,11 +18,11 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{assert_isomorphic, brute_core_points, field_u64, start_server, Watchdog};
+use common::{field_u64, start_server, Watchdog};
 use variantdbscan::{Engine, RunReport, RunRequest, VariantSet};
-use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
+use vbp_dbscan::{core_flags, core_isomorphic, suggest_eps, DbscanParams};
 use vbp_geom::Point2;
-use vbp_rtree::PackedRTree;
+use vbp_rtree::{shared_points, BruteForce, PackedRTree};
 use vbp_service::{Client, ErrorCode, HttpClient, JsonValue, ServerHandle, ServiceConfig};
 
 const DATASETS: [&str; 2] = ["cF_10k_5N@600", "SW1@600"];
@@ -75,6 +75,7 @@ fn twenty_variant_workload_matches_direct_engine_and_reuses_across_runs() {
         let points = vbp_data::DatasetSpec::by_name(name).unwrap().generate();
         let engine = Engine::new(common::engine_config(2));
         let variants = workload(&points);
+        let brute = BruteForce::new(shared_points(points.iter().copied()));
 
         // Round 1 — cold cache. Each label vector must be isomorphic to
         // a direct single-variant engine run over the same points; the
@@ -94,13 +95,9 @@ fn twenty_variant_workload_matches_direct_engine_and_reuses_across_runs() {
                     "{name}: cold run must be exact"
                 );
             } else {
-                let cores = brute_core_points(&points, eps, minpts);
-                assert_isomorphic(
-                    &ClusterResult::from_labels(Labels::from_raw(direct_labels)),
-                    &ClusterResult::from_labels(Labels::from_raw(served_labels)),
-                    &cores,
-                    &format!("{name} variant {i} ({eps:.3}, {minpts})"),
-                );
+                let core = core_flags(&brute, DbscanParams::new(eps, minpts));
+                core_isomorphic(&direct_labels, &served_labels, &core)
+                    .unwrap_or_else(|e| panic!("{name} variant {i} ({eps:.3}, {minpts}): {e}"));
             }
         }
 
@@ -109,14 +106,11 @@ fn twenty_variant_workload_matches_direct_engine_and_reuses_across_runs() {
         for (i, &(eps, minpts)) in variants.iter().enumerate() {
             let reply = client.submit(name, eps, minpts, true).unwrap();
             assert!(reply.warm, "{name} variant {i}: expected a cache hit");
-            let cores = brute_core_points(&points, eps, minpts);
+            let core = core_flags(&brute, DbscanParams::new(eps, minpts));
             let direct = direct_run(&engine, &points, eps, minpts);
-            assert_isomorphic(
-                &ClusterResult::from_labels(Labels::from_raw(direct.result_in_caller_order(0))),
-                &ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap())),
-                &cores,
-                &format!("{name} warm variant {i}"),
-            );
+            let served = reply.labels.unwrap();
+            core_isomorphic(&direct.result_in_caller_order(0), &served, &core)
+                .unwrap_or_else(|e| panic!("{name} warm variant {i}: {e}"));
         }
     }
 
@@ -232,12 +226,11 @@ fn http_and_line_protocol_are_label_isomorphic_and_share_the_cache() {
     let name = DATASETS[0];
     let points = vbp_data::DatasetSpec::by_name(name).unwrap().generate();
     let engine = Engine::new(common::engine_config(2));
+    let brute = BruteForce::new(shared_points(points.iter().copied()));
 
     for (i, &(eps, minpts)) in workload(&points).iter().enumerate() {
-        let cores = brute_core_points(&points, eps, minpts);
-        let direct = direct_run(&engine, &points, eps, minpts);
-        let direct_result =
-            ClusterResult::from_labels(Labels::from_raw(direct.result_in_caller_order(0)));
+        let core = core_flags(&brute, DbscanParams::new(eps, minpts));
+        let direct = direct_run(&engine, &points, eps, minpts).result_in_caller_order(0);
 
         // Cold side alternates per variant; the identical resubmission
         // goes through the opposite door and must find the distance-0
@@ -257,12 +250,9 @@ fn http_and_line_protocol_are_label_isomorphic_and_share_the_cache() {
              did not hit the shared cache"
         );
         for (which, labels) in [("cold", cold_labels), ("warm", warm_labels)] {
-            assert_isomorphic(
-                &direct_result,
-                &ClusterResult::from_labels(Labels::from_raw(labels)),
-                &cores,
-                &format!("{name} variant {i} ({eps:.3}, {minpts}) {which} side"),
-            );
+            core_isomorphic(&direct, &labels, &core).unwrap_or_else(|e| {
+                panic!("{name} variant {i} ({eps:.3}, {minpts}) {which} side: {e}")
+            });
         }
     }
 

@@ -24,14 +24,11 @@ mod common;
 
 use std::time::Duration;
 
-use common::{
-    assert_isomorphic, assert_stats_consistent, brute_core_points, field_u64, metric_u64,
-    start_server, Watchdog,
-};
+use common::{assert_stats_consistent, field_u64, metric_u64, start_server, Watchdog};
 use variantdbscan::{Engine, RunReport, RunRequest, VariantSet};
-use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
+use vbp_dbscan::{core_flags, core_isomorphic, suggest_eps, DbscanParams};
 use vbp_geom::Point2;
-use vbp_rtree::PackedRTree;
+use vbp_rtree::{shared_points, BruteForce, PackedRTree};
 use vbp_service::{
     DatasetService, HttpClient, JsonValue, Router, RouterConfig, RouterHandle, ServerHandle,
     ServiceConfig,
@@ -115,6 +112,7 @@ fn routed_workload_is_label_isomorphic_and_lands_on_the_ring_owner() {
         let points = vbp_data::DatasetSpec::by_name(name).unwrap().generate();
         let engine = Engine::new(common::engine_config(2));
         let variants = workload(&points);
+        let brute = BruteForce::new(shared_points(points.iter().copied()));
 
         // Cold round through the router: every reply label-isomorphic
         // to the direct engine over the same points.
@@ -123,12 +121,10 @@ fn routed_workload_is_label_isomorphic_and_lands_on_the_ring_owner() {
             let direct = direct_run(&engine, &points, eps, minpts);
             assert_eq!(reply.clusters, direct.results[0].num_clusters());
             assert_eq!(reply.noise, direct.results[0].noise_count());
-            let cores = brute_core_points(&points, eps, minpts);
-            assert_isomorphic(
-                &ClusterResult::from_labels(Labels::from_raw(direct.result_in_caller_order(0))),
-                &ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap())),
-                &cores,
-                &format!("{name} via router, variant {i} ({eps:.3}, {minpts})"),
+            let core = core_flags(&brute, DbscanParams::new(eps, minpts));
+            let served = reply.labels.unwrap();
+            core_isomorphic(&direct.result_in_caller_order(0), &served, &core).unwrap_or_else(
+                |e| panic!("{name} via router, variant {i} ({eps:.3}, {minpts}): {e}"),
             );
         }
 

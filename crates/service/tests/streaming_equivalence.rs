@@ -28,14 +28,12 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{
-    assert_isomorphic, assert_stats_consistent, brute_core_points, field_u64, metric_u64, Watchdog,
-};
+use common::{assert_stats_consistent, field_u64, metric_u64, Watchdog};
 use variantdbscan::{Engine, RunRequest, Variant, VariantSet, APPEND_RESORT_FRACTION};
 use vbp_data::Pcg32;
-use vbp_dbscan::{suggest_eps, ClusterResult, Labels};
+use vbp_dbscan::{core_flags, core_isomorphic, suggest_eps, ClusterResult, DbscanParams, Labels};
 use vbp_geom::Point2;
-use vbp_rtree::PackedRTree;
+use vbp_rtree::{shared_points, BruteForce, PackedRTree};
 use vbp_service::{Client, Delta, ServerHandle, ServiceConfig};
 
 const DATASET: &str = "cF_10k_5N@300";
@@ -168,10 +166,11 @@ fn run_schedule(seed: u64, actions: usize) -> (u64, u64) {
                 let reply = client
                     .submit(DATASET, eps, minpts, true)
                     .unwrap_or_else(|e| panic!("{ctx}: submit failed: {e}"));
-                let served = ClusterResult::from_labels(Labels::from_raw(reply.labels.unwrap()));
                 let direct = scratch_run(&accumulated, eps, minpts);
-                let cores = brute_core_points(&accumulated, eps, minpts);
-                assert_isomorphic(&direct, &served, &cores, &ctx);
+                let brute = BruteForce::new(shared_points(accumulated.iter().copied()));
+                let core = core_flags(&brute, DbscanParams::new(eps, minpts));
+                core_isomorphic(direct.labels().as_raw(), &reply.labels.unwrap(), &core)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             }
         }
     }

@@ -81,8 +81,17 @@ if [[ $fast -eq 0 ]]; then
     timeout 300 "${CARGO_TARGET_DIR:-target}/release/$bin" --points 2000 --trials 1 > /dev/null
   done
 
-  echo "==> cargo doc (broken intra-doc links are errors)"
-  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --locked --workspace --no-deps --offline
+  # -D warnings denies every rustdoc lint. A cargo warning, such as two
+  # targets writing one output file, is no lint, so the stage also fails
+  # on any warning line cargo prints.
+  echo "==> cargo doc (every warning is an error)"
+  doc_log="$(RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --offline 2>&1)" \
+    || { echo "$doc_log"; exit 1; }
+  echo "$doc_log"
+  if grep -q "warning:" <<<"$doc_log"; then
+    echo "error: cargo doc printed warnings" >&2
+    exit 1
+  fi
 
   echo "==> benchmark package (its unit tests, then every workload at a tenth of the window)"
   timeout 900 cargo test -q --locked --manifest-path benchmark/Cargo.toml

@@ -4,12 +4,11 @@
 //! re-sort, or dropped and computed again — and so does the daemon
 //! restored from the store it persisted.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use vbp::variantdbscan::{Engine, EngineConfig, APPEND_RESORT_FRACTION};
 use vbp::vbp_data::DatasetSpec;
-use vbp::vbp_dbscan::{dbscan, DbscanParams};
+use vbp::vbp_dbscan::{core_flags, core_isomorphic, dbscan, DbscanParams};
 use vbp::vbp_geom::Point2;
 use vbp::vbp_rtree::{shared_points, BruteForce};
 use vbp::vbp_service::{boot_from_store, Client, Registry, Server, ServiceConfig};
@@ -17,24 +16,6 @@ use vbp::vbp_service::{boot_from_store, Client, Registry, Server, ServiceConfig}
 const DATASET: &str = "cF_10k_5N@300";
 /// The warmed variants, `(ε, minpts)`.
 const VARIANTS: [(f64, usize); 4] = [(2.0, 4), (2.5, 4), (2.0, 8), (3.0, 6)];
-
-/// Same noise set, and a bijection between cluster ids over the points
-/// that are core at `(eps, minpts)`.
-fn assert_core_isomorphic(got: &[u32], want: &[u32], points: &[Point2], eps: f64, minpts: usize) {
-    assert_eq!(got.len(), want.len(), "label counts");
-    let (mut forward, mut backward) = (HashMap::new(), HashMap::new());
-    for (p, (&a, &b)) in got.iter().zip(want).enumerate() {
-        assert_eq!(a == u32::MAX, b == u32::MAX, "noise status of point {p}");
-        let neighbors = points
-            .iter()
-            .filter(|q| points[p].dist_sq(q) <= eps * eps)
-            .count();
-        if neighbors >= minpts {
-            assert_eq!(*forward.entry(a).or_insert(b), b, "split at core {p}");
-            assert_eq!(*backward.entry(b).or_insert(a), a, "merge at core {p}");
-        }
-    }
-}
 
 /// A 5 × 5 clump of appended points, far from the dataset and from the
 /// clumps of other rounds.
@@ -57,9 +38,14 @@ fn assert_answers_as_batch(client: &mut Client, points: &[Point2], warm: bool, c
                 "{ctx}: ({eps}, {minpts}) is a hit"
             );
         }
-        let want = dbscan(&index, DbscanParams::new(eps, minpts));
-        let want: Vec<u32> = want.labels().iter_raw().collect();
-        assert_core_isomorphic(&reply.labels.unwrap(), &want, points, eps, minpts);
+        let params = DbscanParams::new(eps, minpts);
+        let want = dbscan(&index, params);
+        core_isomorphic(
+            want.labels().as_raw(),
+            &reply.labels.unwrap(),
+            &core_flags(&index, params),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: ({eps}, {minpts}): {e}"));
     }
 }
 

@@ -12,7 +12,7 @@
 //! documented shape; and all three views of the daemon's counters must
 //! be the counter table, no more and no less.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Barrier;
@@ -20,7 +20,9 @@ use std::time::Duration;
 
 use variantdbscan::{Engine, EngineConfig};
 use vbp_data::DatasetSpec;
+use vbp_dbscan::{core_flags, core_isomorphic, DbscanParams};
 use vbp_geom::Point2;
+use vbp_rtree::{shared_points, BruteForce};
 use vbp_service::{
     counters, parse_json, AppendReply, Client, ClientError, DatasetService, ErrorCode, HttpClient,
     JsonValue, Registry, Router, RouterConfig, RouterHandle, Server, ServerHandle, ServiceConfig,
@@ -107,45 +109,6 @@ fn quiet_config() -> ServiceConfig {
     }
 }
 
-/// Points with at least `minpts` neighbours within `eps` (themselves
-/// included) — where cluster membership is unambiguous.
-fn core_points(points: &[Point2], eps: f64, minpts: usize) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            points
-                .iter()
-                .filter(|q| points[i].dist_sq(q) <= eps * eps)
-                .count()
-                >= minpts
-        })
-        .collect()
-}
-
-/// Same noise set, and a bijection between cluster ids over core points.
-fn assert_isomorphic(a: &[u32], b: &[u32], cores: &[usize], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: label counts");
-    for (p, (la, lb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            *la == u32::MAX,
-            *lb == u32::MAX,
-            "{ctx}: noise status of {p}"
-        );
-    }
-    let (mut forward, mut backward) = (HashMap::new(), HashMap::new());
-    for &p in cores {
-        assert_eq!(
-            *forward.entry(a[p]).or_insert(b[p]),
-            b[p],
-            "{ctx}: split at {p}"
-        );
-        assert_eq!(
-            *backward.entry(b[p]).or_insert(a[p]),
-            a[p],
-            "{ctx}: merge at {p}"
-        );
-    }
-}
-
 /// Everything one door answered to the script.
 struct Transcript {
     submits: Vec<SubmitReply>,
@@ -226,6 +189,7 @@ fn the_same_script_gets_the_same_answers_on_every_door() {
     let mut grown = fleet.points.clone();
     grown.extend([Point2::new(-500.0, -500.0), Point2::new(-500.02, -500.0)]);
     grown.push(Point2::new(fleet.points[0].x + 1e-3, fleet.points[0].y));
+    let strictest = DbscanParams::new(EPS, 2 * MINPTS);
     for (door, other) in [("http", &transcripts[1]), ("routed", &transcripts[2])] {
         for (i, (a, b)) in line.submits.iter().zip(&other.submits).enumerate() {
             let ctx = format!("line vs {door}, submit {i}");
@@ -238,8 +202,9 @@ fn the_same_script_gets_the_same_answers_on_every_door() {
                 (Some(la), Some(lb)) => {
                     // Core under the script's strictest variant means
                     // core under all of them.
-                    let cores = core_points(&grown[..la.len()], EPS, 2 * MINPTS);
-                    assert_isomorphic(la, lb, &cores, &ctx);
+                    let covered = shared_points(grown[..la.len()].iter().copied());
+                    let core = core_flags(&BruteForce::new(covered), strictest);
+                    core_isomorphic(la, lb, &core).unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 }
                 (None, None) => {}
                 _ => panic!("{ctx}: one door sent labels, the other did not"),
