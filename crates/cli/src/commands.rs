@@ -10,8 +10,9 @@ use variantdbscan::{
 };
 use vbp_data::DatasetSpec;
 use vbp_dbscan::{dbscan, suggest_eps, DbscanParams};
-use vbp_geom::Point2;
-use vbp_rtree::{PackedRTree, SpatialIndex};
+use vbp_geom::binning::unpermute;
+use vbp_geom::{Point2, PointId};
+use vbp_rtree::PackedRTree;
 
 use crate::args::Args;
 
@@ -105,9 +106,10 @@ pub fn cluster(args: &Args) -> Result<String, String> {
     let t0 = std::time::Instant::now();
     let result = dbscan(&tree, DbscanParams::new(eps, minpts));
     let elapsed = t0.elapsed();
+    let labels = unpermute(&perm, |i| result.labels().raw(i as PointId));
 
     if let Some(out) = args.get("out") {
-        write_labeled_csv(out, tree.points(), &perm, result.labels())?;
+        write_labeled_csv(out, &points, &labels)?;
     }
 
     let mut s = String::new();
@@ -125,11 +127,6 @@ pub fn cluster(args: &Args) -> Result<String, String> {
     let _ = writeln!(s, "largest clusters: [{}]", preview.join(", "));
 
     if args.has("render") {
-        // Reconstruct caller-order labels for the map.
-        let mut labels = vec![0u32; perm.len()];
-        for (tree_idx, &orig) in perm.iter().enumerate() {
-            labels[orig as usize] = result.labels().raw(tree_idx as u32);
-        }
         let _ = writeln!(s, "cluster map ('·' = noise):");
         for row in vbp_data::render::render_clusters(&points, &labels, 72, 20) {
             let _ = writeln!(s, "  {row}");
@@ -755,22 +752,13 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     Ok(config)
 }
 
-/// Writes `x,y,label` CSV in the caller's original point order.
-fn write_labeled_csv(
-    path: &str,
-    tree_points: &[Point2],
-    perm: &[u32],
-    labels: &vbp_dbscan::Labels,
-) -> Result<(), String> {
+/// Writes `x,y,label` CSV, one row per point, in the order given (the
+/// caller's original point order).
+fn write_labeled_csv(path: &str, points: &[Point2], labels: &[u32]) -> Result<(), String> {
     use std::io::Write;
     let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
-    // Reconstruct caller order.
-    let mut rows: Vec<(Point2, u32)> = vec![(Point2::ORIGIN, 0); perm.len()];
-    for (tree_idx, &orig) in perm.iter().enumerate() {
-        rows[orig as usize] = (tree_points[tree_idx], labels.raw(tree_idx as u32));
-    }
-    for (p, l) in rows {
+    for (p, &l) in points.iter().zip(labels) {
         let label = if l == vbp_dbscan::NOISE {
             "noise".to_string()
         } else {

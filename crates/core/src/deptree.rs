@@ -3,9 +3,10 @@
 //! With global knowledge (disregarding execution order), each variant's
 //! ideal reuse source is the variant minimizing the component-wise
 //! parameter difference among those satisfying the inclusion criteria.
-//! The resulting forest explains the schedules of Figure 3(b)–(c), is used
-//! by tests to validate SchedGreedy's choices, and can be exported to
-//! Graphviz for inspection.
+//! The resulting forest explains the schedules of Figure 3(b)–(c) and can
+//! be exported to Graphviz for inspection; `examples/scheduling_demo.rs`
+//! prints it beside the online schedule. No test outside this module
+//! reads it: the scheduler's own tests hold SchedGreedy's choices.
 
 use crate::variant::VariantSet;
 

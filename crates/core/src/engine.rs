@@ -5,8 +5,9 @@
 //! One engine run:
 //!
 //! 1. bin-sorts the database and builds the shared R-tree `T_low` with
-//!    the configured `r` (the paper's second tree, `T_high`, is not built:
-//!    see [`PreparedIndex`]);
+//!    the configured `r`, unless the request brings a [`PreparedIndex`]
+//!    (the dataset generation, [`crate::generation`]; the paper's second
+//!    tree, `T_high`, is not built);
 //! 2. spawns `T` workers that repeatedly pull an
 //!    [`Assignment`](crate::scheduler::Assignment) from the shared
 //!    [`ScheduleState`] — either "cluster variant `v` from scratch"
@@ -66,12 +67,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vbp_dbscan::{dbscan_with_scratch, ClusterResult, DbscanScratch};
-use vbp_geom::binning::invert_permutation;
-use vbp_geom::{Point2, PointId};
-use vbp_rtree::{Column, PackedRTree};
-use vbp_store::{Container, IndexSnapshot, StoreError};
+use vbp_geom::Point2;
+use vbp_rtree::PackedRTree;
 
 use crate::expand::{cluster_with_reuse_traced, NeighborCounts};
+use crate::generation::PreparedIndex;
 use crate::metrics::{ExecutionPath, RunReport, VariantOutcome, WorkerStats};
 use crate::scheduler::{ScheduleState, Scheduler};
 use crate::seeds::ReuseScheme;
@@ -248,325 +248,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A prebuilt, reusable index over one point database.
-///
-/// Rebuilding the tree on every run is fine for one-shot sweeps but
-/// wasteful for a long-running service answering many variant requests
-/// against the same datasets. `PreparedIndex` hoists the bin sort and
-/// the tree build out of the run loop: build once with
-/// [`Engine::prepare`], then execute any number of
-/// [`RunRequest::prepared`] runs. Runs over a prepared index report
-/// `index_build_time == 0` — the build cost lives in
-/// [`PreparedIndex::build_time`], amortized across every run that shares
-/// the handle.
-///
-/// A handle is the whole of one dataset generation: the tree holds the
-/// points in tree order (one shared array), the permutation maps
-/// them back, and [`PreparedIndex::caller_points`] derives caller order
-/// for the few readers that want it. Successive maintained appends share
-/// these arrays ([`Column`]s), each handle seeing its own prefix.
-///
-/// The paper's §IV-A builds a second tree, `T_high` (`r = 1`), for the
-/// cluster-MBB harvest of Algorithm 3. Its leaf level alone is one
-/// 32-byte box per point, and the reuse path harvests on `T_low` at leaf
-/// grain instead, so this index keeps one tree; [`PreparedIndex::t_high`]
-/// remains as a name for it.
-#[derive(Clone, Debug)]
-pub struct PreparedIndex {
-    t_low: PackedRTree,
-    permutation: Column<PointId>,
-    /// The inverse of `permutation`, built on first use and carried
-    /// across maintained appends.
-    tree_positions: OnceLock<Column<PointId>>,
-    build_time: Duration,
-    /// Points appended (at the tree tail, outside bin order) since the
-    /// last full bin sort — the maintain-vs-resort policy input.
-    appended_since_sort: usize,
-}
-
-impl PreparedIndex {
-    /// Assembles a handle around `t_low`.
-    fn around(
-        t_low: PackedRTree,
-        permutation: Vec<PointId>,
-        build_time: Duration,
-        appended_since_sort: usize,
-    ) -> Self {
-        Self {
-            t_low,
-            permutation: permutation.into(),
-            tree_positions: OnceLock::new(),
-            build_time,
-            appended_since_sort,
-        }
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.permutation.len()
-    }
-
-    /// Returns `true` for an index over the empty database.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.permutation.is_empty()
-    }
-
-    /// The tree (`r` points per leaf) used for ε-neighborhood searches.
-    #[inline]
-    pub fn t_low(&self) -> &PackedRTree {
-        &self.t_low
-    }
-
-    /// The paper's harvest tree, here [`PreparedIndex::t_low`]. The paper
-    /// harvests on a second, `r = 1` tree; the reuse path harvests on
-    /// `T_low` at leaf grain, so this index builds one tree. Kept for
-    /// callers that name the paper's pair.
-    #[inline]
-    pub fn t_high(&self) -> &PackedRTree {
-        &self.t_low
-    }
-
-    /// Permutation mapping tree order → caller point order.
-    #[inline]
-    pub fn permutation(&self) -> &[PointId] {
-        &self.permutation
-    }
-
-    /// The `r` the index was actually built with.
-    #[inline]
-    pub fn chosen_r(&self) -> usize {
-        self.t_low.points_per_leaf()
-    }
-
-    /// Wall time spent bin-sorting and building the tree,
-    /// plus any streaming maintenance applied since.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// Points appended at the tree tail since the last full bin sort.
-    /// Zero for a freshly prepared (or freshly re-sorted) handle.
-    pub fn appended_since_sort(&self) -> usize {
-        self.appended_since_sort
-    }
-
-    /// Caller id → tree position, the inverse of
-    /// [`PreparedIndex::permutation`]. Built in O(n) on the first call
-    /// for a generation that has none, then carried by every maintained
-    /// append in O(batch): an appended caller id `q` sits at tree
-    /// position `q`.
-    pub fn tree_positions(&self) -> &[PointId] {
-        self.tree_positions
-            .get_or_init(|| invert_permutation(&self.permutation).into())
-    }
-
-    /// This handle followed by `batch` at the tail of tree order: the
-    /// points, coordinates, permutation and (when built) its inverse grow
-    /// by the batch, and the tree grows as [`PackedRTree::appended`]
-    /// describes.
-    fn appended(&self, batch: &[Point2]) -> Self {
-        let (old_n, total) = (self.len(), self.len() + batch.len());
-        let tail = || (old_n..total).map(|i| i as PointId);
-        let t_low = self.t_low.appended(batch);
-        let tree_positions = match self.tree_positions.get() {
-            Some(inverse) => OnceLock::from(inverse.appended(tail())),
-            None => OnceLock::new(),
-        };
-        Self {
-            t_low,
-            permutation: self.permutation.appended(tail()),
-            tree_positions,
-            build_time: self.build_time,
-            appended_since_sort: self.appended_since_sort + batch.len(),
-        }
-    }
-
-    /// The accumulated database in the caller's original point order
-    /// (inverts [`PreparedIndex::permutation`]).
-    pub fn caller_points(&self) -> Vec<Point2> {
-        let tree_points = self.t_low.shared_points();
-        let mut caller = vec![Point2::new(0.0, 0.0); self.permutation.len()];
-        for (tree_idx, &orig) in self.permutation.iter().enumerate() {
-            caller[orig as usize] = tree_points[tree_idx];
-        }
-        caller
-    }
-
-    /// Writes this handle's complete warm state into `w` as one
-    /// checksummed [`vbp_store`] container: the tree-order points, the
-    /// permutation, `r`, and the append generation counter.
-    /// [`PreparedIndex::restore`] on those bytes skips the bin sort
-    /// entirely and re-derives the packed tree from the stored order in
-    /// O(n).
-    ///
-    /// Callers that want a clean generation on disk should flush a
-    /// dirty tail through [`Engine::resort_prepared`] first;
-    /// snapshotting a dirty handle is still correct (the counter
-    /// round-trips), it just persists tail-degraded query locality.
-    pub fn snapshot<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&self.snapshot_bytes())
-    }
-
-    /// [`PreparedIndex::snapshot`] into an owned buffer.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.to_snapshot().encode()
-    }
-
-    /// This handle's warm state as plain store data, ready to embed in
-    /// a dataset file.
-    pub fn to_snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot {
-            points: self.t_low.shared_points(),
-            permutation: self.permutation.to_vec(),
-            chosen_r: self.chosen_r(),
-            fanout: self.t_low.fanout(),
-            build_time_ns: self.build_time.as_nanos().min(u128::from(u64::MAX)) as u64,
-            appended_since_sort: self.appended_since_sort as u64,
-        }
-    }
-
-    /// Rebuilds a handle from [`PreparedIndex::snapshot`] bytes without
-    /// bin-sorting or tuning — the store's near-instant warm restart.
-    /// Total on arbitrary input: every checksum, length, and
-    /// permutation invariant is validated and any violation comes back
-    /// as a typed [`StoreError`], never a panic and never an index that
-    /// could drop neighbors.
-    pub fn restore<R: std::io::Read>(r: &mut R) -> Result<Self, StoreError> {
-        let container = Container::read_from(r)?;
-        // Decode has already proven every invariant `from_snapshot`
-        // re-checks, so the trusted constructor applies directly.
-        Ok(Self::from_snapshot_trusted(
-            IndexSnapshot::decode_container(&container)?,
-        ))
-    }
-
-    /// Rebuilds a handle from decoded snapshot data.
-    ///
-    /// The packed tree is *derived* from the stored tree-order points.
-    /// Fresh prepares, maintained appends and re-sorts all build through
-    /// `PackedRTree::grown_over` (a fresh build is growth from the empty
-    /// tree), and growth equals a fresh build over the concatenation, so
-    /// the derived tree is bit-identical to the one that was
-    /// snapshotted, in every append-generation state. Deriving (instead of trusting level MBBs from disk) also
-    /// closes the one hole checksums cannot: a CRC-valid but *crafted*
-    /// file whose boxes fail to cover their points would silently drop
-    /// neighbors; boxes computed from the validated points cannot.
-    ///
-    /// The snapshot's fields are re-validated here (decode already
-    /// guarantees them, but the struct is plain public data), so this
-    /// is total even on a hand-built snapshot.
-    pub fn from_snapshot(snap: IndexSnapshot) -> Result<Self, StoreError> {
-        let malformed = |section: u32, reason: String| StoreError::Malformed { section, reason };
-        let n = snap.points.len();
-        if snap.chosen_r < 1 {
-            return Err(malformed(
-                vbp_store::section_id::INDEX_META,
-                format!("bad r {}", snap.chosen_r),
-            ));
-        }
-        if snap.fanout < 2 {
-            return Err(malformed(
-                vbp_store::section_id::INDEX_META,
-                format!("bad fanout {}", snap.fanout),
-            ));
-        }
-        if snap.appended_since_sort > n as u64 {
-            return Err(malformed(
-                vbp_store::section_id::INDEX_META,
-                format!(
-                    "append generation {} exceeds {n} points",
-                    snap.appended_since_sort
-                ),
-            ));
-        }
-        if snap.permutation.len() != n {
-            return Err(malformed(
-                vbp_store::section_id::PERMUTATION,
-                format!("{} entries for {n} points", snap.permutation.len()),
-            ));
-        }
-        let mut seen = vec![false; n];
-        for &i in &snap.permutation {
-            match seen.get_mut(i as usize) {
-                Some(slot) if !*slot => *slot = true,
-                _ => {
-                    return Err(malformed(
-                        vbp_store::section_id::PERMUTATION,
-                        format!("permutation is not a bijection (entry {i})"),
-                    ))
-                }
-            }
-        }
-        if let Some(bad) = snap.points.iter().position(|p| !p.is_finite()) {
-            return Err(malformed(
-                vbp_store::section_id::POINTS,
-                format!("point {bad} has non-finite coordinates"),
-            ));
-        }
-        Ok(Self::from_snapshot_trusted(snap))
-    }
-
-    /// [`PreparedIndex::from_snapshot`] minus the validation pass, for
-    /// callers (decode, `from_snapshot` itself) that have already proven
-    /// `chosen_r ≥ 1`, `fanout ≥ 2`, a bijective permutation covering
-    /// the points, finite coordinates, and a bounded append counter.
-    fn from_snapshot_trusted(snap: IndexSnapshot) -> Self {
-        let IndexSnapshot {
-            points,
-            permutation,
-            chosen_r,
-            fanout,
-            build_time_ns,
-            appended_since_sort,
-        } = snap;
-        Self {
-            t_low: PackedRTree::from_sorted_with_fanout(points, chosen_r, fanout),
-            permutation: permutation.into(),
-            tree_positions: OnceLock::new(),
-            build_time: Duration::from_nanos(build_time_ns),
-            appended_since_sort: appended_since_sort as usize,
-        }
-    }
-
-    /// Maps a tree-order clustering of this index back to the caller's
-    /// original point order (raw label values, noise included).
-    pub fn labels_in_caller_order(&self, result: &ClusterResult) -> Vec<u32> {
-        assert_eq!(
-            result.len(),
-            self.permutation.len(),
-            "result covers a different database"
-        );
-        let mut remapped = vec![0u32; result.len()];
-        for (tree_idx, &orig) in self.permutation.iter().enumerate() {
-            remapped[orig as usize] = result.labels().raw(tree_idx as PointId);
-        }
-        remapped
-    }
-}
-
-/// Unsorted-tail fraction above which [`Engine::append_to_prepared`]
-/// re-sorts the whole handle instead of maintaining the packed arrays in
-/// place. Appends land at the tail of tree order (outside bin order), so
-/// query locality degrades with the tail; a quarter of the dataset is
-/// where the one-off full re-sort starts paying for itself.
-pub const APPEND_RESORT_FRACTION: f64 = 0.25;
-
-/// Record of one [`Engine::append_to_prepared`] batch.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendReport {
-    /// Points inserted by this batch.
-    pub appended: usize,
-    /// Dataset size after the batch.
-    pub total: usize,
-    /// Whether the handle crossed [`APPEND_RESORT_FRACTION`] and was
-    /// rebuilt with a full bin sort (tail reset to zero).
-    pub resorted: bool,
-    /// Wall time spent maintaining or re-sorting the handle.
-    pub time: Duration,
-}
-
 /// An externally completed clustering offered to a run as a reuse source
 /// — the unit the service's cross-run dominance cache feeds back into
 /// warm [`RunRequest`]s. The result must be in the *tree order* of the
@@ -582,7 +263,7 @@ pub struct WarmSource {
 
 /// The database a [`RunRequest`] executes over.
 #[derive(Clone, Copy, Debug)]
-pub enum RunSource<'a> {
+enum RunSource<'a> {
     /// Raw points: the run builds its own index and reports the
     /// build cost in [`RunReport::index_build_time`].
     Points(&'a [Point2]),
@@ -613,21 +294,19 @@ pub struct RunRequest<'a> {
 impl<'a> RunRequest<'a> {
     /// A run over raw `points` (index built per run).
     pub fn new(points: &'a [Point2], variants: &'a VariantSet) -> RunRequest<'a> {
-        Self::from_source(RunSource::Points(points), variants)
+        RunRequest {
+            source: RunSource::Points(points),
+            variants,
+            warm: &[],
+            trace: TraceLevel::Off,
+        }
     }
 
     /// A run over a prebuilt [`PreparedIndex`].
     pub fn prepared(index: &'a PreparedIndex, variants: &'a VariantSet) -> RunRequest<'a> {
-        Self::from_source(RunSource::Prepared(index), variants)
-    }
-
-    /// A run over an explicit [`RunSource`].
-    pub fn from_source(source: RunSource<'a>, variants: &'a VariantSet) -> RunRequest<'a> {
         RunRequest {
-            source,
-            variants,
-            warm: &[],
-            trace: TraceLevel::Off,
+            source: RunSource::Prepared(index),
+            ..Self::new(&[], variants)
         }
     }
 
@@ -690,14 +369,8 @@ impl Engine {
         let prepared_local;
         let (index, build_time) = match request.source {
             RunSource::Points(points) => {
-                if let Some(bad) = points.iter().position(|p| !p.is_finite()) {
-                    return Err(EngineError::NonFinitePoint {
-                        index: bad,
-                        point: points[bad],
-                    });
-                }
-                prepared_local = self.prepare_unchecked(points);
-                (&prepared_local, prepared_local.build_time)
+                prepared_local = self.prepare(points, None)?;
+                (&prepared_local, prepared_local.build_time())
             }
             RunSource::Prepared(index) => (index, Duration::ZERO),
         };
@@ -715,114 +388,6 @@ impl Engine {
         let mut report = self.run_scheduled(index, variants, request.warm, request.trace)?;
         report.index_build_time = build_time;
         Ok(report)
-    }
-
-    /// Builds the shared R-tree over `points` with the configured `r`
-    /// without clustering anything, returning a handle that any number of
-    /// [`RunRequest::prepared`] runs can share. `_representative_eps` is
-    /// not read; it stays in the signature for existing callers.
-    pub fn prepare(
-        &self,
-        points: &[Point2],
-        _representative_eps: Option<f64>,
-    ) -> Result<PreparedIndex, EngineError> {
-        if let Some(bad) = points.iter().position(|p| !p.is_finite()) {
-            return Err(EngineError::NonFinitePoint {
-                index: bad,
-                point: points[bad],
-            });
-        }
-        Ok(self.prepare_unchecked(points))
-    }
-
-    /// [`Engine::prepare`] minus the finiteness check (already done by
-    /// [`Engine::execute`] on the raw-points path).
-    fn prepare_unchecked(&self, points: &[Point2]) -> PreparedIndex {
-        let build_start = Instant::now();
-        let (t_low, permutation) = PackedRTree::build(points, self.config.r);
-        PreparedIndex::around(t_low, permutation, build_start.elapsed(), 0)
-    }
-
-    /// Applies one streaming APPEND batch to a prepared handle, returning
-    /// the successor handle (functional update — in-flight runs over the
-    /// old handle stay valid) plus an [`AppendReport`].
-    ///
-    /// The maintain path appends the new points at the *tail of tree
-    /// order*: no bin sort. The points, coordinates and
-    /// permutation are [`Column`]s the batch is written onto in place
-    /// ([`PackedRTree::appended`]); only the tree's small levels — its
-    /// `n / r` leaves and the levels above — are copied, with just their
-    /// last partial node and right spine recomputed. The tree equals a
-    /// [`PackedRTree::from_sorted`]
-    /// build over the concatenation, level by level. Appended caller ids
-    /// continue the old numbering (`old_len..old_len+k`). Once the
-    /// unsorted tail exceeds [`APPEND_RESORT_FRACTION`] of the dataset,
-    /// the handle is re-sorted from scratch (same `chosen_r`; the tail
-    /// fraction resets to zero) so query locality cannot degrade without
-    /// bound.
-    pub fn append_to_prepared(
-        &self,
-        index: &PreparedIndex,
-        new_points: &[Point2],
-    ) -> Result<(PreparedIndex, AppendReport), EngineError> {
-        if let Some(bad) = new_points.iter().position(|p| !p.is_finite()) {
-            return Err(EngineError::NonFinitePoint {
-                index: bad,
-                point: new_points[bad],
-            });
-        }
-        let start = Instant::now();
-        let old_n = index.len();
-        let total = old_n + new_points.len();
-
-        let unsorted_tail = index.appended_since_sort + new_points.len();
-        let resorted = unsorted_tail as f64 > total as f64 * APPEND_RESORT_FRACTION;
-        let mut next = if resorted {
-            let mut caller = index.caller_points();
-            caller.extend_from_slice(new_points);
-            self.bin_sorted(index, &caller)
-        } else {
-            index.appended(new_points)
-        };
-        let time = start.elapsed();
-        next.build_time += time;
-        Ok((
-            next,
-            AppendReport {
-                appended: new_points.len(),
-                total,
-                resorted,
-                time,
-            },
-        ))
-    }
-
-    /// Flushes a handle's unsorted append tail through the same full
-    /// re-sort [`Engine::append_to_prepared`] applies when the tail
-    /// crosses [`APPEND_RESORT_FRACTION`]: bin-sort the accumulated
-    /// caller-order points with the handle's `r` and
-    /// rebuild the packed tree. The returned handle answers the same
-    /// queries with `appended_since_sort == 0` — the clean generation
-    /// the warm-state store persists before shutdown. A handle that is
-    /// already clean is returned as a cheap clone.
-    pub fn resort_prepared(&self, index: &PreparedIndex) -> PreparedIndex {
-        if index.appended_since_sort == 0 {
-            return index.clone();
-        }
-        let start = Instant::now();
-        let mut next = self.bin_sorted(index, &index.caller_points());
-        next.build_time += start.elapsed();
-        next
-    }
-
-    /// The full re-sort behind [`Engine::append_to_prepared`] and
-    /// [`Engine::resort_prepared`]: bin-sorts `caller` — `index`'s
-    /// accumulated database in caller order, plus any batch being
-    /// appended — with the handle's `r` and rebuilds
-    /// the packed tree. The tail counter resets to zero.
-    fn bin_sorted(&self, index: &PreparedIndex, caller: &[Point2]) -> PreparedIndex {
-        let (t_low, permutation) = PackedRTree::build(caller, index.chosen_r());
-        PreparedIndex::around(t_low, permutation, index.build_time, 0)
     }
 
     /// The engine core: clusters `variants` over a prepared index with
@@ -938,7 +503,7 @@ impl Engine {
             threads: self.config.threads,
             chosen_r: index.chosen_r(),
             results,
-            permutation: index.permutation.to_vec(),
+            permutation: index.permutation().to_vec(),
             worker_stats,
             warm_seeds: warm.len(),
             phases,
@@ -1156,7 +721,7 @@ fn worker_loop(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::variant::Variant;
     use std::time::Duration;
@@ -1165,7 +730,7 @@ mod tests {
 
     /// Deterministic blob generator: `k` Gaussian-ish blobs on a grid plus
     /// uniform noise.
-    fn blobs(n: usize, k: usize, seed: u64) -> Vec<Point2> {
+    pub(crate) fn blobs(n: usize, k: usize, seed: u64) -> Vec<Point2> {
         let mut state = seed | 1;
         let mut rnd = move || {
             state ^= state << 13;
@@ -1188,20 +753,24 @@ mod tests {
             .collect()
     }
 
-    fn small_grid() -> VariantSet {
+    pub(crate) fn small_grid() -> VariantSet {
         VariantSet::cartesian(&[0.8, 1.2, 1.6], &[4, 8])
     }
 
     /// [`Engine::execute`] over raw points, unwrapped — the shape most
     /// tests want.
-    fn run(engine: &Engine, points: &[Point2], variants: &VariantSet) -> RunReport {
+    pub(crate) fn run(engine: &Engine, points: &[Point2], variants: &VariantSet) -> RunReport {
         engine
             .execute(&RunRequest::new(points, variants))
             .expect("test input is valid")
     }
 
     /// [`Engine::execute`] over a prepared index, unwrapped.
-    fn run_prepared(engine: &Engine, index: &PreparedIndex, variants: &VariantSet) -> RunReport {
+    pub(crate) fn run_prepared(
+        engine: &Engine,
+        index: &PreparedIndex,
+        variants: &VariantSet,
+    ) -> RunReport {
         engine
             .execute(&RunRequest::prepared(index, variants))
             .expect("test input is valid")
@@ -1231,96 +800,6 @@ mod tests {
             assert_eq!(o.index, i);
             assert_eq!(report.results[i].num_clusters(), o.clusters);
         }
-    }
-
-    /// Canonicalizes raw caller-order labels by first appearance so two
-    /// labelings compare equal iff they induce the same partition (noise
-    /// preserved as noise).
-    fn canonical(labels: &[u32]) -> Vec<u32> {
-        let mut map = std::collections::HashMap::new();
-        labels
-            .iter()
-            .map(|&l| {
-                if l == u32::MAX {
-                    u32::MAX
-                } else {
-                    let next = map.len() as u32;
-                    *map.entry(l).or_insert(next)
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn append_to_prepared_is_equivalent_to_fresh_prepare() {
-        let all = blobs(700, 4, 7);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-        let mut index = engine.prepare(&all[..400], None).expect("finite");
-
-        // First batch (100 on 400: tail 20% — maintain), second batch
-        // (+100: tail 200/600 = 33% — resort).
-        let mut saw_resort = false;
-        for (start, end) in [(400, 500), (500, 700)] {
-            let (next, report) = engine
-                .append_to_prepared(&index, &all[start..end])
-                .expect("finite batch");
-            assert_eq!(report.appended, end - start);
-            assert_eq!(report.total, end);
-            saw_resort |= report.resorted;
-            index = next;
-
-            assert_eq!(index.len(), end);
-            assert_eq!(index.caller_points(), all[..end].to_vec());
-
-            let streamed = run_prepared(&engine, &index, &variants);
-            let fresh = run(&engine, &all[..end], &variants);
-            for v in 0..variants.len() {
-                assert_eq!(
-                    canonical(&streamed.result_in_caller_order(v)),
-                    canonical(&fresh.result_in_caller_order(v)),
-                    "variant {v} diverged after appending to {end} points"
-                );
-            }
-        }
-        assert!(saw_resort, "second batch must cross APPEND_RESORT_FRACTION");
-        assert_eq!(index.appended_since_sort(), 0, "resort resets the tail");
-
-        let err = engine
-            .append_to_prepared(&index, &[Point2::new(f64::NAN, 0.0)])
-            .expect_err("non-finite appends are rejected");
-        assert!(matches!(err, EngineError::NonFinitePoint { index: 0, .. }));
-    }
-
-    #[test]
-    fn grown_handles_snapshot_their_own_prefix_and_carry_the_inverse() {
-        let all = blobs(600, 3, 11);
-        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(8));
-        let base = engine.prepare(&all[..500], None).expect("finite");
-        assert_eq!(base.tree_positions().len(), 500, "built on first use");
-        let step = |index: &PreparedIndex, batch: &[Point2]| {
-            let (next, report) = engine.append_to_prepared(index, batch).expect("finite");
-            assert!(!report.resorted);
-            next
-        };
-        // `mid`'s columns are then grown in place by `late`, and forked.
-        let mid = step(&base, &all[500..510]);
-        let late = step(&mid, &all[510..530]);
-        let fork = step(&mid, &all[540..545]);
-        for (index, len) in [(&mid, 510), (&late, 530), (&fork, 515)] {
-            assert_eq!(index.len(), len);
-            assert_eq!(
-                index.tree_positions(),
-                invert_permutation(index.permutation())
-            );
-            let restored = PreparedIndex::restore(&mut index.snapshot_bytes().as_slice())
-                .expect("a fresh snapshot restores");
-            assert_eq!(restored.caller_points(), index.caller_points());
-            assert_eq!(restored.permutation(), index.permutation());
-            assert_eq!(restored.snapshot_bytes(), index.snapshot_bytes());
-        }
-        assert_eq!(fork.caller_points()[510..], all[540..545]);
-        assert_eq!(late.caller_points(), all[..530]);
     }
 
     #[test]
@@ -1675,63 +1154,6 @@ mod tests {
                 assert!(o.variant.can_reuse(&src));
             }
         }
-    }
-
-    // ----- prepared indexes: build once, run many
-
-    #[test]
-    fn prepared_index_builds_once_across_runs() {
-        // Regression: one-shot runs used to rebuild the index per call
-        // even on an unchanged point set. Two runs over one prepared
-        // handle must not pay (or report) any index construction — the
-        // build cost lives in the handle, once.
-        let points = blobs(800, 4, 63);
-        let variants = small_grid();
-        let engine = Engine::new(EngineConfig::default().with_threads(2).with_r(16));
-        let prepared = engine.prepare(&points, None).unwrap();
-        assert!(prepared.build_time() > Duration::ZERO);
-        assert_eq!(prepared.len(), points.len());
-        assert_eq!(prepared.chosen_r(), 16);
-
-        let a = run_prepared(&engine, &prepared, &variants);
-        let b = run_prepared(&engine, &prepared, &variants);
-        assert_eq!(a.index_build_time, Duration::ZERO);
-        assert_eq!(b.index_build_time, Duration::ZERO);
-        assert_eq!(a.permutation, prepared.permutation());
-        assert_eq!(b.permutation, prepared.permutation());
-
-        // Same handle ⇒ same tree order ⇒ same cluster structure as the
-        // classic one-shot path.
-        let direct = run(&engine, &points, &variants);
-        assert!(direct.index_build_time > Duration::ZERO);
-        for i in 0..variants.len() {
-            assert_eq!(
-                a.results[i].num_clusters(),
-                direct.results[i].num_clusters()
-            );
-            assert_eq!(a.results[i].noise_count(), direct.results[i].noise_count());
-        }
-    }
-
-    #[test]
-    fn prepare_rejects_non_finite_points() {
-        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(4));
-        let points = vec![Point2::new(0.0, 0.0), Point2::new(1.0, f64::INFINITY)];
-        assert!(matches!(
-            engine.prepare(&points, None),
-            Err(EngineError::NonFinitePoint { index: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn labels_in_caller_order_roundtrips() {
-        let points = blobs(300, 3, 69);
-        let variants = VariantSet::replicated(Variant::new(1.0, 4), 1);
-        let engine = Engine::new(EngineConfig::default().with_threads(1).with_r(8));
-        let prepared = engine.prepare(&points, None).unwrap();
-        let report = run_prepared(&engine, &prepared, &variants);
-        let remapped = prepared.labels_in_caller_order(&report.results[0]);
-        assert_eq!(remapped, report.result_in_caller_order(0));
     }
 
     // ----- warm starts: cross-run reuse sources

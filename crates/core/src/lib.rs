@@ -47,6 +47,7 @@ pub mod deptree;
 pub mod engine;
 pub mod expand;
 pub mod fault;
+pub mod generation;
 pub mod json;
 pub mod metrics;
 pub mod scheduler;
@@ -56,11 +57,9 @@ pub mod trace;
 pub mod variant;
 
 pub use deptree::DependencyTree;
-pub use engine::{
-    AppendReport, Engine, EngineConfig, EngineError, JobPanic, PreparedIndex, RunRequest,
-    RunSource, WarmSource, APPEND_RESORT_FRACTION,
-};
+pub use engine::{Engine, EngineConfig, EngineError, JobPanic, RunRequest, WarmSource};
 pub use expand::{cluster_with_reuse, ReuseStats};
+pub use generation::{AppendReport, PreparedIndex, APPEND_RESORT_FRACTION};
 pub use json::{parse_json, JsonArray, JsonObject, JsonValue};
 pub use metrics::{ExecutionPath, RunReport, VariantOutcome, WorkerStats};
 pub use scheduler::{Assignment, ReferenceScheduleState, ScheduleSource, ScheduleState, Scheduler};

@@ -285,12 +285,8 @@ impl RunReport {
     /// Maps one variant's clustering result back to the caller's original
     /// point order.
     pub fn result_in_caller_order(&self, variant_index: usize) -> Vec<u32> {
-        let result = &self.results[variant_index];
-        let mut remapped = vec![0u32; result.len()];
-        for (tree_idx, &orig) in self.permutation.iter().enumerate() {
-            remapped[orig as usize] = result.labels().raw(tree_idx as PointId);
-        }
-        remapped
+        let labels = self.results[variant_index].labels();
+        vbp_geom::binning::unpermute(&self.permutation, |i| labels.raw(i as PointId))
     }
 
     /// Renders the whole run machine-readably (one JSON object, no

@@ -57,8 +57,7 @@ fn engine() -> Engine {
 }
 
 fn roundtrip(index: &PreparedIndex) -> PreparedIndex {
-    let mut bytes = Vec::new();
-    index.snapshot(&mut bytes).unwrap();
+    let bytes = index.snapshot_bytes();
     let restored = PreparedIndex::restore(&mut bytes.as_slice()).unwrap();
     assert_eq!(
         restored.snapshot_bytes(),

@@ -336,11 +336,22 @@ pub fn apply_permutation(points: &[Point2], perm: &[PointId]) -> Vec<Point2> {
 /// caller's original point ids (e.g. when reporting cluster membership for
 /// externally supplied data).
 pub fn invert_permutation(perm: &[PointId]) -> Vec<PointId> {
-    let mut inv = vec![0 as PointId; perm.len()];
+    unpermute(perm, |i| i as PointId)
+}
+
+/// Scatters values listed in sorted order back to the caller's order:
+/// `out[perm[i]] = sorted(i)` for each position `i` of a permutation
+/// [`bin_sort`] produced. The one loop that maps sorted order back;
+/// points, labels and the inverse itself all go through it.
+pub fn unpermute<T: Copy + Default>(
+    perm: &[PointId],
+    mut sorted: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    let mut out = vec![T::default(); perm.len()];
     for (i, &p) in perm.iter().enumerate() {
-        inv[p as usize] = i as PointId;
+        out[p as usize] = sorted(i);
     }
-    inv
+    out
 }
 
 #[cfg(test)]

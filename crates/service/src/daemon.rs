@@ -60,8 +60,7 @@ use variantdbscan::{
     VariantSet, WarmSource,
 };
 use vbp_dbscan::algorithm::dbscan_brute_force;
-use vbp_dbscan::{ClusterResult, DbscanParams, IncrementalDbscan, InsertOutcome, Labels};
-use vbp_geom::binning::invert_permutation;
+use vbp_dbscan::{DbscanParams, IncrementalDbscan, InsertOutcome};
 use vbp_geom::{Point2, PointId};
 use vbp_rtree::{PackedRTree, SpatialIndex};
 
@@ -744,22 +743,21 @@ impl Shared {
         // A handle with an unsorted append tail would persist (and then
         // restore) tail-degraded query locality forever. Flush it
         // through the engine's re-sort path first, re-keying the
-        // dataset's cached tree-order labels through old-permutation →
-        // caller order → new-permutation (counter-neutral: nothing was
-        // repaired or dropped, only re-ordered).
+        // dataset's cached tree-order labels into the clean generation
+        // (counter-neutral: nothing was repaired or dropped, only
+        // re-ordered).
         for entry in self.registry.entries() {
             if entry.index.appended_since_sort() == 0 {
                 continue;
             }
             let clean = self.engine.resort_prepared(&entry.index);
-            let gather = rekey_gather(entry.index.permutation(), clean.permutation());
             self.cache().remap_results(&entry.name, |_, result| {
-                if result.len() != gather.len() {
+                if result.len() != clean.len() {
                     // Covers a different generation (e.g. inserted
                     // mid-drain race) — cannot be re-keyed soundly.
                     return None;
                 }
-                Some(Arc::new(rekeyed(result, &gather)))
+                Some(Arc::new(clean.rekey(&entry.index, result)))
             });
             self.registry.swap(Arc::new(DatasetEntry {
                 name: entry.name.clone(),
@@ -997,7 +995,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
 /// clustering ([`ClusterResult::extend`]). It is written through
 /// [`Arc::make_mut`]: a batch still holding the old `Arc` keeps the old
 /// result. After a re-sort the extended result is then re-keyed into the
-/// new tree order by the gather the store flush uses ([`rekey_gather`]).
+/// new tree order by [`PreparedIndex::rekey`], as the store flush does.
 fn repair_cache(
     shared: &Shared,
     old_entry: &DatasetEntry,
@@ -1013,7 +1011,6 @@ fn repair_cache(
     let nearest = cache
         .widest_eps(&entry.name)
         .and_then(|eps| nearest_sq(old_entry.index.t_low(), appended, eps));
-    let mut gather: Option<Vec<PointId>> = None;
     cache.maintain_after_append(&entry.name, |variant, slot| {
         if slot.len() != old_n {
             // An older generation (raced a previous append's sweep);
@@ -1026,13 +1023,7 @@ fn repair_cache(
         let tail = dbscan_brute_force(appended, DbscanParams::new(variant.eps, variant.minpts));
         Arc::make_mut(slot).extend(&tail);
         if resorted {
-            let gather = gather.get_or_insert_with(|| {
-                // The extended order: old tree order, then the batch.
-                let mut extended = old_entry.index.permutation().to_vec();
-                extended.extend(old_n as PointId..entry.index.len() as PointId);
-                rekey_gather(&extended, entry.index.permutation())
-            });
-            *slot = Arc::new(rekeyed(slot, gather));
+            *slot = Arc::new(entry.index.rekey(&old_entry.index, slot));
         }
         true
     })
@@ -1058,46 +1049,19 @@ fn nearest_sq(tree: &PackedRTree, batch: &[Point2], eps: f64) -> Option<f64> {
     nearest
 }
 
-/// The gather that re-keys a clustering from one tree order to another
-/// over the same caller ids: position `i` of the `to` order takes the
-/// label at position `gather[i]` of the `from` order. Both orders are
-/// given as permutations (tree position → caller id).
-fn rekey_gather(from: &[PointId], to: &[PointId]) -> Vec<PointId> {
-    let from_pos = invert_permutation(from);
-    to.iter().map(|&caller| from_pos[caller as usize]).collect()
-}
-
-/// `result` re-keyed through a [`rekey_gather`] gather.
-fn rekeyed(result: &ClusterResult, gather: &[PointId]) -> ClusterResult {
-    let labels = result.labels();
-    let raw = gather.iter().map(|&i| labels.raw(i)).collect();
-    ClusterResult::from_labels(Labels::from_raw(raw))
-}
-
 /// Brings a stream's clustering up to `index`'s generation: inserts, in
 /// caller order and as one batch, every point the stream has not seen
 /// yet, and returns what the batch did. The one feed both the first
 /// subscription (from empty) and every append (the new tail) go through.
 ///
-/// Each ε-query is answered by the generation's own `T_low`, its tree ids
-/// mapped back to caller ids through the permutation; `insert` drops the
-/// ids it has not reached, so the stream sees the points arrive one at a
-/// time although the tree already holds them all. Caller ids reach tree
-/// positions through [`PreparedIndex::tree_positions`], which a
-/// maintained append carries forward in O(batch): the inverse is built
-/// only for the first stream of a generation that has none (the first
-/// `WATCH`, or the first append after a re-sort).
+/// Each ε-query is answered by the generation's own `T_low` in caller
+/// ids ([`PreparedIndex::caller_neighbors`]); `insert` drops the ids it
+/// has not reached, so the stream sees the points arrive one at a time
+/// although the tree already holds them all.
 fn feed_stream(inc: &mut IncrementalDbscan, index: &PreparedIndex) -> InsertOutcome {
-    let tree = index.t_low();
-    let permutation = index.permutation();
-    let tree_pos = index.tree_positions();
     let eps = inc.params().eps;
     inc.insert(index.len() - inc.len(), |q, out| {
-        let center = tree.points()[tree_pos[q as usize] as usize];
-        tree.epsilon_neighbors(center, eps, out);
-        for p in out.iter_mut() {
-            *p = permutation[*p as usize];
-        }
+        index.caller_neighbors(q, eps, out)
     })
 }
 
@@ -1146,7 +1110,7 @@ pub(crate) fn metric(text: &str, name: &str) -> u64 {
 mod tests {
     use super::*;
     use variantdbscan::EngineConfig;
-    use vbp_dbscan::MAX_CLUSTER_ID;
+    use vbp_dbscan::{ClusterResult, Labels, MAX_CLUSTER_ID};
 
     /// A `Shared` with no threads attached: admission control can be
     /// unit-tested without racing a live dispatcher.

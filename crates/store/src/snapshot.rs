@@ -229,16 +229,6 @@ impl IndexSnapshot {
             appended_since_sort,
         })
     }
-
-    /// The database in the caller's original point order (inverts the
-    /// permutation).
-    pub fn caller_points(&self) -> Vec<Point2> {
-        let mut caller = vec![Point2::new(0.0, 0.0); self.points.len()];
-        for (tree_idx, &orig) in self.permutation.iter().enumerate() {
-            caller[orig as usize] = self.points[tree_idx];
-        }
-        caller
-    }
 }
 
 /// One serialized dominance-cache entry: the variant key as plain
@@ -498,7 +488,7 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.encode(), bytes, "re-encode must be byte-identical");
         assert_eq!(
-            back.caller_points(),
+            vbp_geom::binning::unpermute(&back.permutation, |i| back.points[i]),
             vec![
                 Point2::new(2.0, 2.0),
                 Point2::new(0.0, 0.0),

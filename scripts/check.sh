@@ -27,8 +27,24 @@ if [[ $fast -eq 0 ]]; then
   cargo build --locked --release
 fi
 
-echo "==> cargo test --workspace -q"
-timeout 1800 cargo test --locked --workspace -q
+# The workspace's tests, one package at a time (the root `vbp` and each
+# crates/* member), each under its own timeout and timed, so a stalled
+# test binary names its package. Everything is compiled first, so a
+# package's time is its tests' own.
+echo "==> cargo test -q, package by package"
+timeout 1800 cargo test --locked --workspace -q --no-run
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  pkg="$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)"
+  start_ns="$(date +%s%N)"
+  status=0
+  timeout 600 cargo test --locked -q -p "$pkg" || status=$?
+  ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+  if [[ $status -ne 0 ]]; then
+    echo "error: cargo test -p $pkg exited $status after $((ms / 1000)) s (124: timed out)" >&2
+    exit 1
+  fi
+  printf '    %s: %d.%03d s\n' "$pkg" $((ms / 1000)) $((ms % 1000))
+done
 
 if [[ $fast -eq 0 ]]; then
   # The sharded kernel's correctness rests on the order of its core-flag
